@@ -530,13 +530,6 @@ where
     where
         P: Clone,
     {
-        self.compute_with(scope, true)
-    }
-
-    fn compute_with(&self, scope: Scope, fan_out: bool) -> Grid<P, O>
-    where
-        P: Clone,
-    {
         let seeds: Vec<Vec<u64>> = self
             .points
             .iter()
@@ -547,14 +540,7 @@ where
             .enumerate()
             .flat_map(|(i, s)| s.iter().map(move |&seed| (i, seed)))
             .collect();
-        let outcomes = if fan_out {
-            par_map(cells, |(i, seed)| (self.runner)(&self.points[i], seed))
-        } else {
-            cells
-                .into_iter()
-                .map(|(i, seed)| (self.runner)(&self.points[i], seed))
-                .collect()
-        };
+        let outcomes = par_map(cells, |(i, seed)| (self.runner)(&self.points[i], seed));
         let mut groups: Vec<Vec<O>> = seeds.iter().map(|s| Vec::with_capacity(s.len())).collect();
         let mut it = outcomes.into_iter();
         for (i, s) in seeds.iter().enumerate() {
@@ -614,21 +600,6 @@ where
     {
         let started = Instant::now();
         let grid = self.compute(scope);
-        (grid, started.elapsed().as_secs_f64().max(1e-9))
-    }
-
-    /// Like [`Battery::run_timed`], but runs every cell on the calling
-    /// thread — for runners that manage their own parallelism (the
-    /// threaded-backend engine regimes), where nesting the battery
-    /// fan-out on top of the runner's worker pool would oversubscribe
-    /// the machine and distort the timing.
-    #[must_use]
-    pub fn run_timed_serial(&self, scope: Scope) -> (Grid<P, O>, f64)
-    where
-        P: Clone,
-    {
-        let started = Instant::now();
-        let grid = self.compute_with(scope, false);
         (grid, started.elapsed().as_secs_f64().max(1e-9))
     }
 

@@ -12,7 +12,6 @@
 //! to that trajectory.
 
 use fba_core::AerNode;
-use fba_exec::BackendSpec;
 use fba_scenario::Scenario;
 use fba_sim::{AdversarySpec, FinalInspect, NodeId};
 
@@ -27,12 +26,7 @@ use crate::service_bench::ServiceRow;
 pub struct RegimeReport {
     /// System size benchmarked.
     pub n: usize,
-    /// Execution backend the regime ran on (`sim` or `threads:k`,
-    /// rendered from the resolved [`BackendSpec`]).
-    pub backend: String,
-    /// Worker threads: for `sim` regimes the battery's fan-out width;
-    /// for threaded regimes the backend's resolved shard count (the
-    /// battery cells run serially — the run owns the workers).
+    /// Worker threads: the battery's fan-out width.
     pub threads: usize,
     /// Completed runs.
     pub runs: usize,
@@ -61,7 +55,6 @@ impl RegimeReport {
             concat!(
                 "    {{\n",
                 "      \"n\": {},\n",
-                "      \"backend\": \"{}\",\n",
                 "      \"threads\": {},\n",
                 "      \"runs\": {},\n",
                 "      \"elapsed_sec\": {:.3},\n",
@@ -74,7 +67,6 @@ impl RegimeReport {
                 "    }}"
             ),
             self.n,
-            self.backend,
             self.threads,
             self.runs,
             self.elapsed_sec,
@@ -183,18 +175,15 @@ fn peak_rss_mb() -> Option<u64> {
     None
 }
 
-fn run_regime(scope: Scope, n: usize, seeds: &[u64], backend: BackendSpec) -> RegimeReport {
+fn run_regime(scope: Scope, n: usize, seeds: &[u64]) -> RegimeReport {
     // One battery per regime: the mode axis (fault-free / silent-t) times
     // the fixed bench seed set, timed as one fan-out so the regime's
-    // wall-clock matches what the throughput columns divide by. Threaded
-    // regimes run their cells serially instead — each run already fans
-    // nodes across the backend's worker shards, and nesting that under
-    // the battery's own thread pool would oversubscribe the machine.
+    // wall-clock matches what the throughput columns divide by.
     let battery = Battery::new(
-        format!("bench-engine:{n}:{backend}"),
-        format!("bench-engine — n = {n} throughput battery ({backend})"),
+        format!("bench-engine:{n}"),
+        format!("bench-engine — n = {n} throughput battery"),
         move |&with_faults: &bool, seed| {
-            let mut scenario = Scenario::new(n).backend(backend);
+            let mut scenario = Scenario::new(n);
             if with_faults {
                 scenario = scenario.adversary(AdversarySpec::Silent { t: None });
             }
@@ -227,11 +216,7 @@ fn run_regime(scope: Scope, n: usize, seeds: &[u64], backend: BackendSpec) -> Re
     .points(vec![false, true])
     .seeds(SeedPolicy::Fixed(seeds.to_vec()));
     reset_peak_rss();
-    let (grid, elapsed_sec) = if backend.is_threaded() {
-        battery.run_timed_serial(scope)
-    } else {
-        battery.run_timed(scope)
-    };
+    let (grid, elapsed_sec) = battery.run_timed(scope);
     let peak_rss = peak_rss_mb();
     let outcomes: Vec<&(u64, u64, usize, f64)> = grid.groups.iter().flatten().collect();
     let runs = outcomes.len();
@@ -240,12 +225,7 @@ fn run_regime(scope: Scope, n: usize, seeds: &[u64], backend: BackendSpec) -> Re
     let msgs: u64 = outcomes.iter().map(|o| o.1).sum();
     RegimeReport {
         n,
-        backend: backend.to_string(),
-        threads: if backend.is_threaded() {
-            backend.resolved_shards(n)
-        } else {
-            parallelism()
-        },
+        threads: parallelism(),
         runs,
         elapsed_sec,
         runs_per_sec: runs as f64 / elapsed_sec,
@@ -257,36 +237,25 @@ fn run_regime(scope: Scope, n: usize, seeds: &[u64], backend: BackendSpec) -> Re
     }
 }
 
-/// Runs the battery on the sim backend and returns the aggregate report
-/// (regimes only — `bench-engine` appends the service battery's rows
-/// before writing).
+/// Runs the battery at the scope's regime sizes and returns the
+/// aggregate report (regimes only — `bench-engine` appends the service
+/// and crash batteries' rows before writing).
 #[must_use]
 pub fn run(scope: Scope) -> EngineBenchReport {
-    run_with_backend(scope, BackendSpec::Sim)
-}
-
-/// Runs the battery on the given execution backend (`paperbench
-/// bench-engine --backend threaded`). Sim regimes fan runs across cores;
-/// threaded regimes run serially and give each run the backend's worker
-/// shards instead.
-#[must_use]
-pub fn run_with_backend(scope: Scope, backend: BackendSpec) -> EngineBenchReport {
-    run_sized(scope, backend, bench_sizes(scope))
+    run_sized(scope, bench_sizes(scope))
 }
 
 /// Runs the battery at explicit regime sizes (`paperbench bench-engine
-/// --n 4096,16384`), overriding the scope's size ladder — how the
-/// committed cross-backend trajectory is regenerated at matched sizes
-/// without dragging a whole scope's worth of regimes along. Seeds still
+/// --n 4096,16384`), overriding the scope's size ladder. Seeds still
 /// follow the scope.
 #[must_use]
-pub fn run_sized(scope: Scope, backend: BackendSpec, sizes: Vec<usize>) -> EngineBenchReport {
+pub fn run_sized(scope: Scope, sizes: Vec<usize>) -> EngineBenchReport {
     let seeds = bench_seeds(scope);
     EngineBenchReport {
         threads: parallelism(),
         regimes: sizes
             .into_iter()
-            .map(|n| run_regime(scope, n, &seeds, backend))
+            .map(|n| run_regime(scope, n, &seeds))
             .collect(),
         service: Vec::new(),
         crashes: Vec::new(),
@@ -324,7 +293,6 @@ mod tests {
         assert!(json.contains("\"peak_candidates\""));
         assert!(json.contains("\"threads\""));
         assert!(json.contains("\"peak_rss_mb\""));
-        assert!(json.contains("\"backend\": \"sim\""));
         assert!(
             json.contains("\"crashes\": ["),
             "the crash section is always present, even before bench-engine fills it"
@@ -332,25 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_quick_battery_decides_everywhere() {
-        let report = run_with_backend(Scope::Quick, BackendSpec::Threaded { shards: Some(2) });
-        let regime = &report.regimes[0];
-        assert_eq!(regime.backend, "threads:2");
-        assert_eq!(regime.threads, 2);
-        assert_eq!(regime.runs, 2 * bench_seeds(Scope::Quick).len());
-        assert!(
-            regime.min_decided_fraction >= 1.0,
-            "threaded regime must decide everywhere, got {}",
-            regime.min_decided_fraction
-        );
-        assert!(report.to_json().contains("\"backend\": \"threads:2\""));
-    }
-
-    #[test]
     fn peak_rss_json_is_null_when_unavailable() {
         let regime = RegimeReport {
             n: 1,
-            backend: "sim".into(),
             threads: 1,
             runs: 1,
             elapsed_sec: 1.0,

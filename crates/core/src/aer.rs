@@ -502,8 +502,9 @@ impl AerHarness {
 
     /// Builds the state machine for node `id`, wired to the given shared
     /// run state. The factory behind every run entry point; public so
-    /// execution backends (`fba-exec`) can build nodes against their own
-    /// state bundles — e.g. one per worker shard in the threaded backend.
+    /// callers that drive [`fba_sim::run_session`] themselves (the
+    /// `benchmark/` package's instrumented pass) can build nodes against
+    /// a state bundle they own.
     #[must_use]
     pub fn node_with(&self, id: NodeId, state: &AerRunState) -> AerNode {
         let node = AerNode::with_state(

@@ -1,4 +1,4 @@
-//! D2 violating fixture: ad-hoc parallelism outside the executors.
+//! D2 violating fixture: ad-hoc parallelism outside the sweep fan-out.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Mutex;

@@ -1,24 +1,23 @@
 //! # fba-lint — the workspace determinism lint (`paperlint`)
 //!
 //! Every guarantee this reproduction ships — bit-identical replays,
-//! batched ≡ unbatched delivery, threaded ≡ sim backends, the service
-//! seed scheme — rests on conventions the compiler cannot see: no
-//! randomized-hasher containers in protocol crates, no wall clock or
-//! ad-hoc RNG in deterministic code, parallelism only behind the
-//! sanctioned executors, one audited `unsafe` site. The equivalence
-//! suites *sample* those invariants per seed; this crate *enforces* them
-//! on every line, statically.
+//! batched ≡ unbatched delivery, the service seed scheme — rests on
+//! conventions the compiler cannot see: no randomized-hasher containers
+//! in protocol crates, no wall clock or ad-hoc RNG in deterministic code,
+//! parallelism only behind the sanctioned sweep fan-out, one audited
+//! `unsafe` site. The equivalence suites *sample* those invariants per
+//! seed; this crate *enforces* them on every line, statically.
 //!
 //! ## The rules
 //!
 //! | Rule | Invariant | Scope |
 //! |------|-----------|-------|
 //! | D1 | no std `HashMap`/`HashSet` (SipHash random keys) | deterministic crates; `fba_sim::fxhash` sanctioned |
-//! | D2 | no `std::thread`/`Mutex`/`Atomic*` | everywhere; `fba-exec`, `fba_bench::par` sanctioned |
+//! | D2 | no `std::thread`/`Mutex`/`Atomic*` | everywhere; `fba_bench::par` sanctioned |
 //! | D3 | no `Instant`/`SystemTime` | everywhere except fba-bench (the timing code) |
 //! | D4 | no RNG construction (`from_seed`, `seed_from_u64`, …) | everywhere; `fba_sim::rng` sanctioned |
 //! | D5 | `unsafe` only on the audited allowlist, under `// SAFETY:` | everywhere |
-//! | D6 | no `env::var` reads | everywhere; `resolve_shards`, `FBA_BATCH` sanctioned |
+//! | D6 | no `env::var` reads | everywhere; `fba_bench::par` (`FBA_THREADS`) sanctioned |
 //! | D7 | no `print!`/`eprintln!` in library code | everywhere; binaries sanctioned |
 //!
 //! One-off exceptions are explicit and greppable:

@@ -72,8 +72,8 @@ impl RuleId {
                  use fba_sim::fxhash or BTreeMap"
             }
             RuleId::D2 => {
-                "no thread/lock/atomic primitives outside the sanctioned parallel \
-                 executors (fba-exec, fba-bench::par)"
+                "no thread/lock/atomic primitives outside the sanctioned sweep \
+                 fan-out (fba-bench::par)"
             }
             RuleId::D3 => "no wall-clock reads (Instant/SystemTime) outside bench timing code",
             RuleId::D4 => {
@@ -85,7 +85,7 @@ impl RuleId {
             }
             RuleId::D6 => {
                 "no environment reads outside the sanctioned config sites \
-                 (resolve_shards, FBA_BATCH, UPDATE_GOLDEN)"
+                 (FBA_THREADS in fba-bench::par, UPDATE_GOLDEN)"
             }
             RuleId::D7 => {
                 "no print!/eprintln! in library crates; output goes through observers/reporters"
@@ -217,8 +217,8 @@ fn check_rule(
                     emit(
                         t.line,
                         format!(
-                            "`{}`: shared-state parallelism belongs behind `fba-exec` \
-                             and `fba_bench::par`; protocol code must stay \
+                            "`{}`: shared-state parallelism belongs behind \
+                             `fba_bench::par`; protocol code must stay \
                              single-threaded-deterministic",
                             t.text
                         ),

@@ -56,9 +56,9 @@ fn d2_ad_hoc_parallelism() {
     let path = "crates/samplers/src/fixture.rs";
     assert_catches(RuleId::D2, path, include_str!("../fixtures/d2_bad.rs"));
     assert_clean(path, include_str!("../fixtures/d2_clean.rs"));
-    // …and the identical code is sanctioned inside the executors.
+    // …and the identical code is sanctioned inside the sweep fan-out.
     assert_clean(
-        "crates/exec/src/fixture.rs",
+        "crates/bench/src/par.rs",
         include_str!("../fixtures/d2_bad.rs"),
     );
 }
@@ -113,9 +113,9 @@ fn d6_environment_reads() {
     let path = "crates/scenario/src/fixture.rs";
     assert_catches(RuleId::D6, path, include_str!("../fixtures/d6_bad.rs"));
     assert_clean(path, include_str!("../fixtures/d6_clean.rs"));
-    // The engine's FBA_BATCH site is sanctioned.
+    // The sweep fan-out's FBA_THREADS site is sanctioned.
     assert_clean(
-        "crates/sim/src/engine.rs",
+        "crates/bench/src/par.rs",
         include_str!("../fixtures/d6_bad.rs"),
     );
 }

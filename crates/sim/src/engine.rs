@@ -55,8 +55,8 @@ pub struct EngineConfig {
     /// header + run-length-encoded payloads) instead of per-message
     /// envelopes. Purely a memory/throughput optimisation: runs are
     /// bit-identical either way (pinned by the equivalence tests).
-    /// Defaults from the `FBA_BATCH` environment variable (`0` disables;
-    /// anything else, or unset, enables) — the bisecting escape hatch.
+    /// Defaults to `true`; the per-envelope lane stays as the reference
+    /// the batched ≡ unbatched suites compare against.
     pub batch: bool,
     /// Upper bound on logical messages per batch; `None` means a batch
     /// spans its whole callback outbox. A testing/bisecting knob — the
@@ -82,7 +82,7 @@ impl EngineConfig {
             drain_steps: 64,
             record_transcript: false,
             header_bits: None,
-            batch: batch_env_default(),
+            batch: true,
             batch_limit: None,
             crash: None,
         }
@@ -104,13 +104,6 @@ impl EngineConfig {
         self.header_bits
             .unwrap_or_else(|| 2 * u64::from(ceil_log2(self.n)))
     }
-}
-
-/// The `FBA_BATCH` environment default for [`EngineConfig::batch`]:
-/// batching is on unless the variable is set to exactly `0`.
-#[must_use]
-pub fn batch_env_default() -> bool {
-    std::env::var("FBA_BATCH").map_or(true, |v| v != "0")
 }
 
 /// Reusable engine scratch state: the pending-delivery calendar plus every
@@ -670,13 +663,8 @@ where
 /// messages queued, the outbox becomes one (or, under `batch_limit`,
 /// several) [`Batch`] deliveries built on recycled buffers from `pool`;
 /// otherwise every message ships as its own envelope.
-///
-/// Public because it is the send half of the step contract every execution
-/// backend must honour: the threaded backend (`fba-exec`) enqueues worker
-/// outboxes through this exact function so framing, batch boundaries, and
-/// send accounting match the calendar engine bit for bit.
 #[allow(clippy::too_many_arguments)] // engine-internal plumbing of the step loop's scratch state
-pub fn enqueue_outbox<M: Clone + PartialEq + WireSize>(
+fn enqueue_outbox<M: Clone + PartialEq + WireSize>(
     from: NodeId,
     step: Step,
     batching: bool,
@@ -737,10 +725,7 @@ fn seal_batch<M: Clone + PartialEq + WireSize>(
 /// caller has cleared). Returns `Some(delay)` when every envelope got the
 /// same delay at priority 0 — the bulk-lane fast path — and `None` when
 /// the schedule is non-uniform and deliveries must be keyed individually.
-///
-/// Shared verbatim by [`run_session`] and the threaded backend so stateful
-/// scheduling adversaries see an identical call sequence on both.
-pub fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
+fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
     adversary: &mut A,
     max_delay: Step,
     flat: &[Envelope<M>],
@@ -764,8 +749,8 @@ pub fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
 /// moves the whole step's sends — batches included — into the ring slot;
 /// otherwise deliveries are keyed per envelope from `flat` and `sched_buf`
 /// (as filled by [`consult_schedule`]), recycling batch buffers into
-/// `pool`. The commit half of the step contract shared with `fba-exec`.
-pub fn commit_schedule<M: Clone>(
+/// `pool`.
+fn commit_schedule<M: Clone>(
     pending: &mut CalendarQueue<Delivery<M>>,
     step: Step,
     uniform: Option<Step>,
@@ -792,7 +777,7 @@ pub fn commit_schedule<M: Clone>(
 /// Rebuilds the per-envelope view of a step's sends, in logical send
 /// order — what rushing adversaries, schedulers, observers, and the
 /// transcript are shown regardless of batching.
-pub fn flatten_into<M: Clone>(sends: &[Delivery<M>], flat: &mut Vec<Envelope<M>>) {
+fn flatten_into<M: Clone>(sends: &[Delivery<M>], flat: &mut Vec<Envelope<M>>) {
     flat.clear();
     for delivery in sends {
         match delivery {

@@ -52,8 +52,7 @@
 //!   and metrics count *logical* messages — a batch of `k` counts `k`
 //!   messages and `k×` bits. Runs are bit-identical either way, pinned by
 //!   `tests/scenario_equivalence.rs` across the adversary × network
-//!   matrix plus a proptest over random batch boundaries; `FBA_BATCH=0`
-//!   is the environment escape hatch for bisecting.
+//!   matrix plus a proptest over random batch boundaries.
 //! * **Instance sequencing** — service mode chains agreement instances
 //!   over one reusable [`EngineSession`] and shared protocol arenas. The
 //!   sequencing rules: instance `0` runs with the service seed itself,
@@ -83,32 +82,23 @@
 //!   dark nodes are skipped in deterministic node order, and dropped
 //!   deliveries are counted in [`Metrics::msgs_dropped`] — a crashed run
 //!   is a pure function of `(config, plan, master seed)`.
-//! * **Execution backends** — the step loop's building blocks
-//!   ([`enqueue_outbox`], [`flatten_into`], [`consult_schedule`],
-//!   [`commit_schedule`]) are public so alternative executors can share
-//!   them. The `fba-exec` crate ships two: `SimBackend`, which *is*
-//!   [`run_session`] (bit-identical, the substrate for every correctness
-//!   pin), and `ThreadedBackend`, which shards nodes across worker
-//!   threads with a barrier per simulated step. The threaded backend
-//!   replays the same per-node RNG streams and the same cross-shard merge
-//!   order, but protocol state shared *between* nodes (the AER arenas) is
-//!   per-shard there, so only outcome-level invariants — not transcripts
-//!   or bit counts — are contractual across backends; see the `fba-exec`
-//!   crate docs.
+//! * **One executor** — [`run_session`] is the only step loop, and a run
+//!   executes single-threaded; the one parallel axis is *across* runs
+//!   (see **Parallelism** above). The README's "Why there is no threaded
+//!   backend" carries the measurements behind that choice.
 //!
 //! ### Static enforcement
 //!
 //! The pins above *sample* the contract per seed. Its preconditions —
 //! no randomized-hasher containers in deterministic crates, no wall
 //! clock or ad-hoc RNG construction, parallelism only behind the
-//! sanctioned executors, one audited `unsafe` site, no ambient
+//! sanctioned sweep fan-out, one audited `unsafe` site, no ambient
 //! `env::var` reads — are *statically enforced* on every shipped line
 //! by the `paperlint` pass (crate `fba-lint`, rules D1–D7, run in CI
 //! next to clippy). The sanctioned sites live in this crate: [`fxhash`]
-//! is the D1 hasher, [`rng`] the D4 seed splits, [`tuning`] the D5
-//! `unsafe` allowlist, and `EngineConfig::batch`'s `FBA_BATCH` read one
-//! of the two D6 config sites. See the README's "Static guarantees"
-//! section for the rule table and waiver syntax.
+//! is the D1 hasher, [`rng`] the D4 seed splits, and [`tuning`] the D5
+//! `unsafe` allowlist. See the README's "Static guarantees" section for
+//! the rule table and waiver syntax.
 //!
 //! ## Quick example
 //!
@@ -165,8 +155,7 @@ pub mod tuning;
 pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdversary};
 pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
 pub use engine::{
-    batch_env_default, commit_schedule, consult_schedule, enqueue_outbox, flatten_into, run,
-    run_inspect, run_observed, run_session, EngineConfig, EngineSession, RunOutcome,
+    run, run_inspect, run_observed, run_session, EngineConfig, EngineSession, RunOutcome,
 };
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};

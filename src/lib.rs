@@ -142,7 +142,6 @@ pub use fba_ae as ae;
 pub use fba_baselines as baselines;
 pub use fba_bench as bench;
 pub use fba_core as core;
-pub use fba_exec as exec;
 pub use fba_recovery as recovery;
 pub use fba_samplers as samplers;
 pub use fba_scenario as scenario;

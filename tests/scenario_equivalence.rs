@@ -672,42 +672,49 @@ fn service_single_instance_is_bit_identical_to_run() {
     }
 }
 
-/// One 64-bit digest over everything the execution-backend acceptance pin
-/// cares about: steps, decision time, total and **per-node** send/receive
-/// accounting, outputs, the full transcript, and the corrupt set. Computed
-/// with the crate's keyless [`fba::sim::fxhash::FxHasher`], so the value is
-/// stable across runs and platforms of the same pointer width.
-fn run_digest(run: &RunOutcome<GString, AerMsg>, n: usize) -> u64 {
+/// One 64-bit digest over everything the golden pin cares about, folded
+/// over `runs` in order: steps, decision time, total and **per-node**
+/// send/receive accounting, outputs, the full transcript, and the corrupt
+/// set. Computed with the crate's keyless [`fba::sim::fxhash::FxHasher`],
+/// so the value is stable across runs and platforms of the same pointer
+/// width.
+fn run_digest<'a>(
+    runs: impl IntoIterator<Item = &'a RunOutcome<GString, AerMsg>>,
+    n: usize,
+) -> u64 {
     use std::hash::Hasher;
     let mut h = fba::sim::fxhash::FxHasher::default();
-    h.write_u64(run.metrics.steps);
-    h.write_u64(run.all_decided_at.unwrap_or(u64::MAX));
-    h.write_u64(run.metrics.total_bits_sent());
-    h.write_u64(run.metrics.total_msgs_sent());
-    for i in 0..n {
-        let id = fba::sim::NodeId::from_index(i);
-        h.write_u64(run.metrics.bits_sent_by(id));
-        h.write_u64(run.metrics.msgs_sent_by(id));
-        h.write_u64(run.metrics.bits_recv_by(id));
-        h.write_u64(run.metrics.msgs_recv_by(id));
+    for run in runs {
+        h.write_u64(run.metrics.steps);
+        h.write_u64(run.all_decided_at.unwrap_or(u64::MAX));
+        h.write_u64(run.metrics.total_bits_sent());
+        h.write_u64(run.metrics.total_msgs_sent());
+        for i in 0..n {
+            let id = fba::sim::NodeId::from_index(i);
+            h.write_u64(run.metrics.bits_sent_by(id));
+            h.write_u64(run.metrics.msgs_sent_by(id));
+            h.write_u64(run.metrics.bits_recv_by(id));
+            h.write_u64(run.metrics.msgs_recv_by(id));
+        }
+        h.write(format!("{:?}", run.outputs).as_bytes());
+        h.write(format!("{:?}", run.transcript).as_bytes());
+        h.write(format!("{:?}", run.corrupt).as_bytes());
     }
-    h.write(format!("{:?}", run.outputs).as_bytes());
-    h.write(format!("{:?}", run.transcript).as_bytes());
-    h.write(format!("{:?}", run.corrupt).as_bytes());
     h.finish()
 }
 
 #[test]
-fn sim_backend_matches_pre_refactor_golden_digests() {
-    // The absolute anchor for the execution-backend refactor: these
-    // digests were captured from the engine *before* `run_session` was
-    // split into backend-shared helpers (PR 8), over transcript-recording
-    // runs. Every other equivalence test compares two code paths that a
-    // refactor moves together; this one pins the sim backend to frozen
-    // constants, so any drift in delivery order, scheduling, metrics
-    // accounting, or transcripts fails loudly. If a digest changes, the
-    // sim backend is no longer bit-identical to the pre-refactor engine —
-    // do not update these numbers without understanding exactly why.
+fn engine_matches_golden_digests() {
+    // The absolute anchor for engine and `Scenario` refactors. Every
+    // other equivalence test compares two code paths that a refactor
+    // moves together; this one pins the engine to frozen constants over
+    // transcript-recording runs, so any drift in delivery order,
+    // scheduling, metrics accounting, or transcripts fails loudly. The
+    // first four digests were captured before PR 8 split the step loop
+    // into helpers; the last three (per-envelope lane under a rushing
+    // adversary, dark windows + restart, a chained service run) at
+    // commit 7f779a4 (PR 11). Do not update these numbers without
+    // understanding exactly why they moved.
     use fba::sim::{ScheduleSpec, Window};
     let sched = AdversarySpec::Sched(
         ScheduleSpec::new(vec![
@@ -716,55 +723,85 @@ fn sim_backend_matches_pre_refactor_golden_digests() {
         ])
         .expect("valid schedule"),
     );
-    let cases: [(&str, usize, u64, NetworkSpec, bool, AdversarySpec, u64); 4] = [
+    let base = |n: usize| {
+        Scenario::new(n)
+            .phase(Phase::aer(0.8))
+            .record_transcript(true)
+    };
+    // (label, n, seed, scenario, service run?, expected digest)
+    let cases: [(&str, usize, u64, Scenario, bool, u64); 7] = [
         (
             "n=64 sync silent",
             64,
             3,
-            NetworkSpec::Sync,
+            base(64).adversary(AdversarySpec::Silent { t: Some(9) }),
             false,
-            AdversarySpec::Silent { t: Some(9) },
             0x4be2bd383ba93509,
         ),
         (
             "n=64 async corner strict",
             64,
             5,
-            NetworkSpec::Async { max_delay: 1 },
-            true,
-            AdversarySpec::Corner { label_scan: 256 },
+            base(64)
+                .network(NetworkSpec::Async { max_delay: 1 })
+                .adversary(AdversarySpec::Corner { label_scan: 256 })
+                .strict(),
+            false,
             0x677fb1416447f5c5,
         ),
         (
             "n=64 sync sched",
             64,
             3,
-            NetworkSpec::Sync,
+            base(64).adversary(sched),
             false,
-            sched,
             0xc5ca61aedfe90822,
         ),
         (
             "n=256 sync none",
             256,
             3,
-            NetworkSpec::Sync,
+            base(256),
             false,
-            AdversarySpec::None,
             0xea97707bfdf82f49,
         ),
+        (
+            "n=64 async:2 bad-string",
+            64,
+            3,
+            base(64)
+                .network(NetworkSpec::Async { max_delay: 2 })
+                .adversary(AdversarySpec::BadString),
+            false,
+            0x6d846c89f49c976c,
+        ),
+        (
+            "n=64 crash:[3..7]8",
+            64,
+            3,
+            base(64).faults_spec("crash:[3..7]8".parse().expect("parses")),
+            false,
+            0x11c4a57f71eefc1e,
+        ),
+        (
+            "n=64 service x3 silent:9",
+            64,
+            3,
+            base(64)
+                .adversary(AdversarySpec::Silent { t: Some(9) })
+                .service(3, 1),
+            true,
+            0xf2eb86f081d6898a,
+        ),
     ];
-    for (label, n, seed, network, strict, spec, expected) in cases {
-        let mut scenario = Scenario::new(n)
-            .phase(Phase::aer(0.8))
-            .network(network)
-            .adversary(spec)
-            .record_transcript(true);
-        if strict {
-            scenario = scenario.strict();
-        }
-        let run = scenario.run(seed).expect("valid scenario").into_aer();
-        let got = run_digest(&run.run, n);
+    for (label, n, seed, scenario, service, expected) in cases {
+        let got = if service {
+            let run = scenario.run_service(seed).expect("valid service");
+            run_digest(run.instances.iter().map(|inst| &inst.run.run), n)
+        } else {
+            let run = scenario.run(seed).expect("valid scenario").into_aer();
+            run_digest([&run.run], n)
+        };
         assert_eq!(
             got, expected,
             "{label}: golden digest drifted (got {got:#x})"
@@ -796,114 +833,21 @@ fn observers_and_transcripts_do_not_perturb_outcomes() {
     }
 }
 
-/// The outcome-level invariants the cross-backend contract promises:
-/// same corrupt coalition, same decided fraction, same agreed value (and
-/// the full output map), and zero wrong decisions. Everything here must
-/// hold for *any* execution backend; the stronger transcript/metrics
-/// pins are sim-only and live in the golden-digest test above.
-fn assert_outcome_invariants(
-    label: &str,
-    threaded: &fba::scenario::AerRun,
-    sim: &fba::scenario::AerRun,
-) {
-    assert_eq!(
-        threaded.run.corrupt, sim.run.corrupt,
-        "{label}: corrupt set"
-    );
-    assert_eq!(
-        threaded.run.outputs, sim.run.outputs,
-        "{label}: per-node decisions"
-    );
-    assert_eq!(
-        threaded.run.metrics.decided_fraction(),
-        sim.run.metrics.decided_fraction(),
-        "{label}: decided fraction"
-    );
-    assert_eq!(
-        threaded.run.unanimous(),
-        sim.run.unanimous(),
-        "{label}: agreed value"
-    );
-    assert_eq!(
-        threaded.wrong_decisions(),
-        0,
-        "{label}: threaded run decided a wrong value"
-    );
-    assert_eq!(
-        threaded.run.all_decided_at, sim.run.all_decided_at,
-        "{label}: decision step"
-    );
-}
-
 #[test]
-fn threaded_backend_matches_sim_across_the_matrix() {
-    // The cross-backend agreement suite: every (size × adversary ×
-    // timing) cell runs once on each backend and must agree on the
-    // outcome-level invariants. The threaded run uses 3 worker shards so
-    // the cross-shard merge path is genuinely exercised (shard counts
-    // past the host's cores are clamp-allowed at run time — validate()
-    // is where oversubscription is rejected). Debug builds run the small
-    // sizes; release (CI) adds the n = 1024 arm.
-    use fba::exec::BackendSpec;
-    use fba::sim::{ScheduleSpec, Window};
-    let sched = AdversarySpec::Sched(
-        ScheduleSpec::new(vec![
-            (Window::bounded(0, 2), AdversarySpec::Silent { t: None }),
-            (Window::open(2), AdversarySpec::Equivocate { strings: 4 }),
-        ])
-        .expect("valid schedule"),
-    );
-    let specs = [
-        AdversarySpec::None,
-        AdversarySpec::Silent { t: Some(9) },
-        sched,
-        AdversarySpec::Corner { label_scan: 256 },
-    ];
-    let sizes: &[usize] = if cfg!(debug_assertions) {
-        &[64, 256]
-    } else {
-        &[64, 256, 1024]
-    };
-    for &n in sizes {
-        for spec in &specs {
-            for network in [NetworkSpec::Sync, NetworkSpec::Async { max_delay: 2 }] {
-                let base = Scenario::new(n)
-                    .phase(Phase::aer(0.8))
-                    .network(network)
-                    .adversary(spec.clone());
-                let sim = base.clone().run(3).expect("valid scenario").into_aer();
-                let threaded = base
-                    .backend(BackendSpec::Threaded { shards: Some(3) })
-                    .run(3)
-                    .expect("valid scenario")
-                    .into_aer();
-                let label = format!("n={n} {spec} {network}");
-                assert_outcome_invariants(&label, &threaded, &sim);
-            }
-        }
-    }
-}
-
-#[test]
-fn threaded_backend_is_deterministic_for_fixed_seed_and_shards() {
-    // Same seed + same shard count twice must replay the identical run,
-    // down to per-node metrics and the transcript — the determinism the
-    // threaded backend *does* promise (its contractual weakening vs sim
-    // is across shard counts, never across replays).
-    use fba::exec::BackendSpec;
-    let base = Scenario::new(96)
-        .phase(Phase::aer(0.8))
-        .adversary(AdversarySpec::Silent { t: None })
-        .record_transcript(true)
-        .backend(BackendSpec::Threaded { shards: Some(4) });
-    let first = base.clone().run(11).expect("valid scenario").into_aer();
-    let second = base.run(11).expect("valid scenario").into_aer();
-    assert_identical("threaded replay", &second.run, &first.run);
-    assert_per_node_identical("threaded replay", 96, &second.run, &first.run);
-    assert_eq!(
-        second.run.transcript, first.run.transcript,
-        "threaded replay: transcript"
-    );
+fn observers_need_not_be_send() {
+    // A run executes on the calling thread, so an observer may share
+    // state with its caller through `Rc<RefCell<_>>`.
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let finals = Rc::new(RefCell::new(0usize));
+    let sink = Rc::clone(&finals);
+    let mut inspect = fba::sim::FinalInspect(move |_: fba::sim::NodeId, _: &fba::core::AerNode| {
+        *sink.borrow_mut() += 1;
+    });
+    Scenario::new(64)
+        .run_observed(17, &mut inspect)
+        .expect("valid scenario");
+    assert_eq!(*finals.borrow(), 64, "one final hook per correct node");
 }
 
 #[test]
@@ -983,35 +927,5 @@ fn crashed_runs_are_pure_functions_of_seed_and_spec() {
             1.0,
             "{label}: restarted nodes reconverge"
         );
-    }
-}
-
-proptest::proptest! {
-    // Full protocol runs per case; keep the case count small.
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
-
-    /// Outcome invariance across shard counts: any shard count in 1..=8
-    /// agrees with the sim backend on the outcome-level invariants, for
-    /// random sizes, seeds, and (optionally) a silent coalition.
-    #[test]
-    fn shard_count_never_changes_outcomes(
-        n in 24usize..72,
-        seed in proptest::prelude::any::<u64>(),
-        shards in 1usize..=8,
-        silent in proptest::prelude::any::<bool>(),
-    ) {
-        use fba::exec::BackendSpec;
-        let mut base = Scenario::new(n).phase(Phase::aer(0.8));
-        if silent {
-            base = base.adversary(AdversarySpec::Silent { t: None });
-        }
-        let sim = base.clone().run(seed).expect("valid scenario").into_aer();
-        let threaded = base
-            .backend(BackendSpec::Threaded { shards: Some(shards) })
-            .run(seed)
-            .expect("valid scenario")
-            .into_aer();
-        let label = format!("n={n} shards={shards} silent={silent}");
-        assert_outcome_invariants(&label, &threaded, &sim);
     }
 }
