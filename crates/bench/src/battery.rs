@@ -43,7 +43,6 @@
 use std::any::Any;
 // paperlint: allow(D2) grid-cache lock; cells are pure (point, seed) functions, lock order invisible
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use crate::par::par_map;
 use crate::scope::{mean_opt, opt_cell, Scope};
@@ -174,6 +173,8 @@ pub enum Agg {
     Mean,
     /// Maximum over the samples that exist; `n/a` when none do.
     Max,
+    /// Minimum over the samples that exist; `n/a` when none do.
+    Min,
     /// Sum over the samples that exist, rendered as an integer (counts).
     Sum,
 }
@@ -185,6 +186,7 @@ impl Agg {
         match self {
             Agg::Mean => mean_opt(samples),
             Agg::Max => samples.iter().copied().reduce(f64::max),
+            Agg::Min => samples.iter().copied().reduce(f64::min),
             Agg::Sum => Some(samples.iter().sum()),
         }
     }
@@ -307,6 +309,7 @@ pub struct Battery<P, O> {
     points: Vec<P>,
     point_n: Option<NFn<P>>,
     seed_policy: SeedPolicy,
+    serial: bool,
     runner: RunnerFn<P, O>,
     columns: Vec<Column<P, O>>,
     custom_rows: Option<(Vec<String>, RowsFn<P, O>)>,
@@ -352,6 +355,7 @@ where
             points: Vec::new(),
             point_n: None,
             seed_policy: SeedPolicy::Scope,
+            serial: false,
             runner: Arc::new(runner),
             columns: Vec::new(),
             custom_rows: None,
@@ -395,6 +399,16 @@ where
     #[must_use]
     pub fn seeds(mut self, policy: SeedPolicy) -> Self {
         self.seed_policy = policy;
+        self
+    }
+
+    /// Runs the cells one at a time on the calling thread, in grid order,
+    /// instead of fanning them out — for batteries whose cells read the
+    /// host clock or the process-wide peak RSS, which concurrent cells
+    /// would contend for.
+    #[must_use]
+    pub fn serial(mut self) -> Self {
+        self.serial = true;
         self
     }
 
@@ -540,7 +554,12 @@ where
             .enumerate()
             .flat_map(|(i, s)| s.iter().map(move |&seed| (i, seed)))
             .collect();
-        let outcomes = par_map(cells, |(i, seed)| (self.runner)(&self.points[i], seed));
+        let run = |(i, seed): (usize, u64)| (self.runner)(&self.points[i], seed);
+        let outcomes: Vec<O> = if self.serial {
+            cells.into_iter().map(run).collect()
+        } else {
+            par_map(cells, run)
+        };
         let mut groups: Vec<Vec<O>> = seeds.iter().map(|s| Vec::with_capacity(s.len())).collect();
         let mut it = outcomes.into_iter();
         for (i, s) in seeds.iter().enumerate() {
@@ -589,18 +608,6 @@ where
             Arc::clone(&grid) as Arc<dyn Any + Send + Sync>,
         ));
         grid
-    }
-
-    /// Runs the sweep uncached and reports the fan-out wall-clock in
-    /// seconds (the throughput batteries' timing hook).
-    #[must_use]
-    pub fn run_timed(&self, scope: Scope) -> (Grid<P, O>, f64)
-    where
-        P: Clone,
-    {
-        let started = Instant::now();
-        let grid = self.compute(scope);
-        (grid, started.elapsed().as_secs_f64().max(1e-9))
     }
 
     /// Renders the battery as a Markdown table for `scope`.
@@ -855,9 +862,11 @@ mod tests {
         }
         assert_eq!(Agg::Mean.cell(&[]), "n/a");
         assert_eq!(Agg::Max.cell(&[]), "n/a");
+        assert_eq!(Agg::Min.cell(&[]), "n/a");
         assert_eq!(Agg::Sum.cell(&[]), "0", "sums of nothing are a true 0");
         assert_eq!(Agg::Mean.cell(&[4.0, 6.0]), "5.00");
         assert_eq!(Agg::Max.cell(&[4.0, 6.0]), "6.00");
+        assert_eq!(Agg::Min.cell(&[4.0, 6.0]), "4.00");
         assert_eq!(Agg::Sum.cell(&[4.0, 6.0]), "10");
         // A fractional sum keeps its precision instead of truncating,
         // matching the JSON reporter's value for the same cell.
@@ -939,6 +948,14 @@ mod tests {
         // A different scope is a different grid.
         let _ = build().table(Scope::Default);
         assert!(RUNS.load(Ordering::SeqCst) > runs_after_first);
+    }
+
+    #[test]
+    fn serial_batteries_report_what_the_fan_out_reports() {
+        let fanned = demo().report(Scope::Quick);
+        let serial = demo().serial().report(Scope::Quick);
+        assert_eq!(serial.table, fanned.table);
+        assert_eq!(serial.cells_json, fanned.cells_json);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! paperbench --full all       # adds the largest classic system sizes
 //! paperbench --scope huge …   # scale frontier (n = 4096/8192)
 //! paperbench --json out/ all  # also write per-cell JSON records per id
-//! paperbench bench-engine     # throughput battery -> BENCH_engine.json
+//! paperbench --scope huge bench-engine   # time the n = 4096/8192 regimes
 //! paperbench scenario --n 2048 --adversary flood --network async:3 --phase composed
+//! paperbench scenario --n 1024 --crash 'crash:[3..7]64'
 //! paperbench sweep --axis n=256,1024 --axis adversary=silent,flood \
 //!     --metric rounds,bits --scope quick --json sweep.json
 //! ```
@@ -24,9 +25,7 @@
 
 use std::process::ExitCode;
 
-use fba_bench::{
-    crashes_bench, engine_bench, parallelism, run_experiment, service_bench, sweep, Scope, ALL_IDS,
-};
+use fba_bench::{run_experiment, sweep, Scope, ALL_IDS};
 use fba_recovery::{CrashSpec, CRASH_EXPECTED};
 use fba_scenario::{Baseline, Phase, Scenario, ScenarioOutcome};
 use fba_sim::{AdversarySpec, NetworkSpec};
@@ -34,15 +33,11 @@ use fba_sim::{AdversarySpec, NetworkSpec};
 fn usage() {
     eprintln!(
         "usage: paperbench [--quick|--full|--huge|--scope <quick|default|full|huge|extreme>] \
-         [--json <dir>] [--n <sizes>] <experiment id>... | \
-         all | bench-engine | service | crashes <flags> | scenario <flags> | sweep <flags>"
+         [--json <dir>] <experiment id>... | all | scenario <flags> | sweep <flags>"
     );
     eprintln!("known ids: {}", ALL_IDS.join(", "));
-    eprintln!("--n overrides bench-engine's regime sizes");
     eprintln!("scenario flags: see `paperbench scenario --help`");
     eprintln!("sweep flags:    see `paperbench sweep --help`");
-    eprintln!("service:        sustained-service battery (`service --help`)");
-    eprintln!("crashes:        crash–restart recovery battery (`crashes --help`)");
 }
 
 fn sweep_usage() {
@@ -217,7 +212,7 @@ fn scenario_usage() {
     eprintln!(
         "usage: paperbench scenario [--n <nodes>] [--seed <seed>] [--faults <t>] \
          [--adversary <spec>] [--network <spec>] [--phase <spec>] [--knowing <fraction>] \
-         [--strict]"
+         [--crash <schedule>] [--strict]"
     );
     eprintln!("  --adversary: one of");
     for (grammar, what) in AdversarySpec::CATALOGUE {
@@ -225,6 +220,8 @@ fn scenario_usage() {
     }
     eprintln!("  --network:   sync | async[:max_delay]");
     eprintln!("  --phase:     {}", Phase::EXPECTED);
+    eprintln!("  --crash:     {CRASH_EXPECTED}");
+    eprintln!("               (AER phase only; no window may crash more than n nodes)");
 }
 
 /// Applies `--knowing` to the phases that synthesise a precondition;
@@ -257,6 +254,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
     let mut network = NetworkSpec::Sync;
     let mut phase: Phase = "aer".parse().expect("default phase parses");
     let mut knowing: Option<f64> = None;
+    let mut crash: Option<CrashSpec> = None;
     let mut strict = false;
 
     let mut iter = args.iter();
@@ -296,6 +294,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
             "--network" => network = parse_flag!("--network"),
             "--phase" => phase = parse_flag!("--phase"),
             "--knowing" => knowing = Some(parse_flag!("--knowing")),
+            "--crash" => crash = Some(parse_flag!("--crash")),
             "--strict" => strict = true,
             other => {
                 eprintln!("error: unknown scenario flag `{other}`");
@@ -322,6 +321,9 @@ fn run_scenario(args: &[String]) -> ExitCode {
     }
     if strict {
         scenario = scenario.strict();
+    }
+    if let Some(spec) = crash {
+        scenario = scenario.faults_spec(spec);
     }
 
     println!("scenario: n={n} seed={seed} phase={phase} adversary={adversary} network={network}");
@@ -350,6 +352,22 @@ fn run_scenario(args: &[String]) -> ExitCode {
                 println!(
                     "corner plan: {} victims, {} overload targets, depth {}",
                     report.blocked_victims, report.overload_targets, report.planned_depth
+                );
+            }
+            for outage in out.rejoin().iter().flat_map(|r| &r.outages) {
+                println!(
+                    "outage [{}..{}): {}/{} crashed correct nodes rejoined, max {} / mean {} \
+                     steps past restart",
+                    outage.start,
+                    outage.end,
+                    outage.rejoined,
+                    outage.crashed,
+                    outage
+                        .max_rejoin_steps
+                        .map_or("n/a".to_string(), |s| s.to_string()),
+                    outage
+                        .mean_rejoin_steps
+                        .map_or("n/a".to_string(), |m| format!("{m:.2}")),
                 );
             }
         }
@@ -396,254 +414,6 @@ fn run_scenario(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn service_usage() {
-    eprintln!(
-        "usage: paperbench service [--quick|--full|--huge|--scope \
-         <quick|default|full|huge|extreme>] [--json]"
-    );
-    eprintln!("  chains agreement instances over one persistent engine session and reports");
-    eprintln!("  decisions/sec sustained per (n, adversary, arrival-interval) cell; --json");
-    eprintln!("  prints the rows as a JSON document after the table");
-}
-
-fn print_service_rows(rows: &[service_bench::ServiceRow]) {
-    println!(
-        "{:>6} {:<30} {:>8} {:>5} {:>7} {:>9} {:>11} {:>12} {:>9}",
-        "n",
-        "adversary",
-        "interval",
-        "inst",
-        "decided",
-        "elapsed",
-        "dec/sec",
-        "dec/kstep",
-        "poll-hit"
-    );
-    for row in rows {
-        println!(
-            "{:>6} {:<30} {:>8} {:>5} {:>7} {:>8.2}s {:>11.1} {:>12.1} {:>8.1}%",
-            row.n,
-            row.adversary,
-            row.interval,
-            row.instances,
-            row.decided_instances,
-            row.elapsed_sec,
-            row.decisions_per_sec,
-            row.decisions_per_kilostep,
-            row.poll_cache_hit_rate * 100.0,
-        );
-    }
-}
-
-fn run_service_bench(args: &[String]) -> ExitCode {
-    let mut scope = Scope::Default;
-    let mut json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match scope_flag(arg, &mut iter) {
-            Some(Ok(parsed)) => {
-                scope = parsed;
-                continue;
-            }
-            Some(Err(())) => {
-                eprintln!("error: --scope needs one of quick|default|full|huge|extreme");
-                service_usage();
-                return ExitCode::FAILURE;
-            }
-            None => {}
-        }
-        match arg.as_str() {
-            "--help" | "-h" => {
-                service_usage();
-                return ExitCode::SUCCESS;
-            }
-            "--json" => json = true,
-            other => {
-                eprintln!("error: unknown service flag `{other}`");
-                service_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!(
-        "service: n = {:?}, {} instance(s)/cell, serial cells…",
-        service_bench::service_sizes(scope),
-        service_bench::service_instances(scope),
-    );
-    let started = std::time::Instant::now();
-    let report = service_bench::run(scope);
-    print_service_rows(&report.rows);
-    println!("_(ran in {:.1?}, scope {scope:?})_", started.elapsed());
-    if json {
-        print!("{}", report.to_json());
-    }
-    ExitCode::SUCCESS
-}
-
-fn crashes_usage() {
-    eprintln!(
-        "usage: paperbench crashes [--quick|--full|--huge|--scope \
-         <quick|default|full|huge|extreme>] [--spec <schedule>] [--json]"
-    );
-    eprintln!("  crashes a fraction of the system mid-run (dark windows), restarts the");
-    eprintln!("  victims from their checkpoints, and reports rejoin cost per window");
-    eprintln!("  length vs a same-seed no-fault baseline; --json prints the rows as a");
-    eprintln!("  JSON document after the table");
-    eprintln!("  --spec replaces the window-length sweep with one explicit schedule:");
-    eprintln!("      {CRASH_EXPECTED}");
-    eprintln!("  windows must be ordered, non-overlapping, non-empty, start past step 0,");
-    eprintln!("  and crash at least one node each");
-}
-
-fn print_crash_rows(rows: &[crashes_bench::CrashRow]) {
-    println!(
-        "{:>6} {:<18} {:>5} {:>8} {:>5} {:>8} {:>9} {:>11} {:>9} {:>10}",
-        "n",
-        "spec",
-        "dark",
-        "crashed",
-        "runs",
-        "decided",
-        "rejoined",
-        "max-rejoin",
-        "dropped",
-        "overhead"
-    );
-    for row in rows {
-        println!(
-            "{:>6} {:<18} {:>5} {:>8} {:>5} {:>8.4} {:>9} {:>11} {:>9.0} {:>10.0}",
-            row.n,
-            row.spec,
-            row.dark_steps,
-            row.crashed,
-            row.runs,
-            row.min_decided_fraction,
-            if row.all_rejoined { "all" } else { "PARTIAL" },
-            row.max_rejoin_steps
-                .map_or("n/a".to_string(), |s| s.to_string()),
-            row.mean_msgs_dropped,
-            row.mean_msg_overhead,
-        );
-    }
-}
-
-fn run_crashes_bench(args: &[String]) -> ExitCode {
-    let mut scope = Scope::Default;
-    let mut json = false;
-    let mut spec: Option<CrashSpec> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match scope_flag(arg, &mut iter) {
-            Some(Ok(parsed)) => {
-                scope = parsed;
-                continue;
-            }
-            Some(Err(())) => {
-                eprintln!("error: --scope needs one of quick|default|full|huge|extreme");
-                crashes_usage();
-                return ExitCode::FAILURE;
-            }
-            None => {}
-        }
-        match arg.as_str() {
-            "--help" | "-h" => {
-                crashes_usage();
-                return ExitCode::SUCCESS;
-            }
-            "--json" => json = true,
-            "--spec" => {
-                let Some(raw) = iter.next() else {
-                    eprintln!("error: --spec needs a value");
-                    crashes_usage();
-                    return ExitCode::FAILURE;
-                };
-                match raw.parse::<CrashSpec>() {
-                    Ok(parsed) if parsed.is_empty() => {
-                        eprintln!("error: --spec `{raw}` schedules no crashes");
-                        crashes_usage();
-                        return ExitCode::FAILURE;
-                    }
-                    Ok(parsed) => spec = Some(parsed),
-                    Err(err) => {
-                        eprintln!("error: bad --spec `{raw}`: {err}");
-                        crashes_usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown crashes flag `{other}`");
-                crashes_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!(
-        "crashes: n = {:?}, {}…",
-        crashes_bench::crash_sizes(scope),
-        spec.as_ref().map_or_else(
-            || format!("window lengths {:?}", crashes_bench::CRASH_WINDOW_LENGTHS),
-            |s| format!("schedule {s}"),
-        ),
-    );
-    let started = std::time::Instant::now();
-    let report = match &spec {
-        Some(spec) => {
-            let report = crashes_bench::run_spec(scope, spec);
-            if report.rows.is_empty() {
-                eprintln!(
-                    "error: --spec `{spec}` crashes more nodes than any scope size has \
-                     (n = {:?})",
-                    crashes_bench::crash_sizes(scope)
-                );
-                crashes_usage();
-                return ExitCode::FAILURE;
-            }
-            report
-        }
-        None => crashes_bench::run(scope),
-    };
-    print_crash_rows(&report.rows);
-    println!("_(ran in {:.1?}, scope {scope:?})_", started.elapsed());
-    if json {
-        print!("{}", report.to_json());
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_engine_bench(scope: Scope, sizes: Option<Vec<usize>>) -> ExitCode {
-    let sizes = sizes.unwrap_or_else(|| engine_bench::bench_sizes(scope));
-    println!(
-        "bench-engine: n = {sizes:?}, {} worker thread(s)…",
-        parallelism()
-    );
-    let mut report = engine_bench::run_sized(scope, sizes);
-    println!(
-        "bench-engine: service battery, n = {:?}…",
-        service_bench::service_sizes(scope)
-    );
-    report.service = service_bench::run(scope).rows;
-    print_service_rows(&report.service);
-    println!(
-        "bench-engine: crash battery, n = {:?}…",
-        crashes_bench::crash_sizes(scope)
-    );
-    report.crashes = crashes_bench::run(scope).rows;
-    print_crash_rows(&report.crashes);
-    let json = report.to_json();
-    print!("{json}");
-    match std::fs::write("BENCH_engine.json", &json) {
-        Ok(()) => {
-            println!("wrote BENCH_engine.json");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("error: could not write BENCH_engine.json: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     // Large-n batteries churn gigabytes of short-lived queue/arena memory;
     // raising the glibc trim/mmap thresholds keeps it inside the heap
@@ -656,16 +426,8 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("sweep") {
         return run_sweep(&args[1..]);
     }
-    if args.first().map(String::as_str) == Some("service") {
-        return run_service_bench(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("crashes") {
-        return run_crashes_bench(&args[1..]);
-    }
     let mut scope = Scope::Default;
     let mut ids: Vec<String> = Vec::new();
-    let mut bench_engine = false;
-    let mut sizes: Option<Vec<usize>> = None;
     let mut json_dir: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -690,23 +452,7 @@ fn main() -> ExitCode {
                 };
                 json_dir = Some(dir.clone());
             }
-            "--n" => {
-                let parsed = iter.next().map(|v| {
-                    v.split(',')
-                        .map(|s| s.trim().parse::<usize>())
-                        .collect::<Result<Vec<usize>, _>>()
-                });
-                match parsed {
-                    Some(Ok(ns)) if !ns.is_empty() => sizes = Some(ns),
-                    _ => {
-                        eprintln!("error: --n needs a comma-separated size list (e.g. 4096,16384)");
-                        usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "all" => ids.extend(ALL_IDS.iter().map(ToString::to_string)),
-            "bench-engine" => bench_engine = true,
             other => {
                 if ALL_IDS.contains(&other) {
                     ids.push(other.to_string());
@@ -716,12 +462,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-        }
-    }
-    if bench_engine {
-        let code = run_engine_bench(scope, sizes);
-        if ids.is_empty() || code == ExitCode::FAILURE {
-            return code;
         }
     }
     if ids.is_empty() {

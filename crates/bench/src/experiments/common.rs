@@ -3,6 +3,8 @@
 use fba_ae::UnknowingAssignment;
 use fba_scenario::{Phase, PreconditionSpec, Scenario};
 
+use crate::scope::Scope;
+
 /// Standard knowledge fraction used by the sweeps (the paper's
 /// assumption, with working margin at finite scale).
 pub const KNOWING: f64 = 0.8;
@@ -16,6 +18,20 @@ pub fn aer_scenario(n: usize, knowing: f64, mode: UnknowingAssignment) -> Scenar
     Scenario::new(n).phase(Phase::Aer {
         precondition: PreconditionSpec::new(knowing, mode),
     })
+}
+
+/// System sizes per scope for the workload batteries (`service`,
+/// `crashes`) — capped at 4096: every cell runs several full AER
+/// executions (a chain of instances, or a crashed run plus its
+/// baseline).
+#[must_use]
+pub fn workload_sizes(scope: Scope) -> Vec<usize> {
+    match scope {
+        Scope::Quick => vec![256],
+        Scope::Default => vec![1024],
+        Scope::Full | Scope::Huge => vec![1024, 4096],
+        Scope::Extreme => vec![4096],
+    }
 }
 
 /// Reference column: `⌈log₂ n⌉`.
@@ -57,6 +73,21 @@ mod tests {
             .expect("valid scenario")
             .into_aer();
         assert_eq!(out.config.poll_timeout, 9);
+    }
+
+    #[test]
+    fn workload_sizes_cover_the_acceptance_regimes_below_the_frontier() {
+        assert_eq!(workload_sizes(Scope::Quick), vec![256]);
+        assert_eq!(workload_sizes(Scope::Full), vec![1024, 4096]);
+        for scope in [
+            Scope::Quick,
+            Scope::Default,
+            Scope::Full,
+            Scope::Huge,
+            Scope::Extreme,
+        ] {
+            assert!(workload_sizes(scope).iter().all(|&n| n <= 4096));
+        }
     }
 
     #[test]

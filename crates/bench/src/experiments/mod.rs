@@ -4,11 +4,16 @@
 //! Every experiment is a declarative [`crate::battery::Battery`]: its
 //! sweep (cell product, seed policy, parallel fan-out, aggregation) and
 //! both reporters (Markdown table + JSON cell records) are data declared
-//! on the battery — no module hand-rolls cell loops or aggregation.
+//! on the battery — no module hand-rolls cell loops, aggregation, a
+//! printer or JSON text. That includes the workload batteries
+//! ([`service`], [`crashes`]) and the one host-time battery
+//! ([`engine`], id `bench-engine`), whose cells time themselves.
 
 pub mod ablate_d;
 pub mod ae_exp;
 pub mod common;
+pub mod crashes;
+pub mod engine;
 pub mod fig1a;
 pub mod fig1b;
 pub mod fig2;
@@ -17,6 +22,7 @@ pub mod gbits;
 pub mod lemmas;
 pub mod recovery;
 pub mod s41;
+pub mod service;
 pub mod timing;
 
 use crate::battery::Report;
@@ -45,6 +51,9 @@ pub const ALL_IDS: &[&str] = &[
     "recovery",
     "ablate-cap",
     "ablate-d",
+    "service",
+    "crashes",
+    "bench-engine",
 ];
 
 /// Runs one experiment by id, producing its table and JSON cell records.
@@ -75,6 +84,9 @@ pub fn run_experiment(id: &str, scope: Scope) -> Result<Report, String> {
         "recovery" => recovery::table(scope),
         "gbits" => gbits::table(scope),
         "ae" => ae_exp::table(scope),
+        "service" => service::table(scope),
+        "crashes" => crashes::table(scope),
+        "bench-engine" => engine::table(scope),
         other => {
             return Err(format!(
                 "unknown experiment `{other}`; known ids: {}",
@@ -94,5 +106,6 @@ mod tests {
         assert!(err.contains("f1a-time"));
         assert!(err.contains("l10"));
         assert!(err.contains("recovery"));
+        assert!(err.contains("bench-engine"));
     }
 }

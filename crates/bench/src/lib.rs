@@ -3,20 +3,21 @@
 //! Regenerates every table and figure of *Fast Byzantine Agreement*
 //! (PODC 2013): run `cargo run --release -p fba-bench --bin paperbench --
 //! all` for the full battery, or pass individual experiment ids
-//! (`f1a-time`, `f1b`, `l6`, …; see [`experiments::ALL_IDS`]). Criterion
-//! micro-benchmarks of the protocol components live under `benches/`.
+//! (`f1a-time`, `f1b`, `l6`, `service`, `crashes`, `bench-engine`, …; see
+//! [`experiments::ALL_IDS`]). Every id is a [`Battery`]: one table
+//! renderer and one JSON reporter for all of them. Host-time performance
+//! is judged by the separate `benchmark/` package (`BENCHMARK.json`);
+//! `bench-engine` is the in-tree battery that times the sizes it does
+//! not reach.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod battery;
-pub mod crashes_bench;
-pub mod engine_bench;
 pub mod experiments;
 pub mod json;
 pub mod par;
 pub mod scope;
-pub mod service_bench;
 pub mod sweep;
 pub mod table;
 

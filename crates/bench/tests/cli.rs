@@ -216,7 +216,7 @@ fn sweep_rejects_unknown_axes_and_metrics() {
 fn json_flag_writes_cell_records_per_experiment_id() {
     let dir = std::env::temp_dir().join("paperbench_json_test");
     let _ = std::fs::remove_dir_all(&dir);
-    let out = paperbench(&["--quick", "--json", dir.to_str().unwrap(), "l3"]);
+    let out = paperbench(&["--quick", "--json", dir.to_str().unwrap(), "l3", "crashes"]);
     assert!(
         out.status.success(),
         "experiment with --json must run: {}",
@@ -226,6 +226,10 @@ fn json_flag_writes_cell_records_per_experiment_id() {
     assert!(json.contains("\"battery\": \"l3\""), "{json}");
     assert!(json.contains("\"seed_policy\""), "{json}");
     assert!(json.contains("\"cells\""), "{json}");
+    // The workload batteries are ids like any other.
+    let json = std::fs::read_to_string(dir.join("crashes.json")).expect("crashes.json written");
+    assert!(json.contains("\"battery\": \"crashes\""), "{json}");
+    assert!(json.contains("\"schedule\": \"crash:[3..7]16\""), "{json}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -244,10 +248,66 @@ fn scenario_rejects_n_above_the_supported_bound() {
         stderr.contains("65536"),
         "stderr should name the bound: {stderr}"
     );
+}
+
+#[test]
+fn undersized_n_is_an_error_not_a_panic() {
+    // n below the protocol's lower bound used to die on an assert deep
+    // in the config derivation; both CLIs must reject it by message.
+    for args in [
+        &["scenario", "--n", "3"][..],
+        &["sweep", "--scope", "quick", "--axis", "n=0"][..],
+    ] {
+        let out = paperbench(args);
+        assert!(!out.status.success(), "{args:?} must exit non-zero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("below the smallest supported system size of 8"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn scenario_runs_a_crash_schedule_and_reports_rejoin_cost() {
+    let out = paperbench(&["scenario", "--n", "64", "--crash", "crash:[3..7]4"]);
     assert!(
-        stderr.contains("bench-engine --scope extreme"),
-        "stderr should point at the benchmark path: {stderr}"
+        out.status.success(),
+        "crash schedule must run: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("decided 64/64"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("outage [3..7): 4/4 crashed correct nodes rejoined"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn scenario_rejects_malformed_crash_schedules() {
+    // Grammar errors fail at parse, scenario-level ones at validation;
+    // either way: an `error:` line, usage, non-zero, nothing runs.
+    for (bad, phase) in [
+        ("crash:[5..3]4", "aer"),         // inverted window
+        ("crash:[2..6]4;[4..8]4", "aer"), // overlapping windows
+        ("crash:[3..7]100000", "aer"),    // more victims than nodes
+        ("crash:", "aer"),                // empty body
+        ("crash:[3..7]4", "composed"),    // no crash engine off the AER phase
+        ("crash:[3..7]4", "baseline:flood"),
+    ] {
+        let out = paperbench(&["scenario", "--n", "64", "--phase", phase, "--crash", bad]);
+        assert!(!out.status.success(), "{bad:?}/{phase} must exit non-zero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error:"), "{bad:?}/{phase}: {stderr}");
+        assert!(
+            stderr.contains("usage: paperbench scenario"),
+            "{bad:?}/{phase}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bad:?}/{phase}: {stderr}");
+    }
 }
 
 #[test]

@@ -121,6 +121,30 @@ fn golden_recovery_snapshot() {
 }
 
 #[test]
+fn golden_service_and_crashes_full_render() {
+    // The two workload batteries became ordinary experiments when their
+    // bespoke reporters were deleted; every column is deterministic, so
+    // the goldens pin the full render. Their quick-scope values were
+    // checked equal to the last rows the old `service --json` /
+    // `crashes --json` subcommands printed (kept beside the goldens in
+    // `service-crashes.parent.txt`).
+    for id in ["service", "crashes"] {
+        let report = run_experiment(id, Scope::Quick).expect("known id");
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(golden_path(id), report.table.render()).expect("bless golden");
+        }
+        assert_eq!(report.table.render(), golden(id));
+        // What a blessed golden must still say: every correct node
+        // decides in every instance / after every restart.
+        let t = &report.table;
+        let col = t.columns.iter().position(|c| c == "min decided").unwrap();
+        for row in &t.rows {
+            assert_eq!(row[col], "1.00", "{id}: {row:?}");
+        }
+    }
+}
+
+#[test]
 fn formerly_silent_thinning_is_now_declared_in_notes() {
     // l3 / l4 / s41 used to thin to 3 seeds inside their loops without
     // telling anyone; the declared policy must now surface in the notes.

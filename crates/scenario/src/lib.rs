@@ -266,15 +266,15 @@ pub enum ScenarioError {
         /// The phase that cannot field it.
         phase: &'static str,
     },
-    /// The system size exceeds the supported simulation bound
-    /// ([`Scenario::MAX_N`]) — a full AER run at that scale would queue
-    /// tens of gigabytes of messages per step and die by OOM rather than
-    /// by a clear error.
+    /// The system size is outside the supported simulation range: below
+    /// 8 nodes the samplers and fault budgets are degenerate; above
+    /// [`Scenario::MAX_N`] a full AER run would queue tens of gigabytes
+    /// of messages per step and die by OOM rather than by a clear error.
     UnsupportedScale {
         /// The requested system size.
         n: usize,
-        /// The largest supported system size.
-        max: usize,
+        /// The bound it violates (8 or [`Scenario::MAX_N`]).
+        bound: usize,
     },
     /// Service mode (chained agreement instances) was requested for a
     /// phase other than AER — the persistent run state it threads across
@@ -318,11 +318,15 @@ impl fmt::Display for ScenarioError {
                 "adversary `{spec}` is AER-specific and cannot attack the {phase} phase \
                  (use `none` or `silent[:t]`)"
             ),
-            ScenarioError::UnsupportedScale { n, max } => write!(
+            ScenarioError::UnsupportedScale { n, bound } if n < bound => write!(
                 f,
-                "n = {n} exceeds the supported system-size bound of {max}: a full AER run \
-                 queues Θ(n·d³) messages per step (tens of gigabytes past the bound); \
-                 benchmark large sizes with `bench-engine --scope extreme` regimes instead"
+                "n = {n} is below the smallest supported system size of {bound}: the \
+                 samplers and the fault budget are degenerate below it"
+            ),
+            ScenarioError::UnsupportedScale { n, bound } => write!(
+                f,
+                "n = {n} exceeds the supported system-size bound of {bound}: a full AER run \
+                 queues Θ(n·d³) messages per step (tens of gigabytes past the bound)"
             ),
             ScenarioError::UnsupportedService { phase } => write!(
                 f,
@@ -375,11 +379,9 @@ pub struct Scenario {
     strict: bool,
     overload_cap: Option<u64>,
     quorum_size: Option<usize>,
-    sampler_seed: Option<u64>,
     eager_repair: Option<bool>,
     poll_timeout: PollTimeoutSpec,
     record_transcript: bool,
-    max_steps: Option<Step>,
     batching: Option<bool>,
     batch_limit: Option<usize>,
     bad_string: Option<GString>,
@@ -400,6 +402,11 @@ impl Scenario {
     /// deep inside a sweep.
     pub const MAX_N: usize = 1 << 16;
 
+    /// The smallest supported system size: below it quorums cover the
+    /// whole system and the `⌊0.15·n⌋` fault budget rounds to nothing, so
+    /// the AER and almost-everywhere configs refuse to derive.
+    const MIN_N: usize = 8;
+
     /// A fault-free synchronous AER scenario for `n` nodes with the
     /// default precondition (80% knowing, random junk elsewhere).
     #[must_use]
@@ -417,11 +424,9 @@ impl Scenario {
             strict: false,
             overload_cap: None,
             quorum_size: None,
-            sampler_seed: None,
             eager_repair: None,
             poll_timeout: PollTimeoutSpec::default(),
             record_transcript: false,
-            max_steps: None,
             batching: None,
             batch_limit: None,
             bad_string: None,
@@ -519,13 +524,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the public sampler seed.
-    #[must_use]
-    pub fn sampler_seed(mut self, seed: u64) -> Self {
-        self.sampler_seed = Some(seed);
-        self
-    }
-
     /// Overrides the eager-repair escalation knob.
     #[must_use]
     pub fn eager_repair(mut self, eager: bool) -> Self {
@@ -546,13 +544,6 @@ impl Scenario {
     #[must_use]
     pub fn record_transcript(mut self, record: bool) -> Self {
         self.record_transcript = record;
-        self
-    }
-
-    /// Overrides the engine's step cap.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: Step) -> Self {
-        self.max_steps = Some(max_steps);
         self
     }
 
@@ -653,15 +644,13 @@ impl Scenario {
     /// Returns the violated constraint if the knob combination is
     /// invalid.
     pub fn aer_config(&self) -> Result<AerConfig, ScenarioError> {
+        self.check_scale()?;
         let mut cfg = AerConfig::recommended(self.n);
         if let Some(d) = self.quorum_size {
             cfg = cfg.with_d(d);
         }
         if let Some(cap) = self.overload_cap {
             cfg = cfg.with_overload_cap(cap);
-        }
-        if let Some(seed) = self.sampler_seed {
-            cfg = cfg.with_sampler_seed(seed);
         }
         if self.strict {
             cfg = cfg.strict();
@@ -684,16 +673,17 @@ impl Scenario {
         (self.n as f64 * 0.15) as usize
     }
 
-    /// Rejects system sizes past [`Scenario::MAX_N`] before any phase
-    /// allocates run state.
+    /// Rejects system sizes outside `MIN_N..=MAX_N` before any phase
+    /// derives a config or allocates run state.
     fn check_scale(&self) -> Result<(), ScenarioError> {
-        if self.n > Self::MAX_N {
-            return Err(ScenarioError::UnsupportedScale {
-                n: self.n,
-                max: Self::MAX_N,
-            });
-        }
-        Ok(())
+        let bound = if self.n < Self::MIN_N {
+            Self::MIN_N
+        } else if self.n > Self::MAX_N {
+            Self::MAX_N
+        } else {
+            return Ok(());
+        };
+        Err(ScenarioError::UnsupportedScale { n: self.n, bound })
     }
 
     /// Checks the scenario without executing it: config derivation,
@@ -934,9 +924,6 @@ impl Scenario {
             NetworkSpec::Async { max_delay } => harness.engine_async(max_delay),
         };
         engine.record_transcript = self.record_transcript;
-        if let Some(max_steps) = self.max_steps {
-            engine.max_steps = max_steps;
-        }
         if let Some(batch) = self.batching {
             engine.batch = batch;
         }
@@ -951,12 +938,9 @@ impl Scenario {
                 .resolve(self.n, adversary_seed)
                 .expect("crash spec validated before the run entry points dispatch here");
             // Give the restarted victims the full original step budget
-            // after the last restart to re-converge (an explicit
-            // `.max_steps(..)` override still wins unchanged).
-            if self.max_steps.is_none() {
-                if let Some(last_restart) = spec.last_restart() {
-                    engine.max_steps = engine.max_steps.saturating_add(last_restart);
-                }
+            // after the last restart to re-converge.
+            if let Some(last_restart) = spec.last_restart() {
+                engine.max_steps = engine.max_steps.saturating_add(last_restart);
             }
             engine.crash = Some(plan);
             harness.enable_recovery(RecoveryConfig::default());
@@ -1146,9 +1130,6 @@ impl Scenario {
             NetworkSpec::Async { max_delay } => {
                 let mut engine = config.aer.engine_async(max_delay);
                 engine.record_transcript = self.record_transcript;
-                if let Some(max_steps) = self.max_steps {
-                    engine.max_steps = max_steps;
-                }
                 Some(engine)
             }
         };
@@ -1167,13 +1148,13 @@ impl Scenario {
         })
     }
 
-    fn baseline_engine(&self, default_max_steps: Step) -> EngineConfig {
+    fn baseline_engine(&self, max_steps: Step) -> EngineConfig {
         let base = match self.network {
             NetworkSpec::Sync => EngineConfig::sync(self.n),
             NetworkSpec::Async { max_delay } => EngineConfig::asynchronous(self.n, max_delay),
         };
         EngineConfig {
-            max_steps: self.max_steps.unwrap_or(default_max_steps),
+            max_steps,
             record_transcript: self.record_transcript,
             ..base
         }
@@ -1871,6 +1852,36 @@ mod tests {
             matches!(err, ScenarioError::UnsupportedAdversary { .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn system_sizes_outside_the_supported_range_are_rejected_not_panicked() {
+        // Below the lower bound every entry point returns the error the
+        // upper bound always did, for every phase, naming the bound.
+        for n in [0, 3, 7] {
+            let small = Scenario::new(n);
+            for err in [
+                small.validate().unwrap_err(),
+                small.aer_config().unwrap_err(),
+                small.run(1).unwrap_err(),
+                small.clone().service(2, 1).run_service(1).unwrap_err(),
+                small.clone().phase(Phase::Ae).run(1).unwrap_err(),
+                small.clone().phase(Phase::Composed).run(1).unwrap_err(),
+            ] {
+                assert_eq!(err, ScenarioError::UnsupportedScale { n, bound: 8 });
+                assert!(err.to_string().contains("below"), "{err}");
+            }
+        }
+        Scenario::new(8).validate().expect("the bound itself is in");
+        let err = Scenario::new(Scenario::MAX_N + 1).validate().unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::UnsupportedScale {
+                n: Scenario::MAX_N + 1,
+                bound: Scenario::MAX_N
+            }
+        );
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -100,8 +100,8 @@
 //! assert!(report.cells_json.contains("\"battery\": \"demo\""));
 //! ```
 //!
-//! Every `paperbench` experiment id (and the engine throughput battery)
-//! is built on this API, and `paperbench sweep --axis n=256,1024 --axis
+//! Every `paperbench` experiment id (the workload and host-time
+//! batteries included) is built on this API, and `paperbench sweep --axis n=256,1024 --axis
 //! adversary=silent,flood --metric rounds,bits` runs an arbitrary
 //! axes × metrics battery from the command line — axis values parse
 //! through the spec grammar above. The `recovery` battery (attack
