@@ -368,3 +368,30 @@ fn scenario_rejects_aer_adversary_on_wrong_phase() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("AER-specific"), "stderr: {stderr}");
 }
+
+#[test]
+fn scenario_rejects_out_of_range_budgets_and_delays() {
+    // A corruption budget above n or a delay bound the run cannot outlast
+    // is a rejection (exit 1 and an `error:` line) in every phase — never
+    // a panic (101) or an allocation abort (134) from inside the engine.
+    let rejected = |args: &[&str]| {
+        let out = paperbench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    };
+    for phase in ["aer", "ae", "composed", "baseline:klst"] {
+        for (flag, bad) in [
+            ("--faults", "100"),
+            ("--adversary", "silent:100"),
+            ("--adversary", "sched:[0..3]silent:100;[3..]none"),
+            ("--network", "async:18446744073709551615"),
+            ("--network", "async:4294967295"),
+        ] {
+            rejected(&["scenario", "--n", "64", "--phase", phase, flag, bad]);
+        }
+    }
+    let axis = "network=async:4294967295";
+    rejected(&["sweep", "--scope", "quick", "--axis", axis]);
+}

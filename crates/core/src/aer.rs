@@ -131,57 +131,10 @@ pub struct AerNode {
 }
 
 impl AerNode {
-    /// Builds the node; `targets` is its push target list
-    /// `{x : self ∈ I(s_self, x)}` (see [`push_targets`]).
-    #[must_use]
-    pub fn new(
-        id: NodeId,
-        own: GString,
-        scheme: QuorumScheme,
-        poll: PollSampler,
-        overload_cap: u64,
-        retry: RetryPolicy,
-        targets: Vec<NodeId>,
-    ) -> Self {
-        Self::with_caches(
-            id,
-            own,
-            scheme.shared_push(),
-            scheme.shared_pull(),
-            SharedPollCache::new(poll),
-            overload_cap,
-            retry,
-            targets,
-        )
-    }
-
-    /// Like [`AerNode::new`], but sharing run-wide sampler caches with the
-    /// other nodes. The caches memoize pure functions of public
-    /// randomness, so sharing them changes no outcome — only how often
-    /// quorums are recomputed (see the determinism contract in `fba-sim`).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // mirror of `new` plus the caches
-    pub fn with_caches(
-        id: NodeId,
-        own: GString,
-        push_quorums: SharedQuorumCache,
-        pull_quorums: SharedQuorumCache,
-        poll_lists: SharedPollCache,
-        overload_cap: u64,
-        retry: RetryPolicy,
-        targets: Vec<NodeId>,
-    ) -> Self {
-        AerNode {
-            push: PushPhase::with_cache(id, own, push_quorums),
-            pull: PullPhase::with_caches(id, own, pull_quorums, poll_lists, overload_cap, retry),
-            targets,
-            recovery: None,
-        }
-    }
-
-    /// Like [`AerNode::with_caches`], but drawing every shared handle —
-    /// sampler caches *and* the run-owned vote/belief arenas — from one
-    /// [`AerRunState`] bundle. This is the constructor full runs use.
+    /// Builds the node for `id` with initial candidate `own`, drawing every
+    /// shared handle — sampler caches *and* the run-owned vote/belief
+    /// arenas — from one [`AerRunState`] bundle; `targets` is its push
+    /// target list `{x : self ∈ I(s_self, x)}` (see [`push_targets`]).
     #[must_use]
     pub fn with_state(
         id: NodeId,
@@ -458,24 +411,6 @@ impl AerHarness {
         &self.assignments
     }
 
-    /// Builds the state machine for one correct node (the engine factory).
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> AerNode {
-        let node = AerNode::new(
-            id,
-            self.assignments[id.index()],
-            self.scheme,
-            self.poll,
-            self.cfg.overload_cap,
-            self.retry_policy(),
-            self.targets[id.index()].clone(),
-        );
-        match self.recovery {
-            Some(config) => node.with_recovery(config),
-            None => node,
-        }
-    }
-
     fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
             poll_timeout: self.cfg.poll_timeout,
@@ -550,36 +485,11 @@ impl AerHarness {
         run::<AerNode, A, _>(engine, seed, adversary, |id| self.node_with(id, &state))
     }
 
-    /// Runs one complete execution while driving a read-only
-    /// [`fba_sim::Observer`] — per-step send views, per-decision events
-    /// and final node states. Observers cannot influence the run, so the
-    /// outcome is bit-identical to [`AerHarness::run`].
-    pub fn run_observed<A, O>(
-        &self,
-        engine: &EngineConfig,
-        seed: u64,
-        adversary: &mut A,
-        observer: &mut O,
-    ) -> RunOutcome<GString, AerMsg>
-    where
-        A: Adversary<AerMsg> + ?Sized,
-        O: fba_sim::Observer<AerNode> + ?Sized,
-    {
-        let state = self.run_state();
-        fba_sim::run_observed::<AerNode, A, _, O>(
-            engine,
-            seed,
-            adversary,
-            |id| self.node_with(id, &state),
-            observer,
-        )
-    }
-
     /// Runs one agreement instance over caller-owned persistent state —
     /// the service-mode entry point.
     ///
-    /// Unlike [`AerHarness::run_observed`], which builds a fresh
-    /// [`AerRunState`] per call, this threads an external bundle (plus a
+    /// Unlike [`AerHarness::run`], which builds a fresh [`AerRunState`]
+    /// per call, this threads an external bundle (plus a
     /// reusable [`EngineSession`]) through the run so sampler caches and
     /// arenas survive instance boundaries. The per-instance reset
     /// ([`AerRunState::begin_instance`]) is applied here unconditionally —
@@ -615,30 +525,6 @@ impl AerHarness {
             |id| self.node_with(id, state),
             observer,
             session,
-        )
-    }
-
-    /// Runs one complete execution and hands every surviving node's final
-    /// state to `inspect` — used by the Lemma 4 experiments to read
-    /// candidate-list sizes.
-    pub fn run_inspect<A, I>(
-        &self,
-        engine: &EngineConfig,
-        seed: u64,
-        adversary: &mut A,
-        inspect: I,
-    ) -> RunOutcome<GString, AerMsg>
-    where
-        A: Adversary<AerMsg> + ?Sized,
-        I: FnMut(fba_sim::NodeId, &AerNode),
-    {
-        let state = self.run_state();
-        fba_sim::run_inspect::<AerNode, A, _, I>(
-            engine,
-            seed,
-            adversary,
-            |id| self.node_with(id, &state),
-            inspect,
         )
     }
 }
@@ -722,7 +608,7 @@ mod tests {
     fn node_accessors_reflect_initial_state() {
         let (h, pre) = harness(32, 0.8, 4);
         let id = NodeId::from_index(0);
-        let node = h.node(id);
+        let node = h.node_with(id, &h.run_state());
         assert_eq!(node.candidates().len(), 1);
         assert_eq!(node.believed(), &pre.assignments[0]);
         assert_eq!(h.assignments().len(), 32);

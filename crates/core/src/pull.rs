@@ -287,7 +287,8 @@ pub struct PullPhase {
 }
 
 impl PullPhase {
-    /// Creates pull state for node `x` whose initial belief is `own`.
+    /// Creates pull state for node `x` whose initial belief is `own`, on
+    /// private sampler caches, belief table and route cache.
     #[must_use]
     pub fn new(
         x: NodeId,
@@ -297,34 +298,11 @@ impl PullPhase {
         overload_cap: u64,
         retry: RetryPolicy,
     ) -> Self {
-        Self::with_caches(
+        Self::with_state(
             x,
             own,
             scheme.shared_pull(),
             SharedPollCache::new(poll),
-            overload_cap,
-            retry,
-        )
-    }
-
-    /// Like [`PullPhase::new`], but sharing run-wide sampler caches with
-    /// the other nodes (see [`SharedQuorumCache`]). The belief table
-    /// stays private to this node; use [`PullPhase::with_state`] to share
-    /// it too.
-    #[must_use]
-    pub fn with_caches(
-        x: NodeId,
-        own: GString,
-        pull_quorums: SharedQuorumCache,
-        poll_lists: SharedPollCache,
-        overload_cap: u64,
-        retry: RetryPolicy,
-    ) -> Self {
-        Self::with_state(
-            x,
-            own,
-            pull_quorums,
-            poll_lists,
             overload_cap,
             retry,
             SharedBeliefs::new(),
@@ -332,10 +310,11 @@ impl PullPhase {
         )
     }
 
-    /// Like [`PullPhase::with_caches`], but also placing this node's
-    /// belief pair in a run-shared [`SharedBeliefs`] table and drawing
-    /// `Fw1` route facts from a run-shared [`SharedFw1Routes`] cache —
-    /// the engine-owned struct-of-arrays layout used by full AER runs.
+    /// Like [`PullPhase::new`], but sharing run-wide sampler caches (see
+    /// [`SharedQuorumCache`]), placing this node's belief pair in a
+    /// run-shared [`SharedBeliefs`] table and drawing `Fw1` route facts
+    /// from a run-shared [`SharedFw1Routes`] cache — the engine-owned
+    /// struct-of-arrays layout used by full AER runs.
     ///
     /// # Panics
     ///

@@ -38,24 +38,18 @@ pub struct PushPhase {
 }
 
 impl PushPhase {
-    /// Creates the push state for node `x` with initial candidate `own`.
-    /// `L_x` starts as `{own}` (§3.1.1, Figure 2a).
+    /// Creates the push state for node `x` with initial candidate `own`
+    /// on a private quorum cache and vote arena. `L_x` starts as `{own}`
+    /// (§3.1.1, Figure 2a).
     #[must_use]
     pub fn new(x: NodeId, own: GString, scheme: QuorumScheme) -> Self {
-        Self::with_cache(x, own, scheme.shared_push())
+        Self::with_votes(x, own, scheme.shared_push(), SlotMasks::new())
     }
 
-    /// Like [`PushPhase::new`], but sharing a run-wide quorum cache with
-    /// the other nodes (see [`SharedQuorumCache`]). The vote arena stays
-    /// private to this node; use [`PushPhase::with_votes`] to share both.
-    #[must_use]
-    pub fn with_cache(x: NodeId, own: GString, push_quorums: SharedQuorumCache) -> Self {
-        Self::with_votes(x, own, push_quorums, SlotMasks::new())
-    }
-
-    /// Like [`PushPhase::with_cache`], but also placing this node's vote
-    /// masks in a run-shared [`SlotMasks`] arena — the engine-owned
-    /// struct-of-arrays layout used by full AER runs.
+    /// Like [`PushPhase::new`], but sharing a run-wide quorum cache (see
+    /// [`SharedQuorumCache`]) and placing this node's vote masks in a
+    /// run-shared [`SlotMasks`] arena — the engine-owned struct-of-arrays
+    /// layout used by full AER runs.
     ///
     /// # Panics
     ///

@@ -5,9 +5,9 @@
 //! `(string, node)` pair once per arriving message — can memoize whole
 //! sets and answer repeat queries with one fast-hash lookup plus a binary
 //! search. Because the memoized value is exactly what the sampler would
-//! recompute, caching is outcome-invariant: the determinism tests in
-//! `tests/cache_equiv.rs` check cached and uncached evaluation agree on
-//! every key.
+//! recompute, caching is outcome-invariant: the randomized tests in
+//! `tests/cache_equiv.rs` check that the run-shared caches and uncached
+//! evaluation agree on every key, on the miss and on the hit path.
 //!
 //! Sets are stored in a [`QuorumVec`], an inline small-vector sized for
 //! the paper's `d = Θ(log n)` quorums (`d ≤ 32` covers `n` beyond 10⁴ at
@@ -237,110 +237,6 @@ impl SetCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
-    }
-}
-
-/// Memoized view of one [`QuorumSampler`] (`I` or `H`), keyed by
-/// `(string, node)` exactly like the sampler itself.
-///
-/// ```
-/// use fba_samplers::{QuorumCache, QuorumSampler, StringKey};
-/// use fba_sim::NodeId;
-///
-/// let q = QuorumSampler::new(7, fba_samplers::tags::PULL, 64, 8);
-/// let mut cache = QuorumCache::new(q);
-/// let x = NodeId::from_index(3);
-/// assert_eq!(cache.quorum(StringKey(9), x), &q.quorum(StringKey(9), x)[..]);
-/// assert!(cache.stats().1 >= 1); // first evaluation is a miss
-/// ```
-#[derive(Clone, Debug)]
-pub struct QuorumCache {
-    sampler: QuorumSampler,
-    sets: SetCache,
-}
-
-impl QuorumCache {
-    /// An empty cache over `sampler`.
-    #[must_use]
-    pub fn new(sampler: QuorumSampler) -> Self {
-        QuorumCache {
-            sampler,
-            sets: SetCache::new(sampler.raw()),
-        }
-    }
-
-    /// The underlying sampler.
-    #[must_use]
-    pub fn sampler(&self) -> &QuorumSampler {
-        &self.sampler
-    }
-
-    /// Quorum size `d`.
-    #[must_use]
-    pub fn d(&self) -> usize {
-        self.sampler.d()
-    }
-
-    /// Strict-majority threshold (see [`QuorumSampler::majority`]).
-    #[must_use]
-    pub fn majority(&self) -> usize {
-        self.sampler.majority()
-    }
-
-    /// The quorum `I(s, x)` / `H(s, x)` as a sorted slice, memoized.
-    pub fn quorum(&mut self, s: StringKey, x: NodeId) -> &[NodeId] {
-        self.sets.get(self.sampler.key(s, x)).as_slice()
-    }
-
-    /// Membership test `y ∈ quorum(s, x)`, memoized.
-    pub fn contains(&mut self, s: StringKey, x: NodeId, y: NodeId) -> bool {
-        self.sets.contains(self.sampler.key(s, x), y)
-    }
-
-    /// `(hits, misses)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        self.sets.stats()
-    }
-}
-
-/// Memoized view of one [`PollSampler`] (`J`), keyed by `(node, label)`.
-#[derive(Clone, Debug)]
-pub struct PollCache {
-    sampler: PollSampler,
-    sets: SetCache,
-}
-
-impl PollCache {
-    /// An empty cache over `sampler`.
-    #[must_use]
-    pub fn new(sampler: PollSampler) -> Self {
-        PollCache {
-            sampler,
-            sets: SetCache::new(sampler.raw()),
-        }
-    }
-
-    /// The underlying sampler.
-    #[must_use]
-    pub fn sampler(&self) -> &PollSampler {
-        &self.sampler
-    }
-
-    /// The poll list `J(x, r)` as a sorted slice, memoized.
-    pub fn poll_list(&mut self, x: NodeId, r: Label) -> &[NodeId] {
-        self.sets.get(self.sampler.key(x, r)).as_slice()
-    }
-
-    /// Membership test `w ∈ J(x, r)`, memoized.
-    pub fn contains(&mut self, x: NodeId, r: Label, w: NodeId) -> bool {
-        self.sets.contains(self.sampler.key(x, r), w)
-    }
-
-    /// `(hits, misses)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        self.sets.stats()
     }
 }
 
@@ -763,23 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn quorum_cache_agrees_with_sampler() {
-        let q = QuorumSampler::new(9, tags::PUSH, 128, 10);
-        let mut cache = QuorumCache::new(q);
-        for k in 0..32u64 {
-            let s = StringKey(k);
-            let x = NodeId::from_index((k % 128) as usize);
-            assert_eq!(cache.quorum(s, x), &q.quorum(s, x)[..]);
-            for yi in (0..128).step_by(7) {
-                let y = NodeId::from_index(yi);
-                assert_eq!(cache.contains(s, x, y), q.contains(s, x, y));
-            }
-        }
-        assert_eq!(cache.majority(), q.majority());
-        assert_eq!(cache.d(), q.d());
-    }
-
-    #[test]
     fn slot_masks_count_distinct_bits_per_slot() {
         let masks = SlotMasks::new();
         let a = SetSlot(3);
@@ -815,20 +694,5 @@ mod tests {
         assert_eq!(masks.mask(SetSlot(2)), 0);
         assert_eq!(masks.mask(SetSlot(64)), 0);
         assert_eq!(masks.vote(SetSlot(2), 7), (true, 1));
-    }
-
-    #[test]
-    fn poll_cache_agrees_with_sampler() {
-        let j = PollSampler::new(9, 64, 7, PollSampler::default_cardinality(64));
-        let mut cache = PollCache::new(j);
-        for k in 0..16u64 {
-            let x = NodeId::from_index((k % 64) as usize);
-            let r = Label(k * 31 % j.label_cardinality());
-            assert_eq!(cache.poll_list(x, r), &j.poll_list(x, r)[..]);
-            for wi in (0..64).step_by(5) {
-                let w = NodeId::from_index(wi);
-                assert_eq!(cache.contains(x, r, w), j.contains(x, r, w));
-            }
-        }
     }
 }

@@ -21,13 +21,14 @@
 //! ## Memoization and determinism
 //!
 //! Every sampler is a pure function of `(public seed, key)`, so hot paths
-//! memoize whole sets: [`QuorumCache`] / [`PollCache`] store each
-//! evaluated quorum or poll list (as an inline [`QuorumVec`]) in a
-//! fast-hash map and answer repeat membership queries with a binary
-//! search. A cache hit returns byte-identical data to a fresh evaluation
-//! — caching cannot change any protocol outcome, only how often the Floyd
-//! sampling loop runs. `tests/cache_equiv.rs` asserts cached ≡ uncached
-//! over randomized keys, and the engine-level determinism tests in
+//! memoize whole sets: the run-shared [`SharedQuorumCache`] /
+//! [`SharedPollCache`] store each evaluated quorum or poll list (as an
+//! inline [`QuorumVec`]) behind a dense [`SetSlot`] and answer repeat
+//! membership queries with a binary search. A cache hit returns
+//! byte-identical data to a fresh evaluation — caching cannot change any
+//! protocol outcome, only how often the Floyd sampling loop runs.
+//! `tests/cache_equiv.rs` asserts cached ≡ uncached over randomized keys
+//! (miss pass, then hit pass), and the engine-level determinism tests in
 //! `fba-sim` and the integration suite pin run outcomes end to end.
 //!
 //! ```
@@ -56,8 +57,8 @@ mod sampler;
 mod strings;
 
 pub use cache::{
-    PollCache, QuorumCache, QuorumVec, SetCache, SetSlot, SharedPollCache, SharedQuorumCache,
-    SharedSetCache, SlotMasks, INLINE_QUORUM,
+    QuorumVec, SetCache, SetSlot, SharedPollCache, SharedQuorumCache, SharedSetCache, SlotMasks,
+    INLINE_QUORUM,
 };
 pub use poll::{Label, PollSampler};
 pub use quorum::{default_quorum_size, tags, QuorumSampler, QuorumScheme};

@@ -161,20 +161,6 @@ impl QuorumScheme {
         self.d
     }
 
-    /// A fresh memoizing view of the push sampler `I` (see
-    /// [`crate::QuorumCache`]); per-node protocol state holds one so push
-    /// membership checks stop re-running Floyd sampling per message.
-    #[must_use]
-    pub fn cached_push(&self) -> crate::QuorumCache {
-        crate::QuorumCache::new(self.push)
-    }
-
-    /// A fresh memoizing view of the pull sampler `H`.
-    #[must_use]
-    pub fn cached_pull(&self) -> crate::QuorumCache {
-        crate::QuorumCache::new(self.pull)
-    }
-
     /// A fresh run-shared memoizing view of `I` (see
     /// [`crate::SharedQuorumCache`]); one per run, cloned into every node.
     #[must_use]

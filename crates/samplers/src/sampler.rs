@@ -129,7 +129,7 @@ impl Sampler {
     /// Re-runs Floyd's algorithm over a stack probe buffer (no heap
     /// allocation for `d ≤ 64`, i.e. every realistic quorum size),
     /// checking each pick as it is drawn. Hot paths should still memoize
-    /// whole sets — see `QuorumCache` — but the uncached cost is
+    /// whole sets — see `SharedQuorumCache` — but the uncached cost is
     /// `O(d log d)`.
     #[must_use]
     pub fn contains(&self, key: u64, node: NodeId) -> bool {

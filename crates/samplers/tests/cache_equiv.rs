@@ -3,7 +3,8 @@
 //! divergence is a bug. Randomized over seeds, sizes, keys and probes.
 
 use fba_samplers::{
-    default_quorum_size, Label, PollCache, PollSampler, QuorumSampler, QuorumScheme, StringKey,
+    default_quorum_size, Label, PollSampler, QuorumSampler, QuorumScheme, SharedPollCache,
+    StringKey,
 };
 use fba_sim::NodeId;
 use proptest::prelude::*;
@@ -12,7 +13,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn cached_quorums_match_uncached(
+    fn shared_quorum_caches_match_uncached(
         seed in any::<u64>(),
         n in 8usize..512,
         keys in collection::vec(any::<u64>(), 1..20),
@@ -20,50 +21,62 @@ proptest! {
     ) {
         let d = default_quorum_size(n, 3.0).min(n);
         let scheme = QuorumScheme::new(seed, n, d);
-        let mut push_cache = scheme.cached_push();
-        let mut pull_cache = scheme.cached_pull();
-        for (k, &key) in keys.iter().enumerate() {
-            let s = StringKey(key);
-            let x = NodeId::from_index(key as usize % n);
-            // Query each key twice so both the miss and the hit path run.
-            for _ in 0..2 {
-                prop_assert_eq!(push_cache.quorum(s, x), &scheme.push.quorum(s, x)[..]);
-                prop_assert_eq!(pull_cache.quorum(s, x), &scheme.pull.quorum(s, x)[..]);
+        for (cache, sampler) in [
+            (scheme.shared_push(), scheme.push),
+            (scheme.shared_pull(), scheme.pull),
+        ] {
+            // A miss pass, then a hit pass that must agree without
+            // recomputing anything.
+            let mut misses_after_first = None;
+            for _pass in 0..2 {
+                for (k, &key) in keys.iter().enumerate() {
+                    let s = StringKey(key);
+                    let x = NodeId::from_index(key as usize % n);
+                    let want = sampler.quorum(s, x);
+                    prop_assert_eq!(cache.quorum_with(s, x, <[NodeId]>::to_vec), want.clone());
+                    let slot = cache.slot(s, x);
+                    let y = NodeId::from_index(
+                        fba_sim::rng::splitmix64(probe_salt ^ k as u64) as usize % n,
+                    );
+                    prop_assert_eq!(cache.contains_at(slot, y), sampler.contains(s, x, y));
+                    prop_assert_eq!(
+                        cache.position_at(slot, y),
+                        want.iter().position(|&member| member == y)
+                    );
+                }
+                let (_, misses) = cache.stats();
+                prop_assert_eq!(*misses_after_first.get_or_insert(misses), misses);
             }
-            let y = NodeId::from_index(
-                fba_sim::rng::splitmix64(probe_salt ^ k as u64) as usize % n,
-            );
-            prop_assert_eq!(push_cache.contains(s, x, y), scheme.push.contains(s, x, y));
-            prop_assert_eq!(pull_cache.contains(s, x, y), scheme.pull.contains(s, x, y));
         }
-        // Second pass over every key must be pure hits and still agree.
-        let (_, misses_before) = pull_cache.stats();
-        for &key in &keys {
-            let s = StringKey(key);
-            let x = NodeId::from_index(key as usize % n);
-            prop_assert_eq!(pull_cache.quorum(s, x), &scheme.pull.quorum(s, x)[..]);
-        }
-        let (_, misses_after) = pull_cache.stats();
-        prop_assert_eq!(misses_before, misses_after, "second pass must not recompute");
     }
 
     #[test]
-    fn cached_poll_lists_match_uncached(
+    fn shared_poll_cache_matches_uncached(
         seed in any::<u64>(),
         n in 8usize..256,
         labels in collection::vec(any::<u64>(), 1..16),
     ) {
         let d = default_quorum_size(n, 2.0).min(n);
         let j = PollSampler::new(seed, n, d, PollSampler::default_cardinality(n));
-        let mut cache = PollCache::new(j);
-        for &raw in &labels {
-            let x = NodeId::from_index(raw as usize % n);
-            let r = Label(raw % j.label_cardinality());
-            prop_assert_eq!(cache.poll_list(x, r), &j.poll_list(x, r)[..]);
-            for wi in (0..n).step_by(11) {
-                let w = NodeId::from_index(wi);
-                prop_assert_eq!(cache.contains(x, r, w), j.contains(x, r, w));
+        let cache = SharedPollCache::new(j);
+        let mut misses_after_first = None;
+        for _pass in 0..2 {
+            for &raw in &labels {
+                let x = NodeId::from_index(raw as usize % n);
+                let r = Label(raw % j.label_cardinality());
+                let want = j.poll_list(x, r);
+                prop_assert_eq!(cache.poll_list_with(x, r, <[NodeId]>::to_vec), want.clone());
+                let slot = cache.slot(x, r);
+                for w in (0..n).step_by(11).map(NodeId::from_index) {
+                    prop_assert_eq!(cache.contains_at(slot, w), j.contains(x, r, w));
+                    prop_assert_eq!(
+                        cache.position_at(slot, w),
+                        want.iter().position(|&member| member == w)
+                    );
+                }
             }
+            let (_, misses) = cache.stats();
+            prop_assert_eq!(*misses_after_first.get_or_insert(misses), misses);
         }
     }
 

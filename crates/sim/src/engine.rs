@@ -24,7 +24,7 @@ use crate::crash::CrashPlan;
 use crate::ids::{ceil_log2, NodeId, Step};
 use crate::message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
 use crate::metrics::Metrics;
-use crate::observer::{FinalInspect, NullObserver, Observer};
+use crate::observer::{NullObserver, Observer};
 use crate::protocol::{Context, Protocol};
 use crate::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 
@@ -232,37 +232,6 @@ where
     run_observed(cfg, master_seed, adversary, factory, &mut NullObserver)
 }
 
-/// Like [`run`], but additionally calls `inspect(id, &state)` for every
-/// surviving correct node once the run ends — the hook experiments use to
-/// read protocol-internal state (e.g. candidate-list sizes for the
-/// paper's Lemma 4). Equivalent to [`run_observed`] with a
-/// [`FinalInspect`] sink.
-///
-/// # Panics
-///
-/// Same conditions as [`run`].
-pub fn run_inspect<P, A, F, I>(
-    cfg: &EngineConfig,
-    master_seed: u64,
-    adversary: &mut A,
-    factory: F,
-    inspect: I,
-) -> RunOutcome<P::Output, P::Msg>
-where
-    P: Protocol,
-    A: Adversary<P::Msg> + ?Sized,
-    F: FnMut(NodeId) -> P,
-    I: FnMut(NodeId, &P),
-{
-    run_observed(
-        cfg,
-        master_seed,
-        adversary,
-        factory,
-        &mut FinalInspect(inspect),
-    )
-}
-
 /// Like [`run`], but drives a read-only [`Observer`] alongside the
 /// execution: per-step send views, per-decision events, and final node
 /// states (see the [`crate::observer`] module docs). Observers cannot
@@ -329,460 +298,464 @@ where
     O: Observer<P> + ?Sized,
 {
     let n = cfg.n;
-    let header_bits = cfg.effective_header_bits();
-
     let mut adv_rng: ChaCha12Rng = derive_rng(adversary_seed, &[TAG_ADVERSARY]);
     let corrupt = adversary.corrupt(n, &mut adv_rng);
     assert!(
         corrupt.iter().all(|id| id.index() < n),
         "adversary corrupted out-of-range node"
     );
-
-    let mut nodes: Vec<Option<P>> = (0..n)
-        .map(|i| {
-            let id = NodeId::from_index(i);
-            if corrupt.contains(&id) {
-                None
-            } else {
-                Some(factory(id))
-            }
-        })
-        .collect();
-    let mut rngs: Vec<ChaCha12Rng> = (0..n).map(|i| node_rng(master_seed, i)).collect();
-
-    let mut metrics = Metrics::new(n, &corrupt);
-    let mut outputs: BTreeMap<NodeId, P::Output> = BTreeMap::new();
-    let mut decided = vec![false; n];
-    // Corrupt nodes count as "decided" for the stop condition.
-    for id in &corrupt {
-        decided[id.index()] = true;
-    }
-    let mut undecided = n - corrupt.len();
-
-    let max_delay = cfg.max_delay.max(1);
-    let mut transcript: Vec<Envelope<P::Msg>> = Vec::new();
-
-    // Calendar plus per-step scratch buffers, reused across the whole run
-    // (and, through a shared session, across chained instances). `flat` is
-    // the per-envelope view of the step's sends, materialised only when
-    // someone needs it (rushing view, per-envelope scheduling, observe,
-    // observer step view, transcript).
-    session.begin(max_delay);
-    let EngineSession {
-        pending,
-        sends,
-        outbox_buf,
-        due,
-        sched_buf,
-        flat,
-        pool,
-    } = session;
-
     // Crash–restart plan: `None` and an empty plan are the same no-fault
-    // fast path. Every dark-window check below is gated on `has_crash`,
-    // so fault-free runs execute the exact baseline instruction sequence
+    // fast path. Every dark-window check is gated on `has_crash`, so
+    // fault-free runs execute the exact baseline instruction sequence
     // (the bit-identity pin in `tests/scenario_equivalence.rs`).
     let crash_plan = cfg.crash.as_ref().filter(|p| !p.is_empty());
-    let has_crash = crash_plan.is_some();
     if let Some(plan) = crash_plan {
         assert!(
             plan.max_node_index().is_none_or(|i| i < n),
             "crash plan names out-of-range node"
         );
     }
-    let mut dark: Vec<bool> = if has_crash {
-        vec![false; n]
-    } else {
-        Vec::new()
+    let max_delay = cfg.max_delay.max(1);
+    session.begin(max_delay);
+    // Corrupt nodes have no state machine and count as "decided" for the
+    // stop condition.
+    let mut st = StepState {
+        n,
+        header_bits: cfg.effective_header_bits(),
+        max_delay,
+        batching: cfg.batch,
+        batch_limit: cfg.batch_limit,
+        has_crash: crash_plan.is_some(),
+        rushing: adversary.rushing(),
+        consults: adversary.schedules(),
+        observes: adversary.observes(),
+        step_view: observer.wants_step_sends(),
+        record_transcript: cfg.record_transcript,
+        step: 0,
+        nodes: (0..n)
+            .map(NodeId::from_index)
+            .map(|id| (!corrupt.contains(&id)).then(|| factory(id)))
+            .collect(),
+        rngs: (0..n).map(|i| node_rng(master_seed, i)).collect(),
+        metrics: Metrics::new(n, &corrupt),
+        outputs: BTreeMap::new(),
+        decided: (0..n)
+            .map(|i| corrupt.contains(&NodeId::from_index(i)))
+            .collect(),
+        dark: vec![false; if crash_plan.is_some() { n } else { 0 }],
+        undecided: n - corrupt.len(),
+        all_decided_at: None,
+        transcript: Vec::new(),
+        corrupt,
+        session,
     };
 
-    let batching = cfg.batch;
-    let batch_limit = cfg.batch_limit;
-    let rushing = adversary.rushing();
-    let consults = adversary.schedules();
-    let observes = adversary.observes();
-    let step_view = observer.wants_step_sends();
-
-    let mut all_decided_at: Option<Step> = None;
-    let mut drain_started_at: Option<Step> = None;
     let mut quiescent = false;
-
-    let mut step: Step = 0;
     loop {
-        let draining = all_decided_at.is_some();
-        sends.clear();
+        st.crash_transitions(crash_plan);
+        st.step_callbacks();
+        st.deliver_due();
+        st.adversary_turn(adversary);
+        st.schedule_sends(adversary, observer);
+        st.track_decisions(observer);
 
-        // 0. Crash transitions (crash plans only). Restarts first: a
-        //    restarting node gets `on_restart` with a context (it may send
-        //    catch-up traffic immediately) and then the step's regular
-        //    callback like everyone else. New crashes second: their nodes
-        //    miss everything from this step until restart. Crashing a
-        //    corrupt node is a no-op — the adversary already plays it.
-        if let Some(plan) = crash_plan {
-            for outage in plan.outages() {
-                if outage.end == step {
-                    for &id in outage.nodes() {
-                        let i = id.index();
-                        if !dark[i] {
-                            continue;
-                        }
-                        dark[i] = false;
-                        if let Some(node) = nodes[i].as_mut() {
-                            let mut ctx = Context::new(id, n, step, &mut rngs[i], outbox_buf);
-                            node.on_restart(&mut ctx);
-                            enqueue_outbox(
-                                id,
-                                step,
-                                batching,
-                                batch_limit,
-                                header_bits,
-                                outbox_buf,
-                                &mut metrics,
-                                pool,
-                                sends,
-                            );
-                        }
-                    }
-                }
-                if outage.start == step {
-                    for &id in outage.nodes() {
-                        let i = id.index();
-                        if let Some(node) = nodes[i].as_mut() {
-                            dark[i] = true;
-                            node.on_crash(step);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 1. Per-step protocol callbacks: on_start at step 0, on_step later.
-        for i in 0..n {
-            if has_crash && dark[i] {
-                continue;
-            }
-            let id = NodeId::from_index(i);
-            let Some(node) = nodes[i].as_mut() else {
-                continue;
-            };
-            let mut ctx = Context::new(id, n, step, &mut rngs[i], outbox_buf);
-            if step == 0 {
-                node.on_start(&mut ctx);
-            } else {
-                node.on_step(&mut ctx);
-            }
-            enqueue_outbox(
-                id,
-                step,
-                batching,
-                batch_limit,
-                header_bits,
-                outbox_buf,
-                &mut metrics,
-                pool,
-                sends,
-            );
-        }
-
-        // 2. Deliveries due this step (scheduled at earlier steps).
-        pending.drain_due(step, due);
-        for delivery in due.drain(..) {
-            match delivery {
-                Delivery::One(env) => {
-                    if has_crash && (dark[env.from.index()] || dark[env.to.index()]) {
-                        metrics.record_dropped(1);
-                        continue;
-                    }
-                    metrics.record_recv(env.to, env.total_bits(header_bits));
-                    let i = env.to.index();
-                    if let Some(node) = nodes[i].as_mut() {
-                        let mut ctx = Context::new(env.to, n, step, &mut rngs[i], outbox_buf);
-                        node.on_message(env.from, env.msg, &mut ctx);
-                        enqueue_outbox(
-                            env.to,
-                            step,
-                            batching,
-                            batch_limit,
-                            header_bits,
-                            outbox_buf,
-                            &mut metrics,
-                            pool,
-                            sends,
-                        );
-                    }
-                    // Deliveries to corrupt nodes reach the adversary
-                    // through `observe`, which sees every envelope anyway.
-                }
-                Delivery::Batch(batch) => {
-                    let from = batch.from;
-                    if has_crash && dark[from.index()] {
-                        metrics.record_dropped(batch.len() as u64);
-                        pool.push(batch.into_buffers());
-                        continue;
-                    }
-                    for (msg, recipients) in batch.runs() {
-                        let bits = header_bits + msg.wire_bits();
-                        for &to in recipients {
-                            if has_crash && dark[to.index()] {
-                                metrics.record_dropped(1);
-                                continue;
-                            }
-                            metrics.record_recv(to, bits);
-                            let i = to.index();
-                            if let Some(node) = nodes[i].as_mut() {
-                                let mut ctx = Context::new(to, n, step, &mut rngs[i], outbox_buf);
-                                node.on_message(from, msg.clone(), &mut ctx);
-                                enqueue_outbox(
-                                    to,
-                                    step,
-                                    batching,
-                                    batch_limit,
-                                    header_bits,
-                                    outbox_buf,
-                                    &mut metrics,
-                                    pool,
-                                    sends,
-                                );
-                            }
-                        }
-                    }
-                    pool.push(batch.into_buffers());
-                }
-            }
-        }
-
-        // 3. Adversary turn (full information; rushing sees current sends).
-        if !draining {
-            let rushing_view: Option<&[Envelope<P::Msg>]> = if rushing {
-                flatten_into(sends, flat);
-                Some(flat)
-            } else {
-                None
-            };
-            let mut out = Outbox::new(&corrupt, n);
-            adversary.act(step, rushing_view, &mut out);
-            // Adversary sends stay un-batched: they may mix senders, and
-            // every current strategy emits few enough for framing not to
-            // matter. Keeping them as single envelopes also keeps the
-            // batched and unbatched arms trivially identical here.
-            for (from, to, msg) in out.into_sends() {
-                metrics.record_send(from, header_bits + msg.wire_bits());
-                sends.push(Delivery::One(Envelope {
-                    from,
-                    to,
-                    sent_at: step,
-                    msg,
-                }));
-            }
-        }
-
-        // 4. Schedule every send of this step. A scheduling adversary is
-        //    consulted (delay then priority, per logical envelope, in send
-        //    order) and then observes the step before anything moves into
-        //    the queue, so the call order visible to stateful adversaries
-        //    matches the per-envelope engine exactly.
-        let consult_now = consults && !draining;
-        if consult_now || observes || step_view || cfg.record_transcript {
-            flatten_into(sends, flat);
-        }
-        sched_buf.clear();
-        let uniform = if consult_now {
-            consult_schedule(adversary, max_delay, flat, sched_buf)
-        } else {
-            Some(1)
-        };
-        if observes {
-            adversary.observe(step, flat);
-        }
-        if step_view {
-            observer.on_step(step, flat);
-        }
-        if cfg.record_transcript {
-            transcript.extend(flat.iter().cloned());
-        }
-        commit_schedule(pending, step, uniform, sends, flat, sched_buf, pool);
-
-        // 5. Decision tracking.
-        if undecided > 0 {
-            for i in 0..n {
-                if decided[i] || (has_crash && dark[i]) {
-                    continue;
-                }
-                if let Some(node) = nodes[i].as_ref() {
-                    if let Some(out) = node.output() {
-                        let id = NodeId::from_index(i);
-                        decided[i] = true;
-                        undecided -= 1;
-                        metrics.record_decision(id, step);
-                        observer.on_decision(id, step, &out);
-                        outputs.insert(id, out);
-                    }
-                }
-            }
-            if undecided == 0 {
-                all_decided_at = Some(step);
-                drain_started_at = Some(step);
-            }
-        }
-
-        // 6. Stop conditions.
-        metrics.steps = step;
-        if let Some(started) = drain_started_at {
-            if pending.is_empty() {
+        st.metrics.steps = st.step;
+        if let Some(drain_started_at) = st.all_decided_at {
+            if st.session.pending.is_empty() {
                 quiescent = true;
                 break;
             }
-            if step >= started + cfg.drain_steps {
+            if st.step >= drain_started_at + cfg.drain_steps {
                 break;
             }
         }
-        if step >= cfg.max_steps {
+        if st.step >= cfg.max_steps {
             break;
         }
-        step += 1;
+        st.step += 1;
     }
 
-    for (i, node) in nodes.iter().enumerate() {
+    for (i, node) in st.nodes.iter().enumerate() {
         if let Some(node) = node {
             observer.on_final(NodeId::from_index(i), node);
         }
     }
-
     RunOutcome {
-        metrics,
-        outputs,
-        corrupt,
-        all_decided_at,
+        metrics: st.metrics,
+        outputs: st.outputs,
+        corrupt: st.corrupt,
+        all_decided_at: st.all_decided_at,
         quiescent,
-        transcript,
+        transcript: st.transcript,
     }
 }
 
-/// Moves one callback's outbox into the step's send list, recording each
-/// logical message in `metrics`. With batching on and at least two
-/// messages queued, the outbox becomes one (or, under `batch_limit`,
-/// several) [`Batch`] deliveries built on recycled buffers from `pool`;
-/// otherwise every message ships as its own envelope.
-#[allow(clippy::too_many_arguments)] // engine-internal plumbing of the step loop's scratch state
-fn enqueue_outbox<M: Clone + PartialEq + WireSize>(
-    from: NodeId,
-    step: Step,
+/// Everything one run's step loop reads and writes: the per-run scalars,
+/// the node table with its per-node RNG streams, the accounting, and the
+/// session's calendar and scratch buffers. Each method is one stage of a
+/// step (see the crate docs); [`run_session`] calls them in order.
+struct StepState<'s, P: Protocol> {
+    n: usize,
+    header_bits: u64,
+    max_delay: Step,
     batching: bool,
     batch_limit: Option<usize>,
-    header_bits: u64,
-    outbox: &mut Vec<(NodeId, M)>,
-    metrics: &mut Metrics,
-    pool: &mut Vec<BatchBuffers<M>>,
-    sends: &mut Vec<Delivery<M>>,
-) {
-    if outbox.is_empty() {
-        return;
+    has_crash: bool,
+    rushing: bool,
+    consults: bool,
+    observes: bool,
+    step_view: bool,
+    record_transcript: bool,
+    step: Step,
+    /// `None` for corrupt nodes — the adversary plays them.
+    nodes: Vec<Option<P>>,
+    rngs: Vec<ChaCha12Rng>,
+    corrupt: BTreeSet<NodeId>,
+    metrics: Metrics,
+    outputs: BTreeMap<NodeId, P::Output>,
+    decided: Vec<bool>,
+    /// Who is inside a crash window; empty unless `has_crash`.
+    dark: Vec<bool>,
+    undecided: usize,
+    /// Set once; from the next step on the run is *draining* (deliveries
+    /// continue, the adversary no longer acts or schedules).
+    all_decided_at: Option<Step>,
+    transcript: Vec<Envelope<P::Msg>>,
+    /// The calendar and the step's scratch buffers: `sends` is the current
+    /// step's sends, in send order, until `commit_schedule` moves them
+    /// into `pending`; `flat` is their per-envelope view, materialised
+    /// only when someone needs it (rushing view, per-envelope scheduling,
+    /// observe, observer step view, transcript).
+    session: &'s mut EngineSession<P::Msg>,
+}
+
+impl<P: Protocol> StepState<'_, P> {
+    fn draining(&self) -> bool {
+        self.all_decided_at.is_some()
     }
-    if !batching || outbox.len() == 1 {
-        for (to, msg) in outbox.drain(..) {
-            metrics.record_send(from, header_bits + msg.wire_bits());
-            sends.push(Delivery::One(Envelope {
+
+    fn is_dark(&self, id: NodeId) -> bool {
+        self.has_crash && self.dark[id.index()]
+    }
+
+    /// Runs one protocol callback of correct node `id` against a fresh
+    /// [`Context`] and moves whatever it sent into the step's send list.
+    /// No-op for corrupt nodes.
+    fn callback(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
+        let i = id.index();
+        let Some(node) = self.nodes[i].as_mut() else {
+            return;
+        };
+        let mut ctx = Context::new(
+            id,
+            self.n,
+            self.step,
+            &mut self.rngs[i],
+            &mut self.session.outbox_buf,
+        );
+        f(node, &mut ctx);
+        if !self.session.outbox_buf.is_empty() {
+            self.enqueue_outbox(id);
+        }
+    }
+
+    /// Stage 1 (crash plans only). Restarts first: a restarting node gets
+    /// `on_restart` with a context (it may send catch-up traffic
+    /// immediately) and then the step's regular callback like everyone
+    /// else. New crashes second: their nodes miss everything from this
+    /// step until restart. Crashing a corrupt node is a no-op — the
+    /// adversary already plays it.
+    fn crash_transitions(&mut self, plan: Option<&CrashPlan>) {
+        for outage in plan.into_iter().flat_map(CrashPlan::outages) {
+            if outage.end == self.step {
+                for &id in outage.nodes() {
+                    if self.dark[id.index()] {
+                        self.dark[id.index()] = false;
+                        self.callback(id, |node, ctx| node.on_restart(ctx));
+                    }
+                }
+            }
+            if outage.start == self.step {
+                for &id in outage.nodes() {
+                    if let Some(node) = self.nodes[id.index()].as_mut() {
+                        self.dark[id.index()] = true;
+                        node.on_crash(self.step);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stage 2: `on_start` at step 0, `on_step` later, in node order.
+    fn step_callbacks(&mut self) {
+        let first = self.step == 0;
+        for id in (0..self.n).map(NodeId::from_index) {
+            if !self.is_dark(id) {
+                self.callback(id, |node, ctx| {
+                    if first {
+                        node.on_start(ctx);
+                    } else {
+                        node.on_step(ctx);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Stage 3: the deliveries due this step, in calendar order; batches
+    /// unpack in send order. Anything to or from a dark node is dropped
+    /// and counted. Deliveries to corrupt nodes are counted as received
+    /// and reach the adversary through `observe`, which sees every
+    /// envelope anyway.
+    fn deliver_due(&mut self) {
+        self.session
+            .pending
+            .drain_due(self.step, &mut self.session.due);
+        let mut due = std::mem::take(&mut self.session.due);
+        for delivery in due.drain(..) {
+            match delivery {
+                Delivery::One(env) => {
+                    if self.is_dark(env.from) || self.is_dark(env.to) {
+                        self.metrics.record_dropped(1);
+                        continue;
+                    }
+                    self.metrics
+                        .record_recv(env.to, env.total_bits(self.header_bits));
+                    self.callback(env.to, |node, ctx| node.on_message(env.from, env.msg, ctx));
+                }
+                Delivery::Batch(batch) => {
+                    let from = batch.from;
+                    if self.is_dark(from) {
+                        self.metrics.record_dropped(batch.len() as u64);
+                    } else {
+                        for (msg, recipients) in batch.runs() {
+                            let bits = self.header_bits + msg.wire_bits();
+                            for &to in recipients {
+                                if self.is_dark(to) {
+                                    self.metrics.record_dropped(1);
+                                    continue;
+                                }
+                                self.metrics.record_recv(to, bits);
+                                self.callback(to, |node, ctx| {
+                                    node.on_message(from, msg.clone(), ctx);
+                                });
+                            }
+                        }
+                    }
+                    self.session.pool.push(batch.into_buffers());
+                }
+            }
+        }
+        self.session.due = due;
+    }
+
+    /// Stage 4 (skipped while draining): the adversary's turn — full
+    /// information, and a rushing adversary sees this step's correct
+    /// sends. Its own sends stay un-batched: they may mix senders, and
+    /// every current strategy emits few enough for framing not to matter.
+    fn adversary_turn<A: Adversary<P::Msg> + ?Sized>(&mut self, adversary: &mut A) {
+        if self.draining() {
+            return;
+        }
+        if self.rushing {
+            self.flatten();
+        }
+        let mut out = Outbox::new(&self.corrupt, self.n);
+        adversary.act(
+            self.step,
+            self.rushing.then_some(&self.session.flat[..]),
+            &mut out,
+        );
+        for (from, to, msg) in out.into_sends() {
+            self.metrics
+                .record_send(from, self.header_bits + msg.wire_bits());
+            self.session.sends.push(Delivery::One(Envelope {
                 from,
                 to,
-                sent_at: step,
+                sent_at: self.step,
                 msg,
             }));
         }
-        return;
     }
-    let limit = batch_limit.unwrap_or(usize::MAX).max(1);
-    let mut batch = Batch::from_buffers(from, step, pool.pop().unwrap_or_default());
-    for (to, msg) in outbox.drain(..) {
-        if batch.len() >= limit {
-            seal_batch(batch, header_bits, metrics, sends);
-            batch = Batch::from_buffers(from, step, pool.pop().unwrap_or_default());
+
+    /// Stage 5: schedule every send of this step. A scheduling adversary
+    /// is consulted (delay then priority, per logical envelope, in send
+    /// order; not while draining) and then observes the step before
+    /// anything moves into the queue, so the call order visible to
+    /// stateful adversaries is the same with and without batching.
+    fn schedule_sends<A, O>(&mut self, adversary: &mut A, observer: &mut O)
+    where
+        A: Adversary<P::Msg> + ?Sized,
+        O: Observer<P> + ?Sized,
+    {
+        let consult = self.consults && !self.draining();
+        if consult || self.observes || self.step_view || self.record_transcript {
+            self.flatten();
         }
-        batch.push(to, msg);
-    }
-    seal_batch(batch, header_bits, metrics, sends);
-}
-
-/// Records a finished batch's logical messages and moves it into `sends`.
-fn seal_batch<M: Clone + PartialEq + WireSize>(
-    batch: Batch<M>,
-    header_bits: u64,
-    metrics: &mut Metrics,
-    sends: &mut Vec<Delivery<M>>,
-) {
-    for (msg, recipients) in batch.runs() {
-        metrics.record_send_run(
-            batch.from,
-            recipients.len() as u64,
-            header_bits + msg.wire_bits(),
-        );
-    }
-    sends.push(Delivery::Batch(batch));
-}
-
-/// Consults a scheduling adversary for every logical envelope of the
-/// step's flattened send view, in send order: delay (clamped to
-/// `[1, max_delay]`) then priority, pushed onto `sched_buf` (which the
-/// caller has cleared). Returns `Some(delay)` when every envelope got the
-/// same delay at priority 0 — the bulk-lane fast path — and `None` when
-/// the schedule is non-uniform and deliveries must be keyed individually.
-fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
-    adversary: &mut A,
-    max_delay: Step,
-    flat: &[Envelope<M>],
-    sched_buf: &mut Vec<(Step, i64)>,
-) -> Option<Step> {
-    let mut uniform: Option<Step> = Some(1);
-    for env in flat {
-        let delay = adversary.delay(env).clamp(1, max_delay);
-        let priority = adversary.priority(env);
-        uniform = match uniform {
-            Some(d) if priority == 0 && (d == delay || sched_buf.is_empty()) => Some(delay),
-            _ => None,
+        self.session.sched_buf.clear();
+        let uniform = if consult {
+            self.consult_schedule(adversary)
+        } else {
+            Some(1)
         };
-        sched_buf.push((delay, priority));
+        if self.observes {
+            adversary.observe(self.step, &self.session.flat);
+        }
+        if self.step_view {
+            observer.on_step(self.step, &self.session.flat);
+        }
+        if self.record_transcript {
+            self.transcript.extend(self.session.flat.iter().cloned());
+        }
+        self.commit_schedule(uniform);
     }
-    uniform
-}
 
-/// Moves a step's sends into the pending-delivery calendar. With a uniform
-/// schedule (`uniform = Some(delay)`, the common case) one vector swap
-/// moves the whole step's sends — batches included — into the ring slot;
-/// otherwise deliveries are keyed per envelope from `flat` and `sched_buf`
-/// (as filled by [`consult_schedule`]), recycling batch buffers into
-/// `pool`.
-fn commit_schedule<M: Clone>(
-    pending: &mut CalendarQueue<Delivery<M>>,
-    step: Step,
-    uniform: Option<Step>,
-    sends: &mut Vec<Delivery<M>>,
-    flat: &mut Vec<Envelope<M>>,
-    sched_buf: &[(Step, i64)],
-    pool: &mut Vec<BatchBuffers<M>>,
-) {
-    match uniform {
-        Some(delay) if !sends.is_empty() => pending.schedule_bulk(step, delay, sends),
-        _ => {
-            for delivery in sends.drain(..) {
-                if let Delivery::Batch(batch) = delivery {
-                    pool.push(batch.into_buffers());
+    /// Stage 6: record the nodes that produced an output this step.
+    fn track_decisions<O: Observer<P> + ?Sized>(&mut self, observer: &mut O) {
+        if self.undecided == 0 {
+            return;
+        }
+        for id in (0..self.n).map(NodeId::from_index) {
+            let i = id.index();
+            if self.decided[i] || self.is_dark(id) {
+                continue;
+            }
+            if let Some(out) = self.nodes[i].as_ref().and_then(P::output) {
+                self.decided[i] = true;
+                self.undecided -= 1;
+                self.metrics.record_decision(id, self.step);
+                observer.on_decision(id, self.step, &out);
+                self.outputs.insert(id, out);
+            }
+        }
+        if self.undecided == 0 {
+            self.all_decided_at = Some(self.step);
+        }
+    }
+
+    /// Moves one callback's (non-empty) outbox into the step's send list,
+    /// recording each logical message in the metrics. With batching on
+    /// and at least two messages queued, the outbox becomes one (or,
+    /// under `batch_limit`, several) [`Batch`] deliveries built on
+    /// recycled buffers from the pool; otherwise every message ships as
+    /// its own envelope. Kept out of line: inlined into every `callback`
+    /// instantiation it measured a few percent slower on `benchmark/`'s
+    /// service, crash and async workloads (CHANGES.md, PR 15).
+    #[inline(never)]
+    fn enqueue_outbox(&mut self, from: NodeId) {
+        if !self.batching || self.session.outbox_buf.len() < 2 {
+            for (to, msg) in self.session.outbox_buf.drain(..) {
+                self.metrics
+                    .record_send(from, self.header_bits + msg.wire_bits());
+                self.session.sends.push(Delivery::One(Envelope {
+                    from,
+                    to,
+                    sent_at: self.step,
+                    msg,
+                }));
+            }
+            return;
+        }
+        let limit = self.batch_limit.unwrap_or(usize::MAX).max(1);
+        let mut batch = self.fresh_batch(from);
+        let mut outbox = std::mem::take(&mut self.session.outbox_buf);
+        for (to, msg) in outbox.drain(..) {
+            if batch.len() >= limit {
+                let full = std::mem::replace(&mut batch, self.fresh_batch(from));
+                self.seal_batch(full);
+            }
+            batch.push(to, msg);
+        }
+        self.session.outbox_buf = outbox;
+        self.seal_batch(batch);
+    }
+
+    fn fresh_batch(&mut self, from: NodeId) -> Batch<P::Msg> {
+        Batch::from_buffers(from, self.step, self.session.pool.pop().unwrap_or_default())
+    }
+
+    /// Records a finished batch's logical messages and moves it into the
+    /// step's send list.
+    fn seal_batch(&mut self, batch: Batch<P::Msg>) {
+        for (msg, recipients) in batch.runs() {
+            self.metrics.record_send_run(
+                batch.from,
+                recipients.len() as u64,
+                self.header_bits + msg.wire_bits(),
+            );
+        }
+        self.session.sends.push(Delivery::Batch(batch));
+    }
+
+    /// Consults a scheduling adversary for every logical envelope of the
+    /// step's flattened send view, in send order: delay (clamped to
+    /// `[1, max_delay]`) then priority, pushed onto `sched_buf` (cleared
+    /// by the caller). Returns `Some(delay)` when every envelope got the
+    /// same delay at priority 0 — the bulk-lane fast path — and `None`
+    /// when the schedule is non-uniform and deliveries must be keyed
+    /// individually.
+    fn consult_schedule<A: Adversary<P::Msg> + ?Sized>(
+        &mut self,
+        adversary: &mut A,
+    ) -> Option<Step> {
+        let mut uniform: Option<Step> = Some(1);
+        for env in self.session.flat.iter() {
+            let delay = adversary.delay(env).clamp(1, self.max_delay);
+            let priority = adversary.priority(env);
+            uniform = match uniform {
+                Some(d) if priority == 0 && (d == delay || self.session.sched_buf.is_empty()) => {
+                    Some(delay)
+                }
+                _ => None,
+            };
+            self.session.sched_buf.push((delay, priority));
+        }
+        uniform
+    }
+
+    /// Moves the step's sends into the pending-delivery calendar, leaving
+    /// the send list empty. With a uniform schedule (`Some(delay)`, the
+    /// common case) one vector swap moves the whole step — batches
+    /// included — into the ring slot; otherwise deliveries are keyed per
+    /// envelope from `flat` and `sched_buf` (as filled by
+    /// `consult_schedule`), recycling batch buffers into the pool.
+    fn commit_schedule(&mut self, uniform: Option<Step>) {
+        match uniform {
+            Some(delay) if !self.session.sends.is_empty() => {
+                self.session
+                    .pending
+                    .schedule_bulk(self.step, delay, &mut self.session.sends);
+            }
+            _ => {
+                for delivery in self.session.sends.drain(..) {
+                    if let Delivery::Batch(batch) = delivery {
+                        self.session.pool.push(batch.into_buffers());
+                    }
+                }
+                for (env, &(delay, priority)) in self
+                    .session
+                    .flat
+                    .drain(..)
+                    .zip(self.session.sched_buf.iter())
+                {
+                    self.session
+                        .pending
+                        .schedule(self.step, delay, priority, Delivery::One(env));
                 }
             }
-            for (env, &(delay, priority)) in flat.drain(..).zip(sched_buf.iter()) {
-                pending.schedule(step, delay, priority, Delivery::One(env));
-            }
         }
     }
-}
 
-/// Rebuilds the per-envelope view of a step's sends, in logical send
-/// order — what rushing adversaries, schedulers, observers, and the
-/// transcript are shown regardless of batching.
-fn flatten_into<M: Clone>(sends: &[Delivery<M>], flat: &mut Vec<Envelope<M>>) {
-    flat.clear();
-    for delivery in sends {
-        match delivery {
-            Delivery::One(env) => flat.push(env.clone()),
-            Delivery::Batch(batch) => flat.extend(batch.envelopes()),
+    /// Rebuilds `flat`, the per-envelope view of the step's sends in
+    /// logical send order — what rushing adversaries, schedulers,
+    /// observers and the transcript are shown regardless of batching.
+    fn flatten(&mut self) {
+        self.session.flat.clear();
+        for delivery in self.session.sends.iter() {
+            match delivery {
+                Delivery::One(env) => self.session.flat.push(env.clone()),
+                Delivery::Batch(batch) => self.session.flat.extend(batch.envelopes()),
+            }
         }
     }
 }
@@ -792,6 +765,7 @@ mod tests {
     use super::*;
     use crate::adversary::{NoAdversary, SilentAdversary};
     use crate::crash::CrashOutage;
+    use crate::observer::FinalInspect;
 
     /// Every node sends a ping to the next node at start; a node decides
     /// once it has received a ping. Purely for engine semantics tests.
@@ -1223,12 +1197,14 @@ mod tests {
         ])
         .unwrap();
         let mut crash_hooks = Vec::new();
-        let out = run_inspect::<Gossip, _, _, _>(
+        let out = run_observed::<Gossip, _, _, _>(
             &crash_cfg(n, plan),
             3,
             &mut NoAdversary,
             |id| Gossip::fresh(id, n),
-            |id, node| crash_hooks.push((id, node.crashes, node.restarts)),
+            &mut FinalInspect(|id, node: &Gossip| {
+                crash_hooks.push((id, node.crashes, node.restarts));
+            }),
         );
         // Node 0 is dark over steps 1-4: it misses every delivery, and
         // its own step-0 broadcast is dropped too (the sender is dark at

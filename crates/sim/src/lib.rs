@@ -20,6 +20,38 @@
 //! Runs are pure functions of a 64-bit master seed, so every experiment in
 //! the repository replays exactly.
 //!
+//! ## Step structure
+//!
+//! [`run_session`] is the only step loop. Before step 0 the adversary
+//! picks the corrupt set ([`Adversary::corrupt`]) and the factory builds
+//! one state machine per correct node. Every step then runs six stages,
+//! in this order (the engine's private methods carry the same names):
+//!
+//! 1. `crash_transitions` — crash plans only: restarts
+//!    ([`Protocol::on_restart`], which may send) before new crashes
+//!    ([`Protocol::on_crash`]).
+//! 2. `step_callbacks` — [`Protocol::on_start`] at step 0,
+//!    [`Protocol::on_step`] later, in node order, skipping dark nodes.
+//! 3. `deliver_due` — the deliveries scheduled for this step, in
+//!    `(priority, send order)` order, batches unpacked in send order;
+//!    anything to or from a dark node is dropped and counted;
+//!    [`Protocol::on_message`] for the rest.
+//! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
+//!    the sends of stages 1–3.
+//! 5. `schedule_sends` — every envelope sent this step, in send order, is
+//!    put to [`Adversary::delay`] and then [`Adversary::priority`]; then
+//!    [`Adversary::observe`] and [`Observer::on_step`] see the whole
+//!    step; then the sends move into the calendar, to be delivered within
+//!    `max_delay` steps.
+//! 6. `track_decisions` — [`Protocol::output`] of every undecided node;
+//!    [`Observer::on_decision`] for each new one.
+//!
+//! Once every correct node has decided the run *drains*: stages 1–3 and 6
+//! continue until the calendar is empty (or `drain_steps` pass), stage 4
+//! is skipped and stage 5 no longer consults the adversary.
+//! [`Observer::on_final`] closes the run. The call-order tables in
+//! `tests/engine_props.rs` pin all of this, call by call.
+//!
 //! ## Determinism contract
 //!
 //! Every performance mechanism in this workspace is *outcome-invariant* by
@@ -154,9 +186,7 @@ pub mod tuning;
 
 pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdversary};
 pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
-pub use engine::{
-    run, run_inspect, run_observed, run_session, EngineConfig, EngineSession, RunOutcome,
-};
+pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};

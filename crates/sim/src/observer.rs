@@ -1,16 +1,16 @@
 //! Read-only run instrumentation: the [`Observer`] trait and stock sinks.
 //!
-//! Observers unify the two instrumentation styles the experiments
-//! previously wired by hand — end-of-run state inspection closures
-//! (`run_inspect`) and transcript recording for `fba_core::trace`-style
-//! analysis — behind one composable interface with three hooks:
+//! Observers put the two instrumentation styles the experiments need —
+//! end-of-run state inspection ([`FinalInspect`]) and transcript
+//! recording for `fba_core::trace`-style analysis ([`TranscriptSink`]) —
+//! behind one composable interface with three hooks:
 //!
 //! * [`Observer::on_step`] — once per engine step, with every envelope
 //!   sent during it (the same view a full-information adversary gets);
 //! * [`Observer::on_decision`] — the first time each correct node
 //!   produces an output;
 //! * [`Observer::on_final`] — once per surviving correct node when the
-//!   run ends (the old `run_inspect` hook).
+//!   run ends.
 //!
 //! Observers are strictly read-only: they cannot send messages, touch
 //! node state, or consume randomness, so attaching any combination of
@@ -99,8 +99,8 @@ impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
     }
 }
 
-/// Adapts a `FnMut(NodeId, &P)` closure into an end-of-run inspector —
-/// exactly the old `run_inspect` contract.
+/// Adapts a `FnMut(NodeId, &P)` closure into an end-of-run inspector: it
+/// is called for every surviving correct node once the run ends.
 #[derive(Clone, Debug)]
 pub struct FinalInspect<F>(pub F);
 

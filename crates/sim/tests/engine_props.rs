@@ -152,3 +152,267 @@ proptest! {
         prop_assert_eq!(out.metrics.total_bits_sent(), received);
     }
 }
+
+/// The stage/call-order step table: every call the engine makes into a
+/// protocol, an adversary and an observer, with arguments, for one fixed
+/// toy run — the `(input, expected calls)` table form of the crate-docs
+/// sentence "delay then priority per envelope in send order, then
+/// observe". Stateful adversaries depend on this order.
+mod step_table {
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+
+    use fba_sim::{
+        run_observed, Adversary, Context, CrashOutage, CrashPlan, EngineConfig, Envelope, NodeId,
+        Observer, Outbox, Protocol, Step,
+    };
+    use rand_chacha::ChaCha12Rng;
+
+    #[derive(Clone, Default)]
+    struct Log(Rc<RefCell<Vec<String>>>);
+
+    impl Log {
+        fn note(&self, call: String) {
+            self.0.borrow_mut().push(call);
+        }
+    }
+
+    fn env(e: &Envelope<u64>) -> String {
+        format!("{}>{}:{}", e.from.index(), e.to.index(), e.msg)
+    }
+
+    fn envs(sends: &[Envelope<u64>]) -> String {
+        sends.iter().map(env).collect::<Vec<_>>().join(",")
+    }
+
+    /// Nodes 0 and 1 of a 3-node system (node 2 is corrupt). At start a
+    /// node sends `10·id` to both others (one batch, one run); a message
+    /// below 100 is answered with `msg + 100` (a single envelope); a
+    /// restart sends `7` and `8` to node 0 (one batch, two runs). A node
+    /// decides on its first delivery.
+    struct Chatty {
+        id: usize,
+        received: u64,
+        log: Log,
+    }
+
+    impl Protocol for Chatty {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            self.log.note(format!("start({}@{})", self.id, ctx.step()));
+            for to in (0..3).filter(|&to| to != self.id) {
+                ctx.send(NodeId::from_index(to), 10 * self.id as u64);
+            }
+        }
+        fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
+            self.log.note(format!("step({}@{})", self.id, ctx.step()));
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
+            let (id, step) = (self.id, ctx.step());
+            self.log
+                .note(format!("msg({id}<{}:{msg}@{step})", from.index()));
+            self.received += 1;
+            if msg < 100 {
+                ctx.send(from, msg + 100);
+            }
+        }
+        fn on_crash(&mut self, step: Step) {
+            self.log.note(format!("crash({}@{step})", self.id));
+        }
+        fn on_restart(&mut self, ctx: &mut Context<'_, u64>) {
+            self.log
+                .note(format!("restart({}@{})", self.id, ctx.step()));
+            ctx.send(NodeId::from_index(0), 7);
+            ctx.send(NodeId::from_index(0), 8);
+        }
+        fn output(&self) -> Option<u64> {
+            (self.received > 0).then_some(self.received)
+        }
+    }
+
+    /// Rushing, scheduling, observing: corrupts node 2, injects `2>0:99`
+    /// at step 0, delays node 0's messages by 2 (clamped under
+    /// `max_delay = 1`), and lets `99` jump the delivery queue.
+    impl Adversary<u64> for Log {
+        fn corrupt(&mut self, n: usize, _rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
+            self.note(format!("corrupt({n})"));
+            BTreeSet::from([NodeId::from_index(2)])
+        }
+        fn rushing(&self) -> bool {
+            true
+        }
+        fn act(&mut self, step: Step, view: Option<&[Envelope<u64>]>, out: &mut Outbox<'_, u64>) {
+            let view = view.expect("rushing adversaries get the step's sends");
+            self.note(format!("act({step},[{}])", envs(view)));
+            if step == 0 {
+                out.send_as(NodeId::from_index(2), NodeId::from_index(0), 99);
+            }
+        }
+        fn delay(&mut self, e: &Envelope<u64>) -> Step {
+            self.note(format!("delay({})", env(e)));
+            1 + u64::from(e.from.index() == 0)
+        }
+        fn priority(&mut self, e: &Envelope<u64>) -> i64 {
+            self.note(format!("prio({})", env(e)));
+            -i64::from(e.msg == 99)
+        }
+        fn observe(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            assert!(sends.iter().all(|e| e.sent_at == step));
+            self.note(format!("observe({step},[{}])", envs(sends)));
+        }
+    }
+
+    impl Observer<Chatty> for Log {
+        fn on_step(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            self.note(format!("view({step},[{}])", envs(sends)));
+        }
+        fn on_decision(&mut self, id: NodeId, step: Step, output: &u64) {
+            self.note(format!("decided({}@{step}={output})", id.index()));
+        }
+        fn on_final(&mut self, id: NodeId, node: &Chatty) {
+            self.note(format!("final({}:{})", id.index(), node.received));
+        }
+    }
+
+    /// Runs the toy under `max_delay`, with node 1 dark over step 1 when
+    /// `outage` is set, batched and unbatched, and compares the call log
+    /// (whitespace-separated) with `STEP_0` followed by `rest`.
+    fn assert_table(max_delay: Step, outage: bool, rest: &str) {
+        let expected: Vec<&str> = STEP_0
+            .split_whitespace()
+            .chain(rest.split_whitespace())
+            .collect();
+        for batch in [true, false] {
+            let log = Log::default();
+            let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(1)]).expect("valid window");
+            let cfg = EngineConfig {
+                max_steps: 12,
+                batch,
+                crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
+                ..EngineConfig::asynchronous(3, max_delay)
+            };
+            let node = |id: NodeId| Chatty {
+                id: id.index(),
+                received: 0,
+                log: log.clone(),
+            };
+            let out = run_observed(&cfg, 1, &mut log.clone(), node, &mut log.clone());
+            assert!(out.all_decided(), "the toy run decides everywhere");
+            let got = log.0.borrow();
+            assert_eq!(*got, expected, "batch={batch}; got:\n{}", got.join("\n"));
+        }
+    }
+
+    const STEP_0: &str = "corrupt(3)
+        start(0@0) start(1@0)
+        act(0,[0>1:0,0>2:0,1>0:10,1>2:10])
+        delay(0>1:0) prio(0>1:0) delay(0>2:0) prio(0>2:0) delay(1>0:10) prio(1>0:10) delay(1>2:10)
+          prio(1>2:10) delay(2>0:99) prio(2>0:99)
+        observe(0,[0>1:0,0>2:0,1>0:10,1>2:10,2>0:99]) view(0,[0>1:0,0>2:0,1>0:10,1>2:10,2>0:99])";
+
+    #[test]
+    fn sync_call_order() {
+        assert_table(
+            1,
+            false,
+            "step(0@1) step(1@1)
+             msg(0<2:99@1) msg(1<0:0@1) msg(0<1:10@1)
+             act(1,[0>2:199,1>0:100,0>1:110])
+             delay(0>2:199) prio(0>2:199) delay(1>0:100) prio(1>0:100) delay(0>1:110)
+               prio(0>1:110)
+             observe(1,[0>2:199,1>0:100,0>1:110]) view(1,[0>2:199,1>0:100,0>1:110])
+             decided(0@1=2) decided(1@1=1)
+             step(0@2) step(1@2)
+             msg(0<1:100@2) msg(1<0:110@2)
+             observe(2,[]) view(2,[])
+             final(0:3) final(1:2)",
+        );
+    }
+
+    #[test]
+    fn async_call_order() {
+        assert_table(
+            2,
+            false,
+            "step(0@1) step(1@1)
+             msg(0<2:99@1) msg(0<1:10@1)
+             act(1,[0>2:199,0>1:110])
+             delay(0>2:199) prio(0>2:199) delay(0>1:110) prio(0>1:110)
+             observe(1,[0>2:199,0>1:110]) view(1,[0>2:199,0>1:110])
+             decided(0@1=2)
+             step(0@2) step(1@2)
+             msg(1<0:0@2)
+             act(2,[1>0:100])
+             delay(1>0:100) prio(1>0:100)
+             observe(2,[1>0:100]) view(2,[1>0:100])
+             decided(1@2=1)
+             step(0@3) step(1@3)
+             msg(1<0:110@3) msg(0<1:100@3)
+             observe(3,[]) view(3,[])
+             final(0:3) final(1:2)",
+        );
+    }
+
+    #[test]
+    fn sync_call_order_with_an_outage() {
+        assert_table(
+            1,
+            true,
+            "crash(1@1)
+             step(0@1)
+             msg(0<2:99@1)
+             act(1,[0>2:199])
+             delay(0>2:199) prio(0>2:199)
+             observe(1,[0>2:199]) view(1,[0>2:199])
+             decided(0@1=1)
+             restart(1@2)
+             step(0@2) step(1@2)
+             act(2,[1>0:7,1>0:8])
+             delay(1>0:7) prio(1>0:7) delay(1>0:8) prio(1>0:8)
+             observe(2,[1>0:7,1>0:8]) view(2,[1>0:7,1>0:8])
+             step(0@3) step(1@3)
+             msg(0<1:7@3) msg(0<1:8@3)
+             act(3,[0>1:107,0>1:108])
+             delay(0>1:107) prio(0>1:107) delay(0>1:108) prio(0>1:108)
+             observe(3,[0>1:107,0>1:108]) view(3,[0>1:107,0>1:108])
+             step(0@4) step(1@4)
+             msg(1<0:107@4) msg(1<0:108@4)
+             act(4,[])
+             observe(4,[]) view(4,[])
+             decided(1@4=2)
+             final(0:3) final(1:2)",
+        );
+    }
+
+    #[test]
+    fn async_call_order_with_an_outage() {
+        assert_table(
+            2,
+            true,
+            "crash(1@1)
+             step(0@1)
+             msg(0<2:99@1)
+             act(1,[0>2:199])
+             delay(0>2:199) prio(0>2:199)
+             observe(1,[0>2:199]) view(1,[0>2:199])
+             decided(0@1=1)
+             restart(1@2)
+             step(0@2) step(1@2)
+             msg(1<0:0@2)
+             act(2,[1>0:7,1>0:8,1>0:100])
+             delay(1>0:7) prio(1>0:7) delay(1>0:8) prio(1>0:8) delay(1>0:100) prio(1>0:100)
+             observe(2,[1>0:7,1>0:8,1>0:100]) view(2,[1>0:7,1>0:8,1>0:100])
+             decided(1@2=1)
+             step(0@3) step(1@3)
+             msg(0<1:7@3) msg(0<1:8@3) msg(0<1:100@3)
+             observe(3,[0>1:107,0>1:108]) view(3,[0>1:107,0>1:108])
+             step(0@4) step(1@4)
+             msg(1<0:107@4) msg(1<0:108@4)
+             observe(4,[]) view(4,[])
+             final(0:4) final(1:3)",
+        );
+    }
+}

@@ -111,12 +111,14 @@
 //! ## Crate map
 //!
 //! * [`scenario`] — **the public entry point for executing runs**: the
-//!   [`Scenario`] builder and its typed outcomes.
+//!   [`Scenario`] builder, resolved once ([`Scenario::validate`] raises
+//!   exactly the rejections a run would), and its typed outcomes.
 //! * [`sim`] — deterministic message-passing simulator (synchronous
 //!   rounds, adversarial asynchrony, full-information rushing/non-rushing
 //!   Byzantine adversaries, bit-exact communication accounting) plus the
 //!   [`sim::AdversarySpec`]/[`sim::NetworkSpec`] grammar and the
-//!   read-only [`sim::Observer`] instrumentation interface.
+//!   read-only [`sim::Observer`] instrumentation interface; one step
+//!   loop ([`sim::run_session`]) in six named stages.
 //! * [`samplers`] — the sampler family of §2.2: push quorums `I`, pull
 //!   quorums `H`, poll lists `J`, with empirical Lemma 1 / Lemma 2
 //!   verification.
