@@ -20,23 +20,25 @@ use fba_samplers::{
     GString, PollSampler, QuorumScheme, SharedPollCache, SharedQuorumCache, SlotMasks, StringKey,
 };
 use fba_sim::{
-    run, Adversary, Context, EngineConfig, EngineSession, NodeId, Protocol, RunOutcome, Step,
+    deliver_each, run, Adversary, Context, EngineConfig, EngineSession, NodeId, Protocol,
+    RunContext, RunOutcome, Step,
 };
 
 use crate::config::AerConfig;
 use crate::msg::AerMsg;
-use crate::pull::{PullPhase, RetryPolicy, Sends, SharedBeliefs, SharedFw1Routes};
+use crate::pull::{PullPhase, RetryPolicy, Sends, SharedBeliefs, SharedFw1Routes, SharedFw1Rows};
 use crate::push::{push_targets, PushPhase};
 
 /// One run's worth of shared state: the memoized sampler caches (push
 /// `I`, pull `H`, poll `J`) plus the run-owned struct-of-arrays node
-/// state — the push-phase vote arena and the pull-phase belief table.
+/// state — the push-phase vote arena, the pull-phase belief table and
+/// the `Fw1` vote rows.
 ///
 /// Every node of a run gets clones of these handles. The caches memoize
 /// pure functions of public randomness, and the arenas are partitioned by
-/// node (each node writes only its own slots/entry), so sharing changes
-/// no outcome — it only packs the per-node hot state into contiguous
-/// vectors (see the determinism contract in `fba-sim`).
+/// node (each node writes only its own slots/entry/cells), so sharing
+/// changes no outcome — it only packs the per-node hot state into
+/// contiguous vectors (see the determinism contract in `fba-sim`).
 #[derive(Clone, Debug)]
 pub struct AerRunState {
     push_quorums: SharedQuorumCache,
@@ -45,6 +47,7 @@ pub struct AerRunState {
     push_votes: SlotMasks,
     beliefs: SharedBeliefs,
     fw1_routes: SharedFw1Routes,
+    fw1_rows: SharedFw1Rows,
 }
 
 impl AerRunState {
@@ -61,17 +64,20 @@ impl AerRunState {
     ///   stale entry is either bit-identical to the recomputation or
     ///   replaced;
     /// * the belief table is overwritten for every correct node when the
-    ///   instance's nodes are constructed, and nodes only ever read their
-    ///   own entry.
+    ///   instance's nodes are constructed, and only correct nodes'
+    ///   entries are ever read.
     ///
-    /// What resets: the push-phase vote arena. Its masks are *decision
-    /// state* (who already pushed string `s` to node `x`), and quorum
-    /// slots are interned per `(string, node)` — a repeated client value
-    /// would otherwise see instance `k-1`'s votes as duplicates and never
-    /// accept the candidate. The cross-instance leak battery in
-    /// `tests/service_determinism.rs` fails if this reset is removed.
+    /// What resets: the two vote arenas. The push masks (who already
+    /// pushed string `s` to node `x`) and the `Fw1` rows (which routers
+    /// relay `z` has seen for `(origin, s, w)`, and whether its relay
+    /// fired) are *decision state*, keyed by slots interned per
+    /// `(string, node)` — a repeated client value would otherwise see
+    /// instance `k-1`'s votes as duplicates, never accept the candidate
+    /// and never relay for it. The cross-instance leak battery in
+    /// `tests/service_determinism.rs` fails if either reset is removed.
     pub fn begin_instance(&self) {
         self.push_votes.reset();
+        self.fw1_rows.clear();
     }
 
     /// `(hits, misses)` of the push-quorum (`I`) cache.
@@ -160,6 +166,7 @@ impl AerNode {
                 retry,
                 state.beliefs.clone(),
                 state.fw1_routes.clone(),
+                state.fw1_rows.clone(),
             ),
             targets,
             recovery: None,
@@ -272,7 +279,9 @@ impl Protocol for AerNode {
             AerMsg::Poll(s, r) => Self::dispatch(self.pull.on_poll(from, s, r), ctx),
             AerMsg::Pull(s, r) => Self::dispatch(self.pull.on_pull(from, s, r), ctx),
             AerMsg::Fw1 { origin, s, r, w } => {
-                Self::dispatch(self.pull.on_fw1(from, origin, s, r, w), ctx);
+                if let Some((to, fw2)) = self.pull.on_fw1(from, origin, s, r, w) {
+                    ctx.send(to, fw2);
+                }
             }
             AerMsg::Fw2 { origin, s, r } => {
                 Self::dispatch(self.pull.on_fw2(from, origin, s, r), ctx);
@@ -296,6 +305,38 @@ impl Protocol for AerNode {
             }
         }
         self.sync_wal(ctx.step());
+    }
+
+    /// An `Fw1` multicast is delivered once: the per-message gates of
+    /// Algorithm 2's second handler run once for the run, the recipients
+    /// only vote (see [`PullPhase::fw1_run`]). Every other payload takes
+    /// the per-recipient loop.
+    fn deliver_run(
+        nodes: &mut [Option<Self>],
+        from: NodeId,
+        msg: &AerMsg,
+        recipients: &[NodeId],
+        run: &mut RunContext<'_, AerMsg>,
+    ) {
+        let AerMsg::Fw1 { origin, s, r, w } = *msg else {
+            return deliver_each(nodes, from, msg, recipients, run);
+        };
+        let Some(any) = recipients.iter().find_map(|z| nodes[z.index()].as_ref()) else {
+            return;
+        };
+        any.pull.fw1_run(
+            from,
+            (origin, s, r, w),
+            recipients,
+            |z| nodes[z.index()].is_some(),
+            |z, to, fw2| run.context(z).send(to, fw2),
+        );
+        let step = run.step();
+        for z in recipients {
+            if let Some(node) = nodes[z.index()].as_mut() {
+                node.sync_wal(step);
+            }
+        }
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, AerMsg>) {
@@ -432,6 +473,7 @@ impl AerHarness {
             push_votes: SlotMasks::new(),
             beliefs: SharedBeliefs::new(),
             fw1_routes: SharedFw1Routes::new(),
+            fw1_rows: SharedFw1Rows::new(self.scheme.pull.d()),
         }
     }
 
@@ -723,6 +765,11 @@ mod tests {
                 fresh.metrics.total_bits_sent()
             );
         }
+        // The vote rows are decision state and go at the next instance
+        // boundary; the route table is a pure cache and stays.
+        assert!(!state.fw1_rows.is_empty() && !state.fw1_routes.is_empty());
+        state.begin_instance();
+        assert!(state.fw1_rows.is_empty() && !state.fw1_routes.is_empty());
         // The persistent caches really were hit across instances: the
         // third run's lookups must not all be misses.
         let (hits, misses) = state.poll_cache_stats();

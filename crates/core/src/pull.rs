@@ -50,6 +50,9 @@ const REPAIR_ANSWER_CAP: u32 = 8;
 /// never arise from real votes.
 const VOTES_DONE: u128 = u128::MAX;
 
+/// The slot of a [`SharedBeliefs`] entry no node has written.
+const UNSET_SLOT: SetSlot = SetSlot(u32::MAX);
+
 /// An in-flight poll started by this node for one candidate (Algorithm 1).
 #[derive(Clone, Debug)]
 struct OwnPoll {
@@ -99,38 +102,143 @@ impl SharedFw1Routes {
         Self::default()
     }
 
-    /// The `(H(s, origin), J(origin, r))` slot pair for a request,
-    /// interning both sets on first use (or when `key` differs from the
-    /// cached derivation).
+    /// Number of cached `(origin, r)` entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.borrow().len()
+    }
+
+    /// Whether nothing is cached yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.borrow().is_empty()
+    }
+
+    /// The `(H(s, origin), J(origin, r))` slot pair for a request routed
+    /// by `y`, plus `y`'s position in `H(s, origin)` — `None` when `y` is
+    /// not a member. The entry is interned on first use (or when `key`
+    /// differs from the cached derivation), and only for a member: a
+    /// sender outside the requester's quorum cannot grow the table.
     fn get(
         &self,
         origin: NodeId,
         r: Label,
         key: StringKey,
+        y: NodeId,
         pull_quorums: &SharedQuorumCache,
         poll_lists: &SharedPollCache,
-    ) -> (SetSlot, SetSlot) {
+    ) -> Option<(SetSlot, SetSlot, usize)> {
         let mut entries = self.entries.borrow_mut();
-        let entry = entries.entry((origin, r)).or_insert_with(|| {
-            (
-                key,
-                pull_quorums.slot(key, origin),
-                poll_lists.slot(origin, r),
-            )
-        });
-        if entry.0 != key {
-            *entry = (
-                key,
-                pull_quorums.slot(key, origin),
-                poll_lists.slot(origin, r),
-            );
+        if let Some(&(cached, h_origin, j_list)) = entries.get(&(origin, r)) {
+            if cached == key {
+                let y_pos = pull_quorums.position_at(h_origin, y)?;
+                return Some((h_origin, j_list, y_pos));
+            }
         }
-        (entry.1, entry.2)
+        let h_origin = pull_quorums.slot(key, origin);
+        let y_pos = pull_quorums.position_at(h_origin, y)?;
+        let j_list = poll_lists.slot(origin, r);
+        entries.insert((origin, r), (key, h_origin, j_list));
+        Some((h_origin, j_list, y_pos))
+    }
+}
+
+/// Run-shared `Fw1` vote rows: the router-side vote state of Algorithm 2
+/// for every node of the run, one row per `(H(s, origin), w)` — the
+/// quorum's interned slot and the node id packed into one `u64` —
+/// holding one vote mask per member position of `H(s, w)`. The cell at
+/// position `p` belongs to the `p`-th member `z` of `H(s, w)` and is a
+/// bitmask over positions in `H(s, origin)` of the routers `z` has seen,
+/// or all ones once `z`'s majority relay fired.
+///
+/// A forward is multicast to all of `H(s, w)`, so laying its `d` vote
+/// words side by side turns the delivery of one run into one hash probe
+/// and a contiguous sweep, where per-node maps cost a cache-cold probe at
+/// every recipient. Each node writes only its own cells; unlike the route
+/// cache next to it, the rows are *decision state*: they are cleared per
+/// node on restart ([`PullPhase::restore`]) and dropped whole at an
+/// instance boundary ([`SharedFw1Rows::clear`]).
+#[derive(Clone, Debug)]
+pub struct SharedFw1Rows(Rc<RefCell<Fw1Rows>>);
+
+#[derive(Debug)]
+struct Fw1Rows {
+    /// Cells per row: the pull-quorum size `d`.
+    width: usize,
+    index: FxHashMap<u64, u32>,
+    /// Per row, the interned slot of its `H(s, w)`.
+    quorums: Vec<SetSlot>,
+    /// `width` cells per row, rows back to back.
+    cells: Vec<u128>,
+}
+
+impl SharedFw1Rows {
+    /// An empty arena for pull quorums of `width` members.
+    #[must_use]
+    pub fn new(width: usize) -> Self {
+        SharedFw1Rows(Rc::new(RefCell::new(Fw1Rows {
+            width,
+            index: FxHashMap::default(),
+            quorums: Vec::new(),
+            cells: Vec::new(),
+        })))
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.borrow().quorums.len()
+    }
+
+    /// Whether the arena holds no row.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.borrow().quorums.is_empty()
+    }
+
+    /// Drops every row, keeping the allocations — the per-instance reset
+    /// of service runs (see [`AerRunState::begin_instance`]).
+    ///
+    /// [`AerRunState::begin_instance`]: crate::AerRunState::begin_instance
+    pub fn clear(&self) {
+        let mut rows = self.0.borrow_mut();
+        rows.index.clear();
+        rows.quorums.clear();
+        rows.cells.clear();
+    }
+
+    /// Zeroes node `x`'s cell in every row whose quorum contains it: the
+    /// votes a crash loses.
+    fn forget(&self, x: NodeId, pull_quorums: &SharedQuorumCache) {
+        let rows = &mut *self.0.borrow_mut();
+        for (row, &h_w) in rows.quorums.iter().enumerate() {
+            if let Some(pos) = pull_quorums.position_at(h_w, x) {
+                rows.cells[row * rows.width + pos] = 0;
+            }
+        }
+    }
+}
+
+impl Fw1Rows {
+    /// The cells of the row for `key`, created zeroed (and remembering
+    /// its quorum slot `h_w`) on first use.
+    fn row(&mut self, key: u64, h_w: SetSlot) -> &mut [u128] {
+        let next = self.quorums.len();
+        let row = *self
+            .index
+            .entry(key)
+            .or_insert_with(|| u32::try_from(next).expect("more than u32::MAX vote rows"))
+            as usize;
+        if row == next {
+            self.quorums.push(h_w);
+            self.cells.resize((next + 1) * self.width, 0);
+        }
+        &mut self.cells[row * self.width..(row + 1) * self.width]
     }
 }
 
 /// Packs a vote-arena key from an interned quorum [`SetSlot`] and a node
-/// id (see [`PullPhase`]'s `fw1_votes` and `fw2_senders`). Node indices
+/// id (see [`SharedFw1Rows`] and [`PullPhase`]'s `fw2_senders`). Node indices
 /// fit 32 bits at any simulable system size (debug-asserted).
 fn slot_vote_key(slot: SetSlot, node: NodeId) -> u64 {
     debug_assert!(
@@ -205,20 +313,18 @@ impl SharedBeliefs {
         let mut entries = self.entries.borrow_mut();
         let i = x.index();
         if i >= entries.len() {
-            entries.resize(i + 1, (StringKey::default(), SetSlot(u32::MAX)));
+            entries.resize(i + 1, (StringKey::default(), UNSET_SLOT));
         }
         entries[i] = (key, slot);
     }
 
-    /// Node `x`'s current `(believed_key, believed_slot)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no belief was ever recorded for `x` — constructors write
-    /// the initial entry, so this only trips on a table/node mismatch.
+    /// Node `x`'s current `(believed_key, believed_slot)` pair, or `None`
+    /// if none was ever recorded — `x` is corrupt (the adversary plays it,
+    /// so no constructor wrote its entry) or out of range.
     #[must_use]
-    pub fn get(&self, x: NodeId) -> (StringKey, SetSlot) {
-        self.entries.borrow()[x.index()]
+    pub fn get(&self, x: NodeId) -> Option<(StringKey, SetSlot)> {
+        let entry = *self.entries.borrow().get(x.index())?;
+        (entry.1 != UNSET_SLOT).then_some(entry)
     }
 }
 
@@ -252,26 +358,22 @@ pub struct PullPhase {
 
     // --- router (Algorithm 2) ---
     forwarded_pulls: FxHashSet<(NodeId, StringKey)>,
-    /// Dense-slot vote arena for `on_fw1`: per `(H(s, origin), w)` —
-    /// packed into one `u64` by [`fw1_vote_key`] — a bitmask over
-    /// positions in `H(s, origin)` of routers seen; [`VOTES_DONE`] once
-    /// the majority relay fired. Keying by the quorum's interned
-    /// [`SetSlot`] instead of `(origin, s, w)` shrinks entries from a
-    /// 24-byte to an 8-byte key and skips re-hashing the sampler key.
-    fw1_votes: FxHashMap<u64, u128>,
     /// Run-shared route-fact cache for `Fw1` requests (see
     /// [`SharedFw1Routes`]). Pure memoization: entries are recomputable
     /// facts, so sharing cannot change any outcome.
     fw1_routes: SharedFw1Routes,
+    /// Run-shared `Fw1` vote rows (see [`SharedFw1Rows`]); this node owns
+    /// the cells at its own position in each row.
+    fw1_rows: SharedFw1Rows,
 
     // --- answerer (Algorithm 3) ---
     polled: FxHashSet<(NodeId, StringKey)>,
     /// Dense-slot vote arena for `on_fw2`: per `(H(s, self), origin)` —
     /// packed into one `u64` by [`slot_vote_key`] — a bitmask over
-    /// positions in `H(s, self)` of second-hop forwarders seen. The same
-    /// arena treatment as `fw1_votes`: votes only accumulate for the
-    /// current belief, whose quorum slot is memoized in `believed_slot`,
-    /// so the hot path does no sampler-key hashing at all.
+    /// positions in `H(s, self)` of second-hop forwarders seen. Votes only
+    /// accumulate for the current belief, whose quorum slot is memoized
+    /// in the belief table, so the hot path does no sampler-key hashing
+    /// at all.
     fw2_senders: FxHashMap<u64, u128>,
     answered: FxHashSet<(NodeId, StringKey)>,
     answer_counts: FxHashMap<StringKey, u64>,
@@ -288,7 +390,7 @@ pub struct PullPhase {
 
 impl PullPhase {
     /// Creates pull state for node `x` whose initial belief is `own`, on
-    /// private sampler caches, belief table and route cache.
+    /// private sampler caches, belief table, route cache and vote rows.
     #[must_use]
     pub fn new(
         x: NodeId,
@@ -307,13 +409,15 @@ impl PullPhase {
             retry,
             SharedBeliefs::new(),
             SharedFw1Routes::new(),
+            SharedFw1Rows::new(scheme.pull.d()),
         )
     }
 
     /// Like [`PullPhase::new`], but sharing run-wide sampler caches (see
     /// [`SharedQuorumCache`]), placing this node's belief pair in a
-    /// run-shared [`SharedBeliefs`] table and drawing `Fw1` route facts
-    /// from a run-shared [`SharedFw1Routes`] cache — the engine-owned
+    /// run-shared [`SharedBeliefs`] table, drawing `Fw1` route facts from
+    /// a run-shared [`SharedFw1Routes`] cache and keeping its `Fw1` votes
+    /// in run-shared [`SharedFw1Rows`] — the engine-owned
     /// struct-of-arrays layout used by full AER runs.
     ///
     /// # Panics
@@ -331,6 +435,7 @@ impl PullPhase {
         retry: RetryPolicy,
         beliefs: SharedBeliefs,
         fw1_routes: SharedFw1Routes,
+        fw1_rows: SharedFw1Rows,
     ) -> Self {
         let poll = *poll_lists.sampler();
         assert!(
@@ -352,8 +457,8 @@ impl PullPhase {
             own_polls: FxHashMap::default(),
             answers_seen: 0,
             forwarded_pulls: FxHashSet::default(),
-            fw1_votes: FxHashMap::default(),
             fw1_routes,
+            fw1_rows,
             polled: FxHashSet::default(),
             fw2_senders: FxHashMap::default(),
             answered: FxHashSet::default(),
@@ -567,6 +672,14 @@ impl PullPhase {
         }
     }
 
+    /// This node's `(believed_key, believed_slot)` entry of the shared
+    /// table.
+    fn own_belief(&self) -> (StringKey, SetSlot) {
+        self.beliefs
+            .get(self.x)
+            .expect("constructors record the node's own belief")
+    }
+
     /// Updates `believed` and its shared `(key, slot)` entry together —
     /// the slot must track the key.
     fn set_belief(&mut self, s: GString, key: StringKey) {
@@ -584,7 +697,7 @@ impl PullPhase {
     #[must_use]
     pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label) -> Sends {
         let key = s.key();
-        if key != self.beliefs.get(self.x).0 {
+        if key != self.own_belief().0 {
             return Vec::new();
         }
         if !self.pull_quorums.contains(key, origin, self.x) {
@@ -609,49 +722,105 @@ impl PullPhase {
 
     /// Algorithm 2, second handler: an `Fw1(origin, s, r, w)` from router
     /// `y`. Counts distinct valid routers per `(origin, s, w)`; on crossing
-    /// the majority of `H(s, origin)`, relays one `Fw2` to `w`.
+    /// the majority of `H(s, origin)`, relays one `Fw2` to `w` — returned
+    /// as the message to send, if any.
     ///
-    /// Hot path: the request's `(origin, s, r)` facts come from the
-    /// run-shared [`SharedFw1Routes`] cache, forwards arriving after the
-    /// majority relay fired short-circuit on the vote arena alone, and
-    /// everything else is slot-indexed lookups in the shared sampler
-    /// caches — no per-node routing state at all.
+    /// This is [`PullPhase::fw1_run`] for the single recipient `self`.
     #[must_use]
-    pub fn on_fw1(&mut self, y: NodeId, origin: NodeId, s: GString, r: Label, w: NodeId) -> Sends {
+    pub fn on_fw1(
+        &mut self,
+        y: NodeId,
+        origin: NodeId,
+        s: GString,
+        r: Label,
+        w: NodeId,
+    ) -> Option<(NodeId, AerMsg)> {
+        let mut relay = None;
+        self.fw1_run(
+            y,
+            (origin, s, r, w),
+            &[self.x],
+            |_| true,
+            |_, to, fw2| relay = Some((to, fw2)),
+        );
+        relay
+    }
+
+    /// Algorithm 2, second handler, for a whole multicast: the forward
+    /// `Fw1(origin, s, r, w)` from router `y`, delivered to every node of
+    /// `recipients` in order. `live(z)` says whether `z` is a correct
+    /// node of this run; `relay(z, w, fw2)` is called for each recipient
+    /// `z` whose vote crossed the majority of `H(s, origin)`. Both run
+    /// with the run's tables borrowed and may not call back into a pull
+    /// phase.
+    ///
+    /// Everything the handler decides on lives in run-shared tables, so
+    /// any node of the run can make this call for all of them, and the
+    /// outcome is that of calling [`PullPhase::on_fw1`] on each recipient
+    /// in turn. What depends only on the *message* is computed once: the
+    /// [`SharedFw1Routes`] lookup with `y`'s position in `H(s, origin)`,
+    /// `w ∈ J(origin, r)`, the slot of `H(s, w)` and the vote row. Per
+    /// recipient there is left: a correct node, believing `s`, at some
+    /// position of `H(s, w)` — its loop index when the run is addressed
+    /// to exactly `H(s, w)`, as [`PullPhase::on_pull`] sends it — and
+    /// its vote cell.
+    ///
+    /// A forward that fails a per-message gate allocates nothing: the
+    /// sender's membership in `H(s, origin)` is checked before the route
+    /// entry is interned, the row is created after the last gate, and
+    /// none of it happens before some recipient believes `s`.
+    pub fn fw1_run(
+        &self,
+        y: NodeId,
+        (origin, s, r, w): (NodeId, GString, Label, NodeId),
+        recipients: &[NodeId],
+        mut live: impl FnMut(NodeId) -> bool,
+        mut relay: impl FnMut(NodeId, NodeId, AerMsg),
+    ) {
         let key = s.key();
-        if key != self.beliefs.get(self.x).0 {
-            return Vec::new();
-        }
-        let (h_origin, j_list) =
-            self.fw1_routes
-                .get(origin, r, key, &self.pull_quorums, &self.poll_lists);
-        // Single arena probe: once the majority relay for
-        // `(H(s, origin), w)` has fired, every further forward is a no-op —
-        // and about half of a request's forwards per `w` arrive after the
-        // crossing, so the `VOTES_DONE` check comes before any position
-        // lookups. An entry inserted here for a forward that then fails a
-        // gate stays zero, which is indistinguishable from absent.
-        let vote_key = slot_vote_key(h_origin, w);
-        let votes = self.fw1_votes.entry(vote_key).or_insert(0);
-        if *votes == VOTES_DONE {
-            return Vec::new(); // majority relay already sent
-        }
-        if !self.poll_lists.contains_at(j_list, w) {
-            return Vec::new(); // w is not in J(origin, r)
-        }
-        if !self.pull_quorums.contains(key, w, self.x) {
-            return Vec::new(); // we are not in H(s, w)
-        }
-        let Some(y_pos) = self.pull_quorums.position_at(h_origin, y) else {
-            return Vec::new(); // sender is not in H(s, origin)
+        let mut believes =
+            |z: NodeId| live(z) && self.beliefs.get(z).is_some_and(|(k, _)| k == key);
+        let Some(first) = recipients.iter().position(|&z| believes(z)) else {
+            return;
         };
-        *votes |= 1 << y_pos;
-        if votes.count_ones() as usize >= self.pull_quorums.majority() {
-            *votes = VOTES_DONE;
-            vec![(w, AerMsg::Fw2 { origin, s, r })]
-        } else {
-            Vec::new()
+        let Some((h_origin, j_list, y_pos)) =
+            self.fw1_routes
+                .get(origin, r, key, y, &self.pull_quorums, &self.poll_lists)
+        else {
+            return; // sender is not in H(s, origin)
+        };
+        if !self.poll_lists.contains_at(j_list, w) {
+            return; // w is not in J(origin, r)
         }
+        let h_w = self.pull_quorums.slot(key, w);
+        let majority = self.pull_quorums.majority();
+        let mut rows = self.fw1_rows.0.borrow_mut();
+        let cells = rows.row(slot_vote_key(h_origin, w), h_w);
+        self.pull_quorums.quorum_at(h_w, |members| {
+            let aligned = members == recipients;
+            for (i, &z) in recipients.iter().enumerate().skip(first) {
+                if !believes(z) {
+                    continue;
+                }
+                let pos = if aligned {
+                    i
+                } else {
+                    match members.binary_search(&z) {
+                        Ok(pos) => pos,
+                        Err(_) => continue, // z is not in H(s, w)
+                    }
+                };
+                let votes = &mut cells[pos];
+                if *votes == VOTES_DONE {
+                    continue; // majority relay already sent
+                }
+                *votes |= 1 << y_pos;
+                if votes.count_ones() as usize >= majority {
+                    *votes = VOTES_DONE;
+                    relay(z, w, AerMsg::Fw2 { origin, s, r });
+                }
+            }
+        });
     }
 
     /// Algorithm 3, `Fw2` handler: second-hop forward from `z` for
@@ -679,7 +848,7 @@ impl PullPhase {
 
     fn process_fw2(&mut self, z: NodeId, origin: NodeId, s: GString, r: Label) -> Sends {
         let key = s.key();
-        let (believed_key, believed_slot) = self.beliefs.get(self.x);
+        let (believed_key, believed_slot) = self.own_belief();
         if key != believed_key {
             return Vec::new();
         }
@@ -715,7 +884,7 @@ impl PullPhase {
         }
         let key = s.key();
         self.polled.insert((origin, key));
-        let (believed_key, believed_slot) = self.beliefs.get(self.x);
+        let (believed_key, believed_slot) = self.own_belief();
         if key != believed_key {
             // Fw2 votes only ever accumulate for the current belief
             // (`process_fw2` rejects everything else), so a non-believed
@@ -833,7 +1002,7 @@ impl PullPhase {
         self.own_polls.clear();
         self.answers_seen = 0;
         self.forwarded_pulls.clear();
-        self.fw1_votes.clear();
+        self.fw1_rows.forget(self.x, &self.pull_quorums);
         self.polled.clear();
         self.fw2_senders.clear();
         self.answered.clear();
@@ -1060,7 +1229,7 @@ mod tests {
         let h_w = scheme.pull.quorum(key, w);
         let z = h_w[0];
         let mut relay = phase(z.index(), g, n, d);
-        let mut fw2_out: Sends = Vec::new();
+        let mut fw2_out = None;
         let mut distinct_routers = 0;
         for (y, to, m) in &all_fw1 {
             if *to != z {
@@ -1079,17 +1248,16 @@ mod tests {
                 distinct_routers += 1;
                 let out = relay.on_fw1(*y, *origin, *s, *rr, *ww);
                 if distinct_routers < majority {
-                    assert!(out.is_empty(), "below majority must not relay");
+                    assert!(out.is_none(), "below majority must not relay");
                 } else if distinct_routers == majority {
-                    assert_eq!(out.len(), 1, "majority crossing sends exactly one Fw2");
+                    assert!(out.is_some(), "majority crossing sends one Fw2");
                     fw2_out = out;
                 } else {
-                    assert!(out.is_empty(), "relay only once");
+                    assert!(out.is_none(), "relay only once");
                 }
             }
         }
-        assert_eq!(fw2_out.len(), 1);
-        assert_eq!(fw2_out[0].0, w);
+        assert_eq!(fw2_out, Some((w, AerMsg::Fw2 { origin: x, s: g, r })));
 
         // The poll-list member w: polled + Fw2 majority => answer.
         let mut answerer = phase(w.index(), g, n, d);
@@ -1415,5 +1583,269 @@ mod tests {
             }
         }
         assert!(p.on_repair_query(origin, r.unwrap()).is_empty());
+    }
+
+    /// The `Fw1` handler, row by row: `n` pull phases over one set of
+    /// run-shared tables (as `AerHarness` wires them) and one request
+    /// `(origin, s, r, w)` whose routers `H(s, origin)` forward to the
+    /// relays `H(s, w)`. Each row names the clause of Algorithm 2's
+    /// second handler it pins: a relay `z` counts an `Fw1(x, s, r, w)`
+    /// from `y` iff `s = s_z`, `w ∈ J(x, r)`, `z ∈ H(s, w)` and
+    /// `y ∈ H(s, x)`, and sends one `Fw2(x, s, r)` to `w` once a majority
+    /// of `H(s, x)` has been counted.
+    mod fw1_rows {
+        use super::*;
+
+        const N: usize = 64;
+        const D: usize = 5;
+        const MAJORITY: usize = D / 2 + 1;
+
+        struct Net {
+            phases: Vec<PullPhase>,
+            routes: SharedFw1Routes,
+            rows: SharedFw1Rows,
+            origin: NodeId,
+            r: Label,
+            w: NodeId,
+        }
+
+        impl Net {
+            /// Every node believes `believed(i)`; the request polls the
+            /// first member of `J(origin, r)`.
+            fn new(believed: impl Fn(usize) -> GString) -> Net {
+                let (scheme, poll) = setup(N, D);
+                let pull_quorums = scheme.shared_pull();
+                let poll_lists = SharedPollCache::new(poll);
+                let beliefs = SharedBeliefs::new();
+                let routes = SharedFw1Routes::new();
+                let rows = SharedFw1Rows::new(D);
+                let phases = (0..N)
+                    .map(|i| {
+                        PullPhase::with_state(
+                            NodeId::from_index(i),
+                            believed(i),
+                            pull_quorums.clone(),
+                            poll_lists.clone(),
+                            CAP,
+                            RetryPolicy::strict(),
+                            beliefs.clone(),
+                            routes.clone(),
+                            rows.clone(),
+                        )
+                    })
+                    .collect();
+                let (origin, r) = (NodeId::from_index(2), Label(77));
+                let w = poll.poll_list(origin, r)[0];
+                Net {
+                    phases,
+                    routes,
+                    rows,
+                    origin,
+                    r,
+                    w,
+                }
+            }
+
+            /// Points the net at `origin`'s request (same label).
+            fn retarget(&mut self, origin: NodeId) {
+                let lists = &self.phases[0].poll_lists;
+                self.w = lists.poll_list_with(origin, self.r, |list| list[0]);
+                self.origin = origin;
+            }
+
+            fn quorum(&self, s: GString, x: NodeId) -> Vec<NodeId> {
+                self.phases[0]
+                    .pull_quorums
+                    .quorum_with(s.key(), x, <[NodeId]>::to_vec)
+            }
+
+            /// One run: `Fw1(origin, s, r, w)` from `y` to `recipients`.
+            /// Returns the relays that fired, in order, having checked
+            /// what they send.
+            fn run(&self, y: NodeId, s: GString, recipients: &[NodeId]) -> Vec<NodeId> {
+                let (origin, r, w) = (self.origin, self.r, self.w);
+                let mut fired = Vec::new();
+                self.phases[0].fw1_run(
+                    y,
+                    (origin, s, r, w),
+                    recipients,
+                    |_| true,
+                    |z, to, fw2| {
+                        assert_eq!((to, fw2), (w, AerMsg::Fw2 { origin, s, r }));
+                        fired.push(z);
+                    },
+                );
+                fired
+            }
+
+            fn cells(&self) -> Vec<u128> {
+                self.rows.0.borrow().cells.clone()
+            }
+        }
+
+        #[test]
+        fn majority_of_routers_fires_one_fw2_per_relay() {
+            let g = gs(0);
+            let net = Net::new(|_| g);
+            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
+            let none: &[NodeId] = &[];
+            // (clause pinned, router, relays expected to fire)
+            let table = [
+                ("first router: below the majority", 0, none),
+                ("second router: still below", 1, none),
+                ("the same router again counts once", 1, none),
+                ("third router: every relay crosses, once", 2, &relays[..]),
+                ("a fourth router after the relay fired", 3, none),
+                ("a counted router after the relay fired", 0, none),
+            ];
+            assert_eq!(MAJORITY, 3);
+            for (clause, y, fires) in table {
+                assert_eq!(net.run(routers[y], g, &relays), fires, "{clause}");
+            }
+            assert_eq!((net.routes.len(), net.rows.len()), (1, 1));
+            assert!(net.cells().iter().all(|&cell| cell == VOTES_DONE));
+        }
+
+        #[test]
+        fn a_recipient_outside_the_relay_quorum_is_skipped_among_voting_neighbours() {
+            // z ∈ H(s, w): a run addressed to two relays with an outsider
+            // between them moves exactly the two relays' cells.
+            let g = gs(0);
+            let net = Net::new(|_| g);
+            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
+            let outsider = (0..N)
+                .map(NodeId::from_index)
+                .find(|z| !relays.contains(z))
+                .unwrap();
+            let run = [relays[3], outsider, relays[1]];
+            for (i, &y) in routers.iter().take(MAJORITY).enumerate() {
+                let fires = net.run(y, g, &run);
+                if i + 1 < MAJORITY {
+                    assert!(fires.is_empty());
+                } else {
+                    assert_eq!(fires, [relays[3], relays[1]], "in recipient order");
+                }
+            }
+            let cells = net.cells();
+            for (pos, &cell) in cells.iter().enumerate() {
+                let voted = pos == 1 || pos == 3;
+                assert_eq!(cell, if voted { VOTES_DONE } else { 0 }, "cell {pos}");
+            }
+        }
+
+        #[test]
+        fn a_relay_that_believes_another_string_is_skipped() {
+            // s = s_z: relay 2 holds a different candidate and neither
+            // votes nor fires; nobody believing `s` at all allocates nothing.
+            let (g, other) = (gs(0), gs(1));
+            let probe = Net::new(|_| g);
+            let dissenter = probe.quorum(g, probe.w)[2];
+            let net = Net::new(|i| if i == dissenter.index() { other } else { g });
+            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
+            let mut fired = Vec::new();
+            for &y in &routers {
+                fired.extend(net.run(y, g, &relays));
+            }
+            let expected: Vec<NodeId> =
+                relays.iter().copied().filter(|&z| z != dissenter).collect();
+            assert_eq!(fired, expected);
+            assert_eq!(net.cells()[2], 0, "the dissenter's cell never moved");
+
+            let deaf = Net::new(|_| other);
+            for &y in &routers {
+                assert!(deaf.run(y, g, &relays).is_empty());
+            }
+            assert_eq!((deaf.routes.len(), deaf.rows.len()), (0, 0));
+        }
+
+        #[test]
+        fn reusing_origin_and_label_for_a_second_candidate_recomputes_the_route() {
+            // y ∈ H(s, x) is judged against the candidate in the message,
+            // not the one the `(origin, r)` entry was first derived for.
+            let (g, g2) = (gs(0), gs(1));
+            let mut net = Net::new(|_| g);
+            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
+            for &y in &routers {
+                net.run(y, g, &relays);
+            }
+            for phase in &mut net.phases {
+                phase.set_belief(g2, g2.key());
+            }
+            let (routers2, relays2) = (net.quorum(g2, net.origin), net.quorum(g2, net.w));
+            assert_ne!(routers, routers2, "the two candidates route differently");
+            let mut fired = Vec::new();
+            for &y in &routers2 {
+                fired.extend(net.run(y, g2, &relays2));
+            }
+            assert_eq!(fired, relays2);
+            assert_eq!(net.routes.len(), 1, "one entry, re-derived");
+            assert_eq!(net.rows.len(), 2, "one row per candidate");
+        }
+
+        #[test]
+        fn one_recipient_calls_equal_the_run_call() {
+            // The same forwards — whole quorum, a shuffled subset with an
+            // outsider, duplicates — through `fw1_run` on one net and
+            // through per-recipient `on_fw1` on another.
+            let g = gs(0);
+            let (mut each, whole) = (Net::new(|_| g), Net::new(|_| g));
+            let (routers, relays) = (whole.quorum(g, whole.origin), whole.quorum(g, whole.w));
+            let outsider = (0..N)
+                .map(NodeId::from_index)
+                .find(|z| !relays.contains(z) && !routers.contains(z))
+                .unwrap();
+            let runs: [(NodeId, Vec<NodeId>); 6] = [
+                (routers[4], relays.clone()),
+                (routers[0], vec![relays[2], outsider, relays[0], relays[2]]),
+                (outsider, relays.clone()),
+                (routers[1], relays.clone()),
+                (routers[2], vec![relays[4], relays[3]]),
+                (routers[3], relays.clone()),
+            ];
+            let (origin, r, w) = (whole.origin, whole.r, whole.w);
+            for (y, recipients) in &runs {
+                let by_run = whole.run(*y, g, recipients);
+                let by_call: Vec<NodeId> = recipients
+                    .iter()
+                    .filter(|z| each.phases[z.index()].on_fw1(*y, origin, g, r, w).is_some())
+                    .copied()
+                    .collect();
+                assert_eq!(by_run, by_call, "forward from {y}");
+                assert_eq!(whole.cells(), each.cells(), "after the forward from {y}");
+            }
+            assert_eq!(whole.routes.len(), each.routes.len());
+        }
+
+        #[test]
+        fn restore_clears_exactly_the_restarting_nodes_cells() {
+            // Two requests, both one router short of the majority, so
+            // every cell of both rows holds votes.
+            let g = gs(0);
+            let mut net = Net::new(|_| g);
+            for origin in [NodeId::from_index(9), net.origin] {
+                net.retarget(origin);
+                let (routers, relays) = (net.quorum(g, origin), net.quorum(g, net.w));
+                for &y in routers.iter().take(MAJORITY - 1) {
+                    assert!(net.run(y, g, &relays).is_empty());
+                }
+            }
+            let before = net.cells();
+            assert!(before.iter().all(|&cell| cell != 0));
+            let victim = net.quorum(g, net.w)[1];
+            let mut rng = node_rng(1, victim.index());
+            let _ = net.phases[victim.index()].restore(g, None, 0, &[g], 9, &mut rng);
+            let after = net.cells();
+            let rows = net.rows.0.borrow();
+            for (row, &h_w) in rows.quorums.iter().enumerate() {
+                let owned = net.phases[0].pull_quorums.position_at(h_w, victim);
+                for pos in 0..D {
+                    let cell = row * D + pos;
+                    let expected = if owned == Some(pos) { 0 } else { before[cell] };
+                    assert_eq!(after[cell], expected, "row {row} cell {pos}");
+                }
+            }
+            assert_eq!(rows.quorums.len(), 2);
+            assert!(after.contains(&0), "the victim owned a cell");
+        }
     }
 }

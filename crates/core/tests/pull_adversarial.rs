@@ -2,9 +2,9 @@
 //! message sequences against a single [`PullPhase`] state machine,
 //! checking that each filter of Algorithms 1–3 holds individually.
 
-use fba_core::pull::{PullPhase, RetryPolicy};
+use fba_core::pull::{PullPhase, RetryPolicy, SharedBeliefs, SharedFw1Routes, SharedFw1Rows};
 use fba_core::AerMsg;
-use fba_samplers::{GString, Label, PollSampler, QuorumScheme};
+use fba_samplers::{GString, Label, PollSampler, QuorumScheme, SharedPollCache};
 use fba_sim::rng::{derive_rng, node_rng};
 use fba_sim::NodeId;
 
@@ -69,7 +69,7 @@ fn relay_requires_sender_in_requesters_quorum() {
         .find(|y| !h_origin.contains(y))
         .unwrap();
     for _ in 0..3 * D {
-        assert!(p.on_fw1(intruder, origin, g, r, w).is_empty());
+        assert!(p.on_fw1(intruder, origin, g, r, w).is_none());
     }
 }
 
@@ -89,10 +89,80 @@ fn relay_requires_w_in_the_poll_list() {
     let h_origin = scheme.pull.quorum(g.key(), origin);
     for y in h_origin {
         assert!(
-            p.on_fw1(y, origin, g, r, w).is_empty(),
+            p.on_fw1(y, origin, g, r, w).is_none(),
             "relayed for a w outside J(origin, r)"
         );
     }
+}
+
+#[test]
+fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
+    // A Byzantine flood of `Fw1(origin, g, r, w)` over arbitrary
+    // `(origin, r, w)` at a relay that believes `g`. From a sender
+    // outside H(g, origin) nothing may be interned — no route entry, no
+    // vote row; from a genuine router naming a `w` outside J(origin, r)
+    // the route fact is legitimate but still no row appears; and a
+    // forward for a string the relay does not believe must not even
+    // evaluate a sampler. Bounded per-node state growth, ROADMAP 5(a).
+    let (scheme, poll, g, bad) = setup();
+    let pull_quorums = scheme.shared_pull();
+    let (routes, rows) = (SharedFw1Routes::new(), SharedFw1Rows::new(D));
+    let z = NodeId::from_index(40);
+    let mut p = PullPhase::with_state(
+        z,
+        g,
+        pull_quorums.clone(),
+        SharedPollCache::new(poll),
+        CAP,
+        RetryPolicy::strict(),
+        SharedBeliefs::new(),
+        routes.clone(),
+        rows.clone(),
+    );
+    let nodes = || (0..N).map(NodeId::from_index);
+    let mut outsider_forwards = 0;
+    for origin in nodes() {
+        let h_origin = scheme.pull.quorum(g.key(), origin);
+        let intruder = nodes().find(|y| !h_origin.contains(y)).unwrap();
+        for raw in 0..8 {
+            for w in nodes().step_by(7) {
+                assert!(p.on_fw1(intruder, origin, g, Label(raw), w).is_none());
+                outsider_forwards += 1;
+            }
+        }
+    }
+    assert!(outsider_forwards > 10_000);
+    assert_eq!(
+        (routes.len(), rows.len()),
+        (0, 0),
+        "outsiders grew the tables"
+    );
+
+    let origin = NodeId::from_index(5);
+    let list = poll.poll_list(origin, Label(3));
+    for y in scheme.pull.quorum(g.key(), origin) {
+        for w in nodes().filter(|w| !list.contains(w)) {
+            assert!(p.on_fw1(y, origin, g, Label(3), w).is_none());
+        }
+    }
+    assert_eq!(
+        (routes.len(), rows.len()),
+        (1, 0),
+        "a row ahead of the w gate"
+    );
+
+    let evaluated = pull_quorums.stats().1;
+    for origin in nodes() {
+        for y in nodes().step_by(5) {
+            assert!(p.on_fw1(y, origin, bad, Label(3), list[0]).is_none());
+        }
+    }
+    assert_eq!(
+        pull_quorums.stats().1,
+        evaluated,
+        "sampled for an unbelieved string"
+    );
+    assert_eq!((routes.len(), rows.len()), (1, 0));
 }
 
 #[test]
@@ -106,7 +176,7 @@ fn byzantine_cannot_fake_fw1_majority_with_one_identity() {
     let y = scheme.pull.quorum(g.key(), origin)[0];
     // One valid router spamming Fw1 many times counts once.
     for _ in 0..10 * D {
-        assert!(p.on_fw1(y, origin, g, r, w).is_empty());
+        assert!(p.on_fw1(y, origin, g, r, w).is_none());
     }
 }
 

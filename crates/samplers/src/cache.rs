@@ -277,6 +277,17 @@ impl SharedSetCache {
         self.0.borrow_mut().intern(key)
     }
 
+    /// Runs `f` on the already-interned set at `slot` — a direct index,
+    /// no key hashing. `f` may read this cache but not intern into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this cache's
+    /// [`SharedSetCache::intern`].
+    pub fn with_set_at<R>(&self, slot: SetSlot, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        f(self.0.borrow().set_at(slot).as_slice())
+    }
+
     /// Membership test against the already-interned set at `slot` — a
     /// direct index, no key hashing.
     ///
@@ -398,6 +409,16 @@ impl SharedQuorumCache {
     #[must_use]
     pub fn slot(&self, s: StringKey, x: NodeId) -> SetSlot {
         self.sets.intern(self.sampler.key(s, x))
+    }
+
+    /// Runs `f` on the interned quorum at `slot`, sorted (no key hashing;
+    /// see [`SharedSetCache::with_set_at`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this cache.
+    pub fn quorum_at<R>(&self, slot: SetSlot, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        self.sets.with_set_at(slot, f)
     }
 
     /// Membership test against the interned quorum at `slot` (no key

@@ -25,7 +25,7 @@ use crate::ids::{ceil_log2, NodeId, Step};
 use crate::message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
 use crate::metrics::Metrics;
 use crate::observer::{NullObserver, Observer};
-use crate::protocol::{Context, Protocol};
+use crate::protocol::{Context, Protocol, RunContext};
 use crate::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 
 /// Engine configuration.
@@ -126,6 +126,12 @@ pub struct EngineSession<M> {
     sched_buf: Vec<(Step, i64)>,
     flat: Vec<Envelope<M>>,
     pool: Vec<BatchBuffers<M>>,
+    /// Scratch of one [`Protocol::deliver_run`] call: what the run's
+    /// recipients sent, the per-recipient cuts through it, and the run's
+    /// recipient list minus its dark members.
+    run_outbox: Vec<(NodeId, M)>,
+    run_cuts: Vec<(NodeId, usize)>,
+    run_live: Vec<NodeId>,
 }
 
 impl<M> EngineSession<M> {
@@ -146,6 +152,9 @@ impl<M> EngineSession<M> {
             sched_buf: Vec::new(),
             flat: Vec::new(),
             pool: Vec::new(),
+            run_outbox: Vec::new(),
+            run_cuts: Vec::new(),
+            run_live: Vec::new(),
         }
     }
 
@@ -158,7 +167,8 @@ impl<M> EngineSession<M> {
         self.due.clear();
         self.sched_buf.clear();
         self.flat.clear();
-        // `pool` buffers are cleared on reuse by `Batch::from_buffers`.
+        // `pool` buffers are cleared on reuse by `Batch::from_buffers`;
+        // the `run_*` scratch is left empty by every `deliver_run`.
     }
 }
 
@@ -502,11 +512,11 @@ impl<P: Protocol> StepState<'_, P> {
         }
     }
 
-    /// Stage 3: the deliveries due this step, in calendar order; batches
-    /// unpack in send order. Anything to or from a dark node is dropped
-    /// and counted. Deliveries to corrupt nodes are counted as received
-    /// and reach the adversary through `observe`, which sees every
-    /// envelope anyway.
+    /// Stage 3: the deliveries due this step, in calendar order; a batch
+    /// is delivered run by run, in send order. Anything to or from a dark
+    /// node is dropped and counted. Deliveries to corrupt nodes are
+    /// counted as received and reach the adversary through `observe`,
+    /// which sees every envelope anyway.
     fn deliver_due(&mut self) {
         self.session
             .pending
@@ -529,17 +539,7 @@ impl<P: Protocol> StepState<'_, P> {
                         self.metrics.record_dropped(batch.len() as u64);
                     } else {
                         for (msg, recipients) in batch.runs() {
-                            let bits = self.header_bits + msg.wire_bits();
-                            for &to in recipients {
-                                if self.is_dark(to) {
-                                    self.metrics.record_dropped(1);
-                                    continue;
-                                }
-                                self.metrics.record_recv(to, bits);
-                                self.callback(to, |node, ctx| {
-                                    node.on_message(from, msg.clone(), ctx);
-                                });
-                            }
+                            self.deliver_run(from, msg, recipients);
                         }
                     }
                     self.session.pool.push(batch.into_buffers());
@@ -547,6 +547,56 @@ impl<P: Protocol> StepState<'_, P> {
             }
         }
         self.session.due = due;
+    }
+
+    /// One run of a due batch: drops (and counts) the dark recipients,
+    /// records the receipt of the others, hands them to
+    /// [`Protocol::deliver_run`] in one call, and then ships what each
+    /// recipient sent as that recipient's outbox, in recipient order —
+    /// the same `enqueue_outbox` calls a per-recipient loop makes.
+    fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
+        let mut live = std::mem::take(&mut self.session.run_live);
+        let recipients = if recipients.iter().any(|&to| self.is_dark(to)) {
+            live.extend(recipients.iter().filter(|&&to| !self.dark[to.index()]));
+            self.metrics
+                .record_dropped((recipients.len() - live.len()) as u64);
+            &live[..]
+        } else {
+            recipients
+        };
+        let bits = self.header_bits + msg.wire_bits();
+        for &to in recipients {
+            self.metrics.record_recv(to, bits);
+        }
+        let mut run = RunContext::new(
+            self.n,
+            self.step,
+            &mut self.rngs,
+            &mut self.session.run_outbox,
+            &mut self.session.run_cuts,
+        );
+        P::deliver_run(&mut self.nodes, from, msg, recipients, &mut run);
+        run.finish();
+        live.clear();
+        self.session.run_live = live;
+
+        if self.session.run_cuts.is_empty() {
+            return;
+        }
+        let mut cuts = std::mem::take(&mut self.session.run_cuts);
+        let mut sent = std::mem::take(&mut self.session.run_outbox);
+        let mut rest = sent.drain(..);
+        let mut start = 0;
+        for (sender, end) in cuts.drain(..) {
+            self.session
+                .outbox_buf
+                .extend(rest.by_ref().take(end - start));
+            start = end;
+            self.enqueue_outbox(sender);
+        }
+        drop(rest);
+        self.session.run_cuts = cuts;
+        self.session.run_outbox = sent;
     }
 
     /// Stage 4 (skipped while draining): the adversary's turn — full

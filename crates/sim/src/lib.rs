@@ -33,9 +33,16 @@
 //! 2. `step_callbacks` — [`Protocol::on_start`] at step 0,
 //!    [`Protocol::on_step`] later, in node order, skipping dark nodes.
 //! 3. `deliver_due` — the deliveries scheduled for this step, in
-//!    `(priority, send order)` order, batches unpacked in send order;
-//!    anything to or from a dark node is dropped and counted;
-//!    [`Protocol::on_message`] for the rest.
+//!    `(priority, send order)` order; anything to or from a dark node is
+//!    dropped and counted. A single envelope is one
+//!    [`Protocol::on_message`]. A batch is delivered run by run, in send
+//!    order: each run — one payload, its recipient list minus the dark
+//!    ones — is one [`Protocol::deliver_run`] call over the node table,
+//!    whose default is `on_message` per recipient in list order. The
+//!    engine keeps the accounting and the dark filter on its side of the
+//!    call, and ships what each recipient sent through its
+//!    [`RunContext::context`] as that recipient's outbox, in recipient
+//!    order — so an override can only save work, not reorder it.
 //! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
 //!    the sends of stages 1–3.
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is
@@ -85,6 +92,16 @@
 //!   messages and `k×` bits. Runs are bit-identical either way, pinned by
 //!   `tests/scenario_equivalence.rs` across the adversary × network
 //!   matrix plus a proptest over random batch boundaries.
+//! * **Run-level delivery** — a protocol may override
+//!   [`Protocol::deliver_run`] to handle a multicast once instead of once
+//!   per recipient (`fba-core` does, for `Fw1`). The contract is the
+//!   default loop's observable behaviour: same state changes, same sends
+//!   from the same recipients in the same order, same RNG draws.
+//!   Accounting, dark-recipient drops and outbox sealing stay in the
+//!   engine, and the default-hook call order is pinned by the step
+//!   tables in `tests/engine_props.rs`; `fba-core`'s override is pinned
+//!   against the loop by `tests/deliver_run_equivalence.rs` in the
+//!   facade crate.
 //! * **Instance sequencing** — service mode chains agreement instances
 //!   over one reusable [`EngineSession`] and shared protocol arenas. The
 //!   sequencing rules: instance `0` runs with the service seed itself,
@@ -191,7 +208,7 @@ pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};
 pub use observer::{DecisionLog, FinalInspect, NullObserver, Observer, TranscriptSink};
-pub use protocol::{Context, Protocol};
+pub use protocol::{deliver_each, Context, Protocol, RunContext};
 pub use spec::{
     AdversarySpec, GenericAdversary, NetworkSpec, ParseSpecError, ScheduleError, ScheduleSpec,
     Window, DEFAULT_CORNER_SCAN, DEFAULT_EQUIVOCATE_STRINGS, DEFAULT_FLOOD_RATE,

@@ -5,6 +5,12 @@
 //! [`Protocol::on_step`] (each subsequent step, before deliveries), and
 //! [`Protocol::on_message`] (per delivered message). All interaction with
 //! the network happens through the [`Context`] handed to each callback.
+//!
+//! A multicast — one sender, one payload, many recipients — reaches the
+//! protocol as a whole through [`Protocol::deliver_run`], whose default is
+//! the per-recipient [`Protocol::on_message`] loop; a protocol whose
+//! handler repeats the same per-message work at every recipient overrides
+//! it to do that work once.
 
 use std::fmt;
 
@@ -44,6 +50,35 @@ pub trait Protocol {
     /// `from` is the authenticated sender identity stamped by the network.
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>);
 
+    /// Delivers one run of a batch — the same `msg` from `from` to every
+    /// node of `recipients`, in that order — over the run's node table
+    /// (`nodes[i]` is `None` where the adversary plays node `i`). The
+    /// engine calls this once per run on the batched lane instead of
+    /// [`Protocol::on_message`] once per recipient; the default is exactly
+    /// that loop ([`deliver_each`]).
+    ///
+    /// The engine owns everything around the call: it has already dropped
+    /// (and counted) dark recipients and recorded the receipt of the rest,
+    /// and afterwards it ships what each recipient sent through
+    /// [`RunContext::context`] as that recipient's outbox, in recipient
+    /// order. An override must be observably the same as the default —
+    /// the same state changes, the same sends from the same recipients in
+    /// the same order, the same draws from each recipient's RNG — and may
+    /// differ only in doing per-*message* work once instead of per
+    /// recipient. It must skip `None` entries and may not touch a node
+    /// outside `recipients`.
+    fn deliver_run(
+        nodes: &mut [Option<Self>],
+        from: NodeId,
+        msg: &Self::Msg,
+        recipients: &[NodeId],
+        run: &mut RunContext<'_, Self::Msg>,
+    ) where
+        Self: Sized,
+    {
+        deliver_each(nodes, from, msg, recipients, run);
+    }
+
     /// Called when the engine crashes this node at the start of `step`
     /// (crash–restart fault family, [`crate::CrashPlan`]): the node goes
     /// dark — no callbacks, no deliveries in either direction — until its
@@ -70,6 +105,102 @@ pub trait Protocol {
     fn output(&self) -> Option<Self::Output>;
 }
 
+/// The per-recipient delivery loop: [`Protocol::on_message`] with a clone
+/// of `msg` and a fresh [`Context`] for every correct node of `recipients`,
+/// in order. The default body of [`Protocol::deliver_run`], public so an
+/// override can fall back to it for the payloads it does not specialise.
+pub fn deliver_each<P: Protocol>(
+    nodes: &mut [Option<P>],
+    from: NodeId,
+    msg: &P::Msg,
+    recipients: &[NodeId],
+    run: &mut RunContext<'_, P::Msg>,
+) {
+    for &to in recipients {
+        if let Some(node) = nodes[to.index()].as_mut() {
+            node.on_message(from, msg.clone(), &mut run.context(to));
+        }
+    }
+}
+
+/// What [`Protocol::deliver_run`] is handed in place of one [`Context`]:
+/// the step, and a [`Context`] per recipient on demand. Everything sent
+/// through one recipient's context — up to the next
+/// [`RunContext::context`] call — is that recipient's outbox for this
+/// delivery, exactly as if the engine had called
+/// [`Protocol::on_message`] on it.
+pub struct RunContext<'a, M> {
+    n: usize,
+    step: Step,
+    rngs: &'a mut [ChaCha12Rng],
+    outbox: &'a mut Vec<(NodeId, M)>,
+    /// `(sender, end)` of every non-empty outbox segment closed so far.
+    cuts: &'a mut Vec<(NodeId, usize)>,
+    /// The recipient whose segment is open, and where it starts.
+    open: Option<(NodeId, usize)>,
+}
+
+impl<'a, M> RunContext<'a, M> {
+    /// Creates a run context over the per-node RNG table and two empty
+    /// scratch buffers.
+    pub(crate) fn new(
+        n: usize,
+        step: Step,
+        rngs: &'a mut [ChaCha12Rng],
+        outbox: &'a mut Vec<(NodeId, M)>,
+        cuts: &'a mut Vec<(NodeId, usize)>,
+    ) -> Self {
+        debug_assert!(outbox.is_empty() && cuts.is_empty());
+        RunContext {
+            n,
+            step,
+            rngs,
+            outbox,
+            cuts,
+            open: None,
+        }
+    }
+
+    /// Current step.
+    #[must_use]
+    pub fn step(&self) -> Step {
+        self.step
+    }
+
+    /// The callback context of recipient `to`: its identity, its private
+    /// RNG, and an outbox that is its alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is out of range.
+    pub fn context(&mut self, to: NodeId) -> Context<'_, M> {
+        self.close();
+        self.open = Some((to, self.outbox.len()));
+        Context::new(
+            to,
+            self.n,
+            self.step,
+            &mut self.rngs[to.index()],
+            self.outbox,
+        )
+    }
+
+    /// Closes the open segment, recording it if anything was sent.
+    fn close(&mut self) {
+        if let Some((sender, start)) = self.open.take() {
+            if self.outbox.len() > start {
+                self.cuts.push((sender, self.outbox.len()));
+            }
+        }
+    }
+
+    /// Ends the run: after this, `cuts` lists every non-empty
+    /// per-recipient segment of `outbox` as `(sender, end)`, in order.
+    pub(crate) fn finish(mut self) {
+        self.close();
+    }
+}
+
 /// Per-callback handle giving a protocol access to its environment: its
 /// identity, the system size, the current step, its private RNG, and the
 /// network send primitive.
@@ -79,6 +210,9 @@ pub struct Context<'a, M> {
     step: Step,
     rng: &'a mut ChaCha12Rng,
     outbox: &'a mut Vec<(NodeId, M)>,
+    /// Length of `outbox` when this callback began (a run's recipients
+    /// share one).
+    base: usize,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -97,6 +231,7 @@ impl<'a, M> Context<'a, M> {
             n,
             step,
             rng,
+            base: outbox.len(),
             outbox,
         }
     }
@@ -155,7 +290,7 @@ impl<'a, M> Context<'a, M> {
     /// tests).
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.outbox.len()
+        self.outbox.len() - self.base
     }
 }
 
@@ -205,5 +340,26 @@ mod tests {
         let a = ctx.rng().next_u64();
         let b = ctx.rng().next_u64();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn run_context_cuts_the_outbox_per_recipient() {
+        let id = NodeId::from_index;
+        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
+        let (mut outbox, mut cuts) = (Vec::new(), Vec::new());
+        let mut run = RunContext::new(4, 7, &mut rngs, &mut outbox, &mut cuts);
+        assert_eq!(run.step(), 7);
+        run.context(id(1)).send(id(0), 10u32);
+        let _silent = run.context(id(2));
+        let mut ctx = run.context(id(3));
+        assert_eq!((ctx.id(), ctx.queued()), (id(3), 0), "an outbox of its own");
+        ctx.send(id(0), 30);
+        ctx.send(id(1), 31);
+        assert_eq!(ctx.queued(), 2);
+        // The same recipient again is a callback of its own.
+        run.context(id(3)).send(id(2), 32);
+        run.finish();
+        assert_eq!(cuts, vec![(id(1), 1), (id(3), 3), (id(3), 4)]);
+        assert_eq!(outbox.len(), 4);
     }
 }

@@ -164,8 +164,8 @@ mod step_table {
     use std::rc::Rc;
 
     use fba_sim::{
-        run_observed, Adversary, Context, CrashOutage, CrashPlan, EngineConfig, Envelope, NodeId,
-        Observer, Outbox, Protocol, Step,
+        run_observed, Adversary, Context, CrashOutage, CrashPlan, EngineConfig, Envelope,
+        NoAdversary, NodeId, Observer, Outbox, Protocol, Step,
     };
     use rand_chacha::ChaCha12Rng;
 
@@ -413,6 +413,101 @@ mod step_table {
              msg(1<0:107@4) msg(1<0:108@4)
              observe(4,[]) view(4,[])
              final(0:4) final(1:3)",
+        );
+    }
+
+    /// The bulk lane, which the scheduling adversary above never lets a
+    /// delivery reach. Node 0 of a 4-node system multicasts at start: `5`
+    /// to nodes 1, 2, 3, then `6` to nodes 2, 1 — one batch, two runs.
+    /// Whoever gets `m < 10` answers with `m + 10` and `m + 20` (a
+    /// batch of its own), so the order of the answers in the step's send
+    /// view is the order of the deliveries and of the per-recipient
+    /// outboxes. `deliver_run` is the trait's default.
+    struct Fanout {
+        id: usize,
+        log: Log,
+    }
+
+    impl Protocol for Fanout {
+        type Msg = u64;
+        type Output = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            if self.id == 0 {
+                for (to, msg) in [(1, 5), (2, 5), (3, 5), (2, 6), (1, 6)] {
+                    ctx.send(NodeId::from_index(to), msg);
+                }
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
+            let (id, step) = (self.id, ctx.step());
+            self.log
+                .note(format!("msg({id}<{}:{msg}@{step})", from.index()));
+            if msg < 10 {
+                ctx.send(from, msg + 10);
+                ctx.send(from, msg + 20);
+            }
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+
+    impl Observer<Fanout> for Log {
+        fn on_step(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            self.note(format!("view({step},[{}])", envs(sends)));
+        }
+    }
+
+    /// Runs the multicast toy batched and unbatched, with node 2 dark over
+    /// step 1 when `outage` is set, and compares the call log with
+    /// `expected` and the drop count with `dropped`.
+    fn assert_run_table(outage: bool, dropped: u64, expected: &str) {
+        let expected: Vec<&str> = expected.split_whitespace().collect();
+        for batch in [true, false] {
+            let log = Log::default();
+            let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(2)]).expect("valid window");
+            let cfg = EngineConfig {
+                batch,
+                crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
+                ..EngineConfig::sync(4)
+            };
+            let node = |id: NodeId| Fanout {
+                id: id.index(),
+                log: log.clone(),
+            };
+            let out = run_observed(&cfg, 1, &mut NoAdversary, node, &mut log.clone());
+            assert!(out.quiescent);
+            assert_eq!(out.metrics.msgs_dropped(), dropped, "batch={batch}");
+            let got = log.0.borrow();
+            assert_eq!(*got, expected, "batch={batch}; got:\n{}", got.join("\n"));
+        }
+    }
+
+    #[test]
+    fn default_run_hook_keeps_the_call_order_through_a_batch() {
+        assert_run_table(
+            false,
+            0,
+            "view(0,[0>1:5,0>2:5,0>3:5,0>2:6,0>1:6])
+             msg(1<0:5@1) msg(2<0:5@1) msg(3<0:5@1) msg(2<0:6@1) msg(1<0:6@1)
+             view(1,[1>0:15,1>0:25,2>0:15,2>0:25,3>0:15,3>0:25,2>0:16,2>0:26,1>0:16,1>0:26])
+             msg(0<1:15@2) msg(0<1:25@2) msg(0<2:15@2) msg(0<2:25@2) msg(0<3:15@2) msg(0<3:25@2)
+               msg(0<2:16@2) msg(0<2:26@2) msg(0<1:16@2) msg(0<1:26@2)
+             view(2,[])",
+        );
+    }
+
+    #[test]
+    fn a_run_with_dark_recipients_drops_exactly_those() {
+        assert_run_table(
+            true,
+            2,
+            "view(0,[0>1:5,0>2:5,0>3:5,0>2:6,0>1:6])
+             msg(1<0:5@1) msg(3<0:5@1) msg(1<0:6@1)
+             view(1,[1>0:15,1>0:25,3>0:15,3>0:25,1>0:16,1>0:26])
+             msg(0<1:15@2) msg(0<1:25@2) msg(0<3:15@2) msg(0<3:25@2) msg(0<1:16@2) msg(0<1:26@2)
+             view(2,[])",
         );
     }
 }
