@@ -3,36 +3,14 @@
 //! valve is `log² n` and not smaller — each a declarative battery.
 
 use fba_ae::UnknowingAssignment;
-use fba_core::{AerMsg, AerNode};
+use fba_core::trace::WaveCounter;
 use fba_scenario::PollTimeoutSpec;
-use fba_sim::{AdversarySpec, Envelope, NetworkSpec, Observer, Step};
+use fba_sim::{AdversarySpec, NetworkSpec};
 
 use crate::battery::{product2, Agg, Battery, Report};
 use crate::experiments::common::{aer_scenario, loglog_ratio, KNOWING};
 use crate::scope::Scope;
 use crate::table::fnum;
-
-/// Counts retry waves — distinct steps in which any `Poll` or
-/// `RepairQuery` left a node — without recording a transcript (the
-/// observer-side equivalent of `fba_core::trace::poll_wave_count`).
-#[derive(Default)]
-struct WaveCounter {
-    waves: usize,
-    last_counted: Option<Step>,
-}
-
-impl Observer<AerNode> for WaveCounter {
-    fn on_step(&mut self, step: Step, sends: &[Envelope<AerMsg>]) {
-        if self.last_counted != Some(step)
-            && sends
-                .iter()
-                .any(|e| matches!(e.msg, AerMsg::Poll(..) | AerMsg::RepairQuery(_)))
-        {
-            self.waves += 1;
-            self.last_counted = Some(step);
-        }
-    }
-}
 
 /// Lemma 6 / Lemma 10: asynchronous (rushing) completion time under the
 /// cornering attack, for caps at and above the normal service load.

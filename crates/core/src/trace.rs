@@ -6,12 +6,15 @@
 //! counts — the Figure 2a picture — and (b) the hop-by-hop flow of a
 //! single verification request — the Figure 2b picture. Used by the
 //! `paperbench f2a`/`f2b` experiments and the `push_pull_trace` example.
+//! The retry-wave count needs no transcript: [`WaveCounter`] is a
+//! streaming [`Observer`].
 
 use std::collections::BTreeMap;
 
 use fba_samplers::{GString, QuorumScheme, StringKey};
-use fba_sim::{Envelope, NodeId, Step};
+use fba_sim::{Envelope, NodeId, Observer, Step};
 
+use crate::aer::AerNode;
 use crate::msg::AerMsg;
 
 /// Push-phase vote tally at one receiving node (Figure 2a).
@@ -149,63 +152,26 @@ pub fn request_flow(transcript: &[Envelope<AerMsg>], origin: NodeId, s: &GString
     RequestFlow { origin, hops }
 }
 
-/// Message counts per `(step, kind)` — a coarse timeline of a run.
-#[must_use]
-pub fn kind_timeline(transcript: &[Envelope<AerMsg>]) -> BTreeMap<(Step, &'static str), usize> {
-    let mut out: BTreeMap<(Step, &'static str), usize> = BTreeMap::new();
-    for env in transcript {
-        *out.entry((env.sent_at, env.msg.kind())).or_default() += 1;
-    }
-    out
-}
-
-/// One step's worth of poll and repair launches — the retry-wave picture.
+/// Counts retry waves as a run goes, without a transcript.
 ///
 /// A *wave* is a step in which at least one `Poll` or `RepairQuery` left a
 /// requester. Step 0 is the initial wave (every node polls its own
 /// candidate); later waves are retries with redrawn labels or repair
 /// escalations. Fault-free runs should show O(1) waves at every `n` —
-/// the scale-aware retry schedule exists to keep it that way, and
-/// `poll_waves` is how the regression is diagnosed when it isn't.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PollWave {
-    /// `Poll` messages sent this step.
-    pub polls: usize,
-    /// Distinct requesters that sent at least one `Poll` this step.
-    pub origins: usize,
-    /// `RepairQuery` messages sent this step.
-    pub repair_queries: usize,
+/// the scale-aware retry schedule exists to keep it that way, and this
+/// count is the scalar the retry-wave regression guard watches.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WaveCounter {
+    /// Waves seen so far.
+    pub waves: usize,
 }
 
-/// Groups the transcript's `Poll` and `RepairQuery` traffic by sending
-/// step (see [`PollWave`]). Steps without either kind are absent.
-#[must_use]
-pub fn poll_waves(transcript: &[Envelope<AerMsg>]) -> BTreeMap<Step, PollWave> {
-    let mut origins: BTreeMap<Step, std::collections::BTreeSet<NodeId>> = BTreeMap::new();
-    let mut out: BTreeMap<Step, PollWave> = BTreeMap::new();
-    for env in transcript {
-        match &env.msg {
-            AerMsg::Poll(..) => {
-                let wave = out.entry(env.sent_at).or_default();
-                wave.polls += 1;
-                if origins.entry(env.sent_at).or_default().insert(env.from) {
-                    wave.origins += 1;
-                }
-            }
-            AerMsg::RepairQuery(_) => {
-                out.entry(env.sent_at).or_default().repair_queries += 1;
-            }
-            _ => {}
-        }
+impl Observer<AerNode> for WaveCounter {
+    fn on_step(&mut self, _step: Step, sends: &[Envelope<AerMsg>]) {
+        let launches =
+            |e: &Envelope<AerMsg>| matches!(e.msg, AerMsg::Poll(..) | AerMsg::RepairQuery(_));
+        self.waves += usize::from(sends.iter().any(launches));
     }
-    out
-}
-
-/// Number of distinct steps in which fresh polls or repair queries were
-/// launched — the scalar the retry-wave regression guard watches.
-#[must_use]
-pub fn poll_wave_count(transcript: &[Envelope<AerMsg>]) -> usize {
-    poll_waves(transcript).len()
 }
 
 #[cfg(test)]
@@ -213,7 +179,7 @@ mod tests {
     use super::*;
     use crate::{AerConfig, AerHarness};
     use fba_ae::{Precondition, UnknowingAssignment};
-    use fba_sim::NoAdversary;
+    use fba_sim::{run_observed, NoAdversary};
 
     fn traced_run() -> (AerHarness, Precondition, Vec<Envelope<AerMsg>>) {
         let n = 48;
@@ -300,30 +266,17 @@ mod tests {
 
     #[test]
     fn poll_waves_stay_constant_in_fault_free_runs() {
-        let (h, _, transcript) = traced_run();
-        let waves = poll_waves(&transcript);
-        let d = h.config().d;
-        // Step 0: every node polls its own candidate, d messages each.
-        let first = &waves[&0];
-        assert_eq!(first.polls, 48 * d);
-        assert_eq!(first.origins, 48);
-        assert_eq!(first.repair_queries, 0);
-        // Unknowing nodes start a second wave when they accept gstring;
-        // stragglers may add a retry/repair wave — but the total stays
-        // O(1), nothing like one wave per `poll_timeout` window.
-        assert!(
-            poll_wave_count(&transcript) <= 4,
-            "retry waves regressed: {waves:?}"
-        );
-    }
-
-    #[test]
-    fn timeline_covers_every_message() {
-        let (_, _, transcript) = traced_run();
-        let timeline = kind_timeline(&transcript);
-        let total: usize = timeline.values().sum();
-        assert_eq!(total, transcript.len());
-        assert!(timeline.keys().any(|(_, k)| *k == "Push"));
-        assert!(timeline.keys().any(|(_, k)| *k == "Answer"));
+        let (h, _, _) = traced_run();
+        let mut counter = WaveCounter::default();
+        let state = h.run_state();
+        let node = |id| h.node_with(id, &state);
+        let out = run_observed(&h.engine_sync(), 3, &mut NoAdversary, node, &mut counter);
+        assert!(out.all_decided());
+        // Step 0: every node polls its own candidate. Unknowing nodes
+        // start a second wave when they accept gstring; stragglers may
+        // add a retry/repair wave — but the total stays O(1), nothing
+        // like one wave per `poll_timeout` window.
+        let waves = counter.waves;
+        assert!((2..=4).contains(&waves), "retry waves regressed: {waves}");
     }
 }

@@ -1,7 +1,7 @@
 //! # fba-lint — the workspace determinism lint (`paperlint`)
 //!
 //! Every guarantee this reproduction ships — bit-identical replays,
-//! batched ≡ unbatched delivery, the service seed scheme — rests on
+//! engine ≡ reference engine, the service seed scheme — rests on
 //! conventions the compiler cannot see: no randomized-hasher containers
 //! in protocol crates, no wall clock or ad-hoc RNG in deterministic code,
 //! parallelism only behind the sanctioned sweep fan-out, one audited

@@ -87,8 +87,6 @@ pub struct Scenario {
     eager_repair: Option<bool>,
     poll_timeout: PollTimeoutSpec,
     record_transcript: bool,
-    batching: Option<bool>,
-    batch_limit: Option<usize>,
     bad_string: Option<GString>,
     inputs: Option<Vec<bool>>,
     rigged: BTreeSet<NodeId>,
@@ -127,8 +125,6 @@ impl Scenario {
             eager_repair: None,
             poll_timeout: PollTimeoutSpec::default(),
             record_transcript: false,
-            batching: None,
-            batch_limit: None,
             bad_string: None,
             inputs: None,
             rigged: BTreeSet::new(),
@@ -244,26 +240,6 @@ impl Scenario {
     #[must_use]
     pub fn record_transcript(mut self, record: bool) -> Self {
         self.record_transcript = record;
-        self
-    }
-
-    /// Forces batched delivery on or off for the AER-phase engine
-    /// (default: on). Batching is outcome-invariant (pinned by the
-    /// `scenario_equivalence` suite); this knob exists for bisecting and
-    /// for the equivalence tests themselves, which use the per-envelope
-    /// lane as their reference.
-    #[must_use]
-    pub fn batching(mut self, batch: bool) -> Self {
-        self.batching = Some(batch);
-        self
-    }
-
-    /// Caps the logical messages coalesced into one batched delivery
-    /// (default: unlimited). Batch boundaries are outcome-invariant; the
-    /// equivalence proptests randomise this knob to pin that.
-    #[must_use]
-    pub fn batch_limit(mut self, limit: usize) -> Self {
-        self.batch_limit = Some(limit);
         self
     }
 

@@ -158,15 +158,13 @@ impl Scenario {
     }
 
     /// The AER-phase engine: the config's default for the timing model,
-    /// with the scenario's engine knobs applied.
+    /// with the scenario's transcript flag applied.
     fn aer_engine(&self, cfg: &AerConfig) -> EngineConfig {
         let mut engine = match self.network {
             NetworkSpec::Sync => cfg.engine_sync(),
             NetworkSpec::Async { max_delay } => cfg.engine_async(max_delay),
         };
         engine.record_transcript = self.record_transcript;
-        engine.batch = self.batching.unwrap_or(engine.batch);
-        engine.batch_limit = self.batch_limit;
         engine
     }
 

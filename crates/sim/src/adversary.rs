@@ -132,7 +132,9 @@ pub trait Adversary<M: Clone> {
     /// (always correct); adversaries that keep the default uniform
     /// `(delay 1, priority 0)` schedule may return `false`, letting the
     /// engine skip per-message materialisation on batched fast paths.
-    /// Must return `true` whenever either scheduling hook is overridden.
+    /// Must return `true` whenever either scheduling hook is overridden
+    /// (the reference engine ignores the hint, so the differential suites
+    /// catch a wrong `false`).
     fn schedules(&self) -> bool {
         true
     }
@@ -141,7 +143,7 @@ pub trait Adversary<M: Clone> {
     /// Defaults to `true` (always correct); adversaries whose `observe` is
     /// the default no-op may return `false` to skip the per-step
     /// materialisation of the full send view. Must return `true` whenever
-    /// `observe` is overridden.
+    /// `observe` is overridden (checked like [`Adversary::schedules`]).
     fn observes(&self) -> bool {
         true
     }

@@ -51,18 +51,6 @@ pub struct EngineConfig {
     /// Per-message header bits; defaults to `2·⌈log₂ n⌉` (sender +
     /// recipient identity) when `None`.
     pub header_bits: Option<u64>,
-    /// Coalesce each callback's sends into one batched delivery (one
-    /// header + run-length-encoded payloads) instead of per-message
-    /// envelopes. Purely a memory/throughput optimisation: runs are
-    /// bit-identical either way (pinned by the equivalence tests).
-    /// Defaults to `true`; the per-envelope lane stays as the reference
-    /// the batched ≡ unbatched suites compare against.
-    pub batch: bool,
-    /// Upper bound on logical messages per batch; `None` means a batch
-    /// spans its whole callback outbox. A testing/bisecting knob — the
-    /// equivalence proptests randomise it to pin that batch boundaries
-    /// never change outcomes.
-    pub batch_limit: Option<usize>,
     /// Crash–restart outage plan. `None` (the default) and an empty plan
     /// are the same no-fault fast path and execute bit-identically; with
     /// outages present, the named nodes go dark over their windows (see
@@ -82,8 +70,6 @@ impl EngineConfig {
             drain_steps: 64,
             record_transcript: false,
             header_bits: None,
-            batch: true,
-            batch_limit: None,
             crash: None,
         }
     }
@@ -188,7 +174,8 @@ pub struct RunOutcome<O, M> {
     /// The corrupt set the adversary chose.
     pub corrupt: BTreeSet<NodeId>,
     /// Step at which the last correct node decided (the paper's time
-    /// metric), or `None` if some correct node never decided.
+    /// metric; `Some(0)` when no node is correct), or `None` if some
+    /// correct node never decided.
     pub all_decided_at: Option<Step>,
     /// Whether the network fully quiesced before the step cap.
     pub quiescent: bool,
@@ -333,8 +320,6 @@ where
         n,
         header_bits: cfg.effective_header_bits(),
         max_delay,
-        batching: cfg.batch,
-        batch_limit: cfg.batch_limit,
         has_crash: crash_plan.is_some(),
         rushing: adversary.rushing(),
         consults: adversary.schedules(),
@@ -408,8 +393,6 @@ struct StepState<'s, P: Protocol> {
     n: usize,
     header_bits: u64,
     max_delay: Step,
-    batching: bool,
-    batch_limit: Option<usize>,
     has_crash: bool,
     rushing: bool,
     consults: bool,
@@ -632,7 +615,7 @@ impl<P: Protocol> StepState<'_, P> {
     /// is consulted (delay then priority, per logical envelope, in send
     /// order; not while draining) and then observes the step before
     /// anything moves into the queue, so the call order visible to
-    /// stateful adversaries is the same with and without batching.
+    /// stateful adversaries is the reference engine's.
     fn schedule_sends<A, O>(&mut self, adversary: &mut A, observer: &mut O)
     where
         A: Adversary<P::Msg> + ?Sized,
@@ -660,9 +643,11 @@ impl<P: Protocol> StepState<'_, P> {
         self.commit_schedule(uniform);
     }
 
-    /// Stage 6: record the nodes that produced an output this step.
+    /// Stage 6: record the nodes that produced an output this step. A
+    /// run with no correct node has nobody to wait for and is decided at
+    /// step 0.
     fn track_decisions<O: Observer<P> + ?Sized>(&mut self, observer: &mut O) {
-        if self.undecided == 0 {
+        if self.all_decided_at.is_some() {
             return;
         }
         for id in (0..self.n).map(NodeId::from_index) {
@@ -684,16 +669,15 @@ impl<P: Protocol> StepState<'_, P> {
     }
 
     /// Moves one callback's (non-empty) outbox into the step's send list,
-    /// recording each logical message in the metrics. With batching on
-    /// and at least two messages queued, the outbox becomes one (or,
-    /// under `batch_limit`, several) [`Batch`] deliveries built on
-    /// recycled buffers from the pool; otherwise every message ships as
-    /// its own envelope. Kept out of line: inlined into every `callback`
-    /// instantiation it measured a few percent slower on `benchmark/`'s
-    /// service, crash and async workloads (CHANGES.md, PR 15).
+    /// recording each logical message in the metrics: a lone message
+    /// ships as an envelope, two or more as one [`Batch`] built on
+    /// recycled buffers from the pool. Kept out of line: inlined into
+    /// every `callback` instantiation it measured a few percent slower on
+    /// `benchmark/`'s service, crash and async workloads (CHANGES.md,
+    /// PR 15).
     #[inline(never)]
     fn enqueue_outbox(&mut self, from: NodeId) {
-        if !self.batching || self.session.outbox_buf.len() < 2 {
+        if self.session.outbox_buf.len() < 2 {
             for (to, msg) in self.session.outbox_buf.drain(..) {
                 self.metrics
                     .record_send(from, self.header_bits + msg.wire_bits());
@@ -706,30 +690,14 @@ impl<P: Protocol> StepState<'_, P> {
             }
             return;
         }
-        let limit = self.batch_limit.unwrap_or(usize::MAX).max(1);
-        let mut batch = self.fresh_batch(from);
-        let mut outbox = std::mem::take(&mut self.session.outbox_buf);
-        for (to, msg) in outbox.drain(..) {
-            if batch.len() >= limit {
-                let full = std::mem::replace(&mut batch, self.fresh_batch(from));
-                self.seal_batch(full);
-            }
+        let buffers = self.session.pool.pop().unwrap_or_default();
+        let mut batch = Batch::from_buffers(from, self.step, buffers);
+        for (to, msg) in self.session.outbox_buf.drain(..) {
             batch.push(to, msg);
         }
-        self.session.outbox_buf = outbox;
-        self.seal_batch(batch);
-    }
-
-    fn fresh_batch(&mut self, from: NodeId) -> Batch<P::Msg> {
-        Batch::from_buffers(from, self.step, self.session.pool.pop().unwrap_or_default())
-    }
-
-    /// Records a finished batch's logical messages and moves it into the
-    /// step's send list.
-    fn seal_batch(&mut self, batch: Batch<P::Msg>) {
         for (msg, recipients) in batch.runs() {
             self.metrics.record_send_run(
-                batch.from,
+                from,
                 recipients.len() as u64,
                 self.header_bits + msg.wire_bits(),
             );
@@ -798,7 +766,7 @@ impl<P: Protocol> StepState<'_, P> {
 
     /// Rebuilds `flat`, the per-envelope view of the step's sends in
     /// logical send order — what rushing adversaries, schedulers,
-    /// observers and the transcript are shown regardless of batching.
+    /// observers and the transcript are shown.
     fn flatten(&mut self) {
         self.session.flat.clear();
         for delivery in self.session.sends.iter() {
@@ -887,6 +855,20 @@ mod tests {
         // Nodes whose predecessor is correct still decide.
         let decided_count = out.outputs.len();
         assert!(decided_count >= 8 - 2 * 2);
+    }
+
+    #[test]
+    fn a_run_with_no_correct_node_is_decided_at_step_zero() {
+        // Nobody to wait for: "every correct node decided" holds from the
+        // start, so the run must not burn its step budget.
+        let cfg = EngineConfig::sync(8);
+        let mut adv = SilentAdversary::new(8);
+        let out = run::<Ping, _, _>(&cfg, 3, &mut adv, ping_factory(8));
+        assert_eq!(out.corrupt.len(), 8);
+        assert_eq!(out.all_decided_at, Some(0));
+        assert!(out.all_decided() && out.quiescent);
+        assert_eq!(out.metrics.steps, 0);
+        assert!(out.outputs.is_empty());
     }
 
     #[test]
@@ -1000,154 +982,6 @@ mod tests {
             first: None,
         });
         assert_eq!(skewed.outputs[&NodeId::from_index(0)], 2); // adversary flipped it
-    }
-
-    /// Every node broadcasts its index to all others at start (a batch of
-    /// `n-1` under batching) and replies once to each first contact; a
-    /// node decides when it has heard from everyone else. Exercises both
-    /// the batch path (broadcast) and the single-envelope path (replies).
-    struct Broadcast {
-        id: NodeId,
-        n: usize,
-        heard: BTreeSet<NodeId>,
-    }
-
-    impl Protocol for Broadcast {
-        type Msg = u64;
-        type Output = u64;
-        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            for i in 0..self.n {
-                if i != self.id.index() {
-                    ctx.send(NodeId::from_index(i), self.id.index() as u64);
-                }
-            }
-        }
-        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
-            if self.heard.insert(from) && msg != u64::MAX {
-                ctx.send(from, u64::MAX);
-            }
-        }
-        fn output(&self) -> Option<u64> {
-            (self.heard.len() == self.n - 1).then_some(0)
-        }
-    }
-
-    #[test]
-    fn batched_and_unbatched_runs_account_identically() {
-        // Satellite guarantee: a batch of k logical messages counts as k
-        // messages and k× bits, node by node — delivered and sent — so
-        // flipping `batch` must leave every metric bit-identical.
-        let n = 12;
-        let factory = |id: NodeId| Broadcast {
-            id,
-            n,
-            heard: BTreeSet::new(),
-        };
-        let base = EngineConfig::sync(n);
-        let unbatched = run::<Broadcast, _, _>(
-            &EngineConfig {
-                batch: false,
-                ..base.clone()
-            },
-            9,
-            &mut NoAdversary,
-            factory,
-        );
-        for (label, cfg) in [
-            (
-                "batched",
-                EngineConfig {
-                    batch: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "batched-limit-3",
-                EngineConfig {
-                    batch: true,
-                    batch_limit: Some(3),
-                    ..base.clone()
-                },
-            ),
-        ] {
-            let batched = run::<Broadcast, _, _>(&cfg, 9, &mut NoAdversary, factory);
-            assert_eq!(
-                batched.metrics.total_msgs_sent(),
-                unbatched.metrics.total_msgs_sent(),
-                "{label}: total logical messages"
-            );
-            assert_eq!(
-                batched.metrics.total_bits_sent(),
-                unbatched.metrics.total_bits_sent(),
-                "{label}: total bits"
-            );
-            for i in 0..n {
-                let id = NodeId::from_index(i);
-                assert_eq!(
-                    batched.metrics.msgs_sent_by(id),
-                    unbatched.metrics.msgs_sent_by(id),
-                    "{label}: msgs sent by {id}"
-                );
-                assert_eq!(
-                    batched.metrics.bits_sent_by(id),
-                    unbatched.metrics.bits_sent_by(id),
-                    "{label}: bits sent by {id}"
-                );
-                assert_eq!(
-                    batched.metrics.msgs_recv_by(id),
-                    unbatched.metrics.msgs_recv_by(id),
-                    "{label}: msgs received by {id}"
-                );
-                assert_eq!(
-                    batched.metrics.bits_recv_by(id),
-                    unbatched.metrics.bits_recv_by(id),
-                    "{label}: bits received by {id}"
-                );
-            }
-            assert_eq!(batched.outputs, unbatched.outputs, "{label}: outputs");
-            assert_eq!(
-                batched.all_decided_at, unbatched.all_decided_at,
-                "{label}: decision step"
-            );
-        }
-        // Sanity: the broadcast really exercised the batch path — every
-        // node sent n-1 broadcast messages plus n-1 replies.
-        assert_eq!(
-            unbatched.metrics.total_msgs_sent(),
-            (n * 2 * (n - 1)) as u64
-        );
-    }
-
-    #[test]
-    fn session_reuse_is_bit_identical_to_fresh_runs() {
-        // The service mode's engine contract: threading one EngineSession
-        // through consecutive runs must leave every run identical to a
-        // standalone one, including across differing seeds and horizons.
-        let mut session = EngineSession::new(1);
-        for (seed, delay) in [(1u64, 1u64), (9, 3), (1, 1), (4, 2)] {
-            let cfg = EngineConfig::asynchronous(8, delay);
-            let mut a1 = SilentAdversary::new(2);
-            let reused = run_session::<Ping, _, _, _>(
-                &cfg,
-                seed,
-                seed,
-                &mut a1,
-                ping_factory(8),
-                &mut NullObserver,
-                &mut session,
-            );
-            let mut a2 = SilentAdversary::new(2);
-            let fresh = run::<Ping, _, _>(&cfg, seed, &mut a2, ping_factory(8));
-            assert_eq!(reused.corrupt, fresh.corrupt);
-            assert_eq!(reused.outputs, fresh.outputs);
-            assert_eq!(reused.all_decided_at, fresh.all_decided_at);
-            assert_eq!(reused.quiescent, fresh.quiescent);
-            assert_eq!(
-                reused.metrics.total_bits_sent(),
-                fresh.metrics.total_bits_sent()
-            );
-            assert_eq!(reused.metrics.steps, fresh.metrics.steps);
-        }
     }
 
     #[test]
@@ -1278,39 +1112,6 @@ mod tests {
             let expected = u32::from(id.index() == 0);
             assert_eq!((crashes, restarts), (expected, expected), "node {id}");
         }
-    }
-
-    #[test]
-    fn crashed_runs_are_identical_batched_and_unbatched() {
-        let n = 5;
-        let plan = CrashPlan::new(vec![
-            CrashOutage::new(1, 3, vec![NodeId::from_index(2)]).unwrap(),
-            CrashOutage::new(4, 6, vec![NodeId::from_index(0), NodeId::from_index(3)]).unwrap(),
-        ])
-        .unwrap();
-        let base = crash_cfg(n, plan);
-        let unbatched = run::<Gossip, _, _>(
-            &EngineConfig {
-                batch: false,
-                ..base.clone()
-            },
-            11,
-            &mut NoAdversary,
-            |id| Gossip::fresh(id, n),
-        );
-        let batched = run::<Gossip, _, _>(
-            &EngineConfig {
-                batch: true,
-                ..base
-            },
-            11,
-            &mut NoAdversary,
-            |id| Gossip::fresh(id, n),
-        );
-        assert_eq!(batched.metrics, unbatched.metrics);
-        assert_eq!(batched.outputs, unbatched.outputs);
-        assert_eq!(batched.all_decided_at, unbatched.all_decided_at);
-        assert!(unbatched.metrics.msgs_dropped() > 0, "windows were live");
     }
 
     #[test]

@@ -56,8 +56,12 @@
 //! Once every correct node has decided the run *drains*: stages 1–3 and 6
 //! continue until the calendar is empty (or `drain_steps` pass), stage 4
 //! is skipped and stage 5 no longer consults the adversary.
-//! [`Observer::on_final`] closes the run. The call-order tables in
-//! `tests/engine_props.rs` pin all of this, call by call.
+//! [`Observer::on_final`] closes the run. The *reference engine*
+//! (`tests/support/reference.rs`: test-only, one envelope per message in
+//! one ordered map, one `on_message` per delivery, nothing reused or
+//! skipped) is the executable form of these six stages; the literal
+//! call-order tables in `tests/engine_props.rs` pin it call by call, and
+//! it pins [`run_session`] everywhere else.
 //!
 //! ## Determinism contract
 //!
@@ -82,16 +86,19 @@
 //!   function of `(config, seed)`, and aggregate results by input index.
 //!   Thread count and interleaving cannot affect any run's RNG streams,
 //!   so parallel output equals serial output bit for bit.
-//! * **Batched bulk lane** — with [`EngineConfig::batch`] on (the
-//!   default), each callback's outbox ships as one run-length-encoded
-//!   [`Batch`] on the calendar's bulk lane instead of per-message
-//!   envelopes. Batches unpack in exact send order at delivery, every
+//! * **Batched bulk lane** — a callback's outbox of two or more
+//!   messages ships as one run-length-encoded batch on the calendar's
+//!   bulk lane instead of per-message envelopes (a lone message stays an
+//!   envelope). Batches unpack in exact send order at delivery, every
 //!   per-envelope consumer (rushing views, scheduling adversaries,
 //!   observers, transcripts) is shown the flattened per-envelope view,
 //!   and metrics count *logical* messages — a batch of `k` counts `k`
-//!   messages and `k×` bits. Runs are bit-identical either way, pinned by
-//!   `tests/scenario_equivalence.rs` across the adversary × network
-//!   matrix plus a proptest over random batch boundaries.
+//!   messages and `k×` bits. There is no switch: a non-uniform schedule
+//!   is keyed per envelope because the engine sees it is non-uniform.
+//!   The pin is the reference engine, which never batches — full
+//!   [`Metrics`] equality, outputs and transcripts over every adversary
+//!   spec × network × crash cell (`tests/engine_differential.rs` in the
+//!   facade crate) and over random toy runs (`tests/engine_props.rs`).
 //! * **Run-level delivery** — a protocol may override
 //!   [`Protocol::deliver_run`] to handle a multicast once instead of once
 //!   per recipient (`fba-core` does, for `Fw1`). The contract is the
@@ -99,9 +106,9 @@
 //!   from the same recipients in the same order, same RNG draws.
 //!   Accounting, dark-recipient drops and outbox sealing stay in the
 //!   engine, and the default-hook call order is pinned by the step
-//!   tables in `tests/engine_props.rs`; `fba-core`'s override is pinned
-//!   against the loop by `tests/deliver_run_equivalence.rs` in the
-//!   facade crate.
+//!   tables in `tests/engine_props.rs`. The reference engine never calls
+//!   the hook, so the same differential matrix is what holds `fba-core`'s
+//!   override to the per-recipient loop.
 //! * **Instance sequencing** — service mode chains agreement instances
 //!   over one reusable [`EngineSession`] and shared protocol arenas. The
 //!   sequencing rules: instance `0` runs with the service seed itself,
@@ -205,7 +212,7 @@ pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdvers
 pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
-pub use message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
+pub use message::{Envelope, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};
 pub use observer::{DecisionLog, FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};

@@ -103,12 +103,12 @@ impl<M: WireSize> Envelope<M> {
 /// is purely a wire-level framing optimisation: it still *counts* as `k`
 /// logical messages and `k × (header + payload)` bits, and recipients
 /// receive the payloads in exactly the order [`Batch::push`] recorded them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Batch<M> {
+#[derive(Debug)]
+pub(crate) struct Batch<M> {
     /// True sender of every message in the batch (never forgeable).
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Step during which every message in the batch was sent.
-    pub sent_at: Step,
+    sent_at: Step,
     /// `(copies, payload)` runs; consecutive identical payloads share a run.
     runs: Vec<(u32, M)>,
     /// Recipients of every message, in send order, across all runs.
@@ -116,21 +116,9 @@ pub struct Batch<M> {
 }
 
 impl<M> Batch<M> {
-    /// An empty batch stamped with its sender and send step.
-    #[must_use]
-    pub fn new(from: NodeId, sent_at: Step) -> Self {
-        Batch {
-            from,
-            sent_at,
-            runs: Vec::new(),
-            to: Vec::new(),
-        }
-    }
-
     /// Builds an empty batch on top of recycled backing buffers (cleared
     /// here), so the engine's per-step hot loop reuses allocations.
-    #[must_use]
-    pub fn from_buffers(from: NodeId, sent_at: Step, buffers: BatchBuffers<M>) -> Self {
+    pub(crate) fn from_buffers(from: NodeId, sent_at: Step, buffers: BatchBuffers<M>) -> Self {
         let (mut runs, mut to) = buffers;
         runs.clear();
         to.clear();
@@ -143,26 +131,18 @@ impl<M> Batch<M> {
     }
 
     /// Tears the batch down to its backing buffers for reuse.
-    #[must_use]
-    pub fn into_buffers(self) -> BatchBuffers<M> {
+    pub(crate) fn into_buffers(self) -> BatchBuffers<M> {
         (self.runs, self.to)
     }
 
     /// Number of logical messages in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.to.len()
-    }
-
-    /// Whether the batch carries no messages.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.to.is_empty()
     }
 
     /// Appends one message. Consecutive pushes of equal payloads extend the
     /// current run instead of storing another copy.
-    pub fn push(&mut self, to: NodeId, msg: M)
+    pub(crate) fn push(&mut self, to: NodeId, msg: M)
     where
         M: PartialEq,
     {
@@ -175,7 +155,7 @@ impl<M> Batch<M> {
 
     /// Iterates the payload runs as `(payload, recipients)` pairs, in send
     /// order; `recipients.len()` is the run's copy count.
-    pub fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
         let mut offset = 0usize;
         self.runs.iter().map(move |(count, msg)| {
             let start = offset;
@@ -187,7 +167,7 @@ impl<M> Batch<M> {
     /// Expands the batch into the per-message [`Envelope`] view, in send
     /// order — the representation observers, transcripts, and rushing
     /// adversaries are shown.
-    pub fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
+    pub(crate) fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
     where
         M: Clone,
     {
@@ -202,50 +182,20 @@ impl<M> Batch<M> {
     }
 }
 
-impl<M: WireSize> Batch<M> {
-    /// Total *logical* bits of the batch: every message counts its own
-    /// header and payload, exactly as if sent as independent envelopes.
-    #[must_use]
-    pub fn total_bits(&self, header_bits: u64) -> u64 {
-        self.runs
-            .iter()
-            .map(|(count, msg)| u64::from(*count) * (header_bits + msg.wire_bits()))
-            .sum()
-    }
-}
-
 /// Recycled backing storage of a [`Batch`]: its run and recipient vectors.
-pub type BatchBuffers<M> = (Vec<(u32, M)>, Vec<NodeId>);
+pub(crate) type BatchBuffers<M> = (Vec<(u32, M)>, Vec<NodeId>);
 
 /// One unit of network traffic in the engine's queue: either a single
-/// envelope or a coalesced [`Batch`]. Batching never changes a run —
-/// deliveries expand to the same logical messages in the same order — so
-/// which variant the engine picks is invisible to protocols, adversaries,
-/// and observers (see the crate-level determinism contract).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Delivery<M> {
+/// envelope or a coalesced [`Batch`]. Deliveries expand to the same
+/// logical messages in the same order either way, so which variant the
+/// engine picks is invisible to protocols, adversaries, and observers
+/// (see the crate-level determinism contract).
+#[derive(Debug)]
+pub(crate) enum Delivery<M> {
     /// A single message.
     One(Envelope<M>),
     /// A coalesced same-sender, same-step group of messages.
     Batch(Batch<M>),
-}
-
-impl<M> Delivery<M> {
-    /// Number of logical messages this delivery carries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Delivery::One(_) => 1,
-            Delivery::Batch(b) => b.len(),
-        }
-    }
-
-    /// Whether the delivery carries no messages (only possible for an empty
-    /// batch, which the engine never enqueues).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -281,10 +231,13 @@ mod tests {
         assert_eq!((1u32, 2u64).wire_bits(), 96);
     }
 
+    fn batch(from: usize, sent_at: Step) -> Batch<u32> {
+        Batch::from_buffers(NodeId::from_index(from), sent_at, BatchBuffers::default())
+    }
+
     #[test]
     fn batch_run_length_encodes_consecutive_equal_payloads() {
-        let mut b: Batch<u32> = Batch::new(NodeId::from_index(0), 2);
-        assert!(b.is_empty());
+        let mut b = batch(0, 2);
         b.push(NodeId::from_index(1), 7);
         b.push(NodeId::from_index(2), 7);
         b.push(NodeId::from_index(3), 9);
@@ -299,76 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_k_counts_k_messages_and_k_times_bits() {
-        // The metrics contract: a batch of k envelopes is k logical
-        // messages and k × (header + payload) bits — framing is free.
-        let mut b: Batch<u32> = Batch::new(NodeId::from_index(0), 0);
-        for i in 1..=5 {
-            b.push(NodeId::from_index(i), 7);
-        }
-        assert_eq!(b.len(), 5);
-        assert_eq!(b.total_bits(20), 5 * (20 + 32));
-        let loose: u64 = b.envelopes().map(|e| e.total_bits(20)).sum();
-        assert_eq!(b.total_bits(20), loose);
-    }
-
-    #[test]
     fn batch_envelopes_expand_in_send_order() {
-        let mut b: Batch<u32> = Batch::new(NodeId::from_index(9), 4);
+        let mut b = batch(9, 4);
         b.push(NodeId::from_index(1), 5);
         b.push(NodeId::from_index(0), 5);
         b.push(NodeId::from_index(2), 6);
-        let envs: Vec<Envelope<u32>> = b.envelopes().collect();
-        assert_eq!(
-            envs,
-            vec![
-                Envelope {
-                    from: NodeId::from_index(9),
-                    to: NodeId::from_index(1),
-                    sent_at: 4,
-                    msg: 5
-                },
-                Envelope {
-                    from: NodeId::from_index(9),
-                    to: NodeId::from_index(0),
-                    sent_at: 4,
-                    msg: 5
-                },
-                Envelope {
-                    from: NodeId::from_index(9),
-                    to: NodeId::from_index(2),
-                    sent_at: 4,
-                    msg: 6
-                },
-            ]
-        );
+        let envs: Vec<(usize, usize, Step, u32)> = b
+            .envelopes()
+            .map(|e| (e.from.index(), e.to.index(), e.sent_at, e.msg))
+            .collect();
+        assert_eq!(envs, vec![(9, 1, 4, 5), (9, 0, 4, 5), (9, 2, 4, 6)]);
     }
 
     #[test]
     fn batch_buffer_recycling_round_trips() {
-        let mut b: Batch<u32> = Batch::new(NodeId::from_index(0), 0);
+        let mut b = batch(0, 0);
         b.push(NodeId::from_index(1), 3);
-        let buffers = b.into_buffers();
-        let b2: Batch<u32> = Batch::from_buffers(NodeId::from_index(2), 1, buffers);
-        assert!(b2.is_empty());
+        let b2 = Batch::from_buffers(NodeId::from_index(2), 1, b.into_buffers());
+        assert_eq!(b2.len(), 0);
         assert_eq!(b2.from, NodeId::from_index(2));
         assert_eq!(b2.sent_at, 1);
-    }
-
-    #[test]
-    fn delivery_len_counts_logical_messages() {
-        let one: Delivery<u32> = Delivery::One(Envelope {
-            from: NodeId::from_index(0),
-            to: NodeId::from_index(1),
-            sent_at: 0,
-            msg: 1,
-        });
-        assert_eq!(one.len(), 1);
-        assert!(!one.is_empty());
-        let mut b: Batch<u32> = Batch::new(NodeId::from_index(0), 0);
-        b.push(NodeId::from_index(1), 1);
-        b.push(NodeId::from_index(2), 1);
-        assert_eq!(Delivery::Batch(b).len(), 2);
     }
 
     #[test]

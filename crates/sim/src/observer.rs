@@ -50,7 +50,9 @@ pub trait Observer<P: Protocol> {
     /// Defaults to `true` (always correct); observers whose `on_step` is
     /// the default no-op may return `false` so the engine can skip
     /// materialising the per-envelope send view on batched fast paths.
-    /// Must return `true` whenever `on_step` is overridden.
+    /// Must return `true` whenever `on_step` is overridden (the reference
+    /// engine ignores the hint, so the differential suites catch a wrong
+    /// `false`).
     fn wants_step_sends(&self) -> bool {
         true
     }

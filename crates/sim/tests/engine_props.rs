@@ -1,12 +1,18 @@
 //! Property tests for the engine's delivery semantics: exactly-once
 //! delivery, bounded delay (reliability), determinism, and accounting
-//! conservation under randomized adversarial scheduling.
+//! conservation under randomized adversarial scheduling — then the
+//! engine against its oracle: the literal call-order tables on both the
+//! production and the reference engine, and the two engines against each
+//! other on random toy runs.
 
 use std::collections::BTreeSet;
 
 use fba_sim::{run, Adversary, Context, EngineConfig, Envelope, NodeId, Outbox, Protocol, Step};
 use proptest::prelude::*;
 use rand_chacha::ChaCha12Rng;
+
+#[path = "support/reference.rs"]
+mod reference;
 
 /// Gossip protocol: every node sends `fanout` tagged messages at start;
 /// receivers record (sender, tag) pairs. Decides immediately.
@@ -153,11 +159,13 @@ proptest! {
     }
 }
 
-/// The stage/call-order step table: every call the engine makes into a
+/// The stage/call-order step table: every call an engine makes into a
 /// protocol, an adversary and an observer, with arguments, for one fixed
 /// toy run — the `(input, expected calls)` table form of the crate-docs
 /// sentence "delay then priority per envelope in send order, then
-/// observe". Stateful adversaries depend on this order.
+/// observe". Stateful adversaries depend on this order. Every table runs
+/// on the production engine and on the reference engine: the literal
+/// tables pin the oracle, and the oracle pins the engine everywhere else.
 mod step_table {
     use std::cell::RefCell;
     use std::collections::BTreeSet;
@@ -168,6 +176,8 @@ mod step_table {
         NoAdversary, NodeId, Observer, Outbox, Protocol, Step,
     };
     use rand_chacha::ChaCha12Rng;
+
+    use super::reference::reference_run;
 
     #[derive(Clone, Default)]
     struct Log(Rc<RefCell<Vec<String>>>);
@@ -278,19 +288,18 @@ mod step_table {
     }
 
     /// Runs the toy under `max_delay`, with node 1 dark over step 1 when
-    /// `outage` is set, batched and unbatched, and compares the call log
+    /// `outage` is set, on both engines, and compares the call log
     /// (whitespace-separated) with `STEP_0` followed by `rest`.
     fn assert_table(max_delay: Step, outage: bool, rest: &str) {
         let expected: Vec<&str> = STEP_0
             .split_whitespace()
             .chain(rest.split_whitespace())
             .collect();
-        for batch in [true, false] {
+        for reference in [false, true] {
             let log = Log::default();
             let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(1)]).expect("valid window");
             let cfg = EngineConfig {
                 max_steps: 12,
-                batch,
                 crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
                 ..EngineConfig::asynchronous(3, max_delay)
             };
@@ -299,10 +308,15 @@ mod step_table {
                 received: 0,
                 log: log.clone(),
             };
-            let out = run_observed(&cfg, 1, &mut log.clone(), node, &mut log.clone());
+            let (adversary, observer) = (&mut log.clone(), &mut log.clone());
+            let out = if reference {
+                reference_run(&cfg, 1, 1, adversary, node, observer)
+            } else {
+                run_observed(&cfg, 1, adversary, node, observer)
+            };
             assert!(out.all_decided(), "the toy run decides everywhere");
             let got = log.0.borrow();
-            assert_eq!(*got, expected, "batch={batch}; got:\n{}", got.join("\n"));
+            assert_eq!(*got, expected, "reference={reference}:\n{}", got.join("\n"));
         }
     }
 
@@ -459,16 +473,15 @@ mod step_table {
         }
     }
 
-    /// Runs the multicast toy batched and unbatched, with node 2 dark over
+    /// Runs the multicast toy on both engines, with node 2 dark over
     /// step 1 when `outage` is set, and compares the call log with
     /// `expected` and the drop count with `dropped`.
     fn assert_run_table(outage: bool, dropped: u64, expected: &str) {
         let expected: Vec<&str> = expected.split_whitespace().collect();
-        for batch in [true, false] {
+        for reference in [false, true] {
             let log = Log::default();
             let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(2)]).expect("valid window");
             let cfg = EngineConfig {
-                batch,
                 crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
                 ..EngineConfig::sync(4)
             };
@@ -476,11 +489,16 @@ mod step_table {
                 id: id.index(),
                 log: log.clone(),
             };
-            let out = run_observed(&cfg, 1, &mut NoAdversary, node, &mut log.clone());
+            let observer = &mut log.clone();
+            let out = if reference {
+                reference_run(&cfg, 1, 1, &mut NoAdversary, node, observer)
+            } else {
+                run_observed(&cfg, 1, &mut NoAdversary, node, observer)
+            };
             assert!(out.quiescent);
-            assert_eq!(out.metrics.msgs_dropped(), dropped, "batch={batch}");
+            assert_eq!(out.metrics.msgs_dropped(), dropped, "reference={reference}");
             let got = log.0.borrow();
-            assert_eq!(*got, expected, "batch={batch}; got:\n{}", got.join("\n"));
+            assert_eq!(*got, expected, "reference={reference}:\n{}", got.join("\n"));
         }
     }
 
@@ -509,5 +527,235 @@ mod step_table {
              msg(0<1:15@2) msg(0<1:25@2) msg(0<3:15@2) msg(0<3:25@2) msg(0<1:16@2) msg(0<1:26@2)
              view(2,[])",
         );
+    }
+}
+
+/// The differential property: `run_session`, two runs back to back over
+/// one [`EngineSession`], against a fresh `reference_run` each — on a toy
+/// protocol and adversary built to vary what the engine has to get right:
+/// outbox shapes (which decide envelope or batch), jittered delays and
+/// priorities (which decide bulk or keyed lane, step by step), rushing
+/// sends, chained outages, and which hints are off.
+mod differential {
+    use std::collections::BTreeSet;
+
+    use fba_sim::rng::splitmix64;
+    use fba_sim::{
+        choose_corrupt, run_session, Adversary, Context, CrashOutage, CrashPlan, EngineConfig,
+        EngineSession, Envelope, NodeId, Observer, Outbox, Protocol, Step,
+    };
+    use proptest::prelude::*;
+    use rand::Rng;
+    use rand_chacha::ChaCha12Rng;
+
+    use super::reference::{assert_same_outcome, reference_run};
+
+    /// Folds `parts` into `h`, order-sensitively.
+    fn mix(h: u64, parts: impl IntoIterator<Item = u64>) -> u64 {
+        parts.into_iter().fold(h, |h, part| splitmix64(h ^ part))
+    }
+
+    /// A payload's low two bits are its hop budget `b`: a delivery is
+    /// answered with `b` messages — up to two equal ones to the sender (a
+    /// run), the third to a node drawn from the private RNG — so outboxes
+    /// come empty, single, uniform and mixed, and traffic dies out. What
+    /// a node has `heard` hashes deliveries in order; it decides on that
+    /// after `quota` of them.
+    struct Toy {
+        id: usize,
+        n: usize,
+        fanout: usize,
+        quota: u64,
+        heard: u64,
+        count: u64,
+    }
+
+    impl Protocol for Toy {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            for k in 0..self.fanout {
+                let to = NodeId::from_index((self.id + 1 + k) % self.n);
+                ctx.send(to, 4 * (256 * self.id as u64 + k as u64 / 2) + 3);
+            }
+        }
+        fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
+            if self.count < self.quota && ctx.step() % 4 == self.id as u64 % 4 {
+                let to = NodeId::from_index(ctx.rng().gen_range(0..self.n));
+                ctx.send(to, 4 * ctx.step() + 1);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
+            self.heard = mix(self.heard, [msg, from.index() as u64]);
+            self.count += 1;
+            let budget = msg % 4;
+            let reply = (self.heard & !3) | budget.saturating_sub(1);
+            for _ in 0..budget.min(2) {
+                ctx.send(from, reply);
+            }
+            if budget == 3 {
+                let to = NodeId::from_index(ctx.rng().gen_range(0..self.n));
+                ctx.send(to, reply ^ 4);
+            }
+        }
+        fn on_crash(&mut self, _step: Step) {
+            self.heard = 0;
+        }
+        fn on_restart(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.send(NodeId::from_index(0), 7);
+            ctx.send(NodeId::from_index((self.id + 1) % self.n), 6);
+        }
+        fn output(&self) -> Option<u64> {
+            (self.count >= self.quota).then_some(self.heard)
+        }
+    }
+
+    /// Corrupts `t` nodes and has each inject one message per step for
+    /// five steps, chosen from the rushing view when it gets one. Its
+    /// `state` chains every scheduling and observation call, so a call
+    /// out of order changes every later delay. `mode` 0 keeps the default
+    /// schedule and says so through both hints; 1 is consulted and
+    /// answers the default; 2 jitters every envelope; 3 jitters the odd
+    /// steps only, so bulk and keyed steps share calendar slots.
+    struct Chaos {
+        t: usize,
+        rushing: bool,
+        mode: u64,
+        state: u64,
+        n: usize,
+        corrupt: Vec<NodeId>,
+    }
+
+    impl Chaos {
+        fn jitters(&self, env: &Envelope<u64>) -> bool {
+            self.mode == 2 || (self.mode == 3 && env.sent_at % 2 == 1)
+        }
+    }
+
+    impl Adversary<u64> for Chaos {
+        fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
+            let set = choose_corrupt(n, self.t.min(n), rng);
+            (self.n, self.corrupt) = (n, set.iter().copied().collect());
+            set
+        }
+        fn rushing(&self) -> bool {
+            self.rushing
+        }
+        fn act(&mut self, step: Step, view: Option<&[Envelope<u64>]>, out: &mut Outbox<'_, u64>) {
+            assert_eq!(view.is_some(), self.rushing);
+            if step >= 5 {
+                return;
+            }
+            let seen = view.map_or(step, |v| mix(step, v.iter().map(|e| e.msg)));
+            for (i, &from) in self.corrupt.iter().enumerate() {
+                let to = mix(seen, [i as u64]) % self.n as u64;
+                out.send_as(from, NodeId::from_index(to as usize), (seen & !3) | 2);
+            }
+        }
+        fn delay(&mut self, env: &Envelope<u64>) -> Step {
+            if !self.jitters(env) {
+                return 1;
+            }
+            self.state = mix(self.state, [env.msg]);
+            1 + self.state % 4
+        }
+        fn priority(&mut self, env: &Envelope<u64>) -> i64 {
+            if !self.jitters(env) {
+                return 0;
+            }
+            self.state = mix(self.state, [env.to.index() as u64]);
+            (self.state % 5) as i64 - 2
+        }
+        fn observe(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            if self.mode >= 2 {
+                self.state = mix(self.state, [step, sends.len() as u64]);
+            }
+        }
+        fn schedules(&self) -> bool {
+            self.mode != 0
+        }
+        fn observes(&self) -> bool {
+            self.mode != 0
+        }
+    }
+
+    /// Hashes every observer call in order; `on_step` only when `watch`
+    /// is on, which is also what it tells the engine.
+    struct Tally {
+        watch: bool,
+        hash: u64,
+    }
+
+    impl Observer<Toy> for Tally {
+        fn on_step(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            if self.watch {
+                let sends = sends.iter().flat_map(|e| [e.to.index() as u64, e.msg]);
+                self.hash = mix(mix(self.hash, [step]), sends);
+            }
+        }
+        fn on_decision(&mut self, id: NodeId, step: Step, output: &u64) {
+            self.hash = mix(self.hash, [id.index() as u64, step, *output]);
+        }
+        fn on_final(&mut self, id: NodeId, node: &Toy) {
+            self.hash = mix(self.hash, [id.index() as u64, node.heard]);
+        }
+        fn wants_step_sends(&self) -> bool {
+            self.watch
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn run_session_matches_the_reference_on_random_toy_runs(
+            n in 3usize..14,
+            fanout in 0usize..6,
+            quota in 1u64..6,
+            seed in any::<u64>(),
+            salt in any::<u64>(),
+            max_delay in 1u64..4,
+            drain_steps in 0u64..6,
+            t in 0usize..4,
+            rushing in any::<bool>(),
+            mode in 0u64..4,
+            transcript in any::<bool>(),
+            watch in any::<bool>(),
+            outages in collection::vec((0u64..3, 1u64..4, 1usize..4), 0..4),
+        ) {
+            // Windows `gap` steps apart — chained when it is 0 — each
+            // taking down up to three nodes, corrupt ones included.
+            let mut at = 1;
+            let outages = outages.iter().enumerate().map(|(i, &(gap, len, k))| {
+                let start = at + gap;
+                at = start + len;
+                let node = |j| NodeId::from_index((salt as usize % n + 5 * i + 3 * j) % n);
+                CrashOutage::new(start, at, (0..k).map(node).collect()).expect("valid window")
+            });
+            let mut cfg = EngineConfig {
+                max_steps: 24,
+                drain_steps,
+                record_transcript: transcript,
+                crash: Some(CrashPlan::new(outages.collect()).expect("ordered windows")),
+                ..EngineConfig::sync(n)
+            };
+            let toy = |id: NodeId| Toy { id: id.index(), n, fanout, quota, heard: 0, count: 0 };
+            let chaos = || Chaos { t, rushing, mode, state: salt, n: 0, corrupt: Vec::new() };
+            // The second run inherits the first's session — whatever a run
+            // cut short left pending included — under another seed and
+            // another delay horizon.
+            let mut session = EngineSession::new(1);
+            for (seed, max_delay) in [(seed, max_delay), (seed ^ salt, max_delay % 3 + 1)] {
+                cfg.max_delay = max_delay;
+                let (mut adv, mut tally) = (chaos(), Tally { watch, hash: 0 });
+                let got = run_session(&cfg, seed, salt, &mut adv, toy, &mut tally, &mut session);
+                let (mut ref_adv, mut ref_tally) = (chaos(), Tally { watch, hash: 0 });
+                let want = reference_run(&cfg, seed, salt, &mut ref_adv, toy, &mut ref_tally);
+                assert_same_outcome(&format!("seed {seed}"), &got, &want);
+                prop_assert_eq!(adv.state, ref_adv.state, "adversary call sequence");
+                prop_assert_eq!(tally.hash, ref_tally.hash, "observer call sequence");
+            }
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! builder.
 
 use fba::ae::UnknowingAssignment;
+use fba::core::trace::WaveCounter;
 use fba::core::AerNode;
 use fba::scenario::{Phase, PollTimeoutSpec, Scenario};
 use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NodeId};
@@ -107,14 +108,16 @@ fn async_scenarios_can_scale_the_poll_timeout_to_the_delay_bound() {
     for max_delay in [2u64, 3] {
         let base = scenario(n, 0.8, UnknowingAssignment::RandomPerNode)
             .network(NetworkSpec::Async { max_delay })
-            .adversary(AdversarySpec::Silent { t: Some(8) })
-            .record_transcript(true);
-        let config_timeout = base.clone().run(7).expect("valid scenario").into_aer();
-        let scaled = base
-            .poll_timeout(PollTimeoutSpec::DelayScaled)
-            .run(7)
-            .expect("valid scenario")
-            .into_aer();
+            .adversary(AdversarySpec::Silent { t: Some(8) });
+        let run = |scenario: &Scenario| {
+            let mut waves = WaveCounter::default();
+            let out = scenario
+                .run_observed(7, &mut waves)
+                .expect("valid scenario");
+            (out.into_aer(), waves.waves)
+        };
+        let (config_timeout, waves_config) = run(&base);
+        let (scaled, waves_scaled) = run(&base.clone().poll_timeout(PollTimeoutSpec::DelayScaled));
         assert_eq!(
             scaled.config.poll_timeout,
             fba::core::AerConfig::sync_poll_horizon() * max_delay,
@@ -122,8 +125,6 @@ fn async_scenarios_can_scale_the_poll_timeout_to_the_delay_bound() {
         );
         // Same decisions, fewer (or equal) retry waves.
         assert_eq!(scaled.run.outputs, config_timeout.run.outputs);
-        let waves_scaled = fba::core::trace::poll_wave_count(&scaled.run.transcript);
-        let waves_config = fba::core::trace::poll_wave_count(&config_timeout.run.transcript);
         assert!(
             waves_scaled <= waves_config,
             "delay {max_delay}: scaled timeout fired more waves ({waves_scaled} vs {waves_config})"

@@ -486,143 +486,15 @@ fn ae_phase_is_bit_identical_to_run_ae() {
     }
 }
 
-/// Per-node accounting comparison for the batching pins: totals hiding a
-/// redistribution between nodes would pass [`assert_identical`], so the
-/// batched arm is additionally held to node-by-node equality.
-fn assert_per_node_identical(
-    label: &str,
-    n: usize,
-    batched: &RunOutcome<GString, AerMsg>,
-    unbatched: &RunOutcome<GString, AerMsg>,
-) {
-    for i in 0..n {
-        let id = fba::sim::NodeId::from_index(i);
-        assert_eq!(
-            batched.metrics.msgs_sent_by(id),
-            unbatched.metrics.msgs_sent_by(id),
-            "{label}: msgs sent by {id}"
-        );
-        assert_eq!(
-            batched.metrics.bits_sent_by(id),
-            unbatched.metrics.bits_sent_by(id),
-            "{label}: bits sent by {id}"
-        );
-        assert_eq!(
-            batched.metrics.msgs_recv_by(id),
-            unbatched.metrics.msgs_recv_by(id),
-            "{label}: msgs received by {id}"
-        );
-        assert_eq!(
-            batched.metrics.bits_recv_by(id),
-            unbatched.metrics.bits_recv_by(id),
-            "{label}: bits received by {id}"
-        );
-    }
-}
-
-#[test]
-fn batched_delivery_is_bit_identical_across_the_matrix() {
-    // The tentpole's safety pin: batched delivery is wire framing only.
-    // Every adversary spec — windowed schedules and the cornering
-    // delay-power attack included — over both timing models must produce
-    // byte-for-byte the same outcome with batching on and off, down to
-    // per-node message and bit accounting. Debug builds run the small
-    // sizes; release (CI) adds the n = 1024 arm.
-    use fba::sim::{ScheduleSpec, Window};
-    let sched = AdversarySpec::Sched(
-        ScheduleSpec::new(vec![
-            (Window::bounded(0, 2), AdversarySpec::Silent { t: None }),
-            (Window::open(2), AdversarySpec::Equivocate { strings: 4 }),
-        ])
-        .expect("valid schedule"),
-    );
-    let specs = [
-        AdversarySpec::None,
-        AdversarySpec::Silent { t: None },
-        AdversarySpec::RandomFlood { rate: 16, steps: 4 },
-        AdversarySpec::PushFlood,
-        AdversarySpec::Equivocate { strings: 8 },
-        AdversarySpec::PullFlood { rate: 16, steps: 4 },
-        AdversarySpec::BadString,
-        AdversarySpec::Corner { label_scan: 256 },
-        sched,
-    ];
-    let sizes: &[usize] = if cfg!(debug_assertions) {
-        &[64, 256]
-    } else {
-        &[64, 256, 1024]
-    };
-    for &n in sizes {
-        for spec in &specs {
-            for network in [NetworkSpec::Sync, NetworkSpec::Async { max_delay: 2 }] {
-                let base = Scenario::new(n)
-                    .phase(Phase::aer(0.8))
-                    .network(network)
-                    .adversary(spec.clone());
-                let unbatched = base
-                    .clone()
-                    .batching(false)
-                    .run(3)
-                    .expect("valid scenario")
-                    .into_aer();
-                let batched = base
-                    .batching(true)
-                    .run(3)
-                    .expect("valid scenario")
-                    .into_aer();
-                let label = format!("n={n} {spec} {network}");
-                assert_identical(&label, &batched.run, &unbatched.run);
-                assert_per_node_identical(&label, n, &batched.run, &unbatched.run);
-            }
-        }
-    }
-}
-
-proptest::proptest! {
-    // Full protocol runs per case; keep the case count small.
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
-
-    /// Batch boundaries are invisible: any `batch_limit` — forcing
-    /// arbitrary splits of each callback's outbox into separate batches —
-    /// produces the same outcome as the unbatched run.
-    #[test]
-    fn random_batch_boundaries_never_change_outcomes(
-        n in 24usize..72,
-        seed in proptest::prelude::any::<u64>(),
-        limit in 1usize..64,
-        silent in proptest::prelude::any::<bool>(),
-    ) {
-        let mut base = Scenario::new(n).phase(Phase::aer(0.8));
-        if silent {
-            base = base.adversary(AdversarySpec::Silent { t: None });
-        }
-        let unbatched = base
-            .clone()
-            .batching(false)
-            .run(seed)
-            .expect("valid scenario")
-            .into_aer();
-        let limited = base
-            .batching(true)
-            .batch_limit(limit)
-            .run(seed)
-            .expect("valid scenario")
-            .into_aer();
-        let label = format!("n={n} limit={limit} silent={silent}");
-        assert_identical(&label, &limited.run, &unbatched.run);
-        assert_per_node_identical(&label, n, &limited.run, &unbatched.run);
-    }
-}
-
 #[test]
 fn service_single_instance_is_bit_identical_to_run() {
     // The service-mode anchor pin: a 1-instance service run IS the plain
     // run — same outputs, corrupt set, decision step, *per-node* metrics
     // (Metrics implements full structural equality) and transcript —
-    // across the adversary matrix, both timing models, and both batching
-    // lanes. Everything the service layer threads through (the reusable
-    // engine session, the shared AER arena, the per-instance reset) must
-    // be invisible at instance 0, or chaining is built on sand.
+    // across the adversary matrix and both timing models. Everything the
+    // service layer threads through (the reusable engine session, the
+    // shared AER arena, the per-instance reset) must be invisible at
+    // instance 0, or chaining is built on sand.
     use fba::sim::{ScheduleSpec, Window};
     let sched = AdversarySpec::Sched(
         ScheduleSpec::new(vec![
@@ -642,32 +514,29 @@ fn service_single_instance_is_bit_identical_to_run() {
     ];
     for spec in &specs {
         for network in [NetworkSpec::Sync, NetworkSpec::Async { max_delay: 2 }] {
-            for batching in [false, true] {
-                let base = Scenario::new(64)
-                    .phase(Phase::aer(0.8))
-                    .network(network)
-                    .adversary(spec.clone())
-                    .batching(batching)
-                    .record_transcript(true);
-                let plain = base.clone().run(3).expect("valid scenario").into_aer();
-                let service = base.service(1, 1).run_service(3).expect("valid service");
-                assert_eq!(service.instances.len(), 1);
-                let inst = &service.instances[0].run;
-                let label = format!("{spec} {network} batching={batching}");
-                assert_identical(&label, &inst.run, &plain.run);
-                assert_eq!(
-                    inst.run.metrics, plain.run.metrics,
-                    "{label}: per-node metrics"
-                );
-                assert_eq!(
-                    inst.run.transcript, plain.run.transcript,
-                    "{label}: transcript"
-                );
-                assert_eq!(
-                    inst.precondition.gstring, plain.precondition.gstring,
-                    "{label}: precondition"
-                );
-            }
+            let base = Scenario::new(64)
+                .phase(Phase::aer(0.8))
+                .network(network)
+                .adversary(spec.clone())
+                .record_transcript(true);
+            let plain = base.clone().run(3).expect("valid scenario").into_aer();
+            let service = base.service(1, 1).run_service(3).expect("valid service");
+            assert_eq!(service.instances.len(), 1);
+            let inst = &service.instances[0].run;
+            let label = format!("{spec} {network}");
+            assert_identical(&label, &inst.run, &plain.run);
+            assert_eq!(
+                inst.run.metrics, plain.run.metrics,
+                "{label}: per-node metrics"
+            );
+            assert_eq!(
+                inst.run.transcript, plain.run.transcript,
+                "{label}: transcript"
+            );
+            assert_eq!(
+                inst.precondition.gstring, plain.precondition.gstring,
+                "{label}: precondition"
+            );
         }
     }
 }

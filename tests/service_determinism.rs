@@ -56,9 +56,9 @@ fn assert_instance_matches(
 #[test]
 fn every_instance_matches_a_fresh_engine_run() {
     // Instance k of a chained run == a standalone run with instance k's
-    // value seed and the service's coalition seed, across adversaries,
-    // timing models and batching lanes. This is the no-leak half of the
-    // contract under *distinct* value seeds (the common case).
+    // value seed and the service's coalition seed, across adversaries
+    // and timing models. This is the no-leak half of the contract under
+    // *distinct* value seeds (the common case).
     let specs = [
         AdversarySpec::None,
         AdversarySpec::Silent { t: None },
@@ -67,25 +67,22 @@ fn every_instance_matches_a_fresh_engine_run() {
     ];
     for spec in &specs {
         for network in [NetworkSpec::Sync, NetworkSpec::Async { max_delay: 2 }] {
-            for batching in [false, true] {
-                let scenario = Scenario::new(48)
-                    .phase(Phase::aer(0.8))
-                    .network(network)
-                    .adversary(spec.clone())
-                    .batching(batching)
-                    .service(3, 4);
-                let service_seed = 11;
-                let service = scenario.run_service(service_seed).expect("valid service");
-                for (k, inst) in service.instances.iter().enumerate() {
-                    let fresh = scenario
-                        .run_instance(inst.seed, service_seed)
-                        .expect("valid instance");
-                    assert_instance_matches(
-                        &format!("{spec} {network} batching={batching} instance {k}"),
-                        &inst.run,
-                        &fresh,
-                    );
-                }
+            let scenario = Scenario::new(48)
+                .phase(Phase::aer(0.8))
+                .network(network)
+                .adversary(spec.clone())
+                .service(3, 4);
+            let service_seed = 11;
+            let service = scenario.run_service(service_seed).expect("valid service");
+            for (k, inst) in service.instances.iter().enumerate() {
+                let fresh = scenario
+                    .run_instance(inst.seed, service_seed)
+                    .expect("valid instance");
+                assert_instance_matches(
+                    &format!("{spec} {network} instance {k}"),
+                    &inst.run,
+                    &fresh,
+                );
             }
         }
     }
@@ -246,19 +243,16 @@ proptest::proptest! {
     // Every case chains several full protocol runs; keep the count low.
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-    /// Arrival times and batch boundaries are outcome-invariant: jitter
-    /// inside the admission window moves `arrived_at`/`started_at` but
-    /// never changes what any instance decides or sends, and a random
-    /// `batch_limit` produces the same per-instance outcomes as the
-    /// unbatched lane. Totals always equal the sum of the per-instance
-    /// views.
+    /// Arrival times are outcome-invariant: jitter inside the admission
+    /// window moves `arrived_at`/`started_at` but never changes what any
+    /// instance decides or sends. Totals always equal the sum of the
+    /// per-instance views.
     #[test]
-    fn service_outcomes_ignore_arrival_jitter_and_batch_limits(
+    fn service_outcomes_ignore_arrival_jitter(
         n in 24usize..56,
         seed in proptest::prelude::any::<u64>(),
         instances in 1usize..4,
         interval in 0u64..8,
-        limit in 1usize..48,
         jitter in proptest::collection::vec(0u64..16, 4),
         silent in proptest::prelude::any::<bool>(),
     ) {
@@ -268,7 +262,6 @@ proptest::proptest! {
         }
         let reference = base
             .clone()
-            .batching(false)
             .service(instances, interval)
             .run_service(seed)
             .expect("valid service");
@@ -290,8 +283,6 @@ proptest::proptest! {
             arrivals.push(at);
         }
         let jittered = base
-            .clone()
-            .batching(false)
             .service(instances, interval)
             .service_arrivals(arrivals)
             .run_service(seed)
@@ -301,18 +292,6 @@ proptest::proptest! {
             assert_eq!(a.run.run.outputs, b.run.run.outputs, "instance {k} outputs");
             assert_eq!(a.run.run.metrics, b.run.run.metrics, "instance {k} metrics");
             assert!(b.started_at >= b.arrived_at, "instance {k} admission");
-        }
-
-        // Random batch boundaries: outcomes unchanged.
-        let batched = base
-            .batching(true)
-            .batch_limit(limit)
-            .service(instances, interval)
-            .run_service(seed)
-            .expect("valid service");
-        for (k, (a, b)) in reference.instances.iter().zip(&batched.instances).enumerate() {
-            assert_eq!(a.run.run.outputs, b.run.run.outputs, "instance {k} batched outputs");
-            assert_eq!(a.run.run.metrics, b.run.run.metrics, "instance {k} batched metrics");
         }
     }
 }
