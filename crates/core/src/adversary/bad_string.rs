@@ -101,14 +101,13 @@ impl Adversary<AerMsg> for BadString {
 
     fn act(&mut self, step: Step, view: Option<&[Envelope<AerMsg>]>, out: &mut Outbox<'_, AerMsg>) {
         if step == 0 {
-            for &(z, x) in &self.push_plan.clone() {
+            for &(z, x) in &self.push_plan {
                 out.send_as(z, x, AerMsg::Push(self.bad));
             }
         }
         let Some(view) = view else { return };
         let bad_key = self.bad.key();
-        let reactions: Vec<Envelope<AerMsg>> = view.to_vec();
-        for env in &reactions {
+        for env in view {
             match &env.msg {
                 AerMsg::Poll(s, _) if s.key() == bad_key => {
                     self.react_to_poll(env.from, env.to, out);

@@ -168,7 +168,7 @@ impl Corner {
         let key = g.key();
         let cap_units = (self.ctx.overload_cap + 1) as usize;
         let mut coverage: BTreeMap<NodeId, usize> = targets.iter().map(|&w| (w, 0)).collect();
-        for &z in &self.corrupt.clone() {
+        for &z in &self.corrupt {
             // Scan labels for the one whose poll list hits the most
             // still-needy targets.
             let mut best: (usize, Label) = (0, Label(0));

@@ -99,14 +99,24 @@ pub trait Adversary<M: Clone> {
 
     /// The adversary's turn for `step`.
     ///
-    /// `rushing_view` is `Some(correct sends of this step)` iff
+    /// `rushing_view` is `Some(correct sends of this step)`, one
+    /// [`Envelope`] per logical message in send order, iff
     /// [`Adversary::rushing`] returns true, and `None` otherwise. Messages
     /// queued on `out` are handed to the network at the end of the step and
     /// delivered no earlier than `step + 1`.
+    ///
+    /// A step has one such view. What `act` is lent here is the buffer
+    /// that [`Adversary::delay`] / [`Adversary::priority`] are then
+    /// consulted over and that [`Adversary::observe`],
+    /// [`Observer::on_step`](crate::Observer::on_step) and the transcript
+    /// read, by then with this turn's own sends appended — so read it in
+    /// place; a strategy that copies it doubles the step's footprint.
     fn act(&mut self, step: Step, rushing_view: Option<&[Envelope<M>]>, out: &mut Outbox<'_, M>);
 
     /// Full-information observation hook: called at the end of every step
-    /// with *all* messages sent during it (correct and corrupt alike).
+    /// with *all* messages sent during it — the correct sends `act` was
+    /// (or, not rushing, would have been) shown, in the same order,
+    /// followed by the adversary's own.
     fn observe(&mut self, step: Step, sends: &[Envelope<M>]) {
         let _ = (step, sends);
     }

@@ -17,7 +17,11 @@
 //!   scheduler.
 //! * **Keyed lane** — [`CalendarQueue::schedule`] attaches `(priority,
 //!   sequence)` ordering keys for adversarial schedules that reorder
-//!   within a step.
+//!   within a step. An item is whatever the caller schedules as one
+//!   unit: the engine keys whole deliveries — an envelope, or a batch
+//!   whose messages all drew the same `(delay, priority)` — so this lane
+//!   carries batches too, and [`CalendarQueue::len`] counts items, not
+//!   the messages inside them.
 //!
 //! Ordering contract (identical to the `BTreeMap<Step, Vec<_>>` queue this
 //! replaced): events due at the same step drain sorted by `(priority,
@@ -131,7 +135,8 @@ impl<T> CalendarQueue<T> {
         self.seq = 0;
     }
 
-    /// Number of pending events.
+    /// Number of pending events — items as scheduled, whatever each one
+    /// holds.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len

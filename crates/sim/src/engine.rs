@@ -109,7 +109,10 @@ pub struct EngineSession<M> {
     sends: Vec<Delivery<M>>,
     outbox_buf: Vec<(NodeId, M)>,
     due: Vec<Delivery<M>>,
+    /// The `(delay, priority)` of every envelope of `flat` on a step whose
+    /// schedule is not uniform; empty otherwise (see `consult_schedule`).
     sched_buf: Vec<(Step, i64)>,
+    /// The step's per-envelope view, in send order (see `flatten`).
     flat: Vec<Envelope<M>>,
     pool: Vec<BatchBuffers<M>>,
     /// Scratch of one [`Protocol::deliver_run`] call: what the run's
@@ -161,6 +164,105 @@ impl<M> EngineSession<M> {
 impl<M> Default for EngineSession<M> {
     fn default() -> Self {
         EngineSession::new(1)
+    }
+}
+
+/// The step's send view and its schedule: `sends` is materialised per
+/// envelope at most once a step, and the calendar is handed whole
+/// deliveries whatever the adversary answered.
+impl<M: Clone> EngineSession<M> {
+    /// Rebuilds `flat`, the per-envelope view of the step's sends in
+    /// logical send order — what rushing adversaries, schedulers,
+    /// observers and the transcript are shown. Runs at most once a step:
+    /// whoever sends after it appends to `flat` as well.
+    fn flatten(&mut self) {
+        self.flat.clear();
+        for delivery in self.sends.iter() {
+            match delivery {
+                Delivery::One(env) => self.flat.push(env.clone()),
+                Delivery::Batch(batch) => self.flat.extend(batch.envelopes()),
+            }
+        }
+    }
+
+    /// Consults a scheduling adversary for every logical envelope of
+    /// `flat`, in send order: delay (clamped to `[1, max_delay]`) then
+    /// priority. Returns `Some(delay)` when every envelope got the same
+    /// delay at priority 0 — the bulk-lane fast path, which leaves
+    /// `sched_buf` empty — and `None` otherwise, with one `sched_buf`
+    /// entry per envelope: nothing is written before the first envelope
+    /// that deviates, which backfills the uniform prefix.
+    fn consult_schedule<A: Adversary<M> + ?Sized>(
+        &mut self,
+        adversary: &mut A,
+        max_delay: Step,
+    ) -> Option<Step> {
+        let sched = &mut self.sched_buf;
+        sched.clear();
+        let mut first = (1, 0);
+        for (i, env) in self.flat.iter().enumerate() {
+            let delay = adversary.delay(env).clamp(1, max_delay);
+            let key = (delay, adversary.priority(env));
+            if i == 0 {
+                first = key;
+            }
+            if sched.is_empty() {
+                if key == first && key.1 == 0 {
+                    continue;
+                }
+                sched.resize(i, first);
+            }
+            sched.push(key);
+        }
+        sched.is_empty().then_some(first.0)
+    }
+
+    /// Moves the step's sends into the pending-delivery calendar, leaving
+    /// the send list empty. With a uniform schedule (`Some(delay)`, the
+    /// common case) one vector swap moves the whole step into the ring
+    /// slot. Otherwise the sends are walked against `sched_buf` (as
+    /// filled by `consult_schedule`) and keyed delivery by delivery: an
+    /// envelope or a batch whose envelopes share one `(delay, priority)`
+    /// is scheduled as it is, a mixed batch as one sub-batch per key
+    /// ([`Batch::split`]), so a batch is always delivered as batches.
+    /// The reference order is `(due, priority, send sequence)` per
+    /// envelope, and a callback's outbox is contiguous in send order, so
+    /// within one `(due, priority)` class a sub-batch sits exactly where
+    /// its envelopes would.
+    fn commit_schedule(&mut self, step: Step, uniform: Option<Step>) {
+        let EngineSession {
+            pending,
+            sends,
+            sched_buf,
+            pool,
+            ..
+        } = self;
+        if let Some(delay) = uniform {
+            if !sends.is_empty() {
+                pending.schedule_bulk(step, delay, sends);
+            }
+            return;
+        }
+        let mut keys = &sched_buf[..];
+        for delivery in sends.drain(..) {
+            let len = match &delivery {
+                Delivery::One(_) => 1,
+                Delivery::Batch(batch) => batch.len(),
+            };
+            let (own, rest) = keys.split_at(len);
+            keys = rest;
+            match delivery {
+                Delivery::Batch(batch) if own.iter().any(|key| *key != own[0]) => {
+                    for ((delay, priority), part) in batch.split(own, pool) {
+                        pending.schedule(step, delay, priority, Delivery::Batch(part));
+                    }
+                }
+                whole => {
+                    let (delay, priority) = own[0];
+                    pending.schedule(step, delay, priority, whole);
+                }
+            }
+        }
     }
 }
 
@@ -417,8 +519,8 @@ struct StepState<'s, P: Protocol> {
     /// The calendar and the step's scratch buffers: `sends` is the current
     /// step's sends, in send order, until `commit_schedule` moves them
     /// into `pending`; `flat` is their per-envelope view, materialised
-    /// only when someone needs it (rushing view, per-envelope scheduling,
-    /// observe, observer step view, transcript).
+    /// once, and only when someone needs it (rushing view, scheduling
+    /// consult, observe, observer step view, transcript).
     session: &'s mut EngineSession<P::Msg>,
 }
 
@@ -584,14 +686,16 @@ impl<P: Protocol> StepState<'_, P> {
 
     /// Stage 4 (skipped while draining): the adversary's turn — full
     /// information, and a rushing adversary sees this step's correct
-    /// sends. Its own sends stay un-batched: they may mix senders, and
-    /// every current strategy emits few enough for framing not to matter.
+    /// sends. The view built for it stays the step's view: the
+    /// adversary's own sends are appended to it as they join the send
+    /// list. Those stay un-batched: they may mix senders, and every
+    /// current strategy emits few enough for framing not to matter.
     fn adversary_turn<A: Adversary<P::Msg> + ?Sized>(&mut self, adversary: &mut A) {
         if self.draining() {
             return;
         }
         if self.rushing {
-            self.flatten();
+            self.session.flatten();
         }
         let mut out = Outbox::new(&self.corrupt, self.n);
         adversary.act(
@@ -602,12 +706,16 @@ impl<P: Protocol> StepState<'_, P> {
         for (from, to, msg) in out.into_sends() {
             self.metrics
                 .record_send(from, self.header_bits + msg.wire_bits());
-            self.session.sends.push(Delivery::One(Envelope {
+            let env = Envelope {
                 from,
                 to,
                 sent_at: self.step,
                 msg,
-            }));
+            };
+            if self.rushing {
+                self.session.flat.push(env.clone());
+            }
+            self.session.sends.push(Delivery::One(env));
         }
     }
 
@@ -615,19 +723,22 @@ impl<P: Protocol> StepState<'_, P> {
     /// is consulted (delay then priority, per logical envelope, in send
     /// order; not while draining) and then observes the step before
     /// anything moves into the queue, so the call order visible to
-    /// stateful adversaries is the reference engine's.
+    /// stateful adversaries is the reference engine's. Consult, observe,
+    /// observer and transcript all read the one per-envelope view of the
+    /// step — the rushing adversary's, when its turn built one.
     fn schedule_sends<A, O>(&mut self, adversary: &mut A, observer: &mut O)
     where
         A: Adversary<P::Msg> + ?Sized,
         O: Observer<P> + ?Sized,
     {
         let consult = self.consults && !self.draining();
-        if consult || self.observes || self.step_view || self.record_transcript {
-            self.flatten();
+        // Stage 4 built the view for a rushing adversary and kept it current.
+        let viewed = self.rushing && !self.draining();
+        if !viewed && (consult || self.observes || self.step_view || self.record_transcript) {
+            self.session.flatten();
         }
-        self.session.sched_buf.clear();
         let uniform = if consult {
-            self.consult_schedule(adversary)
+            self.session.consult_schedule(adversary, self.max_delay)
         } else {
             Some(1)
         };
@@ -640,7 +751,7 @@ impl<P: Protocol> StepState<'_, P> {
         if self.record_transcript {
             self.transcript.extend(self.session.flat.iter().cloned());
         }
-        self.commit_schedule(uniform);
+        self.session.commit_schedule(self.step, uniform);
     }
 
     /// Stage 6: record the nodes that produced an output this step. A
@@ -704,82 +815,12 @@ impl<P: Protocol> StepState<'_, P> {
         }
         self.session.sends.push(Delivery::Batch(batch));
     }
-
-    /// Consults a scheduling adversary for every logical envelope of the
-    /// step's flattened send view, in send order: delay (clamped to
-    /// `[1, max_delay]`) then priority, pushed onto `sched_buf` (cleared
-    /// by the caller). Returns `Some(delay)` when every envelope got the
-    /// same delay at priority 0 — the bulk-lane fast path — and `None`
-    /// when the schedule is non-uniform and deliveries must be keyed
-    /// individually.
-    fn consult_schedule<A: Adversary<P::Msg> + ?Sized>(
-        &mut self,
-        adversary: &mut A,
-    ) -> Option<Step> {
-        let mut uniform: Option<Step> = Some(1);
-        for env in self.session.flat.iter() {
-            let delay = adversary.delay(env).clamp(1, self.max_delay);
-            let priority = adversary.priority(env);
-            uniform = match uniform {
-                Some(d) if priority == 0 && (d == delay || self.session.sched_buf.is_empty()) => {
-                    Some(delay)
-                }
-                _ => None,
-            };
-            self.session.sched_buf.push((delay, priority));
-        }
-        uniform
-    }
-
-    /// Moves the step's sends into the pending-delivery calendar, leaving
-    /// the send list empty. With a uniform schedule (`Some(delay)`, the
-    /// common case) one vector swap moves the whole step — batches
-    /// included — into the ring slot; otherwise deliveries are keyed per
-    /// envelope from `flat` and `sched_buf` (as filled by
-    /// `consult_schedule`), recycling batch buffers into the pool.
-    fn commit_schedule(&mut self, uniform: Option<Step>) {
-        match uniform {
-            Some(delay) if !self.session.sends.is_empty() => {
-                self.session
-                    .pending
-                    .schedule_bulk(self.step, delay, &mut self.session.sends);
-            }
-            _ => {
-                for delivery in self.session.sends.drain(..) {
-                    if let Delivery::Batch(batch) = delivery {
-                        self.session.pool.push(batch.into_buffers());
-                    }
-                }
-                for (env, &(delay, priority)) in self
-                    .session
-                    .flat
-                    .drain(..)
-                    .zip(self.session.sched_buf.iter())
-                {
-                    self.session
-                        .pending
-                        .schedule(self.step, delay, priority, Delivery::One(env));
-                }
-            }
-        }
-    }
-
-    /// Rebuilds `flat`, the per-envelope view of the step's sends in
-    /// logical send order — what rushing adversaries, schedulers,
-    /// observers and the transcript are shown.
-    fn flatten(&mut self) {
-        self.session.flat.clear();
-        for delivery in self.session.sends.iter() {
-            match delivery {
-                Delivery::One(env) => self.session.flat.push(env.clone()),
-                Delivery::Batch(batch) => self.session.flat.extend(batch.envelopes()),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::adversary::{NoAdversary, SilentAdversary};
     use crate::crash::CrashOutage;
@@ -982,6 +1023,186 @@ mod tests {
             first: None,
         });
         assert_eq!(skewed.outputs[&NodeId::from_index(0)], 2); // adversary flipped it
+    }
+
+    /// Schedules by payload alone: delay `msg % 10` (so 7 is clamped),
+    /// priority `-(msg / 10)`.
+    struct ByPayload;
+
+    impl Adversary<u64> for ByPayload {
+        fn corrupt(&mut self, _n: usize, _rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
+            BTreeSet::new()
+        }
+        fn act(&mut self, _s: Step, _v: Option<&[Envelope<u64>]>, _o: &mut Outbox<'_, u64>) {}
+        fn delay(&mut self, env: &Envelope<u64>) -> Step {
+            env.msg % 10
+        }
+        fn priority(&mut self, env: &Envelope<u64>) -> i64 {
+            -((env.msg / 10) as i64)
+        }
+    }
+
+    /// The verdict and the schedule buffer after consulting `ByPayload`
+    /// over a view carrying `msgs`, under `max_delay = 3`.
+    fn consulted(msgs: &[u64]) -> (Option<Step>, Vec<(Step, i64)>) {
+        let mut session = EngineSession::new(3);
+        session.flat.extend(msgs.iter().map(|&msg| Envelope {
+            from: NodeId::from_index(0),
+            to: NodeId::from_index(1),
+            sent_at: 0,
+            msg,
+        }));
+        session.sched_buf.push((9, 9)); // an earlier step's leftovers
+        let uniform = session.consult_schedule(&mut ByPayload, 3);
+        (uniform, session.sched_buf)
+    }
+
+    #[test]
+    fn consult_writes_the_schedule_from_the_first_deviation_on() {
+        // A uniform step — whatever its common delay — writes nothing.
+        assert_eq!(consulted(&[]), (Some(1), vec![]));
+        assert_eq!(consulted(&[2, 2, 2, 2]), (Some(2), vec![]));
+        assert_eq!(consulted(&[3, 7, 3]), (Some(3), vec![]));
+        // The first deviation backfills the prefix, however late it comes.
+        let late = vec![(2, 0), (2, 0), (2, 0), (1, 0)];
+        assert_eq!(consulted(&[2, 2, 2, 1]), (None, late));
+        let by_priority = vec![(1, 0), (1, -1), (1, 0)];
+        assert_eq!(consulted(&[1, 11, 1]), (None, by_priority));
+        // The bulk lane is priority 0: a common priority of -1 is keyed.
+        assert_eq!(consulted(&[12, 12]), (None, vec![(2, -1), (2, -1)]));
+    }
+
+    thread_local! {
+        /// `Counted::clone` calls on this test thread.
+        static CLONES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|clones| clones.set(clones.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl WireSize for Counted {
+        fn wire_bits(&self) -> u64 {
+            64
+        }
+    }
+
+    /// A node opens with its id to everyone else and `50 + id` to node 0
+    /// (one batch, two runs) and answers anything below 100 with `+ 100`
+    /// (a lone envelope). Nobody decides, so every step is scheduled.
+    /// Runs are read by reference: no clone of this protocol's own, on
+    /// either delivery path.
+    struct Echo {
+        id: usize,
+        n: usize,
+    }
+
+    impl Echo {
+        fn hear(from: NodeId, msg: u64, ctx: &mut Context<'_, Counted>) {
+            if msg < 100 {
+                ctx.send(from, Counted(msg + 100));
+            }
+        }
+    }
+
+    impl Protocol for Echo {
+        type Msg = Counted;
+        type Output = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Counted>) {
+            for to in (0..self.n).filter(|&to| to != self.id) {
+                ctx.send(NodeId::from_index(to), Counted(self.id as u64));
+            }
+            ctx.send(NodeId::from_index(0), Counted(50 + self.id as u64));
+        }
+        fn on_message(&mut self, from: NodeId, msg: Counted, ctx: &mut Context<'_, Counted>) {
+            Echo::hear(from, msg.0, ctx);
+        }
+        fn deliver_run(
+            nodes: &mut [Option<Self>],
+            from: NodeId,
+            msg: &Counted,
+            recipients: &[NodeId],
+            run: &mut RunContext<'_, Counted>,
+        ) {
+            for &to in recipients {
+                if nodes[to.index()].is_some() {
+                    Echo::hear(from, msg.0, &mut run.context(to));
+                }
+            }
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// Rushing, scheduling, not observing: plays node 1, which sends two
+    /// fresh payloads a step, and keys every envelope by its sender — a
+    /// non-uniform step whose batches stay whole.
+    struct BySender;
+
+    impl Adversary<Counted> for BySender {
+        fn corrupt(&mut self, _n: usize, _rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
+            BTreeSet::from([NodeId::from_index(1)])
+        }
+        fn rushing(&self) -> bool {
+            true
+        }
+        fn act(
+            &mut self,
+            step: Step,
+            view: Option<&[Envelope<Counted>]>,
+            out: &mut Outbox<'_, Counted>,
+        ) {
+            assert!(view.is_some());
+            for to in [0, 2] {
+                let (from, to) = (NodeId::from_index(1), NodeId::from_index(to));
+                out.send_as(from, to, Counted(900 + step));
+            }
+        }
+        fn delay(&mut self, env: &Envelope<Counted>) -> Step {
+            1 + env.from.index() as Step % 2
+        }
+        fn priority(&mut self, env: &Envelope<Counted>) -> i64 {
+            -(env.from.index() as i64 % 3)
+        }
+        fn observes(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_step_clones_each_envelope_once_and_once_more_for_the_transcript() {
+        for record_transcript in [false, true] {
+            let cfg = EngineConfig {
+                max_steps: 5,
+                record_transcript,
+                ..EngineConfig::asynchronous(6, 2)
+            };
+            CLONES.with(|clones| clones.set(0));
+            let out = run::<Echo, _, _>(&cfg, 1, &mut BySender, |id| Echo {
+                id: id.index(),
+                n: 6,
+            });
+            // 5 openers × 6 messages, 4 of each answered (node 1 is
+            // corrupt, the answers are not answered), 2 injected a step.
+            let sent = 5 * 6 + 5 * 5 + 2 * 6;
+            assert_eq!(out.metrics.total_msgs_sent(), sent);
+            assert_eq!(
+                out.transcript.len() as u64,
+                sent * u64::from(record_transcript)
+            );
+            // The rushing view is the one copy; consult, `on_step` and
+            // the calendar take none, the transcript takes its own.
+            let clones = CLONES.with(Cell::get);
+            assert_eq!(clones, sent * (1 + u64::from(record_transcript)));
+        }
     }
 
     #[test]

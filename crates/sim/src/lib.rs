@@ -48,7 +48,8 @@
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is
 //!    put to [`Adversary::delay`] and then [`Adversary::priority`]; then
 //!    [`Adversary::observe`] and [`Observer::on_step`] see the whole
-//!    step; then the sends move into the calendar, to be delivered within
+//!    step — stage 4's view with the adversary's own sends behind it;
+//!    then the sends move into the calendar, to be delivered within
 //!    `max_delay` steps.
 //! 6. `track_decisions` — [`Protocol::output`] of every undecided node;
 //!    [`Observer::on_decision`] for each new one.
@@ -91,10 +92,17 @@
 //!   bulk lane instead of per-message envelopes (a lone message stays an
 //!   envelope). Batches unpack in exact send order at delivery, every
 //!   per-envelope consumer (rushing views, scheduling adversaries,
-//!   observers, transcripts) is shown the flattened per-envelope view,
-//!   and metrics count *logical* messages — a batch of `k` counts `k`
-//!   messages and `k×` bits. There is no switch: a non-uniform schedule
-//!   is keyed per envelope because the engine sees it is non-uniform.
+//!   observers, transcripts) is shown one flattened per-envelope view —
+//!   built at most once a step, the adversary's own sends appended to
+//!   it — and metrics count *logical* messages: a batch of `k` counts
+//!   `k` messages and `k×` bits. There is no switch: on a step whose
+//!   schedule the adversary made non-uniform every delivery is keyed
+//!   because the engine sees that it is, and a batch stays a batch —
+//!   whole when its envelopes share one `(delay, priority)`, as one
+//!   sub-batch per key otherwise. The reference orders envelopes by
+//!   `(due, priority, send sequence)`, and a callback's outbox is
+//!   contiguous in send order, so within one `(due, priority)` class a
+//!   sub-batch sits exactly where its envelopes would.
 //!   The pin is the reference engine, which never batches — full
 //!   [`Metrics`] equality, outputs and transcripts over every adversary
 //!   spec × network × crash cell (`tests/engine_differential.rs` in the

@@ -153,6 +153,59 @@ impl<M> Batch<M> {
         self.to.push(to);
     }
 
+    /// Splits the batch by a per-message key — `keys[i]` is the key of
+    /// the `i`-th message in send order — into one sub-batch per distinct
+    /// key, in order of first appearance, each holding its messages in
+    /// send order on backing storage from `pool`, which gets this batch's
+    /// own in return. A run is cut where its keys differ and its pieces
+    /// stay runs; a piece costs one payload clone.
+    ///
+    /// Pieces are told apart by the run they come from, never by
+    /// comparing payloads, and nothing here calls [`Batch::push`]: one
+    /// more call site of `M`'s `PartialEq` made LLVM stop inlining the
+    /// comparison into `enqueue_outbox`'s loop, which cost `benchmark/`'s
+    /// sync workloads 7–10 % `run_wall_s` (CHANGES.md, PR 18). Out of
+    /// line for the same loop's sake: no shipped adversary's schedule
+    /// mixes a batch, so this runs under test adversaries only.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn split<K: Copy + PartialEq>(
+        self,
+        keys: &[K],
+        pool: &mut Vec<BatchBuffers<M>>,
+    ) -> Vec<(K, Batch<M>)>
+    where
+        M: Clone,
+    {
+        debug_assert_eq!(keys.len(), self.len());
+        let mut parts: Vec<(K, Batch<M>)> = Vec::new();
+        // Per part, the source run its last run was cut from.
+        let mut cut_from: Vec<usize> = Vec::new();
+        let mut keys = keys;
+        for (source, (msg, recipients)) in self.runs().enumerate() {
+            let (own, rest) = keys.split_at(recipients.len());
+            keys = rest;
+            for (&to, &key) in recipients.iter().zip(own) {
+                let at = parts.iter().position(|(of, _)| *of == key);
+                let at = at.unwrap_or_else(|| {
+                    let buffers = pool.pop().unwrap_or_default();
+                    parts.push((key, Batch::from_buffers(self.from, self.sent_at, buffers)));
+                    cut_from.push(usize::MAX);
+                    parts.len() - 1
+                });
+                let part = &mut parts[at].1;
+                match part.runs.last_mut() {
+                    Some((count, _)) if cut_from[at] == source => *count += 1,
+                    _ => part.runs.push((1, msg.clone())),
+                }
+                cut_from[at] = source;
+                part.to.push(to);
+            }
+        }
+        pool.push(self.into_buffers());
+        parts
+    }
+
     /// Iterates the payload runs as `(payload, recipients)` pairs, in send
     /// order; `recipients.len()` is the run's copy count.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
@@ -272,6 +325,37 @@ mod tests {
         assert_eq!(b2.len(), 0);
         assert_eq!(b2.from, NodeId::from_index(2));
         assert_eq!(b2.sent_at, 1);
+    }
+
+    #[test]
+    fn split_cuts_runs_by_key_and_keeps_send_order() {
+        // Runs 7×3, 9×1, 7×1; the first is cut in the middle.
+        let mut b = batch(5, 2);
+        for (to, msg) in [(1, 7), (2, 7), (3, 7), (4, 9), (6, 7)] {
+            b.push(NodeId::from_index(to), msg);
+        }
+        let mut pool = vec![BatchBuffers::default()];
+        let parts = b.split(&['a', 'b', 'a', 'a', 'b'], &mut pool);
+        assert_eq!(
+            pool.len(),
+            1,
+            "one buffer pair taken, the batch's own returned"
+        );
+        let shape = |part: &Batch<u32>| -> Vec<(u32, Vec<usize>)> {
+            let run =
+                |(msg, tos): (&u32, &[NodeId])| (*msg, tos.iter().map(|to| to.index()).collect());
+            part.runs().map(run).collect()
+        };
+        assert_eq!(parts.len(), 2);
+        assert!(parts
+            .iter()
+            .all(|(_, part)| (part.from.index(), part.sent_at) == (5, 2)));
+        assert_eq!(parts[0].0, 'a');
+        assert_eq!(shape(&parts[0].1), [(7, vec![1, 3]), (9, vec![4])]);
+        // Equal payloads cut from different runs are not compared, so
+        // they stay two runs.
+        assert_eq!(parts[1].0, 'b');
+        assert_eq!(shape(&parts[1].1), [(7, vec![2]), (7, vec![6])]);
     }
 
     #[test]

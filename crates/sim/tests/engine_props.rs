@@ -533,9 +533,9 @@ mod step_table {
 /// The differential property: `run_session`, two runs back to back over
 /// one [`EngineSession`], against a fresh `reference_run` each — on a toy
 /// protocol and adversary built to vary what the engine has to get right:
-/// outbox shapes (which decide envelope or batch), jittered delays and
-/// priorities (which decide bulk or keyed lane, step by step), rushing
-/// sends, chained outages, and which hints are off.
+/// outbox shapes (which decide envelope or batch), the schedule (which
+/// decides, step by step, bulk or keyed lane, and batch by batch, whole
+/// or split), rushing sends, chained outages, and which hints are off.
 mod differential {
     use std::collections::BTreeSet;
 
@@ -558,9 +558,11 @@ mod differential {
     /// A payload's low two bits are its hop budget `b`: a delivery is
     /// answered with `b` messages — up to two equal ones to the sender (a
     /// run), the third to a node drawn from the private RNG — so outboxes
-    /// come empty, single, uniform and mixed, and traffic dies out. What
-    /// a node has `heard` hashes deliveries in order; it decides on that
-    /// after `quota` of them.
+    /// come empty, single, uniform and mixed, and traffic dies out. With
+    /// a `fanout` of three or more, every other node opens with one
+    /// payload to eight recipients: a run long enough for a per-envelope
+    /// schedule to cut in the middle. What a node has `heard` hashes
+    /// deliveries in order; it decides on that after `quota` of them.
     struct Toy {
         id: usize,
         n: usize,
@@ -578,6 +580,12 @@ mod differential {
             for k in 0..self.fanout {
                 let to = NodeId::from_index((self.id + 1 + k) % self.n);
                 ctx.send(to, 4 * (256 * self.id as u64 + k as u64 / 2) + 3);
+            }
+            if self.fanout >= 3 && self.id.is_multiple_of(2) {
+                for k in 0..8 {
+                    let to = NodeId::from_index((self.id + k) % self.n);
+                    ctx.send(to, 4 * (4096 + self.id as u64) + 2);
+                }
             }
         }
         fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
@@ -616,20 +624,42 @@ mod differential {
     /// `state` chains every scheduling and observation call, so a call
     /// out of order changes every later delay. `mode` 0 keeps the default
     /// schedule and says so through both hints; 1 is consulted and
-    /// answers the default; 2 jitters every envelope; 3 jitters the odd
-    /// steps only, so bulk and keyed steps share calendar slots.
+    /// answers the default; 2 jitters every envelope, so batches split
+    /// mid-run; 3 jitters the odd steps only, so bulk and keyed steps
+    /// share calendar slots; 4 keys an envelope by its sender and hop
+    /// budget alone (the `corner` shape: most steps are non-uniform and
+    /// most batches ride the keyed lane whole); 5 answers the default
+    /// except for one payload in sixteen (the `bad-string` shape: a long
+    /// uniform prefix, the first deviation late in the step or never).
     struct Chaos {
         t: usize,
         rushing: bool,
         mode: u64,
+        salt: u64,
         state: u64,
         n: usize,
         corrupt: Vec<NodeId>,
     }
 
     impl Chaos {
-        fn jitters(&self, env: &Envelope<u64>) -> bool {
-            self.mode == 2 || (self.mode == 3 && env.sent_at % 2 == 1)
+        /// Chains the call into `state` and answers with the envelope's
+        /// `(delay, priority)` — off the chain in modes 2 and 3, off the
+        /// envelope alone in modes 4 and 5 — or `None` for the default.
+        fn key(&mut self, env: &Envelope<u64>, part: u64) -> Option<(Step, i64)> {
+            let jitters = self.mode == 2 || (self.mode == 3 && env.sent_at % 2 == 1);
+            if !jitters && self.mode < 4 {
+                return None;
+            }
+            self.state = mix(self.state, [part]);
+            let hash = match self.mode {
+                4 => mix(self.salt, [env.from.index() as u64, env.msg % 4]),
+                5 => match mix(self.salt, [env.msg]) {
+                    rare if rare.is_multiple_of(16) => rare / 16,
+                    _ => return None,
+                },
+                _ => self.state,
+            };
+            Some((1 + hash % 4, (hash % 5) as i64 - 2))
         }
     }
 
@@ -654,18 +684,11 @@ mod differential {
             }
         }
         fn delay(&mut self, env: &Envelope<u64>) -> Step {
-            if !self.jitters(env) {
-                return 1;
-            }
-            self.state = mix(self.state, [env.msg]);
-            1 + self.state % 4
+            self.key(env, env.msg).map_or(1, |(delay, _)| delay)
         }
         fn priority(&mut self, env: &Envelope<u64>) -> i64 {
-            if !self.jitters(env) {
-                return 0;
-            }
-            self.state = mix(self.state, [env.to.index() as u64]);
-            (self.state % 5) as i64 - 2
+            let to = env.to.index() as u64;
+            self.key(env, to).map_or(0, |(_, priority)| priority)
         }
         fn observe(&mut self, step: Step, sends: &[Envelope<u64>]) {
             if self.mode >= 2 {
@@ -719,7 +742,7 @@ mod differential {
             drain_steps in 0u64..6,
             t in 0usize..4,
             rushing in any::<bool>(),
-            mode in 0u64..4,
+            mode in 0u64..6,
             transcript in any::<bool>(),
             watch in any::<bool>(),
             outages in collection::vec((0u64..3, 1u64..4, 1usize..4), 0..4),
@@ -741,7 +764,7 @@ mod differential {
                 ..EngineConfig::sync(n)
             };
             let toy = |id: NodeId| Toy { id: id.index(), n, fanout, quota, heard: 0, count: 0 };
-            let chaos = || Chaos { t, rushing, mode, state: salt, n: 0, corrupt: Vec::new() };
+            let chaos = || Chaos { t, rushing, mode, salt, state: salt, n: 0, corrupt: Vec::new() };
             // The second run inherits the first's session — whatever a run
             // cut short left pending included — under another seed and
             // another delay horizon.
