@@ -16,9 +16,7 @@
 
 use fba_ae::Precondition;
 use fba_recovery::{CheckpointStore, RecoveryConfig, WalRecord};
-use fba_samplers::{
-    GString, PollSampler, QuorumScheme, SharedPollCache, SharedQuorumCache, SlotMasks, StringKey,
-};
+use fba_samplers::{GString, PollSampler, QuorumScheme, StringKey};
 use fba_sim::{
     deliver_each, run, Adversary, Context, EngineConfig, EngineSession, NodeId, Protocol,
     RunContext, RunOutcome, Step,
@@ -26,78 +24,9 @@ use fba_sim::{
 
 use crate::config::AerConfig;
 use crate::msg::AerMsg;
-use crate::pull::{PullPhase, RetryPolicy, Sends, SharedBeliefs, SharedFw1Routes, SharedFw1Rows};
+use crate::pull::{PullPhase, RetryPolicy, Sends};
 use crate::push::{push_targets, PushPhase};
-
-/// One run's worth of shared state: the memoized sampler caches (push
-/// `I`, pull `H`, poll `J`) plus the run-owned struct-of-arrays node
-/// state — the push-phase vote arena, the pull-phase belief table and
-/// the `Fw1` vote rows.
-///
-/// Every node of a run gets clones of these handles. The caches memoize
-/// pure functions of public randomness, and the arenas are partitioned by
-/// node (each node writes only its own slots/entry/cells), so sharing
-/// changes no outcome — it only packs the per-node hot state into
-/// contiguous vectors (see the determinism contract in `fba-sim`).
-#[derive(Clone, Debug)]
-pub struct AerRunState {
-    push_quorums: SharedQuorumCache,
-    pull_quorums: SharedQuorumCache,
-    poll_lists: SharedPollCache,
-    push_votes: SlotMasks,
-    beliefs: SharedBeliefs,
-    fw1_routes: SharedFw1Routes,
-    fw1_rows: SharedFw1Rows,
-}
-
-impl AerRunState {
-    /// Starts a new agreement instance on this bundle, resetting exactly
-    /// the state that must not survive an instance boundary.
-    ///
-    /// What persists and why it cannot leak decisions across instances:
-    ///
-    /// * the sampler caches (`I`, `H`, `J`) memoize pure functions of the
-    ///   public sampler seed — a hit returns the same bytes a fresh run
-    ///   would recompute;
-    /// * the Fw1 route table is keyed by `(origin, label)` and stores the
-    ///   string key it was derived from, recomputing on mismatch, so a
-    ///   stale entry is either bit-identical to the recomputation or
-    ///   replaced;
-    /// * the belief table is overwritten for every correct node when the
-    ///   instance's nodes are constructed, and only correct nodes'
-    ///   entries are ever read.
-    ///
-    /// What resets: the two vote arenas. The push masks (who already
-    /// pushed string `s` to node `x`) and the `Fw1` rows (which routers
-    /// relay `z` has seen for `(origin, s, w)`, and whether its relay
-    /// fired) are *decision state*, keyed by slots interned per
-    /// `(string, node)` — a repeated client value would otherwise see
-    /// instance `k-1`'s votes as duplicates, never accept the candidate
-    /// and never relay for it. The cross-instance leak battery in
-    /// `tests/service_determinism.rs` fails if either reset is removed.
-    pub fn begin_instance(&self) {
-        self.push_votes.reset();
-        self.fw1_rows.clear();
-    }
-
-    /// `(hits, misses)` of the push-quorum (`I`) cache.
-    #[must_use]
-    pub fn push_cache_stats(&self) -> (u64, u64) {
-        self.push_quorums.stats()
-    }
-
-    /// `(hits, misses)` of the pull-quorum (`H`) cache.
-    #[must_use]
-    pub fn pull_cache_stats(&self) -> (u64, u64) {
-        self.pull_quorums.stats()
-    }
-
-    /// `(hits, misses)` of the poll-list (`J`) cache.
-    #[must_use]
-    pub fn poll_cache_stats(&self) -> (u64, u64) {
-        self.poll_lists.stats()
-    }
-}
+use crate::state::AerRunState;
 
 /// The checkpoint layer of one node: its durable store plus cursors
 /// tracking which phase facts have already been logged, so `sync_wal`
@@ -137,42 +66,6 @@ pub struct AerNode {
 }
 
 impl AerNode {
-    /// Builds the node for `id` with initial candidate `own`, drawing every
-    /// shared handle — sampler caches *and* the run-owned vote/belief
-    /// arenas — from one [`AerRunState`] bundle; `targets` is its push
-    /// target list `{x : self ∈ I(s_self, x)}` (see [`push_targets`]).
-    #[must_use]
-    pub fn with_state(
-        id: NodeId,
-        own: GString,
-        state: &AerRunState,
-        overload_cap: u64,
-        retry: RetryPolicy,
-        targets: Vec<NodeId>,
-    ) -> Self {
-        AerNode {
-            push: PushPhase::with_votes(
-                id,
-                own,
-                state.push_quorums.clone(),
-                state.push_votes.clone(),
-            ),
-            pull: PullPhase::with_state(
-                id,
-                own,
-                state.pull_quorums.clone(),
-                state.poll_lists.clone(),
-                overload_cap,
-                retry,
-                state.beliefs.clone(),
-                state.fw1_routes.clone(),
-                state.fw1_rows.clone(),
-            ),
-            targets,
-            recovery: None,
-        }
-    }
-
     /// Enables the checkpoint/WAL layer: the node logs phase progress
     /// after every callback and, on [`Protocol::on_restart`], restores
     /// from its checkpoint and launches state-sync catch-up. Without
@@ -309,7 +202,7 @@ impl Protocol for AerNode {
 
     /// An `Fw1` multicast is delivered once: the per-message gates of
     /// Algorithm 2's second handler run once for the run, the recipients
-    /// only vote (see [`PullPhase::fw1_run`]). Every other payload takes
+    /// only vote (`AerRunState::fw1_run`). Every other payload takes
     /// the per-recipient loop.
     fn deliver_run(
         nodes: &mut [Option<Self>],
@@ -321,10 +214,12 @@ impl Protocol for AerNode {
         let AerMsg::Fw1 { origin, s, r, w } = *msg else {
             return deliver_each(nodes, from, msg, recipients, run);
         };
+        // Every node of a run holds the same state; without a live
+        // recipient there is nothing to deliver.
         let Some(any) = recipients.iter().find_map(|z| nodes[z.index()].as_ref()) else {
             return;
         };
-        any.pull.fw1_run(
+        any.pull.state().fw1_run(
             from,
             (origin, s, r, w),
             recipients,
@@ -466,15 +361,7 @@ impl AerHarness {
     /// functions of `(config, seed)`.
     #[must_use]
     pub fn run_state(&self) -> AerRunState {
-        AerRunState {
-            push_quorums: self.scheme.shared_push(),
-            pull_quorums: self.scheme.shared_pull(),
-            poll_lists: SharedPollCache::new(self.poll),
-            push_votes: SlotMasks::new(),
-            beliefs: SharedBeliefs::new(),
-            fw1_routes: SharedFw1Routes::new(),
-            fw1_rows: SharedFw1Rows::new(self.scheme.pull.d()),
-        }
+        AerRunState::new(self.scheme, self.poll)
     }
 
     /// Builds the state machine for node `id`, wired to the given shared
@@ -484,14 +371,13 @@ impl AerHarness {
     /// a state bundle they own.
     #[must_use]
     pub fn node_with(&self, id: NodeId, state: &AerRunState) -> AerNode {
-        let node = AerNode::with_state(
-            id,
-            self.assignments[id.index()],
-            state,
-            self.cfg.overload_cap,
-            self.retry_policy(),
-            self.targets[id.index()].clone(),
-        );
+        let own = self.assignments[id.index()];
+        let node = AerNode {
+            push: PushPhase::new(id, own, state),
+            pull: PullPhase::new(id, own, state, self.cfg.overload_cap, self.retry_policy()),
+            targets: self.targets[id.index()].clone(),
+            recovery: None,
+        };
         match self.recovery {
             Some(config) => node.with_recovery(config),
             None => node,
@@ -766,10 +652,10 @@ mod tests {
             );
         }
         // The vote rows are decision state and go at the next instance
-        // boundary; the route table is a pure cache and stays.
-        assert!(!state.fw1_rows.is_empty() && !state.fw1_routes.is_empty());
+        // boundary.
+        assert!(state.fw1_row_count() > 0);
         state.begin_instance();
-        assert!(state.fw1_rows.is_empty() && !state.fw1_routes.is_empty());
+        assert_eq!(state.fw1_row_count(), 0);
         // The persistent caches really were hit across instances: the
         // third run's lookups must not all be misses.
         let (hits, misses) = state.poll_cache_stats();

@@ -6,6 +6,8 @@ use std::fmt;
 use fba_samplers::{default_quorum_size, gstring_len, PollSampler, QuorumScheme};
 use fba_sim::ceil_log2;
 
+use crate::state::MAX_QUORUM_SIZE;
+
 /// Parameters of one AER deployment.
 ///
 /// The paper's asymptotic choices are concretised here with explicit
@@ -173,7 +175,7 @@ impl AerConfig {
                 bound: bound.ceil() as usize,
             });
         }
-        if self.d < 3 || self.d > self.n {
+        if self.d < 3 || self.d > self.n.min(MAX_QUORUM_SIZE) {
             return Err(ConfigError::BadQuorumSize {
                 d: self.d,
                 n: self.n,
@@ -266,7 +268,8 @@ pub enum ConfigError {
         /// Exclusive upper bound implied by `n` and `ε`.
         bound: usize,
     },
-    /// Quorum size out of `[3, n]`.
+    /// Quorum size out of `[3, min(n, 127)]` — at least 3, at most the
+    /// system, and no wider than the run's 128-bit vote masks.
     BadQuorumSize {
         /// Requested quorum size.
         d: usize,
@@ -306,7 +309,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "fault budget {t} reaches the (1/3 - eps) bound {bound}")
             }
             ConfigError::BadQuorumSize { d, n } => {
-                write!(f, "quorum size {d} outside [3, {n}]")
+                write!(
+                    f,
+                    "quorum size {d} outside [3, {}]",
+                    n.min(&MAX_QUORUM_SIZE)
+                )
             }
             ConfigError::StringTooShort { len } => {
                 write!(
@@ -380,6 +387,17 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::BadQuorumSize { .. })
         ));
+        // The vote masks hold 127 positions, whatever n allows.
+        let wide = AerConfig::recommended(256).with_d(128);
+        assert_eq!(
+            wide.validate(),
+            Err(ConfigError::BadQuorumSize { d: 128, n: 256 })
+        );
+        assert_eq!(
+            wide.validate().unwrap_err().to_string(),
+            "quorum size 128 outside [3, 127]"
+        );
+        assert_eq!(AerConfig::recommended(256).with_d(127).validate(), Ok(()));
     }
 
     #[test]

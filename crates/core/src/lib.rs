@@ -43,9 +43,11 @@ mod config;
 mod msg;
 pub mod pull;
 pub mod push;
+mod state;
 pub mod trace;
 
-pub use aer::{AerHarness, AerNode, AerRunState};
+pub use aer::{AerHarness, AerNode};
 pub use ba::{run_ba, BaConfig, BaReport};
 pub use config::{AerConfig, ConfigError};
 pub use msg::AerMsg;
+pub use state::AerRunState;

@@ -21,20 +21,16 @@
 //! messages to transmit — so the algorithms are unit-testable without the
 //! simulator.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 use fba_sim::fxhash::{FxHashMap, FxHashSet};
 
-use fba_samplers::{
-    GString, Label, PollSampler, QuorumScheme, SetSlot, SharedPollCache, SharedQuorumCache,
-    StringKey,
-};
+use fba_samplers::{GString, Label, PollSampler, StringKey};
 use fba_sim::{NodeId, Step};
 use rand_chacha::ChaCha12Rng;
 
 use crate::msg::AerMsg;
+use crate::state::{slot_vote_key, AerRunState};
 
 /// Outgoing messages produced by one handler invocation.
 pub type Sends = Vec<(NodeId, AerMsg)>;
@@ -42,16 +38,6 @@ pub type Sends = Vec<(NodeId, AerMsg)>;
 /// Per-requester cap on repair answers, preventing Byzantine requesters
 /// from using the repair path as an amplification primitive.
 const REPAIR_ANSWER_CAP: u32 = 8;
-
-/// Sentinel for a vote slot whose majority relay already fired.
-///
-/// Vote masks track quorum-member positions, and quorums hold at most
-/// `d ≤ 127` members (asserted at construction), so the all-ones mask can
-/// never arise from real votes.
-const VOTES_DONE: u128 = u128::MAX;
-
-/// The slot of a [`SharedBeliefs`] entry no node has written.
-const UNSET_SLOT: SetSlot = SetSlot(u32::MAX);
 
 /// An in-flight poll started by this node for one candidate (Algorithm 1).
 #[derive(Clone, Debug)]
@@ -72,180 +58,6 @@ struct DeferredFw2 {
     origin: NodeId,
     s: GString,
     r: Label,
-}
-
-/// Run-shared `Fw1` route-fact cache, keyed by `(origin, r)`: the
-/// interned slots of `H(s, origin)` and `J(origin, r)` for the request's
-/// candidate `s`. These facts are pure functions of the *request* — they
-/// do not depend on which node is routing — so one warm, `O(n)`-entry
-/// map serves every node of the run where per-node route memos would
-/// stay cache-cold (batched delivery interleaves requests from many
-/// origins at each receiver).
-///
-/// Entries record the candidate key they were derived for and are
-/// recomputed on mismatch, so a (Byzantine) reuse of `(origin, r)`
-/// across candidates just downgrades the cache to a recompute — every
-/// lookup returns exactly the slots the sampler caches would produce.
-#[derive(Clone, Debug, Default)]
-pub struct SharedFw1Routes {
-    entries: Rc<RefCell<FxHashMap<(NodeId, Label), RouteFact>>>,
-}
-
-/// One cached route fact: the candidate key it was derived for plus the
-/// interned `H(s, origin)` and `J(origin, r)` slots.
-type RouteFact = (StringKey, SetSlot, SetSlot);
-
-impl SharedFw1Routes {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached `(origin, r)` entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// Whether nothing is cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
-    }
-
-    /// The `(H(s, origin), J(origin, r))` slot pair for a request routed
-    /// by `y`, plus `y`'s position in `H(s, origin)` — `None` when `y` is
-    /// not a member. The entry is interned on first use (or when `key`
-    /// differs from the cached derivation), and only for a member: a
-    /// sender outside the requester's quorum cannot grow the table.
-    fn get(
-        &self,
-        origin: NodeId,
-        r: Label,
-        key: StringKey,
-        y: NodeId,
-        pull_quorums: &SharedQuorumCache,
-        poll_lists: &SharedPollCache,
-    ) -> Option<(SetSlot, SetSlot, usize)> {
-        let mut entries = self.entries.borrow_mut();
-        if let Some(&(cached, h_origin, j_list)) = entries.get(&(origin, r)) {
-            if cached == key {
-                let y_pos = pull_quorums.position_at(h_origin, y)?;
-                return Some((h_origin, j_list, y_pos));
-            }
-        }
-        let h_origin = pull_quorums.slot(key, origin);
-        let y_pos = pull_quorums.position_at(h_origin, y)?;
-        let j_list = poll_lists.slot(origin, r);
-        entries.insert((origin, r), (key, h_origin, j_list));
-        Some((h_origin, j_list, y_pos))
-    }
-}
-
-/// Run-shared `Fw1` vote rows: the router-side vote state of Algorithm 2
-/// for every node of the run, one row per `(H(s, origin), w)` — the
-/// quorum's interned slot and the node id packed into one `u64` —
-/// holding one vote mask per member position of `H(s, w)`. The cell at
-/// position `p` belongs to the `p`-th member `z` of `H(s, w)` and is a
-/// bitmask over positions in `H(s, origin)` of the routers `z` has seen,
-/// or all ones once `z`'s majority relay fired.
-///
-/// A forward is multicast to all of `H(s, w)`, so laying its `d` vote
-/// words side by side turns the delivery of one run into one hash probe
-/// and a contiguous sweep, where per-node maps cost a cache-cold probe at
-/// every recipient. Each node writes only its own cells; unlike the route
-/// cache next to it, the rows are *decision state*: they are cleared per
-/// node on restart ([`PullPhase::restore`]) and dropped whole at an
-/// instance boundary ([`SharedFw1Rows::clear`]).
-#[derive(Clone, Debug)]
-pub struct SharedFw1Rows(Rc<RefCell<Fw1Rows>>);
-
-#[derive(Debug)]
-struct Fw1Rows {
-    /// Cells per row: the pull-quorum size `d`.
-    width: usize,
-    index: FxHashMap<u64, u32>,
-    /// Per row, the interned slot of its `H(s, w)`.
-    quorums: Vec<SetSlot>,
-    /// `width` cells per row, rows back to back.
-    cells: Vec<u128>,
-}
-
-impl SharedFw1Rows {
-    /// An empty arena for pull quorums of `width` members.
-    #[must_use]
-    pub fn new(width: usize) -> Self {
-        SharedFw1Rows(Rc::new(RefCell::new(Fw1Rows {
-            width,
-            index: FxHashMap::default(),
-            quorums: Vec::new(),
-            cells: Vec::new(),
-        })))
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.borrow().quorums.len()
-    }
-
-    /// Whether the arena holds no row.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().quorums.is_empty()
-    }
-
-    /// Drops every row, keeping the allocations — the per-instance reset
-    /// of service runs (see [`AerRunState::begin_instance`]).
-    ///
-    /// [`AerRunState::begin_instance`]: crate::AerRunState::begin_instance
-    pub fn clear(&self) {
-        let mut rows = self.0.borrow_mut();
-        rows.index.clear();
-        rows.quorums.clear();
-        rows.cells.clear();
-    }
-
-    /// Zeroes node `x`'s cell in every row whose quorum contains it: the
-    /// votes a crash loses.
-    fn forget(&self, x: NodeId, pull_quorums: &SharedQuorumCache) {
-        let rows = &mut *self.0.borrow_mut();
-        for (row, &h_w) in rows.quorums.iter().enumerate() {
-            if let Some(pos) = pull_quorums.position_at(h_w, x) {
-                rows.cells[row * rows.width + pos] = 0;
-            }
-        }
-    }
-}
-
-impl Fw1Rows {
-    /// The cells of the row for `key`, created zeroed (and remembering
-    /// its quorum slot `h_w`) on first use.
-    fn row(&mut self, key: u64, h_w: SetSlot) -> &mut [u128] {
-        let next = self.quorums.len();
-        let row = *self
-            .index
-            .entry(key)
-            .or_insert_with(|| u32::try_from(next).expect("more than u32::MAX vote rows"))
-            as usize;
-        if row == next {
-            self.quorums.push(h_w);
-            self.cells.resize((next + 1) * self.width, 0);
-        }
-        &mut self.cells[row * self.width..(row + 1) * self.width]
-    }
-}
-
-/// Packs a vote-arena key from an interned quorum [`SetSlot`] and a node
-/// id (see [`SharedFw1Rows`] and [`PullPhase`]'s `fw2_senders`). Node indices
-/// fit 32 bits at any simulable system size (debug-asserted).
-fn slot_vote_key(slot: SetSlot, node: NodeId) -> u64 {
-    debug_assert!(
-        node.index() <= u32::MAX as usize,
-        "node index exceeds 32 bits"
-    );
-    (u64::from(slot.0) << 32) | node.index() as u64
 }
 
 /// Retry and repair policy of a [`PullPhase`] (liveness extensions beyond
@@ -284,70 +96,23 @@ impl RetryPolicy {
     }
 }
 
-/// Run-shared belief table: each node's current `(believed_key,
-/// believed_slot)` pair, stored contiguously and indexed by [`NodeId`] —
-/// the struct-of-arrays layout used by full AER runs.
-///
-/// The hot handlers (`on_pull`, `on_fw1`, `process_fw2`, `on_poll`) gate
-/// on exactly this pair, so hoisting it out of the per-node [`PullPhase`]
-/// structs packs the whole run's gate state into one cache-friendly
-/// vector. Each node writes only its own entry, so sharing cannot create
-/// cross-node aliasing; `Rc<RefCell<_>>` suffices because a run is
-/// single-threaded by construction (parallelism in this workspace fans
-/// out whole runs).
-#[derive(Clone, Debug, Default)]
-pub struct SharedBeliefs {
-    entries: Rc<RefCell<Vec<(StringKey, SetSlot)>>>,
-}
-
-impl SharedBeliefs {
-    /// Creates an empty table; entries are grown on first write.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records node `x`'s current belief pair, growing the table on
-    /// demand.
-    pub fn set(&self, x: NodeId, key: StringKey, slot: SetSlot) {
-        let mut entries = self.entries.borrow_mut();
-        let i = x.index();
-        if i >= entries.len() {
-            entries.resize(i + 1, (StringKey::default(), UNSET_SLOT));
-        }
-        entries[i] = (key, slot);
-    }
-
-    /// Node `x`'s current `(believed_key, believed_slot)` pair, or `None`
-    /// if none was ever recorded — `x` is corrupt (the adversary plays it,
-    /// so no constructor wrote its entry) or out of range.
-    #[must_use]
-    pub fn get(&self, x: NodeId) -> Option<(StringKey, SetSlot)> {
-        let entry = *self.entries.borrow().get(x.index())?;
-        (entry.1 != UNSET_SLOT).then_some(entry)
-    }
-}
-
 /// Pull-phase state for one node: requester, router and answerer roles.
 #[derive(Clone, Debug)]
 pub struct PullPhase {
     x: NodeId,
-    /// Memoized pull-quorum sampler `H`, shared across the run's nodes
-    /// (determinism: pure-function cache).
-    pull_quorums: SharedQuorumCache,
-    /// Memoized poll-list sampler `J`, shared likewise.
-    poll_lists: SharedPollCache,
-    poll: PollSampler,
+    /// What the run shares (see [`AerRunState`]): the memoized samplers
+    /// `H` and `J`, this node's `(believed.key(), slot of H(believed,
+    /// self))` entry of the belief table — kept in lockstep with
+    /// `believed` by [`PullPhase::set_belief`]; the handlers compare the
+    /// key per message and the answerer hot path keys its vote arena by
+    /// the slot — and the `Fw1` vote rows, where this node owns the cells
+    /// at its own position.
+    state: AerRunState,
     overload_cap: u64,
     retry: RetryPolicy,
     /// `s_this`: the node's current belief; starts at its initial
     /// candidate and is overwritten by its decision.
     believed: GString,
-    /// Run-shared `(believed.key(), slot of H(believed, self))` table,
-    /// kept in lockstep with `believed` by [`PullPhase::set_belief`] —
-    /// the handlers compare the key per message and the answerer hot
-    /// path keys its vote arena by the slot.
-    beliefs: SharedBeliefs,
     decided: Option<GString>,
 
     // --- requester (Algorithm 1) ---
@@ -358,13 +123,6 @@ pub struct PullPhase {
 
     // --- router (Algorithm 2) ---
     forwarded_pulls: FxHashSet<(NodeId, StringKey)>,
-    /// Run-shared route-fact cache for `Fw1` requests (see
-    /// [`SharedFw1Routes`]). Pure memoization: entries are recomputable
-    /// facts, so sharing cannot change any outcome.
-    fw1_routes: SharedFw1Routes,
-    /// Run-shared `Fw1` vote rows (see [`SharedFw1Rows`]); this node owns
-    /// the cells at its own position in each row.
-    fw1_rows: SharedFw1Rows,
 
     // --- answerer (Algorithm 3) ---
     polled: FxHashSet<(NodeId, StringKey)>,
@@ -390,75 +148,26 @@ pub struct PullPhase {
 
 impl PullPhase {
     /// Creates pull state for node `x` whose initial belief is `own`, on
-    /// private sampler caches, belief table, route cache and vote rows.
+    /// the run's shared `state`, and records that belief there.
     #[must_use]
     pub fn new(
         x: NodeId,
         own: GString,
-        scheme: QuorumScheme,
-        poll: PollSampler,
+        state: &AerRunState,
         overload_cap: u64,
         retry: RetryPolicy,
     ) -> Self {
-        Self::with_state(
-            x,
-            own,
-            scheme.shared_pull(),
-            SharedPollCache::new(poll),
-            overload_cap,
-            retry,
-            SharedBeliefs::new(),
-            SharedFw1Routes::new(),
-            SharedFw1Rows::new(scheme.pull.d()),
-        )
-    }
-
-    /// Like [`PullPhase::new`], but sharing run-wide sampler caches (see
-    /// [`SharedQuorumCache`]), placing this node's belief pair in a
-    /// run-shared [`SharedBeliefs`] table, drawing `Fw1` route facts from
-    /// a run-shared [`SharedFw1Routes`] cache and keeping its `Fw1` votes
-    /// in run-shared [`SharedFw1Rows`] — the engine-owned
-    /// struct-of-arrays layout used by full AER runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quorum or poll-list size `d` reaches 128 (mask
-    /// width).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_state(
-        x: NodeId,
-        own: GString,
-        pull_quorums: SharedQuorumCache,
-        poll_lists: SharedPollCache,
-        overload_cap: u64,
-        retry: RetryPolicy,
-        beliefs: SharedBeliefs,
-        fw1_routes: SharedFw1Routes,
-        fw1_rows: SharedFw1Rows,
-    ) -> Self {
-        let poll = *poll_lists.sampler();
-        assert!(
-            poll.d() < 128 && pull_quorums.sampler().d() < 128,
-            "bitmask vote tracking supports d < 128 (paper quorums are \u{398}(log n))"
-        );
-        let believed_key = own.key();
-        beliefs.set(x, believed_key, pull_quorums.slot(believed_key, x));
+        state.set_belief(x, own.key());
         PullPhase {
             x,
-            pull_quorums,
-            poll_lists,
-            poll,
+            state: state.clone(),
             overload_cap,
             retry,
             believed: own,
-            beliefs,
             decided: None,
             own_polls: FxHashMap::default(),
             answers_seen: 0,
             forwarded_pulls: FxHashSet::default(),
-            fw1_routes,
-            fw1_rows,
             polled: FxHashSet::default(),
             fw2_senders: FxHashMap::default(),
             answered: FxHashSet::default(),
@@ -471,6 +180,11 @@ impl PullPhase {
             repair_pending: Vec::new(),
             repair_answered: FxHashMap::default(),
         }
+    }
+
+    /// The poll-list sampler `J`.
+    fn poll(&self) -> &PollSampler {
+        self.state.poll_lists.sampler()
     }
 
     /// The node's decision, if reached.
@@ -524,7 +238,7 @@ impl PullPhase {
         if self.own_polls.contains_key(&key) {
             return Vec::new();
         }
-        let r = self.poll.random_label(rng);
+        let r = self.poll().random_label(rng);
         let sends = self.poll_sends(&s, r);
         self.own_polls.insert(
             key,
@@ -542,12 +256,12 @@ impl PullPhase {
     fn poll_sends(&self, s: &GString, r: Label) -> Sends {
         let key = s.key();
         let mut sends = Vec::new();
-        self.poll_lists.poll_list_with(self.x, r, |list| {
+        self.state.poll_lists.poll_list_with(self.x, r, |list| {
             for &w in list {
                 sends.push((w, AerMsg::Poll(*s, r)));
             }
         });
-        self.pull_quorums.quorum_with(key, self.x, |quorum| {
+        self.state.pull_quorums.quorum_with(key, self.x, |quorum| {
             for &y in quorum {
                 sends.push((y, AerMsg::Pull(*s, r)));
             }
@@ -585,7 +299,7 @@ impl PullPhase {
                 }
             };
             if let Some(s) = retry_string {
-                let r = self.poll.random_label(rng);
+                let r = self.poll().random_label(rng);
                 sends.extend(self.poll_sends(&s, r));
                 let poll = self.own_polls.get_mut(&key).expect("poll exists");
                 poll.r = r;
@@ -608,12 +322,12 @@ impl PullPhase {
             && self.repair_used < self.retry.repair_attempts
             && (self.repair_used == 0 || step.saturating_sub(self.repair_last) >= timeout)
         {
-            let r = self.poll.random_label(rng);
+            let r = self.poll().random_label(rng);
             self.repair_label = Some(r);
             self.repair_votes.clear();
             self.repair_used += 1;
             self.repair_last = step;
-            self.poll_lists.poll_list_with(self.x, r, |list| {
+            self.state.poll_lists.poll_list_with(self.x, r, |list| {
                 for &w in list {
                     sends.push((w, AerMsg::RepairQuery(r)));
                 }
@@ -628,7 +342,7 @@ impl PullPhase {
     /// node decides.
     #[must_use]
     pub fn on_repair_query(&mut self, origin: NodeId, r: Label) -> Sends {
-        if !self.poll_lists.contains(origin, r, self.x) {
+        if !self.state.poll_lists.contains(origin, r, self.x) {
             return Vec::new();
         }
         let served = self.repair_answered.entry(origin).or_insert(0);
@@ -653,7 +367,7 @@ impl PullPhase {
             return None;
         }
         let r = self.repair_label?;
-        if !self.poll_lists.contains(self.x, r, w) {
+        if !self.state.poll_lists.contains(self.x, r, w) {
             return None;
         }
         let key = s.key();
@@ -662,7 +376,7 @@ impl PullPhase {
             .entry(key)
             .or_insert_with(|| (s, BTreeSet::new()));
         voters.insert(w);
-        if voters.len() >= self.poll.majority() {
+        if voters.len() >= self.poll().majority() {
             let decision = self.repair_votes[&key].0;
             self.decided = Some(decision);
             self.set_belief(decision, key);
@@ -672,20 +386,10 @@ impl PullPhase {
         }
     }
 
-    /// This node's `(believed_key, believed_slot)` entry of the shared
-    /// table.
-    fn own_belief(&self) -> (StringKey, SetSlot) {
-        self.beliefs
-            .get(self.x)
-            .expect("constructors record the node's own belief")
-    }
-
-    /// Updates `believed` and its shared `(key, slot)` entry together —
-    /// the slot must track the key.
+    /// Updates `believed` and its shared `(key, slot)` entry together.
     fn set_belief(&mut self, s: GString, key: StringKey) {
         self.believed = s;
-        let slot = self.pull_quorums.slot(key, self.x);
-        self.beliefs.set(self.x, key, slot);
+        self.state.set_belief(self.x, key);
     }
 
     /// Algorithm 2, first handler: a `Pull(s, r)` from requester `origin`.
@@ -697,20 +401,20 @@ impl PullPhase {
     #[must_use]
     pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label) -> Sends {
         let key = s.key();
-        if key != self.own_belief().0 {
+        if key != self.state.belief(self.x).0 {
             return Vec::new();
         }
-        if !self.pull_quorums.contains(key, origin, self.x) {
+        if !self.state.pull_quorums.contains(key, origin, self.x) {
             return Vec::new();
         }
         if !self.forwarded_pulls.insert((origin, key)) {
             return Vec::new();
         }
         let mut sends = Vec::new();
-        self.poll_lists.poll_list_with(origin, r, |list| {
+        self.state.poll_lists.poll_list_with(origin, r, |list| {
             for &w in list {
                 let fw = AerMsg::Fw1 { origin, s, r, w };
-                self.pull_quorums.quorum_with(key, w, |quorum| {
+                self.state.pull_quorums.quorum_with(key, w, |quorum| {
                     for &z in quorum {
                         sends.push((z, fw.clone()));
                     }
@@ -725,7 +429,7 @@ impl PullPhase {
     /// the majority of `H(s, origin)`, relays one `Fw2` to `w` — returned
     /// as the message to send, if any.
     ///
-    /// This is [`PullPhase::fw1_run`] for the single recipient `self`.
+    /// This is `AerRunState::fw1_run` for the single recipient `self`.
     #[must_use]
     pub fn on_fw1(
         &mut self,
@@ -736,7 +440,7 @@ impl PullPhase {
         w: NodeId,
     ) -> Option<(NodeId, AerMsg)> {
         let mut relay = None;
-        self.fw1_run(
+        self.state.fw1_run(
             y,
             (origin, s, r, w),
             &[self.x],
@@ -746,81 +450,9 @@ impl PullPhase {
         relay
     }
 
-    /// Algorithm 2, second handler, for a whole multicast: the forward
-    /// `Fw1(origin, s, r, w)` from router `y`, delivered to every node of
-    /// `recipients` in order. `live(z)` says whether `z` is a correct
-    /// node of this run; `relay(z, w, fw2)` is called for each recipient
-    /// `z` whose vote crossed the majority of `H(s, origin)`. Both run
-    /// with the run's tables borrowed and may not call back into a pull
-    /// phase.
-    ///
-    /// Everything the handler decides on lives in run-shared tables, so
-    /// any node of the run can make this call for all of them, and the
-    /// outcome is that of calling [`PullPhase::on_fw1`] on each recipient
-    /// in turn. What depends only on the *message* is computed once: the
-    /// [`SharedFw1Routes`] lookup with `y`'s position in `H(s, origin)`,
-    /// `w ∈ J(origin, r)`, the slot of `H(s, w)` and the vote row. Per
-    /// recipient there is left: a correct node, believing `s`, at some
-    /// position of `H(s, w)` — its loop index when the run is addressed
-    /// to exactly `H(s, w)`, as [`PullPhase::on_pull`] sends it — and
-    /// its vote cell.
-    ///
-    /// A forward that fails a per-message gate allocates nothing: the
-    /// sender's membership in `H(s, origin)` is checked before the route
-    /// entry is interned, the row is created after the last gate, and
-    /// none of it happens before some recipient believes `s`.
-    pub fn fw1_run(
-        &self,
-        y: NodeId,
-        (origin, s, r, w): (NodeId, GString, Label, NodeId),
-        recipients: &[NodeId],
-        mut live: impl FnMut(NodeId) -> bool,
-        mut relay: impl FnMut(NodeId, NodeId, AerMsg),
-    ) {
-        let key = s.key();
-        let mut believes =
-            |z: NodeId| live(z) && self.beliefs.get(z).is_some_and(|(k, _)| k == key);
-        let Some(first) = recipients.iter().position(|&z| believes(z)) else {
-            return;
-        };
-        let Some((h_origin, j_list, y_pos)) =
-            self.fw1_routes
-                .get(origin, r, key, y, &self.pull_quorums, &self.poll_lists)
-        else {
-            return; // sender is not in H(s, origin)
-        };
-        if !self.poll_lists.contains_at(j_list, w) {
-            return; // w is not in J(origin, r)
-        }
-        let h_w = self.pull_quorums.slot(key, w);
-        let majority = self.pull_quorums.majority();
-        let mut rows = self.fw1_rows.0.borrow_mut();
-        let cells = rows.row(slot_vote_key(h_origin, w), h_w);
-        self.pull_quorums.quorum_at(h_w, |members| {
-            let aligned = members == recipients;
-            for (i, &z) in recipients.iter().enumerate().skip(first) {
-                if !believes(z) {
-                    continue;
-                }
-                let pos = if aligned {
-                    i
-                } else {
-                    match members.binary_search(&z) {
-                        Ok(pos) => pos,
-                        Err(_) => continue, // z is not in H(s, w)
-                    }
-                };
-                let votes = &mut cells[pos];
-                if *votes == VOTES_DONE {
-                    continue; // majority relay already sent
-                }
-                *votes |= 1 << y_pos;
-                if votes.count_ones() as usize >= majority {
-                    *votes = VOTES_DONE;
-                    relay(z, w, AerMsg::Fw2 { origin, s, r });
-                }
-            }
-        });
+    /// The run state this phase was built on.
+    pub(crate) fn state(&self) -> &AerRunState {
+        &self.state
     }
 
     /// Algorithm 3, `Fw2` handler: second-hop forward from `z` for
@@ -848,16 +480,16 @@ impl PullPhase {
 
     fn process_fw2(&mut self, z: NodeId, origin: NodeId, s: GString, r: Label) -> Sends {
         let key = s.key();
-        let (believed_key, believed_slot) = self.own_belief();
+        let (believed_key, believed_slot) = self.state.belief(self.x);
         if key != believed_key {
             return Vec::new();
         }
-        if !self.poll_lists.contains(origin, r, self.x) {
+        if !self.state.poll_lists.contains(origin, r, self.x) {
             return Vec::new(); // we are not in J(origin, r)
         }
         // `key == believed_key`, so `believed_slot` is the interned
         // H(s, self) — position lookups index it directly.
-        let Some(z_pos) = self.pull_quorums.position_at(believed_slot, z) else {
+        let Some(z_pos) = self.state.pull_quorums.position_at(believed_slot, z) else {
             return Vec::new(); // sender is not in H(s, this)
         };
         let votes = self
@@ -865,7 +497,7 @@ impl PullPhase {
             .entry(slot_vote_key(believed_slot, origin))
             .or_insert(0);
         *votes |= 1 << z_pos;
-        if votes.count_ones() as usize >= self.pull_quorums.majority()
+        if votes.count_ones() as usize >= self.state.pull_quorums.majority()
             && self.polled.contains(&(origin, key))
         {
             self.answer(origin, s)
@@ -879,12 +511,12 @@ impl PullPhase {
     /// poll, answers immediately.
     #[must_use]
     pub fn on_poll(&mut self, origin: NodeId, s: GString, r: Label) -> Sends {
-        if !self.poll_lists.contains(origin, r, self.x) {
+        if !self.state.poll_lists.contains(origin, r, self.x) {
             return Vec::new();
         }
         let key = s.key();
         self.polled.insert((origin, key));
-        let (believed_key, believed_slot) = self.own_belief();
+        let (believed_key, believed_slot) = self.state.belief(self.x);
         if key != believed_key {
             // Fw2 votes only ever accumulate for the current belief
             // (`process_fw2` rejects everything else), so a non-believed
@@ -892,7 +524,7 @@ impl PullPhase {
             // gated on the belief match anyway.
             return Vec::new();
         }
-        let majority = self.pull_quorums.majority();
+        let majority = self.state.pull_quorums.majority();
         let have = self
             .fw2_senders
             .get(&slot_vote_key(believed_slot, origin))
@@ -922,11 +554,12 @@ impl PullPhase {
             return None;
         }
         let key = s.key();
+        let majority = self.poll().majority();
         let poll = self.own_polls.get_mut(&key)?;
-        let w_pos = self.poll_lists.position(self.x, poll.r, w)?;
+        let w_pos = self.state.poll_lists.position(self.x, poll.r, w)?;
         self.answers_seen += 1;
         poll.answered_by |= 1 << w_pos;
-        if poll.answered_by.count_ones() as usize >= self.poll.majority() {
+        if poll.answered_by.count_ones() as usize >= majority {
             let decision = poll.s;
             self.decided = Some(decision);
             self.set_belief(decision, key);
@@ -1002,7 +635,7 @@ impl PullPhase {
         self.own_polls.clear();
         self.answers_seen = 0;
         self.forwarded_pulls.clear();
-        self.fw1_rows.forget(self.x, &self.pull_quorums);
+        self.state.forget_fw1_votes(self.x);
         self.polled.clear();
         self.fw2_senders.clear();
         self.answered.clear();
@@ -1024,7 +657,7 @@ impl PullPhase {
 
         let mut sends = Vec::new();
         for &s in candidates {
-            let r = self.poll.random_label(rng);
+            let r = self.poll().random_label(rng);
             sends.extend(self.poll_sends(&s, r));
             self.own_polls.insert(
                 s.key(),
@@ -1038,11 +671,11 @@ impl PullPhase {
             );
         }
         if self.retry.repair_attempts > 0 {
-            let r = self.poll.random_label(rng);
+            let r = self.poll().random_label(rng);
             self.repair_label = Some(r);
             self.repair_used = 1;
             self.repair_last = step;
-            self.poll_lists.poll_list_with(self.x, r, |list| {
+            self.state.poll_lists.poll_list_with(self.x, r, |list| {
                 for &w in list {
                     sends.push((w, AerMsg::RepairQuery(r)));
                 }
@@ -1055,6 +688,7 @@ impl PullPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fba_samplers::QuorumScheme;
     use fba_sim::rng::node_rng;
 
     const CAP: u64 = 100;
@@ -1075,15 +709,7 @@ mod tests {
     }
 
     fn phase(x: usize, own: GString, n: usize, d: usize) -> PullPhase {
-        let (scheme, poll) = setup(n, d);
-        PullPhase::new(
-            NodeId::from_index(x),
-            own,
-            scheme,
-            poll,
-            CAP,
-            RetryPolicy::strict(),
-        )
+        phase_with_retry(x, own, n, d, RetryPolicy::strict())
     }
 
     fn phase_with_retry(
@@ -1094,7 +720,8 @@ mod tests {
         retry: RetryPolicy,
     ) -> PullPhase {
         let (scheme, poll) = setup(n, d);
-        PullPhase::new(NodeId::from_index(x), own, scheme, poll, CAP, retry)
+        let state = AerRunState::new(scheme, poll);
+        PullPhase::new(NodeId::from_index(x), own, &state, CAP, retry)
     }
 
     #[test]
@@ -1342,11 +969,12 @@ mod tests {
         let key = g.key();
         let w = NodeId::from_index(7);
         let h_w = scheme.pull.quorum(key, w);
-        let mut p = PullPhase::new(w, g, scheme, poll, 1, RetryPolicy::strict()); // cap = 1
+        let state = AerRunState::new(scheme, poll);
+        let mut p = PullPhase::new(w, g, &state, 1, RetryPolicy::strict()); // cap = 1
 
         // Serve requester A fully: poll + Fw2 majority => 1 answer (hits cap).
         let origin_a = NodeId::from_index(20);
-        let (ra, _) = find_label_containing(&p.poll, origin_a, w);
+        let (ra, _) = find_label_containing(p.poll(), origin_a, w);
         let _ = p.on_poll(origin_a, g, ra);
         let mut answered = 0;
         let mut parked_for_a = 0;
@@ -1362,7 +990,7 @@ mod tests {
 
         // Requester B: all Fw2s are now parked.
         let origin_b = NodeId::from_index(21);
-        let (rb, _) = find_label_containing(&p.poll, origin_b, w);
+        let (rb, _) = find_label_containing(p.poll(), origin_b, w);
         let _ = p.on_poll(origin_b, g, rb);
         for &z in &h_w {
             assert!(p.on_fw2(z, origin_b, g, rb).is_empty());
@@ -1399,14 +1027,14 @@ mod tests {
     fn fw2_from_outside_quorum_is_ignored() {
         let n = 64;
         let d = 5;
-        let (scheme, poll) = setup(n, d);
+        let (scheme, _) = setup(n, d);
         let g = gs(0);
         let key = g.key();
         let w = NodeId::from_index(7);
         let h_w: BTreeSet<_> = scheme.pull.quorum(key, w).into_iter().collect();
-        let mut p = PullPhase::new(w, g, scheme, poll, CAP, RetryPolicy::strict());
+        let mut p = phase(w.index(), g, n, d);
         let origin = NodeId::from_index(20);
-        let (r, _) = find_label_containing(&p.poll, origin, w);
+        let (r, _) = find_label_containing(p.poll(), origin, w);
         let _ = p.on_poll(origin, g, r);
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
@@ -1423,14 +1051,14 @@ mod tests {
     fn poll_after_fw2_majority_answers_immediately_async_case() {
         let n = 64;
         let d = 5;
-        let (scheme, poll) = setup(n, d);
+        let (scheme, _) = setup(n, d);
         let g = gs(0);
         let key = g.key();
         let w = NodeId::from_index(7);
         let h_w = scheme.pull.quorum(key, w);
-        let mut p = PullPhase::new(w, g, scheme, poll, CAP, RetryPolicy::strict());
+        let mut p = phase(w.index(), g, n, d);
         let origin = NodeId::from_index(20);
-        let (r, _) = find_label_containing(&p.poll, origin, w);
+        let (r, _) = find_label_containing(p.poll(), origin, w);
         // Fw2 majority arrives before the poll.
         for &z in &h_w {
             assert!(p.on_fw2(z, origin, g, r).is_empty(), "not polled yet");
@@ -1551,7 +1179,7 @@ mod tests {
         let d = 5;
         let mut p = phase(7, gs(0), n, d);
         let origin = NodeId::from_index(20);
-        let (r, _) = find_label_containing(&p.poll, origin, NodeId::from_index(7));
+        let (r, _) = find_label_containing(p.poll(), origin, NodeId::from_index(7));
         // Undecided: query parks.
         assert!(p.on_repair_query(origin, r).is_empty());
         // Decide, then the parked query is served by the drain.
@@ -1576,276 +1204,12 @@ mod tests {
         let origin = NodeId::from_index(20);
         // Find a label whose list does NOT contain node 7.
         let mut r = None;
-        for raw in 0..p.poll.label_cardinality() {
-            if !p.poll.contains(origin, Label(raw), NodeId::from_index(7)) {
+        for raw in 0..p.poll().label_cardinality() {
+            if !p.poll().contains(origin, Label(raw), NodeId::from_index(7)) {
                 r = Some(Label(raw));
                 break;
             }
         }
         assert!(p.on_repair_query(origin, r.unwrap()).is_empty());
-    }
-
-    /// The `Fw1` handler, row by row: `n` pull phases over one set of
-    /// run-shared tables (as `AerHarness` wires them) and one request
-    /// `(origin, s, r, w)` whose routers `H(s, origin)` forward to the
-    /// relays `H(s, w)`. Each row names the clause of Algorithm 2's
-    /// second handler it pins: a relay `z` counts an `Fw1(x, s, r, w)`
-    /// from `y` iff `s = s_z`, `w ∈ J(x, r)`, `z ∈ H(s, w)` and
-    /// `y ∈ H(s, x)`, and sends one `Fw2(x, s, r)` to `w` once a majority
-    /// of `H(s, x)` has been counted.
-    mod fw1_rows {
-        use super::*;
-
-        const N: usize = 64;
-        const D: usize = 5;
-        const MAJORITY: usize = D / 2 + 1;
-
-        struct Net {
-            phases: Vec<PullPhase>,
-            routes: SharedFw1Routes,
-            rows: SharedFw1Rows,
-            origin: NodeId,
-            r: Label,
-            w: NodeId,
-        }
-
-        impl Net {
-            /// Every node believes `believed(i)`; the request polls the
-            /// first member of `J(origin, r)`.
-            fn new(believed: impl Fn(usize) -> GString) -> Net {
-                let (scheme, poll) = setup(N, D);
-                let pull_quorums = scheme.shared_pull();
-                let poll_lists = SharedPollCache::new(poll);
-                let beliefs = SharedBeliefs::new();
-                let routes = SharedFw1Routes::new();
-                let rows = SharedFw1Rows::new(D);
-                let phases = (0..N)
-                    .map(|i| {
-                        PullPhase::with_state(
-                            NodeId::from_index(i),
-                            believed(i),
-                            pull_quorums.clone(),
-                            poll_lists.clone(),
-                            CAP,
-                            RetryPolicy::strict(),
-                            beliefs.clone(),
-                            routes.clone(),
-                            rows.clone(),
-                        )
-                    })
-                    .collect();
-                let (origin, r) = (NodeId::from_index(2), Label(77));
-                let w = poll.poll_list(origin, r)[0];
-                Net {
-                    phases,
-                    routes,
-                    rows,
-                    origin,
-                    r,
-                    w,
-                }
-            }
-
-            /// Points the net at `origin`'s request (same label).
-            fn retarget(&mut self, origin: NodeId) {
-                let lists = &self.phases[0].poll_lists;
-                self.w = lists.poll_list_with(origin, self.r, |list| list[0]);
-                self.origin = origin;
-            }
-
-            fn quorum(&self, s: GString, x: NodeId) -> Vec<NodeId> {
-                self.phases[0]
-                    .pull_quorums
-                    .quorum_with(s.key(), x, <[NodeId]>::to_vec)
-            }
-
-            /// One run: `Fw1(origin, s, r, w)` from `y` to `recipients`.
-            /// Returns the relays that fired, in order, having checked
-            /// what they send.
-            fn run(&self, y: NodeId, s: GString, recipients: &[NodeId]) -> Vec<NodeId> {
-                let (origin, r, w) = (self.origin, self.r, self.w);
-                let mut fired = Vec::new();
-                self.phases[0].fw1_run(
-                    y,
-                    (origin, s, r, w),
-                    recipients,
-                    |_| true,
-                    |z, to, fw2| {
-                        assert_eq!((to, fw2), (w, AerMsg::Fw2 { origin, s, r }));
-                        fired.push(z);
-                    },
-                );
-                fired
-            }
-
-            fn cells(&self) -> Vec<u128> {
-                self.rows.0.borrow().cells.clone()
-            }
-        }
-
-        #[test]
-        fn majority_of_routers_fires_one_fw2_per_relay() {
-            let g = gs(0);
-            let net = Net::new(|_| g);
-            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
-            let none: &[NodeId] = &[];
-            // (clause pinned, router, relays expected to fire)
-            let table = [
-                ("first router: below the majority", 0, none),
-                ("second router: still below", 1, none),
-                ("the same router again counts once", 1, none),
-                ("third router: every relay crosses, once", 2, &relays[..]),
-                ("a fourth router after the relay fired", 3, none),
-                ("a counted router after the relay fired", 0, none),
-            ];
-            assert_eq!(MAJORITY, 3);
-            for (clause, y, fires) in table {
-                assert_eq!(net.run(routers[y], g, &relays), fires, "{clause}");
-            }
-            assert_eq!((net.routes.len(), net.rows.len()), (1, 1));
-            assert!(net.cells().iter().all(|&cell| cell == VOTES_DONE));
-        }
-
-        #[test]
-        fn a_recipient_outside_the_relay_quorum_is_skipped_among_voting_neighbours() {
-            // z ∈ H(s, w): a run addressed to two relays with an outsider
-            // between them moves exactly the two relays' cells.
-            let g = gs(0);
-            let net = Net::new(|_| g);
-            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
-            let outsider = (0..N)
-                .map(NodeId::from_index)
-                .find(|z| !relays.contains(z))
-                .unwrap();
-            let run = [relays[3], outsider, relays[1]];
-            for (i, &y) in routers.iter().take(MAJORITY).enumerate() {
-                let fires = net.run(y, g, &run);
-                if i + 1 < MAJORITY {
-                    assert!(fires.is_empty());
-                } else {
-                    assert_eq!(fires, [relays[3], relays[1]], "in recipient order");
-                }
-            }
-            let cells = net.cells();
-            for (pos, &cell) in cells.iter().enumerate() {
-                let voted = pos == 1 || pos == 3;
-                assert_eq!(cell, if voted { VOTES_DONE } else { 0 }, "cell {pos}");
-            }
-        }
-
-        #[test]
-        fn a_relay_that_believes_another_string_is_skipped() {
-            // s = s_z: relay 2 holds a different candidate and neither
-            // votes nor fires; nobody believing `s` at all allocates nothing.
-            let (g, other) = (gs(0), gs(1));
-            let probe = Net::new(|_| g);
-            let dissenter = probe.quorum(g, probe.w)[2];
-            let net = Net::new(|i| if i == dissenter.index() { other } else { g });
-            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
-            let mut fired = Vec::new();
-            for &y in &routers {
-                fired.extend(net.run(y, g, &relays));
-            }
-            let expected: Vec<NodeId> =
-                relays.iter().copied().filter(|&z| z != dissenter).collect();
-            assert_eq!(fired, expected);
-            assert_eq!(net.cells()[2], 0, "the dissenter's cell never moved");
-
-            let deaf = Net::new(|_| other);
-            for &y in &routers {
-                assert!(deaf.run(y, g, &relays).is_empty());
-            }
-            assert_eq!((deaf.routes.len(), deaf.rows.len()), (0, 0));
-        }
-
-        #[test]
-        fn reusing_origin_and_label_for_a_second_candidate_recomputes_the_route() {
-            // y ∈ H(s, x) is judged against the candidate in the message,
-            // not the one the `(origin, r)` entry was first derived for.
-            let (g, g2) = (gs(0), gs(1));
-            let mut net = Net::new(|_| g);
-            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
-            for &y in &routers {
-                net.run(y, g, &relays);
-            }
-            for phase in &mut net.phases {
-                phase.set_belief(g2, g2.key());
-            }
-            let (routers2, relays2) = (net.quorum(g2, net.origin), net.quorum(g2, net.w));
-            assert_ne!(routers, routers2, "the two candidates route differently");
-            let mut fired = Vec::new();
-            for &y in &routers2 {
-                fired.extend(net.run(y, g2, &relays2));
-            }
-            assert_eq!(fired, relays2);
-            assert_eq!(net.routes.len(), 1, "one entry, re-derived");
-            assert_eq!(net.rows.len(), 2, "one row per candidate");
-        }
-
-        #[test]
-        fn one_recipient_calls_equal_the_run_call() {
-            // The same forwards — whole quorum, a shuffled subset with an
-            // outsider, duplicates — through `fw1_run` on one net and
-            // through per-recipient `on_fw1` on another.
-            let g = gs(0);
-            let (mut each, whole) = (Net::new(|_| g), Net::new(|_| g));
-            let (routers, relays) = (whole.quorum(g, whole.origin), whole.quorum(g, whole.w));
-            let outsider = (0..N)
-                .map(NodeId::from_index)
-                .find(|z| !relays.contains(z) && !routers.contains(z))
-                .unwrap();
-            let runs: [(NodeId, Vec<NodeId>); 6] = [
-                (routers[4], relays.clone()),
-                (routers[0], vec![relays[2], outsider, relays[0], relays[2]]),
-                (outsider, relays.clone()),
-                (routers[1], relays.clone()),
-                (routers[2], vec![relays[4], relays[3]]),
-                (routers[3], relays.clone()),
-            ];
-            let (origin, r, w) = (whole.origin, whole.r, whole.w);
-            for (y, recipients) in &runs {
-                let by_run = whole.run(*y, g, recipients);
-                let by_call: Vec<NodeId> = recipients
-                    .iter()
-                    .filter(|z| each.phases[z.index()].on_fw1(*y, origin, g, r, w).is_some())
-                    .copied()
-                    .collect();
-                assert_eq!(by_run, by_call, "forward from {y}");
-                assert_eq!(whole.cells(), each.cells(), "after the forward from {y}");
-            }
-            assert_eq!(whole.routes.len(), each.routes.len());
-        }
-
-        #[test]
-        fn restore_clears_exactly_the_restarting_nodes_cells() {
-            // Two requests, both one router short of the majority, so
-            // every cell of both rows holds votes.
-            let g = gs(0);
-            let mut net = Net::new(|_| g);
-            for origin in [NodeId::from_index(9), net.origin] {
-                net.retarget(origin);
-                let (routers, relays) = (net.quorum(g, origin), net.quorum(g, net.w));
-                for &y in routers.iter().take(MAJORITY - 1) {
-                    assert!(net.run(y, g, &relays).is_empty());
-                }
-            }
-            let before = net.cells();
-            assert!(before.iter().all(|&cell| cell != 0));
-            let victim = net.quorum(g, net.w)[1];
-            let mut rng = node_rng(1, victim.index());
-            let _ = net.phases[victim.index()].restore(g, None, 0, &[g], 9, &mut rng);
-            let after = net.cells();
-            let rows = net.rows.0.borrow();
-            for (row, &h_w) in rows.quorums.iter().enumerate() {
-                let owned = net.phases[0].pull_quorums.position_at(h_w, victim);
-                for pos in 0..D {
-                    let cell = row * D + pos;
-                    let expected = if owned == Some(pos) { 0 } else { before[cell] };
-                    assert_eq!(after[cell], expected, "row {row} cell {pos}");
-                }
-            }
-            assert_eq!(rows.quorums.len(), 2);
-            assert!(after.contains(&0), "the victim owned a cell");
-        }
     }
 }

@@ -10,13 +10,15 @@
 
 use fba_sim::fxhash::{FxHashMap, FxHashSet};
 
-use fba_samplers::{GString, QuorumScheme, SetSlot, SharedQuorumCache, SlotMasks, StringKey};
+use fba_samplers::{GString, QuorumScheme, StringKey};
 use fba_sim::NodeId;
+
+use crate::state::AerRunState;
 
 /// Per-node push-phase state: counts distinct valid pushers per candidate
 /// string and maintains the accepted list `L_x`.
 ///
-/// Vote counting lives in a run-shared [`SlotMasks`] arena keyed by the
+/// Vote counting lives in the run's shared [`AerRunState`], keyed by the
 /// interned quorum slot of `I(s, x)` — one contiguous `u128`-per-quorum
 /// vector for the whole run instead of a hash map of sender sets per
 /// node. Slots are unique per `(s, x)`, so nodes never alias each other's
@@ -24,12 +26,10 @@ use fba_sim::NodeId;
 #[derive(Clone, Debug)]
 pub struct PushPhase {
     x: NodeId,
-    /// Memoized push-quorum sampler `I`, shared across the run's nodes
-    /// (determinism: pure-function cache).
-    push_quorums: SharedQuorumCache,
-    /// Run-shared vote-mask arena; this node writes only the slots of its
-    /// own quorums `I(·, x)`.
-    votes: SlotMasks,
+    /// What the run shares: the memoized push-quorum sampler `I` and the
+    /// vote masks, of which this node writes only the slots of its own
+    /// quorums `I(·, x)`.
+    state: AerRunState,
     /// Candidate strings currently being counted but not (yet) accepted.
     pending: usize,
     /// Accepted candidates, in acceptance order; position 0 is `s_x`.
@@ -39,39 +39,15 @@ pub struct PushPhase {
 
 impl PushPhase {
     /// Creates the push state for node `x` with initial candidate `own`
-    /// on a private quorum cache and vote arena. `L_x` starts as `{own}`
-    /// (§3.1.1, Figure 2a).
+    /// on the run's shared `state`. `L_x` starts as `{own}` (§3.1.1,
+    /// Figure 2a).
     #[must_use]
-    pub fn new(x: NodeId, own: GString, scheme: QuorumScheme) -> Self {
-        Self::with_votes(x, own, scheme.shared_push(), SlotMasks::new())
-    }
-
-    /// Like [`PushPhase::new`], but sharing a run-wide quorum cache (see
-    /// [`SharedQuorumCache`]) and placing this node's vote masks in a
-    /// run-shared [`SlotMasks`] arena — the engine-owned struct-of-arrays
-    /// layout used by full AER runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme's quorum size `d` exceeds 128 (mask width).
-    #[must_use]
-    pub fn with_votes(
-        x: NodeId,
-        own: GString,
-        push_quorums: SharedQuorumCache,
-        votes: SlotMasks,
-    ) -> Self {
-        assert!(
-            push_quorums.sampler().d() <= 128,
-            "push quorum size d = {} exceeds the 128-bit vote masks",
-            push_quorums.sampler().d()
-        );
+    pub fn new(x: NodeId, own: GString, state: &AerRunState) -> Self {
         let mut accepted_keys = FxHashSet::default();
         accepted_keys.insert(own.key());
         PushPhase {
             x,
-            push_quorums,
-            votes,
+            state: state.clone(),
             pending: 0,
             accepted: vec![own],
             accepted_keys,
@@ -96,18 +72,19 @@ impl PushPhase {
         if self.accepted_keys.contains(&key) {
             return None;
         }
-        let slot: SetSlot = self.push_quorums.slot(key, self.x);
+        let push_quorums = &self.state.push_quorums;
+        let slot = push_quorums.slot(key, self.x);
         // Non-members of I(s, x) never reach the vote mask: flooding from
         // outside the quorum leaves no per-string state behind.
-        let position = self.push_quorums.position_at(slot, from)?;
-        let (newly, votes) = self.votes.vote(slot, position as u32);
+        let position = push_quorums.position_at(slot, from)?;
+        let (newly, votes) = self.state.push_vote(slot, position);
         if !newly {
             return None; // duplicate sender
         }
         if votes == 1 {
             self.pending += 1;
         }
-        if votes as usize >= self.push_quorums.majority() {
+        if votes as usize >= push_quorums.majority() {
             self.pending -= 1;
             self.accepted_keys.insert(key);
             self.accepted.push(s);
@@ -215,11 +192,16 @@ pub fn push_targets(scheme: &QuorumScheme, assignments: &[GString]) -> Vec<Vec<N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fba_samplers::QuorumScheme;
+    use fba_samplers::PollSampler;
     use std::collections::BTreeSet;
 
     fn scheme(n: usize, d: usize) -> QuorumScheme {
         QuorumScheme::new(7, n, d)
+    }
+
+    fn phase(x: NodeId, own: GString, sc: QuorumScheme) -> PushPhase {
+        let poll = PollSampler::new(7, sc.n(), sc.d(), 2);
+        PushPhase::new(x, own, &AerRunState::new(sc, poll))
     }
 
     fn gs(tag: u8, len: usize) -> GString {
@@ -234,7 +216,7 @@ mod tests {
     fn own_candidate_is_preaccepted() {
         let sc = scheme(32, 5);
         let own = gs(1, 16);
-        let p = PushPhase::new(NodeId::from_index(0), own, sc);
+        let p = phase(NodeId::from_index(0), own, sc);
         assert!(p.contains(&own));
         assert_eq!(p.candidates(), &[own]);
         assert_eq!(p.own_candidate(), &own);
@@ -244,7 +226,7 @@ mod tests {
     fn acceptance_requires_quorum_majority_of_distinct_members() {
         let sc = scheme(32, 5);
         let x = NodeId::from_index(3);
-        let mut p = PushPhase::new(x, gs(1, 16), sc);
+        let mut p = phase(x, gs(1, 16), sc);
         let s = gs(2, 16);
         let quorum = sc.push.quorum(s.key(), x);
         assert_eq!(quorum.len(), 5);
@@ -269,7 +251,7 @@ mod tests {
     fn pushes_from_non_members_are_filtered() {
         let sc = scheme(32, 5);
         let x = NodeId::from_index(3);
-        let mut p = PushPhase::new(x, gs(1, 16), sc);
+        let mut p = phase(x, gs(1, 16), sc);
         let s = gs(2, 16);
         let quorum: BTreeSet<_> = sc.push.quorum(s.key(), x).into_iter().collect();
         let outsiders: Vec<_> = (0..32)
@@ -291,7 +273,7 @@ mod tests {
     fn pending_counts_in_flight_strings() {
         let sc = scheme(32, 5);
         let x = NodeId::from_index(3);
-        let mut p = PushPhase::new(x, gs(1, 16), sc);
+        let mut p = phase(x, gs(1, 16), sc);
         let s = gs(2, 16);
         let quorum = sc.push.quorum(s.key(), x);
         let _ = p.on_push(quorum[0], s);

@@ -223,7 +223,7 @@ mod tests {
             .map(NodeId::from_index)
             .find(|id| !pre.knows(*id))
             .unwrap();
-        let mut phase = crate::push::PushPhase::new(x, pre.assignments[x.index()], scheme);
+        let mut phase = crate::push::PushPhase::new(x, pre.assignments[x.index()], &h.run_state());
         for env in &transcript {
             if env.to == x {
                 if let AerMsg::Push(s) = &env.msg {

@@ -2,9 +2,9 @@
 //! message sequences against a single [`PullPhase`] state machine,
 //! checking that each filter of Algorithms 1–3 holds individually.
 
-use fba_core::pull::{PullPhase, RetryPolicy, SharedBeliefs, SharedFw1Routes, SharedFw1Rows};
-use fba_core::AerMsg;
-use fba_samplers::{GString, Label, PollSampler, QuorumScheme, SharedPollCache};
+use fba_core::pull::{PullPhase, RetryPolicy};
+use fba_core::{AerMsg, AerRunState};
+use fba_samplers::{GString, Label, PollSampler, QuorumScheme};
 use fba_sim::rng::{derive_rng, node_rng};
 use fba_sim::NodeId;
 
@@ -21,13 +21,14 @@ fn setup() -> (QuorumScheme, PollSampler, GString, GString) {
     (scheme, poll, g, bad)
 }
 
+/// Pull state for node `x` on a run state of its own.
 fn phase(x: usize, own: GString) -> PullPhase {
     let (scheme, poll, _, _) = setup();
+    let state = AerRunState::new(scheme, poll);
     PullPhase::new(
         NodeId::from_index(x),
         own,
-        scheme,
-        poll,
+        &state,
         CAP,
         RetryPolicy::strict(),
     )
@@ -99,26 +100,17 @@ fn relay_requires_w_in_the_poll_list() {
 fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     // A Byzantine flood of `Fw1(origin, g, r, w)` over arbitrary
     // `(origin, r, w)` at a relay that believes `g`. From a sender
-    // outside H(g, origin) nothing may be interned — no route entry, no
-    // vote row; from a genuine router naming a `w` outside J(origin, r)
-    // the route fact is legitimate but still no row appears; and a
-    // forward for a string the relay does not believe must not even
-    // evaluate a sampler. Bounded per-node state growth, ROADMAP 5(a).
+    // outside H(g, origin) nothing may be interned past that quorum — no
+    // poll list, no vote row; from a genuine router naming a `w` outside
+    // J(origin, r) that one poll list is legitimate but still no row
+    // appears; and a forward for a string the relay does not believe
+    // must not even evaluate a sampler. Bounded per-node state growth,
+    // ROADMAP 5(a).
     let (scheme, poll, g, bad) = setup();
-    let pull_quorums = scheme.shared_pull();
-    let (routes, rows) = (SharedFw1Routes::new(), SharedFw1Rows::new(D));
+    let state = AerRunState::new(scheme, poll);
     let z = NodeId::from_index(40);
-    let mut p = PullPhase::with_state(
-        z,
-        g,
-        pull_quorums.clone(),
-        SharedPollCache::new(poll),
-        CAP,
-        RetryPolicy::strict(),
-        SharedBeliefs::new(),
-        routes.clone(),
-        rows.clone(),
-    );
+    let mut p = PullPhase::new(z, g, &state, CAP, RetryPolicy::strict());
+    let tables = || (state.poll_cache_stats().1, state.fw1_row_count());
     let nodes = || (0..N).map(NodeId::from_index);
     let mut outsider_forwards = 0;
     for origin in nodes() {
@@ -132,11 +124,7 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
         }
     }
     assert!(outsider_forwards > 10_000);
-    assert_eq!(
-        (routes.len(), rows.len()),
-        (0, 0),
-        "outsiders grew the tables"
-    );
+    assert_eq!(tables(), (0, 0), "outsiders grew the tables");
 
     let origin = NodeId::from_index(5);
     let list = poll.poll_list(origin, Label(3));
@@ -145,24 +133,20 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
             assert!(p.on_fw1(y, origin, g, Label(3), w).is_none());
         }
     }
-    assert_eq!(
-        (routes.len(), rows.len()),
-        (1, 0),
-        "a row ahead of the w gate"
-    );
+    assert_eq!(tables(), (1, 0), "a row ahead of the w gate");
 
-    let evaluated = pull_quorums.stats().1;
+    let evaluated = state.pull_cache_stats().1;
     for origin in nodes() {
         for y in nodes().step_by(5) {
             assert!(p.on_fw1(y, origin, bad, Label(3), list[0]).is_none());
         }
     }
     assert_eq!(
-        pull_quorums.stats().1,
+        state.pull_cache_stats().1,
         evaluated,
         "sampled for an unbelieved string"
     );
-    assert_eq!((routes.len(), rows.len()), (1, 0));
+    assert_eq!(tables(), (1, 0));
 }
 
 #[test]
@@ -275,7 +259,8 @@ fn repair_votes_require_distinct_members_and_matching_string() {
         eager_repair: false,
     };
     let (scheme, poll, g, bad) = setup();
-    let mut p = PullPhase::new(NodeId::from_index(2), g, scheme, poll, CAP, retry);
+    let state = AerRunState::new(scheme, poll);
+    let mut p = PullPhase::new(NodeId::from_index(2), g, &state, CAP, retry);
     let mut rng = node_rng(7, 2);
     let _ = p.start_poll(g, 0, &mut rng);
     let sends = p.on_step(1, &mut rng);

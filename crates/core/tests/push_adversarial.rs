@@ -3,7 +3,8 @@
 //! Byzantine push sequences.
 
 use fba_core::push::{push_targets, PushPhase};
-use fba_samplers::{GString, QuorumScheme};
+use fba_core::AerRunState;
+use fba_samplers::{GString, PollSampler, QuorumScheme};
 use fba_sim::rng::derive_rng;
 use fba_sim::NodeId;
 
@@ -20,11 +21,17 @@ fn setup() -> (QuorumScheme, GString, GString) {
     )
 }
 
+/// Push state for `x` on a run state of its own.
+fn phase(x: NodeId, own: GString, scheme: QuorumScheme) -> PushPhase {
+    let poll = PollSampler::new(21, N, D, PollSampler::default_cardinality(N));
+    PushPhase::new(x, own, &AerRunState::new(scheme, poll))
+}
+
 #[test]
 fn flooding_many_distinct_strings_from_one_sender_builds_nothing() {
     let (scheme, own, _) = setup();
     let x = NodeId::from_index(3);
-    let mut p = PushPhase::new(x, own, scheme);
+    let mut p = phase(x, own, scheme);
     let mut rng = derive_rng(9, &[]);
     let flooder = NodeId::from_index(50);
     let mut counted = 0;
@@ -52,7 +59,7 @@ fn flooding_many_distinct_strings_from_one_sender_builds_nothing() {
 fn sybil_style_repeats_cannot_substitute_for_distinct_members() {
     let (scheme, own, s) = setup();
     let x = NodeId::from_index(3);
-    let mut p = PushPhase::new(x, own, scheme);
+    let mut p = phase(x, own, scheme);
     let quorum = scheme.push.quorum(s.key(), x);
     let majority = scheme.push.majority();
     // Two distinct members repeating endlessly never cross a majority of 5.
@@ -71,8 +78,8 @@ fn acceptance_is_per_receiver_not_global() {
     let (scheme, own, s) = setup();
     let a = NodeId::from_index(3);
     let b = NodeId::from_index(4);
-    let mut pa = PushPhase::new(a, own, scheme);
-    let pb = PushPhase::new(b, own, scheme);
+    let mut pa = phase(a, own, scheme);
+    let pb = phase(b, own, scheme);
     for y in scheme.push.quorum(s.key(), a) {
         let _ = pa.on_push(y, s);
     }
@@ -108,13 +115,13 @@ fn acceptance_threshold_is_independent_of_send_order() {
     let quorum = scheme.push.quorum(s.key(), x);
     let majority = scheme.push.majority();
 
-    let mut forward = PushPhase::new(x, own, scheme);
+    let mut forward = phase(x, own, scheme);
     for (i, &y) in quorum.iter().enumerate() {
         let accepted = forward.on_push(y, s).is_some();
         assert_eq!(accepted, i + 1 == majority);
     }
 
-    let mut backward = PushPhase::new(x, own, scheme);
+    let mut backward = phase(x, own, scheme);
     let mut accepted_at = None;
     for (i, &y) in quorum.iter().rev().enumerate() {
         if backward.on_push(y, s).is_some() {

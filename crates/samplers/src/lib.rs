@@ -22,9 +22,9 @@
 //!
 //! Every sampler is a pure function of `(public seed, key)`, so hot paths
 //! memoize whole sets: the run-shared [`SharedQuorumCache`] /
-//! [`SharedPollCache`] store each evaluated quorum or poll list (as an
-//! inline [`QuorumVec`]) behind a dense [`SetSlot`] and answer repeat
-//! membership queries with a binary search. A cache hit returns
+//! [`SharedPollCache`] store each evaluated quorum or poll list (`d` ids
+//! in one flat per-sampler arena) behind a dense [`SetSlot`] and answer
+//! repeat membership queries with a binary search. A cache hit returns
 //! byte-identical data to a fresh evaluation — caching cannot change any
 //! protocol outcome, only how often the Floyd sampling loop runs.
 //! `tests/cache_equiv.rs` asserts cached ≡ uncached over randomized keys
@@ -56,10 +56,7 @@ mod quorum;
 mod sampler;
 mod strings;
 
-pub use cache::{
-    QuorumVec, SetCache, SetSlot, SharedPollCache, SharedQuorumCache, SharedSetCache, SlotMasks,
-    INLINE_QUORUM,
-};
+pub use cache::{SetSlot, SharedPollCache, SharedQuorumCache};
 pub use poll::{Label, PollSampler};
 pub use quorum::{default_quorum_size, tags, QuorumSampler, QuorumScheme};
 pub use sampler::Sampler;

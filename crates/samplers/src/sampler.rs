@@ -88,99 +88,56 @@ impl Sampler {
         splitmix64(base ^ splitmix64(i ^ 0x5bd1_e995))
     }
 
-    #[inline]
-    fn stream(&self, key: u64, i: u64) -> u64 {
-        Self::draw(self.base(key), i)
-    }
-
-    /// The `i`-th Floyd draw for `key`: a uniform value in `0..=j`.
-    #[inline]
-    pub(crate) fn pick(&self, key: u64, i: u64, j: usize) -> usize {
-        reduce(self.stream(key, i), j + 1)
-    }
-
-    /// The `d`-subset assigned to `key`, sorted ascending.
+    /// Floyd's algorithm — a uniform `d`-subset of `[n]` from exactly `d`
+    /// hash evaluations — appending the subset assigned to `key` to `out`,
+    /// sorted ascending. Each pick is inserted into the sorted tail
+    /// written so far, so the whole evaluation is `O(d log d)` comparisons
+    /// and the output needs no final sort. The collision branch (`t`
+    /// already chosen → take `j`) appends in place because `j` strictly
+    /// exceeds every previously chosen value.
     ///
-    /// Uses Floyd's algorithm — a uniform `d`-subset of `[n]` from exactly
-    /// `d` hash evaluations — over a sorted probe buffer, so the whole
-    /// evaluation is `O(d log d)` comparisons instead of the `O(d²)` of a
-    /// linear membership scan. The collision branch (`t` already chosen →
-    /// take `j`) appends in place because `j` strictly exceeds every
-    /// previously chosen value, which also means the output needs no final
-    /// sort.
-    #[must_use]
-    #[allow(clippy::explicit_counter_loop)] // `i` indexes the hash stream, not the loop
-    pub fn set_for(&self, key: u64) -> Vec<NodeId> {
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(self.d);
-        let mut i = 0u64;
-        for j in (self.n - self.d)..self.n {
-            let t = NodeId::from_index(reduce(self.stream(key, i), j + 1));
-            i += 1;
-            match chosen.binary_search(&t) {
-                Ok(_) => chosen.push(NodeId::from_index(j)),
-                Err(pos) => chosen.insert(pos, t),
+    /// With a `target`, returns `true` as soon as it is picked, leaving
+    /// the tail partially written; otherwise `false` with all `d`
+    /// members appended.
+    pub(crate) fn sorted_into(
+        &self,
+        key: u64,
+        out: &mut Vec<NodeId>,
+        target: Option<NodeId>,
+    ) -> bool {
+        let base = self.base(key);
+        let start = out.len();
+        for (i, j) in ((self.n - self.d)..self.n).enumerate() {
+            let t = NodeId::from_index(reduce(Self::draw(base, i as u64), j + 1));
+            let (pos, pick) = match out[start..].binary_search(&t) {
+                Ok(_) => (out.len(), NodeId::from_index(j)),
+                Err(pos) => (start + pos, t),
+            };
+            if Some(pick) == target {
+                return true;
             }
+            out.insert(pos, pick);
         }
+        false
+    }
+
+    /// The `d`-subset assigned to `key`, sorted ascending (see
+    /// [`Sampler::members_into`] for the draw-order batch form).
+    #[must_use]
+    pub fn set_for(&self, key: u64) -> Vec<NodeId> {
+        let mut chosen = Vec::with_capacity(self.d);
+        self.sorted_into(key, &mut chosen, None);
         chosen
     }
 
     /// Whether `node` belongs to the subset assigned to `key`.
     ///
-    /// Re-runs Floyd's algorithm over a stack probe buffer (no heap
-    /// allocation for `d ≤ 64`, i.e. every realistic quorum size),
-    /// checking each pick as it is drawn. Hot paths should still memoize
-    /// whole sets — see `SharedQuorumCache` — but the uncached cost is
-    /// `O(d log d)`.
+    /// Re-runs Floyd's algorithm, checking each pick as it is drawn: the
+    /// uncached cost is `O(d log d)`. Hot paths memoize whole sets — see
+    /// `SharedQuorumCache`.
     #[must_use]
     pub fn contains(&self, key: u64, node: NodeId) -> bool {
-        const STACK_PROBE: usize = 64;
-        if self.d <= STACK_PROBE {
-            let mut buf = [0u32; STACK_PROBE];
-            self.contains_probe(key, node.raw(), &mut buf)
-        } else {
-            let mut buf = vec![0u32; self.d];
-            self.contains_probe(key, node.raw(), &mut buf)
-        }
-    }
-
-    /// Floyd's algorithm over a caller-provided sorted probe buffer of at
-    /// least `d` slots, returning as soon as `target` is picked.
-    #[allow(clippy::explicit_counter_loop)] // `i` indexes the hash stream, not the loop
-    fn contains_probe(&self, key: u64, target: u32, buf: &mut [u32]) -> bool {
-        let mut len = 0usize;
-        let mut i = 0u64;
-        for j in (self.n - self.d)..self.n {
-            let t = reduce(self.stream(key, i), j + 1) as u32;
-            i += 1;
-            match buf[..len].binary_search(&t) {
-                Ok(_) => {
-                    // Collision → Floyd picks `j`, which is strictly larger
-                    // than every buffered value: append keeps sortedness.
-                    let pick = j as u32;
-                    if pick == target {
-                        return true;
-                    }
-                    buf[len] = pick;
-                }
-                Err(pos) => {
-                    if t == target {
-                        return true;
-                    }
-                    buf.copy_within(pos..len, pos + 1);
-                    buf[pos] = t;
-                }
-            }
-            len += 1;
-        }
-        false
-    }
-
-    /// Enumerates the inverse image restricted to one key: all nodes `y`
-    /// with `y ∈ set_for(key)` — i.e. simply the set itself. Provided for
-    /// symmetry with [`Sampler::inverse_over_keys`].
-    #[must_use]
-    pub fn members(&self, key: u64) -> Vec<NodeId> {
-        self.set_for(key)
+        self.sorted_into(key, &mut Vec::with_capacity(self.d), Some(node))
     }
 
     /// Appends the subset assigned to `key` to `out` **in draw order**

@@ -2,10 +2,7 @@
 //! memoization layer is a pure lookup table over pure functions, so any
 //! divergence is a bug. Randomized over seeds, sizes, keys and probes.
 
-use fba_samplers::{
-    default_quorum_size, Label, PollSampler, QuorumSampler, QuorumScheme, SharedPollCache,
-    StringKey,
-};
+use fba_samplers::{Label, PollSampler, QuorumSampler, QuorumScheme, SharedPollCache, StringKey};
 use fba_sim::NodeId;
 use proptest::prelude::*;
 
@@ -16,10 +13,13 @@ proptest! {
     fn shared_quorum_caches_match_uncached(
         seed in any::<u64>(),
         n in 8usize..512,
+        d_draw in any::<usize>(),
         keys in collection::vec(any::<u64>(), 1..20),
         probe_salt in any::<u64>(),
     ) {
-        let d = default_quorum_size(n, 3.0).min(n);
+        // Every size a run accepts — uniform over 3..=min(n, 127) — not
+        // only the κ = 3 default (≤ 19 here).
+        let d = 3 + d_draw % (n.min(127) - 2);
         let scheme = QuorumScheme::new(seed, n, d);
         for (cache, sampler) in [
             (scheme.shared_push(), scheme.push),
@@ -54,9 +54,10 @@ proptest! {
     fn shared_poll_cache_matches_uncached(
         seed in any::<u64>(),
         n in 8usize..256,
+        d_draw in any::<usize>(),
         labels in collection::vec(any::<u64>(), 1..16),
     ) {
-        let d = default_quorum_size(n, 2.0).min(n);
+        let d = 3 + d_draw % (n.min(127) - 2);
         let j = PollSampler::new(seed, n, d, PollSampler::default_cardinality(n));
         let cache = SharedPollCache::new(j);
         let mut misses_after_first = None;

@@ -616,6 +616,8 @@ mod tests {
             Scenario::new(Scenario::MAX_N + 1).phase(Phase::Ae),
             Scenario::new(64).quorum_size(0),
             Scenario::new(64).phase(Phase::Composed).quorum_size(0),
+            // Wider than the run's vote masks, though below n.
+            Scenario::new(256).quorum_size(128),
             Scenario::new(64).adversary(spec("sched:[0..2]silent:3;[2..]flood")),
             Scenario::new(64)
                 .phase(Phase::Ae)

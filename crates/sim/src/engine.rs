@@ -48,9 +48,6 @@ pub struct EngineConfig {
     /// Record every envelope sent, for trace-style experiments (Fig. 2a/2b).
     /// Costs memory; leave off for sweeps.
     pub record_transcript: bool,
-    /// Per-message header bits; defaults to `2·⌈log₂ n⌉` (sender +
-    /// recipient identity) when `None`.
-    pub header_bits: Option<u64>,
     /// Crash–restart outage plan. `None` (the default) and an empty plan
     /// are the same no-fault fast path and execute bit-identically; with
     /// outages present, the named nodes go dark over their windows (see
@@ -69,7 +66,6 @@ impl EngineConfig {
             max_delay: 1,
             drain_steps: 64,
             record_transcript: false,
-            header_bits: None,
             crash: None,
         }
     }
@@ -84,11 +80,11 @@ impl EngineConfig {
         }
     }
 
-    /// Effective header bits.
+    /// Per-message header bits: `2·⌈log₂ n⌉` (sender + recipient
+    /// identity).
     #[must_use]
     pub fn effective_header_bits(&self) -> u64 {
-        self.header_bits
-            .unwrap_or_else(|| 2 * u64::from(ceil_log2(self.n)))
+        2 * u64::from(ceil_log2(self.n))
     }
 }
 

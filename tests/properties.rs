@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 
 use fba::ae::{Precondition, UnknowingAssignment};
 use fba::core::push::PushPhase;
+use fba::core::AerRunState;
 use fba::samplers::{
     default_quorum_size, GString, Label, PollSampler, QuorumScheme, Sampler, StringKey,
 };
@@ -95,7 +96,8 @@ proptest! {
         let own = GString::random(32, &mut rng);
         let s = GString::random(32, &mut rng);
         prop_assume!(own != s);
-        let mut phase = PushPhase::new(x, own, scheme);
+        let poll = PollSampler::new(seed, n, d, PollSampler::default_cardinality(n));
+        let mut phase = PushPhase::new(x, own, &AerRunState::new(scheme, poll));
         let quorum = scheme.push.quorum(s.key(), x);
         let majority = scheme.push.majority();
         for (i, &y) in quorum.iter().enumerate() {
