@@ -225,6 +225,12 @@ impl AeNode {
         (self.id.index() / (self.c() << level)) as u32
     }
 
+    /// `members` without this node, in order: the recipients of a
+    /// multicast to one's own group.
+    fn others(&self, members: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
+        members.into_iter().filter(|&m| m != self.id).collect()
+    }
+
     fn leaf_members(&self) -> Vec<NodeId> {
         tree::range(self.cfg.n, self.c(), 0, self.idx_at(0))
             .map(NodeId::from_index)
@@ -395,18 +401,11 @@ impl Protocol for AeNode {
         self.root_contribution = self.rigged.unwrap_or_else(|| ctx.rng().gen());
         self.contribs.insert(self.id, self.contribution);
         self.root_contribs.insert(self.id, self.root_contribution);
-        let members = self.leaf_members();
-        for &m in &members {
-            if m != self.id {
-                ctx.send(
-                    m,
-                    AeMsg::Contribute {
-                        root: false,
-                        value: self.contribution,
-                    },
-                );
-            }
-        }
+        let contribute = AeMsg::Contribute {
+            root: false,
+            value: self.contribution,
+        };
+        ctx.multicast(&self.others(self.leaf_members()), contribute);
     }
 
     fn on_step(&mut self, ctx: &mut Context<'_, AeMsg>) {
@@ -418,17 +417,8 @@ impl Protocol for AeNode {
                 // Leaf echo.
                 let pairs: Vec<(NodeId, u64)> =
                     self.contribs.iter().map(|(&s, &v)| (s, v)).collect();
-                for m in self.leaf_members() {
-                    if m != self.id {
-                        ctx.send(
-                            m,
-                            AeMsg::Echo {
-                                root: false,
-                                pairs: pairs.clone(),
-                            },
-                        );
-                    }
-                }
+                let echo = AeMsg::Echo { root: false, pairs };
+                ctx.multicast(&self.others(self.leaf_members()), echo);
             }
             s if s >= 4 && s % 2 == 0 && (s - 4) / 2 <= Step::from(root) => {
                 let level = ((s - 4) / 2) as u32;
@@ -485,33 +475,21 @@ impl Protocol for AeNode {
                     if sibling < tree::nodes_at_level(self.cfg.n, c, level)
                         && self.i_am_rep(level, value)
                     {
-                        for i in tree::range(self.cfg.n, c, level, sibling) {
-                            ctx.send(
-                                NodeId::from_index(i),
-                                AeMsg::Gv {
-                                    level,
-                                    idx: my_idx,
-                                    value,
-                                },
-                            );
-                        }
+                        let range = tree::range(self.cfg.n, c, level, sibling);
+                        let range: Vec<NodeId> = range.map(NodeId::from_index).collect();
+                        let idx = my_idx;
+                        ctx.multicast(&range, AeMsg::Gv { level, idx, value });
                     }
                 } else {
                     // Root reached: supreme committee runs its own
                     // contribute round.
                     if let Some(committee) = self.root_committee() {
                         if committee.contains(&self.id) {
-                            for &m in &committee {
-                                if m != self.id {
-                                    ctx.send(
-                                        m,
-                                        AeMsg::Contribute {
-                                            root: true,
-                                            value: self.root_contribution,
-                                        },
-                                    );
-                                }
-                            }
+                            let contribute = AeMsg::Contribute {
+                                root: true,
+                                value: self.root_contribution,
+                            };
+                            ctx.multicast(&self.others(committee), contribute);
                         }
                     }
                 }
@@ -522,17 +500,8 @@ impl Protocol for AeNode {
                     if committee.contains(&self.id) {
                         let pairs: Vec<(NodeId, u64)> =
                             self.root_contribs.iter().map(|(&a, &b)| (a, b)).collect();
-                        for &m in &committee {
-                            if m != self.id {
-                                ctx.send(
-                                    m,
-                                    AeMsg::Echo {
-                                        root: true,
-                                        pairs: pairs.clone(),
-                                    },
-                                );
-                            }
-                        }
+                        let echo = AeMsg::Echo { root: true, pairs };
+                        ctx.multicast(&self.others(committee), echo);
                     }
                 }
             }
@@ -547,12 +516,8 @@ impl Protocol for AeNode {
                         );
                         let consistent = Self::consistent(&echoes, &committee);
                         let gstring = self.build_gstring(&consistent, &committee);
-                        for i in 0..self.cfg.n {
-                            let to = NodeId::from_index(i);
-                            if to != self.id {
-                                ctx.send(to, AeMsg::Diffuse { value: gstring });
-                            }
-                        }
+                        let everyone = fba_sim::all_nodes(self.cfg.n);
+                        ctx.multicast(&self.others(everyone), AeMsg::Diffuse { value: gstring });
                         self.output = Some(gstring);
                     }
                 }
@@ -713,7 +678,7 @@ mod tests {
         n: usize,
         step: fba_sim::Step,
         rng: &'a mut rand_chacha::ChaCha12Rng,
-        outbox: &'a mut Vec<(NodeId, AeMsg)>,
+        outbox: &'a mut fba_sim::Runs<AeMsg>,
     ) -> Context<'a, AeMsg> {
         Context::new(id, n, step, rng, outbox)
     }
@@ -724,7 +689,7 @@ mod tests {
         let c = cfg.committee_size; // leaf group 0 = [0, c)
         let mut node = AeNode::new(cfg, NodeId::from_index(0));
         let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = Vec::new();
+        let mut outbox = fba_sim::Runs::new();
         let mut ctx = hand_ctx(NodeId::from_index(0), 64, 1, &mut rng, &mut outbox);
         // A contribution from a node outside group 0 must be dropped.
         let outsider = NodeId::from_index(c + 1);
@@ -764,7 +729,7 @@ mod tests {
         let c = cfg.committee_size;
         let mut node = AeNode::new(cfg, NodeId::from_index(0));
         let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = Vec::new();
+        let mut outbox = fba_sim::Runs::new();
         let mut ctx = hand_ctx(NodeId::from_index(0), 128, 5, &mut rng, &mut outbox);
         // Claim about subtree (0, 1) = range [c, 2c) from a node outside
         // that range: dropped.
@@ -824,13 +789,13 @@ mod tests {
         let cfg = AeConfig::recommended(64);
         let mut node = AeNode::new_rigged(cfg, NodeId::from_index(0), 0xabcd);
         let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = Vec::new();
+        let mut outbox = fba_sim::Runs::new();
         let mut ctx = hand_ctx(NodeId::from_index(0), 64, 0, &mut rng, &mut outbox);
         node.on_start(&mut ctx);
         #[allow(clippy::drop_non_drop)] // release the outbox borrow
         drop(ctx);
         assert!(!outbox.is_empty());
-        for (_, msg) in &outbox {
+        for (_, msg) in outbox.iter() {
             if let AeMsg::Contribute { value, .. } = msg {
                 assert_eq!(*value, 0xabcd);
             }

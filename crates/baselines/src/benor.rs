@@ -126,10 +126,9 @@ impl BenOrNode {
         }
     }
 
-    fn broadcast(&self, msg: &BenOrMsg, ctx: &mut Context<'_, BenOrMsg>) {
-        for to in all_nodes(self.n) {
-            ctx.send(to, msg.clone());
-        }
+    fn broadcast(&self, msg: BenOrMsg, ctx: &mut Context<'_, BenOrMsg>) {
+        let everyone: Vec<NodeId> = all_nodes(self.n).collect();
+        ctx.multicast(&everyone, msg);
     }
 
     fn quorum(&self) -> usize {
@@ -161,7 +160,7 @@ impl BenOrNode {
             phase,
             value: proposal,
         };
-        self.broadcast(&msg, ctx);
+        self.broadcast(msg, ctx);
     }
 
     fn maybe_advance(&mut self, phase: u32, ctx: &mut Context<'_, BenOrMsg>) {
@@ -201,7 +200,7 @@ impl BenOrNode {
             phase: self.phase,
             value: self.value,
         };
-        self.broadcast(&msg, ctx);
+        self.broadcast(msg, ctx);
         // Catch up on messages that raced ahead of our phase.
         self.maybe_propose(self.phase, ctx);
         self.maybe_advance(self.phase, ctx);
@@ -212,7 +211,7 @@ impl BenOrNode {
             self.decided = Some(value);
             if !self.announced {
                 self.announced = true;
-                self.broadcast(&BenOrMsg::Decided { value }, ctx);
+                self.broadcast(BenOrMsg::Decided { value }, ctx);
             }
         }
     }
@@ -227,7 +226,7 @@ impl Protocol for BenOrNode {
             phase: 0,
             value: self.value,
         };
-        self.broadcast(&msg, ctx);
+        self.broadcast(msg, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: BenOrMsg, ctx: &mut Context<'_, BenOrMsg>) {

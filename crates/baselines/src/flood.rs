@@ -42,11 +42,8 @@ impl Protocol for FloodNode {
     fn on_start(&mut self, ctx: &mut Context<'_, FloodMsg>) {
         let n = ctx.n();
         let me = ctx.id();
-        for to in all_nodes(n) {
-            if to != me {
-                ctx.send(to, self.own);
-            }
-        }
+        let others: Vec<NodeId> = all_nodes(n).filter(|&to| to != me).collect();
+        ctx.multicast(&others, self.own);
     }
 
     fn on_step(&mut self, ctx: &mut Context<'_, FloodMsg>) {

@@ -99,13 +99,15 @@ impl KlstNode {
     fn send_queries(&mut self, ctx: &mut Context<'_, KlstMsg>) {
         let n = ctx.n();
         let me = ctx.id();
+        let mut queried = Vec::with_capacity(self.params.queries_per_round);
         for _ in 0..self.params.queries_per_round {
             let mut to = me;
             while to == me {
                 to = NodeId::from_index(ctx.rng().gen_range(0..n));
             }
-            ctx.send(to, KlstMsg::Query);
+            queried.push(to);
         }
+        ctx.multicast(&queried, KlstMsg::Query);
     }
 }
 

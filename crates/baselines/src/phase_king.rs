@@ -101,9 +101,12 @@ impl KingNode {
             phase,
             value: self.value,
         };
-        for to in all_nodes(self.n) {
-            ctx.send(to, msg.clone());
-        }
+        self.broadcast(msg, ctx);
+    }
+
+    fn broadcast(&self, msg: KingMsg, ctx: &mut Context<'_, KingMsg>) {
+        let everyone: Vec<NodeId> = all_nodes(self.n).collect();
+        ctx.multicast(&everyone, msg);
     }
 }
 
@@ -135,13 +138,8 @@ impl Protocol for KingNode {
             // Strong majorities stick regardless of the king.
             let strong = weight >= self.n - t;
             if ctx.id() == king {
-                let msg = KingMsg::King {
-                    phase,
-                    value: majority_value,
-                };
-                for to in all_nodes(self.n) {
-                    ctx.send(to, msg.clone());
-                }
+                let value = majority_value;
+                self.broadcast(KingMsg::King { phase, value }, ctx);
             }
             // Stash whether we must defer to the king at the next slot.
             self.king_value = if strong { Some(self.value) } else { None };

@@ -24,7 +24,7 @@ use fba_sim::{
 
 use crate::config::AerConfig;
 use crate::msg::AerMsg;
-use crate::pull::{PullPhase, RetryPolicy, Sends};
+use crate::pull::{PullPhase, RetryPolicy};
 use crate::push::{push_targets, PushPhase};
 use crate::state::AerRunState;
 
@@ -125,12 +125,6 @@ impl AerNode {
     pub fn believed(&self) -> &GString {
         self.pull.believed()
     }
-
-    fn dispatch(sends: Sends, ctx: &mut Context<'_, AerMsg>) {
-        for (to, msg) in sends {
-            ctx.send(to, msg);
-        }
-    }
 }
 
 impl Protocol for AerNode {
@@ -141,21 +135,15 @@ impl Protocol for AerNode {
         // Push phase: diffuse the initial candidate to the nodes whose
         // push quorums we belong to.
         let own = *self.push.own_candidate();
-        for &x in &self.targets {
-            ctx.send(x, AerMsg::Push(own));
-        }
+        ctx.multicast(&self.targets, AerMsg::Push(own));
         // L_x starts as {s_x}: verify it immediately.
-        let step = ctx.step();
-        let sends = self.pull.start_poll(own, step, ctx.rng());
-        Self::dispatch(sends, ctx);
-        self.sync_wal(step);
+        self.pull.start_poll(own, ctx);
+        self.sync_wal(ctx.step());
     }
 
     fn on_step(&mut self, ctx: &mut Context<'_, AerMsg>) {
-        let step = ctx.step();
-        let sends = self.pull.on_step(step, ctx.rng());
-        Self::dispatch(sends, ctx);
-        self.sync_wal(step);
+        self.pull.on_step(ctx);
+        self.sync_wal(ctx.step());
     }
 
     fn on_message(&mut self, from: NodeId, msg: AerMsg, ctx: &mut Context<'_, AerMsg>) {
@@ -164,36 +152,24 @@ impl Protocol for AerNode {
                 if let Some(newly_accepted) = self.push.on_push(from, s) {
                     // Pull phase begins per candidate as soon as it is
                     // accepted.
-                    let step = ctx.step();
-                    let sends = self.pull.start_poll(newly_accepted, step, ctx.rng());
-                    Self::dispatch(sends, ctx);
+                    self.pull.start_poll(newly_accepted, ctx);
                 }
             }
-            AerMsg::Poll(s, r) => Self::dispatch(self.pull.on_poll(from, s, r), ctx),
-            AerMsg::Pull(s, r) => Self::dispatch(self.pull.on_pull(from, s, r), ctx),
-            AerMsg::Fw1 { origin, s, r, w } => {
-                if let Some((to, fw2)) = self.pull.on_fw1(from, origin, s, r, w) {
-                    ctx.send(to, fw2);
-                }
-            }
-            AerMsg::Fw2 { origin, s, r } => {
-                Self::dispatch(self.pull.on_fw2(from, origin, s, r), ctx);
-            }
+            AerMsg::Poll(s, r) => self.pull.on_poll(from, s, r, ctx),
+            AerMsg::Pull(s, r) => self.pull.on_pull(from, s, r, ctx),
+            AerMsg::Fw1 { origin, s, r, w } => self.pull.on_fw1(from, origin, s, r, w, ctx),
+            AerMsg::Fw2 { origin, s, r } => self.pull.on_fw2(from, origin, s, r, ctx),
             AerMsg::Answer(s) => {
                 if self.pull.on_answer(from, s).is_some() {
                     // Deciding unlocks the overload queue (Algorithm 3's
                     // "wait for has_decided").
-                    let sends = self.pull.on_decided();
-                    Self::dispatch(sends, ctx);
+                    self.pull.on_decided(ctx);
                 }
             }
-            AerMsg::RepairQuery(r) => {
-                Self::dispatch(self.pull.on_repair_query(from, r), ctx);
-            }
+            AerMsg::RepairQuery(r) => self.pull.on_repair_query(from, r, ctx),
             AerMsg::RepairAnswer(s) => {
                 if self.pull.on_repair_answer(from, s).is_some() {
-                    let sends = self.pull.on_decided();
-                    Self::dispatch(sends, ctx);
+                    self.pull.on_decided(ctx);
                 }
             }
         }
@@ -247,18 +223,8 @@ impl Protocol for AerNode {
             return;
         }
         self.push.restore_accepted(&checkpoint.accepted);
-        let belief = checkpoint.belief.unwrap_or_else(|| checkpoint.accepted[0]);
-        let step = ctx.step();
-        let sends = self.pull.restore(
-            belief,
-            checkpoint.decided,
-            checkpoint.poll_attempt,
-            &checkpoint.accepted,
-            step,
-            ctx.rng(),
-        );
-        Self::dispatch(sends, ctx);
-        self.sync_wal(step);
+        self.pull.restore(&checkpoint, ctx);
+        self.sync_wal(ctx.step());
     }
 
     fn output(&self) -> Option<GString> {

@@ -51,3 +51,8 @@ pub use ba::{run_ba, BaConfig, BaReport};
 pub use config::{AerConfig, ConfigError};
 pub use msg::AerMsg;
 pub use state::AerRunState;
+
+/// The hand-driving test helper, shared with `tests/` (one copy).
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod test_support;

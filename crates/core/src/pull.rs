@@ -17,23 +17,22 @@
 //!
 //! `x` decides `s` upon answers from a strict majority of `J(x, r)`.
 //!
-//! [`PullPhase`] is a pure state machine — every handler returns the
-//! messages to transmit — so the algorithms are unit-testable without the
-//! simulator.
+//! [`PullPhase`] is a pure state machine over the callback's
+//! [`Context`]: a handler that transmits writes into the context it is
+//! handed — by the multicast, one stored payload over the interned quorum
+//! or poll list — and takes the step and its randomness from there, so
+//! the algorithms are unit-testable without the simulator.
 
 use std::collections::BTreeSet;
 
+use fba_recovery::Checkpoint;
 use fba_sim::fxhash::{FxHashMap, FxHashSet};
 
 use fba_samplers::{GString, Label, PollSampler, StringKey};
-use fba_sim::{NodeId, Step};
-use rand_chacha::ChaCha12Rng;
+use fba_sim::{Context, NodeId, Step};
 
 use crate::msg::AerMsg;
 use crate::state::{slot_vote_key, AerRunState};
-
-/// Outgoing messages produced by one handler invocation.
-pub type Sends = Vec<(NodeId, AerMsg)>;
 
 /// Per-requester cap on repair answers, preventing Byzantine requesters
 /// from using the repair path as an amplification primitive.
@@ -229,83 +228,47 @@ impl PullPhase {
     /// `J(x, r)` (fresh random `r`) and the pull quorum `H(s, x)`.
     ///
     /// No-op when already decided or already polling `s`.
-    #[must_use]
-    pub fn start_poll(&mut self, s: GString, step: Step, rng: &mut ChaCha12Rng) -> Sends {
-        if self.decided.is_some() {
-            return Vec::new();
-        }
+    pub fn start_poll(&mut self, s: GString, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
-        if self.own_polls.contains_key(&key) {
-            return Vec::new();
+        if self.decided.is_some() || self.own_polls.contains_key(&key) {
+            return;
         }
-        let r = self.poll().random_label(rng);
-        let sends = self.poll_sends(&s, r);
-        self.own_polls.insert(
-            key,
-            OwnPoll {
-                s,
-                r,
-                answered_by: 0,
-                started: step,
-                attempt: 1,
-            },
-        );
-        sends
-    }
-
-    fn poll_sends(&self, s: &GString, r: Label) -> Sends {
-        let key = s.key();
-        let mut sends = Vec::new();
-        self.state.poll_lists.poll_list_with(self.x, r, |list| {
-            for &w in list {
-                sends.push((w, AerMsg::Poll(*s, r)));
-            }
-        });
-        self.state.pull_quorums.quorum_with(key, self.x, |quorum| {
-            for &y in quorum {
-                sends.push((y, AerMsg::Pull(*s, r)));
-            }
-        });
-        sends
+        let poll = OwnPoll {
+            s,
+            r: self.poll().random_label(ctx.rng()),
+            answered_by: 0,
+            started: ctx.step(),
+            attempt: 1,
+        };
+        poll_sends(&self.state, self.x, &poll, ctx);
+        self.own_polls.insert(key, poll);
     }
 
     /// Timeout processing (liveness extensions): retries stalled polls
     /// with fresh labels, then falls back to repair queries — once all
     /// polls are exhausted, or (with [`RetryPolicy::eager_repair`]) as
     /// soon as a full timeout passed without any answer at all. Call once
-    /// per step; returns messages to send.
-    #[must_use]
-    pub fn on_step(&mut self, step: Step, rng: &mut ChaCha12Rng) -> Sends {
+    /// per step.
+    pub fn on_step(&mut self, ctx: &mut Context<'_, AerMsg>) {
         if self.decided.is_some() {
-            return Vec::new();
+            return;
         }
-        let mut sends = Vec::new();
+        let step = ctx.step();
         let timeout = self.retry.poll_timeout;
         let mut all_exhausted = true;
         // Every poll has already run through at least one full timeout
         // (it is expired right now, or a retry already fired for it).
         let mut all_expired_once = !self.own_polls.is_empty();
         // Retry stalled polls with fresh labels.
-        let keys: Vec<StringKey> = self.own_polls.keys().copied().collect();
-        for key in keys {
-            let (retry_string, expired) = {
-                let poll = &self.own_polls[&key];
-                let expired = step.saturating_sub(poll.started) >= timeout;
-                all_expired_once &= expired || poll.attempt > 1;
-                if expired && poll.attempt < self.retry.poll_attempts {
-                    (Some(poll.s), expired)
-                } else {
-                    (None, expired)
-                }
-            };
-            if let Some(s) = retry_string {
-                let r = self.poll().random_label(rng);
-                sends.extend(self.poll_sends(&s, r));
-                let poll = self.own_polls.get_mut(&key).expect("poll exists");
-                poll.r = r;
+        for poll in self.own_polls.values_mut() {
+            let expired = step.saturating_sub(poll.started) >= timeout;
+            all_expired_once &= expired || poll.attempt > 1;
+            if expired && poll.attempt < self.retry.poll_attempts {
+                poll.r = self.state.poll_lists.sampler().random_label(ctx.rng());
                 poll.answered_by = 0;
                 poll.started = step;
                 poll.attempt += 1;
+                poll_sends(&self.state, self.x, poll, ctx);
                 all_exhausted = false;
             } else if !expired {
                 all_exhausted = false;
@@ -322,39 +285,39 @@ impl PullPhase {
             && self.repair_used < self.retry.repair_attempts
             && (self.repair_used == 0 || step.saturating_sub(self.repair_last) >= timeout)
         {
-            let r = self.poll().random_label(rng);
-            self.repair_label = Some(r);
             self.repair_votes.clear();
             self.repair_used += 1;
-            self.repair_last = step;
-            self.state.poll_lists.poll_list_with(self.x, r, |list| {
-                for &w in list {
-                    sends.push((w, AerMsg::RepairQuery(r)));
-                }
-            });
+            self.query_repair(ctx);
         }
-        sends
+    }
+
+    /// One repair query to a fresh poll list `J(x, r)`, which
+    /// becomes the list whose answers count.
+    fn query_repair(&mut self, ctx: &mut Context<'_, AerMsg>) {
+        let r = self.poll().random_label(ctx.rng());
+        self.repair_label = Some(r);
+        self.repair_last = ctx.step();
+        let query = |list: &[NodeId]| ctx.multicast(list, AerMsg::RepairQuery(r));
+        self.state.poll_lists.poll_list_with(self.x, r, query);
     }
 
     /// Handles a repair query from `origin`: if this node has decided and
     /// really is in `J(origin, r)`, it replies with its decision (subject
     /// to a per-requester cap); otherwise the query is parked until this
     /// node decides.
-    #[must_use]
-    pub fn on_repair_query(&mut self, origin: NodeId, r: Label) -> Sends {
+    pub fn on_repair_query(&mut self, origin: NodeId, r: Label, ctx: &mut Context<'_, AerMsg>) {
         if !self.state.poll_lists.contains(origin, r, self.x) {
-            return Vec::new();
+            return;
         }
         let served = self.repair_answered.entry(origin).or_insert(0);
         if *served >= REPAIR_ANSWER_CAP {
-            return Vec::new();
+            return;
         }
-        if let Some(decision) = &self.decided {
+        if let Some(decision) = self.decided {
             *served += 1;
-            vec![(origin, AerMsg::RepairAnswer(*decision))]
+            ctx.send(origin, AerMsg::RepairAnswer(decision));
         } else {
             self.repair_pending.push((origin, r));
-            Vec::new()
         }
     }
 
@@ -397,40 +360,31 @@ impl PullPhase {
     /// Forwards iff `s` matches this node's current candidate, this node
     /// really is in `H(s, origin)`, and this `(origin, s)` was not
     /// forwarded before (flood filter). The forward fans out to `H(s, w)`
-    /// for every `w ∈ J(origin, r)`.
-    #[must_use]
-    pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label) -> Sends {
+    /// for every `w ∈ J(origin, r)`: one multicast per `w`, in poll-list
+    /// order, each over the interned quorum.
+    pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
-        if key != self.state.belief(self.x).0 {
-            return Vec::new();
+        if key != self.state.belief(self.x).0
+            || !self.state.pull_quorums.contains(key, origin, self.x)
+            || !self.forwarded_pulls.insert((origin, key))
+        {
+            return;
         }
-        if !self.state.pull_quorums.contains(key, origin, self.x) {
-            return Vec::new();
-        }
-        if !self.forwarded_pulls.insert((origin, key)) {
-            return Vec::new();
-        }
-        let mut sends = Vec::new();
         self.state.poll_lists.poll_list_with(origin, r, |list| {
             for &w in list {
-                let fw = AerMsg::Fw1 { origin, s, r, w };
-                self.state.pull_quorums.quorum_with(key, w, |quorum| {
-                    for &z in quorum {
-                        sends.push((z, fw.clone()));
-                    }
-                });
+                let forward = |quorum: &[NodeId]| {
+                    ctx.multicast(quorum, AerMsg::Fw1 { origin, s, r, w });
+                };
+                self.state.pull_quorums.quorum_with(key, w, forward);
             }
         });
-        sends
     }
 
     /// Algorithm 2, second handler: an `Fw1(origin, s, r, w)` from router
     /// `y`. Counts distinct valid routers per `(origin, s, w)`; on crossing
-    /// the majority of `H(s, origin)`, relays one `Fw2` to `w` — returned
-    /// as the message to send, if any.
+    /// the majority of `H(s, origin)`, relays one `Fw2` to `w`.
     ///
     /// This is `AerRunState::fw1_run` for the single recipient `self`.
-    #[must_use]
     pub fn on_fw1(
         &mut self,
         y: NodeId,
@@ -438,16 +392,11 @@ impl PullPhase {
         s: GString,
         r: Label,
         w: NodeId,
-    ) -> Option<(NodeId, AerMsg)> {
-        let mut relay = None;
-        self.state.fw1_run(
-            y,
-            (origin, s, r, w),
-            &[self.x],
-            |_| true,
-            |_, to, fw2| relay = Some((to, fw2)),
-        );
-        relay
+        ctx: &mut Context<'_, AerMsg>,
+    ) {
+        let relay = |_, to, fw2| ctx.send(to, fw2);
+        self.state
+            .fw1_run(y, (origin, s, r, w), &[self.x], |_| true, relay);
     }
 
     /// The run state this phase was built on.
@@ -461,11 +410,16 @@ impl PullPhase {
     /// If this node is overloaded for `s` (already answered `overload_cap`
     /// requests) and has not decided, the forward is parked until the
     /// decision ([`PullPhase::on_decided`] drains the queue).
-    #[must_use]
-    pub fn on_fw2(&mut self, z: NodeId, origin: NodeId, s: GString, r: Label) -> Sends {
-        let key = s.key();
+    pub fn on_fw2(
+        &mut self,
+        z: NodeId,
+        origin: NodeId,
+        s: GString,
+        r: Label,
+        ctx: &mut Context<'_, AerMsg>,
+    ) {
         if self.decided.is_none()
-            && self.answer_counts.get(&key).copied().unwrap_or(0) >= self.overload_cap
+            && self.answer_counts.get(&s.key()).copied().unwrap_or(0) >= self.overload_cap
         {
             self.deferred.push(DeferredFw2 {
                 from: z,
@@ -473,24 +427,31 @@ impl PullPhase {
                 s,
                 r,
             });
-            return Vec::new();
+        } else {
+            self.process_fw2(z, origin, s, r, ctx);
         }
-        self.process_fw2(z, origin, s, r)
     }
 
-    fn process_fw2(&mut self, z: NodeId, origin: NodeId, s: GString, r: Label) -> Sends {
+    fn process_fw2(
+        &mut self,
+        z: NodeId,
+        origin: NodeId,
+        s: GString,
+        r: Label,
+        ctx: &mut Context<'_, AerMsg>,
+    ) {
         let key = s.key();
         let (believed_key, believed_slot) = self.state.belief(self.x);
         if key != believed_key {
-            return Vec::new();
+            return;
         }
         if !self.state.poll_lists.contains(origin, r, self.x) {
-            return Vec::new(); // we are not in J(origin, r)
+            return; // we are not in J(origin, r)
         }
         // `key == believed_key`, so `believed_slot` is the interned
         // H(s, self) — position lookups index it directly.
         let Some(z_pos) = self.state.pull_quorums.position_at(believed_slot, z) else {
-            return Vec::new(); // sender is not in H(s, this)
+            return; // sender is not in H(s, this)
         };
         let votes = self
             .fw2_senders
@@ -500,19 +461,16 @@ impl PullPhase {
         if votes.count_ones() as usize >= self.state.pull_quorums.majority()
             && self.polled.contains(&(origin, key))
         {
-            self.answer(origin, s)
-        } else {
-            Vec::new()
+            self.answer(origin, s, ctx);
         }
     }
 
     /// Algorithm 3, `Poll` handler. Registers `(origin, s)` as polled; in
     /// the asynchronous case where the `Fw2` majority arrived before the
     /// poll, answers immediately.
-    #[must_use]
-    pub fn on_poll(&mut self, origin: NodeId, s: GString, r: Label) -> Sends {
+    pub fn on_poll(&mut self, origin: NodeId, s: GString, r: Label, ctx: &mut Context<'_, AerMsg>) {
         if !self.state.poll_lists.contains(origin, r, self.x) {
-            return Vec::new();
+            return;
         }
         let key = s.key();
         self.polled.insert((origin, key));
@@ -522,7 +480,7 @@ impl PullPhase {
             // (`process_fw2` rejects everything else), so a non-believed
             // poll can never have a majority waiting — answering is
             // gated on the belief match anyway.
-            return Vec::new();
+            return;
         }
         let majority = self.state.pull_quorums.majority();
         let have = self
@@ -530,19 +488,17 @@ impl PullPhase {
             .get(&slot_vote_key(believed_slot, origin))
             .map_or(0, |votes| votes.count_ones() as usize);
         if have >= majority {
-            self.answer(origin, s)
-        } else {
-            Vec::new()
+            self.answer(origin, s, ctx);
         }
     }
 
-    fn answer(&mut self, origin: NodeId, s: GString) -> Sends {
+    fn answer(&mut self, origin: NodeId, s: GString, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
         if !self.answered.insert((origin, key)) {
-            return Vec::new(); // answer once per (x, s)
+            return; // answer once per (x, s)
         }
         *self.answer_counts.entry(key).or_insert(0) += 1;
-        vec![(origin, AerMsg::Answer(s))]
+        ctx.send(origin, AerMsg::Answer(s));
     }
 
     /// Algorithm 1, receiving side: an `Answer(s)` from poll-list member
@@ -583,36 +539,35 @@ impl PullPhase {
     /// s)` may be forwarded one more time, now with every router and
     /// relay in agreement, so one retry completes the poll. Amplification
     /// stays bounded: at most two forwards per `(origin, s)` per router.
-    #[must_use]
-    pub fn on_decided(&mut self) -> Sends {
-        debug_assert!(self.decided.is_some(), "drain requires a decision");
+    pub fn on_decided(&mut self, ctx: &mut Context<'_, AerMsg>) {
+        let Some(decision) = self.decided else {
+            debug_assert!(false, "drain requires a decision");
+            return;
+        };
         self.forwarded_pulls.clear();
-        let parked = std::mem::take(&mut self.deferred);
-        let mut sends = Vec::new();
-        for d in parked {
-            sends.extend(self.process_fw2(d.from, d.origin, d.s, d.r));
+        for d in std::mem::take(&mut self.deferred) {
+            self.process_fw2(d.from, d.origin, d.s, d.r, ctx);
         }
-        let decision = self.decided.expect("decided");
         for (origin, _r) in std::mem::take(&mut self.repair_pending) {
             let served = self.repair_answered.entry(origin).or_insert(0);
             if *served < REPAIR_ANSWER_CAP {
                 *served += 1;
-                sends.push((origin, AerMsg::RepairAnswer(decision)));
+                ctx.send(origin, AerMsg::RepairAnswer(decision));
             }
         }
-        sends
     }
 
     /// Crash-recovery: drops every transient (the state a crash loses),
-    /// restores the durable facts from a checkpoint, and launches
-    /// catch-up traffic. Returns the messages to send on restart.
+    /// restores the durable facts from `checkpoint`, and launches
+    /// catch-up traffic.
     ///
     /// Transients are the in-flight poll masks, the router/answerer vote
     /// arenas, the flood filters and the overload queue: all of them are
     /// reconstructible protocol plumbing, none of them are decisions, so
     /// losing them costs liveness (the node must re-poll) but never
-    /// safety. The durable facts — belief, decision, poll progress and
-    /// (via the caller) the accepted list — come from the WAL replay.
+    /// safety. The durable facts — belief (the first accepted string
+    /// until one was logged), decision, poll progress and (via the
+    /// caller) the accepted list — come from the WAL replay.
     ///
     /// An undecided node catches up on two channels: it re-polls every
     /// checkpointed candidate with a fresh label (resuming at the
@@ -621,17 +576,7 @@ impl PullPhase {
     /// state-sync path that pulls decisions the node slept through from
     /// sampled peers, reusing the repair machinery's Lemma 7 safety
     /// argument (adopt only a strict-majority report).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // the full checkpoint, itemised
-    pub fn restore(
-        &mut self,
-        belief: GString,
-        decided: Option<GString>,
-        poll_attempt: u32,
-        candidates: &[GString],
-        step: Step,
-        rng: &mut ChaCha12Rng,
-    ) -> Sends {
+    pub fn restore(&mut self, checkpoint: &Checkpoint, ctx: &mut Context<'_, AerMsg>) {
         self.own_polls.clear();
         self.answers_seen = 0;
         self.forwarded_pulls.clear();
@@ -648,48 +593,47 @@ impl PullPhase {
         self.repair_pending.clear();
         self.repair_answered.clear();
 
-        let key = belief.key();
-        self.set_belief(belief, key);
-        self.decided = decided;
+        if let Some(belief) = checkpoint.belief.or(checkpoint.accepted.first().copied()) {
+            self.set_belief(belief, belief.key());
+        }
+        self.decided = checkpoint.decided;
         if self.decided.is_some() {
-            return Vec::new();
+            return;
         }
 
-        let mut sends = Vec::new();
-        for &s in candidates {
-            let r = self.poll().random_label(rng);
-            sends.extend(self.poll_sends(&s, r));
-            self.own_polls.insert(
-                s.key(),
-                OwnPoll {
-                    s,
-                    r,
-                    answered_by: 0,
-                    started: step,
-                    attempt: poll_attempt.max(1),
-                },
-            );
+        for &s in &checkpoint.accepted {
+            let poll = OwnPoll {
+                s,
+                r: self.poll().random_label(ctx.rng()),
+                answered_by: 0,
+                started: ctx.step(),
+                attempt: checkpoint.poll_attempt.max(1),
+            };
+            poll_sends(&self.state, self.x, &poll, ctx);
+            self.own_polls.insert(s.key(), poll);
         }
         if self.retry.repair_attempts > 0 {
-            let r = self.poll().random_label(rng);
-            self.repair_label = Some(r);
             self.repair_used = 1;
-            self.repair_last = step;
-            self.state.poll_lists.poll_list_with(self.x, r, |list| {
-                for &w in list {
-                    sends.push((w, AerMsg::RepairQuery(r)));
-                }
-            });
+            self.query_repair(ctx);
         }
-        sends
     }
+}
+
+/// Algorithm 1's two multicasts for `poll`: `Poll(s, r)` to `J(x, r)`,
+/// then `Pull(s, r)` to `H(s, x)`.
+fn poll_sends(state: &AerRunState, x: NodeId, poll: &OwnPoll, ctx: &mut Context<'_, AerMsg>) {
+    let (s, r) = (poll.s, poll.r);
+    let to_list = |list: &[NodeId]| ctx.multicast(list, AerMsg::Poll(s, r));
+    state.poll_lists.poll_list_with(x, r, to_list);
+    let to_quorum = |quorum: &[NodeId]| ctx.multicast(quorum, AerMsg::Pull(s, r));
+    state.pull_quorums.quorum_with(s.key(), x, to_quorum);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::Hand;
     use fba_samplers::QuorumScheme;
-    use fba_sim::rng::node_rng;
 
     const CAP: u64 = 100;
 
@@ -724,15 +668,19 @@ mod tests {
         PullPhase::new(NodeId::from_index(x), own, &state, CAP, retry)
     }
 
+    /// The hand of `p`'s node in a system of `n`.
+    fn hand(p: &PullPhase, n: usize) -> Hand {
+        Hand::new(p.x, n, 1)
+    }
+
     #[test]
     fn start_poll_targets_poll_list_and_pull_quorum() {
         let n = 64;
         let d = 7;
         let (scheme, poll) = setup(n, d);
         let mut p = phase(3, gs(0), n, d);
-        let mut rng = node_rng(1, 3);
         let s = gs(1);
-        let sends = p.start_poll(s, 0, &mut rng);
+        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(s, ctx));
         assert_eq!(sends.len(), 2 * d);
         let polls: Vec<_> = sends
             .iter()
@@ -763,17 +711,13 @@ mod tests {
     #[test]
     fn start_poll_is_idempotent_per_string_and_stops_after_decision() {
         let mut p = phase(3, gs(0), 64, 7);
-        let mut rng = node_rng(1, 3);
-        assert!(!p.start_poll(gs(1), 0, &mut rng).is_empty());
-        assert!(
-            p.start_poll(gs(1), 0, &mut rng).is_empty(),
-            "same string twice"
-        );
+        let mut hand = hand(&p, 64);
+        assert!(!hand.sent(0, |ctx| p.start_poll(gs(1), ctx)).is_empty());
+        let again = hand.sent(0, |ctx| p.start_poll(gs(1), ctx));
+        assert!(again.is_empty(), "same string twice");
         p.decided = Some(gs(9));
-        assert!(
-            p.start_poll(gs(2), 0, &mut rng).is_empty(),
-            "after decision"
-        );
+        let late = hand.sent(0, |ctx| p.start_poll(gs(2), ctx));
+        assert!(late.is_empty(), "after decision");
     }
 
     #[test]
@@ -787,14 +731,36 @@ mod tests {
         let quorum = scheme.pull.quorum(s.key(), origin);
         let y = quorum[0];
         let mut p = phase(y.index(), s, n, d);
+        let mut hand = hand(&p, n);
         let r = Label(77);
-        let sends = p.on_pull(origin, s, r);
+        let sends = hand.sent(1, |ctx| p.on_pull(origin, s, r, ctx));
         assert_eq!(sends.len(), d * d, "d poll members × d quorum members");
         assert!(sends.iter().all(|(_, m)| matches!(m, AerMsg::Fw1 { .. })));
         // Second identical pull is filtered.
-        assert!(p.on_pull(origin, s, r).is_empty());
+        assert!(hand.sent(1, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
         // Different label, same (origin, s): still filtered.
-        assert!(p.on_pull(origin, s, Label(78)).is_empty());
+        let relabelled = hand.sent(1, |ctx| p.on_pull(origin, s, Label(78), ctx));
+        assert!(relabelled.is_empty());
+    }
+
+    #[test]
+    fn on_pull_emits_one_run_per_poll_list_member_in_list_order() {
+        // The forward of `Pull(s, r)` is d multicasts, not d² sends: the
+        // i-th run carries `Fw1 { w: J(x, r)[i] }` to exactly
+        // `H(s, J(x, r)[i])`, in quorum order.
+        let (n, d) = (64, 5);
+        let (scheme, poll) = setup(n, d);
+        let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
+        let y = scheme.pull.quorum(s.key(), origin)[0];
+        let mut p = phase(y.index(), s, n, d);
+        let out = hand(&p, n).outbox(1, |ctx| p.on_pull(origin, s, r, ctx));
+        let runs: Vec<(&AerMsg, &[NodeId])> = out.runs().collect();
+        let list = poll.poll_list(origin, r);
+        assert_eq!((runs.len(), list.len()), (d, d));
+        for ((msg, to), &w) in runs.into_iter().zip(&list) {
+            assert_eq!(*msg, AerMsg::Fw1 { origin, s, r, w });
+            assert_eq!(to, scheme.pull.quorum(s.key(), w));
+        }
     }
 
     #[test]
@@ -808,7 +774,9 @@ mod tests {
 
         // Router believes something else: no forward.
         let mut wrong_belief = phase(quorum[0].index(), gs(1), n, d);
-        assert!(wrong_belief.on_pull(origin, s, Label(0)).is_empty());
+        let routed =
+            |p: &mut PullPhase| hand(p, n).sent(1, |ctx| p.on_pull(origin, s, Label(0), ctx));
+        assert!(routed(&mut wrong_belief).is_empty());
 
         // Node outside H(s, origin): no forward.
         let outsider = (0..n)
@@ -816,7 +784,7 @@ mod tests {
             .find(|id| !quorum.contains(id))
             .unwrap();
         let mut not_member = phase(outsider.index(), s, n, d);
-        assert!(not_member.on_pull(origin, s, Label(0)).is_empty());
+        assert!(routed(&mut not_member).is_empty());
     }
 
     /// Drives a full single-request pipeline through hand-built state
@@ -832,8 +800,7 @@ mod tests {
         let x = NodeId::from_index(2);
 
         let mut requester = phase(x.index(), g, n, d);
-        let mut rng = node_rng(9, 2);
-        let sends = requester.start_poll(g, 0, &mut rng);
+        let sends = hand(&requester, n).sent(0, |ctx| requester.start_poll(g, ctx));
         let r = match &sends[0].1 {
             AerMsg::Poll(_, r) => *r,
             _ => unreachable!(),
@@ -845,7 +812,7 @@ mod tests {
         let mut all_fw1: Vec<(NodeId, NodeId, AerMsg)> = Vec::new(); // (sender y, to z, msg)
         for &y in &h_x {
             let mut router = phase(y.index(), g, n, d);
-            for (to, m) in router.on_pull(x, g, r) {
+            for (to, m) in hand(&router, n).sent(1, |ctx| router.on_pull(x, g, r, ctx)) {
                 all_fw1.push((y, to, m));
             }
         }
@@ -856,7 +823,8 @@ mod tests {
         let h_w = scheme.pull.quorum(key, w);
         let z = h_w[0];
         let mut relay = phase(z.index(), g, n, d);
-        let mut fw2_out = None;
+        let mut relay_hand = hand(&relay, n);
+        let mut fw2_out = Vec::new();
         let mut distinct_routers = 0;
         for (y, to, m) in &all_fw1 {
             if *to != z {
@@ -873,25 +841,27 @@ mod tests {
                     continue;
                 }
                 distinct_routers += 1;
-                let out = relay.on_fw1(*y, *origin, *s, *rr, *ww);
+                let out = relay_hand.sent(2, |ctx| relay.on_fw1(*y, *origin, *s, *rr, *ww, ctx));
                 if distinct_routers < majority {
-                    assert!(out.is_none(), "below majority must not relay");
+                    assert!(out.is_empty(), "below majority must not relay");
                 } else if distinct_routers == majority {
-                    assert!(out.is_some(), "majority crossing sends one Fw2");
                     fw2_out = out;
                 } else {
-                    assert!(out.is_none(), "relay only once");
+                    assert!(out.is_empty(), "relay only once");
                 }
             }
         }
-        assert_eq!(fw2_out, Some((w, AerMsg::Fw2 { origin: x, s: g, r })));
+        let fw2 = AerMsg::Fw2 { origin: x, s: g, r };
+        assert_eq!(fw2_out, [(w, fw2)], "majority crossing sends one Fw2");
 
         // The poll-list member w: polled + Fw2 majority => answer.
         let mut answerer = phase(w.index(), g, n, d);
-        assert!(answerer.on_poll(x, g, r).is_empty(), "no majority yet");
-        let mut answers: Sends = Vec::new();
+        let mut answerer_hand = hand(&answerer, n);
+        let polled = answerer_hand.sent(1, |ctx| answerer.on_poll(x, g, r, ctx));
+        assert!(polled.is_empty(), "no majority yet");
+        let mut answers = Vec::new();
         for (i, &zz) in h_w.iter().enumerate() {
-            let out = answerer.on_fw2(zz, x, g, r);
+            let out = answerer_hand.sent(3, |ctx| answerer.on_fw2(zz, x, g, r, ctx));
             if i + 1 < majority {
                 assert!(out.is_empty());
             } else if i + 1 == majority {
@@ -922,9 +892,8 @@ mod tests {
         let d = 5;
         let (_, poll) = setup(n, d);
         let mut p = phase(2, gs(0), n, d);
-        let mut rng = node_rng(9, 2);
         let g = gs(0);
-        let sends = p.start_poll(g, 0, &mut rng);
+        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(g, ctx));
         let r = match &sends[0].1 {
             AerMsg::Poll(_, r) => *r,
             _ => unreachable!(),
@@ -946,9 +915,8 @@ mod tests {
         let d = 5;
         let (_, poll) = setup(n, d);
         let mut p = phase(2, gs(0), n, d);
-        let mut rng = node_rng(9, 2);
         let g = gs(0);
-        let sends = p.start_poll(g, 0, &mut rng);
+        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(g, ctx));
         let r = match &sends[0].1 {
             AerMsg::Poll(_, r) => *r,
             _ => unreachable!(),
@@ -974,12 +942,13 @@ mod tests {
 
         // Serve requester A fully: poll + Fw2 majority => 1 answer (hits cap).
         let origin_a = NodeId::from_index(20);
+        let mut hand = hand(&p, n);
         let (ra, _) = find_label_containing(p.poll(), origin_a, w);
-        let _ = p.on_poll(origin_a, g, ra);
+        let _ = hand.sent(1, |ctx| p.on_poll(origin_a, g, ra, ctx));
         let mut answered = 0;
         let mut parked_for_a = 0;
         for &z in &h_w {
-            answered += p.on_fw2(z, origin_a, g, ra).len();
+            answered += hand.sent(3, |ctx| p.on_fw2(z, origin_a, g, ra, ctx)).len();
             if answered == 1 {
                 // Once the cap is hit, even A's trailing forwards park.
                 parked_for_a = p.deferred_len();
@@ -991,16 +960,17 @@ mod tests {
         // Requester B: all Fw2s are now parked.
         let origin_b = NodeId::from_index(21);
         let (rb, _) = find_label_containing(p.poll(), origin_b, w);
-        let _ = p.on_poll(origin_b, g, rb);
+        let _ = hand.sent(1, |ctx| p.on_poll(origin_b, g, rb, ctx));
         for &z in &h_w {
-            assert!(p.on_fw2(z, origin_b, g, rb).is_empty());
+            let out = hand.sent(3, |ctx| p.on_fw2(z, origin_b, g, rb, ctx));
+            assert!(out.is_empty());
         }
         assert_eq!(p.deferred_len(), h_w.len() + parked_for_a);
 
         // Decision unlocks the queue; B gets its answer.
         p.decided = Some(g);
         p.believed = g;
-        let out = p.on_decided();
+        let out = hand.sent(4, |ctx| p.on_decided(ctx));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, origin_b);
         assert_eq!(p.deferred_len(), 0);
@@ -1034,15 +1004,18 @@ mod tests {
         let h_w: BTreeSet<_> = scheme.pull.quorum(key, w).into_iter().collect();
         let mut p = phase(w.index(), g, n, d);
         let origin = NodeId::from_index(20);
+        let mut hand = hand(&p, n);
         let (r, _) = find_label_containing(p.poll(), origin, w);
-        let _ = p.on_poll(origin, g, r);
+        let _ = hand.sent(1, |ctx| p.on_poll(origin, g, r, ctx));
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
             .filter(|id| !h_w.contains(id))
             .take(2 * d)
             .collect();
         for z in outsiders {
-            assert!(p.on_fw2(z, origin, g, r).is_empty());
+            assert!(hand
+                .sent(3, |ctx| p.on_fw2(z, origin, g, r, ctx))
+                .is_empty());
         }
         assert_eq!(p.answers_sent_for(&g), 0);
     }
@@ -1058,13 +1031,15 @@ mod tests {
         let h_w = scheme.pull.quorum(key, w);
         let mut p = phase(w.index(), g, n, d);
         let origin = NodeId::from_index(20);
+        let mut hand = hand(&p, n);
         let (r, _) = find_label_containing(p.poll(), origin, w);
         // Fw2 majority arrives before the poll.
         for &z in &h_w {
-            assert!(p.on_fw2(z, origin, g, r).is_empty(), "not polled yet");
+            let out = hand.sent(3, |ctx| p.on_fw2(z, origin, g, r, ctx));
+            assert!(out.is_empty(), "not polled yet");
         }
         // The poll then triggers the answer (Algorithm 3's async branch).
-        let out = p.on_poll(origin, g, r);
+        let out = hand.sent(4, |ctx| p.on_poll(origin, g, r, ctx));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, origin);
     }
@@ -1078,17 +1053,17 @@ mod tests {
             eager_repair: false,
         };
         let mut p = phase_with_retry(2, gs(0), 64, 5, retry);
-        let mut rng = node_rng(3, 2);
+        let mut hand = hand(&p, 64);
         let g = gs(0);
-        let first = p.start_poll(g, 0, &mut rng);
+        let first = hand.sent(0, |ctx| p.start_poll(g, ctx));
         let r1 = match &first[0].1 {
             AerMsg::Poll(_, r) => *r,
             _ => unreachable!(),
         };
         // Before the timeout: nothing happens.
-        assert!(p.on_step(3, &mut rng).is_empty());
+        assert!(hand.sent(3, |ctx| p.on_step(ctx)).is_empty());
         // At the timeout: a fresh poll with a new label fires.
-        let second = p.on_step(4, &mut rng);
+        let second = hand.sent(4, |ctx| p.on_step(ctx));
         assert_eq!(second.len(), 2 * 5);
         let r2 = match &second[0].1 {
             AerMsg::Poll(_, r) => *r,
@@ -1097,17 +1072,18 @@ mod tests {
         assert_ne!(r1, r2, "retry must redraw the label");
         // Third attempt at the next timeout, then exhaustion (repair is
         // disabled here).
-        assert!(!p.on_step(8, &mut rng).is_empty());
-        assert!(p.on_step(12, &mut rng).is_empty(), "attempts exhausted");
+        assert!(!hand.sent(8, |ctx| p.on_step(ctx)).is_empty());
+        let spent = hand.sent(12, |ctx| p.on_step(ctx));
+        assert!(spent.is_empty(), "attempts exhausted");
     }
 
     #[test]
     fn strict_mode_never_retries() {
         let mut p = phase(2, gs(0), 64, 5);
-        let mut rng = node_rng(3, 2);
-        let _ = p.start_poll(gs(0), 0, &mut rng);
+        let mut hand = hand(&p, 64);
+        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
         for step in 1..2000 {
-            assert!(p.on_step(step, &mut rng).is_empty());
+            assert!(hand.sent(step, |ctx| p.on_step(ctx)).is_empty());
         }
     }
 
@@ -1122,10 +1098,10 @@ mod tests {
         let n = 64;
         let d = 5;
         let mut p = phase_with_retry(2, gs(0), n, d, retry);
-        let mut rng = node_rng(4, 2);
-        let _ = p.start_poll(gs(0), 0, &mut rng);
+        let mut hand = hand(&p, n);
+        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
         // Poll expires at step 2; repair query goes out to a fresh list.
-        let sends = p.on_step(2, &mut rng);
+        let sends = hand.sent(2, |ctx| p.on_step(ctx));
         assert_eq!(sends.len(), d);
         assert!(sends
             .iter()
@@ -1158,9 +1134,9 @@ mod tests {
         let n = 64;
         let d = 5;
         let mut p = phase_with_retry(2, gs(0), n, d, retry);
-        let mut rng = node_rng(4, 2);
-        let _ = p.start_poll(gs(0), 0, &mut rng);
-        let sends = p.on_step(1, &mut rng);
+        let mut hand = hand(&p, n);
+        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
+        let sends = hand.sent(1, |ctx| p.on_step(ctx));
         let members: BTreeSet<NodeId> = sends.iter().map(|(to, _)| *to).collect();
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
@@ -1179,18 +1155,21 @@ mod tests {
         let d = 5;
         let mut p = phase(7, gs(0), n, d);
         let origin = NodeId::from_index(20);
+        let mut hand = hand(&p, n);
         let (r, _) = find_label_containing(p.poll(), origin, NodeId::from_index(7));
         // Undecided: query parks.
-        assert!(p.on_repair_query(origin, r).is_empty());
+        assert!(hand
+            .sent(1, |ctx| p.on_repair_query(origin, r, ctx))
+            .is_empty());
         // Decide, then the parked query is served by the drain.
         p.decided = Some(gs(0));
-        let out = p.on_decided();
+        let out = hand.sent(2, |ctx| p.on_decided(ctx));
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, AerMsg::RepairAnswer(_)));
         // Direct queries now get served, up to the cap.
         let mut served = 1; // one from the drain
         for _ in 0..(3 * REPAIR_ANSWER_CAP) {
-            served += p.on_repair_query(origin, r).len();
+            served += hand.sent(3, |ctx| p.on_repair_query(origin, r, ctx)).len();
         }
         assert_eq!(served as u32, REPAIR_ANSWER_CAP, "per-origin cap enforced");
     }
@@ -1210,6 +1189,7 @@ mod tests {
                 break;
             }
         }
-        assert!(p.on_repair_query(origin, r.unwrap()).is_empty());
+        let out = hand(&p, n).sent(1, |ctx| p.on_repair_query(origin, r.unwrap(), ctx));
+        assert!(out.is_empty());
     }
 }

@@ -323,7 +323,7 @@ impl AerRunState {
 mod tests {
     use super::*;
     use crate::pull::{PullPhase, RetryPolicy};
-    use fba_sim::rng::node_rng;
+    use crate::test_support::Hand;
 
     fn setup(n: usize, d: usize) -> (QuorumScheme, PollSampler) {
         (
@@ -603,11 +603,15 @@ mod tests {
             let (origin, r, w) = (whole.origin, whole.r, whole.w);
             for (y, recipients) in &runs {
                 let by_run = whole.run(*y, g, recipients);
-                let by_call: Vec<NodeId> = recipients
-                    .iter()
-                    .filter(|z| each.phases[z.index()].on_fw1(*y, origin, g, r, w).is_some())
-                    .copied()
-                    .collect();
+                let mut relays = |z: &NodeId| {
+                    let phase = &mut each.phases[z.index()];
+                    let sent =
+                        Hand::new(*z, N, 1).sent(2, |ctx| phase.on_fw1(*y, origin, g, r, w, ctx));
+                    assert!(sent.iter().all(|(to, _)| *to == w) && sent.len() <= 1);
+                    !sent.is_empty()
+                };
+                let by_call: Vec<NodeId> =
+                    recipients.iter().filter(|z| relays(z)).copied().collect();
                 assert_eq!(by_run, by_call, "forward from {y}");
                 assert_eq!(whole.cells(), each.cells(), "after the forward from {y}");
             }
@@ -630,8 +634,13 @@ mod tests {
             let before = net.cells();
             assert!(before.iter().all(|&cell| cell != 0));
             let victim = net.quorum(g, net.w)[1];
-            let mut rng = node_rng(1, victim.index());
-            let _ = net.phases[victim.index()].restore(g, None, 0, &[g], 9, &mut rng);
+            let checkpoint = fba_recovery::Checkpoint {
+                accepted: vec![g],
+                belief: Some(g),
+                ..Default::default()
+            };
+            let phase = &mut net.phases[victim.index()];
+            let _ = Hand::new(victim, N, 1).sent(9, |ctx| phase.restore(&checkpoint, ctx));
             let after = net.cells();
             let rows = &net.state.cells.borrow().fw1;
             for (row, &h_w) in rows.quorums.iter().enumerate() {

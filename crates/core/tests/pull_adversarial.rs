@@ -5,8 +5,11 @@
 use fba_core::pull::{PullPhase, RetryPolicy};
 use fba_core::{AerMsg, AerRunState};
 use fba_samplers::{GString, Label, PollSampler, QuorumScheme};
-use fba_sim::rng::{derive_rng, node_rng};
-use fba_sim::NodeId;
+use fba_sim::rng::derive_rng;
+use fba_sim::{Context, NodeId};
+
+mod support;
+use support::Hand;
 
 const N: usize = 96;
 const D: usize = 9;
@@ -34,6 +37,11 @@ fn phase(x: usize, own: GString) -> PullPhase {
     )
 }
 
+/// What `handler` sends when node `x` runs it at step 1, per envelope.
+fn sent(x: NodeId, handler: impl FnOnce(&mut Context<'_, AerMsg>)) -> Vec<(NodeId, AerMsg)> {
+    Hand::new(x, N, 1).sent(1, handler)
+}
+
 /// Finds a label whose poll list for `origin` contains `member`.
 fn label_hitting(poll: &PollSampler, origin: NodeId, member: NodeId) -> Label {
     for raw in 0..poll.label_cardinality() {
@@ -52,7 +60,7 @@ fn router_ignores_pulls_for_strings_it_does_not_believe() {
     let mut p = phase(router.index(), g);
     // Router believes g; a pull for `bad` (whose quorum it belongs to)
     // must not be routed.
-    assert!(p.on_pull(origin, bad, Label(1)).is_empty());
+    assert!(sent(router, |ctx| p.on_pull(origin, bad, Label(1), ctx)).is_empty());
 }
 
 #[test]
@@ -70,7 +78,7 @@ fn relay_requires_sender_in_requesters_quorum() {
         .find(|y| !h_origin.contains(y))
         .unwrap();
     for _ in 0..3 * D {
-        assert!(p.on_fw1(intruder, origin, g, r, w).is_none());
+        assert!(sent(z, |ctx| p.on_fw1(intruder, origin, g, r, w, ctx)).is_empty());
     }
 }
 
@@ -90,7 +98,7 @@ fn relay_requires_w_in_the_poll_list() {
     let h_origin = scheme.pull.quorum(g.key(), origin);
     for y in h_origin {
         assert!(
-            p.on_fw1(y, origin, g, r, w).is_none(),
+            sent(z, |ctx| p.on_fw1(y, origin, g, r, w, ctx)).is_empty(),
             "relayed for a w outside J(origin, r)"
         );
     }
@@ -118,7 +126,8 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
         let intruder = nodes().find(|y| !h_origin.contains(y)).unwrap();
         for raw in 0..8 {
             for w in nodes().step_by(7) {
-                assert!(p.on_fw1(intruder, origin, g, Label(raw), w).is_none());
+                let relayed = sent(z, |ctx| p.on_fw1(intruder, origin, g, Label(raw), w, ctx));
+                assert!(relayed.is_empty());
                 outsider_forwards += 1;
             }
         }
@@ -130,7 +139,7 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     let list = poll.poll_list(origin, Label(3));
     for y in scheme.pull.quorum(g.key(), origin) {
         for w in nodes().filter(|w| !list.contains(w)) {
-            assert!(p.on_fw1(y, origin, g, Label(3), w).is_none());
+            assert!(sent(z, |ctx| p.on_fw1(y, origin, g, Label(3), w, ctx)).is_empty());
         }
     }
     assert_eq!(tables(), (1, 0), "a row ahead of the w gate");
@@ -138,7 +147,7 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     let evaluated = state.pull_cache_stats().1;
     for origin in nodes() {
         for y in nodes().step_by(5) {
-            assert!(p.on_fw1(y, origin, bad, Label(3), list[0]).is_none());
+            assert!(sent(z, |ctx| p.on_fw1(y, origin, bad, Label(3), list[0], ctx)).is_empty());
         }
     }
     assert_eq!(
@@ -160,7 +169,7 @@ fn byzantine_cannot_fake_fw1_majority_with_one_identity() {
     let y = scheme.pull.quorum(g.key(), origin)[0];
     // One valid router spamming Fw1 many times counts once.
     for _ in 0..10 * D {
-        assert!(p.on_fw1(y, origin, g, r, w).is_none());
+        assert!(sent(z, |ctx| p.on_fw1(y, origin, g, r, w, ctx)).is_empty());
     }
 }
 
@@ -174,19 +183,19 @@ fn answer_requires_fresh_poll_per_requester() {
     let rb = label_hitting(&poll, origin_b, w);
     let mut p = phase(w.index(), g);
     // w is polled by A only.
-    let _ = p.on_poll(origin_a, g, ra);
+    let _ = sent(w, |ctx| p.on_poll(origin_a, g, ra, ctx));
     // Fw2 majority arrives for B (never polled): no answer.
     let h_w = scheme.pull.quorum(g.key(), w);
     for z in &h_w {
         assert!(
-            p.on_fw2(*z, origin_b, g, rb).is_empty(),
+            sent(w, |ctx| p.on_fw2(*z, origin_b, g, rb, ctx)).is_empty(),
             "answered an unpolled requester"
         );
     }
     // And for A (polled): answer fires at majority.
     let mut answered = 0;
     for z in &h_w {
-        answered += p.on_fw2(*z, origin_a, g, ra).len();
+        answered += sent(w, |ctx| p.on_fw2(*z, origin_a, g, ra, ctx)).len();
     }
     assert_eq!(answered, 1);
 }
@@ -196,8 +205,7 @@ fn decision_requires_strict_majority_even_with_spam() {
     let (_, poll, g, _) = setup();
     let x = NodeId::from_index(7);
     let mut p = phase(7, g);
-    let mut rng = node_rng(5, 7);
-    let sends = p.start_poll(g, 0, &mut rng);
+    let sends = sent(x, |ctx| p.start_poll(g, ctx));
     let r = match &sends[0].1 {
         AerMsg::Poll(_, r) => *r,
         _ => unreachable!(),
@@ -221,9 +229,8 @@ fn post_decision_node_keeps_serving_but_never_flips() {
     let origin = NodeId::from_index(5);
     let w = poll.poll_list(origin, Label(3))[0];
     let mut p = phase(w.index(), g);
-    let mut rng = node_rng(6, w.index());
     // Decide via own poll.
-    let sends = p.start_poll(g, 0, &mut rng);
+    let sends = sent(w, |ctx| p.start_poll(g, ctx));
     let r_own = match &sends[0].1 {
         AerMsg::Poll(_, r) => *r,
         _ => unreachable!(),
@@ -233,7 +240,7 @@ fn post_decision_node_keeps_serving_but_never_flips() {
         let _ = p.on_answer(*member, g);
     }
     assert_eq!(p.decided(), Some(&g));
-    let _ = p.on_decided();
+    let _ = sent(w, |ctx| p.on_decided(ctx));
 
     // Spam answers for `bad`: the decision must not change.
     for member in poll.poll_list(w, Label(9)) {
@@ -246,7 +253,7 @@ fn post_decision_node_keeps_serving_but_never_flips() {
     let origin2 = NodeId::from_index(9);
     let quorum = scheme.pull.quorum(g.key(), origin2);
     if quorum.contains(&w) {
-        assert!(!p.on_pull(origin2, g, Label(4)).is_empty());
+        assert!(!sent(w, |ctx| p.on_pull(origin2, g, Label(4), ctx)).is_empty());
     }
 }
 
@@ -261,9 +268,9 @@ fn repair_votes_require_distinct_members_and_matching_string() {
     let (scheme, poll, g, bad) = setup();
     let state = AerRunState::new(scheme, poll);
     let mut p = PullPhase::new(NodeId::from_index(2), g, &state, CAP, retry);
-    let mut rng = node_rng(7, 2);
-    let _ = p.start_poll(g, 0, &mut rng);
-    let sends = p.on_step(1, &mut rng);
+    let mut hand = Hand::new(NodeId::from_index(2), N, 7);
+    let _ = hand.sent(0, |ctx| p.start_poll(g, ctx));
+    let sends = hand.sent(1, |ctx| p.on_step(ctx));
     let members: Vec<NodeId> = sends.iter().map(|(to, _)| *to).collect();
     assert!(!members.is_empty(), "repair should have fired");
     // Split votes between two strings: neither reaches majority from

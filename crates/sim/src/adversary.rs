@@ -47,7 +47,7 @@ impl<'a, M> Outbox<'a, M> {
         }
     }
 
-    /// Sends `msg` from corrupt node `from` to `to`.
+    /// Queues `msg` from corrupt node `from` to `to`.
     ///
     /// # Panics
     ///

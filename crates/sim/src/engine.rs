@@ -22,7 +22,7 @@ use crate::adversary::{Adversary, Outbox};
 use crate::calendar::CalendarQueue;
 use crate::crash::CrashPlan;
 use crate::ids::{ceil_log2, NodeId, Step};
-use crate::message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
+use crate::message::{Batch, Delivery, Envelope, Runs, WireSize};
 use crate::metrics::Metrics;
 use crate::observer::{NullObserver, Observer};
 use crate::protocol::{Context, Protocol, RunContext};
@@ -103,19 +103,22 @@ impl EngineConfig {
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
     sends: Vec<Delivery<M>>,
-    outbox_buf: Vec<(NodeId, M)>,
+    /// What the running callback has sent; empty between callbacks.
+    outbox_buf: Runs<M>,
     due: Vec<Delivery<M>>,
     /// The `(delay, priority)` of every envelope of `flat` on a step whose
     /// schedule is not uniform; empty otherwise (see `consult_schedule`).
     sched_buf: Vec<(Step, i64)>,
     /// The step's per-envelope view, in send order (see `flatten`).
     flat: Vec<Envelope<M>>,
-    pool: Vec<BatchBuffers<M>>,
+    /// Storage of delivered batches, for the next outboxes.
+    pool: Vec<Runs<M>>,
     /// Scratch of one [`Protocol::deliver_run`] call: what the run's
-    /// recipients sent, the per-recipient cuts through it, and the run's
-    /// recipient list minus its dark members.
-    run_outbox: Vec<(NodeId, M)>,
-    run_cuts: Vec<(NodeId, usize)>,
+    /// recipients sent, the per-recipient cuts through it (sender,
+    /// messages, runs), and the run's recipient list minus its dark
+    /// members.
+    run_outbox: Runs<M>,
+    run_cuts: Vec<(NodeId, usize, usize)>,
     run_live: Vec<NodeId>,
 }
 
@@ -132,12 +135,12 @@ impl<M> EngineSession<M> {
         EngineSession {
             pending: CalendarQueue::new(max_delay),
             sends: Vec::new(),
-            outbox_buf: Vec::new(),
+            outbox_buf: Runs::new(),
             due: Vec::new(),
             sched_buf: Vec::new(),
             flat: Vec::new(),
             pool: Vec::new(),
-            run_outbox: Vec::new(),
+            run_outbox: Runs::new(),
             run_cuts: Vec::new(),
             run_live: Vec::new(),
         }
@@ -148,12 +151,12 @@ impl<M> EngineSession<M> {
     fn begin(&mut self, max_delay: Step) {
         self.pending.reset(max_delay);
         self.sends.clear();
-        self.outbox_buf.clear();
         self.due.clear();
         self.sched_buf.clear();
         self.flat.clear();
-        // `pool` buffers are cleared on reuse by `Batch::from_buffers`;
-        // the `run_*` scratch is left empty by every `deliver_run`.
+        // `pool` storage is cleared on reuse by `Runs::recycled`; every
+        // callback leaves `outbox_buf` empty and every `deliver_run` the
+        // `run_*` scratch.
     }
 }
 
@@ -243,7 +246,7 @@ impl<M: Clone> EngineSession<M> {
         for delivery in sends.drain(..) {
             let len = match &delivery {
                 Delivery::One(_) => 1,
-                Delivery::Batch(batch) => batch.len(),
+                Delivery::Batch(batch) => batch.body.len(),
             };
             let (own, rest) = keys.split_at(len);
             keys = rest;
@@ -617,13 +620,13 @@ impl<P: Protocol> StepState<'_, P> {
                 Delivery::Batch(batch) => {
                     let from = batch.from;
                     if self.is_dark(from) {
-                        self.metrics.record_dropped(batch.len() as u64);
+                        self.metrics.record_dropped(batch.body.len() as u64);
                     } else {
-                        for (msg, recipients) in batch.runs() {
+                        for (msg, recipients) in batch.body.runs() {
                             self.deliver_run(from, msg, recipients);
                         }
                     }
-                    self.session.pool.push(batch.into_buffers());
+                    self.session.pool.push(batch.body);
                 }
             }
         }
@@ -666,13 +669,9 @@ impl<P: Protocol> StepState<'_, P> {
         }
         let mut cuts = std::mem::take(&mut self.session.run_cuts);
         let mut sent = std::mem::take(&mut self.session.run_outbox);
-        let mut rest = sent.drain(..);
-        let mut start = 0;
-        for (sender, end) in cuts.drain(..) {
-            self.session
-                .outbox_buf
-                .extend(rest.by_ref().take(end - start));
-            start = end;
+        let mut rest = sent.segments();
+        for (sender, to, runs) in cuts.drain(..) {
+            rest.move_next(to, runs, &mut self.session.outbox_buf);
             self.enqueue_outbox(sender);
         }
         drop(rest);
@@ -775,20 +774,22 @@ impl<P: Protocol> StepState<'_, P> {
         }
     }
 
-    /// Moves one callback's (non-empty) outbox into the step's send list,
-    /// recording each logical message in the metrics: a lone message
-    /// ships as an envelope, two or more as one [`Batch`] built on
-    /// recycled buffers from the pool. Kept out of line: inlined into
-    /// every `callback` instantiation it measured a few percent slower on
-    /// `benchmark/`'s service, crash and async workloads (CHANGES.md,
-    /// PR 15).
+    /// Moves one callback's outbox into the step's send list, recording
+    /// each logical message in the metrics: a lone message ships as an
+    /// envelope; two or more ship as one [`Batch`] that *is* the outbox —
+    /// the runs the callback wrote, as it wrote them — and the next
+    /// callback writes into storage recycled from the pool. Kept out of
+    /// line: inlined into every `callback` instantiation it measured a
+    /// few percent slower on `benchmark/`'s service, crash and async
+    /// workloads (CHANGES.md, PR 15).
     #[inline(never)]
     fn enqueue_outbox(&mut self, from: NodeId) {
-        if self.session.outbox_buf.len() < 2 {
-            for (to, msg) in self.session.outbox_buf.drain(..) {
+        let session = &mut *self.session;
+        if session.outbox_buf.len() < 2 {
+            if let Some((to, msg)) = session.outbox_buf.take_single() {
                 self.metrics
                     .record_send(from, self.header_bits + msg.wire_bits());
-                self.session.sends.push(Delivery::One(Envelope {
+                session.sends.push(Delivery::One(Envelope {
                     from,
                     to,
                     sent_at: self.step,
@@ -797,19 +798,21 @@ impl<P: Protocol> StepState<'_, P> {
             }
             return;
         }
-        let buffers = self.session.pool.pop().unwrap_or_default();
-        let mut batch = Batch::from_buffers(from, self.step, buffers);
-        for (to, msg) in self.session.outbox_buf.drain(..) {
-            batch.push(to, msg);
-        }
-        for (msg, recipients) in batch.runs() {
+        let spare = Runs::recycled(&mut session.pool);
+        let body = std::mem::replace(&mut session.outbox_buf, spare);
+        for (msg, recipients) in body.runs() {
             self.metrics.record_send_run(
                 from,
                 recipients.len() as u64,
                 self.header_bits + msg.wire_bits(),
             );
         }
-        self.session.sends.push(Delivery::Batch(batch));
+        let sent_at = self.step;
+        session.sends.push(Delivery::Batch(Batch {
+            from,
+            sent_at,
+            body,
+        }));
     }
 }
 
@@ -1073,7 +1076,7 @@ mod tests {
         static CLONES: Cell<u64> = const { Cell::new(0) };
     }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug)]
     struct Counted(u64);
 
     impl Clone for Counted {
@@ -1089,11 +1092,11 @@ mod tests {
         }
     }
 
-    /// A node opens with its id to everyone else and `50 + id` to node 0
-    /// (one batch, two runs) and answers anything below 100 with `+ 100`
-    /// (a lone envelope). Nobody decides, so every step is scheduled.
-    /// Runs are read by reference: no clone of this protocol's own, on
-    /// either delivery path.
+    /// A node opens with its id to everyone else — one multicast — and
+    /// `50 + id` to node 0 (one batch, two runs) and answers anything
+    /// below 100 with `+ 100` (a lone envelope). Nobody decides, so every
+    /// step is scheduled. Runs are read by reference: no clone of this
+    /// protocol's own, on either delivery path.
     struct Echo {
         id: usize,
         n: usize,
@@ -1112,9 +1115,9 @@ mod tests {
         type Output = ();
 
         fn on_start(&mut self, ctx: &mut Context<'_, Counted>) {
-            for to in (0..self.n).filter(|&to| to != self.id) {
-                ctx.send(NodeId::from_index(to), Counted(self.id as u64));
-            }
+            let others = (0..self.n).filter(|&to| to != self.id);
+            let others: Vec<NodeId> = others.map(NodeId::from_index).collect();
+            ctx.multicast(&others, Counted(self.id as u64));
             ctx.send(NodeId::from_index(0), Counted(50 + self.id as u64));
         }
         fn on_message(&mut self, from: NodeId, msg: Counted, ctx: &mut Context<'_, Counted>) {
@@ -1199,6 +1202,22 @@ mod tests {
             let clones = CLONES.with(Cell::get);
             assert_eq!(clones, sent * (1 + u64::from(record_transcript)));
         }
+        // With nobody looking at the step there is no view, and the send
+        // side takes no copy of its own: a k-recipient multicast is one
+        // stored payload from the handler to the calendar (and this
+        // protocol reads deliveries by reference), so the whole run
+        // clones nothing.
+        let cfg = EngineConfig {
+            max_steps: 5,
+            ..EngineConfig::sync(6)
+        };
+        CLONES.with(|clones| clones.set(0));
+        let out = run::<Echo, _, _>(&cfg, 1, &mut NoAdversary, |id| Echo {
+            id: id.index(),
+            n: 6,
+        });
+        assert_eq!(out.metrics.total_msgs_sent(), 2 * 6 * 6);
+        assert_eq!(CLONES.with(Cell::get), 0);
     }
 
     #[test]

@@ -32,17 +32,20 @@
 //!    ([`Protocol::on_crash`]).
 //! 2. `step_callbacks` — [`Protocol::on_start`] at step 0,
 //!    [`Protocol::on_step`] later, in node order, skipping dark nodes.
+//!    A callback of any stage sends by the run ([`Context::multicast`];
+//!    [`Context::send`] is the run of one).
 //! 3. `deliver_due` — the deliveries scheduled for this step, in
 //!    `(priority, send order)` order; anything to or from a dark node is
 //!    dropped and counted. A single envelope is one
 //!    [`Protocol::on_message`]. A batch is delivered run by run, in send
-//!    order: each run — one payload, its recipient list minus the dark
-//!    ones — is one [`Protocol::deliver_run`] call over the node table,
-//!    whose default is `on_message` per recipient in list order. The
-//!    engine keeps the accounting and the dark filter on its side of the
-//!    call, and ships what each recipient sent through its
-//!    [`RunContext::context`] as that recipient's outbox, in recipient
-//!    order — so an override can only save work, not reorder it.
+//!    order: each run — one multicast as its sender made it: one
+//!    payload, its recipient list minus the dark ones — is one
+//!    [`Protocol::deliver_run`] call over the node table, whose default
+//!    is `on_message` per recipient in list order. The engine keeps the
+//!    accounting and the dark filter on its side of the call, and ships
+//!    what each recipient sent through its [`RunContext::context`] as
+//!    that recipient's outbox, in recipient order — so an override can
+//!    only save work, not reorder it.
 //! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
 //!    the sends of stages 1–3.
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is
@@ -87,15 +90,20 @@
 //!   function of `(config, seed)`, and aggregate results by input index.
 //!   Thread count and interleaving cannot affect any run's RNG streams,
 //!   so parallel output equals serial output bit for bit.
-//! * **Batched bulk lane** — a callback's outbox of two or more
-//!   messages ships as one run-length-encoded batch on the calendar's
-//!   bulk lane instead of per-message envelopes (a lone message stays an
-//!   envelope). Batches unpack in exact send order at delivery, every
-//!   per-envelope consumer (rushing views, scheduling adversaries,
-//!   observers, transcripts) is shown one flattened per-envelope view —
-//!   built at most once a step, the adversary's own sends appended to
-//!   it — and metrics count *logical* messages: a batch of `k` counts
-//!   `k` messages and `k×` bits. There is no switch: on a step whose
+//! * **Batched bulk lane** — a callback's outbox *is* batch storage
+//!   ([`Runs`]: per [`Context::multicast`] one stored payload and a copy
+//!   count, plus one flat recipient list), and an outbox of two or more
+//!   messages ships as it stands, as one batch on the calendar's bulk
+//!   lane, instead of per-message envelopes (a lone message stays an
+//!   envelope). Nothing is cloned or compared on the way, and how a
+//!   sender cut its sends into runs is invisible: `multicast(&[a, b], m)`
+//!   and `send(a, m); send(b, m)` are the same two envelopes. Batches
+//!   unpack in exact send order at delivery, every per-envelope consumer
+//!   (rushing views, scheduling adversaries, observers, transcripts) is
+//!   shown one flattened per-envelope view — built at most once a step,
+//!   the adversary's own sends appended to it — and metrics count
+//!   *logical* messages: a batch of `k` counts `k` messages and `k×`
+//!   bits. There is no switch: on a step whose
 //!   schedule the adversary made non-uniform every delivery is keyed
 //!   because the engine sees that it is, and a batch stays a batch —
 //!   whole when its envelopes share one `(delay, priority)`, as one
@@ -220,7 +228,7 @@ pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdvers
 pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
-pub use message::{Envelope, WireSize};
+pub use message::{Envelope, Runs, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};
 pub use observer::{DecisionLog, FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};

@@ -93,107 +93,191 @@ impl<M: WireSize> Envelope<M> {
     }
 }
 
-/// A coalesced group of messages one node sent during one step.
+/// One sender's messages in send order, stored by the run: a multicast —
+/// one payload, many recipients — is one `(copies, payload)` entry plus
+/// its recipients in one flat list, however wide its fan-out.
 ///
-/// The AER fan-out paths send the same payload to dozens of recipients per
-/// callback (`d` committee members × `d` forwarding targets), so the engine
-/// stores each callback's outbox as one batch — a single routing header
-/// (`from`, `sent_at`) plus run-length-encoded payloads and a flat recipient
-/// list — instead of one [`Envelope`] per message. A batch of `k` messages
-/// is purely a wire-level framing optimisation: it still *counts* as `k`
-/// logical messages and `k × (header + payload)` bits, and recipients
-/// receive the payloads in exactly the order [`Batch::push`] recorded them.
+/// This is what a callback's [`Context`](crate::Context) writes into and,
+/// unchanged, what a batch carries through the calendar: a run is opened
+/// by [`Context::multicast`](crate::Context::multicast) (or `send`, the
+/// run of one) and is never found by comparing payloads, so two equal
+/// payloads sent by two calls stay two runs.
 #[derive(Debug)]
-pub(crate) struct Batch<M> {
-    /// True sender of every message in the batch (never forgeable).
-    pub(crate) from: NodeId,
-    /// Step during which every message in the batch was sent.
-    sent_at: Step,
-    /// `(copies, payload)` runs; consecutive identical payloads share a run.
+pub struct Runs<M> {
+    /// `(copies, payload)` per run, `copies ≥ 1`; the copies sum to
+    /// `to.len()`.
     runs: Vec<(u32, M)>,
     /// Recipients of every message, in send order, across all runs.
     to: Vec<NodeId>,
 }
 
-impl<M> Batch<M> {
-    /// Builds an empty batch on top of recycled backing buffers (cleared
-    /// here), so the engine's per-step hot loop reuses allocations.
-    pub(crate) fn from_buffers(from: NodeId, sent_at: Step, buffers: BatchBuffers<M>) -> Self {
-        let (mut runs, mut to) = buffers;
-        runs.clear();
-        to.clear();
-        Batch {
-            from,
-            sent_at,
-            runs,
-            to,
+impl<M> Default for Runs<M> {
+    fn default() -> Self {
+        Runs {
+            runs: Vec::new(),
+            to: Vec::new(),
         }
     }
+}
 
-    /// Tears the batch down to its backing buffers for reuse.
-    pub(crate) fn into_buffers(self) -> BatchBuffers<M> {
-        (self.runs, self.to)
+impl<M> Runs<M> {
+    /// An empty outbox.
+    #[must_use]
+    pub fn new() -> Self {
+        Runs::default()
     }
 
-    /// Number of logical messages in the batch.
-    pub(crate) fn len(&self) -> usize {
+    /// Number of logical messages (not runs).
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.to.len()
     }
 
-    /// Appends one message. Consecutive pushes of equal payloads extend the
-    /// current run instead of storing another copy.
-    pub(crate) fn push(&mut self, to: NodeId, msg: M)
-    where
-        M: PartialEq,
-    {
-        match self.runs.last_mut() {
-            Some((count, last)) if *last == msg => *count += 1,
-            _ => self.runs.push((1, msg)),
-        }
-        self.to.push(to);
+    /// Whether nothing was sent.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.to.is_empty()
     }
 
+    /// The runs as `(payload, recipients)` pairs, in send order;
+    /// `recipients.len()` is the run's copy count.
+    pub fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
+        let mut offset = 0usize;
+        self.runs.iter().map(move |(count, msg)| {
+            let start = offset;
+            offset += *count as usize;
+            (msg, &self.to[start..offset])
+        })
+    }
+
+    /// The per-message view, in send order: what a per-envelope engine
+    /// ships and what handler tests read.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &M)> + '_ {
+        self.runs()
+            .flat_map(|(msg, tos)| tos.iter().map(move |&to| (to, msg)))
+    }
+
+    /// Appends one run: `msg` to every node of `targets`, in order. An
+    /// empty target list opens no run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than `u32::MAX` targets.
+    pub(crate) fn push_run(&mut self, targets: &[NodeId], msg: M) {
+        if targets.is_empty() {
+            return;
+        }
+        self.runs.push((run_copies(targets.len()), msg));
+        self.to.extend_from_slice(targets);
+    }
+
+    /// Number of runs.
+    pub(crate) fn run_count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Moves everything out, front to back, a segment at a time.
+    pub(crate) fn segments(&mut self) -> Segments<'_, M> {
+        Segments(self.runs.drain(..), self.to.drain(..))
+    }
+
+    /// Takes the only message out of an outbox of at most one.
+    pub(crate) fn take_single(&mut self) -> Option<(NodeId, M)> {
+        debug_assert!(self.len() <= 1);
+        let to = self.to.pop()?;
+        self.runs.pop().map(|(_, msg)| (to, msg))
+    }
+
+    /// An empty outbox on recycled storage from `pool` (cleared here), so
+    /// the engine's per-step hot loop reuses allocations.
+    pub(crate) fn recycled(pool: &mut Vec<Runs<M>>) -> Self {
+        let mut spare = pool.pop().unwrap_or_default();
+        spare.runs.clear();
+        spare.to.clear();
+        spare
+    }
+}
+
+/// The copy count of a run of `len` recipients.
+///
+/// # Panics
+///
+/// Panics when it does not fit the run's `u32`.
+pub(crate) fn run_copies(len: usize) -> u32 {
+    u32::try_from(len).expect("a run of more than u32::MAX copies")
+}
+
+/// The front-to-back drain of a [`Runs`] several senders wrote into (see
+/// [`RunContext`](crate::RunContext)): its runs and its recipients.
+pub(crate) struct Segments<'a, M>(std::vec::Drain<'a, (u32, M)>, std::vec::Drain<'a, NodeId>);
+
+impl<M> Segments<'_, M> {
+    /// Moves the next `runs` runs, `to` messages in all, to the end of
+    /// `dst`.
+    pub(crate) fn move_next(&mut self, to: usize, runs: usize, dst: &mut Runs<M>) {
+        dst.runs.extend(self.0.by_ref().take(runs));
+        dst.to.extend(self.1.by_ref().take(to));
+    }
+}
+
+/// A coalesced group of messages one node sent during one step.
+///
+/// The AER fan-out paths send the same payload to dozens of recipients per
+/// callback (`d` committee members × `d` forwarding targets), so the engine
+/// ships a callback's outbox of two or more messages as one batch — a
+/// single routing header (`from`, `sent_at`) on the [`Runs`] the callback
+/// filled — instead of one [`Envelope`] per message. A batch of `k`
+/// messages is purely a wire-level framing optimisation: it still *counts*
+/// as `k` logical messages and `k × (header + payload)` bits, and
+/// recipients receive the payloads in exactly the order they were sent.
+#[derive(Debug)]
+pub(crate) struct Batch<M> {
+    /// True sender of every message in the batch (never forgeable).
+    pub(crate) from: NodeId,
+    /// Step during which every message in the batch was sent.
+    pub(crate) sent_at: Step,
+    /// The messages, by the run: the outbox as its callback filled it,
+    /// and after delivery storage for the pool.
+    pub(crate) body: Runs<M>,
+}
+
+impl<M> Batch<M> {
     /// Splits the batch by a per-message key — `keys[i]` is the key of
     /// the `i`-th message in send order — into one sub-batch per distinct
     /// key, in order of first appearance, each holding its messages in
-    /// send order on backing storage from `pool`, which gets this batch's
-    /// own in return. A run is cut where its keys differ and its pieces
-    /// stay runs; a piece costs one payload clone.
-    ///
-    /// Pieces are told apart by the run they come from, never by
-    /// comparing payloads, and nothing here calls [`Batch::push`]: one
-    /// more call site of `M`'s `PartialEq` made LLVM stop inlining the
-    /// comparison into `enqueue_outbox`'s loop, which cost `benchmark/`'s
-    /// sync workloads 7–10 % `run_wall_s` (CHANGES.md, PR 18). Out of
-    /// line for the same loop's sake: no shipped adversary's schedule
-    /// mixes a batch, so this runs under test adversaries only.
-    #[cold]
-    #[inline(never)]
+    /// send order on storage from `pool`, which gets this batch's own in
+    /// return. A run is cut where its keys differ and its pieces stay
+    /// runs, told apart by the run they come from; a piece costs one
+    /// payload clone.
     pub(crate) fn split<K: Copy + PartialEq>(
         self,
         keys: &[K],
-        pool: &mut Vec<BatchBuffers<M>>,
+        pool: &mut Vec<Runs<M>>,
     ) -> Vec<(K, Batch<M>)>
     where
         M: Clone,
     {
-        debug_assert_eq!(keys.len(), self.len());
+        debug_assert_eq!(keys.len(), self.body.len());
         let mut parts: Vec<(K, Batch<M>)> = Vec::new();
         // Per part, the source run its last run was cut from.
         let mut cut_from: Vec<usize> = Vec::new();
         let mut keys = keys;
-        for (source, (msg, recipients)) in self.runs().enumerate() {
+        for (source, (msg, recipients)) in self.body.runs().enumerate() {
             let (own, rest) = keys.split_at(recipients.len());
             keys = rest;
             for (&to, &key) in recipients.iter().zip(own) {
                 let at = parts.iter().position(|(of, _)| *of == key);
                 let at = at.unwrap_or_else(|| {
-                    let buffers = pool.pop().unwrap_or_default();
-                    parts.push((key, Batch::from_buffers(self.from, self.sent_at, buffers)));
+                    let part = Batch {
+                        from: self.from,
+                        sent_at: self.sent_at,
+                        body: Runs::recycled(pool),
+                    };
+                    parts.push((key, part));
                     cut_from.push(usize::MAX);
                     parts.len() - 1
                 });
-                let part = &mut parts[at].1;
+                let part = &mut parts[at].1.body;
                 match part.runs.last_mut() {
                     Some((count, _)) if cut_from[at] == source => *count += 1,
                     _ => part.runs.push((1, msg.clone())),
@@ -202,19 +286,8 @@ impl<M> Batch<M> {
                 part.to.push(to);
             }
         }
-        pool.push(self.into_buffers());
+        pool.push(self.body);
         parts
-    }
-
-    /// Iterates the payload runs as `(payload, recipients)` pairs, in send
-    /// order; `recipients.len()` is the run's copy count.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
-        let mut offset = 0usize;
-        self.runs.iter().map(move |(count, msg)| {
-            let start = offset;
-            offset += *count as usize;
-            (msg, &self.to[start..offset])
-        })
     }
 
     /// Expands the batch into the per-message [`Envelope`] view, in send
@@ -224,19 +297,14 @@ impl<M> Batch<M> {
     where
         M: Clone,
     {
-        self.runs().flat_map(move |(msg, tos)| {
-            tos.iter().map(move |&to| Envelope {
-                from: self.from,
-                to,
-                sent_at: self.sent_at,
-                msg: msg.clone(),
-            })
+        self.body.iter().map(move |(to, msg)| Envelope {
+            from: self.from,
+            to,
+            sent_at: self.sent_at,
+            msg: msg.clone(),
         })
     }
 }
-
-/// Recycled backing storage of a [`Batch`]: its run and recipient vectors.
-pub(crate) type BatchBuffers<M> = (Vec<(u32, M)>, Vec<NodeId>);
 
 /// One unit of network traffic in the engine's queue: either a single
 /// envelope or a coalesced [`Batch`]. Deliveries expand to the same
@@ -252,7 +320,7 @@ pub(crate) enum Delivery<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -284,32 +352,51 @@ mod tests {
         assert_eq!((1u32, 2u64).wire_bits(), 96);
     }
 
-    fn batch(from: usize, sent_at: Step) -> Batch<u32> {
-        Batch::from_buffers(NodeId::from_index(from), sent_at, BatchBuffers::default())
+    pub(crate) fn ids(indices: &[usize]) -> Vec<NodeId> {
+        indices.iter().copied().map(NodeId::from_index).collect()
+    }
+
+    /// A batch from node `from` holding the given `(payload, recipients)`
+    /// runs.
+    fn batch(from: usize, sent_at: Step, runs: &[(u32, &[usize])]) -> Batch<u32> {
+        let mut body = Runs::new();
+        for &(msg, to) in runs {
+            body.push_run(&ids(to), msg);
+        }
+        Batch {
+            from: NodeId::from_index(from),
+            sent_at,
+            body,
+        }
+    }
+
+    /// `(payload, recipients)` per run.
+    pub(crate) fn shape(runs: &Runs<u32>) -> Vec<(u32, Vec<usize>)> {
+        let run = |(msg, tos): (&u32, &[NodeId])| (*msg, tos.iter().map(|to| to.index()).collect());
+        runs.runs().map(run).collect()
     }
 
     #[test]
-    fn batch_run_length_encodes_consecutive_equal_payloads() {
-        let mut b = batch(0, 2);
-        b.push(NodeId::from_index(1), 7);
-        b.push(NodeId::from_index(2), 7);
-        b.push(NodeId::from_index(3), 9);
-        b.push(NodeId::from_index(1), 7);
-        assert_eq!(b.len(), 4);
-        let runs: Vec<(u32, Vec<NodeId>)> = b.runs().map(|(m, tos)| (*m, tos.to_vec())).collect();
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].0, 7);
-        assert_eq!(runs[0].1.len(), 2);
-        assert_eq!(runs[1], (9, vec![NodeId::from_index(3)]));
-        assert_eq!(runs[2], (7, vec![NodeId::from_index(1)]));
+    fn runs_are_opened_by_the_sender_never_by_comparing_payloads() {
+        let mut out = Runs::new();
+        out.push_run(&ids(&[1, 2]), 7u32);
+        out.push_run(&[], 8);
+        out.push_run(&ids(&[3]), 9);
+        out.push_run(&ids(&[1]), 9);
+        assert_eq!((out.len(), out.run_count()), (4, 3), "no zero-copy run");
+        assert_eq!(
+            shape(&out),
+            [(7, vec![1, 2]), (9, vec![3]), (9, vec![1])],
+            "equal payloads of two calls stay two runs"
+        );
+        let flat: Vec<(usize, u32)> = out.iter().map(|(to, msg)| (to.index(), *msg)).collect();
+        assert_eq!(flat, [(1, 7), (2, 7), (3, 9), (1, 9)]);
     }
 
     #[test]
     fn batch_envelopes_expand_in_send_order() {
-        let mut b = batch(9, 4);
-        b.push(NodeId::from_index(1), 5);
-        b.push(NodeId::from_index(0), 5);
-        b.push(NodeId::from_index(2), 6);
+        let b = batch(9, 4, &[(5, &[1, 0]), (6, &[2])]);
+        assert_eq!(b.body.len(), 3);
         let envs: Vec<(usize, usize, Step, u32)> = b
             .envelopes()
             .map(|e| (e.from.index(), e.to.index(), e.sent_at, e.msg))
@@ -318,44 +405,57 @@ mod tests {
     }
 
     #[test]
-    fn batch_buffer_recycling_round_trips() {
-        let mut b = batch(0, 0);
-        b.push(NodeId::from_index(1), 3);
-        let b2 = Batch::from_buffers(NodeId::from_index(2), 1, b.into_buffers());
-        assert_eq!(b2.len(), 0);
-        assert_eq!(b2.from, NodeId::from_index(2));
-        assert_eq!(b2.sent_at, 1);
+    fn storage_recycling_round_trips() {
+        let mut pool = vec![batch(0, 0, &[(3, &[1])]).body];
+        let spare = Runs::recycled(&mut pool);
+        assert_eq!((spare.len(), spare.run_count()), (0, 0));
+        assert!(spare.to.capacity() > 0, "the pooled allocation, emptied");
+        assert!(pool.is_empty());
+        assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
+    }
+
+    #[test]
+    fn an_outbox_of_one_gives_up_its_message() {
+        let mut out = Runs::new();
+        assert_eq!(out.take_single(), None);
+        out.push_run(&ids(&[4]), 7u32);
+        assert_eq!(out.take_single(), Some((NodeId::from_index(4), 7)));
+        assert_eq!((out.len(), out.run_count()), (0, 0));
+    }
+
+    #[test]
+    fn segments_move_out_front_to_back_as_runs() {
+        let mut shared = batch(0, 0, &[(1, &[1, 2]), (2, &[3]), (3, &[4, 5])]).body;
+        let (mut first, mut second) = (Runs::new(), Runs::new());
+        let mut rest = shared.segments();
+        rest.move_next(2, 1, &mut first);
+        rest.move_next(3, 2, &mut second);
+        drop(rest);
+        assert_eq!(shape(&first), [(1, vec![1, 2])]);
+        assert_eq!(shape(&second), [(2, vec![3]), (3, vec![4, 5])]);
+        assert_eq!((shared.len(), shared.run_count()), (0, 0));
     }
 
     #[test]
     fn split_cuts_runs_by_key_and_keeps_send_order() {
         // Runs 7×3, 9×1, 7×1; the first is cut in the middle.
-        let mut b = batch(5, 2);
-        for (to, msg) in [(1, 7), (2, 7), (3, 7), (4, 9), (6, 7)] {
-            b.push(NodeId::from_index(to), msg);
-        }
-        let mut pool = vec![BatchBuffers::default()];
+        let b = batch(5, 2, &[(7, &[1, 2, 3]), (9, &[4]), (7, &[6])]);
+        let mut pool = vec![Runs::new()];
         let parts = b.split(&['a', 'b', 'a', 'a', 'b'], &mut pool);
         assert_eq!(
             pool.len(),
             1,
-            "one buffer pair taken, the batch's own returned"
+            "one storage pair taken, the batch's own returned"
         );
-        let shape = |part: &Batch<u32>| -> Vec<(u32, Vec<usize>)> {
-            let run =
-                |(msg, tos): (&u32, &[NodeId])| (*msg, tos.iter().map(|to| to.index()).collect());
-            part.runs().map(run).collect()
-        };
         assert_eq!(parts.len(), 2);
         assert!(parts
             .iter()
             .all(|(_, part)| (part.from.index(), part.sent_at) == (5, 2)));
         assert_eq!(parts[0].0, 'a');
-        assert_eq!(shape(&parts[0].1), [(7, vec![1, 3]), (9, vec![4])]);
-        // Equal payloads cut from different runs are not compared, so
-        // they stay two runs.
+        assert_eq!(shape(&parts[0].1.body), [(7, vec![1, 3]), (9, vec![4])]);
+        // Pieces cut from different runs stay two runs.
         assert_eq!(parts[1].0, 'b');
-        assert_eq!(shape(&parts[1].1), [(7, vec![2]), (7, vec![6])]);
+        assert_eq!(shape(&parts[1].1.body), [(7, vec![2]), (7, vec![6])]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::fmt;
 use rand_chacha::ChaCha12Rng;
 
 use crate::ids::{NodeId, Step};
-use crate::message::WireSize;
+use crate::message::{Runs, WireSize};
 
 /// A per-node protocol state machine.
 ///
@@ -28,10 +28,11 @@ use crate::message::WireSize;
 /// [`Context::rng`] (the node's private RNG in the paper's model) so that
 /// runs replay exactly from a master seed.
 pub trait Protocol {
-    /// Payload type of the messages this protocol exchanges. `PartialEq`
-    /// lets the engine run-length-encode identical payloads when it
-    /// coalesces a callback's sends into a batched delivery.
-    type Msg: Clone + PartialEq + WireSize + fmt::Debug;
+    /// Payload type of the messages this protocol exchanges. `Clone` is
+    /// for delivery — a multicast is stored once and cloned per recipient
+    /// by [`deliver_each`] — and for the per-envelope views; sending
+    /// never clones or compares payloads.
+    type Msg: Clone + WireSize + fmt::Debug;
     /// The value a node returns when it terminates.
     type Output: Clone + Eq + fmt::Debug;
 
@@ -128,16 +129,20 @@ pub fn deliver_each<P: Protocol>(
 /// through one recipient's context — up to the next
 /// [`RunContext::context`] call — is that recipient's outbox for this
 /// delivery, exactly as if the engine had called
-/// [`Protocol::on_message`] on it.
+/// [`Protocol::on_message`] on it: the recipients write into one shared
+/// [`Runs`], cut between them on run boundaries, so two recipients never
+/// share a run.
 pub struct RunContext<'a, M> {
     n: usize,
     step: Step,
     rngs: &'a mut [ChaCha12Rng],
-    outbox: &'a mut Vec<(NodeId, M)>,
-    /// `(sender, end)` of every non-empty outbox segment closed so far.
-    cuts: &'a mut Vec<(NodeId, usize)>,
-    /// The recipient whose segment is open, and where it starts.
-    open: Option<(NodeId, usize)>,
+    outbox: &'a mut Runs<M>,
+    /// `(sender, messages, runs)` of every non-empty outbox segment
+    /// closed so far: whose it is and how long.
+    cuts: &'a mut Vec<(NodeId, usize, usize)>,
+    /// The recipient whose segment is open, and the `(message, run)` it
+    /// starts at.
+    open: Option<(NodeId, usize, usize)>,
 }
 
 impl<'a, M> RunContext<'a, M> {
@@ -147,8 +152,8 @@ impl<'a, M> RunContext<'a, M> {
         n: usize,
         step: Step,
         rngs: &'a mut [ChaCha12Rng],
-        outbox: &'a mut Vec<(NodeId, M)>,
-        cuts: &'a mut Vec<(NodeId, usize)>,
+        outbox: &'a mut Runs<M>,
+        cuts: &'a mut Vec<(NodeId, usize, usize)>,
     ) -> Self {
         debug_assert!(outbox.is_empty() && cuts.is_empty());
         RunContext {
@@ -175,7 +180,7 @@ impl<'a, M> RunContext<'a, M> {
     /// Panics if `to` is out of range.
     pub fn context(&mut self, to: NodeId) -> Context<'_, M> {
         self.close();
-        self.open = Some((to, self.outbox.len()));
+        self.open = Some((to, self.outbox.len(), self.outbox.run_count()));
         Context::new(
             to,
             self.n,
@@ -187,15 +192,16 @@ impl<'a, M> RunContext<'a, M> {
 
     /// Closes the open segment, recording it if anything was sent.
     fn close(&mut self) {
-        if let Some((sender, start)) = self.open.take() {
-            if self.outbox.len() > start {
-                self.cuts.push((sender, self.outbox.len()));
+        if let Some((sender, to_start, runs_start)) = self.open.take() {
+            let (to, runs) = (self.outbox.len(), self.outbox.run_count());
+            if to > to_start {
+                self.cuts.push((sender, to - to_start, runs - runs_start));
             }
         }
     }
 
     /// Ends the run: after this, `cuts` lists every non-empty
-    /// per-recipient segment of `outbox` as `(sender, end)`, in order.
+    /// per-recipient segment of `outbox`, in order.
     pub(crate) fn finish(mut self) {
         self.close();
     }
@@ -209,8 +215,8 @@ pub struct Context<'a, M> {
     n: usize,
     step: Step,
     rng: &'a mut ChaCha12Rng,
-    outbox: &'a mut Vec<(NodeId, M)>,
-    /// Length of `outbox` when this callback began (a run's recipients
+    outbox: &'a mut Runs<M>,
+    /// Messages in `outbox` when this callback began (a run's recipients
     /// share one).
     base: usize,
 }
@@ -224,7 +230,7 @@ impl<'a, M> Context<'a, M> {
         n: usize,
         step: Step,
         rng: &'a mut ChaCha12Rng,
-        outbox: &'a mut Vec<(NodeId, M)>,
+        outbox: &'a mut Runs<M>,
     ) -> Self {
         Context {
             id,
@@ -259,7 +265,7 @@ impl<'a, M> Context<'a, M> {
         self.rng
     }
 
-    /// Sends `msg` to `to`. Delivery happens at a later step chosen by the
+    /// Queues `msg` for `to`. Delivery happens at a later step chosen by the
     /// network (exactly the next step in synchronous mode).
     ///
     /// # Panics
@@ -267,23 +273,22 @@ impl<'a, M> Context<'a, M> {
     /// Panics if `to` is out of range — that is a protocol bug, not a
     /// runtime condition.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        assert!(
-            to.index() < self.n,
-            "send target {to} out of range (n={})",
-            self.n
-        );
-        self.outbox.push((to, msg));
+        self.multicast(&[to], msg);
     }
 
-    /// Sends clones of `msg` to every node in `targets`.
-    pub fn send_many<I>(&mut self, targets: I, msg: M)
-    where
-        I: IntoIterator<Item = NodeId>,
-        M: Clone,
-    {
-        for to in targets {
-            self.send(to, msg.clone());
+    /// Queues `msg` for every node of `targets`, in order (a node listed
+    /// twice gets it twice): the same messages as one [`Context::send`]
+    /// per target, stored — and, where the protocol overrides
+    /// [`Protocol::deliver_run`], delivered — once. No target, no send.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is sent, if a target is out of range.
+    pub fn multicast(&mut self, targets: &[NodeId], msg: M) {
+        if let Some(to) = targets.iter().find(|to| to.index() >= self.n) {
+            panic!("send target {to} out of range (n={})", self.n);
         }
+        self.outbox.push_run(targets, msg);
     }
 
     /// Number of messages queued so far in this callback (mostly useful in
@@ -297,45 +302,78 @@ impl<'a, M> Context<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::run_copies;
+    use crate::message::tests::{ids, shape};
     use crate::rng::node_rng;
 
     #[test]
     fn context_send_collects_messages() {
         let mut rng = node_rng(1, 0);
-        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut outbox = Runs::new();
         let mut ctx = Context::new(NodeId::from_index(0), 4, 2, &mut rng, &mut outbox);
         assert_eq!(ctx.id(), NodeId::from_index(0));
         assert_eq!(ctx.n(), 4);
         assert_eq!(ctx.step(), 2);
         ctx.send(NodeId::from_index(3), 9);
-        ctx.send_many([NodeId::from_index(1), NodeId::from_index(2)], 5);
+        ctx.multicast(&ids(&[1, 2]), 5);
         assert_eq!(ctx.queued(), 3);
-        #[allow(clippy::drop_non_drop)] // release the outbox borrow
-        drop(ctx);
-        assert_eq!(
-            outbox,
-            vec![
-                (NodeId::from_index(3), 9),
-                (NodeId::from_index(1), 5),
-                (NodeId::from_index(2), 5)
-            ]
-        );
+        assert_eq!(shape(&outbox), [(9, vec![3]), (5, vec![1, 2])]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn context_send_rejects_out_of_range() {
         let mut rng = node_rng(1, 0);
-        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut outbox: Runs<u32> = Runs::new();
         let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
         ctx.send(NodeId::from_index(4), 1);
+    }
+
+    #[test]
+    fn multicast_to_nobody_sends_nothing_and_opens_no_run() {
+        let mut rng = node_rng(1, 0);
+        let mut outbox = Runs::new();
+        let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
+        ctx.multicast(&[], 1u32);
+        assert_eq!(ctx.queued(), 0);
+        ctx.multicast(&ids(&[2]), 2);
+        ctx.multicast(&[], 3);
+        assert_eq!(ctx.queued(), 1);
+        assert_eq!((outbox.len(), outbox.run_count()), (1, 1));
+        assert_eq!(shape(&outbox), [(2, vec![2])], "run offsets stay aligned");
+    }
+
+    #[test]
+    fn multicast_rejects_an_out_of_range_target_before_appending_anything() {
+        let mut rng = node_rng(1, 0);
+        let mut outbox = Runs::new();
+        let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
+            ctx.multicast(&ids(&[1, 2, 4, 3]), 1u32);
+        }));
+        let panic = sent.expect_err("target 4 of n = 4");
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            text, "send target n4 out of range (n=4)",
+            "`send`'s message"
+        );
+        assert_eq!((outbox.len(), outbox.run_count()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX copies")]
+    #[cfg(target_pointer_width = "64")]
+    fn a_run_too_long_for_its_copy_count_is_refused_not_truncated() {
+        // `as u32` would record a run of 0 copies over 2³² recipients.
+        assert_eq!(run_copies(u32::MAX as usize), u32::MAX);
+        let _ = run_copies(u32::MAX as usize + 1);
     }
 
     #[test]
     fn context_rng_is_usable() {
         use rand::RngCore;
         let mut rng = node_rng(1, 0);
-        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut outbox: Runs<u32> = Runs::new();
         let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
         let a = ctx.rng().next_u64();
         let b = ctx.rng().next_u64();
@@ -346,20 +384,34 @@ mod tests {
     fn run_context_cuts_the_outbox_per_recipient() {
         let id = NodeId::from_index;
         let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
-        let (mut outbox, mut cuts) = (Vec::new(), Vec::new());
+        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
         let mut run = RunContext::new(4, 7, &mut rngs, &mut outbox, &mut cuts);
         assert_eq!(run.step(), 7);
         run.context(id(1)).send(id(0), 10u32);
         let _silent = run.context(id(2));
         let mut ctx = run.context(id(3));
         assert_eq!((ctx.id(), ctx.queued()), (id(3), 0), "an outbox of its own");
-        ctx.send(id(0), 30);
+        ctx.multicast(&ids(&[0, 1]), 30);
         ctx.send(id(1), 31);
-        assert_eq!(ctx.queued(), 2);
+        assert_eq!(ctx.queued(), 3);
         // The same recipient again is a callback of its own.
         run.context(id(3)).send(id(2), 32);
         run.finish();
-        assert_eq!(cuts, vec![(id(1), 1), (id(3), 3), (id(3), 4)]);
-        assert_eq!(outbox.len(), 4);
+        assert_eq!(cuts, vec![(id(1), 1, 1), (id(3), 3, 2), (id(3), 1, 1)]);
+        assert_eq!(outbox.len(), 5);
+    }
+
+    #[test]
+    fn two_recipients_of_a_run_never_share_a_run() {
+        // The first one's last payload equals the second one's first.
+        let id = NodeId::from_index;
+        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
+        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
+        let mut run = RunContext::new(4, 0, &mut rngs, &mut outbox, &mut cuts);
+        run.context(id(1)).send(id(0), 5u32);
+        run.context(id(2)).send(id(0), 5);
+        run.finish();
+        assert_eq!(cuts, vec![(id(1), 1, 1), (id(2), 1, 1)]);
+        assert_eq!(shape(&outbox), [(5, vec![0]), (5, vec![0])]);
     }
 }

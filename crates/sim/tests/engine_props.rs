@@ -197,10 +197,10 @@ mod step_table {
     }
 
     /// Nodes 0 and 1 of a 3-node system (node 2 is corrupt). At start a
-    /// node sends `10·id` to both others (one batch, one run); a message
-    /// below 100 is answered with `msg + 100` (a single envelope); a
-    /// restart sends `7` and `8` to node 0 (one batch, two runs). A node
-    /// decides on its first delivery.
+    /// node multicasts `10·id` to both others (one batch, one run); a
+    /// message below 100 is answered with `msg + 100` (a single
+    /// envelope); a restart sends `7` and `8` to node 0 (one batch, two
+    /// runs). A node decides on its first delivery.
     struct Chatty {
         id: usize,
         received: u64,
@@ -213,9 +213,9 @@ mod step_table {
 
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
             self.log.note(format!("start({}@{})", self.id, ctx.step()));
-            for to in (0..3).filter(|&to| to != self.id) {
-                ctx.send(NodeId::from_index(to), 10 * self.id as u64);
-            }
+            let others = (0..3).filter(|&to| to != self.id);
+            let others: Vec<NodeId> = others.map(NodeId::from_index).collect();
+            ctx.multicast(&others, 10 * self.id as u64);
         }
         fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
             self.log.note(format!("step({}@{})", self.id, ctx.step()));
@@ -448,8 +448,9 @@ mod step_table {
 
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
             if self.id == 0 {
-                for (to, msg) in [(1, 5), (2, 5), (3, 5), (2, 6), (1, 6)] {
-                    ctx.send(NodeId::from_index(to), msg);
+                for (to, msg) in [([1, 2, 3].as_slice(), 5), (&[2, 1], 6)] {
+                    let to: Vec<NodeId> = to.iter().copied().map(NodeId::from_index).collect();
+                    ctx.multicast(&to, msg);
                 }
             }
         }
@@ -556,13 +557,15 @@ mod differential {
     }
 
     /// A payload's low two bits are its hop budget `b`: a delivery is
-    /// answered with `b` messages — up to two equal ones to the sender (a
-    /// run), the third to a node drawn from the private RNG — so outboxes
-    /// come empty, single, uniform and mixed, and traffic dies out. With
-    /// a `fanout` of three or more, every other node opens with one
-    /// payload to eight recipients: a run long enough for a per-envelope
-    /// schedule to cut in the middle. What a node has `heard` hashes
-    /// deliveries in order; it decides on that after `quota` of them.
+    /// answered with `b` messages — up to two equal ones to the sender
+    /// (one multicast to a recipient listed twice), the third to a node
+    /// drawn from the private RNG — so outboxes come empty, single,
+    /// uniform and mixed, and traffic dies out. With a `fanout` of three
+    /// or more, every other node opens with one multicast to eight
+    /// recipients — itself first, and with `n < 8` some of them twice: a
+    /// run long enough for a per-envelope schedule to cut in the middle.
+    /// What a node has `heard` hashes deliveries in order; it decides on
+    /// that after `quota` of them.
     struct Toy {
         id: usize,
         n: usize,
@@ -577,15 +580,18 @@ mod differential {
         type Output = u64;
 
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            for k in 0..self.fanout {
-                let to = NodeId::from_index((self.id + 1 + k) % self.n);
-                ctx.send(to, 4 * (256 * self.id as u64 + k as u64 / 2) + 3);
+            // `fanout` messages to the next nodes round, two to a payload.
+            let next: Vec<NodeId> = (0..self.fanout)
+                .map(|k| NodeId::from_index((self.id + 1 + k) % self.n))
+                .collect();
+            for (pair, to) in next.chunks(2).enumerate() {
+                ctx.multicast(to, 4 * (256 * self.id as u64 + pair as u64) + 3);
             }
             if self.fanout >= 3 && self.id.is_multiple_of(2) {
-                for k in 0..8 {
-                    let to = NodeId::from_index((self.id + k) % self.n);
-                    ctx.send(to, 4 * (4096 + self.id as u64) + 2);
-                }
+                let to: Vec<NodeId> = (0..8)
+                    .map(|k| NodeId::from_index((self.id + k) % self.n))
+                    .collect();
+                ctx.multicast(&to, 4 * (4096 + self.id as u64) + 2);
             }
         }
         fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
@@ -599,9 +605,7 @@ mod differential {
             self.count += 1;
             let budget = msg % 4;
             let reply = (self.heard & !3) | budget.saturating_sub(1);
-            for _ in 0..budget.min(2) {
-                ctx.send(from, reply);
-            }
+            ctx.multicast(&[from, from][..budget.min(2) as usize], reply);
             if budget == 3 {
                 let to = NodeId::from_index(ctx.rng().gen_range(0..self.n));
                 ctx.send(to, reply ^ 4);

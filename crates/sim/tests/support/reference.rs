@@ -22,7 +22,7 @@ use std::fmt::Debug;
 use fba_sim::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 use fba_sim::{
     Adversary, Context, CrashPlan, EngineConfig, Envelope, Metrics, NodeId, Observer, Outbox,
-    Protocol, RunOutcome, Step, WireSize,
+    Protocol, RunOutcome, Runs, Step, WireSize,
 };
 use rand_chacha::ChaCha12Rng;
 
@@ -59,11 +59,11 @@ impl<P: Protocol> Run<P> {
         let Some(node) = self.nodes[id.index()].as_mut() else {
             return;
         };
-        let (mut outbox, rng) = (Vec::new(), &mut self.rngs[id.index()]);
+        let (mut outbox, rng) = (Runs::new(), &mut self.rngs[id.index()]);
         let mut ctx = Context::new(id, self.n, self.step, rng, &mut outbox);
         f(node, &mut ctx);
-        for (to, msg) in outbox {
-            self.send(id, to, msg);
+        for (to, msg) in outbox.iter() {
+            self.send(id, to, msg.clone());
         }
     }
 }

@@ -174,7 +174,9 @@ fn assert_run_matches_reference<P: Protocol>(
     max_steps: Step,
     t: usize,
     node: impl Fn(NodeId) -> P,
-) {
+) where
+    P::Msg: PartialEq, // the transcripts are compared
+{
     let engine = EngineConfig {
         max_steps,
         record_transcript: true,
