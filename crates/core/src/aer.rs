@@ -190,18 +190,19 @@ impl Protocol for AerNode {
         let AerMsg::Fw1 { origin, s, r, w } = *msg else {
             return deliver_each(nodes, from, msg, recipients, run);
         };
-        // Every node of a run holds the same state; without a live
-        // recipient there is nothing to deliver.
+        // Every node of a run holds the same state and the same recovery
+        // setting; without a live recipient there is nothing to deliver.
         let Some(any) = recipients.iter().find_map(|z| nodes[z.index()].as_ref()) else {
             return;
         };
-        any.pull.state().fw1_run(
-            from,
-            (origin, s, r, w),
-            recipients,
-            |z| nodes[z.index()].is_some(),
-            |z, to, fw2| run.context(z).send(to, fw2),
-        );
+        any.pull
+            .state()
+            .fw1_run(from, (origin, s, r, w), recipients, |z, to, fw2| {
+                run.context(z).send(to, fw2)
+            });
+        if any.recovery.is_none() {
+            return; // nobody keeps a WAL: the node table stays unread
+        }
         let step = run.step();
         for z in recipients {
             if let Some(node) = nodes[z.index()].as_mut() {
@@ -572,6 +573,43 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.all_decided_at, b.all_decided_at);
         assert_eq!(a.metrics, b.metrics);
+    }
+
+    #[test]
+    fn a_node_that_turns_corrupt_between_instances_stops_voting() {
+        // Two instances over one AerRunState whose coalitions differ, so a
+        // node correct (and believing gstring) in the first is played by
+        // the adversary in the second. An `Fw1` run lets whoever has a
+        // belief entry vote without looking at the node table: only the
+        // per-instance reset of that table keeps the turned node out.
+        let (h, _) = harness(48, 0.75, 5);
+        let engine = h.engine_sync();
+        let instance = |adversary_seed, state: &AerRunState| {
+            let mut adv = fba_sim::SilentAdversary::new(6);
+            h.run_in_session(
+                &engine,
+                11,
+                adversary_seed,
+                &mut adv,
+                &mut fba_sim::NullObserver,
+                state,
+                &mut EngineSession::new(1),
+            )
+        };
+        let (reused, fresh) = (h.run_state(), h.run_state());
+        let first = instance(77, &reused);
+        let second = instance(78, &reused);
+        let replay = instance(78, &fresh);
+        let turned = second.corrupt.difference(&first.corrupt).count();
+        assert!(turned > 0, "the coalitions must differ");
+        assert_eq!(second.corrupt, replay.corrupt);
+        assert_eq!(second.outputs, replay.outputs);
+        assert_eq!(second.all_decided_at, replay.all_decided_at);
+        assert_eq!(
+            second.metrics.total_bits_sent(),
+            replay.metrics.total_bits_sent()
+        );
+        assert_eq!(reused.fw1_row_count(), fresh.fw1_row_count());
     }
 
     #[test]

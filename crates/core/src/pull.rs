@@ -395,8 +395,7 @@ impl PullPhase {
         ctx: &mut Context<'_, AerMsg>,
     ) {
         let relay = |_, to, fw2| ctx.send(to, fw2);
-        self.state
-            .fw1_run(y, (origin, s, r, w), &[self.x], |_| true, relay);
+        self.state.fw1_run(y, (origin, s, r, w), &[self.x], relay);
     }
 
     /// The run state this phase was built on.

@@ -135,14 +135,20 @@ impl PushPhase {
 /// `{x : y ∈ I(s_y, x)}` given all nodes' initial candidates.
 ///
 /// Each node could compute its own list locally by scanning `x ∈ [n]`
-/// (the sampler is public); this helper deduplicates that work across
-/// nodes sharing a candidate — one `O(n·d)` quorum sweep per *distinct*
-/// string. A run with mostly-unique candidates (the unknowing fraction of
-/// a synthetic precondition draws a fresh random string per node) makes
-/// this the dominant setup cost at large `n`, so the sweep enumerates
-/// quorum members through one reusable scratch bitmap and filters against
-/// a holder bitmap — no per-string inverse materialisation. Per Lemma 3,
+/// (the sampler is public), and for a string with one holder `y` below
+/// the sampler's tail band `[n − d, n)` that is what happens: one
+/// membership probe per receiver ([`receivers_of`]), no quorum
+/// materialised. A run with mostly-unique candidates (the unknowing
+/// fraction of a synthetic precondition draws a fresh random string per
+/// node) has almost only such strings. Every other string — several
+/// holders, or one inside the tail band, where a probe has to evaluate
+/// the quorum anyway — gets one `O(n·d)` quorum sweep for all its
+/// holders: members are enumerated through a reusable scratch bitmap and
+/// filtered against a holder bitmap. Which path a string takes is read
+/// off `assignments`; both produce the same ascending lists. Per Lemma 3,
 /// each returned list has expected length `d`.
+///
+/// [`receivers_of`]: fba_samplers::QuorumSampler::receivers_of
 ///
 /// # Panics
 ///
@@ -160,11 +166,20 @@ pub fn push_targets(scheme: &QuorumScheme, assignments: &[GString]) -> Vec<Vec<N
         by_key.entry(s.key()).or_default().push(i);
     }
     let mut targets: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let tail = n - scheme.push.d();
     let words = n.div_ceil(64);
     let mut holder = vec![0u64; words];
     let mut seen = vec![0u64; words];
     let mut members: Vec<NodeId> = Vec::with_capacity(scheme.push.d());
     for (key, holders) in &by_key {
+        if let [yi] = holders[..] {
+            if yi < tail {
+                scheme
+                    .push
+                    .receivers_of(*key, NodeId::from_index(yi), &mut targets[yi]);
+                continue;
+            }
+        }
         for &yi in holders {
             holder[yi >> 6] |= 1u64 << (yi & 63);
         }

@@ -57,7 +57,8 @@ struct RunCells {
     push_votes: Vec<u128>,
     /// Per node, its current `(believed_key, slot of H(believed, self))`
     /// — the pair every pull handler gates on. [`UNSET_SLOT`] marks a
-    /// node no constructor wrote (the adversary plays it).
+    /// node no constructor wrote since the instance began: the adversary
+    /// plays it, and it has no vote.
     beliefs: Vec<(StringKey, SetSlot)>,
     fw1: Fw1Rows,
 }
@@ -142,21 +143,27 @@ impl AerRunState {
     /// What persists: the three sampler caches (`I`, `H`, `J`). They
     /// memoize pure functions of the public sampler seed — a hit returns
     /// the same bytes a fresh run would recompute — so they cannot leak
-    /// decisions across instances. The belief table stays allocated too:
-    /// it is overwritten for every correct node when the instance's nodes
-    /// are constructed, and only correct nodes' entries are ever read.
+    /// decisions across instances.
     ///
     /// What resets: the push masks (who already pushed string `s` to node
-    /// `x`) and the `Fw1` rows (which routers relay `z` has seen for
-    /// `(origin, s, w)`, and whether its relay fired). Both are *decision
-    /// state*, keyed by slots interned per `(string, node)` — a repeated
-    /// client value would otherwise see instance `k-1`'s votes as
-    /// duplicates, never accept the candidate and never relay for it. The
-    /// cross-instance leak battery in `tests/service_determinism.rs` fails
-    /// if either reset is removed. Allocations are kept.
+    /// `x`), the `Fw1` rows (which routers relay `z` has seen for
+    /// `(origin, s, w)`, and whether its relay fired) and the belief
+    /// table. The first two are *decision state*, keyed by slots interned
+    /// per `(string, node)` — a repeated client value would otherwise see
+    /// instance `k-1`'s votes as duplicates, never accept the candidate
+    /// and never relay for it. The belief table is who the correct nodes
+    /// *are*: an entry exists iff a [`PullPhase`](crate::pull::PullPhase)
+    /// was built on this state since the last call, and an `Fw1` run lets
+    /// exactly those nodes vote, so the entry of a node correct in
+    /// instance `k-1` and corrupt in `k` must go. Call this *before*
+    /// building the instance's nodes. The cross-instance leak battery in
+    /// `tests/service_determinism.rs` and
+    /// `a_node_that_turns_corrupt_between_instances_stops_voting` fail if
+    /// a reset is removed. Allocations are kept.
     pub fn begin_instance(&self) {
         let cells = &mut *self.cells.borrow_mut();
         cells.push_votes.fill(0);
+        cells.beliefs.clear();
         cells.fw1.index.clear();
         cells.fw1.quorums.clear();
         cells.fw1.cells.clear();
@@ -240,10 +247,10 @@ impl AerRunState {
 
     /// Algorithm 2, second handler, for a whole multicast: the forward
     /// `Fw1(origin, s, r, w)` from router `y`, delivered to every node of
-    /// `recipients` in order. `live(z)` says whether `z` is a correct
-    /// node of this run; `relay(z, w, fw2)` is called for each recipient
-    /// `z` whose vote crossed the majority of `H(s, origin)`. Both run
-    /// with the run's cells borrowed and may not call back into a phase.
+    /// `recipients` in order. `relay(z, w, fw2)` is called for each
+    /// recipient `z` whose vote crossed the majority of `H(s, origin)`;
+    /// it runs with the run's cells borrowed and may not call back into
+    /// a phase.
     ///
     /// Everything the handler decides on lives in this state, so one call
     /// serves all recipients, and the outcome is that of calling
@@ -252,7 +259,8 @@ impl AerRunState {
     /// on the *message* is computed once, in gate order: the slot of
     /// `H(s, origin)`, `y`'s position in it, `w ∈ J(origin, r)`, the slot
     /// of `H(s, w)` and the vote row. Per recipient there is left: a
-    /// correct node, believing `s`, at some position of `H(s, w)` — its
+    /// correct node of this instance (it has a belief entry — no node
+    /// table is read), believing `s`, at some position of `H(s, w)` — its
     /// loop index when the run is addressed to exactly `H(s, w)`, as
     /// [`PullPhase::on_pull`](crate::pull::PullPhase::on_pull) sends it —
     /// and its vote cell.
@@ -266,16 +274,14 @@ impl AerRunState {
         y: NodeId,
         (origin, s, r, w): (NodeId, GString, Label, NodeId),
         recipients: &[NodeId],
-        mut live: impl FnMut(NodeId) -> bool,
         mut relay: impl FnMut(NodeId, NodeId, AerMsg),
     ) {
         let key = s.key();
         let RunCells { beliefs, fw1, .. } = &mut *self.cells.borrow_mut();
-        let mut believes = |z: NodeId| {
-            live(z)
-                && beliefs
-                    .get(z.index())
-                    .is_some_and(|&(k, slot)| k == key && slot != UNSET_SLOT)
+        let believes = |z: NodeId| {
+            beliefs
+                .get(z.index())
+                .is_some_and(|&(k, slot)| k == key && slot != UNSET_SLOT)
         };
         let Some(first) = recipients.iter().position(|&z| believes(z)) else {
             return;
@@ -390,7 +396,8 @@ mod tests {
         assert_eq!(push_mask(&state, SetSlot(2)), 0);
         assert_eq!(push_mask(&state, SetSlot(64)), 0);
         assert_eq!(state.push_vote(SetSlot(2), 4), (true, 1));
-        assert_eq!(state.belief(x).0, g.key(), "beliefs are not votes");
+        let beliefs = state.cells.borrow().beliefs.len();
+        assert_eq!(beliefs, 0, "no belief entry until the next constructor");
         assert_eq!(state.pull_cache_stats().1, cached);
     }
 
@@ -457,16 +464,11 @@ mod tests {
             fn run(&self, y: NodeId, s: GString, recipients: &[NodeId]) -> Vec<NodeId> {
                 let (origin, r, w) = (self.origin, self.r, self.w);
                 let mut fired = Vec::new();
-                self.state.fw1_run(
-                    y,
-                    (origin, s, r, w),
-                    recipients,
-                    |_| true,
-                    |z, to, fw2| {
+                self.state
+                    .fw1_run(y, (origin, s, r, w), recipients, |z, to, fw2| {
                         assert_eq!((to, fw2), (w, AerMsg::Fw2 { origin, s, r }));
                         fired.push(z);
-                    },
-                );
+                    });
                 fired
             }
 

@@ -85,7 +85,7 @@ impl SetStore {
             Entry::Vacant(e) => {
                 sets.misses += 1;
                 let id = u32::try_from(next).expect("more than u32::MAX cached sets");
-                sets.sampler.sorted_into(key, &mut sets.members, None);
+                sets.sampler.sorted_into(key, &mut sets.members);
                 SetSlot(*e.insert(id))
             }
         }

@@ -8,7 +8,7 @@
 //! overloaded; the paper keys them as `H(i, x) = S(i·n + x)` — the same
 //! split reproduced here by mixing the string key with the node index.
 
-use fba_sim::rng::mix;
+use fba_sim::rng::{mix, splitmix64};
 use fba_sim::NodeId;
 
 use crate::sampler::Sampler;
@@ -104,11 +104,41 @@ impl QuorumSampler {
         self.inner.inverse_over_keys(|x| self.key(s, x))
     }
 
+    /// Appends the receivers `{x : y ∈ quorum(s, x)}` of one holder `y`
+    /// to `out`, ascending — row `y` of
+    /// [`QuorumSampler::inverse_for_string`] without the other `n − 1`
+    /// rows, expected `d` receivers (Lemma 3).
+    ///
+    /// One [`Sampler::contains`] probe per receiver — `d` hash-and-compare
+    /// steps, no quorum materialised — with everything that does not
+    /// depend on `x` computed once: the `(seed, tag)` prefix of the hash
+    /// chain, `splitmix64(s)` and the `d` per-draw constants.
+    pub fn receivers_of(&self, s: StringKey, y: NodeId, out: &mut Vec<NodeId>) {
+        let raw = self.inner;
+        let receivers = (0..raw.n()).map(NodeId::from_index);
+        if y.index() >= raw.n() - raw.d() {
+            // Tail band (or no node at all): `contains` evaluates the set.
+            out.extend(receivers.filter(|&x| self.contains(s, x, y)));
+            return;
+        }
+        // `QuorumSampler::key` and `Sampler::base`, unrolled over the
+        // hoisted halves of their `mix` chains.
+        let (prefix, string_hash) = (raw.prefix(), splitmix64(s.0));
+        let salts: Vec<u64> = (0..raw.d() as u64).map(Sampler::salt).collect();
+        out.extend(receivers.filter(|x| {
+            let key = splitmix64(string_hash ^ splitmix64(x.index() as u64));
+            let base = Sampler::base_over(prefix, key);
+            raw.probe(base, salts.iter().copied(), y.index())
+        }));
+    }
+
     /// Appends the members of `quorum(s, x)` to `out` in draw order, using
     /// the caller's scratch bitmap — the batch-enumeration form of
     /// [`QuorumSampler::quorum`]. See [`Sampler::members_into`] for the
-    /// scratch contract; sweeps that evaluate quorums for many `(s, x)`
-    /// pairs (push-target construction) reuse one bitmap throughout.
+    /// scratch contract; sweeps that need every member of the quorums of
+    /// many `(s, x)` pairs (push-target construction for a string several
+    /// nodes hold) reuse one bitmap throughout. For one holder, ask
+    /// [`QuorumSampler::receivers_of`] instead.
     ///
     /// # Panics
     ///

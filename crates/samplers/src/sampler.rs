@@ -72,12 +72,31 @@ impl Sampler {
         self.d
     }
 
+    /// The key-independent prefix of the hash chain, `mix(seed, [tag])`.
+    #[inline]
+    pub(crate) fn prefix(&self) -> u64 {
+        mix(self.seed, &[self.tag])
+    }
+
     /// The per-key hash base shared by every draw of one subset
-    /// evaluation; hoisting it out of the draw loop matters in batch
-    /// enumeration, where millions of subsets are drawn back to back.
+    /// evaluation, `mix(seed, [tag, key])`, over a precomputed
+    /// [`Sampler::prefix`]; hoisting it out of the draw loop matters in
+    /// batch enumeration, where millions of subsets are drawn back to
+    /// back.
+    #[inline]
+    pub(crate) fn base_over(prefix: u64, key: u64) -> u64 {
+        splitmix64(prefix ^ splitmix64(key))
+    }
+
     #[inline]
     fn base(&self, key: u64) -> u64 {
-        mix(self.seed, &[self.tag, key])
+        Self::base_over(self.prefix(), key)
+    }
+
+    /// The per-index constant of draw `i`.
+    #[inline]
+    pub(crate) fn salt(i: u64) -> u64 {
+        splitmix64(i ^ 0x5bd1_e995)
     }
 
     /// The `i`-th raw draw over a precomputed [`Sampler::base`].
@@ -85,7 +104,7 @@ impl Sampler {
     fn draw(base: u64, i: u64) -> u64 {
         // One splitmix application per draw over the mixed base; full
         // 64-bit avalanche per index.
-        splitmix64(base ^ splitmix64(i ^ 0x5bd1_e995))
+        splitmix64(base ^ Self::salt(i))
     }
 
     /// Floyd's algorithm — a uniform `d`-subset of `[n]` from exactly `d`
@@ -95,30 +114,16 @@ impl Sampler {
     /// and the output needs no final sort. The collision branch (`t`
     /// already chosen → take `j`) appends in place because `j` strictly
     /// exceeds every previously chosen value.
-    ///
-    /// With a `target`, returns `true` as soon as it is picked, leaving
-    /// the tail partially written; otherwise `false` with all `d`
-    /// members appended.
-    pub(crate) fn sorted_into(
-        &self,
-        key: u64,
-        out: &mut Vec<NodeId>,
-        target: Option<NodeId>,
-    ) -> bool {
+    pub(crate) fn sorted_into(&self, key: u64, out: &mut Vec<NodeId>) {
         let base = self.base(key);
         let start = out.len();
         for (i, j) in ((self.n - self.d)..self.n).enumerate() {
             let t = NodeId::from_index(reduce(Self::draw(base, i as u64), j + 1));
-            let (pos, pick) = match out[start..].binary_search(&t) {
-                Ok(_) => (out.len(), NodeId::from_index(j)),
-                Err(pos) => (start + pos, t),
-            };
-            if Some(pick) == target {
-                return true;
+            match out[start..].binary_search(&t) {
+                Ok(_) => out.push(NodeId::from_index(j)),
+                Err(pos) => out.insert(start + pos, t),
             }
-            out.insert(pos, pick);
         }
-        false
     }
 
     /// The `d`-subset assigned to `key`, sorted ascending (see
@@ -126,18 +131,41 @@ impl Sampler {
     #[must_use]
     pub fn set_for(&self, key: u64) -> Vec<NodeId> {
         let mut chosen = Vec::with_capacity(self.d);
-        self.sorted_into(key, &mut chosen, None);
+        self.sorted_into(key, &mut chosen);
         chosen
+    }
+
+    /// The membership probe below the tail band: whether `y` belongs to
+    /// the subset drawn over `base`, given the per-index
+    /// [`Sampler::salt`]s in draw order. Wrong for `y ≥ n − d`; both
+    /// callers branch on that first.
+    ///
+    /// Floyd's pick at draw `i` is the raw draw `t_i` unless `t_i` was
+    /// already picked, in which case it is `n − d + i`. A node below
+    /// `n − d` is therefore a member **iff some raw draw equals it** —
+    /// `d` independent hash-and-compare steps, no collision tracking.
+    #[inline]
+    pub(crate) fn probe(&self, base: u64, salts: impl Iterator<Item = u64>, y: usize) -> bool {
+        (self.n - self.d + 1..)
+            .zip(salts)
+            .any(|(bound, salt)| reduce(splitmix64(base ^ salt), bound) == y)
     }
 
     /// Whether `node` belongs to the subset assigned to `key`.
     ///
-    /// Re-runs Floyd's algorithm, checking each pick as it is drawn: the
-    /// uncached cost is `O(d log d)`. Hot paths memoize whole sets — see
+    /// Below the tail band `[n − d, n)` a node is a member iff some raw
+    /// draw equals it: `d` hash-and-compare steps, nothing stored. A
+    /// tail-band node is also what Floyd picks on a collision, so only
+    /// there is the subset evaluated. Hot paths memoize whole sets — see
     /// `SharedQuorumCache`.
     #[must_use]
     pub fn contains(&self, key: u64, node: NodeId) -> bool {
-        self.sorted_into(key, &mut Vec::with_capacity(self.d), Some(node))
+        if node.index() < self.n - self.d {
+            let salts = (0..self.d as u64).map(Self::salt);
+            self.probe(self.base(key), salts, node.index())
+        } else {
+            self.set_for(key).binary_search(&node).is_ok()
+        }
     }
 
     /// Appends the subset assigned to `key` to `out` **in draw order**
@@ -149,8 +177,9 @@ impl Sampler {
     /// returning) instead of a sorted probe buffer, so one evaluation
     /// costs `d` hash draws and `O(d)` bit operations — no allocation, no
     /// `O(d²)` insertion shifting. Callers that sweep millions of subsets
-    /// ([`Sampler::inverse_over_keys`], `fba-core`'s push-target
-    /// construction) reuse one scratch bitmap across the whole sweep.
+    /// ([`Sampler::inverse_over_keys`], the shared-string sweep of
+    /// `fba-core`'s push-target construction) reuse one scratch bitmap
+    /// across the whole sweep.
     ///
     /// # Panics
     ///

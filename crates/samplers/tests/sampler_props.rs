@@ -101,6 +101,60 @@ proptest! {
     }
 
     #[test]
+    fn contains_is_set_membership_at_every_node(
+        seed in any::<u64>(),
+        tag in any::<u64>(),
+        n in 1usize..96,
+        shape in 0usize..5,
+        pick in any::<u64>(),
+        key in any::<u64>(),
+    ) {
+        // The probe answers below the tail band `[n − d, n)`, Floyd's
+        // picks inside it: every node on both sides (and two past `n`),
+        // with the band one node (`d = 1`), every node (`d = n`), all but
+        // one or two, or anything.
+        let d = match shape {
+            0 => 1,
+            1 => n,
+            2 => n.saturating_sub(1).max(1),
+            3 => n.saturating_sub(2).max(1),
+            _ => 1 + pick as usize % n,
+        };
+        let s = Sampler::new(seed, tag, n, d);
+        let set = s.set_for(key);
+        for y in (0..n + 2).map(NodeId::from_index) {
+            prop_assert_eq!(
+                s.contains(key, y),
+                set.binary_search(&y).is_ok(),
+                "n={} d={} node {}", n, d, y
+            );
+        }
+    }
+
+    #[test]
+    fn receivers_of_is_the_brute_force_inverse(
+        seed in any::<u64>(),
+        n in 1usize..48,
+        pick in any::<u64>(),
+        key in any::<u64>(),
+    ) {
+        let d = 1 + pick as usize % n;
+        let q = QuorumSampler::new(seed, fba_samplers::tags::PUSH, n, d);
+        let s = StringKey(key);
+        let inverse = q.inverse_for_string(s);
+        let mut receivers = vec![NodeId::from_index(n)]; // appended to, not cleared
+        for (yi, row) in inverse.iter().enumerate() {
+            receivers.truncate(1);
+            q.receivers_of(s, NodeId::from_index(yi), &mut receivers);
+            prop_assert_eq!(&receivers[1..], &row[..], "n={} d={} holder {}", n, d, yi);
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "ascending, no receiver twice");
+        }
+        receivers.truncate(1);
+        q.receivers_of(s, NodeId::from_index(n), &mut receivers);
+        prop_assert_eq!(receivers.len(), 1, "no such holder, no receivers");
+    }
+
+    #[test]
     fn gstring_mixed_prefix_is_seed_dependent_suffix_is_not(
         len in 9usize..100,
         seed1 in any::<u64>(),
