@@ -11,8 +11,8 @@
 //!
 //! * [`AeNode`]/[`run_ae`] — a real message-passing committee-tree
 //!   protocol (leaf randomness → tournament ascent → supreme committee →
-//!   diffusion); see the [`AeNode`] docs and DESIGN.md
-//!   substitution 3 for its relation to the full KSSV06 construction.
+//!   diffusion); see the [`AeNode`] docs and README "Deviations from
+//!   the paper" for its relation to the full KSSV06 construction.
 //! * [`Precondition::synthetic`] — direct injection of the postcondition,
 //!   used to isolate AER in experiments exactly the way the paper's
 //!   analysis does (including worst-case variants the real protocol

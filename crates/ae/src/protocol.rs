@@ -27,9 +27,9 @@
 //!    with a fallback random string — they are the "almost everywhere"
 //!    remainder AER repairs.
 //!
-//! See DESIGN.md substitution 3 for what this deliberately simplifies
-//! relative to the full KSSV06 construction (notably: claim verification
-//! is value-seeded rather than grinding-resistant).
+//! This deliberately simplifies the full KSSV06 construction (notably:
+//! claim verification is value-seeded rather than grinding-resistant);
+//! README "Deviations from the paper" lists it with the others.
 
 use std::collections::BTreeMap;
 

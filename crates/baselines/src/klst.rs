@@ -9,8 +9,7 @@
 //!
 //! This is *not* a line-by-line port of KLST11 (whose machinery exists to
 //! survive full-information adversaries without private channels); it is
-//! the comparison baseline for the table rows — see DESIGN.md
-//! substitution 4.
+//! the comparison baseline for the table rows.
 
 use std::collections::BTreeMap;
 

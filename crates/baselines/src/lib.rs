@@ -1,8 +1,9 @@
 //! # fba-baselines — comparison protocols for Figure 1
 //!
-//! Reimplementations (at comparison fidelity — see DESIGN.md substitution
-//! 4) of the protocols *Fast Byzantine Agreement* (PODC 2013) compares
-//! against:
+//! Reimplementations (at comparison fidelity — the complexity shape of
+//! each Figure 1 row, not a line-by-line port; see README "Deviations
+//! from the paper") of the protocols *Fast Byzantine Agreement* (PODC
+//! 2013) compares against:
 //!
 //! * [`KlstNode`] — KLST11-style load-balanced almost-everywhere →
 //!   everywhere diffusion: `O(log² n)` rounds, `Õ(√n)` bits/node

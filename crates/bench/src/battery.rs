@@ -15,11 +15,11 @@
 //!   records instead of hiding inside a helper;
 //! * `Option`-aware aggregation ([`Agg`]): cells where no run produced a
 //!   statistic render `n/a`, never a fake `0` or a `NaN`;
-//! * per-scope grid memoization (several tables can share one expensive
-//!   sweep — see [`Battery::cached`]);
 //! * reporters: a rendered Markdown [`Table`] and a structured JSON
-//!   record per cell ([`Battery::json`]), BENCH-style, so sweeps are
-//!   machine-readable without screen-scraping tables.
+//!   record per cell, BENCH-style, so sweeps are machine-readable
+//!   without screen-scraping tables. A computed [`Grid`] renders any
+//!   number of reports ([`Battery::grid`] then [`Battery::report_from`]),
+//!   so several tables over one expensive sweep run it once.
 //!
 //! ```no_run
 //! use fba_bench::battery::{product2, Agg, Battery, SeedPolicy};
@@ -40,28 +40,19 @@
 //! println!("{}", report.cells_json);
 //! ```
 
-use std::any::Any;
-// paperlint: allow(D2) grid-cache lock; cells are pure (point, seed) functions, lock order invisible
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::par::par_map;
 use crate::scope::{mean_opt, opt_cell, Scope};
 use crate::table::Table;
 
-mod sealed {
-    //! Boxed-callback aliases shared by the builder methods.
-    use super::RowCtx;
-    use std::sync::Arc;
-
-    pub type LabelFn<P> = Arc<dyn Fn(&P) -> Vec<String> + Send + Sync>;
-    pub type PointFn<P> = Arc<dyn Fn(&P) -> String + Send + Sync>;
-    pub type MetricFn<O> = Arc<dyn Fn(&O) -> Option<f64> + Send + Sync>;
-    pub type DerivedFn<P, O> = Arc<dyn Fn(&RowCtx<'_, P, O>) -> String + Send + Sync>;
-    pub type RowsFn<P, O> = Arc<dyn Fn(&RowCtx<'_, P, O>) -> Vec<Vec<String>> + Send + Sync>;
-    pub type RunnerFn<P, O> = Arc<dyn Fn(&P, u64) -> O + Send + Sync>;
-    pub type NFn<P> = Arc<dyn Fn(&P) -> usize + Send + Sync>;
-}
-use sealed::{DerivedFn, LabelFn, MetricFn, NFn, PointFn, RowsFn, RunnerFn};
+// The boxed callbacks the builder methods store.
+type LabelFn<P> = Arc<dyn Fn(&P) -> Vec<String> + Send + Sync>;
+type MetricFn<O> = Arc<dyn Fn(&O) -> Option<f64> + Send + Sync>;
+type DerivedFn<P, O> = Arc<dyn Fn(&RowCtx<'_, P, O>) -> String + Send + Sync>;
+type RowsFn<P, O> = Arc<dyn Fn(&RowCtx<'_, P, O>) -> Vec<Vec<String>> + Send + Sync>;
+type RunnerFn<P, O> = Arc<dyn Fn(&P, u64) -> O + Send + Sync>;
+type NFn<P> = Arc<dyn Fn(&P) -> usize + Send + Sync>;
 
 /// Cartesian product of two axes, first axis outermost — the canonical
 /// cell order every battery table iterates in.
@@ -157,13 +148,6 @@ impl SeedPolicy {
             }
         }
     }
-
-    /// The policy line for the JSON header (always present).
-    #[must_use]
-    pub fn describe_json(&self) -> String {
-        self.describe()
-            .unwrap_or_else(|| "The scope's full seed set for every cell.".to_string())
-    }
 }
 
 /// `Option`-aware aggregation of one metric's per-seed samples.
@@ -215,6 +199,8 @@ impl Agg {
 /// outcome per seed, in seed order.
 #[derive(Clone, Debug)]
 pub struct Grid<P, O> {
+    /// The scope the sweep ran at.
+    pub scope: Scope,
     /// The cell points, in declared (product) order.
     pub points: Vec<P>,
     /// Seeds each point ran, parallel to `points`.
@@ -283,9 +269,9 @@ struct Column<P, O> {
 }
 
 enum ColumnKind<P, O> {
-    Point(PointFn<P>),
-    SeedCount,
+    /// Aggregated per-seed samples; also a JSON metric.
     Metric(Agg, MetricFn<O>),
+    /// Anything else a row can say: table only.
     Derived(DerivedFn<P, O>),
 }
 
@@ -295,7 +281,9 @@ enum ColumnKind<P, O> {
 pub struct Report {
     /// The Markdown table (render with [`Table::render`]).
     pub table: Table,
-    /// One structured JSON record per cell (see [`Battery::json`]).
+    /// One structured JSON record per cell: its axis coordinates, the
+    /// seeds it ran, and every declared metric's aggregate (`null` when
+    /// no run produced the statistic).
     pub cells_json: String,
 }
 
@@ -315,7 +303,6 @@ pub struct Battery<P, O> {
     custom_rows: Option<(Vec<String>, RowsFn<P, O>)>,
     json_metrics: Vec<(String, Agg, MetricFn<O>)>,
     notes: Vec<String>,
-    cache_key: Option<String>,
 }
 
 impl<P, O> std::fmt::Debug for Battery<P, O> {
@@ -329,10 +316,6 @@ impl<P, O> std::fmt::Debug for Battery<P, O> {
             .finish_non_exhaustive()
     }
 }
-
-type CacheSlot = (String, Scope, Arc<dyn Any + Send + Sync>);
-// paperlint: allow(D2) cache of finished grids keyed by (key, scope); hits return identical data
-static GRID_CACHE: OnceLock<Mutex<Vec<CacheSlot>>> = OnceLock::new();
 
 impl<P, O> Battery<P, O>
 where
@@ -361,7 +344,6 @@ where
             custom_rows: None,
             json_metrics: Vec::new(),
             notes: Vec::new(),
-            cache_key: None,
         }
     }
 
@@ -433,26 +415,18 @@ where
     /// derived parameters like `d`).
     #[must_use]
     pub fn col_point(
-        mut self,
+        self,
         header: impl Into<String>,
         f: impl Fn(&P) -> String + Send + Sync + 'static,
     ) -> Self {
-        self.columns.push(Column {
-            header: header.into(),
-            kind: ColumnKind::Point(Arc::new(f)),
-        });
-        self
+        self.col_derived(header, move |ctx| f(ctx.point()))
     }
 
     /// Adds a column showing how many seeds the cell ran (the declared
     /// policy applied to the cell).
     #[must_use]
-    pub fn col_runs(mut self, header: impl Into<String>) -> Self {
-        self.columns.push(Column {
-            header: header.into(),
-            kind: ColumnKind::SeedCount,
-        });
-        self
+    pub fn col_runs(self, header: impl Into<String>) -> Self {
+        self.col_derived(header, |ctx| ctx.grid.seeds[ctx.index].len().to_string())
     }
 
     /// Adds a derived column with full-grid access (growth columns,
@@ -509,38 +483,14 @@ where
         self
     }
 
-    /// Memoizes the computed grid per scope under the battery id —
-    /// several tables built over one expensive sweep share the runs
-    /// (replacing the hand-rolled `OnceLock` cache fig1a carried).
-    ///
-    /// Contract: every battery constructed under one cache key must
-    /// declare the same points, runner and seed policy.
-    #[must_use]
-    pub fn cached(self) -> Self {
-        let key = self.id.clone();
-        self.cached_as(key)
-    }
-
-    /// Like [`Battery::cached`] but under an explicit key, for several
-    /// experiment ids sharing one sweep (the three Figure 1a tables).
-    #[must_use]
-    pub fn cached_as(mut self, key: impl Into<String>) -> Self {
-        self.cache_key = Some(key.into());
-        self
-    }
-
-    /// The battery id.
-    #[must_use]
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
     fn seeds_for(&self, scope: Scope, point: &P) -> Vec<u64> {
         let n = self.point_n.as_ref().map(|f| f(point));
         self.seed_policy.seeds(scope, n)
     }
 
-    fn compute(&self, scope: Scope) -> Grid<P, O>
+    /// Runs the sweep for `scope`: every `(point, seed)` cell once.
+    #[must_use]
+    pub fn grid(&self, scope: Scope) -> Grid<P, O>
     where
         P: Clone,
     {
@@ -560,72 +510,20 @@ where
         } else {
             par_map(cells, run)
         };
-        let mut groups: Vec<Vec<O>> = seeds.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut it = outcomes.into_iter();
-        for (i, s) in seeds.iter().enumerate() {
-            for _ in 0..s.len() {
-                groups[i].push(it.next().expect("one outcome per cell"));
-            }
-        }
+        let mut outcomes = outcomes.into_iter();
+        let groups = seeds
+            .iter()
+            .map(|s| outcomes.by_ref().take(s.len()).collect())
+            .collect();
         Grid {
+            scope,
             points: self.points.clone(),
             seeds,
             groups,
         }
     }
 
-    /// Runs (or recalls) the sweep grid for `scope`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a memoization key is shared between batteries whose
-    /// grids have different types (a misuse of [`Battery::cached_as`]).
-    #[must_use]
-    pub fn grid(&self, scope: Scope) -> Arc<Grid<P, O>>
-    where
-        P: Clone,
-    {
-        let Some(key) = &self.cache_key else {
-            return Arc::new(self.compute(scope));
-        };
-        // paperlint: allow(D2) grid-cache initialisation; see GRID_CACHE
-        let cache = GRID_CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        {
-            let guard = cache.lock().expect("battery grid cache");
-            if let Some((_, _, grid)) = guard.iter().find(|(k, s, _)| k == key && *s == scope) {
-                return Arc::clone(grid)
-                    .downcast::<Grid<P, O>>()
-                    .expect("battery cache key reused for a different grid type");
-            }
-        }
-        // Compute outside the lock (a concurrent duplicate run is
-        // harmless — results are pure — and cheaper than serializing
-        // unrelated batteries behind one global lock).
-        let grid = Arc::new(self.compute(scope));
-        cache.lock().expect("battery grid cache").push((
-            key.clone(),
-            scope,
-            Arc::clone(&grid) as Arc<dyn Any + Send + Sync>,
-        ));
-        grid
-    }
-
-    /// Renders the battery as a Markdown table for `scope`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis labeler returns a different number of values
-    /// than there are declared axes.
-    #[must_use]
-    pub fn table(&self, scope: Scope) -> Table
-    where
-        P: Clone,
-    {
-        let grid = self.grid(scope);
-        self.table_from(scope, &grid)
-    }
-
-    fn table_from(&self, scope: Scope, grid: &Grid<P, O>) -> Table {
+    fn table_from(&self, grid: &Grid<P, O>) -> Table {
         let mut table = if let Some((headers, rows_fn)) = &self.custom_rows {
             let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut table = Table::new(self.title.clone(), &headers);
@@ -652,8 +550,6 @@ where
                 );
                 for column in &self.columns {
                     row.push(match &column.kind {
-                        ColumnKind::Point(f) => f(point),
-                        ColumnKind::SeedCount => grid.seeds[index].len().to_string(),
                         ColumnKind::Metric(agg, extract) => {
                             agg.cell(&grid.samples(index, |o| extract(o)))
                         }
@@ -670,20 +566,7 @@ where
         if let Some(policy) = self.seed_policy.describe() {
             table.note(policy);
         }
-        let _ = scope; // scope participates via grid(); kept for symmetry
         table
-    }
-
-    /// Emits one structured JSON record per cell: the cell's axis
-    /// coordinates, the seeds it ran, and every declared metric's
-    /// aggregate (`null` when no run produced the statistic).
-    #[must_use]
-    pub fn json(&self, scope: Scope) -> String
-    where
-        P: Clone,
-    {
-        let grid = self.grid(scope);
-        self.json_from(scope, &grid)
     }
 
     fn json_metric_decls(&self) -> Vec<(&str, Agg, &MetricFn<O>)> {
@@ -703,16 +586,20 @@ where
         decls
     }
 
-    fn json_from(&self, scope: Scope, grid: &Grid<P, O>) -> String {
+    fn json_from(&self, grid: &Grid<P, O>) -> String {
         let decls = self.json_metric_decls();
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"battery\": {},\n", json_string(&self.id)));
         out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        out.push_str(&format!("  \"scope\": {},\n", json_string(scope.name())));
         out.push_str(&format!(
-            "  \"seed_policy\": {},\n",
-            json_string(&self.seed_policy.describe_json())
+            "  \"scope\": {},\n",
+            json_string(grid.scope.name())
         ));
+        let policy = self.seed_policy.describe();
+        let policy = policy
+            .as_deref()
+            .unwrap_or("The scope's full seed set for every cell.");
+        out.push_str(&format!("  \"seed_policy\": {},\n", json_string(policy)));
         let axes: Vec<String> = self.axes.iter().map(|a| json_string(a)).collect();
         out.push_str(&format!("  \"axes\": [{}],\n", axes.join(", ")));
         out.push_str("  \"cells\": [\n");
@@ -754,18 +641,28 @@ where
         out
     }
 
-    /// Runs the battery and returns both reporters (table + JSON) over
-    /// one grid computation.
+    /// Both reporters (table + JSON) over a grid this battery — or one
+    /// declared over the same points and runner — computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the axis labeler returns a different number of values
+    /// than there are declared axes.
+    #[must_use]
+    pub fn report_from(&self, grid: &Grid<P, O>) -> Report {
+        Report {
+            table: self.table_from(grid),
+            cells_json: self.json_from(grid),
+        }
+    }
+
+    /// Runs the battery and returns both reporters over its grid.
     #[must_use]
     pub fn report(&self, scope: Scope) -> Report
     where
         P: Clone,
     {
-        let grid = self.grid(scope);
-        Report {
-            table: self.table_from(scope, &grid),
-            cells_json: self.json_from(scope, &grid),
-        }
+        self.report_from(&self.grid(scope))
     }
 }
 
@@ -831,7 +728,7 @@ mod tests {
             product3(&['a'], &[1, 2], &["x", "y"]),
             vec![('a', 1, "x"), ('a', 1, "y"), ('a', 2, "x"), ('a', 2, "y")]
         );
-        let t = demo().table(Scope::Quick);
+        let t = demo().report(Scope::Quick).table;
         let key: Vec<(String, String)> = t
             .rows
             .iter()
@@ -850,7 +747,7 @@ mod tests {
 
     #[test]
     fn option_aware_aggregation_renders_na_never_zero() {
-        let t = demo().table(Scope::Quick);
+        let t = demo().report(Scope::Quick).table;
         // delay=4 rows never produce `rounds`: n/a, not 0 or NaN.
         for row in t.rows.iter().filter(|r| r[1] == "4") {
             assert_eq!(row[3], "n/a", "row {row:?}");
@@ -897,7 +794,8 @@ mod tests {
                 threshold: 128,
                 max: 1,
             })
-            .table(Scope::Quick);
+            .report(Scope::Quick)
+            .table;
         assert!(t.notes.iter().any(|n| n.contains("n >= 128")), "{t:?}");
         // …and thinning actually happened.
         let grid = demo()
@@ -921,33 +819,35 @@ mod tests {
     }
 
     #[test]
-    fn cached_grids_are_shared_per_scope() {
+    fn one_grid_renders_any_number_of_reports() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static RUNS: AtomicUsize = AtomicUsize::new(0);
-        let build = || {
-            Battery::new("cache-demo", "cache-demo", |&n: &usize, seed| {
+        let build = |header: &str| {
+            Battery::new("shared", "shared", |&n: &usize, seed| {
                 RUNS.fetch_add(1, Ordering::SeqCst);
                 n as f64 + seed as f64
             })
             .axes(&["n"], |n| vec![n.to_string()])
             .points(vec![1usize, 2])
-            .seeds(SeedPolicy::Fixed(vec![1]))
-            .col("v", Agg::Mean, |&v| Some(v))
-            .cached()
+            .seeds(SeedPolicy::Fixed(vec![1, 2, 3]))
+            .col(header, Agg::Mean, |&v| Some(v))
         };
-        let a = build().table(Scope::Quick);
-        let runs_after_first = RUNS.load(Ordering::SeqCst);
-        assert_eq!(runs_after_first, 2);
-        let b = build().table(Scope::Quick);
+        let first = build("a");
+        let grid = first.grid(Scope::Quick);
+        let reports = [
+            first.report_from(&grid),
+            build("b").report_from(&grid),
+            build("c").report_from(&grid),
+        ];
         assert_eq!(
             RUNS.load(Ordering::SeqCst),
-            runs_after_first,
-            "second table reuses the memoized grid"
+            2 * 3,
+            "the runner ran once per (point, seed), whatever was rendered"
         );
-        assert_eq!(a, b);
-        // A different scope is a different grid.
-        let _ = build().table(Scope::Default);
-        assert!(RUNS.load(Ordering::SeqCst) > runs_after_first);
+        for (report, header) in reports.iter().zip(["a", "b", "c"]) {
+            assert_eq!(report.table.columns, ["n", header]);
+            assert_eq!(report.table.rows, reports[0].table.rows);
+        }
     }
 
     #[test]
@@ -973,7 +873,8 @@ mod tests {
                     format!("x{}", cur / prev)
                 }
             })
-            .table(Scope::Quick);
+            .report(Scope::Quick)
+            .table;
         assert_eq!(t.rows[0][1], "-");
         assert_eq!(t.rows[1][1], "x2");
     }
@@ -988,7 +889,8 @@ mod tests {
                     format!("{}", ctx.outcomes().len()),
                 ]]
             })
-            .table(Scope::Quick);
+            .report(Scope::Quick)
+            .table;
         assert_eq!(t.columns, vec!["k".to_string(), "v".to_string()]);
         assert_eq!(t.rows.len(), 4);
         assert_eq!(t.rows[0], vec!["n=64".to_string(), "1".to_string()]);
@@ -998,7 +900,7 @@ mod tests {
     #[test]
     fn json_records_round_trip_the_schema() {
         use crate::json::Value;
-        let json = demo().json(Scope::Quick);
+        let json = demo().report(Scope::Quick).cells_json;
         let v = Value::parse(&json).expect("battery JSON parses");
         assert_eq!(v.get("battery").and_then(Value::as_str), Some("demo"));
         assert_eq!(v.get("scope").and_then(Value::as_str), Some("quick"));

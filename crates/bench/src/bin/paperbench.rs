@@ -19,13 +19,16 @@
 //! (deterministically — parallel output is bit-identical to serial; set
 //! `FBA_THREADS=1` to force serial execution).
 //!
-//! Unknown experiment ids, subcommands, scope names, adversary specs,
-//! phases, sweep axes or sweep metrics print usage and exit non-zero
-//! without running anything.
+//! Whatever a subcommand rejects — an unknown id, scope, flag, spec,
+//! axis or metric, a scenario the builder refuses, an unwritable
+//! `--json` path — is an `error:` line, the usage text and exit code 1,
+//! printed in one place (`main`).
 
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Instant;
 
-use fba_bench::{run_experiment, sweep, Scope, ALL_IDS};
+use fba_bench::{run_experiments, sweep, Scope, ALL_IDS, METRICS};
 use fba_recovery::{CrashSpec, CRASH_EXPECTED};
 use fba_scenario::{Baseline, Phase, Scenario, ScenarioOutcome};
 use fba_sim::{AdversarySpec, NetworkSpec};
@@ -51,161 +54,120 @@ fn sweep_usage() {
         eprintln!("      {name:<10} {what}");
     }
     eprintln!("  metrics (default: {}):", sweep::DEFAULT_METRICS.join(","));
-    for (name, what) in sweep::METRICS {
-        eprintln!("      {name:<10} {what}");
+    for metric in METRICS {
+        eprintln!("      {:<10} {}", metric.name, metric.help);
     }
     eprintln!("  values split on commas; comma *parameters* re-merge automatically");
     eprintln!("  (adversary=silent,random-flood:16,4 is two values). Repeating");
     eprintln!("  --axis with the same name extends the axis.");
 }
 
-/// Handles one scope-selecting flag (`--quick`/`--full`/`--huge`, or
-/// `--scope <name>` consuming its value from `iter`). Returns `None`
-/// when `arg` is not a scope flag, `Some(Err(()))` when `--scope` has a
-/// missing or unknown value — one parser shared by every subcommand so
-/// the scope surface cannot drift between them.
-fn scope_flag(arg: &str, iter: &mut std::slice::Iter<'_, String>) -> Option<Result<Scope, ()>> {
-    match arg {
-        "--quick" => Some(Ok(Scope::Quick)),
-        "--full" => Some(Ok(Scope::Full)),
-        "--huge" => Some(Ok(Scope::Huge)),
-        "--scope" => Some(iter.next().and_then(|name| Scope::parse(name)).ok_or(())),
-        _ => None,
+/// The cursor every subcommand reads its flags with. A rejection is an
+/// `Err(message)`; `main` is the one place that prints it.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value that follows `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The value that follows `flag`, parsed.
+    fn parsed<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let raw = self.value(flag)?;
+        raw.parse()
+            .map_err(|err| format!("bad {flag} `{raw}`: {err}"))
+    }
+
+    /// The scope `arg` selects (`--quick`/`--full`/`--huge`, or `--scope`
+    /// and its value), or `None` when `arg` is not a scope flag — one
+    /// parser, so the scope surface cannot drift between subcommands.
+    fn scope(&mut self, arg: &str) -> Result<Option<Scope>, String> {
+        Ok(Some(match arg {
+            "--quick" => Scope::Quick,
+            "--full" => Scope::Full,
+            "--huge" => Scope::Huge,
+            "--scope" => self
+                .next()
+                .and_then(Scope::parse)
+                .ok_or("--scope needs one of quick|default|full|huge|extreme")?,
+            _ => return Ok(None),
+        }))
     }
 }
 
-#[allow(clippy::too_many_lines)] // flat flag parsing, mirroring run_scenario
-fn run_sweep(args: &[String]) -> ExitCode {
+fn run_sweep(args: &[String]) -> Result<(), String> {
     let mut scope = Scope::Default;
     let mut axes: Vec<(String, Vec<String>)> = Vec::new();
     let mut metrics: Vec<String> = Vec::new();
     let mut seeds: Option<Vec<u64>> = None;
     let mut strict = false;
-    let mut json_path: Option<String> = None;
+    let mut json_path: Option<&str> = None;
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match scope_flag(arg, &mut iter) {
-            Some(Ok(parsed)) => {
-                scope = parsed;
-                continue;
-            }
-            Some(Err(())) => {
-                eprintln!("error: --scope needs one of quick|default|full|huge|extreme");
-                sweep_usage();
-                return ExitCode::FAILURE;
-            }
-            None => {}
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        if let Some(parsed) = flags.scope(arg)? {
+            scope = parsed;
+            continue;
         }
-        let mut value_of = |flag: &str| -> Result<String, ExitCode> {
-            iter.next().cloned().ok_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                sweep_usage();
-                ExitCode::FAILURE
-            })
-        };
-        match arg.as_str() {
+        match arg {
             "--help" | "-h" => {
                 sweep_usage();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             "--axis" => {
-                let raw = match value_of("--axis") {
-                    Ok(raw) => raw,
-                    Err(code) => return code,
-                };
-                let Some((name, values)) = raw.split_once('=') else {
-                    eprintln!("error: --axis needs <name>=<v1,v2,…> (got `{raw}`)");
-                    sweep_usage();
-                    return ExitCode::FAILURE;
-                };
+                let raw = flags.value(arg)?;
+                let (name, values) = raw
+                    .split_once('=')
+                    .ok_or_else(|| format!("--axis needs <name>=<v1,v2,…> (got `{raw}`)"))?;
                 axes.push((name.to_string(), sweep::split_axis_values(name, values)));
             }
-            "--metric" => {
-                let raw = match value_of("--metric") {
-                    Ok(raw) => raw,
-                    Err(code) => return code,
-                };
-                metrics.extend(raw.split(',').map(ToString::to_string));
-            }
+            "--metric" => metrics.extend(flags.value(arg)?.split(',').map(ToString::to_string)),
             "--seeds" => {
-                let raw = match value_of("--seeds") {
-                    Ok(raw) => raw,
-                    Err(code) => return code,
-                };
-                match raw
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<u64>, _>>()
-                {
-                    Ok(parsed) => seeds = Some(parsed),
-                    Err(err) => {
-                        eprintln!("error: bad --seeds `{raw}`: {err}");
-                        sweep_usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let raw = flags.value(arg)?;
+                let parsed: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
+                seeds = Some(parsed.map_err(|err| format!("bad --seeds `{raw}`: {err}"))?);
             }
             "--strict" => strict = true,
-            "--json" => {
-                json_path = match value_of("--json") {
-                    Ok(raw) => Some(raw),
-                    Err(code) => return code,
-                };
-            }
-            other => {
-                eprintln!("error: unknown sweep flag `{other}`");
-                sweep_usage();
-                return ExitCode::FAILURE;
-            }
+            "--json" => json_path = Some(flags.value(arg)?),
+            other => return Err(format!("unknown sweep flag `{other}`")),
         }
     }
 
-    if metrics.is_empty() {
-        metrics = sweep::DEFAULT_METRICS
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-    }
-    let battery = match sweep::battery(&axes, &metrics, seeds, strict) {
-        Ok(battery) => battery,
-        Err(err) => {
-            eprintln!("error: {err}");
-            sweep_usage();
-            return ExitCode::FAILURE;
-        }
-    };
+    let battery = sweep::battery(&axes, &metrics, seeds, strict)?;
     // Pre-flight the JSON destination before a potentially hours-long
     // sweep, so a bad path cannot discard the results at the very end:
     // create the parent directory, then probe-write the file itself
     // (catches an unwritable or directory destination up front).
-    if let Some(path) = &json_path {
+    let write = |path: &str, text: &str| {
+        std::fs::write(path, text).map_err(|err| format!("could not write {path}: {err}"))
+    };
+    if let Some(path) = json_path {
         if let Some(parent) = std::path::Path::new(path)
             .parent()
             .filter(|p| !p.as_os_str().is_empty())
         {
-            if let Err(err) = std::fs::create_dir_all(parent) {
-                eprintln!("error: could not create {}: {err}", parent.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::create_dir_all(parent)
+                .map_err(|err| format!("could not create {}: {err}", parent.display()))?;
         }
-        if let Err(err) = std::fs::write(path, "") {
-            eprintln!("error: could not write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        write(path, "")?;
     }
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let report = battery.report(scope);
     println!("{}", report.table.render());
     println!("_(ran in {:.1?}, scope {scope:?})_", started.elapsed());
     if let Some(path) = json_path {
-        if let Err(err) = std::fs::write(&path, &report.cells_json) {
-            eprintln!("error: could not write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        write(path, &report.cells_json)?;
         println!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn scenario_usage() {
@@ -224,29 +186,7 @@ fn scenario_usage() {
     eprintln!("               (AER phase only; no window may crash more than n nodes)");
 }
 
-/// Applies `--knowing` to the phases that synthesise a precondition;
-/// `None` for phases that have no knowledge fraction to set (rejected
-/// rather than silently ignored).
-fn with_knowing(phase: Phase, knowing: f64) -> Option<Phase> {
-    match phase {
-        Phase::Aer { mut precondition } => {
-            precondition.knowing = knowing;
-            Some(Phase::Aer { precondition })
-        }
-        Phase::Baseline(Baseline::Klst { mut precondition }) => {
-            precondition.knowing = knowing;
-            Some(Phase::Baseline(Baseline::Klst { precondition }))
-        }
-        Phase::Baseline(Baseline::Flood { mut precondition }) => {
-            precondition.knowing = knowing;
-            Some(Phase::Baseline(Baseline::Flood { precondition }))
-        }
-        _ => None,
-    }
-}
-
-#[allow(clippy::too_many_lines)] // flat flag parsing + per-phase reporting
-fn run_scenario(args: &[String]) -> ExitCode {
+fn run_scenario(args: &[String]) -> Result<(), String> {
     let mut n = 256usize;
     let mut seed = 1u64;
     let mut faults: Option<usize> = None;
@@ -257,60 +197,39 @@ fn run_scenario(args: &[String]) -> ExitCode {
     let mut crash: Option<CrashSpec> = None;
     let mut strict = false;
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| -> Result<String, ExitCode> {
-            iter.next().cloned().ok_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                scenario_usage();
-                ExitCode::FAILURE
-            })
-        };
-        macro_rules! parse_flag {
-            ($flag:literal) => {{
-                let raw = match value_of($flag) {
-                    Ok(raw) => raw,
-                    Err(code) => return code,
-                };
-                match raw.parse() {
-                    Ok(parsed) => parsed,
-                    Err(err) => {
-                        eprintln!("error: bad {} `{raw}`: {err}", $flag);
-                        scenario_usage();
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }};
-        }
-        match arg.as_str() {
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
             "--help" | "-h" => {
                 scenario_usage();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
-            "--n" => n = parse_flag!("--n"),
-            "--seed" => seed = parse_flag!("--seed"),
-            "--faults" => faults = Some(parse_flag!("--faults")),
-            "--adversary" => adversary = parse_flag!("--adversary"),
-            "--network" => network = parse_flag!("--network"),
-            "--phase" => phase = parse_flag!("--phase"),
-            "--knowing" => knowing = Some(parse_flag!("--knowing")),
-            "--crash" => crash = Some(parse_flag!("--crash")),
+            "--n" => n = flags.parsed(arg)?,
+            "--seed" => seed = flags.parsed(arg)?,
+            "--faults" => faults = Some(flags.parsed(arg)?),
+            "--adversary" => adversary = flags.parsed(arg)?,
+            "--network" => network = flags.parsed(arg)?,
+            "--phase" => phase = flags.parsed(arg)?,
+            "--knowing" => knowing = Some(flags.parsed(arg)?),
+            "--crash" => crash = Some(flags.parsed(arg)?),
             "--strict" => strict = true,
-            other => {
-                eprintln!("error: unknown scenario flag `{other}`");
-                scenario_usage();
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown scenario flag `{other}`")),
         }
     }
 
-    if let Some(k) = knowing {
-        let Some(updated) = with_knowing(phase, k) else {
-            eprintln!("error: --knowing applies only to the aer, baseline:klst and baseline:flood phases (got `{phase}`)");
-            scenario_usage();
-            return ExitCode::FAILURE;
+    if let Some(knowing) = knowing {
+        // Only these phases synthesise a precondition; elsewhere the flag
+        // is rejected rather than silently ignored.
+        let (Phase::Aer { precondition }
+        | Phase::Baseline(Baseline::Klst { precondition } | Baseline::Flood { precondition })) =
+            &mut phase
+        else {
+            return Err(format!(
+                "--knowing applies only to the aer, baseline:klst and baseline:flood phases \
+                 (got `{phase}`)"
+            ));
         };
-        phase = updated;
+        precondition.knowing = knowing;
     }
     let mut scenario = Scenario::new(n)
         .adversary(adversary.clone())
@@ -327,15 +246,14 @@ fn run_scenario(args: &[String]) -> ExitCode {
     }
 
     println!("scenario: n={n} seed={seed} phase={phase} adversary={adversary} network={network}");
-    let started = std::time::Instant::now();
-    let outcome = match scenario.run(seed) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("error: {err}");
-            scenario_usage();
-            return ExitCode::FAILURE;
-        }
-    };
+    let started = Instant::now();
+    print_outcome(&scenario.run(seed).map_err(|err| err.to_string())?);
+    println!("_(ran in {:.1?})_", started.elapsed());
+    Ok(())
+}
+
+/// What one run decided, in the terms of the phase it ran.
+fn print_outcome(outcome: &ScenarioOutcome) {
     match outcome {
         ScenarioOutcome::Aer(out) => {
             println!(
@@ -410,8 +328,47 @@ fn run_scenario(args: &[String]) -> ExitCode {
             );
         }
     }
-    println!("_(ran in {:.1?})_", started.elapsed());
-    ExitCode::SUCCESS
+}
+
+fn run_ids(args: &[String]) -> Result<(), String> {
+    let mut scope = Scope::Default;
+    let mut ids: Vec<&str> = Vec::new();
+    let mut json_dir: Option<&str> = None;
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        if let Some(parsed) = flags.scope(arg)? {
+            scope = parsed;
+            continue;
+        }
+        match arg {
+            "--json" => json_dir = Some(flags.value(arg)?),
+            "all" => ids.extend(ALL_IDS),
+            id if ALL_IDS.contains(&id) => ids.push(id),
+            other => return Err(format!("unknown experiment id or subcommand `{other}`")),
+        }
+    }
+    if ids.is_empty() {
+        return Err("no experiment id given".to_string());
+    }
+    if let Some(dir) = json_dir {
+        std::fs::create_dir_all(dir).map_err(|err| format!("could not create {dir}: {err}"))?;
+    }
+    let mut started = Instant::now();
+    run_experiments(&ids, scope, |id, report| {
+        println!("{}", report.table.render());
+        println!(
+            "_(generated in {:.1?}, scope {scope:?})_\n",
+            started.elapsed()
+        );
+        if let Some(dir) = json_dir {
+            let path = format!("{dir}/{id}.json");
+            std::fs::write(&path, &report.cells_json)
+                .map_err(|err| format!("could not write {path}: {err}"))?;
+            println!("wrote {path}");
+        }
+        started = Instant::now();
+        Ok(())
+    })
 }
 
 fn main() -> ExitCode {
@@ -420,83 +377,16 @@ fn main() -> ExitCode {
     // instead of round-tripping through mmap/munmap. No-op elsewhere.
     let _ = fba_sim::tune_allocator_for_bulk();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("scenario") {
-        return run_scenario(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        return run_sweep(&args[1..]);
-    }
-    let mut scope = Scope::Default;
-    let mut ids: Vec<String> = Vec::new();
-    let mut json_dir: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match scope_flag(arg, &mut iter) {
-            Some(Ok(parsed)) => {
-                scope = parsed;
-                continue;
-            }
-            Some(Err(())) => {
-                eprintln!("error: --scope needs one of quick|default|full|huge|extreme");
-                usage();
-                return ExitCode::FAILURE;
-            }
-            None => {}
-        }
-        match arg.as_str() {
-            "--json" => {
-                let Some(dir) = iter.next() else {
-                    eprintln!("error: --json needs a directory path");
-                    usage();
-                    return ExitCode::FAILURE;
-                };
-                json_dir = Some(dir.clone());
-            }
-            "all" => ids.extend(ALL_IDS.iter().map(ToString::to_string)),
-            other => {
-                if ALL_IDS.contains(&other) {
-                    ids.push(other.to_string());
-                } else {
-                    eprintln!("error: unknown experiment id or subcommand `{other}`");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    if ids.is_empty() {
+    let (result, usage): (_, fn()) = match args.first().map(String::as_str) {
+        Some("scenario") => (run_scenario(&args[1..]), scenario_usage),
+        Some("sweep") => (run_sweep(&args[1..]), sweep_usage),
+        _ => (run_ids(&args), usage),
+    };
+    // Every rejection, whichever subcommand raised it, ends here.
+    if let Err(err) = result {
+        eprintln!("error: {err}");
         usage();
         return ExitCode::FAILURE;
-    }
-    if let Some(dir) = &json_dir {
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("error: could not create {dir}: {err}");
-            return ExitCode::FAILURE;
-        }
-    }
-    for id in ids {
-        let started = std::time::Instant::now();
-        match run_experiment(&id, scope) {
-            Ok(report) => {
-                println!("{}", report.table.render());
-                println!(
-                    "_(generated in {:.1?}, scope {scope:?})_\n",
-                    started.elapsed()
-                );
-                if let Some(dir) = &json_dir {
-                    let path = format!("{dir}/{id}.json");
-                    if let Err(err) = std::fs::write(&path, &report.cells_json) {
-                        eprintln!("error: could not write {path}: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("wrote {path}");
-                }
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
 }

@@ -9,15 +9,14 @@
 use fba_ae::UnknowingAssignment;
 use fba_sim::AdversarySpec;
 
-use crate::battery::{Agg, Battery, Report};
-use crate::experiments::common::{aer_scenario, KNOWING};
+use crate::battery::{Battery, Report};
+use crate::experiments::common::{aer_scenario, summarize, KNOWING};
 use crate::scope::Scope;
 use crate::table::fnum;
 
 /// The ablation table: κ (in `d = ⌈κ·ln n⌉`) vs decided %, bits and time.
 #[must_use]
 pub fn table(scope: Scope) -> Report {
-    type Cell = (f64, Option<f64>, f64);
     let n = match scope {
         Scope::Quick => 64,
         _ => 256,
@@ -25,20 +24,13 @@ pub fn table(scope: Scope) -> Report {
     Battery::new(
         "ablate-d",
         "ablate-d — quorum size vs reliability and cost (strict mode)",
-        move |&kappa: &f64, seed| -> Cell {
+        move |&kappa: &f64, seed| {
             let d = fba_samplers::default_quorum_size(n, kappa);
-            let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
+            let scenario = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                 .quorum_size(d)
                 .strict()
-                .adversary(AdversarySpec::Silent { t: None })
-                .run(seed)
-                .expect("ablate-d scenario")
-                .into_aer();
-            (
-                out.run.metrics.decided_fraction() * 100.0,
-                out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-                out.run.metrics.amortized_bits(),
-            )
+                .adversary(AdversarySpec::Silent { t: None });
+            summarize(&scenario, seed)
         },
     )
     .axes(&["kappa"], |&kappa| vec![fnum(kappa)])
@@ -46,9 +38,7 @@ pub fn table(scope: Scope) -> Report {
     .col_point("d", move |&kappa| {
         fba_samplers::default_quorum_size(n, kappa).to_string()
     })
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("bits/node", Agg::Mean, |o: &Cell| Some(o.2))
+    .metrics(&["decided", "rounds", "bits"], |o| *o)
     .note(format!(
         "n = {n}, strict mode, silent-t adversary. Larger quorums buy reliability"
     ))

@@ -6,7 +6,7 @@ use fba_scenario::{Phase, Scenario};
 use fba_sim::AdversarySpec;
 
 use crate::battery::{product2, Agg, Battery, Report};
-use crate::scope::{mean, Scope};
+use crate::scope::Scope;
 use crate::table::fnum;
 
 /// The AE contract table.
@@ -18,15 +18,12 @@ pub fn table(scope: Scope) -> Report {
         "ae",
         "ae — §2.1 precondition: the almost-everywhere phase contract",
         |&(n, (_, t_frac)): &(usize, (&str, f64)), seed| -> Cell {
-            let scenario = if t_frac == 0.0 {
-                Scenario::new(n).phase(Phase::Ae)
-            } else {
-                let t = (n as f64 * t_frac) as usize;
-                Scenario::new(n)
-                    .phase(Phase::Ae)
-                    .faults(t)
-                    .adversary(AdversarySpec::Silent { t: None })
-            };
+            let mut scenario = Scenario::new(n).phase(Phase::Ae);
+            if t_frac > 0.0 {
+                scenario = scenario
+                    .faults((n as f64 * t_frac) as usize)
+                    .adversary(AdversarySpec::Silent { t: None });
+            }
             let outcome = scenario.run(seed).expect("ae scenario").into_ae().outcome;
             (
                 outcome.knowing_fraction * 100.0,
@@ -53,8 +50,8 @@ pub fn table(scope: Scope) -> Report {
             return "-".to_string();
         }
         let (prev_n, _) = ctx.grid.points[ctx.index - 2];
-        let bits = mean(&ctx.samples(|o| Some(o.2)));
-        let prev_bits = mean(&ctx.grid.samples(ctx.index - 2, |o| Some(o.2)));
+        let bits = ctx.mean_at(ctx.index, |o| Some(o.2)).unwrap_or(0.0);
+        let prev_bits = ctx.mean_at(ctx.index - 2, |o| Some(o.2)).unwrap_or(0.0);
         format!(
             "×{} over ×{}",
             fnum(bits / prev_bits.max(1.0)),

@@ -1,8 +1,10 @@
 //! Shared experiment plumbing.
 
 use fba_ae::UnknowingAssignment;
-use fba_scenario::{Phase, PreconditionSpec, Scenario};
+use fba_scenario::{Phase, PollTimeoutSpec, Scenario};
+use fba_sim::{AdversarySpec, NetworkSpec};
 
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 
 /// Standard knowledge fraction used by the sweeps (the paper's
@@ -15,9 +17,37 @@ pub const KNOWING: f64 = 0.8;
 /// Experiments chain [`Scenario`] setters (adversary, network, tuning
 /// knobs) onto it — all run wiring lives in the builder.
 pub fn aer_scenario(n: usize, knowing: f64, mode: UnknowingAssignment) -> Scenario {
-    Scenario::new(n).phase(Phase::Aer {
-        precondition: PreconditionSpec::new(knowing, mode),
-    })
+    Scenario::new(n).phase(Phase::aer_with(knowing, mode))
+}
+
+/// Runs an AER `scenario` at `seed` and keeps its summary. Panics on an
+/// invalid scenario: callers declare theirs in code or pre-flight them.
+pub(crate) fn summarize(scenario: &Scenario, seed: u64) -> AerSummary {
+    AerSummary::of(&scenario.run(seed).expect("experiment scenario").into_aer())
+}
+
+/// The regime of the schedule batteries (`gauntlet`, `recovery`): the
+/// adversary `spec` on the asynchronous engine (`async:1`, so it holds
+/// its full scheduling power in every window) with the delay-scaled poll
+/// timeout, over the worst-case `SharedAdversarial` precondition.
+pub(crate) fn schedule_scenario(spec: &str, n: usize) -> Scenario {
+    let spec: AdversarySpec = spec.parse().expect("schedule row parses");
+    aer_scenario(n, KNOWING, UnknowingAssignment::SharedAdversarial)
+        .adversary(spec)
+        .network(NetworkSpec::Async { max_delay: 1 })
+        .poll_timeout(PollTimeoutSpec::DelayScaled)
+}
+
+/// One cell of a schedule battery: [`schedule_scenario`] run at `seed`.
+/// Safety must hold across every window boundary of every schedule, so a
+/// wrong decision panics.
+pub(crate) fn run_schedule(name: &str, spec: &str, n: usize, seed: u64) -> AerSummary {
+    let summary = summarize(&schedule_scenario(spec, n), seed);
+    assert_eq!(
+        summary.wrong, 0.0,
+        "safety violated under fault schedule {name} (n={n}, seed={seed})"
+    );
+    summary
 }
 
 /// System sizes per scope for the workload batteries (`service`,
@@ -48,7 +78,6 @@ pub fn loglog_ratio(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fba_scenario::PollTimeoutSpec;
 
     #[test]
     fn scenario_builder_applies_config_knobs() {

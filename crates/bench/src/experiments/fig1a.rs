@@ -9,30 +9,26 @@
 //!   `O(log n / log log n)` rounds, polylog bits/node, *not*
 //!   load-balanced.
 //!
-//! All three tables (`f1a-time`, `f1a-bits`, `f1a-load`) are batteries
-//! over one shared sweep, memoized per scope under the `f1a` cache key
-//! so `paperbench all` runs the expensive cells once.
+//! All three tables (`f1a-time`, `f1a-bits`, `f1a-load`) are reports over
+//! one grid: [`tables`] runs the sweep once and renders it three times.
 
 use fba_ae::UnknowingAssignment;
 use fba_scenario::{Baseline, Phase, PreconditionSpec};
 use fba_sim::{AdversarySpec, NetworkSpec};
 
 use crate::battery::{Agg, Battery, Report, RowCtx};
-use crate::experiments::common::{aer_scenario, log2, loglog_ratio, KNOWING};
+use crate::experiments::common::{aer_scenario, log2, loglog_ratio, summarize, KNOWING};
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 use crate::table::fnum;
 
-/// Everything one `(n, seed)` cell of the sweep produces. Quantiles that
-/// were never reached stay `None` and are skipped at aggregation — the
-/// battery renders those cells `n/a`, never a fake `0` or a `NaN`.
+/// Everything one `(n, seed)` cell of the sweep produces: the three
+/// protocols' summaries and the two load imbalances.
 struct SeedOutcome {
-    klst_rounds: Option<f64>,
-    klst_bits: f64,
+    klst: AerSummary,
     klst_imb: f64,
-    sync_rounds: Option<f64>,
-    sync_bits: f64,
-    async_rounds: Option<f64>,
-    async_bits: f64,
+    sync: AerSummary,
+    cornered: AerSummary,
     aer_imb: f64,
 }
 
@@ -49,26 +45,18 @@ fn run_cell(n: usize, seed: u64) -> SeedOutcome {
         .adversary(silent.clone())
         .run(seed)
         .expect("klst scenario")
-        .into_baseline();
-    let klst_rounds = klst
-        .outcome
-        .metrics()
-        .decided_quantile(0.5)
-        .map(|s| s as f64);
-    let klst_bits = klst.outcome.metrics().amortized_bits();
-    let klst_imb = klst.outcome.metrics().recv_load().imbalance;
+        .into_baseline()
+        .outcome;
 
     // --- AER, synchronous, non-rushing (silent t) ---
     let sync = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
         .faults(t)
-        .adversary(silent.clone())
-        .run(seed)
-        .expect("sync scenario")
-        .into_aer();
-    let sync_rounds = sync.run.metrics.decided_quantile(0.5).map(|s| s as f64);
-    let sync_bits = sync.run.metrics.amortized_bits();
+        .adversary(silent);
 
     // --- AER, asynchronous, rushing cornering adversary ---
+    // Strict mode strands the θ-fraction of unlucky poll lists, so the
+    // median is the robust time statistic here (l6 reports the tail
+    // separately).
     let cornered = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
         .strict()
         .network(NetworkSpec::Async { max_delay: 1 })
@@ -76,30 +64,13 @@ fn run_cell(n: usize, seed: u64) -> SeedOutcome {
         .run(seed)
         .expect("corner scenario")
         .into_aer();
-    // Strict mode strands the θ-fraction of unlucky poll lists, so the
-    // median is the robust time statistic here (l6 reports the tail
-    // separately).
     SeedOutcome {
-        klst_rounds,
-        klst_bits,
-        klst_imb,
-        sync_rounds,
-        sync_bits,
-        async_rounds: cornered.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-        async_bits: cornered.run.metrics.amortized_bits(),
+        klst: AerSummary::of_metrics(klst.metrics(), klst.all_decided_at()),
+        klst_imb: klst.metrics().recv_load().imbalance,
+        sync: summarize(&sync, seed),
+        cornered: AerSummary::of(&cornered),
         aer_imb: cornered.run.metrics.recv_load().imbalance,
     }
-}
-
-/// The shared sweep all three Figure 1a batteries are declared over:
-/// one axis (`n`), the scope's seed set, one expensive `run_cell` per
-/// cell, memoized per scope under one cache key.
-fn base(id: &str, title: &str, scope: Scope) -> Battery<usize, SeedOutcome> {
-    Battery::new(id, title, |&n, seed| run_cell(n, seed))
-        .axes(&["n"], |n| vec![n.to_string()])
-        .points(scope.aer_sizes())
-        .point_n(|&n| n)
-        .cached_as("f1a")
 }
 
 /// A `×N` growth cell against the previous row (`-` on the first row).
@@ -112,44 +83,44 @@ fn growth(ctx: &RowCtx<'_, usize, SeedOutcome>, f: impl Fn(&SeedOutcome) -> Opti
     format!("×{}", fnum(cur / prev.max(1.0)))
 }
 
-/// Figure 1a, "Time" row.
+/// Figure 1a: the `Time`, `Bits` and `Load-Balanced` rows, in that order
+/// (`f1a-time`, `f1a-bits`, `f1a-load`), rendered from one sweep — one
+/// axis (`n`), the scope's seed set, one expensive `run_cell` per cell.
 #[must_use]
-pub fn time(scope: Scope) -> Report {
-    base(
+pub fn tables(scope: Scope) -> [Report; 3] {
+    let base = |id: &str, title: &str| {
+        Battery::new(id, title, |&n, seed| run_cell(n, seed))
+            .axes(&["n"], |n| vec![n.to_string()])
+            .points(scope.aer_sizes())
+            .point_n(|&n| n)
+    };
+    let time = base(
         "f1a-time",
         "f1a-time — Fig. 1a `Time`: rounds to decision (median over correct nodes, mean over seeds)",
-        scope,
     )
-    .col("KLST-style (sync)", Agg::Mean, |o: &SeedOutcome| {
-        o.klst_rounds
-    })
+    .col("KLST-style (sync)", Agg::Mean, |o: &SeedOutcome| o.klst.p50)
     .col("AER sync non-rushing", Agg::Mean, |o: &SeedOutcome| {
-        o.sync_rounds
+        o.sync.p50
     })
     .col("AER async rushing", Agg::Mean, |o: &SeedOutcome| {
-        o.async_rounds
+        o.cornered.p50
     })
     .col_point("ref log²n", |&n| fnum(log2(n) * log2(n)))
     .col_point("ref logn/loglogn", |&n| fnum(loglog_ratio(n)))
     .note("paper: KLST11 O(log²n), AER O(1) sync non-rushing, O(logn/loglogn) async.")
     .note("AER async runs use strict mode (no retries) so the cornering chains are visible.")
-    .note("`n/a`: no run in the cell reached the decision quantile (all-undecided cell).")
-    .report(scope)
-}
-
-/// Figure 1a, "Bits" row.
-#[must_use]
-pub fn bits(scope: Scope) -> Report {
-    base(
+    .note("`n/a`: no run in the cell reached the decision quantile (all-undecided cell).");
+    let bits = base(
         "f1a-bits",
         "f1a-bits — Fig. 1a `Bits`: amortized bits per node (mean over seeds)",
-        scope,
     )
-    .col("KLST-style", Agg::Mean, |o: &SeedOutcome| Some(o.klst_bits))
-    .col("AER sync", Agg::Mean, |o: &SeedOutcome| Some(o.sync_bits))
-    .col("AER async", Agg::Mean, |o: &SeedOutcome| Some(o.async_bits))
-    .col_derived("KLST growth", |ctx| growth(ctx, |o| Some(o.klst_bits)))
-    .col_derived("AER growth", |ctx| growth(ctx, |o| Some(o.sync_bits)))
+    .col("KLST-style", Agg::Mean, |o: &SeedOutcome| Some(o.klst.bits))
+    .col("AER sync", Agg::Mean, |o: &SeedOutcome| Some(o.sync.bits))
+    .col("AER async", Agg::Mean, |o: &SeedOutcome| {
+        Some(o.cornered.bits)
+    })
+    .col_derived("KLST growth", |ctx| growth(ctx, |o| Some(o.klst.bits)))
+    .col_derived("AER growth", |ctx| growth(ctx, |o| Some(o.sync.bits)))
     .col_derived("ref √n growth", |ctx| {
         if ctx.index == 0 {
             "-".to_string()
@@ -160,17 +131,10 @@ pub fn bits(scope: Scope) -> Report {
         }
     })
     .note("paper: KLST11 Õ(√n) vs AER O(log²n) — compare the growth columns, not absolutes:")
-    .note("AER's constants (d³ routing fan-out) dominate at laptop n; its *growth* is polylog.")
-    .report(scope)
-}
-
-/// Figure 1a, "Load-Balanced" row.
-#[must_use]
-pub fn load(scope: Scope) -> Report {
-    base(
+    .note("AER's constants (d³ routing fan-out) dominate at laptop n; its *growth* is polylog.");
+    let load = base(
         "f1a-load",
         "f1a-load — Fig. 1a `Load-Balanced`: max/mean received bits across correct nodes",
-        scope,
     )
     .col("KLST-style imbalance", Agg::Mean, |o: &SeedOutcome| {
         Some(o.klst_imb)
@@ -179,8 +143,9 @@ pub fn load(scope: Scope) -> Report {
         Some(o.aer_imb)
     })
     .note("paper: KLST11 is load-balanced (ratio ≈ 1); AER deliberately is not —")
-    .note("the adversary concentrates verification work on a few victims (§1).")
-    .report(scope)
+    .note("the adversary concentrates verification work on a few victims (§1).");
+    let grid = time.grid(scope);
+    [&time, &bits, &load].map(|battery| battery.report_from(&grid))
 }
 
 #[cfg(test)]
@@ -189,35 +154,18 @@ mod tests {
 
     #[test]
     fn quick_sweep_produces_full_tables() {
-        let t = time(Scope::Quick).table;
-        assert_eq!(t.rows.len(), Scope::Quick.aer_sizes().len());
-        let b = bits(Scope::Quick).table;
-        assert_eq!(b.rows.len(), t.rows.len());
-        let l = load(Scope::Quick).table;
-        assert!(!l.rows.is_empty());
+        let [time, bits, load] = tables(Scope::Quick).map(|report| report.table);
+        assert_eq!(time.rows.len(), Scope::Quick.aer_sizes().len());
+        assert_eq!(bits.rows.len(), time.rows.len());
+        assert_eq!(load.rows.len(), time.rows.len());
         // Sanity: AER sync rounds stay small (retry tails allowed at the
         // tiny quick-scope sizes where poll lists are noisy).
-        for row in &t.rows {
+        for row in &time.rows {
             let sync_rounds: f64 = row[2].parse().unwrap();
             assert!(sync_rounds > 0.0 && sync_rounds < 45.0, "row {row:?}");
         }
         // Growth columns anchor at `-` and carry ratios after.
-        assert_eq!(b.rows[0][4], "-");
-        assert!(b.rows[1][4].starts_with('×'), "row {:?}", b.rows[1]);
-    }
-
-    #[test]
-    fn the_three_tables_share_one_memoized_sweep() {
-        // All three reports at one scope recall the `f1a` grid — pinned
-        // indirectly by identical per-cell JSON seeds and by wall-clock
-        // in practice; here we check the shared-cache wiring exists.
-        let a = time(Scope::Quick);
-        let b = load(Scope::Quick);
-        let va = crate::json::Value::parse(&a.cells_json).unwrap();
-        let vb = crate::json::Value::parse(&b.cells_json).unwrap();
-        assert_eq!(
-            va.get("cells").unwrap().as_array().unwrap().len(),
-            vb.get("cells").unwrap().as_array().unwrap().len()
-        );
+        assert_eq!(bits.rows[0][4], "-");
+        assert!(bits.rows[1][4].starts_with('×'), "row {:?}", bits.rows[1]);
     }
 }

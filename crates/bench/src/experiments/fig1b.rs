@@ -6,8 +6,7 @@
 //! descend from) and Phase-King (the deterministic `t+1`-round
 //! counterpoint enforcing the Fischer–Lynch bound). `[BOPV06]`'s
 //! `n^{O(log n)}` communication and `[KS13]`'s `Õ(n².⁵)` bits are not
-//! implementable at any useful scale — their rows are reproduced as
-//! formulas in EXPERIMENTS.md.
+//! implementable at any useful scale, so the table has no row for them.
 
 use fba_baselines::{BenOrParams, KingParams};
 use fba_core::AerConfig;
@@ -15,95 +14,57 @@ use fba_scenario::{Baseline, Phase, Scenario};
 use fba_sim::AdversarySpec;
 
 use crate::battery::{product2, Agg, Battery, Report};
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 
-/// The three protocol families of the comparison, as data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Protocol {
-    /// AE + AER, the paper's composition.
-    Ba,
-    /// Ben-Or's randomized binary agreement.
-    BenOr,
-    /// The deterministic Phase-King counterpoint.
-    King,
-}
+/// One protocol family of the comparison, as data: its row label, the
+/// fault bound it tolerates, and one run of it at `(n, seed)`.
+type Protocol = (&'static str, &'static str, fn(usize, u64) -> AerSummary);
 
-impl Protocol {
-    fn name(self) -> &'static str {
-        match self {
-            Protocol::Ba => "BA (this paper)",
-            Protocol::BenOr => "Ben-Or [BO83]",
-            Protocol::King => "Phase-King (determ.)",
-        }
-    }
-
-    fn tolerates(self) -> &'static str {
-        match self {
-            Protocol::Ba => "t < (1/3-ε)n",
-            Protocol::BenOr => "t < n/5",
-            Protocol::King => "t < n/4",
-        }
-    }
-}
-
-/// One cell's statistics: rounds (p95 quantile, absent when never
-/// reached), bits/node, msgs/node.
-type Cell = (Option<f64>, f64, f64);
-
-fn run_cell(protocol: Protocol, n: usize, seed: u64) -> Cell {
+/// AE + AER, the paper's composition. The 95 % decision step counts the
+/// almost-everywhere rounds before it, and bits and messages are summed
+/// over both phases.
+const BA: Protocol = ("BA (this paper)", "t < (1/3-ε)n", |n, seed| {
     let silent = AdversarySpec::Silent { t: None };
-    match protocol {
-        Protocol::Ba => {
-            let t_faults = AerConfig::recommended(n).t.min(n / 8);
-            let c = Scenario::new(n)
-                .phase(Phase::Composed)
-                .faults(t_faults)
-                .adversary(silent.clone())
-                .ae_adversary(silent)
-                .run(seed)
-                .expect("composed scenario")
-                .into_composed();
-            (
-                c.aer
-                    .metrics
-                    .decided_quantile(0.95)
-                    .map(|r| (c.report.ae_rounds + r) as f64),
-                c.report.ae_bits_per_node + c.report.aer_bits_per_node,
-                (c.ae.run.metrics.correct_msgs_sent() + c.aer.metrics.correct_msgs_sent()) as f64
-                    / n as f64,
-            )
-        }
-        Protocol::BenOr => {
-            let b = Scenario::new(n)
-                .phase(Phase::Baseline(Baseline::BenOr { bias: 0.9 }))
-                .faults(BenOrParams::recommended(n).t)
-                .adversary(silent)
-                .run(seed)
-                .expect("benor scenario")
-                .into_baseline();
-            let metrics = b.outcome.metrics();
-            (
-                metrics.decided_quantile(0.95).map(|s| s as f64),
-                metrics.amortized_bits(),
-                metrics.correct_msgs_sent() as f64 / n as f64,
-            )
-        }
-        Protocol::King => {
-            let k = Scenario::new(n)
-                .phase(Phase::Baseline(Baseline::PhaseKing))
-                .faults(KingParams::recommended(n).t / 2)
-                .adversary(silent)
-                .run(seed)
-                .expect("phase-king scenario")
-                .into_baseline();
-            let metrics = k.outcome.metrics();
-            (
-                metrics.decided_quantile(0.95).map(|s| s as f64),
-                metrics.amortized_bits(),
-                metrics.correct_msgs_sent() as f64 / n as f64,
-            )
-        }
+    let c = Scenario::new(n)
+        .phase(Phase::Composed)
+        .faults(AerConfig::recommended(n).t.min(n / 8))
+        .adversary(silent.clone())
+        .ae_adversary(silent)
+        .run(seed)
+        .expect("composed scenario")
+        .into_composed();
+    let aer = AerSummary::of_metrics(&c.aer.metrics, c.aer.all_decided_at);
+    let msgs = c.ae.run.metrics.correct_msgs_sent() + c.aer.metrics.correct_msgs_sent();
+    AerSummary {
+        p95: aer.p95.map(|r| c.report.ae_rounds as f64 + r),
+        bits: c.report.ae_bits_per_node + c.report.aer_bits_per_node,
+        msgs: msgs as f64 / n as f64,
+        ..aer
     }
+});
+
+/// Ben-Or's randomized binary agreement.
+const BEN_OR: Protocol = ("Ben-Or [BO83]", "t < n/5", |n, seed| {
+    let t = BenOrParams::recommended(n).t;
+    baseline(Baseline::BenOr { bias: 0.9 }, t, n, seed)
+});
+
+/// The deterministic Phase-King counterpoint.
+const KING: Protocol = ("Phase-King (determ.)", "t < n/4", |n, seed| {
+    let t = KingParams::recommended(n).t / 2;
+    baseline(Baseline::PhaseKing, t, n, seed)
+});
+
+fn baseline(phase: Baseline, t: usize, n: usize, seed: u64) -> AerSummary {
+    let run = Scenario::new(n)
+        .phase(Phase::Baseline(phase))
+        .faults(t)
+        .adversary(AdversarySpec::Silent { t: None })
+        .run(seed)
+        .expect("baseline scenario")
+        .into_baseline();
+    AerSummary::of_metrics(run.outcome.metrics(), run.outcome.all_decided_at())
 }
 
 /// Figure 1b: rounds, bits/node and fault tolerance per protocol. The
@@ -112,22 +73,21 @@ fn run_cell(protocol: Protocol, n: usize, seed: u64) -> Cell {
 /// products.
 #[must_use]
 pub fn table(scope: Scope) -> Report {
-    let mut points = product2(&[Protocol::Ba, Protocol::BenOr], &scope.aer_sizes());
-    points.extend(product2(&[Protocol::King], &scope.king_sizes()));
+    let mut points = product2(&[BA, BEN_OR], &scope.aer_sizes());
+    points.extend(product2(&[KING], &scope.king_sizes()));
     Battery::new(
         "f1b",
         "f1b — Fig. 1b: Byzantine Agreement protocols (mean over seeds)",
-        |&(protocol, n): &(Protocol, usize), seed| run_cell(protocol, n, seed),
+        |&((_, _, run), n): &(Protocol, usize), seed| run(n, seed),
     )
-    .axes(&["protocol", "n"], |&(p, n)| {
-        vec![p.name().to_string(), n.to_string()]
+    .axes(&["protocol", "n"], |&((name, _, _), n)| {
+        vec![name.to_string(), n.to_string()]
     })
     .points(points)
     .point_n(|&(_, n)| n)
-    .col("rounds", Agg::Mean, |o: &Cell| o.0)
-    .col("bits/node", Agg::Mean, |o: &Cell| Some(o.1))
-    .col("msgs/node", Agg::Mean, |o: &Cell| Some(o.2))
-    .col_point("tolerates", |&(p, _)| p.tolerates().to_string())
+    .col("rounds", Agg::Mean, |o: &AerSummary| o.p95)
+    .metrics(&["bits", "msgs"], |o| *o)
+    .col_point("tolerates", |&((_, tolerates, _), _)| tolerates.to_string())
     .note("paper Fig. 1b: BA is polylog in both time and bits; Ben-Or is Θ(n) bits/node per")
     .note("phase; deterministic protocols pay Θ(n) rounds (t+1 lower bound).")
     .note("Ben-Or rows use 90%-biased binary inputs (worst-case Ben-Or is exponential and")

@@ -16,20 +16,23 @@ use crate::experiments::common::{aer_scenario, KNOWING};
 use crate::scope::Scope;
 use crate::table::fnum;
 
-/// One witness's vote tally in the recorded f2a run.
-struct Tally {
-    witness: NodeId,
-    gstring_votes: usize,
-    bogus_votes: usize,
-}
+/// The two strings a witness of the recorded f2a run tallies votes for.
+const STRINGS: [&str; 2] = ["s1 = gstring", "s2 (shared bogus)"];
 
-/// The f2a cell: per-witness tallies plus the run parameters the table
-/// and notes read.
+/// The f2a cell: per witness, the valid pushes for each of [`STRINGS`],
+/// plus the run parameters the table and notes read.
 struct F2aCell {
-    tallies: Vec<Tally>,
+    tallies: Vec<(NodeId, [usize; 2])>,
     majority: usize,
     d: usize,
-    n: usize,
+}
+
+impl F2aCell {
+    /// Witnesses at which string `which` of [`STRINGS`] crossed the majority.
+    fn accepted(&self, which: usize) -> Option<f64> {
+        let votes = self.tallies.iter().map(|(_, votes)| votes[which]);
+        Some(votes.filter(|&v| v >= self.majority).count() as f64)
+    }
 }
 
 /// Figure 2a: push-quorum vote counts and verdicts at unknowing nodes.
@@ -61,18 +64,13 @@ pub fn f2a(scope: Scope) -> Report {
                 .take(3)
                 .map(|x| {
                     let votes = push_votes_at(&out.run.transcript, x, &scheme);
-                    Tally {
-                        witness: x,
-                        gstring_votes: votes.votes_for(&pre.gstring),
-                        bogus_votes: votes.votes_for(bogus),
-                    }
+                    (x, [&pre.gstring, bogus].map(|s| votes.votes_for(s)))
                 })
                 .collect();
             F2aCell {
                 tallies,
                 majority: out.config.majority(),
                 d: out.config.d,
-                n,
             }
         },
     )
@@ -83,13 +81,10 @@ pub fn f2a(scope: Scope) -> Report {
         |ctx| {
             let cell = &ctx.outcomes()[0];
             let mut rows = Vec::new();
-            for tally in &cell.tallies {
-                for (label, count) in [
-                    ("s1 = gstring", tally.gstring_votes),
-                    ("s2 (shared bogus)", tally.bogus_votes),
-                ] {
+            for (witness, votes) in &cell.tallies {
+                for (label, count) in STRINGS.into_iter().zip(*votes) {
                     rows.push(vec![
-                        tally.witness.to_string(),
+                        witness.to_string(),
                         label.into(),
                         count.to_string(),
                         cell.majority.to_string(),
@@ -108,27 +103,17 @@ pub fn f2a(scope: Scope) -> Report {
         Some(o.tallies.len() as f64)
     })
     .json_metric("gstring accepted witnesses", Agg::Mean, |o: &F2aCell| {
-        Some(
-            o.tallies
-                .iter()
-                .filter(|t| t.gstring_votes >= o.majority)
-                .count() as f64,
-        )
+        o.accepted(0)
     })
     .json_metric("bogus accepted witnesses", Agg::Mean, |o: &F2aCell| {
-        Some(
-            o.tallies
-                .iter()
-                .filter(|t| t.bogus_votes >= o.majority)
-                .count() as f64,
-        )
-    })
-    .cached();
-    let mut report = battery.report(scope);
-    let cell = &battery.grid(scope).groups[0][0];
+        o.accepted(1)
+    });
+    let grid = battery.grid(scope);
+    let mut report = battery.report_from(&grid);
+    let cell = grid.single();
     report.table.note(format!(
-        "n = {}, d = {}, 75% know gstring, 25% share one bogus candidate.",
-        cell.n, cell.d
+        "n = {n}, d = {}, 75% know gstring, 25% share one bogus candidate.",
+        cell.d
     ));
     report
         .table
@@ -136,15 +121,17 @@ pub fn f2a(scope: Scope) -> Report {
     report
 }
 
-/// The f2b cell: the five hop summaries of one pull request plus the
-/// run parameters the table and notes read.
+/// The hops of one pull request, in pipeline order.
+const HOPS: [&str; 5] = ["Poll", "Pull", "Fw1", "Fw2", "Answer"];
+
+/// The f2b cell: the summary of each of [`HOPS`] for one pull request,
+/// plus the run parameters the table and notes read.
 struct F2bCell {
-    hops: Vec<(String, HopSummary)>,
+    hops: [HopSummary; 5],
     pipeline_depth: Option<u64>,
     requester: NodeId,
     decided_at: Option<u64>,
     d: usize,
-    n: usize,
 }
 
 /// Figure 2b: message counts per hop for one node's gstring verification.
@@ -169,20 +156,12 @@ pub fn f2b(scope: Scope) -> Report {
                 .find(|id| pre.knows(*id))
                 .expect("a knowing node exists");
             let flow = request_flow(&out.run.transcript, x, &pre.gstring);
-            let hops = ["Poll", "Pull", "Fw1", "Fw2", "Answer"]
-                .iter()
-                .map(|&kind| {
-                    let hop = flow.hop(kind).expect("hop present");
-                    (kind.to_string(), hop.clone())
-                })
-                .collect();
             F2bCell {
-                hops,
+                hops: HOPS.map(|kind| flow.hop(kind).expect("hop present").clone()),
                 pipeline_depth: flow.pipeline_depth(),
                 requester: x,
                 decided_at: out.run.metrics.decided_at(x),
                 d: out.config.d,
-                n,
             }
         },
     )
@@ -204,7 +183,7 @@ pub fn f2b(scope: Scope) -> Report {
                 .iter()
                 .zip(labels)
                 .enumerate()
-                .map(|(i, ((_, hop), (label, reference)))| {
+                .map(|(i, (hop, (label, reference)))| {
                     vec![
                         (i + 1).min(4).to_string(),
                         label.into(),
@@ -217,27 +196,20 @@ pub fn f2b(scope: Scope) -> Report {
         },
     )
     .json_metric("fw1 count", Agg::Mean, |o: &F2bCell| {
-        o.hops
-            .iter()
-            .find(|(kind, _)| kind == "Fw1")
-            .map(|(_, hop)| hop.count as f64)
+        Some(o.hops[2].count as f64)
     })
     .json_metric("answer count", Agg::Mean, |o: &F2bCell| {
-        o.hops
-            .iter()
-            .find(|(kind, _)| kind == "Answer")
-            .map(|(_, hop)| hop.count as f64)
+        Some(o.hops[4].count as f64)
     })
     .json_metric("pipeline depth", Agg::Mean, |o: &F2bCell| {
         o.pipeline_depth.map(|s| s as f64)
-    })
-    .cached();
-    let mut report = battery.report(scope);
-    let cell = &battery.grid(scope).groups[0][0];
+    });
+    let grid = battery.grid(scope);
+    let mut report = battery.report_from(&grid);
+    let cell = grid.single();
     report.table.note(format!(
-        "requester {}, n = {}, d = {}; decision at step {}; pipeline depth {}.",
+        "requester {}, n = {n}, d = {}; decision at step {}; pipeline depth {}.",
         cell.requester,
-        cell.n,
         cell.d,
         cell.decided_at.map_or("-".to_string(), |s| s.to_string()),
         cell.pipeline_depth

@@ -12,12 +12,8 @@
 //! delay-scaled poll timeout, handing the adversary its full scheduling
 //! power in every window.
 
-use fba_ae::UnknowingAssignment;
-use fba_scenario::PollTimeoutSpec;
-use fba_sim::{AdversarySpec, NetworkSpec};
-
-use crate::battery::{product2, Agg, Battery, Report, SeedPolicy};
-use crate::experiments::common::{aer_scenario, KNOWING};
+use crate::battery::{product2, Battery, Report, SeedPolicy};
+use crate::experiments::common::run_schedule;
 use crate::scope::Scope;
 
 /// The schedule matrix: every entry is a parseable adversary spec — the
@@ -47,38 +43,13 @@ pub fn gauntlet_sizes(scope: Scope) -> Vec<usize> {
     }
 }
 
-/// One cell's statistics: decided %, p50 / max decision steps, bits.
-type Cell = (f64, Option<f64>, Option<f64>, f64);
-
-fn run_cell(name: &str, spec: &str, n: usize, seed: u64) -> Cell {
-    let spec: AdversarySpec = spec.parse().expect("gauntlet schedule parses");
-    let out = aer_scenario(n, KNOWING, UnknowingAssignment::SharedAdversarial)
-        .adversary(spec)
-        .network(NetworkSpec::Async { max_delay: 1 })
-        .poll_timeout(PollTimeoutSpec::DelayScaled)
-        .run(seed)
-        .expect("gauntlet scenario")
-        .into_aer();
-    assert_eq!(
-        out.wrong_decisions(),
-        0,
-        "safety violated under fault schedule {name} (n={n}, seed={seed})"
-    );
-    (
-        out.run.metrics.decided_fraction() * 100.0,
-        out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-        out.run.all_decided_at.map(|s| s as f64),
-        out.run.metrics.amortized_bits(),
-    )
-}
-
 /// The `gauntlet` experiment: decision steps and bits per schedule.
 #[must_use]
 pub fn table(scope: Scope) -> Report {
     Battery::new(
         "gauntlet",
         "gauntlet — composed fault schedules: mixed-adversary batteries",
-        |&((name, spec), n): &((&str, &str), usize), seed| run_cell(name, spec, n, seed),
+        |&((name, spec), n): &((&str, &str), usize), seed| run_schedule(name, spec, n, seed),
     )
     .axes(&["schedule", "n"], |&((name, _), n)| {
         vec![name.to_string(), n.to_string()]
@@ -91,10 +62,7 @@ pub fn table(scope: Scope) -> Report {
         threshold: 4096,
         max: 3,
     })
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("rounds max", Agg::Mean, |o: &Cell| o.2)
-    .col("bits/node", Agg::Mean, |o: &Cell| Some(o.3))
+    .metrics(&["decided", "rounds", "rounds-max", "bits"], |o| *o)
     .note("Each schedule assigns one strategy per step window (the sched: grammar);")
     .note("windows keep their own state, so e.g. the corner window still reports its")
     .note("plan. Async engine, delay-scaled poll timeout, SharedAdversarial precondition.")
@@ -104,6 +72,7 @@ pub fn table(scope: Scope) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::schedule_scenario;
 
     #[test]
     fn quick_gauntlet_decides_everywhere() {
@@ -131,13 +100,7 @@ mod tests {
         // with everyone deciding at n = 1024 (debug builds run n = 256;
         // release/CI and the paperbench battery cover 1024+).
         let n = if cfg!(debug_assertions) { 256 } else { 1024 };
-        let spec: AdversarySpec = "sched:[0..1]flood;[1..3]equivocate:8;[3..]corner:256"
-            .parse()
-            .expect("parses");
-        let out = aer_scenario(n, KNOWING, UnknowingAssignment::SharedAdversarial)
-            .adversary(spec)
-            .network(NetworkSpec::Async { max_delay: 1 })
-            .poll_timeout(PollTimeoutSpec::DelayScaled)
+        let out = schedule_scenario("sched:[0..1]flood;[1..3]equivocate:8;[3..]corner:256", n)
             .run(1)
             .expect("valid scenario")
             .into_aer();

@@ -15,7 +15,7 @@ use fba_scenario::{Phase, Scenario};
 use fba_sim::choose_corrupt;
 
 use crate::battery::{product2, Agg, Battery, Report};
-use crate::scope::{mean, Scope};
+use crate::scope::Scope;
 use crate::table::fnum;
 
 /// One cell run: committee-rigging stats are absent when the run formed
@@ -48,7 +48,7 @@ pub fn table(scope: Scope) -> Report {
                 .expect("gbits scenario")
                 .into_ae();
             let (out, cfg) = (run.outcome, run.config);
-            let committee_stats = out.supreme_committee.as_ref().map(|committee| {
+            let stats = out.supreme_committee.as_ref().map(|committee| {
                 let rigged_members = committee.iter().filter(|m| rigged.contains(m)).count();
                 // Each member controls an equal slice of gstring.
                 let per = cfg.string_len.div_ceil(committee.len());
@@ -58,9 +58,10 @@ pub fn table(scope: Scope) -> Report {
                     controlled_bits / cfg.string_len as f64 * 100.0,
                 )
             });
+            let (committee_rigged, controlled) = stats.unzip();
             Cell {
-                committee_rigged: committee_stats.map(|s| s.0),
-                controlled: committee_stats.map(|s| s.1),
+                committee_rigged,
+                controlled,
                 knowing: out.knowing_fraction * 100.0,
             }
         },
@@ -77,7 +78,7 @@ pub fn table(scope: Scope) -> Report {
     .col_derived("uniform bits %", |ctx| {
         // The complement of the *plain* controlled mean (0 when no run
         // formed a committee), matching the controlled column's source.
-        fnum(100.0 - mean(&ctx.samples(|o| o.controlled)))
+        fnum(100.0 - ctx.mean_at(ctx.index, |o| o.controlled).unwrap_or(0.0))
     })
     .col("knowing %", Agg::Mean, |o: &Cell| Some(o.knowing))
     .note("rigged members follow the protocol but contribute constants instead of")

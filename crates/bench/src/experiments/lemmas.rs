@@ -5,11 +5,12 @@
 use fba_ae::{Precondition, UnknowingAssignment};
 use fba_core::{AerConfig, AerNode};
 use fba_samplers::GString;
-use fba_scenario::Scenario;
-use fba_sim::{AdversarySpec, FinalInspect, NetworkSpec, NodeId};
+use fba_scenario::{AerRun, Scenario};
+use fba_sim::{AdversarySpec, FinalInspect, NodeId};
 
 use crate::battery::{product2, Agg, Battery, Report, SeedPolicy};
-use crate::experiments::common::{aer_scenario, log2, KNOWING};
+use crate::experiments::common::{aer_scenario, log2, summarize, KNOWING};
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 use crate::table::fnum;
 
@@ -33,19 +34,18 @@ pub fn l3(scope: Scope) -> Report {
                 UnknowingAssignment::RandomPerNode,
                 seed,
             );
-            // Push targets are the real measure:
+            // Push targets are the real measure: node `i` pushes its
+            // string to everyone whose quorum for that string holds `i`.
             let scheme = cfg.scheme();
-            let mut counts = Vec::with_capacity(n);
-            for (i, s) in pre.assignments.iter().enumerate() {
-                let y = fba_sim::NodeId::from_index(i);
-                let inverse = scheme.push.inverse_for_string(s.key());
-                counts.push(inverse[y.index()].len());
-            }
+            let targets =
+                |(i, s): (usize, &GString)| scheme.push.inverse_for_string(s.key())[i].len();
+            let counts: Vec<usize> = pre.assignments.iter().enumerate().map(targets).collect();
+            let total = counts.iter().sum::<usize>() as f64;
             let msg_bits = cfg.string_len as u64 + 3 + 2 * u64::from(fba_sim::ceil_log2(n));
             (
-                counts.iter().sum::<usize>() as f64 / n as f64,
+                total / n as f64,
                 counts.iter().copied().max().unwrap_or(0) as f64,
-                counts.iter().sum::<usize>() as f64 * msg_bits as f64 / n as f64,
+                total * msg_bits as f64 / n as f64,
             )
         },
     )
@@ -66,17 +66,15 @@ pub fn l3(scope: Scope) -> Report {
     .report(scope)
 }
 
-/// Runs `scenario`, collecting every surviving node's candidate-list
-/// size through the observer hook.
-fn candidate_sizes(scenario: Scenario, seed: u64) -> Vec<usize> {
-    let mut sizes = Vec::new();
+/// Runs `scenario`, snapshotting every surviving node's candidate list
+/// through the observer hook.
+fn candidate_lists(scenario: &Scenario, seed: u64) -> (AerRun, Vec<Vec<GString>>) {
+    let mut lists = Vec::new();
     let mut inspect = FinalInspect(|_id: NodeId, node: &AerNode| {
-        sizes.push(node.candidates().len());
+        lists.push(node.candidates().to_vec());
     });
-    let _ = scenario
-        .run_observed(seed, &mut inspect)
-        .expect("valid scenario");
-    sizes
+    let run = scenario.run_observed(seed, &mut inspect);
+    (run.expect("valid scenario").into_aer(), lists)
 }
 
 /// Lemma 4: sum of candidate-list sizes is `O(n)` even under coherent
@@ -98,11 +96,11 @@ pub fn l4(scope: Scope) -> Report {
                 "push-flood" => base.adversary(AdversarySpec::PushFlood).bad_string(bad),
                 _ => base.adversary(AdversarySpec::Equivocate { strings: 8 }),
             };
-            let sizes = candidate_sizes(scenario, seed);
-            let total: usize = sizes.iter().sum();
+            let (_, lists) = candidate_lists(&scenario, seed);
+            let sizes = lists.iter().map(Vec::len);
             (
-                total as f64 / n as f64,
-                sizes.iter().copied().max().unwrap_or(0) as f64,
+                sizes.clone().sum::<usize>() as f64 / n as f64,
+                sizes.max().unwrap_or(0) as f64,
             )
         },
     )
@@ -129,19 +127,9 @@ pub fn l5(scope: Scope) -> Report {
         |&n: &usize, seed| {
             let scenario = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                 .adversary(AdversarySpec::Silent { t: None });
-            // Snapshot every surviving node's candidate list, then count
-            // misses against the gstring the run itself carried — no
-            // out-of-band precondition rebuild to keep in lockstep.
-            let mut lists: Vec<Vec<GString>> = Vec::new();
-            let out = {
-                let mut inspect = FinalInspect(|_id: NodeId, node: &AerNode| {
-                    lists.push(node.candidates().to_vec());
-                });
-                scenario
-                    .run_observed(seed, &mut inspect)
-                    .expect("valid scenario")
-                    .into_aer()
-            };
+            // Count misses against the gstring the run itself carried —
+            // no out-of-band precondition rebuild to keep in lockstep.
+            let (out, lists) = candidate_lists(&scenario, seed);
             let g = out.precondition.gstring;
             let missing = lists.iter().filter(|l| !l.contains(&g)).count();
             (missing as f64, lists.len() as f64)
@@ -174,42 +162,26 @@ pub fn l7(scope: Scope) -> Report {
         Scope::Quick => 64,
         _ => 128,
     };
-    // The attack suite as specs — the sweep is data, not wiring.
-    let adversaries: Vec<(&str, AdversarySpec, NetworkSpec)> = vec![
-        ("none", AdversarySpec::None, NetworkSpec::Sync),
-        (
-            "silent-t",
-            AdversarySpec::Silent { t: None },
-            NetworkSpec::Sync,
-        ),
-        (
-            "random-flood",
-            AdversarySpec::RandomFlood { rate: 16, steps: 4 },
-            NetworkSpec::Sync,
-        ),
-        ("push-flood", AdversarySpec::PushFlood, NetworkSpec::Sync),
-        (
-            "equivocate",
-            AdversarySpec::Equivocate { strings: 8 },
-            NetworkSpec::Sync,
-        ),
-        ("bad-string", AdversarySpec::BadString, NetworkSpec::Sync),
-        (
-            "corner(async)",
-            AdversarySpec::Corner { label_scan: 256 },
-            NetworkSpec::Async { max_delay: 1 },
-        ),
+    // The attack suite as spec strings — the sweep is data, not wiring.
+    const ADVERSARIES: [(&str, &str, &str); 7] = [
+        ("none", "none", "sync"),
+        ("silent-t", "silent", "sync"),
+        ("random-flood", "random-flood:16,4", "sync"),
+        ("push-flood", "push-flood", "sync"),
+        ("equivocate", "equivocate:8", "sync"),
+        ("bad-string", "bad-string", "sync"),
+        ("corner(async)", "corner:256", "async:1"),
     ];
     Battery::new(
         "l7",
         "l7 — Lemma 7: wrong-decision census under every adversary",
-        move |(_, spec, network): &(&str, AdversarySpec, NetworkSpec), seed| {
+        move |&(_, adversary, network): &(&str, &str, &str), seed| {
             // Worst-case precondition: the unknowing block shares one
             // bogus string the adversary campaigns for (the builder's
             // default campaign string).
             let out = aer_scenario(n, KNOWING, UnknowingAssignment::SharedAdversarial)
-                .adversary(spec.clone())
-                .network(*network)
+                .adversary(adversary.parse().expect("l7 adversary parses"))
+                .network(network.parse().expect("l7 network parses"))
                 .run(seed)
                 .expect("l7 scenario")
                 .into_aer();
@@ -217,7 +189,7 @@ pub fn l7(scope: Scope) -> Report {
         },
     )
     .axes(&["adversary"], |(name, _, _)| vec![(*name).to_string()])
-    .points(adversaries)
+    .points(ADVERSARIES.to_vec())
     .col_runs("runs")
     .col("decisions", Agg::Sum, |o: &(f64, f64)| Some(o.0))
     .col("wrong decisions", Agg::Sum, |o: &(f64, f64)| Some(o.1))
@@ -232,31 +204,20 @@ pub fn l7(scope: Scope) -> Report {
 /// rounds, Õ(n) messages.
 #[must_use]
 pub fn l9(scope: Scope) -> Report {
-    type Cell = (f64, Option<f64>, Option<f64>, f64);
     Battery::new(
         "l9",
         "l9 — Lemma 9: AER end-to-end, synchronous, non-rushing",
-        |&n: &usize, seed| -> Cell {
-            let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
-                .adversary(AdversarySpec::Silent { t: None })
-                .run(seed)
-                .expect("l9 scenario")
-                .into_aer();
-            (
-                out.run.metrics.decided_fraction() * 100.0,
-                out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-                out.run.metrics.decided_quantile(0.95).map(|s| s as f64),
-                out.run.metrics.correct_msgs_sent() as f64 / n as f64,
-            )
+        |&n: &usize, seed| {
+            let scenario = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
+                .adversary(AdversarySpec::Silent { t: None });
+            summarize(&scenario, seed)
         },
     )
     .axes(&["n"], |n| vec![n.to_string()])
     .points(scope.aer_sizes())
     .point_n(|&n| n)
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("rounds p95", Agg::Mean, |o: &Cell| o.2)
-    .col("msgs total / n", Agg::Mean, |o: &Cell| Some(o.3))
+    .metrics(&["decided", "rounds", "rounds-p95"], |o| *o)
+    .col("msgs total / n", Agg::Mean, |o: &AerSummary| Some(o.msgs))
     .col_point("ref log³n", |&n| fnum(log2(n).powi(3)))
     .note("paper: O(1) rounds and Õ(n) total messages (the msgs/n column is the Õ(1)·polylog")
     .note("amortization; compare its growth against the log³n reference).")

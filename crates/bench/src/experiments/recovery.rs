@@ -13,12 +13,9 @@
 //! delay-scaled poll timeout, worst-case `SharedAdversarial`
 //! precondition.
 
-use fba_ae::UnknowingAssignment;
-use fba_scenario::PollTimeoutSpec;
-use fba_sim::{AdversarySpec, NetworkSpec};
-
 use crate::battery::{product2, Agg, Battery, Report, SeedPolicy};
-use crate::experiments::common::{aer_scenario, KNOWING};
+use crate::experiments::common::run_schedule;
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 
 /// The attack rows: `(label, schedule, boundary)` where `boundary` is
@@ -42,39 +39,12 @@ pub fn recovery_sizes(scope: Scope) -> Vec<usize> {
     }
 }
 
-/// One cell: decided %, p50 decision step, full-convergence step, steps
-/// past the window boundary the last decision needed (0 when everyone
-/// decided inside the attack window), bits/node.
+/// One cell: the run's summary, and the steps past the window boundary
+/// the last decision needed (0 when everyone decided inside the attack
+/// window; absent when someone never decided).
 struct Cell {
-    decided: f64,
-    p50: Option<f64>,
-    all_decided: Option<f64>,
+    run: AerSummary,
     recovery: Option<f64>,
-    bits: f64,
-}
-
-fn run_cell(name: &str, spec: &str, boundary: u64, n: usize, seed: u64) -> Cell {
-    let spec: AdversarySpec = spec.parse().expect("recovery schedule parses");
-    let out = aer_scenario(n, KNOWING, UnknowingAssignment::SharedAdversarial)
-        .adversary(spec)
-        .network(NetworkSpec::Async { max_delay: 1 })
-        .poll_timeout(PollTimeoutSpec::DelayScaled)
-        .run(seed)
-        .expect("recovery scenario")
-        .into_aer();
-    assert_eq!(
-        out.wrong_decisions(),
-        0,
-        "safety violated under recovery schedule {name} (n={n}, seed={seed})"
-    );
-    let all_decided = out.run.all_decided_at;
-    Cell {
-        decided: out.run.metrics.decided_fraction() * 100.0,
-        p50: out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-        all_decided: all_decided.map(|s| s as f64),
-        recovery: all_decided.map(|s| s.saturating_sub(boundary) as f64),
-        bits: out.run.metrics.amortized_bits(),
-    }
 }
 
 /// The `recovery` experiment: re-convergence time after the attack
@@ -85,7 +55,9 @@ pub fn table(scope: Scope) -> Report {
         "recovery",
         "recovery — attack window then quiet: re-convergence after the boundary",
         |&((name, spec, boundary), n): &((&str, &str, u64), usize), seed| {
-            run_cell(name, spec, boundary, n, seed)
+            let run = run_schedule(name, spec, n, seed);
+            let recovery = run.max.map(|s| (s - boundary as f64).max(0.0));
+            Cell { run, recovery }
         },
     )
     .axes(&["attack", "n"], |&((name, _, _), n)| {
@@ -100,12 +72,11 @@ pub fn table(scope: Scope) -> Report {
     .col_point("window", |&((_, _, boundary), _)| {
         format!("[0..{boundary})")
     })
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.decided))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.p50)
-    .col("all decided", Agg::Mean, |o: &Cell| o.all_decided)
+    .metrics(&["decided", "rounds"], |o: &Cell| o.run)
+    .col("all decided", Agg::Mean, |o: &Cell| o.run.max)
     .col("recovery steps", Agg::Mean, |o: &Cell| o.recovery)
     .col("recovery max", Agg::Max, |o: &Cell| o.recovery)
-    .col("bits/node", Agg::Mean, |o: &Cell| Some(o.bits))
+    .metrics(&["bits"], |o: &Cell| o.run)
     .note("Each row is one sched: spec — an attack window, then the adversary goes quiet")
     .note("(`none` tail window). `recovery steps` counts async steps past the boundary the")
     .note("last correct node needed; 0 means convergence inside the attack window itself.")
@@ -137,7 +108,7 @@ mod tests {
         }
         // The battery is data: every schedule row round-trips the grammar.
         for (_, spec, _) in ATTACKS {
-            let parsed: AdversarySpec = spec.parse().expect("attack row parses");
+            let parsed: fba_sim::AdversarySpec = spec.parse().expect("attack row parses");
             assert_eq!(parsed.to_string(), *spec, "Display round-trip");
         }
         // And its JSON reporter carries the recovery metric per cell.

@@ -17,13 +17,12 @@ use crate::scope::Scope;
 #[must_use]
 pub fn table(scope: Scope) -> Report {
     type Cell = (f64, f64, f64, f64);
-    let sizes = match scope {
-        Scope::Quick => vec![256usize],
-        Scope::Default => vec![256, 1024, 4096],
-        Scope::Full => vec![256, 1024, 4096, 16384],
-        Scope::Huge => vec![1024, 4096, 16384, 65536],
-        Scope::Extreme => vec![4096, 16384, 65536],
-    };
+    // The cheap-sweep ladder from n = 256 up: below it `d` is most of `n`.
+    let sizes: Vec<usize> = scope
+        .light_sizes()
+        .into_iter()
+        .filter(|&n| n >= 256)
+        .collect();
     Battery::new(
         "s41",
         "s41 — §4.1: empirical sampler properties",

@@ -4,11 +4,13 @@
 
 use fba_ae::UnknowingAssignment;
 use fba_core::trace::WaveCounter;
+use fba_core::AerConfig;
 use fba_scenario::PollTimeoutSpec;
 use fba_sim::{AdversarySpec, NetworkSpec};
 
 use crate::battery::{product2, Agg, Battery, Report};
-use crate::experiments::common::{aer_scenario, loglog_ratio, KNOWING};
+use crate::experiments::common::{aer_scenario, loglog_ratio, summarize, KNOWING};
+use crate::metric::AerSummary;
 use crate::scope::Scope;
 use crate::table::fnum;
 
@@ -23,21 +25,26 @@ use crate::table::fnum;
 /// — i.e. very large `n` — to block anyone.
 #[must_use]
 pub fn l6(scope: Scope) -> Report {
-    type Cell = (f64, Option<f64>, Option<f64>, f64, f64);
+    /// A run's summary next to what the cornering plan reported.
+    struct Cell {
+        run: AerSummary,
+        planned_depth: f64,
+        overload_targets: f64,
+    }
     // The (n, cap) grid: both named caps per system size.
     let points: Vec<(usize, &str, u64)> = scope
         .aer_sizes()
         .into_iter()
         .flat_map(|n| {
-            let d = fba_samplers::default_quorum_size(n, 3.0) as u64;
-            let log = u64::from(fba_sim::ceil_log2(n)).max(1);
-            [(n, "1.5d", d + d / 2), (n, "log²n", (log * log).max(4))]
+            let paper = AerConfig::recommended(n);
+            let d = paper.d as u64;
+            [(n, "1.5d", d + d / 2), (n, "log²n", paper.overload_cap)]
         })
         .collect();
     Battery::new(
         "l6",
         "l6 — Lemma 6: async rushing time under the cornering attack (strict mode)",
-        |&(n, _, cap): &(usize, &str, u64), seed| -> Cell {
+        |&(n, _, cap): &(usize, &str, u64), seed| {
             let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                 .overload_cap(cap)
                 .strict()
@@ -51,13 +58,11 @@ pub fn l6(scope: Scope) -> Report {
                 .expect("l6 scenario")
                 .into_aer();
             let report = out.corner.as_ref().expect("corner adversary reports");
-            (
-                out.run.metrics.decided_fraction() * 100.0,
-                out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-                out.run.metrics.decided_quantile(0.75).map(|s| s as f64),
-                report.planned_depth as f64,
-                report.overload_targets as f64,
-            )
+            Cell {
+                run: AerSummary::of(&out),
+                planned_depth: report.planned_depth as f64,
+                overload_targets: report.overload_targets as f64,
+            }
         },
     )
     .axes(&["n", "cap"], |&(n, cap_name, _)| {
@@ -65,11 +70,13 @@ pub fn l6(scope: Scope) -> Report {
     })
     .points(points)
     .point_n(|&(n, _, _)| n)
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("rounds p75", Agg::Mean, |o: &Cell| o.2)
-    .col("chain depth planned", Agg::Mean, |o: &Cell| Some(o.3))
-    .col("overload targets", Agg::Mean, |o: &Cell| Some(o.4))
+    .metrics(&["decided", "rounds", "rounds-p75"], |o: &Cell| o.run)
+    .col("chain depth planned", Agg::Mean, |o: &Cell| {
+        Some(o.planned_depth)
+    })
+    .col("overload targets", Agg::Mean, |o: &Cell| {
+        Some(o.overload_targets)
+    })
     .col_point("ref logn/loglogn", |&(n, _, _)| fnum(loglog_ratio(n)))
     .note("paper: answers within O(log n / log log n) async steps. The attack budget is")
     .note("t·d/cap node-overloads; at log²n caps it only bites for n far beyond simulation,")
@@ -87,37 +94,30 @@ pub fn ablate_cap(scope: Scope) -> Report {
         Scope::Quick => 64,
         _ => 256,
     };
-    let d = fba_samplers::default_quorum_size(n, 3.0) as u64;
-    let log = u64::from(fba_sim::ceil_log2(n)).max(1);
+    let paper = AerConfig::recommended(n);
+    let d = paper.d as u64;
     let caps: Vec<(&str, u64)> = vec![
         ("d/2 (below load)", d / 2),
         ("d (at load)", d),
         ("1.5d", d + d / 2),
-        ("log²n (paper)", (log * log).max(4)),
+        ("log²n (paper)", paper.overload_cap),
     ];
     Battery::new(
         "ablate-cap",
         "ablate-cap — why Algorithm 3's valve is log²n: decided fraction vs cap",
         move |&(_, cap): &(&str, u64), seed| {
-            let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
+            let scenario = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                 .overload_cap(cap.max(1))
                 .strict()
                 .network(NetworkSpec::Async { max_delay: 1 })
-                .adversary(AdversarySpec::Corner { label_scan: 256 })
-                .run(seed)
-                .expect("ablate-cap scenario")
-                .into_aer();
-            (
-                out.run.metrics.decided_fraction() * 100.0,
-                out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-            )
+                .adversary(AdversarySpec::Corner { label_scan: 256 });
+            summarize(&scenario, seed)
         },
     )
     .axes(&["cap"], |&(name, _)| vec![name.to_string()])
     .points(caps)
     .col_point("cap value", |&(_, cap)| cap.to_string())
-    .col("decided %", Agg::Mean, |o: &(f64, Option<f64>)| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &(f64, Option<f64>)| o.1)
+    .metrics(&["decided", "rounds"], |o| *o)
     .note(format!(
         "n = {n}, d = {d}, strict mode, cornering adversary. The normal answering load is"
     ))
@@ -129,30 +129,20 @@ pub fn ablate_cap(scope: Scope) -> Report {
 /// Lemma 8: synchronous non-rushing completion time is constant.
 #[must_use]
 pub fn l8(scope: Scope) -> Report {
-    type Cell = (f64, Option<f64>, Option<f64>);
     Battery::new(
         "l8",
         "l8 — Lemma 8: sync non-rushing completion time (strict mode)",
-        |&n: &usize, seed| -> Cell {
-            let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
+        |&n: &usize, seed| {
+            let scenario = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                 .strict()
-                .adversary(AdversarySpec::Silent { t: None })
-                .run(seed)
-                .expect("l8 scenario")
-                .into_aer();
-            (
-                out.run.metrics.decided_fraction() * 100.0,
-                out.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-                out.run.metrics.decided_quantile(0.75).map(|s| s as f64),
-            )
+                .adversary(AdversarySpec::Silent { t: None });
+            summarize(&scenario, seed)
         },
     )
     .axes(&["n"], |n| vec![n.to_string()])
     .points(scope.aer_sizes())
     .point_n(|&n| n)
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("rounds p75", Agg::Mean, |o: &Cell| o.2)
+    .metrics(&["decided", "rounds", "rounds-p75"], |o| *o)
     .note("paper: any polling request is answered in O(1) steps against a non-rushing")
     .note("adversary — the p50/p75 columns must not grow with n. decided% < 100 is the")
     .note("strict-mode θ-fraction; l9/l10 run the same protocol with the liveness")
@@ -171,13 +161,19 @@ pub fn l8(scope: Scope) -> Report {
 /// waves into traffic that is merely delayed, not lost.
 #[must_use]
 pub fn l10(scope: Scope) -> Report {
-    type Cell = (f64, Option<f64>, Option<f64>, f64, f64, Option<f64>);
+    /// The delay-scaled run next to the constant-timeout rerun.
+    struct Cell {
+        scaled: AerSummary,
+        scaled_waves: f64,
+        legacy: AerSummary,
+        legacy_waves: f64,
+    }
     const DELAYS: [u64; 2] = [1, 4];
     Battery::new(
         "l10",
         "l10 — Lemma 10: async end-to-end with liveness extensions on",
-        |&(n, delay): &(usize, u64), seed| -> Cell {
-            let scenario = |timeout: PollTimeoutSpec| {
+        |&(n, delay): &(usize, u64), seed| {
+            let run = |timeout: PollTimeoutSpec| {
                 let mut waves = WaveCounter::default();
                 let out = aer_scenario(n, KNOWING, UnknowingAssignment::RandomPerNode)
                     .network(NetworkSpec::Async { max_delay: delay })
@@ -186,18 +182,16 @@ pub fn l10(scope: Scope) -> Report {
                     .run_observed(seed, &mut waves)
                     .expect("l10 scenario")
                     .into_aer();
-                (out, waves.waves)
+                (AerSummary::of(&out), waves.waves as f64)
             };
-            let (scaled, scaled_waves) = scenario(PollTimeoutSpec::DelayScaled);
-            let (legacy, legacy_waves) = scenario(PollTimeoutSpec::Config);
-            (
-                scaled.run.metrics.decided_fraction() * 100.0,
-                scaled.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-                scaled.run.all_decided_at.map(|s| s as f64),
-                scaled_waves as f64,
-                legacy_waves as f64,
-                legacy.run.metrics.decided_quantile(0.5).map(|s| s as f64),
-            )
+            let (scaled, scaled_waves) = run(PollTimeoutSpec::DelayScaled);
+            let (legacy, legacy_waves) = run(PollTimeoutSpec::Config);
+            Cell {
+                scaled,
+                scaled_waves,
+                legacy,
+                legacy_waves,
+            }
         },
     )
     .axes(&["n", "delay"], |&(n, delay)| {
@@ -205,14 +199,14 @@ pub fn l10(scope: Scope) -> Report {
     })
     .points(product2(&scope.aer_sizes(), &DELAYS))
     .point_n(|&(n, _)| n)
-    .col("decided %", Agg::Mean, |o: &Cell| Some(o.0))
-    .col("rounds p50", Agg::Mean, |o: &Cell| o.1)
-    .col("rounds max", Agg::Mean, |o: &Cell| o.2)
-    .col("poll waves", Agg::Mean, |o: &Cell| Some(o.3))
-    .col("legacy waves", Agg::Mean, |o: &Cell| Some(o.4))
-    .col("legacy p50", Agg::Mean, |o: &Cell| o.5)
+    .metrics(&["decided", "rounds", "rounds-max"], |o: &Cell| o.scaled)
+    .col("poll waves", Agg::Mean, |o: &Cell| Some(o.scaled_waves))
+    .col("legacy waves", Agg::Mean, |o: &Cell| Some(o.legacy_waves))
+    .col("legacy p50", Agg::Mean, |o: &Cell| o.legacy.p50)
     .note("paper: O(log n / log log n) rounds, Õ(n) messages, every correct node learns")
-    .note("gstring. Retries/repair (DESIGN.md §8) close the finite-size liveness gap.")
+    .note(
+        "gstring. Retries/repair (README \"Deviations from the paper\") close the finite-size gap.",
+    )
     .note("Main columns use the delay-scaled poll timeout (horizon × max_delay); the")
     .note("legacy columns rerun the constant-timeout schedule — at delay 4 it emits")
     .note("redundant retry waves into traffic that is delayed, not lost. A `n/a`")

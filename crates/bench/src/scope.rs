@@ -5,7 +5,7 @@
 pub enum Scope {
     /// CI-sized: small systems, few seeds (seconds).
     Quick,
-    /// The EXPERIMENTS.md defaults (a few minutes).
+    /// What `paperbench` runs when no scope is named (a few minutes).
     Default,
     /// Adds the largest classic sizes (tens of minutes).
     Full,
@@ -21,29 +21,27 @@ pub enum Scope {
 }
 
 impl Scope {
+    /// Every scope with the name `paperbench --scope` takes for it.
+    const NAMES: [(Scope, &'static str); 5] = [
+        (Scope::Quick, "quick"),
+        (Scope::Default, "default"),
+        (Scope::Full, "full"),
+        (Scope::Huge, "huge"),
+        (Scope::Extreme, "extreme"),
+    ];
+
     /// Parses a scope name as accepted by `paperbench --scope`.
     #[must_use]
     pub fn parse(name: &str) -> Option<Scope> {
-        match name {
-            "quick" => Some(Scope::Quick),
-            "default" => Some(Scope::Default),
-            "full" => Some(Scope::Full),
-            "huge" => Some(Scope::Huge),
-            "extreme" => Some(Scope::Extreme),
-            _ => None,
-        }
+        let named = Self::NAMES.iter().find(|(_, known)| *known == name);
+        named.map(|(scope, _)| *scope)
     }
 
     /// The scope's canonical name (as accepted by [`Scope::parse`]).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Scope::Quick => "quick",
-            Scope::Default => "default",
-            Scope::Full => "full",
-            Scope::Huge => "huge",
-            Scope::Extreme => "extreme",
-        }
+        let named = Self::NAMES.iter().find(|(scope, _)| *scope == self);
+        named.expect("every scope is named").1
     }
 
     /// System sizes for AER-involved sweeps (full protocol runs are
@@ -96,32 +94,12 @@ impl Scope {
     }
 }
 
-/// Mean of an iterator of f64 values (0 for empty).
-#[must_use]
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Maximum of f64 values (0 for empty).
-#[must_use]
-pub fn fmax(values: &[f64]) -> f64 {
-    values.iter().copied().fold(0.0, f64::max)
-}
-
 /// Mean of f64 values, or `None` when there are no samples — the honest
 /// aggregate for quantiles that may never be reached (a cell where no
 /// run decided has *no* mean round count, not round count 0).
 #[must_use]
 pub fn mean_opt(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(mean(values))
-    }
+    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
 /// Table cell for an optional statistic: `n/a` when no run in the cell
@@ -129,13 +107,6 @@ pub fn mean_opt(values: &[f64]) -> Option<f64> {
 #[must_use]
 pub fn opt_cell(value: Option<f64>) -> String {
     value.map_or_else(|| "n/a".to_string(), crate::table::fnum)
-}
-
-/// Table cell for a mean that may have no samples: `n/a` instead of a
-/// misleading 0 when e.g. a quantile was never reached in any seed.
-#[must_use]
-pub fn mean_cell(values: &[f64]) -> String {
-    opt_cell(mean_opt(values))
 }
 
 #[cfg(test)]
@@ -179,19 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(fmax(&[1.0, 3.0, 2.0]), 3.0);
-    }
-
-    #[test]
     fn empty_cells_render_na_not_zero() {
         assert_eq!(mean_opt(&[]), None);
         assert_eq!(mean_opt(&[4.0, 6.0]), Some(5.0));
         assert_eq!(opt_cell(None), "n/a");
         assert_eq!(opt_cell(Some(5.0)), "5.00");
-        assert_eq!(mean_cell(&[]), "n/a");
-        assert_eq!(mean_cell(&[4.0, 6.0]), "5.00");
     }
 }

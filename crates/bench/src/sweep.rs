@@ -17,15 +17,19 @@
 //! one (the comma *parameters* of `random-flood:16,4`) is merged back,
 //! so comma-parameterized specs work in a plain list
 //! (`--axis adversary=silent,random-flood:16,4` is two values). Repeating
-//! `--axis` with the same name extends the axis. Unknown axes, metrics
-//! or malformed values are rejected with the catalogue before anything
-//! runs.
+//! `--axis` with the same name extends the axis. Metric names are those
+//! of the [`crate::metric`] catalogue. Unknown axes or metrics, malformed
+//! values, and a value or metric listed twice are rejected with the
+//! catalogue before anything runs.
 
-use fba_ae::UnknowingAssignment;
-use fba_scenario::{AerRun, Phase, PreconditionSpec, Scenario};
+use std::str::FromStr;
+
+use fba_scenario::{Phase, Scenario};
 use fba_sim::{AdversarySpec, NetworkSpec};
 
-use crate::battery::{Agg, Battery, SeedPolicy};
+use crate::battery::{Battery, SeedPolicy};
+use crate::experiments::common::summarize;
+use crate::metric::{AerSummary, Metric};
 
 /// The sweepable axes, with their value grammar.
 pub const AXES: &[(&str, &str)] = &[
@@ -38,29 +42,7 @@ pub const AXES: &[(&str, &str)] = &[
     ("knowing", "knowledge fractions, e.g. knowing=0.6,0.8"),
 ];
 
-/// The sweepable metrics, with what each reports per cell.
-pub const METRICS: &[(&str, &str)] = &[
-    (
-        "decided",
-        "percent of correct nodes that decided (mean over seeds)",
-    ),
-    (
-        "rounds",
-        "median decision step (mean over seeds; n/a if never reached)",
-    ),
-    (
-        "rounds-max",
-        "step the last correct node decided (mean; n/a if anyone never did)",
-    ),
-    ("bits", "amortized bits per node (mean)"),
-    ("msgs", "messages sent by correct nodes, per node (mean)"),
-    (
-        "wrong",
-        "correct nodes that decided a non-gstring value (sum, must be 0)",
-    ),
-];
-
-/// Metrics run when `--metric` is omitted.
+/// Metrics run when none are named.
 pub const DEFAULT_METRICS: &[&str] = &["decided", "rounds", "bits"];
 
 /// One cell of the CLI sweep: every axis pinned to a value (undeclared
@@ -92,12 +74,7 @@ impl Default for SweepPoint {
 impl SweepPoint {
     fn scenario(&self, strict: bool) -> Scenario {
         let mut scenario = Scenario::new(self.n)
-            .phase(Phase::Aer {
-                precondition: PreconditionSpec::new(
-                    self.knowing,
-                    UnknowingAssignment::RandomPerNode,
-                ),
-            })
+            .phase(Phase::aer(self.knowing))
             .adversary(self.adversary.clone())
             .network(self.network);
         if strict {
@@ -117,31 +94,19 @@ impl SweepPoint {
     }
 
     fn with_axis(mut self, axis: &str, value: &str) -> Result<Self, String> {
+        fn parse<T: FromStr>(axis: &str, value: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            value
+                .parse()
+                .map_err(|e| format!("bad {axis} value `{value}`: {e}"))
+        }
         match axis {
-            "n" => {
-                self.n = value
-                    .parse()
-                    .map_err(|e| format!("bad n value `{value}`: {e}"))?;
-            }
-            "adversary" => {
-                self.adversary = value
-                    .parse()
-                    .map_err(|e| format!("bad adversary value `{value}`: {e}"))?;
-            }
-            "network" => {
-                self.network = value
-                    .parse()
-                    .map_err(|e| format!("bad network value `{value}`: {e}"))?;
-            }
-            "knowing" => {
-                let knowing: f64 = value
-                    .parse()
-                    .map_err(|e| format!("bad knowing value `{value}`: {e}"))?;
-                if !(0.0..=1.0).contains(&knowing) {
-                    return Err(format!("bad knowing value `{value}`: must be in [0, 1]"));
-                }
-                self.knowing = knowing;
-            }
+            "n" => self.n = parse(axis, value)?,
+            "adversary" => self.adversary = parse(axis, value)?,
+            "network" => self.network = parse(axis, value)?,
+            "knowing" => self.knowing = parse(axis, value)?,
             other => {
                 let known: Vec<&str> = AXES.iter().map(|(name, _)| *name).collect();
                 return Err(format!(
@@ -178,64 +143,59 @@ pub fn split_axis_values(axis: &str, raw: &str) -> Vec<String> {
     values
 }
 
-fn metric_column(
-    battery: Battery<SweepPoint, AerRun>,
-    metric: &str,
-) -> Result<Battery<SweepPoint, AerRun>, String> {
-    Ok(match metric {
-        "decided" => battery.col("decided %", Agg::Mean, |o: &AerRun| {
-            Some(o.run.metrics.decided_fraction() * 100.0)
-        }),
-        "rounds" => battery.col("rounds p50", Agg::Mean, |o: &AerRun| {
-            o.run.metrics.decided_quantile(0.5).map(|s| s as f64)
-        }),
-        "rounds-max" => battery.col("rounds max", Agg::Mean, |o: &AerRun| {
-            o.run.all_decided_at.map(|s| s as f64)
-        }),
-        "bits" => battery.col("bits/node", Agg::Mean, |o: &AerRun| {
-            Some(o.run.metrics.amortized_bits())
-        }),
-        "msgs" => battery.col("msgs/node", Agg::Mean, |o: &AerRun| {
-            Some(o.run.metrics.correct_msgs_sent() as f64 / o.config.n as f64)
-        }),
-        "wrong" => battery.col("wrong", Agg::Sum, |o: &AerRun| {
-            Some(o.wrong_decisions() as f64)
-        }),
-        other => {
-            let known: Vec<&str> = METRICS.iter().map(|(name, _)| *name).collect();
-            return Err(format!(
-                "unknown metric `{other}`; known metrics: {}",
-                known.join(", ")
-            ));
-        }
-    })
-}
-
 /// Builds the sweep battery from declared axes (name → values, in
 /// declaration order; repeated names extend the same axis) and metric
-/// names. `seeds` overrides the scope seed set; `strict` disables
-/// retries.
+/// names ([`DEFAULT_METRICS`] when empty). `seeds` overrides the scope
+/// seed set; `strict` disables retries.
 ///
 /// # Errors
 ///
 /// Returns a usage-style message on unknown axes or metrics, malformed
-/// values, or a cell the scenario builder rejects (pre-flighted here so
-/// invalid combinations never reach the parallel fan-out).
+/// values, a metric or an axis value listed twice (two columns under one
+/// JSON key, the same row twice), or a cell the scenario builder rejects
+/// (pre-flighted here so invalid combinations never reach the parallel
+/// fan-out).
 pub fn battery(
     axes: &[(String, Vec<String>)],
     metrics: &[String],
     seeds: Option<Vec<u64>>,
     strict: bool,
-) -> Result<Battery<SweepPoint, AerRun>, String> {
-    // Merge repeated axis declarations, preserving first-seen order.
+) -> Result<Battery<SweepPoint, AerSummary>, String> {
+    let defaults: Vec<String> = DEFAULT_METRICS.iter().map(ToString::to_string).collect();
+    let metrics = if metrics.is_empty() {
+        &defaults
+    } else {
+        metrics
+    };
+    for (i, name) in metrics.iter().enumerate() {
+        Metric::named(name)?;
+        if metrics[..i].contains(name) {
+            return Err(format!("metric `{name}` is listed twice"));
+        }
+    }
+    // Merge repeated axis declarations, preserving first-seen order; a
+    // value is kept as the parsed spec prints it, so a repeat is caught
+    // however it was spelled.
     let mut merged: Vec<(String, Vec<String>)> = Vec::new();
     for (name, values) in axes {
         if values.is_empty() {
             return Err(format!("axis `{name}` has no values"));
         }
-        match merged.iter_mut().find(|(n, _)| n == name) {
-            Some((_, existing)) => existing.extend(values.iter().cloned()),
-            None => merged.push((name.clone(), values.clone())),
+        let at = merged
+            .iter()
+            .position(|(n, _)| n == name)
+            .unwrap_or_else(|| {
+                merged.push((name.clone(), Vec::new()));
+                merged.len() - 1
+            });
+        for value in values {
+            let value = SweepPoint::default()
+                .with_axis(name, value)?
+                .axis_value(name);
+            if merged[at].1.contains(&value) {
+                return Err(format!("axis `{name}` lists `{value}` twice"));
+            }
+            merged[at].1.push(value);
         }
     }
     if merged.is_empty() {
@@ -256,8 +216,8 @@ pub fn battery(
     for point in &points {
         point.scenario(strict).validate().map_err(|e| {
             format!(
-                "invalid cell (n={}, adversary={}, network={}): {e}",
-                point.n, point.adversary, point.network
+                "invalid cell (n={}, adversary={}, network={}, knowing={}): {e}",
+                point.n, point.adversary, point.network, point.knowing
             )
         })?;
     }
@@ -271,10 +231,7 @@ pub fn battery(
     let label_axes = axis_names.clone();
     let names: Vec<&str> = axis_names.iter().map(String::as_str).collect();
     let mut battery = Battery::new("sweep", title, move |p: &SweepPoint, seed| {
-        p.scenario(strict)
-            .run(seed)
-            .expect("sweep cell pre-flighted")
-            .into_aer()
+        summarize(&p.scenario(strict), seed)
     })
     .axes(&names, move |p: &SweepPoint| {
         label_axes.iter().map(|axis| p.axis_value(axis)).collect()
@@ -284,10 +241,9 @@ pub fn battery(
     if let Some(seeds) = seeds {
         battery = battery.seeds(SeedPolicy::Fixed(seeds));
     }
-    for metric in metrics {
-        battery = metric_column(battery, metric)?;
-    }
+    let metrics: Vec<&str> = metrics.iter().map(String::as_str).collect();
     Ok(battery
+        .metrics(&metrics, |o| *o)
         .note("Declarative CLI battery: AER on a synthetic precondition, axes × metrics as data.")
         .note("Undeclared axes default to n=256, adversary=none, network=sync, knowing=0.8."))
 }
@@ -316,8 +272,13 @@ mod tests {
         assert!(err.contains("rounds"), "lists the catalogue: {err}");
         let err = battery(&[axis("adversary", &["martian"])], &[], None, false).unwrap_err();
         assert!(err.contains("bad adversary value"), "{err}");
-        let err = battery(&[axis("knowing", &["1.5"])], &[], None, false).unwrap_err();
-        assert!(err.contains("must be in [0, 1]"), "{err}");
+        // The knowledge fraction is checked where every other cell
+        // constraint is: by the scenario resolver.
+        for bad in ["1.5", "-0.1", "NaN"] {
+            let err = battery(&[axis("knowing", &[bad])], &[], None, false).unwrap_err();
+            assert!(err.contains("invalid cell"), "{err}");
+            assert!(err.contains("outside [0, 1]"), "{err}");
+        }
         // A grammatical but semantically invalid schedule is pre-flighted.
         let err = battery(
             &[axis("adversary", &["sched:[0..2]silent:3;[2..]flood"])],
@@ -327,6 +288,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("invalid cell"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_metric_or_an_axis_value_listed_twice() {
+        let decided_twice = ["decided".to_string(), "decided".to_string()];
+        let err = battery(&[axis("n", &["48"])], &decided_twice, None, false).unwrap_err();
+        assert!(err.contains("metric `decided` is listed twice"), "{err}");
+        // Within one flag, across repeated flags, and under another
+        // spelling of the same value.
+        for axes in [
+            vec![axis("n", &["48", "48"])],
+            vec![axis("n", &["48"]), axis("n", &["64", "48"])],
+            vec![axis("n", &["48", "048"])],
+            vec![axis("knowing", &["0.8", "0.80"])],
+        ] {
+            let err = battery(&axes, &[], None, false).unwrap_err();
+            assert!(err.contains("twice"), "{axes:?}: {err}");
+        }
     }
 
     #[test]
@@ -403,7 +382,7 @@ mod tests {
             false,
         )
         .expect("comma-parameterized sweep builds");
-        let table = battery.table(Scope::Quick);
+        let table = battery.report(Scope::Quick).table;
         assert_eq!(table.rows.len(), 2);
         assert!(
             table.rows.iter().any(|r| r[1] == "random-flood:4,2"),
@@ -425,7 +404,7 @@ mod tests {
             false,
         )
         .expect("valid sweep");
-        let table = battery.table(Scope::Quick);
+        let table = battery.report(Scope::Quick).table;
         assert_eq!(table.rows.len(), 2);
         assert_eq!(table.columns[..3], ["n", "adversary", "decided %"]);
     }

@@ -56,24 +56,21 @@ impl Table {
                 widths[i] = widths[i].max(cell.len());
             }
         }
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(cell, w)| format!("{cell:<w$}"))
+                .collect();
+            format!("| {} |", padded.join(" | "))
+        };
         let mut out = String::new();
         let _ = writeln!(out, "## {}\n", self.title);
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:<w$}", w = widths[i]))
-            .collect();
-        let _ = writeln!(out, "| {} |", header.join(" | "));
+        let _ = writeln!(out, "{}", line(&self.columns));
         let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
         let _ = writeln!(out, "| {} |", sep.join(" | "));
         for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{c:<w$}", w = widths[i]))
-                .collect();
-            let _ = writeln!(out, "| {} |", cells.join(" | "));
+            let _ = writeln!(out, "{}", line(row));
         }
         for note in &self.notes {
             let _ = writeln!(out, "\n> {note}");

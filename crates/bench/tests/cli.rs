@@ -1,5 +1,6 @@
 //! Smoke tests for the `paperbench` CLI surface: bad invocations must
-//! print usage and exit non-zero without running any experiment.
+//! print an `error:` line and usage and exit 1 without running any
+//! experiment.
 
 use std::process::Command;
 
@@ -10,15 +11,23 @@ fn paperbench(args: &[&str]) -> std::process::Output {
         .expect("paperbench binary runs")
 }
 
+/// What every rejection looks like: exit code 1 exactly — a panic's 101
+/// or an allocation abort's 134 is a bug, not a rejection — an `error:`
+/// line and the usage text on stderr. Returns stderr for the caller to
+/// read the reason off.
+fn rejected(args: &[&str]) -> String {
+    let out = paperbench(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: paperbench"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
 #[test]
 fn unknown_subcommand_prints_usage_and_fails() {
-    let out = paperbench(&["definitely-not-an-experiment"]);
-    assert!(
-        !out.status.success(),
-        "unknown subcommand must exit non-zero"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage:"), "stderr missing usage: {stderr}");
+    let stderr = rejected(&["definitely-not-an-experiment"]);
     assert!(
         stderr.contains("definitely-not-an-experiment"),
         "stderr should name the offender: {stderr}"
@@ -31,19 +40,14 @@ fn unknown_subcommand_prints_usage_and_fails() {
 
 #[test]
 fn bad_scope_prints_usage_and_fails() {
-    let out = paperbench(&["--scope", "enormous", "l6"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected(&["--scope", "enormous", "l6"]);
     assert!(stderr.contains("--scope needs"), "stderr: {stderr}");
-    assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
 
 #[test]
 fn no_arguments_prints_usage_and_fails() {
-    let out = paperbench(&[]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    let stderr = rejected(&[]);
+    assert!(stderr.contains("known ids:"), "stderr: {stderr}");
 }
 
 #[test]
@@ -131,8 +135,8 @@ fn scenario_runs_composed_fault_schedules() {
 
 #[test]
 fn scenario_rejects_malformed_schedules() {
-    // Overlapping, unordered, and syntactically broken schedules all
-    // exit non-zero with usage — nothing runs.
+    // Overlapping, unordered, and syntactically broken schedules are all
+    // rejected — nothing runs.
     for bad in [
         "sched:[0..5]silent;[3..8]flood",  // overlapping windows
         "sched:[5..9]silent;[0..3]flood",  // unordered windows
@@ -142,9 +146,7 @@ fn scenario_rejects_malformed_schedules() {
         "sched:",                          // no windows
         "sched:[0..2]silent:3;[2..]flood", // mismatched window budgets
     ] {
-        let out = paperbench(&["scenario", "--n", "48", "--adversary", bad]);
-        assert!(!out.status.success(), "{bad:?} must exit non-zero");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = rejected(&["scenario", "--n", "48", "--adversary", bad]);
         assert!(
             stderr.contains("usage: paperbench scenario"),
             "{bad:?}: {stderr}"
@@ -189,28 +191,44 @@ fn sweep_valid_axes_and_metrics_run_and_report_both_ways() {
 
 #[test]
 fn sweep_rejects_unknown_axes_and_metrics() {
-    let out = paperbench(&["sweep", "--axis", "planet=mars"]);
-    assert!(!out.status.success(), "unknown axis must exit non-zero");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown axis"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("usage: paperbench sweep"),
-        "stderr: {stderr}"
-    );
+    for (args, reason) in [
+        (&["--axis", "planet=mars"][..], "unknown axis"),
+        (
+            &["--axis", "n=48", "--metric", "latency"][..],
+            "unknown metric",
+        ),
+        (&["--axis", "adversary=martian"][..], "bad adversary value"),
+    ] {
+        let stderr = rejected(&[&["sweep"], args].concat());
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: paperbench sweep"), "{stderr}");
+    }
+}
 
-    let out = paperbench(&["sweep", "--axis", "n=48", "--metric", "latency"]);
-    assert!(!out.status.success(), "unknown metric must exit non-zero");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown metric"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("usage: paperbench sweep"),
-        "stderr: {stderr}"
-    );
-
-    let out = paperbench(&["sweep", "--axis", "adversary=martian"]);
-    assert!(!out.status.success(), "bad spec value must exit non-zero");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad adversary value"), "stderr: {stderr}");
+#[test]
+fn sweep_rejects_a_metric_or_an_axis_value_listed_twice() {
+    // Two columns under one header would be duplicate keys in the JSON
+    // records; a repeated value prints the same row twice.
+    for (args, reason) in [
+        (
+            &["--axis", "n=48", "--metric", "decided,decided"][..],
+            "metric `decided` is listed twice",
+        ),
+        (
+            &[
+                "--axis", "n=48", "--metric", "decided", "--metric", "decided",
+            ][..],
+            "metric `decided` is listed twice",
+        ),
+        (&["--axis", "n=48,48"][..], "axis `n` lists `48` twice"),
+        (
+            &["--axis", "n=48", "--axis", "n=48"][..],
+            "axis `n` lists `48` twice",
+        ),
+    ] {
+        let stderr = rejected(&[&["sweep", "--scope", "quick"], args].concat());
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -238,9 +256,7 @@ fn json_flag_writes_cell_records_per_experiment_id() {
 fn scenario_rejects_n_above_the_supported_bound() {
     // The scale guard: n past the validated bound must fail fast with a
     // message naming the bound, not OOM hours into queue construction.
-    let out = paperbench(&["scenario", "--n", "1048576", "--adversary", "silent"]);
-    assert!(!out.status.success(), "oversized n must exit non-zero");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected(&["scenario", "--n", "1048576", "--adversary", "silent"]);
     assert!(
         stderr.contains("exceeds the supported system-size bound"),
         "stderr: {stderr}"
@@ -259,15 +275,11 @@ fn undersized_n_is_an_error_not_a_panic() {
         &["scenario", "--n", "3"][..],
         &["sweep", "--scope", "quick", "--axis", "n=0"][..],
     ] {
-        let out = paperbench(args);
-        assert!(!out.status.success(), "{args:?} must exit non-zero");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        let stderr = rejected(args);
         assert!(
             stderr.contains("below the smallest supported system size of 8"),
             "{args:?}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
@@ -290,7 +302,7 @@ fn scenario_runs_a_crash_schedule_and_reports_rejoin_cost() {
 #[test]
 fn scenario_rejects_malformed_crash_schedules() {
     // Grammar errors fail at parse, scenario-level ones at validation;
-    // either way: an `error:` line, usage, non-zero, nothing runs.
+    // either way a rejection, and nothing runs.
     for (bad, phase) in [
         ("crash:[5..3]4", "aer"),         // inverted window
         ("crash:[2..6]4;[4..8]4", "aer"), // overlapping windows
@@ -299,26 +311,17 @@ fn scenario_rejects_malformed_crash_schedules() {
         ("crash:[3..7]4", "composed"),    // no crash engine off the AER phase
         ("crash:[3..7]4", "baseline:flood"),
     ] {
-        let out = paperbench(&["scenario", "--n", "64", "--phase", phase, "--crash", bad]);
-        assert!(!out.status.success(), "{bad:?}/{phase} must exit non-zero");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("error:"), "{bad:?}/{phase}: {stderr}");
+        let stderr = rejected(&["scenario", "--n", "64", "--phase", phase, "--crash", bad]);
         assert!(
             stderr.contains("usage: paperbench scenario"),
             "{bad:?}/{phase}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{bad:?}/{phase}: {stderr}");
     }
 }
 
 #[test]
 fn scenario_unknown_adversary_prints_usage_and_fails() {
-    let out = paperbench(&["scenario", "--n", "48", "--adversary", "martian"]);
-    assert!(
-        !out.status.success(),
-        "unknown adversary must exit non-zero"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected(&["scenario", "--n", "48", "--adversary", "martian"]);
     assert!(
         stderr.contains("martian"),
         "stderr names offender: {stderr}"
@@ -332,9 +335,7 @@ fn scenario_unknown_adversary_prints_usage_and_fails() {
 
 #[test]
 fn scenario_unknown_phase_prints_usage_and_fails() {
-    let out = paperbench(&["scenario", "--phase", "tcp"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected(&["scenario", "--phase", "tcp"]);
     assert!(stderr.contains("tcp"), "stderr: {stderr}");
     assert!(
         stderr.contains("usage: paperbench scenario"),
@@ -344,9 +345,7 @@ fn scenario_unknown_phase_prints_usage_and_fails() {
 
 #[test]
 fn scenario_rejects_knowing_on_phases_without_a_precondition() {
-    let out = paperbench(&["scenario", "--phase", "composed", "--knowing", "0.6"]);
-    assert!(!out.status.success(), "--knowing on composed must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected(&["scenario", "--phase", "composed", "--knowing", "0.6"]);
     assert!(
         stderr.contains("--knowing applies only"),
         "stderr: {stderr}"
@@ -354,9 +353,22 @@ fn scenario_rejects_knowing_on_phases_without_a_precondition() {
 }
 
 #[test]
+fn scenario_rejects_a_knowing_that_is_not_a_fraction() {
+    // Used to reach an assert in the precondition generator (exit 101).
+    for phase in ["aer", "baseline:klst", "baseline:flood"] {
+        for bad in ["2", "NaN", "-0.1"] {
+            let stderr = rejected(&["scenario", "--n", "64", "--phase", phase, "--knowing", bad]);
+            assert!(stderr.contains("outside [0, 1]"), "{phase}/{bad}: {stderr}");
+        }
+    }
+    let stderr = rejected(&["sweep", "--scope", "quick", "--axis", "knowing=2"]);
+    assert!(stderr.contains("outside [0, 1]"), "{stderr}");
+}
+
+#[test]
 fn scenario_rejects_aer_adversary_on_wrong_phase() {
     // `flood` is AER-specific; the AE phase must reject it gracefully.
-    let out = paperbench(&[
+    let stderr = rejected(&[
         "scenario",
         "--n",
         "48",
@@ -365,23 +377,13 @@ fn scenario_rejects_aer_adversary_on_wrong_phase() {
         "--adversary",
         "flood",
     ]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("AER-specific"), "stderr: {stderr}");
 }
 
 #[test]
 fn scenario_rejects_out_of_range_budgets_and_delays() {
     // A corruption budget above n or a delay bound the run cannot outlast
-    // is a rejection (exit 1 and an `error:` line) in every phase — never
-    // a panic (101) or an allocation abort (134) from inside the engine.
-    let rejected = |args: &[&str]| {
-        let out = paperbench(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-    };
+    // is a rejection in every phase, never a death inside the engine.
     for phase in ["aer", "ae", "composed", "baseline:klst"] {
         for (flag, bad) in [
             ("--faults", "100"),

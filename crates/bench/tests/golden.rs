@@ -8,7 +8,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p fba-bench --test golden`.
 
 use fba_bench::json::Value;
-use fba_bench::{run_experiment, Scope, ALL_IDS};
+use fba_bench::{run_experiments, Scope, ALL_IDS};
 
 fn assert_pinned(id: &str, extension: &str, actual: &str) {
     let path = format!(
@@ -25,18 +25,21 @@ fn assert_pinned(id: &str, extension: &str, actual: &str) {
 
 #[test]
 fn every_id_matches_its_pins() {
-    for id in ALL_IDS {
-        let report = run_experiment(id, Scope::Quick).expect("known id");
+    // One call over the whole registry: each report must be the battery
+    // its id names, so this is also the check that every id dispatches.
+    let mut ran = Vec::new();
+    run_experiments(ALL_IDS, Scope::Quick, |id, report| {
+        ran.push(id.to_string());
         let json = Value::parse(&report.cells_json)
             .unwrap_or_else(|e| panic!("experiment `{id}` emitted invalid JSON: {e}"));
-        assert_eq!(json.get("battery").and_then(Value::as_str), Some(*id));
+        assert_eq!(json.get("battery").and_then(Value::as_str), Some(id));
         let cells = json.get("cells").and_then(Value::as_array);
         assert!(
             cells.is_some_and(|cells| !cells.is_empty()),
             "experiment `{id}` emitted no JSON cells"
         );
-        if *id == "bench-engine" {
-            continue;
+        if id == "bench-engine" {
+            return Ok(());
         }
         assert_pinned(id, "golden", &report.table.render());
         assert_pinned(id, "cells.json", &report.cells_json);
@@ -44,19 +47,22 @@ fn every_id_matches_its_pins() {
         // What a bless cannot erase. Every correct node decides in every
         // service instance and after every restart…
         let table = &report.table;
-        if matches!(*id, "service" | "crashes") {
+        if matches!(id, "service" | "crashes") {
             let col = table.columns.iter().position(|c| c == "min decided");
             for row in &table.rows {
                 assert_eq!(row[col.expect("min decided")], "1.00", "{id}: {row:?}");
             }
         }
         // …and the batteries that thin their seeds say so.
-        if matches!(*id, "l3" | "l4" | "s41") {
+        if matches!(id, "l3" | "l4" | "s41") {
             assert!(
                 table.notes.iter().any(|n| n.contains("first 3 seed")),
                 "experiment `{id}` does not declare its seed thinning: {:?}",
                 table.notes
             );
         }
-    }
+        Ok(())
+    })
+    .expect("known ids");
+    assert_eq!(ran, ALL_IDS);
 }

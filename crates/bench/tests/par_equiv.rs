@@ -10,13 +10,17 @@
 //! could silently turn the "serial" leg multi-threaded, voiding exactly
 //! the equivalence this file exists to prove.
 
-use fba_bench::{par_map, run_experiment, Scope};
+use fba_bench::{par_map, run_experiments, Scope};
 
-fn render(id: &str) -> String {
-    let report =
-        run_experiment(id, Scope::Quick).unwrap_or_else(|e| panic!("experiment {id}: {e}"));
-    // Both reporters must be worker-count-invariant.
-    format!("{}\n{}", report.table.render(), report.cells_json)
+/// Both reporters of every experiment: each must be worker-count-invariant.
+fn render(ids: &[&str]) -> Vec<String> {
+    let mut renders = Vec::new();
+    run_experiments(ids, Scope::Quick, |_, report| {
+        renders.push(format!("{}\n{}", report.table.render(), report.cells_json));
+        Ok(())
+    })
+    .expect("known ids");
+    renders
 }
 
 #[test]
@@ -38,15 +42,13 @@ fn parallel_execution_is_bit_identical_to_serial() {
     }
 
     // --- whole experiment sweeps: parallel rendering == serial ---
-    // (fig1a is excluded: its process-global sweep memo would make the
-    // second rendering a cache read instead of a real serial sweep.)
-    let experiments = ["f1b", "l8", "ablate-d", "ablate-cap"];
+    let experiments = ["f1a-time", "f1b", "l8", "ablate-d", "ablate-cap"];
 
     std::env::set_var("FBA_THREADS", "4");
-    let parallel: Vec<String> = experiments.iter().map(|id| render(id)).collect();
+    let parallel = render(&experiments);
 
     std::env::set_var("FBA_THREADS", "1");
-    let serial: Vec<String> = experiments.iter().map(|id| render(id)).collect();
+    let serial = render(&experiments);
     std::env::remove_var("FBA_THREADS");
 
     for (id, (p, s)) in experiments.iter().zip(parallel.iter().zip(&serial)) {

@@ -13,7 +13,8 @@ use crate::state::MAX_QUORUM_SIZE;
 /// The paper's asymptotic choices are concretised here with explicit
 /// constants; [`AerConfig::recommended`] reproduces the defaults used by
 /// every experiment (`d = ⌈3·ln n⌉`, `|gstring| = 4·log₂ n`,
-/// `cap = ⌈log₂ n⌉²`, `|R| = n²`), and EXPERIMENTS.md records deviations.
+/// `cap = ⌈log₂ n⌉²`, `|R| = n²`); README "Deviations from the paper"
+/// records where the implementation departs from the text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AerConfig {
     /// System size `n`.
@@ -36,7 +37,7 @@ pub struct AerConfig {
     /// Public seed from which the shared samplers `I`, `H`, `J` derive.
     pub sampler_seed: u64,
     /// Steps a node waits for a poll to complete before redrawing its
-    /// label (liveness extension beyond the paper; see DESIGN.md §8).
+    /// label (liveness extension beyond the paper, off in strict mode).
     /// Ignored when `poll_attempts ≤ 1` and `repair_attempts = 0`.
     ///
     /// The scale-aware default is [`AerConfig::sync_poll_horizon`]: one

@@ -57,8 +57,8 @@ pub enum AerMsg {
     /// A poll-list member's confirmation of `s` (Algorithm 3).
     Answer(GString),
     /// Last-resort liveness repair (extension beyond the paper, see
-    /// DESIGN.md §8): an undecided node asks a fresh poll list `J(x, r)`
-    /// what its members decided.
+    /// README "Deviations from the paper"): an undecided node asks a
+    /// fresh poll list `J(x, r)` what its members decided.
     RepairQuery(Label),
     /// Reply to a [`AerMsg::RepairQuery`]: the sender's decided string.
     RepairAnswer(GString),

@@ -60,7 +60,7 @@ struct DeferredFw2 {
 }
 
 /// Retry and repair policy of a [`PullPhase`] (liveness extensions beyond
-/// the paper; all disabled in strict mode — see DESIGN.md §8).
+/// the paper; all disabled in strict mode).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Steps to wait for a poll before redrawing its label.

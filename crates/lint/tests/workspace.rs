@@ -150,9 +150,11 @@ fn shipped_waivers_are_exactly_the_audited_set() {
             waived.push((rel, count));
         }
     }
+    // None since the battery's process-global grid cache went (it held
+    // the last three); a new waiver must be added here on purpose.
     assert_eq!(
         waived,
-        vec![("crates/bench/src/battery.rs".to_owned(), 3)],
+        Vec::<(String, usize)>::new(),
         "waiver inventory changed; update this audit list deliberately"
     );
 }

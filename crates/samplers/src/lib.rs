@@ -15,8 +15,7 @@
 //! Lemma 1 and Lemma 2 of the paper prove such functions exist by drawing
 //! `d`-subsets uniformly; this crate instantiates that construction with
 //! seeded hashing ([`Sampler`]) and *verifies the properties empirically*
-//! ([`properties`]) instead of assuming them — see DESIGN.md, substitution
-//! 2.
+//! ([`properties`]) instead of assuming them.
 //!
 //! ## Memoization and determinism
 //!

@@ -78,6 +78,12 @@ pub enum ScenarioError {
         /// The step budget of the phase's engine.
         max_steps: Step,
     },
+    /// The synthetic precondition's knowledge fraction is not a fraction:
+    /// outside `[0, 1]`, or not a number at all.
+    KnowingOutOfRange {
+        /// The requested fraction.
+        knowing: f64,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -132,6 +138,9 @@ impl fmt::Display for ScenarioError {
                 "delay bound async:{max_delay} is not below the run's step budget of \
                  {max_steps}: no delivery could be waited out"
             ),
+            ScenarioError::KnowingOutOfRange { knowing } => {
+                write!(f, "knowledge fraction {knowing} is outside [0, 1]")
+            }
         }
     }
 }

@@ -46,6 +46,7 @@ impl Scenario {
     pub(crate) fn plan(&self) -> Result<Plan, ScenarioError> {
         self.check_scale()?;
         self.check_crash()?;
+        self.check_knowing()?;
         // What the AER and composed phases share: the derived config, the
         // AER-phase adversary's budgets, and the delay bound.
         let aer = || -> Result<(AerConfig, usize), ScenarioError> {
@@ -227,6 +228,23 @@ impl Scenario {
             }
         }
         Ok(())
+    }
+
+    /// Rejects a knowledge fraction outside `[0, 1]` (or `NaN`) in every
+    /// phase that synthesises a precondition from one.
+    fn check_knowing(&self) -> Result<(), ScenarioError> {
+        let (Phase::Aer { precondition }
+        | Phase::Baseline(Baseline::Klst { precondition } | Baseline::Flood { precondition })) =
+            self.phase
+        else {
+            return Ok(());
+        };
+        let knowing = precondition.knowing;
+        if (0.0..=1.0).contains(&knowing) {
+            Ok(())
+        } else {
+            Err(ScenarioError::KnowingOutOfRange { knowing })
+        }
     }
 
     /// Rejects corruption budgets above `n` — the run's effective `budget`
@@ -663,6 +681,19 @@ mod tests {
             rows.push(base.clone().adversary(spec("silent:100")));
             rows.push(base.adversary(spec("sched:[0..3]silent:100;[3..]none")));
         }
+        // A knowledge fraction that is not one, in every phase that
+        // synthesises a precondition from it.
+        let not_a_fraction = |knowing: f64| {
+            let precondition = PreconditionSpec::knowing(knowing);
+            [
+                Phase::Aer { precondition },
+                Phase::Baseline(Baseline::Klst { precondition }),
+                Phase::Baseline(Baseline::Flood { precondition }),
+            ]
+            .map(|phase| Scenario::new(64).phase(phase))
+        };
+        rows.extend(not_a_fraction(2.0));
+        rows.extend(not_a_fraction(-0.1));
         for scenario in rows {
             let err = scenario.validate().expect_err("every row is invalid");
             let ran = match scenario.service {
@@ -676,6 +707,23 @@ mod tests {
             ) {
                 assert_eq!(scenario.aer_config(), Err(err), "{scenario:?}");
             }
+        }
+        // `NaN` is rejected too (it equals nothing, itself included, so it
+        // cannot ride in the table above).
+        for scenario in not_a_fraction(f64::NAN) {
+            for result in [scenario.validate(), scenario.run(1).map(drop)] {
+                assert!(
+                    matches!(result, Err(ScenarioError::KnowingOutOfRange { knowing }) if knowing.is_nan()),
+                    "{scenario:?}"
+                );
+            }
+        }
+        assert_eq!(
+            Scenario::new(64).phase(Phase::aer(2.0)).validate(),
+            Err(ScenarioError::KnowingOutOfRange { knowing: 2.0 })
+        );
+        for edge in [0.0, 1.0] {
+            assert_eq!(Scenario::new(64).phase(Phase::aer(edge)).validate(), Ok(()));
         }
         // The two rejections that used to be panics name both numbers.
         assert_eq!(

@@ -19,8 +19,8 @@
 //! cargo run --release --example battery_sweep
 //! ```
 
-use fba::bench::{product2, Agg, Battery, Scope, SeedPolicy};
-use fba::scenario::{AerRun, Phase, Scenario};
+use fba::bench::{product2, AerSummary, Battery, Scope, SeedPolicy};
+use fba::scenario::{Phase, Scenario};
 use fba::sim::AdversarySpec;
 
 fn main() {
@@ -30,12 +30,13 @@ fn main() {
         "battery_sweep — decision census across adversary × n",
         |&(adversary, n): &(&str, usize), seed| {
             let spec: AdversarySpec = adversary.parse().expect("spec parses");
-            Scenario::new(n)
+            let run = Scenario::new(n)
                 .adversary(spec)
                 .phase(Phase::aer(0.8))
                 .run(seed)
                 .expect("valid scenario")
-                .into_aer()
+                .into_aer();
+            AerSummary::of(&run)
         },
     )
     .axes(&["adversary", "n"], |&(adversary, n)| {
@@ -44,15 +45,7 @@ fn main() {
     .points(product2(&adversaries, &[48, 96]))
     .point_n(|&(_, n)| n)
     .seeds(SeedPolicy::Capped { max: 2 })
-    .col("decided %", Agg::Mean, |o: &AerRun| {
-        Some(o.run.metrics.decided_fraction() * 100.0)
-    })
-    .col("rounds p50", Agg::Mean, |o: &AerRun| {
-        o.run.metrics.decided_quantile(0.5).map(|s| s as f64)
-    })
-    .col("wrong", Agg::Sum, |o: &AerRun| {
-        Some(o.wrong_decisions() as f64)
-    })
+    .metrics(&["decided", "rounds", "wrong"], |o| *o)
     .note("Lemma 7: zero wrong decisions in every cell; n/a marks all-undecided cells.")
     .report(Scope::Quick);
 
