@@ -8,9 +8,9 @@
 //! run is paired with the no-fault run at the same seed, so the message
 //! overhead is a like-for-like difference, not an absolute.
 
-use fba_recovery::{CrashSpec, CrashWindow};
+use fba_recovery::CrashSpec;
 use fba_scenario::Scenario;
-use fba_sim::Step;
+use fba_sim::{Step, Window};
 
 use crate::battery::{product2, Agg, Battery, Report, SeedPolicy};
 use crate::experiments::common::workload_sizes;
@@ -33,12 +33,8 @@ fn crash_count(n: usize) -> usize {
 /// out `n / 16` nodes.
 #[must_use]
 pub fn cell_spec(n: usize, window_len: Step) -> CrashSpec {
-    CrashSpec::new(vec![CrashWindow {
-        start: 3,
-        end: 3 + window_len,
-        count: crash_count(n),
-    }])
-    .expect("one non-empty window past step 0")
+    CrashSpec::new(vec![(Window::bounded(3, 3 + window_len), crash_count(n))])
+        .expect("one non-empty window past step 0")
 }
 
 /// One crashed run next to its same-seed baseline.
@@ -127,6 +123,10 @@ mod tests {
     #[test]
     fn cell_specs_crash_a_sixteenth_of_the_system_from_step_three() {
         assert_eq!(cell_spec(256, 4).to_string(), "crash:[3..7]16");
-        assert_eq!(cell_spec(8, 4).max_count(), 1, "at least one victim");
+        assert_eq!(
+            cell_spec(8, 4).to_string(),
+            "crash:[3..7]1",
+            "at least one victim"
+        );
     }
 }

@@ -320,6 +320,28 @@ fn scenario_rejects_malformed_crash_schedules() {
 }
 
 #[test]
+fn scenario_rejects_signed_numbers_in_every_grammar() {
+    // `u64::from_str` takes a leading `+` and `Display` prints the number
+    // back without it; the grammar has one digit-only number parser.
+    for (flag, bad) in [
+        ("--adversary", "silent:+9"),
+        ("--network", "async:+2"),
+        ("--adversary", "sched:[+0..+5]silent:+9"),
+        ("--crash", "crash:[+2..5]4"),
+    ] {
+        let stderr = rejected(&["scenario", "--n", "64", flag, bad]);
+        assert!(stderr.contains(bad), "{bad:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: paperbench scenario"),
+            "{bad:?}: {stderr}"
+        );
+    }
+    for axis in ["adversary=silent:+9", "network=async:+2"] {
+        rejected(&["sweep", "--scope", "quick", "--axis", axis]);
+    }
+}
+
+#[test]
 fn scenario_unknown_adversary_prints_usage_and_fails() {
     let stderr = rejected(&["scenario", "--n", "48", "--adversary", "martian"]);
     assert!(

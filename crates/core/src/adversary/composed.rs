@@ -47,7 +47,7 @@ use crate::msg::AerMsg;
 /// A composed fault schedule over the AER strategy registry: one
 /// [`AerAdversary`] per step window (see the module docs for the exact
 /// dispatch semantics).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Composed {
     windows: Vec<(Window, AerAdversary)>,
 }
@@ -77,13 +77,6 @@ impl Composed {
             .iter_mut()
             .find(|(w, _)| w.contains(step))
             .map(|(w, a)| (w.start, a))
-    }
-
-    /// The `(window, strategy)` pairs, in step order — post-run state of
-    /// every window stays inspectable here.
-    #[must_use]
-    pub fn windows(&self) -> &[(Window, AerAdversary)] {
-        &self.windows
     }
 
     /// The first `corner` window's report, if the schedule fields one.
@@ -365,7 +358,6 @@ mod tests {
         ]);
         let adv = Composed::from_schedule(&sched, &ctx, bad);
         assert!(adv.corner_report().is_some());
-        assert_eq!(adv.windows().len(), 2);
 
         let no_corner = schedule(vec![(Window::open(0), AdversarySpec::Silent { t: None })]);
         let adv = Composed::from_schedule(&no_corner, &ctx, bad);

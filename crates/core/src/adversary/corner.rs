@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fba_samplers::Label;
-use fba_sim::{choose_corrupt, Adversary, Envelope, NodeId, Outbox, Step};
+use fba_sim::{Adversary, Envelope, NodeId, Outbox, Step};
 use rand_chacha::ChaCha12Rng;
 
 use crate::msg::AerMsg;
@@ -208,10 +208,8 @@ impl Corner {
 
 impl Adversary<AerMsg> for Corner {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
-        self.corrupt = set.iter().copied().collect();
-        self.corrupt_set = set.clone();
-        set
+        self.corrupt_set = self.ctx.coalition(n, rng, &mut self.corrupt);
+        self.corrupt_set.clone()
     }
 
     fn rushing(&self) -> bool {

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use fba_samplers::GString;
-use fba_sim::{choose_corrupt, Adversary, Envelope, NodeId, Outbox, Step};
+use fba_sim::{Adversary, Envelope, NodeId, Outbox, Step};
 use rand_chacha::ChaCha12Rng;
 
 use crate::msg::AerMsg;
@@ -45,8 +45,7 @@ impl Equivocate {
 
 impl Adversary<AerMsg> for Equivocate {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
-        self.corrupt = set.iter().copied().collect();
+        let set = self.ctx.coalition(n, rng, &mut self.corrupt);
         let len = self.ctx.gstring.len_bits();
         // All corrupt nodes share the fabricated string pool so each pool
         // entry gets pushes from many corrupt quorum members (maximising

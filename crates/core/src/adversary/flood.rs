@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use fba_samplers::GString;
-use fba_sim::{choose_corrupt, Adversary, Envelope, NodeId, Outbox, Step};
+use fba_sim::{Adversary, Envelope, NodeId, Outbox, Step};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
@@ -44,11 +44,8 @@ impl RandomStringFlood {
 
 impl Adversary<AerMsg> for RandomStringFlood {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
-        self.corrupt = set.iter().copied().collect();
-        // Private adversary randomness for the flood payloads.
         self.ctx.n = n;
-        set
+        self.ctx.coalition(n, rng, &mut self.corrupt)
     }
 
     fn act(
@@ -111,8 +108,7 @@ impl PushFlood {
 
 impl Adversary<AerMsg> for PushFlood {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
-        self.corrupt = set.iter().copied().collect();
+        let set = self.ctx.coalition(n, rng, &mut self.corrupt);
         // Precompute the legitimate push edges for the bogus string.
         let inverse = self.ctx.scheme.push.inverse_for_string(self.bad.key());
         self.targets = self

@@ -51,7 +51,11 @@ pub use flood::{PushFlood, RandomStringFlood};
 pub use pull_flood::PullFlood;
 pub use registry::AerAdversary;
 
+use std::collections::BTreeSet;
+
 use fba_samplers::{GString, PollSampler, QuorumScheme};
+use fba_sim::{choose_corrupt, NodeId};
+use rand_chacha::ChaCha12Rng;
 
 use crate::aer::AerHarness;
 
@@ -94,5 +98,20 @@ impl AttackContext {
             assignments: harness.assignments().to_vec(),
             gstring,
         }
+    }
+
+    /// A strategy's `corrupt` step: draws the coalition — `t` of `n`
+    /// nodes — and leaves it in `members`, in ascending order, for the
+    /// strategy to iterate.
+    pub(crate) fn coalition(
+        &self,
+        n: usize,
+        rng: &mut ChaCha12Rng,
+        members: &mut Vec<NodeId>,
+    ) -> BTreeSet<NodeId> {
+        let set = choose_corrupt(n, self.t, rng);
+        members.clear();
+        members.extend(&set);
+        set
     }
 }

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use fba_samplers::Label;
-use fba_sim::{choose_corrupt, Adversary, Envelope, NodeId, Outbox, Step};
+use fba_sim::{Adversary, Envelope, NodeId, Outbox, Step};
 use rand_chacha::ChaCha12Rng;
 
 use crate::msg::AerMsg;
@@ -50,9 +50,7 @@ impl PullFlood {
 
 impl Adversary<AerMsg> for PullFlood {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
-        self.corrupt = set.iter().copied().collect();
-        set
+        self.ctx.coalition(n, rng, &mut self.corrupt)
     }
 
     fn act(

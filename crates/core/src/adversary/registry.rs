@@ -1,14 +1,17 @@
 //! The AER adversary registry: [`AdversarySpec`] → live strategy.
 //!
-//! [`AerAdversary`] is the closed set of Byzantine strategies the AER
-//! experiments exercise, instantiable from a data-level
-//! [`AdversarySpec`] plus an [`AttackContext`] (the full-information
-//! view) and the campaign string `bad` used by the coherent attacks.
-//! Dispatching through an enum — rather than `Box<dyn Adversary>` —
-//! keeps strategy state inspectable after the run (e.g.
-//! [`AerAdversary::corner_report`] for the Lemma 6 experiments).
+//! [`AerAdversary`] is whichever Byzantine strategy an [`AdversarySpec`]
+//! names, built from the spec plus an [`AttackContext`] (the
+//! full-information view) and the campaign string `bad` used by the
+//! coherent attacks. [`AerAdversary::from_spec`] is the one place that
+//! maps a spec variant to a strategy; what comes out is one boxed
+//! strategy object, so every engine hook is a single virtual call into
+//! the strategy's own code. The one piece of strategy state an experiment
+//! reads back after a run — the Lemma 6 [`CornerReport`] — is a method of
+//! the boxed trait.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use fba_samplers::GString;
 use fba_sim::{
@@ -22,29 +25,37 @@ use crate::adversary::{
 };
 use crate::msg::AerMsg;
 
-/// Every Byzantine strategy the AER suite can field, in one dispatchable
-/// value (see the module docs).
-#[derive(Clone, Debug)]
-pub enum AerAdversary {
-    /// No corruption.
-    None(NoAdversary),
-    /// Fail-stop silence.
-    Silent(SilentAdversary),
-    /// Blind random-string pushing.
-    RandomFlood(RandomStringFlood),
-    /// Coherent push flooding of `bad`.
-    PushFlood(PushFlood),
-    /// Per-victim fabrications.
-    Equivocate(Equivocate),
-    /// Pull-request spraying.
-    PullFlood(PullFlood),
-    /// The full bad-string campaign.
-    BadString(BadString),
-    /// The cornering/overload attack.
-    Corner(Corner),
-    /// A composed fault schedule: one strategy per step window.
-    Composed(Box<Composed>),
+/// What the registry boxes: a strategy against AER, and the report a
+/// cornering strategy leaves behind.
+trait AerStrategy: Adversary<AerMsg> + fmt::Debug {
+    fn corner_report(&self) -> Option<&CornerReport> {
+        None
+    }
 }
+
+impl AerStrategy for NoAdversary {}
+impl AerStrategy for SilentAdversary {}
+impl AerStrategy for RandomStringFlood {}
+impl AerStrategy for PushFlood {}
+impl AerStrategy for Equivocate {}
+impl AerStrategy for PullFlood {}
+impl AerStrategy for BadString {}
+
+impl AerStrategy for Corner {
+    fn corner_report(&self) -> Option<&CornerReport> {
+        Some(self.report())
+    }
+}
+
+impl AerStrategy for Composed {
+    fn corner_report(&self) -> Option<&CornerReport> {
+        Composed::corner_report(self)
+    }
+}
+
+/// Any Byzantine strategy the AER suite can field (see the module docs).
+#[derive(Debug)]
+pub struct AerAdversary(Box<dyn AerStrategy>);
 
 impl AerAdversary {
     /// Instantiates the strategy `spec` names.
@@ -54,155 +65,65 @@ impl AerAdversary {
     /// by the `flood` and `bad-string` strategies (ignored by the rest).
     #[must_use]
     pub fn from_spec(spec: &AdversarySpec, ctx: AttackContext, bad: GString) -> Self {
-        match spec {
-            AdversarySpec::None => AerAdversary::None(NoAdversary),
-            AdversarySpec::Silent { t } => {
-                AerAdversary::Silent(SilentAdversary::new(t.unwrap_or(ctx.t)))
-            }
+        AerAdversary(match spec {
+            AdversarySpec::None => Box::new(NoAdversary),
+            AdversarySpec::Silent { t } => Box::new(SilentAdversary::new(t.unwrap_or(ctx.t))),
             AdversarySpec::RandomFlood { rate, steps } => {
-                AerAdversary::RandomFlood(RandomStringFlood::new(ctx, *rate, *steps))
+                Box::new(RandomStringFlood::new(ctx, *rate, *steps))
             }
-            AdversarySpec::PushFlood => AerAdversary::PushFlood(PushFlood::new(ctx, bad)),
-            AdversarySpec::Equivocate { strings } => {
-                AerAdversary::Equivocate(Equivocate::new(ctx, *strings))
-            }
+            AdversarySpec::PushFlood => Box::new(PushFlood::new(ctx, bad)),
+            AdversarySpec::Equivocate { strings } => Box::new(Equivocate::new(ctx, *strings)),
             AdversarySpec::PullFlood { rate, steps } => {
-                AerAdversary::PullFlood(PullFlood::new(ctx, *rate, *steps))
+                Box::new(PullFlood::new(ctx, *rate, *steps))
             }
-            AdversarySpec::BadString => AerAdversary::BadString(BadString::new(ctx, bad)),
-            AdversarySpec::Corner { label_scan } => {
-                AerAdversary::Corner(Corner::new(ctx, *label_scan))
-            }
+            AdversarySpec::BadString => Box::new(BadString::new(ctx, bad)),
+            AdversarySpec::Corner { label_scan } => Box::new(Corner::new(ctx, *label_scan)),
             AdversarySpec::Sched(schedule) => {
-                AerAdversary::Composed(Box::new(Composed::from_schedule(schedule, &ctx, bad)))
+                Box::new(Composed::from_schedule(schedule, &ctx, bad))
             }
-        }
+        })
     }
 
     /// The cornering attack's plan/coverage report, when the strategy is
-    /// [`AerAdversary::Corner`] — or a composed schedule with a `corner`
-    /// window (the first such window's report).
+    /// `corner` — or a composed schedule with a `corner` window (the
+    /// first such window's report).
     #[must_use]
     pub fn corner_report(&self) -> Option<&CornerReport> {
-        match self {
-            AerAdversary::Corner(c) => Some(c.report()),
-            AerAdversary::Composed(c) => c.corner_report(),
-            _ => None,
-        }
+        self.0.corner_report()
     }
 }
 
 impl Adversary<AerMsg> for AerAdversary {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::corrupt(a, n, rng),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::corrupt(a, n, rng),
-            AerAdversary::RandomFlood(a) => a.corrupt(n, rng),
-            AerAdversary::PushFlood(a) => a.corrupt(n, rng),
-            AerAdversary::Equivocate(a) => a.corrupt(n, rng),
-            AerAdversary::PullFlood(a) => a.corrupt(n, rng),
-            AerAdversary::BadString(a) => a.corrupt(n, rng),
-            AerAdversary::Corner(a) => a.corrupt(n, rng),
-            AerAdversary::Composed(a) => a.corrupt(n, rng),
-        }
+        self.0.corrupt(n, rng)
     }
 
     fn rushing(&self) -> bool {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::rushing(a),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::rushing(a),
-            AerAdversary::RandomFlood(a) => a.rushing(),
-            AerAdversary::PushFlood(a) => a.rushing(),
-            AerAdversary::Equivocate(a) => a.rushing(),
-            AerAdversary::PullFlood(a) => a.rushing(),
-            AerAdversary::BadString(a) => a.rushing(),
-            AerAdversary::Corner(a) => a.rushing(),
-            AerAdversary::Composed(a) => Adversary::<AerMsg>::rushing(a.as_ref()),
-        }
+        self.0.rushing()
     }
 
     fn act(&mut self, step: Step, view: Option<&[Envelope<AerMsg>]>, out: &mut Outbox<'_, AerMsg>) {
-        match self {
-            AerAdversary::None(a) => a.act(step, view, out),
-            AerAdversary::Silent(a) => a.act(step, view, out),
-            AerAdversary::RandomFlood(a) => a.act(step, view, out),
-            AerAdversary::PushFlood(a) => a.act(step, view, out),
-            AerAdversary::Equivocate(a) => a.act(step, view, out),
-            AerAdversary::PullFlood(a) => a.act(step, view, out),
-            AerAdversary::BadString(a) => a.act(step, view, out),
-            AerAdversary::Corner(a) => a.act(step, view, out),
-            AerAdversary::Composed(a) => a.act(step, view, out),
-        }
+        self.0.act(step, view, out);
     }
 
     fn observe(&mut self, step: Step, sends: &[Envelope<AerMsg>]) {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::observe(a, step, sends),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::observe(a, step, sends),
-            AerAdversary::RandomFlood(a) => a.observe(step, sends),
-            AerAdversary::PushFlood(a) => a.observe(step, sends),
-            AerAdversary::Equivocate(a) => a.observe(step, sends),
-            AerAdversary::PullFlood(a) => a.observe(step, sends),
-            AerAdversary::BadString(a) => a.observe(step, sends),
-            AerAdversary::Corner(a) => a.observe(step, sends),
-            AerAdversary::Composed(a) => a.observe(step, sends),
-        }
+        self.0.observe(step, sends);
     }
 
     fn delay(&mut self, env: &Envelope<AerMsg>) -> Step {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::delay(a, env),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::delay(a, env),
-            AerAdversary::RandomFlood(a) => a.delay(env),
-            AerAdversary::PushFlood(a) => a.delay(env),
-            AerAdversary::Equivocate(a) => a.delay(env),
-            AerAdversary::PullFlood(a) => a.delay(env),
-            AerAdversary::BadString(a) => a.delay(env),
-            AerAdversary::Corner(a) => a.delay(env),
-            AerAdversary::Composed(a) => a.delay(env),
-        }
+        self.0.delay(env)
     }
 
     fn priority(&mut self, env: &Envelope<AerMsg>) -> i64 {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::priority(a, env),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::priority(a, env),
-            AerAdversary::RandomFlood(a) => a.priority(env),
-            AerAdversary::PushFlood(a) => a.priority(env),
-            AerAdversary::Equivocate(a) => a.priority(env),
-            AerAdversary::PullFlood(a) => a.priority(env),
-            AerAdversary::BadString(a) => a.priority(env),
-            AerAdversary::Corner(a) => a.priority(env),
-            AerAdversary::Composed(a) => a.priority(env),
-        }
+        self.0.priority(env)
     }
 
     fn schedules(&self) -> bool {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::schedules(a),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::schedules(a),
-            AerAdversary::RandomFlood(a) => a.schedules(),
-            AerAdversary::PushFlood(a) => a.schedules(),
-            AerAdversary::Equivocate(a) => a.schedules(),
-            AerAdversary::PullFlood(a) => a.schedules(),
-            AerAdversary::BadString(a) => a.schedules(),
-            AerAdversary::Corner(a) => a.schedules(),
-            AerAdversary::Composed(a) => a.schedules(),
-        }
+        self.0.schedules()
     }
 
     fn observes(&self) -> bool {
-        match self {
-            AerAdversary::None(a) => Adversary::<AerMsg>::observes(a),
-            AerAdversary::Silent(a) => Adversary::<AerMsg>::observes(a),
-            AerAdversary::RandomFlood(a) => a.observes(),
-            AerAdversary::PushFlood(a) => a.observes(),
-            AerAdversary::Equivocate(a) => a.observes(),
-            AerAdversary::PullFlood(a) => a.observes(),
-            AerAdversary::BadString(a) => a.observes(),
-            AerAdversary::Corner(a) => a.observes(),
-            AerAdversary::Composed(a) => a.observes(),
-        }
+        self.0.observes()
     }
 }
 
@@ -231,52 +152,8 @@ mod tests {
         (AttackContext::new(&h, pre.gstring), bad)
     }
 
-    #[test]
-    fn every_spec_instantiates_the_matching_strategy() {
-        let (ctx, bad) = context(64);
-        let cases = [
-            (AdversarySpec::None, "none"),
-            (AdversarySpec::Silent { t: None }, "silent"),
-            (
-                AdversarySpec::RandomFlood { rate: 4, steps: 2 },
-                "random-flood",
-            ),
-            (AdversarySpec::PushFlood, "flood"),
-            (AdversarySpec::Equivocate { strings: 3 }, "equivocate"),
-            (AdversarySpec::PullFlood { rate: 2, steps: 2 }, "pull-flood"),
-            (AdversarySpec::BadString, "bad-string"),
-            (AdversarySpec::Corner { label_scan: 16 }, "corner"),
-            (
-                AdversarySpec::Sched(
-                    fba_sim::ScheduleSpec::new(vec![
-                        (
-                            fba_sim::Window::bounded(0, 4),
-                            AdversarySpec::Silent { t: None },
-                        ),
-                        (fba_sim::Window::open(4), AdversarySpec::PushFlood),
-                    ])
-                    .expect("valid schedule"),
-                ),
-                "sched",
-            ),
-        ];
-        for (spec, name) in cases {
-            let adv = AerAdversary::from_spec(&spec, ctx.clone(), bad);
-            let built = match adv {
-                AerAdversary::None(_) => "none",
-                AerAdversary::Silent(_) => "silent",
-                AerAdversary::RandomFlood(_) => "random-flood",
-                AerAdversary::PushFlood(_) => "flood",
-                AerAdversary::Equivocate(_) => "equivocate",
-                AerAdversary::PullFlood(_) => "pull-flood",
-                AerAdversary::BadString(_) => "bad-string",
-                AerAdversary::Corner(_) => "corner",
-                AerAdversary::Composed(_) => "sched",
-            };
-            assert_eq!(built, name);
-            assert_eq!(spec.name(), name);
-        }
-    }
+    // That every catalogue row builds, and what it reports for `rushing` /
+    // `schedules` / `observes`, is one table: `crates/bench/tests/catalogue.rs`.
 
     #[test]
     fn silent_spec_uses_context_budget_unless_overridden() {
@@ -289,28 +166,6 @@ mod tests {
         let mut explicit = AerAdversary::from_spec(&AdversarySpec::Silent { t: Some(3) }, ctx, bad);
         let mut rng = derive_rng(1, &[]);
         assert_eq!(explicit.corrupt(64, &mut rng).len(), 3);
-    }
-
-    #[test]
-    fn rushing_matches_the_underlying_strategy() {
-        let (ctx, bad) = context(64);
-        let rushing = [
-            AdversarySpec::BadString,
-            AdversarySpec::Corner { label_scan: 8 },
-        ];
-        let non_rushing = [
-            AdversarySpec::None,
-            AdversarySpec::Silent { t: None },
-            AdversarySpec::PushFlood,
-        ];
-        for spec in rushing {
-            let adv = AerAdversary::from_spec(&spec, ctx.clone(), bad);
-            assert!(adv.rushing(), "{spec}");
-        }
-        for spec in non_rushing {
-            let adv = AerAdversary::from_spec(&spec, ctx.clone(), bad);
-            assert!(!adv.rushing(), "{spec}");
-        }
     }
 
     #[test]

@@ -134,13 +134,6 @@ impl AerConfig {
         self
     }
 
-    /// Returns a copy with a different sampler seed.
-    #[must_use]
-    pub fn with_sampler_seed(mut self, seed: u64) -> Self {
-        self.sampler_seed = seed;
-        self
-    }
-
     /// Returns a copy with a different overload cap.
     #[must_use]
     pub fn with_overload_cap(mut self, cap: u64) -> Self {
@@ -466,11 +459,9 @@ mod tests {
     fn builders_override_fields() {
         let cfg = AerConfig::recommended(64)
             .with_t(5)
-            .with_sampler_seed(9)
             .with_overload_cap(77)
             .with_d(11);
         assert_eq!(cfg.t, 5);
-        assert_eq!(cfg.sampler_seed, 9);
         assert_eq!(cfg.overload_cap, 77);
         assert_eq!(cfg.d, 11);
     }

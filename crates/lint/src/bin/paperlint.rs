@@ -19,8 +19,8 @@ fn usage() -> ExitCode {
         "usage: paperlint [--root <workspace>] [--list-rules]\n\
          \n\
          Statically enforces the workspace determinism contract and exits\n\
-         non-zero on any diagnostic. Waive a single line with an explicit\n\
-         `// paperlint: allow(Dn) <reason>` comment on the preceding line."
+         non-zero on any diagnostic. Exemptions are the sanctioned paths of\n\
+         `crates/lint/src/config.rs`; there is no per-line waiver."
     );
     ExitCode::from(2)
 }

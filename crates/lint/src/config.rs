@@ -11,9 +11,9 @@
 //!   `fba_bench::par` the sanctioned threads (D2) and its `FBA_THREADS`
 //!   read the sanctioned env read (D6).
 //!
-//! Everything else goes through an explicit, greppable waiver comment
-//! (`// paperlint: allow(D2) <reason>`) on the preceding line — see
-//! [`crate::waiver`].
+//! That table is the one exemption mechanism: there are no per-line
+//! waivers (the workspace carried none when they were removed), so an
+//! exception is an edit to this file, reviewed as one.
 
 use crate::rules::RuleId;
 

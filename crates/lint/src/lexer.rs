@@ -6,8 +6,8 @@
 //! surface it needs to get that right:
 //!
 //! * line comments (`//`, `///`, `//!`) and **nested** block comments
-//!   (`/* /* */ */`), preserved as [`Comment`]s — waivers and `// SAFETY:`
-//!   audits read them;
+//!   (`/* /* */ */`), preserved as [`Comment`]s — the `// SAFETY:` audit
+//!   of D5 reads them;
 //! * string literals with escapes, byte strings (`b"…"`), and raw
 //!   (byte) strings with any hash depth (`r"…"`, `r#"…"#`, `br##"…"##`);
 //! * char literals (including escapes) versus lifetimes (`'a'` vs `'a`);
@@ -51,9 +51,6 @@ pub struct Comment {
     pub end_line: u32,
     /// Comment text without the `//` / `/*` markers, trimmed.
     pub text: String,
-    /// Whether this is a doc comment (`///`, `//!`, `/**`, `/*!`) — doc
-    /// prose *describing* a waiver must never act as one.
-    pub doc: bool,
 }
 
 /// The result of scanning one source file.
@@ -127,7 +124,6 @@ impl Lexer<'_> {
             self.pos += 1;
         }
         let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-        let doc = (raw.starts_with("///") && !raw.starts_with("////")) || raw.starts_with("//!");
         self.out.comments.push(Comment {
             line: self.line,
             end_line: self.line,
@@ -136,7 +132,6 @@ impl Lexer<'_> {
                 .trim_start_matches('!')
                 .trim()
                 .to_owned(),
-            doc,
         });
     }
 
@@ -163,7 +158,6 @@ impl Lexer<'_> {
             }
         }
         let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-        let doc = (raw.starts_with("/**") && !raw.starts_with("/***")) || raw.starts_with("/*!");
         let text = raw
             .trim_start_matches('/')
             .trim_start_matches('*')
@@ -175,7 +169,6 @@ impl Lexer<'_> {
             line: start_line,
             end_line: self.line,
             text,
-            doc,
         });
     }
 

@@ -20,18 +20,16 @@
 //! | D6 | no `env::var` reads | everywhere; `fba_bench::par` (`FBA_THREADS`) sanctioned |
 //! | D7 | no `print!`/`eprintln!` in library code | everywhere; binaries sanctioned |
 //!
-//! One-off exceptions are explicit and greppable:
-//! `// paperlint: allow(D2) <reason>` on the preceding line waives exactly
-//! one rule on exactly the next line. The waiver mechanism polices itself:
-//! unknown rule names (W1) and stale waivers (W2) are diagnostics.
+//! The "sanctioned" sites are path prefixes in [`config`], the one
+//! exemption mechanism: there is no per-line waiver comment.
 //!
 //! ## How it works
 //!
 //! [`lexer`] is a minimal string/char/comment-aware Rust token scanner (in
 //! the idiom of fba-bench's mini JSON reader — self-contained, no registry
 //! deps). [`rules`] matches token sequences per rule, [`config`] scopes
-//! rules per crate with sanctioned-path exemptions, [`waiver`] applies the
-//! allow-comments, and [`walk`] runs the whole workspace. The `paperlint`
+//! rules per crate with sanctioned-path exemptions, and [`walk`] runs the
+//! whole workspace. The `paperlint`
 //! binary exits non-zero with `file:line: rule: message` diagnostics.
 
 #![forbid(unsafe_code)]
@@ -40,7 +38,6 @@
 pub mod config;
 pub mod lexer;
 pub mod rules;
-pub mod waiver;
 pub mod walk;
 
 pub use config::Config;

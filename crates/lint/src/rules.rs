@@ -2,19 +2,14 @@
 //!
 //! Every rule matches on the token stream from [`crate::lexer`] — comments,
 //! strings and `#[cfg(test)]` modules are already out of the picture — and
-//! reports at most one diagnostic per `(line, rule)`, so a waiver on the
-//! preceding line suppresses the whole line's finding for that rule.
+//! reports at most one diagnostic per `(line, rule)`.
 
 use std::fmt;
 
 use crate::config::Config;
 use crate::lexer::{cfg_test_mask, lex, Lexed, Token, TokenKind};
-use crate::waiver;
 
-/// A lint rule identifier.
-///
-/// `D*` rules are the determinism contract; `W*` rules police the waiver
-/// mechanism itself (and are therefore not waivable).
+/// A lint rule identifier: the `D*` rules are the determinism contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the variants are documented by `describe`
 pub enum RuleId {
@@ -25,8 +20,6 @@ pub enum RuleId {
     D5,
     D6,
     D7,
-    W1,
-    W2,
 }
 
 impl RuleId {
@@ -41,12 +34,6 @@ impl RuleId {
         RuleId::D7,
     ];
 
-    /// Parses a rule name as written in a waiver (`D1` … `D7`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<RuleId> {
-        Self::DETERMINISM.into_iter().find(|r| r.as_str() == s)
-    }
-
     /// The rule's short name.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -58,8 +45,6 @@ impl RuleId {
             RuleId::D5 => "D5",
             RuleId::D6 => "D6",
             RuleId::D7 => "D7",
-            RuleId::W1 => "W1",
-            RuleId::W2 => "W2",
         }
     }
 
@@ -90,8 +75,6 @@ impl RuleId {
             RuleId::D7 => {
                 "no print!/eprintln! in library crates; output goes through observers/reporters"
             }
-            RuleId::W1 => "waivers must name a known rule and carry a reason",
-            RuleId::W2 => "waivers must suppress an actual violation (no stale waivers)",
         }
     }
 }
@@ -139,13 +122,10 @@ pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Diagnos
         }
         check_rule(rule, rel_path, &lexed, &mask, config, &mut raw);
     }
-    // One diagnostic per (line, rule): a line-scoped waiver then suppresses
-    // the finding wholesale rather than leaving token-count residue.
+    // One diagnostic per (line, rule), not one per matching token.
     raw.sort_by_key(|d| (d.line, d.rule));
     raw.dedup_by_key(|d| (d.line, d.rule));
-    let mut diags = waiver::apply(rel_path, &lexed.comments, raw);
-    diags.sort_by_key(|d| (d.line, d.rule));
-    diags
+    raw
 }
 
 /// Live (non-test-masked) tokens with their stream index.
@@ -323,7 +303,6 @@ fn check_rule(
                 }
             }
         }
-        RuleId::W1 | RuleId::W2 => unreachable!("waiver rules run in waiver::apply"),
     }
 }
 
@@ -344,15 +323,6 @@ mod tests {
 
     fn lint_core(src: &str) -> Vec<Diagnostic> {
         lint_source("crates/core/src/x.rs", src, &Config::default())
-    }
-
-    #[test]
-    fn rule_ids_round_trip() {
-        for rule in RuleId::DETERMINISM {
-            assert_eq!(RuleId::parse(rule.as_str()), Some(rule));
-        }
-        assert_eq!(RuleId::parse("D9"), None);
-        assert_eq!(RuleId::parse("W1"), None, "waiver rules are not waivable");
     }
 
     #[test]

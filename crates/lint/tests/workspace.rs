@@ -131,30 +131,3 @@ fn fire_drill_unsafe_outside_the_allowlist_fails_d5() {
         "the same code outside the allowlist must fail: {diags:?}"
     );
 }
-
-/// The waivers shipped in this workspace are all live: none stale, none
-/// malformed (W1/W2 firing anywhere would already fail
-/// `the_workspace_is_clean_at_head`, but assert the count too so a waiver
-/// silently losing its violation cannot slip through a config change).
-#[test]
-fn shipped_waivers_are_exactly_the_audited_set() {
-    let root = workspace_root();
-    let mut waived = Vec::new();
-    for rel in workspace_files(&root).expect("walk succeeds") {
-        let source = fs::read_to_string(root.join(&rel)).expect("read source");
-        let count = source
-            .lines()
-            .filter(|l| l.trim_start().starts_with("// paperlint: allow("))
-            .count();
-        if count > 0 {
-            waived.push((rel, count));
-        }
-    }
-    // None since the battery's process-global grid cache went (it held
-    // the last three); a new waiver must be added here on purpose.
-    assert_eq!(
-        waived,
-        Vec::<(String, usize)>::new(),
-        "waiver inventory changed; update this audit list deliberately"
-    );
-}

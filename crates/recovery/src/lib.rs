@@ -31,4 +31,4 @@ pub mod spec;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, RecoveryConfig, WalRecord};
 pub use rejoin::{rejoin_report, OutageRejoin, RejoinReport};
-pub use spec::{CrashSpec, CrashWindow, CRASH_EXPECTED};
+pub use spec::{CrashSpec, CRASH_EXPECTED};

@@ -64,27 +64,26 @@ impl RejoinReport {
 pub fn rejoin_report(plan: &CrashPlan, metrics: &Metrics) -> RejoinReport {
     let outages = plan
         .outages()
-        .iter()
-        .map(|outage| {
+        .map(|(start, end, nodes)| {
             let mut crashed = 0usize;
             let mut rejoined = 0usize;
             let mut max_rejoin: Step = 0;
             let mut sum_rejoin: u128 = 0;
-            for &id in outage.nodes() {
+            for &id in nodes {
                 if metrics.is_corrupt(id) {
                     continue;
                 }
                 crashed += 1;
                 if let Some(decided) = metrics.decided_at(id) {
                     rejoined += 1;
-                    let latency = decided.saturating_sub(outage.end);
+                    let latency = decided.saturating_sub(end);
                     max_rejoin = max_rejoin.max(latency);
                     sum_rejoin += u128::from(latency);
                 }
             }
             OutageRejoin {
-                start: outage.start,
-                end: outage.end,
+                start,
+                end,
                 crashed,
                 rejoined,
                 max_rejoin_steps: (crashed > 0 && rejoined == crashed).then_some(max_rejoin),
@@ -98,7 +97,7 @@ pub fn rejoin_report(plan: &CrashPlan, metrics: &Metrics) -> RejoinReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fba_sim::{CrashOutage, NodeId};
+    use fba_sim::{NodeId, Window};
     use std::collections::BTreeSet;
 
     fn ids(raw: &[usize]) -> Vec<NodeId> {
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn report_measures_latency_from_restart() {
-        let plan = CrashPlan::new(vec![CrashOutage::new(2, 5, ids(&[0, 1, 2])).unwrap()]).unwrap();
+        let plan = CrashPlan::new(vec![(Window::bounded(2, 5), ids(&[0, 1, 2]))]).unwrap();
         let corrupt: BTreeSet<_> = ids(&[2]).into_iter().collect();
         let mut m = Metrics::new(4, &corrupt);
         m.record_decision(NodeId::from_index(0), 9); // rejoin = 4
@@ -126,7 +125,7 @@ mod tests {
 
     #[test]
     fn undecided_nodes_void_the_max() {
-        let plan = CrashPlan::new(vec![CrashOutage::new(1, 3, ids(&[0, 1])).unwrap()]).unwrap();
+        let plan = CrashPlan::new(vec![(Window::bounded(1, 3), ids(&[0, 1]))]).unwrap();
         let mut m = Metrics::new(2, &BTreeSet::new());
         m.record_decision(NodeId::from_index(0), 7);
 

@@ -2,11 +2,11 @@
 //!
 //! `crash:[3..7]64` crashes 64 sampled honest nodes at the start of step
 //! 3 and restarts them at the start of step 7; `;`-separated windows
-//! chain outages, mirroring the `sched:` adversary-schedule grammar
-//! ([`fba_sim::ScheduleSpec`]) and validated by the same rules — ordered,
-//! non-overlapping, non-empty windows — plus two crash-specific ones:
-//! windows are *closed* (a crashed node must come back; `[3..]` is
-//! malformed) and may not start at step 0 (every node runs `on_start`).
+//! chain outages. The windows are the `sched:` grammar's
+//! ([`fba_sim::Windows`]: one syntax, one validator) under the outage
+//! rules — ordered, non-overlapping, non-empty, *closed* (a crashed node
+//! must come back; `[3..]` is malformed) and not starting at step 0
+//! (every node runs `on_start`) — and the payload is a victim count ≥ 1.
 //!
 //! A [`CrashSpec`] is pure data: *which* nodes crash is resolved only when
 //! the spec meets a concrete system size and seed in
@@ -20,7 +20,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use fba_sim::rng::{derive_rng, TAG_CRASH};
-use fba_sim::{choose_corrupt, CrashOutage, CrashPlan, CrashPlanError, ParseSpecError, Step};
+use fba_sim::{choose_corrupt, CrashPlan, ParseSpecError, Step, Window, WindowError, Windows};
 
 /// What a valid `crash:` spec looks like; used in parse errors and the
 /// `paperbench` usage text.
@@ -28,26 +28,8 @@ pub const CRASH_EXPECTED: &str =
     "crash:[start..end]count[;[start..end]count…] with start ≥ 1, end > start, count ≥ 1, \
      windows ordered and non-overlapping";
 
-/// One window of a [`CrashSpec`]: `[start..end]count` — crash `count`
-/// sampled nodes over the closed step window `start..end`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CrashWindow {
-    /// First dark step (≥ 1).
-    pub start: Step,
-    /// Restart step (exclusive; > `start`).
-    pub end: Step,
-    /// Number of nodes to crash (≥ 1), sampled at resolution time.
-    pub count: usize,
-}
-
-impl fmt::Display for CrashWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}..{}]{}", self.start, self.end, self.count)
-    }
-}
-
-/// A validated crash–restart schedule: ordered, non-overlapping windows,
-/// each crashing a positive number of nodes.
+/// A validated crash–restart schedule: outage windows, each crashing a
+/// positive number of nodes sampled at resolution time.
 ///
 /// The programmatic constructor accepts an empty window list (the
 /// no-fault baseline — resolving it yields an empty [`CrashPlan`], pinned
@@ -55,41 +37,21 @@ impl fmt::Display for CrashWindow {
 /// `crash:` with an empty body is malformed, mirroring `sched:`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrashSpec {
-    windows: Vec<CrashWindow>,
+    windows: Windows<usize>,
 }
 
 impl CrashSpec {
-    /// Builds a spec, validating window order and contents.
+    /// Builds a spec from `(window, victim count)` pairs.
     ///
     /// # Errors
     ///
-    /// Returns the [`CrashPlanError`] matching the first rule violated:
-    /// [`CrashPlanError::StartsAtZero`], [`CrashPlanError::EmptyWindow`],
-    /// [`CrashPlanError::NoNodes`] for a zero count, or
-    /// [`CrashPlanError::Unordered`] for overlapping/out-of-order
-    /// windows.
-    pub fn new(windows: Vec<CrashWindow>) -> Result<Self, CrashPlanError> {
-        let mut prev_end: Step = 0;
-        for (index, w) in windows.iter().enumerate() {
-            if w.start == 0 {
-                return Err(CrashPlanError::StartsAtZero { index });
-            }
-            if w.end <= w.start {
-                return Err(CrashPlanError::EmptyWindow {
-                    index,
-                    start: w.start,
-                    end: w.end,
-                });
-            }
-            if w.count == 0 {
-                return Err(CrashPlanError::NoNodes { index });
-            }
-            if w.start < prev_end {
-                return Err(CrashPlanError::Unordered { index });
-            }
-            prev_end = w.end;
+    /// Whatever [`Windows::outages`] rejects, and a count of zero.
+    pub fn new(windows: Vec<(Window, usize)>) -> Result<Self, WindowError> {
+        let windows = Windows::outages(windows)?;
+        match windows.iter().find(|(_, count)| *count == 0) {
+            Some((w, _)) => Err(WindowError::Rule(format!("window {w}0 crashes zero nodes"))),
+            None => Ok(CrashSpec { windows }),
         }
-        Ok(CrashSpec { windows })
     }
 
     /// The empty spec: no outages, the no-fault baseline.
@@ -98,9 +60,9 @@ impl CrashSpec {
         CrashSpec::default()
     }
 
-    /// The windows, in time order.
+    /// The `(window, victim count)` pairs, in time order.
     #[must_use]
-    pub fn windows(&self) -> &[CrashWindow] {
+    pub fn windows(&self) -> &[(Window, usize)] {
         &self.windows
     }
 
@@ -114,13 +76,7 @@ impl CrashSpec {
     /// least this many steps of headroom to bring every victim back.
     #[must_use]
     pub fn last_restart(&self) -> Option<Step> {
-        self.windows.last().map(|w| w.end)
-    }
-
-    /// The largest per-window crash count.
-    #[must_use]
-    pub fn max_count(&self) -> usize {
-        self.windows.iter().map(|w| w.count).max().unwrap_or(0)
+        self.windows.last().and_then(|(w, _)| w.end)
     }
 
     /// Resolves the spec against a concrete system: samples each window's
@@ -131,92 +87,45 @@ impl CrashSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CrashPlanError::TooManyNodes`] when a window's count
-    /// exceeds `n`.
-    pub fn resolve(&self, n: usize, seed: u64) -> Result<CrashPlan, CrashPlanError> {
-        let mut outages = Vec::with_capacity(self.windows.len());
-        for (index, w) in self.windows.iter().enumerate() {
-            if w.count > n {
-                return Err(CrashPlanError::TooManyNodes {
-                    index,
-                    count: w.count,
-                    n,
-                });
+    /// Names the first window whose count exceeds `n`; the seed cannot
+    /// make a spec unresolvable.
+    pub fn resolve(&self, n: usize, seed: u64) -> Result<CrashPlan, WindowError> {
+        let outages = self.windows.iter().enumerate().map(|(index, &(w, count))| {
+            if count > n {
+                return Err(WindowError::Rule(format!(
+                    "window {w}{count} crashes {count} nodes but the system only has {n}"
+                )));
             }
             let mut rng = derive_rng(seed, &[TAG_CRASH, index as u64]);
-            let nodes = choose_corrupt(n, w.count, &mut rng).into_iter().collect();
-            outages.push(
-                CrashOutage::new(w.start, w.end, nodes)
-                    .expect("spec windows are validated at construction"),
-            );
-        }
-        Ok(CrashPlan::new(outages).expect("spec window order is validated at construction"))
+            Ok((w, choose_corrupt(n, count, &mut rng).into_iter().collect()))
+        });
+        CrashPlan::new(outages.collect::<Result<_, _>>()?)
     }
 }
 
 impl fmt::Display for CrashSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "crash:")?;
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ";")?;
-            }
-            write!(f, "{w}")?;
-        }
-        Ok(())
+        write!(f, "crash:{}", self.windows)
     }
-}
-
-/// Parses a digit-only integer: rejects whitespace, signs, and empty
-/// strings, mirroring the `sched:` grammar's hardening against silently
-/// tolerated junk.
-fn parse_strict<T: FromStr>(s: &str) -> Option<T> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    s.parse().ok()
-}
-
-/// Parses one `[start..end]count` window; `None` on any malformation
-/// (including open windows — crash windows must be closed).
-fn parse_crash_window(part: &str) -> Option<CrashWindow> {
-    let rest = part.strip_prefix('[')?;
-    let (range, count) = rest.split_once(']')?;
-    let (start, end) = range.split_once("..")?;
-    Some(CrashWindow {
-        start: parse_strict(start)?,
-        end: parse_strict(end)?,
-        count: parse_strict(count)?,
-    })
 }
 
 impl FromStr for CrashSpec {
     type Err = ParseSpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseSpecError {
-            input: s.to_string(),
-            expected: CRASH_EXPECTED,
-        };
-        let body = s.strip_prefix("crash:").ok_or_else(err)?;
-        if body.is_empty() {
-            return Err(err());
-        }
-        let mut windows = Vec::new();
-        for part in body.split(';') {
-            windows.push(parse_crash_window(part).ok_or_else(err)?);
-        }
-        CrashSpec::new(windows).map_err(|_| err())
+        s.strip_prefix("crash:")
+            .and_then(|body| Window::parse_list(body, Window::parse_number))
+            .and_then(|windows| CrashSpec::new(windows).ok())
+            .ok_or_else(|| ParseSpecError {
+                input: s.to_string(),
+                expected: CRASH_EXPECTED,
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn window(start: Step, end: Step, count: usize) -> CrashWindow {
-        CrashWindow { start, end, count }
-    }
 
     #[test]
     fn display_round_trips() {
@@ -245,28 +154,13 @@ mod tests {
             "crash:[ 1..4]2",        // whitespace
             "crash:[1..4] 2",        // whitespace
             "crash:[1..4]+2",        // sign
+            "crash:[+1..4]2",        // sign
             "crash:[a..4]2",         // non-numeric
             "crash:[1..4]",          // missing count
             "crash:1..4]2",          // missing bracket
         ] {
             assert!(raw.parse::<CrashSpec>().is_err(), "{raw} must be rejected");
         }
-    }
-
-    #[test]
-    fn constructor_reports_the_offending_window() {
-        assert_eq!(
-            CrashSpec::new(vec![window(1, 3, 2), window(2, 5, 1)]),
-            Err(CrashPlanError::Unordered { index: 1 })
-        );
-        assert_eq!(
-            CrashSpec::new(vec![window(1, 3, 2), window(4, 4, 1)]),
-            Err(CrashPlanError::EmptyWindow {
-                index: 1,
-                start: 4,
-                end: 4
-            })
-        );
     }
 
     #[test]
@@ -280,13 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_windows_are_legal() {
-        // Non-overlap means next.start >= prev.end; touching is fine.
-        let spec = CrashSpec::new(vec![window(1, 4, 2), window(4, 6, 2)]).unwrap();
-        assert_eq!(spec.last_restart(), Some(6));
-    }
-
-    #[test]
     fn resolve_is_deterministic_and_seed_sensitive() {
         let spec: CrashSpec = "crash:[2..6]8;[9..12]4".parse().unwrap();
         let a = spec.resolve(64, 42).unwrap();
@@ -294,19 +181,20 @@ mod tests {
         assert_eq!(a, b);
         let c = spec.resolve(64, 43).unwrap();
         assert_ne!(a, c, "a different seed draws different victims");
-        assert_eq!(a.outages()[0].nodes().len(), 8);
-        assert_eq!(a.outages()[1].nodes().len(), 4);
-        assert_eq!(a.outages()[0].start, 2);
-        assert_eq!(a.outages()[1].end, 12);
+        let shape: Vec<_> = a
+            .outages()
+            .map(|(s, e, nodes)| (s, e, nodes.len()))
+            .collect();
+        assert_eq!(shape, [(2, 6, 8), (9, 12, 4)]);
     }
 
     #[test]
     fn resolve_uses_independent_streams_per_window() {
         let spec: CrashSpec = "crash:[1..3]8;[5..7]8".parse().unwrap();
         let plan = spec.resolve(256, 3).unwrap();
+        let victims: Vec<_> = plan.outages().map(|(_, _, nodes)| nodes).collect();
         assert_ne!(
-            plan.outages()[0].nodes(),
-            plan.outages()[1].nodes(),
+            victims[0], victims[1],
             "distinct window tags draw distinct victim sets"
         );
     }
@@ -314,13 +202,11 @@ mod tests {
     #[test]
     fn resolve_rejects_oversized_counts() {
         let spec: CrashSpec = "crash:[1..3]65".parse().unwrap();
+        let err = spec.resolve(64, 1).unwrap_err();
         assert_eq!(
-            spec.resolve(64, 1),
-            Err(CrashPlanError::TooManyNodes {
-                index: 0,
-                count: 65,
-                n: 64
-            })
+            err.to_string(),
+            "window [1..3]65 crashes 65 nodes but the system only has 64"
         );
+        assert!(CrashSpec::new(vec![(Window::bounded(1, 3), 0)]).is_err());
     }
 }

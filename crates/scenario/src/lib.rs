@@ -84,7 +84,6 @@ pub struct Scenario {
     strict: bool,
     overload_cap: Option<u64>,
     quorum_size: Option<usize>,
-    eager_repair: Option<bool>,
     poll_timeout: PollTimeoutSpec,
     record_transcript: bool,
     bad_string: Option<GString>,
@@ -122,7 +121,6 @@ impl Scenario {
             strict: false,
             overload_cap: None,
             quorum_size: None,
-            eager_repair: None,
             poll_timeout: PollTimeoutSpec::default(),
             record_transcript: false,
             bad_string: None,
@@ -217,13 +215,6 @@ impl Scenario {
     #[must_use]
     pub fn quorum_size(mut self, d: usize) -> Self {
         self.quorum_size = Some(d);
-        self
-    }
-
-    /// Overrides the eager-repair escalation knob.
-    #[must_use]
-    pub fn eager_repair(mut self, eager: bool) -> Self {
-        self.eager_repair = Some(eager);
         self
     }
 

@@ -6,7 +6,7 @@ use fba_ae::{ae_engine, AeConfig};
 use fba_baselines::{BenOrParams, KingParams, KlstParams};
 use fba_core::{AerConfig, BaConfig};
 use fba_sim::rng::instance_seed;
-use fba_sim::{AdversarySpec, EngineConfig, GenericAdversary, NetworkSpec, Step};
+use fba_sim::{AdversarySpec, EngineConfig, NetworkSpec, SilentAdversary, Step};
 
 use crate::{Baseline, Phase, PollTimeoutSpec, PreconditionSpec, Scenario, ScenarioError};
 
@@ -23,15 +23,15 @@ pub(crate) enum Plan {
     Aer(AerPlan),
     Ae {
         config: AeConfig,
-        adversary: GenericAdversary,
+        adversary: SilentAdversary,
     },
     Composed {
         config: BaConfig,
-        ae_adversary: GenericAdversary,
+        ae_adversary: SilentAdversary,
     },
     Baseline {
         baseline: Baseline,
-        adversary: GenericAdversary,
+        adversary: SilentAdversary,
         engine: EngineConfig,
     },
 }
@@ -168,9 +168,6 @@ impl Scenario {
         if self.strict {
             cfg = cfg.strict();
         }
-        if let Some(eager) = self.eager_repair {
-            cfg.eager_repair = eager;
-        }
         match self.poll_timeout {
             PollTimeoutSpec::Config => {}
             PollTimeoutSpec::DelayScaled => {
@@ -217,17 +214,14 @@ impl Scenario {
                 ),
             });
         }
-        for window in spec.windows() {
-            if window.count > self.n {
-                return Err(ScenarioError::CrashSpecInvalid {
-                    reason: format!(
-                        "window {window} crashes {} nodes but the system only has {}",
-                        window.count, self.n
-                    ),
-                });
-            }
+        // Only `n` can make a spec unresolvable, the seed cannot: the
+        // victims drawn here are discarded.
+        match spec.resolve(self.n, 0) {
+            Ok(_) => Ok(()),
+            Err(err) => Err(ScenarioError::CrashSpecInvalid {
+                reason: err.to_string(),
+            }),
         }
-        Ok(())
     }
 
     /// Rejects a knowledge fraction outside `[0, 1]` (or `NaN`) in every
@@ -285,14 +279,15 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builds a phase-independent adversary (`none` / `silent[:t]`) for a
-    /// phase that fields nothing else, checking its budget.
+    /// Builds the phase-independent adversary (`silent[:t]`; `none` is a
+    /// budget of 0) for a phase that fields nothing else, checking its
+    /// budget.
     fn generic_adversary(
         &self,
         spec: &AdversarySpec,
         budget: usize,
         phase: &'static str,
-    ) -> Result<GenericAdversary, ScenarioError> {
+    ) -> Result<SilentAdversary, ScenarioError> {
         let adversary =
             spec.generic(budget)
                 .ok_or_else(|| ScenarioError::UnsupportedAdversary {

@@ -11,8 +11,8 @@ use fba_recovery::RecoveryConfig;
 use fba_samplers::GString;
 use fba_sim::rng::derive_rng;
 use fba_sim::{
-    EngineConfig, EngineSession, GenericAdversary, MetricsTotals, NetworkSpec, NullObserver,
-    Observer, Step,
+    EngineConfig, EngineSession, MetricsTotals, NetworkSpec, NullObserver, Observer,
+    SilentAdversary, Step,
 };
 use rand::Rng;
 
@@ -247,7 +247,7 @@ impl Scenario {
         }
     }
 
-    fn run_ae(&self, config: AeConfig, mut adversary: GenericAdversary, seed: u64) -> AeRun {
+    fn run_ae(&self, config: AeConfig, mut adversary: SilentAdversary, seed: u64) -> AeRun {
         let (rigged, value) = (&self.rigged, self.rigged_value);
         let outcome = run_ae_with(&config, seed, &mut adversary, rigged, value);
         AeRun { outcome, config }
@@ -256,7 +256,7 @@ impl Scenario {
     fn run_composed(
         &self,
         config: BaConfig,
-        mut ae_adversary: GenericAdversary,
+        mut ae_adversary: SilentAdversary,
         seed: u64,
     ) -> ComposedRun {
         let (report, ae, aer) = run_ba(
@@ -277,7 +277,7 @@ impl Scenario {
     fn run_baseline(
         &self,
         baseline: Baseline,
-        mut adversary: GenericAdversary,
+        mut adversary: SilentAdversary,
         engine: &EngineConfig,
         seed: u64,
     ) -> BaselineRun {

@@ -15,155 +15,29 @@
 //! transient in-memory state — for a window. Corrupt nodes appearing in a
 //! plan are ignored (the adversary already plays them).
 //!
-//! Validation mirrors the `sched:` window rules (see [`crate::Window`]):
-//! windows are closed, non-empty, ordered, and non-overlapping. Two extra
-//! rules are crash-specific: a window may not start at step 0 (every node
-//! must execute `on_start`, or no protocol state exists to checkpoint),
-//! and every window must name at least one node. An entirely *empty* plan
-//! (no outages) is permitted programmatically and is the engine's no-fault
-//! fast path: runs carrying one are bit-identical to runs with no plan at
-//! all, a pin the equivalence suite enforces.
-
-use std::fmt;
+//! The windows obey the outage rules of [`Windows::outages`] — closed,
+//! starting at step 1 or later (every node must execute `on_start`, or no
+//! protocol state exists to checkpoint), ordered, non-overlapping,
+//! non-empty — and every window names at least one node. An entirely
+//! *empty* plan (no outages) is permitted programmatically and is the
+//! engine's no-fault fast path: runs carrying one are bit-identical to
+//! runs with no plan at all, a pin the equivalence suite enforces.
 
 use crate::ids::{NodeId, Step};
+use crate::window::{Window, WindowError, Windows};
 
-/// Why a crash plan failed validation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CrashPlanError {
-    /// An outage window starts at step 0; crash windows must start at
-    /// step 1 or later so every node runs `on_start` first.
-    StartsAtZero {
-        /// Index of the offending outage.
-        index: usize,
-    },
-    /// An outage window is empty or inverted (`end <= start`).
-    EmptyWindow {
-        /// Index of the offending outage.
-        index: usize,
-        /// The window's start step.
-        start: Step,
-        /// The window's end step.
-        end: Step,
-    },
-    /// An outage names no nodes.
-    NoNodes {
-        /// Index of the offending outage.
-        index: usize,
-    },
-    /// An outage starts before the previous one ended (overlapping or
-    /// out-of-order windows).
-    Unordered {
-        /// Index of the offending outage.
-        index: usize,
-    },
-    /// An outage asks to crash more nodes than the system has (raised at
-    /// spec-resolution time, when the crash count meets a concrete `n`).
-    TooManyNodes {
-        /// Index of the offending outage.
-        index: usize,
-        /// Nodes the outage wanted to crash.
-        count: usize,
-        /// System size.
-        n: usize,
-    },
-}
-
-impl fmt::Display for CrashPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CrashPlanError::StartsAtZero { index } => write!(
-                f,
-                "crash window {index} starts at step 0; crash windows must start at step 1 or \
-                 later (every node runs on_start first)"
-            ),
-            CrashPlanError::EmptyWindow { index, start, end } => write!(
-                f,
-                "crash window {index} is empty: [{start}..{end}] must satisfy end > start"
-            ),
-            CrashPlanError::NoNodes { index } => {
-                write!(f, "crash window {index} crashes zero nodes")
-            }
-            CrashPlanError::Unordered { index } => write!(
-                f,
-                "crash window {index} starts before the previous window ended; windows must be \
-                 ordered and non-overlapping"
-            ),
-            CrashPlanError::TooManyNodes { index, count, n } => write!(
-                f,
-                "crash window {index} crashes {count} nodes but the system only has {n}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CrashPlanError {}
-
-/// One contiguous dark window: a set of nodes that crash at the start of
-/// step `start` and restart at the start of step `end`.
-///
-/// The window is half-open on the engine's step clock: the nodes miss
-/// every callback and delivery of steps `start..end` and run again from
-/// step `end` (restart happens before that step's regular callbacks).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrashOutage {
-    /// First dark step.
-    pub start: Step,
-    /// Restart step (exclusive end of the dark window).
-    pub end: Step,
-    /// The crashed nodes, sorted and deduplicated.
-    nodes: Vec<NodeId>,
-}
-
-impl CrashOutage {
-    /// Builds an outage, sorting and deduplicating `nodes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashPlanError::StartsAtZero`], [`CrashPlanError::EmptyWindow`],
-    /// or [`CrashPlanError::NoNodes`] (all reported with outage index 0;
-    /// [`CrashPlan::new`] rewrites indices for multi-outage plans).
-    pub fn new(start: Step, end: Step, mut nodes: Vec<NodeId>) -> Result<Self, CrashPlanError> {
-        if start == 0 {
-            return Err(CrashPlanError::StartsAtZero { index: 0 });
-        }
-        if end <= start {
-            return Err(CrashPlanError::EmptyWindow {
-                index: 0,
-                start,
-                end,
-            });
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        if nodes.is_empty() {
-            return Err(CrashPlanError::NoNodes { index: 0 });
-        }
-        Ok(CrashOutage { start, end, nodes })
-    }
-
-    /// The crashed nodes (sorted, deduplicated).
-    #[must_use]
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Number of dark steps (`end - start`).
-    #[must_use]
-    pub fn len_steps(&self) -> Step {
-        self.end - self.start
-    }
-}
-
-/// A validated sequence of [`CrashOutage`] windows, ordered and
-/// non-overlapping in time.
+/// A validated sequence of outages: per window, the nodes (sorted,
+/// deduplicated) that crash at the start of step `start` and restart at
+/// the start of step `end`. They miss every callback and delivery of
+/// steps `start..end` and run again from step `end` (restart happens
+/// before that step's regular callbacks).
 ///
 /// Carried into the engine via `EngineConfig::crash`; `None` and an empty
 /// plan are equivalent (and bit-identical — the engine treats both as the
 /// no-fault fast path).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrashPlan {
-    outages: Vec<CrashOutage>,
+    outages: Windows<Vec<NodeId>>,
 }
 
 impl CrashPlan {
@@ -173,28 +47,31 @@ impl CrashPlan {
         CrashPlan::default()
     }
 
-    /// Builds a plan from outages, validating global window order.
+    /// Builds a plan from `(window, crashed nodes)` pairs, sorting and
+    /// deduplicating each node list.
     ///
     /// # Errors
     ///
-    /// Returns [`CrashPlanError::Unordered`] when an outage starts before
-    /// the previous one ended (windows must be disjoint and sorted by
-    /// start).
-    pub fn new(outages: Vec<CrashOutage>) -> Result<Self, CrashPlanError> {
-        let mut prev_end: Step = 0;
-        for (index, outage) in outages.iter().enumerate() {
-            if outage.start < prev_end {
-                return Err(CrashPlanError::Unordered { index });
+    /// Whatever [`Windows::outages`] rejects, and an outage naming no
+    /// node.
+    pub fn new(mut outages: Vec<(Window, Vec<NodeId>)>) -> Result<Self, WindowError> {
+        for (w, nodes) in &mut outages {
+            nodes.sort_unstable();
+            nodes.dedup();
+            if nodes.is_empty() {
+                return Err(WindowError::Rule(format!("window {w} crashes zero nodes")));
             }
-            prev_end = outage.end;
         }
-        Ok(CrashPlan { outages })
+        Windows::outages(outages).map(|outages| CrashPlan { outages })
     }
 
-    /// The outages, in time order.
-    #[must_use]
-    pub fn outages(&self) -> &[CrashOutage] {
-        &self.outages
+    /// The outages, in time order: `(first dark step, restart step,
+    /// crashed nodes)`.
+    pub fn outages(&self) -> impl Iterator<Item = (Step, Step, &[NodeId])> + '_ {
+        self.outages.iter().map(|(w, nodes)| {
+            let end = w.end.expect("outage windows are closed");
+            (w.start, end, nodes.as_slice())
+        })
     }
 
     /// Whether the plan has no outages.
@@ -203,31 +80,14 @@ impl CrashPlan {
         self.outages.is_empty()
     }
 
-    /// The last restart step, or `None` for an empty plan. Runs shorter
-    /// than this never bring every crashed node back.
-    #[must_use]
-    pub fn last_restart(&self) -> Option<Step> {
-        self.outages.last().map(|o| o.end)
-    }
-
     /// The largest node index any outage names, or `None` for an empty
     /// plan. Engine runs reject plans naming nodes outside `0..n`.
     #[must_use]
     pub fn max_node_index(&self) -> Option<usize> {
         self.outages
             .iter()
-            .flat_map(|o| o.nodes.iter().map(|id| id.index()))
+            .flat_map(|(_, nodes)| nodes.iter().map(|id| id.index()))
             .max()
-    }
-
-    /// Total node-steps of darkness across all outages (each crashed node
-    /// contributes its window length).
-    #[must_use]
-    pub fn dark_node_steps(&self) -> u64 {
-        self.outages
-            .iter()
-            .map(|o| o.len_steps() * o.nodes.len() as u64)
-            .sum()
     }
 }
 
@@ -240,74 +100,39 @@ mod tests {
     }
 
     #[test]
-    fn outage_sorts_and_dedups_nodes() {
-        let o = CrashOutage::new(2, 5, ids(&[4, 1, 4, 2])).unwrap();
-        assert_eq!(o.nodes(), ids(&[1, 2, 4]).as_slice());
-        assert_eq!(o.len_steps(), 3);
-    }
-
-    #[test]
-    fn outage_rejects_step_zero_start() {
-        assert_eq!(
-            CrashOutage::new(0, 3, ids(&[1])),
-            Err(CrashPlanError::StartsAtZero { index: 0 })
-        );
-    }
-
-    #[test]
-    fn outage_rejects_empty_window() {
-        assert_eq!(
-            CrashOutage::new(5, 5, ids(&[1])),
-            Err(CrashPlanError::EmptyWindow {
-                index: 0,
-                start: 5,
-                end: 5
-            })
-        );
-        assert!(matches!(
-            CrashOutage::new(5, 3, ids(&[1])),
-            Err(CrashPlanError::EmptyWindow { .. })
-        ));
-    }
-
-    #[test]
-    fn outage_rejects_zero_nodes() {
-        assert_eq!(
-            CrashOutage::new(1, 2, vec![]),
-            Err(CrashPlanError::NoNodes { index: 0 })
-        );
-    }
-
-    #[test]
-    fn plan_accepts_ordered_disjoint_windows() {
+    fn plan_sorts_and_dedups_nodes_and_reads_back_in_time_order() {
         let plan = CrashPlan::new(vec![
-            CrashOutage::new(1, 4, ids(&[0])).unwrap(),
-            CrashOutage::new(4, 6, ids(&[1])).unwrap(),
-            CrashOutage::new(9, 12, ids(&[0, 1])).unwrap(),
+            (Window::bounded(1, 4), ids(&[4, 1, 4, 2])),
+            (Window::bounded(4, 6), ids(&[1])),
+            (Window::bounded(9, 12), ids(&[0, 1])),
         ])
         .unwrap();
-        assert_eq!(plan.outages().len(), 3);
-        assert_eq!(plan.last_restart(), Some(12));
-        assert_eq!(plan.max_node_index(), Some(1));
-        assert_eq!(plan.dark_node_steps(), 3 + 2 + 2 * 3);
+        let outages: Vec<_> = plan.outages().collect();
+        assert_eq!(outages[0], (1, 4, ids(&[1, 2, 4]).as_slice()));
+        assert_eq!(outages[1], (4, 6, ids(&[1]).as_slice()));
+        assert_eq!(outages[2], (9, 12, ids(&[0, 1]).as_slice()));
+        assert_eq!(plan.max_node_index(), Some(4));
     }
 
     #[test]
-    fn plan_rejects_overlap() {
-        let result = CrashPlan::new(vec![
-            CrashOutage::new(1, 5, ids(&[0])).unwrap(),
-            CrashOutage::new(4, 8, ids(&[1])).unwrap(),
-        ]);
-        assert_eq!(result, Err(CrashPlanError::Unordered { index: 1 }));
+    fn plan_adds_one_rule_to_the_outage_windows() {
+        // The window rules are `Windows::outages`' (see `window.rs`)…
+        assert_eq!(
+            CrashPlan::new(vec![(Window::bounded(0, 3), ids(&[1]))]),
+            Err(WindowError::StartsAtZero(Window::bounded(0, 3)))
+        );
+        // …and an outage names a node.
+        assert!(matches!(
+            CrashPlan::new(vec![(Window::bounded(1, 2), vec![])]),
+            Err(WindowError::Rule(_))
+        ));
     }
 
     #[test]
     fn empty_plan_is_the_no_fault_baseline() {
         let plan = CrashPlan::empty();
         assert!(plan.is_empty());
-        assert_eq!(plan.last_restart(), None);
         assert_eq!(plan.max_node_index(), None);
-        assert_eq!(plan.dark_node_steps(), 0);
         assert_eq!(plan, CrashPlan::new(vec![]).unwrap());
     }
 }

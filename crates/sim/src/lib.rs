@@ -105,12 +105,11 @@
 //!   *logical* messages: a batch of `k` counts `k` messages and `k×`
 //!   bits. There is no switch: on a step whose
 //!   schedule the adversary made non-uniform every delivery is keyed
-//!   because the engine sees that it is, and a batch stays a batch —
-//!   whole when its envelopes share one `(delay, priority)`, as one
-//!   sub-batch per key otherwise. The reference orders envelopes by
-//!   `(due, priority, send sequence)`, and a callback's outbox is
-//!   contiguous in send order, so within one `(due, priority)` class a
-//!   sub-batch sits exactly where its envelopes would.
+//!   because the engine sees that it is, and a batch whose envelopes
+//!   share one `(delay, priority)` stays a batch (every batch of every
+//!   shipped strategy does); one whose envelopes do not is keyed
+//!   envelope by envelope, which is the reference order, `(due,
+//!   priority, send sequence)`.
 //!   The pin is the reference engine, which never batches — full
 //!   [`Metrics`] equality, outputs and transcripts over every adversary
 //!   spec × network × crash cell (`tests/engine_differential.rs` in the
@@ -170,7 +169,7 @@
 //! next to clippy). The sanctioned sites live in this crate: [`fxhash`]
 //! is the D1 hasher, [`rng`] the D4 seed splits, and [`tuning`] the D5
 //! `unsafe` allowlist. See the README's "Static guarantees" section for
-//! the rule table and waiver syntax.
+//! the rule table.
 //!
 //! ## Quick example
 //!
@@ -223,18 +222,16 @@ mod protocol;
 pub mod rng;
 mod spec;
 pub mod tuning;
+mod window;
 
 pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdversary};
-pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
+pub use crash::CrashPlan;
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Envelope, Runs, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};
 pub use observer::{DecisionLog, FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};
-pub use spec::{
-    AdversarySpec, GenericAdversary, NetworkSpec, ParseSpecError, ScheduleError, ScheduleSpec,
-    Window, DEFAULT_CORNER_SCAN, DEFAULT_EQUIVOCATE_STRINGS, DEFAULT_FLOOD_RATE,
-    DEFAULT_FLOOD_STEPS, DEFAULT_PULL_FLOOD_RATE,
-};
+pub use spec::{AdversarySpec, NetworkSpec, ParseSpecError, ScheduleSpec};
 pub use tuning::tune_allocator_for_bulk;
+pub use window::{Window, WindowError, Windows};

@@ -242,54 +242,6 @@ pub(crate) struct Batch<M> {
 }
 
 impl<M> Batch<M> {
-    /// Splits the batch by a per-message key — `keys[i]` is the key of
-    /// the `i`-th message in send order — into one sub-batch per distinct
-    /// key, in order of first appearance, each holding its messages in
-    /// send order on storage from `pool`, which gets this batch's own in
-    /// return. A run is cut where its keys differ and its pieces stay
-    /// runs, told apart by the run they come from; a piece costs one
-    /// payload clone.
-    pub(crate) fn split<K: Copy + PartialEq>(
-        self,
-        keys: &[K],
-        pool: &mut Vec<Runs<M>>,
-    ) -> Vec<(K, Batch<M>)>
-    where
-        M: Clone,
-    {
-        debug_assert_eq!(keys.len(), self.body.len());
-        let mut parts: Vec<(K, Batch<M>)> = Vec::new();
-        // Per part, the source run its last run was cut from.
-        let mut cut_from: Vec<usize> = Vec::new();
-        let mut keys = keys;
-        for (source, (msg, recipients)) in self.body.runs().enumerate() {
-            let (own, rest) = keys.split_at(recipients.len());
-            keys = rest;
-            for (&to, &key) in recipients.iter().zip(own) {
-                let at = parts.iter().position(|(of, _)| *of == key);
-                let at = at.unwrap_or_else(|| {
-                    let part = Batch {
-                        from: self.from,
-                        sent_at: self.sent_at,
-                        body: Runs::recycled(pool),
-                    };
-                    parts.push((key, part));
-                    cut_from.push(usize::MAX);
-                    parts.len() - 1
-                });
-                let part = &mut parts[at].1.body;
-                match part.runs.last_mut() {
-                    Some((count, _)) if cut_from[at] == source => *count += 1,
-                    _ => part.runs.push((1, msg.clone())),
-                }
-                cut_from[at] = source;
-                part.to.push(to);
-            }
-        }
-        pool.push(self.body);
-        parts
-    }
-
     /// Expands the batch into the per-message [`Envelope`] view, in send
     /// order — the representation observers, transcripts, and rushing
     /// adversaries are shown.
@@ -434,28 +386,6 @@ pub(crate) mod tests {
         assert_eq!(shape(&first), [(1, vec![1, 2])]);
         assert_eq!(shape(&second), [(2, vec![3]), (3, vec![4, 5])]);
         assert_eq!((shared.len(), shared.run_count()), (0, 0));
-    }
-
-    #[test]
-    fn split_cuts_runs_by_key_and_keeps_send_order() {
-        // Runs 7×3, 9×1, 7×1; the first is cut in the middle.
-        let b = batch(5, 2, &[(7, &[1, 2, 3]), (9, &[4]), (7, &[6])]);
-        let mut pool = vec![Runs::new()];
-        let parts = b.split(&['a', 'b', 'a', 'a', 'b'], &mut pool);
-        assert_eq!(
-            pool.len(),
-            1,
-            "one storage pair taken, the batch's own returned"
-        );
-        assert_eq!(parts.len(), 2);
-        assert!(parts
-            .iter()
-            .all(|(_, part)| (part.from.index(), part.sent_at) == (5, 2)));
-        assert_eq!(parts[0].0, 'a');
-        assert_eq!(shape(&parts[0].1.body), [(7, vec![1, 3]), (9, vec![4])]);
-        // Pieces cut from different runs stay two runs.
-        assert_eq!(parts[1].0, 'b');
-        assert_eq!(shape(&parts[1].1.body), [(7, vec![2]), (7, vec![6])]);
     }
 
     #[test]

@@ -291,12 +291,6 @@ impl Metrics {
         self.msgs_recv[node.index()]
     }
 
-    /// Load summary of bits *sent* across correct nodes.
-    #[must_use]
-    pub fn sent_load(&self) -> LoadSummary {
-        LoadSummary::from_values(self.correct_ids().map(|id| self.bits_sent[id.index()]))
-    }
-
     /// Load summary of bits *received* across correct nodes.
     ///
     /// Receive-side load is where AER gives up load-balancing: the adversary
@@ -305,12 +299,6 @@ impl Metrics {
     #[must_use]
     pub fn recv_load(&self) -> LoadSummary {
         LoadSummary::from_values(self.correct_ids().map(|id| self.bits_recv[id.index()]))
-    }
-
-    /// Load summary of messages received across correct nodes.
-    #[must_use]
-    pub fn recv_msg_load(&self) -> LoadSummary {
-        LoadSummary::from_values(self.correct_ids().map(|id| self.msgs_recv[id.index()]))
     }
 
     /// Number of correct nodes that decided in this run.
@@ -506,11 +494,11 @@ mod tests {
     #[test]
     fn load_summary_basics() {
         let mut m = Metrics::new(4, &BTreeSet::new());
-        m.record_send(id(0), 10);
-        m.record_send(id(1), 10);
-        m.record_send(id(2), 10);
-        m.record_send(id(3), 70);
-        let s = m.sent_load();
+        m.record_recv(id(0), 10);
+        m.record_recv(id(1), 10);
+        m.record_recv(id(2), 10);
+        m.record_recv(id(3), 70);
+        let s = m.recv_load();
         assert_eq!(s.max, 70);
         assert!((s.mean - 25.0).abs() < 1e-12);
         assert!((s.imbalance - 2.8).abs() < 1e-12);

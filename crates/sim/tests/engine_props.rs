@@ -172,8 +172,8 @@ mod step_table {
     use std::rc::Rc;
 
     use fba_sim::{
-        run_observed, Adversary, Context, CrashOutage, CrashPlan, EngineConfig, Envelope,
-        NoAdversary, NodeId, Observer, Outbox, Protocol, Step,
+        run_observed, Adversary, Context, CrashPlan, EngineConfig, Envelope, NoAdversary, NodeId,
+        Observer, Outbox, Protocol, Step, Window,
     };
     use rand_chacha::ChaCha12Rng;
 
@@ -297,7 +297,7 @@ mod step_table {
             .collect();
         for reference in [false, true] {
             let log = Log::default();
-            let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(1)]).expect("valid window");
+            let dark = (Window::bounded(1, 2), vec![NodeId::from_index(1)]);
             let cfg = EngineConfig {
                 max_steps: 12,
                 crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
@@ -481,7 +481,7 @@ mod step_table {
         let expected: Vec<&str> = expected.split_whitespace().collect();
         for reference in [false, true] {
             let log = Log::default();
-            let dark = CrashOutage::new(1, 2, vec![NodeId::from_index(2)]).expect("valid window");
+            let dark = (Window::bounded(1, 2), vec![NodeId::from_index(2)]);
             let cfg = EngineConfig {
                 crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
                 ..EngineConfig::sync(4)
@@ -542,8 +542,8 @@ mod differential {
 
     use fba_sim::rng::splitmix64;
     use fba_sim::{
-        choose_corrupt, run_session, Adversary, Context, CrashOutage, CrashPlan, EngineConfig,
-        EngineSession, Envelope, NodeId, Observer, Outbox, Protocol, Step,
+        choose_corrupt, run_session, Adversary, Context, CrashPlan, EngineConfig, EngineSession,
+        Envelope, NodeId, Observer, Outbox, Protocol, Step, Window,
     };
     use proptest::prelude::*;
     use rand::Rng;
@@ -758,7 +758,7 @@ mod differential {
                 let start = at + gap;
                 at = start + len;
                 let node = |j| NodeId::from_index((salt as usize % n + 5 * i + 3 * j) % n);
-                CrashOutage::new(start, at, (0..k).map(node).collect()).expect("valid window")
+                (Window::bounded(start, at), (0..k).map(node).collect())
             });
             let mut cfg = EngineConfig {
                 max_steps: 24,

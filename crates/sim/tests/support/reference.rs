@@ -109,16 +109,16 @@ where
     loop {
         let step = run.step;
         // 1. Restarts, then new crashes, outage by outage.
-        for outage in cfg.crash.iter().flat_map(CrashPlan::outages) {
-            if outage.end == step {
-                for &id in outage.nodes() {
+        for (start, end, nodes) in cfg.crash.iter().flat_map(CrashPlan::outages) {
+            if end == step {
+                for &id in nodes {
                     if run.dark.remove(&id) {
                         run.callback(id, |node, ctx| node.on_restart(ctx));
                     }
                 }
             }
-            if outage.start == step {
-                for &id in outage.nodes() {
+            if start == step {
+                for &id in nodes {
                     if let Some(node) = run.nodes[id.index()].as_mut() {
                         run.dark.insert(id);
                         node.on_crash(step);

@@ -150,6 +150,6 @@ pub use fba_scenario as scenario;
 pub use fba_sim as sim;
 
 pub use fba_bench::{Agg, Battery, Report, SeedPolicy};
-pub use fba_recovery::{CrashSpec, CrashWindow, RejoinReport};
+pub use fba_recovery::{CrashSpec, RejoinReport};
 pub use fba_scenario::{Baseline, Phase, PreconditionSpec, Scenario, ScenarioOutcome};
 pub use fba_sim::{AdversarySpec, NetworkSpec, ScheduleSpec, Window};

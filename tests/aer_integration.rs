@@ -5,9 +5,9 @@
 
 use fba::ae::UnknowingAssignment;
 use fba::core::trace::WaveCounter;
-use fba::core::AerNode;
+use fba::core::{AerHarness, AerNode};
 use fba::scenario::{Phase, PollTimeoutSpec, Scenario};
-use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NodeId};
+use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NoAdversary, NodeId};
 
 fn scenario(n: usize, knowing: f64, mode: UnknowingAssignment) -> Scenario {
     Scenario::new(n).phase(Phase::aer_with(knowing, mode))
@@ -75,25 +75,26 @@ fn scale_aware_schedule_preserves_small_n_outcomes() {
     // be outcome-equivalent to the legacy fixed schedule: same decision
     // values at every node, and no slower to full decision.
     for n in [32, 64, 128, 256] {
-        let new_out = scenario(n, 0.8, UnknowingAssignment::RandomPerNode)
-            .run(1)
-            .expect("valid scenario")
-            .into_aer();
-        let legacy_out = scenario(n, 0.8, UnknowingAssignment::RandomPerNode)
+        let base = scenario(n, 0.8, UnknowingAssignment::RandomPerNode);
+        let new_out = base.run(1).expect("valid scenario").into_aer();
+        // The legacy schedule has no scenario knob: it is the derived
+        // config with eager repair off, run on the same precondition.
+        let mut legacy = base
             .poll_timeout(PollTimeoutSpec::Fixed(8))
-            .eager_repair(false)
-            .run(1)
-            .expect("valid scenario")
-            .into_aer();
+            .aer_config()
+            .expect("valid scenario");
+        legacy.eager_repair = false;
+        let harness = AerHarness::from_precondition(legacy, &new_out.precondition);
+        let legacy_out = harness.run(&harness.engine_sync(), 1, &mut NoAdversary);
         assert_eq!(
-            new_out.run.outputs, legacy_out.run.outputs,
+            new_out.run.outputs, legacy_out.outputs,
             "n={n}: decision values diverged from the legacy schedule"
         );
         assert!(
-            new_out.run.all_decided_at <= legacy_out.run.all_decided_at,
+            new_out.run.all_decided_at <= legacy_out.all_decided_at,
             "n={n}: scale-aware schedule slower than legacy ({:?} vs {:?})",
             new_out.run.all_decided_at,
-            legacy_out.run.all_decided_at
+            legacy_out.all_decided_at
         );
     }
 }

@@ -21,8 +21,8 @@ use fba::core::{AerConfig, AerHarness};
 use fba::recovery::{CrashSpec, RecoveryConfig};
 use fba::sim::rng::{derive_rng, instance_seed};
 use fba::sim::{
-    run_observed, AdversarySpec, EngineConfig, EngineSession, GenericAdversary, NetworkSpec,
-    NodeId, NullObserver, Protocol, SilentAdversary, Step,
+    run_observed, AdversarySpec, EngineConfig, EngineSession, NetworkSpec, NodeId, NullObserver,
+    Protocol, SilentAdversary, Step,
 };
 use rand::Rng;
 
@@ -182,7 +182,7 @@ fn assert_run_matches_reference<P: Protocol>(
         record_transcript: true,
         ..EngineConfig::sync(64)
     };
-    let silent = || GenericAdversary::Silent(SilentAdversary::new(t));
+    let silent = || SilentAdversary::new(t);
     let got = run_observed(&engine, 9, &mut silent(), &node, &mut NullObserver);
     let want = reference_run(&engine, 9, 9, &mut silent(), &node, &mut NullObserver);
     assert_same_outcome(label, &got, &want);
