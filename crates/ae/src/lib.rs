@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod harness;
 mod precondition;

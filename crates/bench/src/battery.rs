@@ -819,6 +819,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "D2: a run counter the cells share")]
     fn one_grid_renders_any_number_of_reports() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static RUNS: AtomicUsize = AtomicUsize::new(0);

@@ -23,6 +23,8 @@
 //! axis or metric, a scenario the builder refuses, an unwritable
 //! `--json` path — is an `error:` line, the usage text and exit code 1,
 //! printed in one place (`main`).
+#![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "D3: the `ran in` footers")]
 
 use std::process::ExitCode;
 use std::str::FromStr;

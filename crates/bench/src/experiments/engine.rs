@@ -11,8 +11,6 @@
 //! Lemma 4 quantity) so a perf change that also distorts protocol state
 //! shows up in the same table.
 
-use std::time::Instant;
-
 use fba_core::AerNode;
 use fba_scenario::Scenario;
 use fba_sim::{AdversarySpec, FinalInspect, NodeId};
@@ -63,6 +61,7 @@ struct Cell {
     peak_rss_mb: Option<f64>,
 }
 
+#[expect(clippy::disallowed_types, reason = "D3: bench-engine's timed runs")]
 fn run_cell(n: usize, with_faults: bool, seed: u64) -> Cell {
     let mut scenario = Scenario::new(n);
     if with_faults {
@@ -73,7 +72,7 @@ fn run_cell(n: usize, with_faults: bool, seed: u64) -> Cell {
         peak = peak.max(node.candidates().len());
     });
     reset_peak_rss();
-    let started = Instant::now();
+    let started = std::time::Instant::now();
     let out = scenario
         .run_observed(seed, &mut inspect)
         .expect("bench scenario")

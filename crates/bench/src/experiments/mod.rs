@@ -187,4 +187,80 @@ mod tests {
             assert!(!ALL_IDS[..i].contains(id), "`{id}` is registered twice");
         }
     }
+
+    /// Appends `[file, attribute, rule]` for every lint exemption in the
+    /// `.rs` files under `dir`: an `expect`/`allow` attribute naming a
+    /// `clippy::disallowed_*` lint or `unsafe_code`, written without its
+    /// reason, and the rule its `reason = "Dn: …"` names.
+    fn collect_exemptions(
+        root: &std::path::Path,
+        dir: &std::path::Path,
+        out: &mut Vec<[String; 3]>,
+    ) {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("readable directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .collect();
+        paths.sort();
+        for path in paths {
+            if path.is_dir() {
+                collect_exemptions(root, &path, out);
+                continue;
+            }
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let file = path.strip_prefix(root).expect("under the root");
+            for kind in ["expect(", "allow("] {
+                for (at, _) in text.match_indices(kind) {
+                    if !(text[..at].ends_with("#[") || text[..at].ends_with("#![")) {
+                        continue;
+                    }
+                    let body = &text[at + kind.len()..];
+                    let body = body[..body.find(")]").expect("attribute closes")]
+                        .split_whitespace()
+                        .collect::<Vec<_>>()
+                        .join(" ");
+                    let (lints, reason) = body.split_once(", reason = \"").unwrap_or((&body, ""));
+                    if lints.contains("clippy::disallowed_") || lints.contains("unsafe_code") {
+                        let rule = reason.split(':').next().unwrap_or_default();
+                        out.push([
+                            file.display().to_string(),
+                            format!("{kind}{lints})"),
+                            rule.into(),
+                        ]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn readme_lists_every_lint_exemption() {
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut found = Vec::new();
+        for dir in ["src", "tests", "examples", "crates", "shims"] {
+            collect_exemptions(root, &root.join(dir), &mut found);
+        }
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let table = readme
+            .split_once("\n| site | attribute | rule | what |\n|---|---|---|---|\n")
+            .expect("README's exemption table")
+            .1;
+        let mut listed: Vec<[String; 3]> = table
+            .lines()
+            .take_while(|line| line.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<_> = row.split('|').map(|c| c.trim().replace('`', "")).collect();
+                [cells[1].clone(), cells[2].clone(), cells[3].clone()]
+            })
+            .collect();
+        found.sort();
+        listed.sort();
+        assert_eq!(
+            found, listed,
+            "README's exemption table is not the workspace's exemptions"
+        );
+    }
 }

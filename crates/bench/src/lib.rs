@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod battery;
 pub mod experiments;

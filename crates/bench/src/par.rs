@@ -14,6 +14,8 @@
 //! `FBA_THREADS` overrides the worker count (`FBA_THREADS=1` forces
 //! serial execution); the equivalence test `tests/par_equiv.rs` asserts
 //! parallel output == serial output element for element.
+#![expect(clippy::disallowed_types, reason = "D2: the sweep fan-out")]
+#![expect(clippy::disallowed_methods, reason = "D2, D6: threads, FBA_THREADS")]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -10,6 +10,7 @@
 use fba_bench::json::Value;
 use fba_bench::{run_experiments, Scope, ALL_IDS};
 
+#[expect(clippy::disallowed_methods, reason = "D6: UPDATE_GOLDEN blesses")]
 fn assert_pinned(id: &str, extension: &str, actual: &str) {
     let path = format!(
         "{}/tests/golden/{id}.{extension}",

@@ -24,6 +24,7 @@ fn render(ids: &[&str]) -> Vec<String> {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "D6: sets the worker count")]
 fn parallel_execution_is_bit_identical_to_serial() {
     // --- par_map preserves input order under real thread contention ---
     std::env::set_var("FBA_THREADS", "8");

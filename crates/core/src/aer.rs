@@ -319,7 +319,6 @@ impl AerHarness {
             poll_timeout: self.cfg.poll_timeout,
             poll_attempts: self.cfg.poll_attempts,
             repair_attempts: self.cfg.repair_attempts,
-            eager_repair: self.cfg.eager_repair,
         }
     }
 

@@ -55,17 +55,13 @@ pub struct AerConfig {
     /// after exhausting its polls (0 = disabled / strict paper mode).
     /// Repair queries ask a fresh poll list for its members' decisions and
     /// adopt a strict-majority value — the same safety argument as
-    /// Lemma 7.
+    /// Lemma 7. The first query also fires, concurrently with the
+    /// remaining retries, as soon as every poll has run a full
+    /// `poll_timeout` without a single answer: that is the signature of
+    /// an unverifiable candidate (typically a push majority that never
+    /// crossed), which label redraws cannot fix, and it is what makes
+    /// fault-free decision latency O(1) retry waves at every `n`.
     pub repair_attempts: u32,
-    /// Escalate to the first repair query as soon as every poll has run a
-    /// full `poll_timeout` without receiving a single answer, concurrently
-    /// with the remaining retries, instead of serializing all
-    /// `poll_attempts` first. Zero answers after a full delivery horizon
-    /// is the signature of an unverifiable candidate (typically a push
-    /// majority that never crossed), which label redraws cannot fix; this
-    /// knob is what makes fault-free decision latency O(1) retry waves at
-    /// every `n`. Ignored when `repair_attempts = 0`.
-    pub eager_repair: bool,
 }
 
 impl AerConfig {
@@ -94,7 +90,6 @@ impl AerConfig {
             poll_timeout: Self::sync_poll_horizon(),
             poll_attempts: 3,
             repair_attempts: 4,
-            eager_repair: true,
         };
         cfg.validate().expect("recommended config must be valid");
         cfg
@@ -123,7 +118,6 @@ impl AerConfig {
     pub fn strict(mut self) -> Self {
         self.poll_attempts = 1;
         self.repair_attempts = 0;
-        self.eager_repair = false;
         self
     }
 
@@ -440,7 +434,6 @@ mod tests {
         let cfg = AerConfig::recommended(64).strict();
         assert_eq!(cfg.poll_attempts, 1);
         assert_eq!(cfg.repair_attempts, 0);
-        assert!(!cfg.eager_repair);
         assert!(cfg.validate().is_ok(), "strict mode must stay valid");
     }
 
@@ -451,7 +444,6 @@ mod tests {
         for n in [8, 64, 1024, 4096, 16384] {
             let cfg = AerConfig::recommended(n);
             assert_eq!(cfg.poll_timeout, AerConfig::sync_poll_horizon(), "n={n}");
-            assert!(cfg.eager_repair, "n={n}");
         }
     }
 

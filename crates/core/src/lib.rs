@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod adversary;
 mod aer;

@@ -67,19 +67,16 @@ pub struct RetryPolicy {
     pub poll_timeout: Step,
     /// Total poll attempts per candidate (1 = paper behaviour).
     pub poll_attempts: u32,
-    /// Last-resort repair queries after all polls are exhausted
-    /// (0 = disabled).
+    /// Last-resort repair queries (0 = disabled). The first one fires once
+    /// all polls are exhausted, or as soon as every poll has gone one full
+    /// `poll_timeout` without a single answer. Retrying a poll only helps
+    /// when *some* answers arrived (a routing hiccup); zero answers after
+    /// a full delivery horizon means the candidate is likely unverifiable
+    /// (e.g. its push majority never crossed), and only repair can resolve
+    /// that. Repair is safe to run concurrently with retries — it adopts a
+    /// strict-majority decision of a fresh poll list, the Lemma 7
+    /// argument.
     pub repair_attempts: u32,
-    /// Escalate to the first repair query as soon as every poll has gone
-    /// one full `poll_timeout` without a single answer, instead of waiting
-    /// for all `poll_attempts` to exhaust first. Retrying a poll only
-    /// helps when *some* answers arrived (a routing hiccup); zero answers
-    /// after a full delivery horizon means the candidate is likely
-    /// unverifiable (e.g. its push majority never crossed), and only
-    /// repair can resolve that. Repair remains safe to run concurrently
-    /// with retries — it adopts a strict-majority decision of a fresh poll
-    /// list, the Lemma 7 argument.
-    pub eager_repair: bool,
 }
 
 impl RetryPolicy {
@@ -90,7 +87,6 @@ impl RetryPolicy {
             poll_timeout: Step::MAX,
             poll_attempts: 1,
             repair_attempts: 0,
-            eager_repair: false,
         }
     }
 }
@@ -117,7 +113,7 @@ pub struct PullPhase {
     // --- requester (Algorithm 1) ---
     own_polls: FxHashMap<StringKey, OwnPoll>,
     /// Valid poll answers ever received, across all polls and attempts —
-    /// drives the eager-repair escalation (see [`RetryPolicy`]).
+    /// drives the silent-horizon repair escalation (see [`RetryPolicy`]).
     answers_seen: u64,
 
     // --- router (Algorithm 2) ---
@@ -246,8 +242,8 @@ impl PullPhase {
 
     /// Timeout processing (liveness extensions): retries stalled polls
     /// with fresh labels, then falls back to repair queries — once all
-    /// polls are exhausted, or (with [`RetryPolicy::eager_repair`]) as
-    /// soon as a full timeout passed without any answer at all. Call once
+    /// polls are exhausted, or as soon as a full timeout passed without
+    /// any answer at all (see [`RetryPolicy::repair_attempts`]). Call once
     /// per step.
     pub fn on_step(&mut self, ctx: &mut Context<'_, AerMsg>) {
         if self.decided.is_some() {
@@ -275,12 +271,11 @@ impl PullPhase {
             }
         }
         // Last resort: ask a fresh poll list what its members decided.
-        // With eager repair, the first query launches alongside ongoing
-        // retries when a full delivery horizon produced zero answers —
-        // the signature of an unverifiable candidate, which no number of
-        // label redraws can fix (see `RetryPolicy::eager_repair`).
-        let escalate = all_exhausted
-            || (self.retry.eager_repair && self.answers_seen == 0 && all_expired_once);
+        // The first query launches alongside ongoing retries when a full
+        // delivery horizon produced zero answers — the signature of an
+        // unverifiable candidate, which no number of label redraws can
+        // fix.
+        let escalate = all_exhausted || (self.answers_seen == 0 && all_expired_once);
         if escalate
             && self.repair_used < self.retry.repair_attempts
             && (self.repair_used == 0 || step.saturating_sub(self.repair_last) >= timeout)
@@ -1049,7 +1044,6 @@ mod tests {
             poll_timeout: 4,
             poll_attempts: 3,
             repair_attempts: 0,
-            eager_repair: false,
         };
         let mut p = phase_with_retry(2, gs(0), 64, 5, retry);
         let mut hand = hand(&p, 64);
@@ -1092,7 +1086,6 @@ mod tests {
             poll_timeout: 2,
             poll_attempts: 1,
             repair_attempts: 2,
-            eager_repair: false,
         };
         let n = 64;
         let d = 5;
@@ -1128,7 +1121,6 @@ mod tests {
             poll_timeout: 1,
             poll_attempts: 1,
             repair_attempts: 1,
-            eager_repair: false,
         };
         let n = 64;
         let d = 5;

@@ -263,7 +263,6 @@ fn repair_votes_require_distinct_members_and_matching_string() {
         poll_timeout: 1,
         poll_attempts: 1,
         repair_attempts: 1,
-        eager_repair: false,
     };
     let (scheme, poll, g, bad) = setup();
     let state = AerRunState::new(scheme, poll);

@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod checkpoint;
 pub mod rejoin;

@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod cache;
 mod poll;

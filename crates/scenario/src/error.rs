@@ -84,6 +84,13 @@ pub enum ScenarioError {
         /// The requested fraction.
         knowing: f64,
     },
+    /// A [`Scenario::inputs`](crate::Scenario::inputs) override of the wrong length.
+    InputsLength {
+        /// Entries in the override.
+        len: usize,
+        /// The system size.
+        n: usize,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -140,6 +147,9 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::KnowingOutOfRange { knowing } => {
                 write!(f, "knowledge fraction {knowing} is outside [0, 1]")
+            }
+            ScenarioError::InputsLength { len, n } => {
+                write!(f, "binary input override has {len} entries for n = {n}")
             }
         }
     }

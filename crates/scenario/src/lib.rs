@@ -21,8 +21,8 @@
 //! ```
 //!
 //! A scenario is **resolved once**. One private resolver (`plan.rs`)
-//! checks the system size, the crash schedule, whether the phase can
-//! field the adversary, the derived [`fba_core::AerConfig`], every
+//! checks the system size, the crash schedule, the inputs' length, whether
+//! the phase can field the adversary, the derived [`fba_core::AerConfig`], every
 //! corruption budget (against `n` and, across `sched:` windows, against
 //! each other) and the delay bound, and builds whatever does not depend
 //! on the seed. [`Scenario::validate`] *is* that resolver and every run
@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod error;
 mod outcome;
@@ -287,7 +288,7 @@ impl Scenario {
     }
 
     /// Overrides the per-node binary inputs of the Ben-Or / Phase-King
-    /// baselines (defaults are seed-derived draws; see [`Baseline`]).
+    /// baselines, one per node (defaults are seed-derived draws; see [`Baseline`]).
     #[must_use]
     pub fn inputs(mut self, inputs: Vec<bool>) -> Self {
         self.inputs = Some(inputs);

@@ -47,6 +47,10 @@ impl Scenario {
         self.check_scale()?;
         self.check_crash()?;
         self.check_knowing()?;
+        let len = self.inputs.as_ref().map_or(self.n, Vec::len);
+        if len != self.n {
+            return Err(ScenarioError::InputsLength { len, n: self.n });
+        }
         // What the AER and composed phases share: the derived config, the
         // AER-phase adversary's budgets, and the delay bound.
         let aer = || -> Result<(AerConfig, usize), ScenarioError> {
@@ -657,6 +661,13 @@ mod tests {
             Scenario::new(64)
                 .phase(Phase::Composed)
                 .ae_adversary(spec("silent:100")),
+            // A binary input override that is not one input per node.
+            Scenario::new(16)
+                .phase(Phase::Baseline(Baseline::PhaseKing))
+                .inputs(vec![true; 3]),
+            Scenario::new(16)
+                .phase(Phase::Baseline(Baseline::BenOr { bias: 0.5 }))
+                .inputs(vec![true; 17]),
         ];
         // Budgets above n and delay bounds the run cannot outlast, in
         // every phase.

@@ -459,6 +459,18 @@ mod tests {
     }
 
     #[test]
+    fn baseline_inputs_of_the_wrong_length_are_rejected_not_indexed() {
+        for baseline in [Baseline::PhaseKing, Baseline::BenOr { bias: 0.5 }] {
+            let scenario = Scenario::new(16)
+                .phase(Phase::Baseline(baseline))
+                .inputs(vec![true; 3]);
+            let err = scenario.run(1).map(drop).unwrap_err();
+            assert_eq!(scenario.validate(), Err(err.clone()));
+            assert!(err.to_string().contains("3 entries for n = 16"), "{err}");
+        }
+    }
+
+    #[test]
     fn ae_phase_runs_and_reports_knowledge() {
         let run = Scenario::new(64)
             .phase(Phase::Ae)

@@ -13,6 +13,7 @@
 //! same pointer width. Code that *iterates* a map must still iterate in a
 //! sorted or insertion order if the iteration feeds protocol decisions —
 //! the same rule that already applied under SipHash's random keys.
+#![expect(clippy::disallowed_types, reason = "D1: wraps std's maps")]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -161,15 +161,17 @@
 //! ### Static enforcement
 //!
 //! The pins above *sample* the contract per seed. Its preconditions —
-//! no randomized-hasher containers in deterministic crates, no wall
-//! clock or ad-hoc RNG construction, parallelism only behind the
-//! sanctioned sweep fan-out, one audited `unsafe` site, no ambient
-//! `env::var` reads — are *statically enforced* on every shipped line
-//! by the `paperlint` pass (crate `fba-lint`, rules D1–D7, run in CI
-//! next to clippy). The sanctioned sites live in this crate: [`fxhash`]
-//! is the D1 hasher, [`rng`] the D4 seed splits, and [`tuning`] the D5
-//! `unsafe` allowlist. See the README's "Static guarantees" section for
-//! the rule table.
+//! no randomized-hasher containers, no wall clock or ad-hoc RNG
+//! construction, parallelism only behind the sanctioned sweep fan-out,
+//! one audited `unsafe` site, no ambient `env::var` reads — are rules
+//! D1–D7, *statically enforced* by the compiler: the workspace
+//! `clippy.toml` disallows the paths, rustc's `unsafe_code` and clippy's
+//! `print_stdout` lints are set in every crate root, and CI runs clippy
+//! with `-D warnings`. Three exemptions live in this crate, each an
+//! `expect`/`allow` at its site: [`fxhash`] is the D1 hasher, [`rng`]
+//! the D4 seed splits, and [`tuning`] the D5 `unsafe` site. See the
+//! README's "Static guarantees" section for the rule and exemption
+//! tables.
 //!
 //! ## Quick example
 //!
@@ -202,12 +204,12 @@
 //! assert_eq!(out.outputs[&NodeId::from_index(0)], 7);
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the audited
-// glibc `mallopt` binding in [`tuning`], which carries its own
-// `allow(unsafe_code)` and SAFETY justification. Everything else in the
-// crate remains unsafe-free.
-#![deny(unsafe_code)]
+// D5: `deny`, not `forbid`, because the audited glibc `mallopt` binding
+// in [`tuning`] carries its own `allow(unsafe_code)`; clippy holds that
+// block to its `// SAFETY:` comment. Everything else is unsafe-free.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod adversary;
 pub mod calendar;

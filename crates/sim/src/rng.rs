@@ -61,6 +61,7 @@ pub fn mix(master: u64, tags: &[u64]) -> u64 {
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D4: the one RNG constructor")]
 pub fn derive_rng(master: u64, tags: &[u64]) -> ChaCha12Rng {
     ChaCha12Rng::seed_from_u64(mix(master, tags))
 }

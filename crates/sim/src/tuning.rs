@@ -27,7 +27,7 @@ const M_MMAP_THRESHOLD: i32 = -3;
 /// binaries do this by default. Returns `true` if the tuning was applied;
 /// on non-glibc targets this is a no-op returning `false`. Never affects
 /// simulation results, only how fast they are produced.
-#[allow(unsafe_code)] // the crate's one FFI call; see the SAFETY note below
+#[allow(unsafe_code, reason = "D5: the crate's one FFI call, SAFETY below")]
 pub fn tune_allocator_for_bulk() -> bool {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

@@ -64,6 +64,7 @@ pub trait SeedableRng: Sized {
 
     /// Builds the generator from a 64-bit seed by splitmix64 expansion
     /// (bit-compatible with upstream `rand`'s default).
+    #[expect(clippy::disallowed_methods, reason = "D4: the trait builds itself")]
     fn seed_from_u64(state: u64) -> Self {
         let mut seed = Self::Seed::default();
         let bytes = seed.as_mut();

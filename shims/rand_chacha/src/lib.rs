@@ -152,6 +152,7 @@ chacha_rng!(
 chacha_rng!(ChaCha20Rng, 20, "ChaCha with 20 rounds.");
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "D4: the shim's own stream tests")]
 mod tests {
     use super::*;
 

@@ -139,6 +139,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub use fba_ae as ae;
 pub use fba_baselines as baselines;

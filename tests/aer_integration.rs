@@ -5,9 +5,9 @@
 
 use fba::ae::UnknowingAssignment;
 use fba::core::trace::WaveCounter;
-use fba::core::{AerHarness, AerNode};
+use fba::core::AerNode;
 use fba::scenario::{Phase, PollTimeoutSpec, Scenario};
-use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NoAdversary, NodeId};
+use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NodeId};
 
 fn scenario(n: usize, knowing: f64, mode: UnknowingAssignment) -> Scenario {
     Scenario::new(n).phase(Phase::aer_with(knowing, mode))
@@ -70,22 +70,19 @@ fn aer_survives_each_adversary_without_wrong_decisions() {
 
 #[test]
 fn scale_aware_schedule_preserves_small_n_outcomes() {
-    // The scale-aware retry schedule (horizon-derived poll timeout +
-    // eager repair) exists to kill large-n retry waves; at small n it must
-    // be outcome-equivalent to the legacy fixed schedule: same decision
-    // values at every node, and no slower to full decision.
+    // The scale-aware retry schedule (horizon-derived poll timeout)
+    // exists to kill large-n retry waves; at small n it must be
+    // outcome-equivalent to the legacy fixed timeout: same decision values
+    // at every node, and no slower to full decision.
     for n in [32, 64, 128, 256] {
         let base = scenario(n, 0.8, UnknowingAssignment::RandomPerNode);
         let new_out = base.run(1).expect("valid scenario").into_aer();
-        // The legacy schedule has no scenario knob: it is the derived
-        // config with eager repair off, run on the same precondition.
-        let mut legacy = base
+        let legacy_out = base
             .poll_timeout(PollTimeoutSpec::Fixed(8))
-            .aer_config()
-            .expect("valid scenario");
-        legacy.eager_repair = false;
-        let harness = AerHarness::from_precondition(legacy, &new_out.precondition);
-        let legacy_out = harness.run(&harness.engine_sync(), 1, &mut NoAdversary);
+            .run(1)
+            .expect("valid scenario")
+            .into_aer()
+            .run;
         assert_eq!(
             new_out.run.outputs, legacy_out.outputs,
             "n={n}: decision values diverged from the legacy schedule"
