@@ -88,7 +88,7 @@ mod tests {
             .expect("valid scenario")
             .into_aer();
         assert_eq!(out.config.overload_cap, 7);
-        assert_eq!(out.config.poll_attempts, 1);
+        assert_eq!(out.config.repair_attempts, 0);
         assert_eq!(out.precondition.assignments.len(), 64);
         // And it runs.
         assert!(out.run.unanimous().is_some());

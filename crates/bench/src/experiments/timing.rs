@@ -17,7 +17,7 @@ use crate::table::fnum;
 /// Lemma 6 / Lemma 10: asynchronous (rushing) completion time under the
 /// cornering attack, for caps at and above the normal service load.
 ///
-/// Strict mode (no retries) so the deferral chains are not masked. The
+/// Strict mode (no repair) so the deferral chains are not masked. The
 /// per-node answering load in a fault-free run is ≈ `d` (every node's
 /// gstring pull polls `d` of `n` nodes), so the interesting cap range is
 /// `[~1.5·d, log² n]`: caps *below* `d` break the protocol outright (see
@@ -51,7 +51,7 @@ pub fn l6(scope: Scope) -> Report {
                 .network(NetworkSpec::Async { max_delay: 1 })
                 // Derive the poll timeout from the delay bound so the sweep
                 // stays wave-free if the delay is ever raised (a no-op at
-                // max_delay = 1; strict mode has no retries anyway).
+                // max_delay = 1; strict mode has no repair anyway).
                 .poll_timeout(PollTimeoutSpec::DelayScaled)
                 .adversary(AdversarySpec::Corner { label_scan: 512 })
                 .run(seed)
@@ -155,10 +155,10 @@ pub fn l8(scope: Scope) -> Report {
 ///
 /// The sweep runs the delay bounds `d ∈ {1, 4}` with the delay-scaled
 /// poll timeout (`sync_poll_horizon × max_delay`), so requesters wait
-/// one *asynchronous* delivery horizon before retrying. The two legacy
-/// columns re-run each cell with the pre-satellite constant timeout for
-/// paper comparability — at `d > 1` the constant schedule fires retry
-/// waves into traffic that is merely delayed, not lost.
+/// one *asynchronous* delivery horizon before repair. The two legacy
+/// columns re-run each cell with the constant timeout for paper
+/// comparability — at `d > 1` the constant schedule fires repair waves
+/// into traffic that is merely delayed, not lost.
 #[must_use]
 pub fn l10(scope: Scope) -> Report {
     /// The delay-scaled run next to the constant-timeout rerun.
@@ -204,14 +204,11 @@ pub fn l10(scope: Scope) -> Report {
     .col("legacy waves", Agg::Mean, |o: &Cell| Some(o.legacy_waves))
     .col("legacy p50", Agg::Mean, |o: &Cell| o.legacy.p50)
     .note("paper: O(log n / log log n) rounds, Õ(n) messages, every correct node learns")
-    .note(
-        "gstring. Retries/repair (README \"Deviations from the paper\") close the finite-size gap.",
-    )
+    .note("gstring. Repair (README \"Deviations from the paper\") closes the finite-size gap.")
     .note("Main columns use the delay-scaled poll timeout (horizon × max_delay); the")
-    .note("legacy columns rerun the constant-timeout schedule — at delay 4 it emits")
-    .note("redundant retry waves into traffic that is delayed, not lost. A `n/a`")
-    .note("legacy p50 means fewer than half the correct nodes decided at all under")
-    .note("the legacy schedule (every poll times out before its answers arrive).")
+    .note("legacy columns rerun the constant-timeout schedule — at delay 4 it fires")
+    .note("redundant repair waves into traffic that is delayed, not lost. Polls stay")
+    .note("open past the timeout, so late answers count under either schedule.")
     .report(scope)
 }
 
@@ -240,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn l10_delay_scaled_timeout_cuts_retry_waves() {
+    fn l10_delay_scaled_timeout_cuts_repair_waves() {
         let t = l10(Scope::Quick).table;
         // At delay > 1 the scaled schedule must not wave more than the
         // legacy constant-timeout schedule (strictly fewer at some size).

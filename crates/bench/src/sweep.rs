@@ -146,7 +146,7 @@ pub fn split_axis_values(axis: &str, raw: &str) -> Vec<String> {
 /// Builds the sweep battery from declared axes (name → values, in
 /// declaration order; repeated names extend the same axis) and metric
 /// names ([`DEFAULT_METRICS`] when empty). `seeds` overrides the scope
-/// seed set; `strict` disables retries.
+/// seed set; `strict` disables repair.
 ///
 /// # Errors
 ///

@@ -39,7 +39,6 @@ struct RecoveryState {
     logged_accepts: usize,
     logged_belief: StringKey,
     logged_decided: bool,
-    logged_poll_attempt: u32,
 }
 
 impl RecoveryState {
@@ -49,7 +48,6 @@ impl RecoveryState {
             logged_accepts: 0,
             logged_belief: own_key,
             logged_decided: false,
-            logged_poll_attempt: 0,
         }
     }
 }
@@ -82,9 +80,9 @@ impl AerNode {
     }
 
     /// Appends the diff since the last sync to the WAL: newly accepted
-    /// candidates, a changed belief, a decision, and poll-attempt
-    /// progress — then compacts on the store's cadence. Called after
-    /// every protocol callback; no-op without recovery enabled.
+    /// candidates, a changed belief and a decision — then compacts on the
+    /// store's cadence. Called after every protocol callback; no-op
+    /// without recovery enabled.
     fn sync_wal(&mut self, step: Step) {
         let Some(rec) = self.recovery.as_mut() else {
             return;
@@ -105,11 +103,6 @@ impl AerNode {
                 rec.logged_decided = true;
                 rec.store.append(step, WalRecord::Decide(*decided));
             }
-        }
-        let attempt = self.pull.max_poll_attempt();
-        if attempt > rec.logged_poll_attempt {
-            rec.logged_poll_attempt = attempt;
-            rec.store.append(step, WalRecord::Poll { attempt });
         }
         rec.store.maybe_snapshot(step);
     }
@@ -317,7 +310,6 @@ impl AerHarness {
     fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
             poll_timeout: self.cfg.poll_timeout,
-            poll_attempts: self.cfg.poll_attempts,
             repair_attempts: self.cfg.repair_attempts,
         }
     }
@@ -351,7 +343,7 @@ impl AerHarness {
     }
 
     /// Default synchronous engine configuration for this deployment:
-    /// enough steps for the retry/repair schedule to play out
+    /// enough steps for the repair schedule to play out
     /// (see [`AerConfig::engine_sync`]).
     #[must_use]
     pub fn engine_sync(&self) -> EngineConfig {
@@ -457,7 +449,7 @@ mod tests {
     fn fault_free_run_is_constant_time_for_the_bulk() {
         // Lemma 9 shape: the overwhelming majority decides within a
         // handful of rounds; finite-size stragglers are mopped up by the
-        // retry/repair extensions but stay rare.
+        // repair extension but stay rare.
         for n in [32, 64, 128] {
             let (h, _) = harness(n, 0.75, 3);
             let out = h.run(&h.engine_sync(), 3, &mut NoAdversary);

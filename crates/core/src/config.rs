@@ -36,31 +36,19 @@ pub struct AerConfig {
     pub label_cardinality: u64,
     /// Public seed from which the shared samplers `I`, `H`, `J` derive.
     pub sampler_seed: u64,
-    /// Steps a node waits for a poll to complete before redrawing its
-    /// label (liveness extension beyond the paper, off in strict mode).
-    /// Ignored when `poll_attempts ≤ 1` and `repair_attempts = 0`.
+    /// Steps every open poll must run before a node falls back to repair,
+    /// and the spacing between repair queries (liveness extension beyond
+    /// the paper). Ignored when `repair_attempts = 0`.
     ///
     /// The scale-aware default is [`AerConfig::sync_poll_horizon`]: one
     /// full fault-free delivery horizon, which is a property of the
-    /// *pipeline depth* (a constant number of hops), not of `n`. Earlier
-    /// revisions used an oversized fixed timeout here; at n ≥ 2048, where
-    /// a few stragglers per run are statistically expected, that stacked
-    /// `poll_attempts × timeout` idle steps in front of every repair and
-    /// produced the ~26-step "retry wave" tail the ROADMAP recorded.
+    /// *pipeline depth* (a constant number of hops), not of `n`.
     pub poll_timeout: u64,
-    /// Total poll attempts per candidate string (1 = the paper's single
-    /// poll, no retries).
-    pub poll_attempts: u32,
     /// Number of last-resort repair queries an undecided node may issue
-    /// after exhausting its polls (0 = disabled / strict paper mode).
-    /// Repair queries ask a fresh poll list for its members' decisions and
-    /// adopt a strict-majority value — the same safety argument as
-    /// Lemma 7. The first query also fires, concurrently with the
-    /// remaining retries, as soon as every poll has run a full
-    /// `poll_timeout` without a single answer: that is the signature of
-    /// an unverifiable candidate (typically a push majority that never
-    /// crossed), which label redraws cannot fix, and it is what makes
-    /// fault-free decision latency O(1) retry waves at every `n`.
+    /// (0 = disabled / strict paper mode). Each asks a fresh poll list for
+    /// its members' decisions and adopts a strict-majority value — the
+    /// same safety argument as Lemma 7. The node keeps its one poll per
+    /// candidate open meanwhile, so a late answer still counts.
     pub repair_attempts: u32,
 }
 
@@ -88,7 +76,6 @@ impl AerConfig {
             label_cardinality: PollSampler::default_cardinality(n),
             sampler_seed: 0x5eed,
             poll_timeout: Self::sync_poll_horizon(),
-            poll_attempts: 3,
             repair_attempts: 4,
         };
         cfg.validate().expect("recommended config must be valid");
@@ -104,19 +91,18 @@ impl AerConfig {
     /// the pipeline's hop count, so it is *constant in `n`* — a poll that
     /// produced nothing within one horizon will not produce anything by
     /// waiting longer. Asynchronous engines multiply hop latency by their
-    /// delay bound; retries and repair there fire early and harmlessly
-    /// (every handler is idempotent and answer-majority gated).
+    /// delay bound; repair there fires early and harmlessly (every
+    /// handler is idempotent and answer-majority gated).
     #[must_use]
     pub const fn sync_poll_horizon() -> u64 {
         5
     }
 
-    /// Strict paper mode: one poll per candidate, no retries, no repair.
-    /// Used by the timing experiments (Lemmas 6/8) where the liveness
-    /// extensions would mask the adversary's delay chains.
+    /// Strict paper mode: one poll per candidate, no repair. Used by the
+    /// timing experiments (Lemmas 6/8) where the liveness extension would
+    /// mask the adversary's delay chains.
     #[must_use]
     pub fn strict(mut self) -> Self {
-        self.poll_attempts = 1;
         self.repair_attempts = 0;
         self
     }
@@ -182,9 +168,8 @@ impl AerConfig {
                 cardinality: self.label_cardinality,
             });
         }
-        if self.poll_attempts == 0 || (self.poll_attempts > 1 && self.poll_timeout == 0) {
+        if self.repair_attempts > 0 && self.poll_timeout == 0 {
             return Err(ConfigError::BadRetryPolicy {
-                attempts: self.poll_attempts,
                 timeout: self.poll_timeout,
             });
         }
@@ -211,13 +196,12 @@ impl AerConfig {
     }
 
     /// Default synchronous engine configuration for this deployment:
-    /// enough steps for the retry/repair schedule to play out. The one
-    /// source of the default — the harness and the scenario builder both
-    /// delegate here.
+    /// enough steps for the repair schedule to play out. The one source of
+    /// the default — the harness and the scenario builder both delegate
+    /// here.
     #[must_use]
     pub fn engine_sync(&self) -> fba_sim::EngineConfig {
-        let budget = self.poll_timeout
-            * (u64::from(self.poll_attempts) + u64::from(self.repair_attempts) + 2);
+        let budget = self.poll_timeout * (u64::from(self.repair_attempts) + 3);
         fba_sim::EngineConfig {
             max_steps: budget.max(60),
             ..fba_sim::EngineConfig::sync(self.n)
@@ -276,11 +260,8 @@ pub enum ConfigError {
         /// Requested cardinality.
         cardinality: u64,
     },
-    /// `poll_attempts` must be at least 1, and retries need a non-zero
-    /// timeout.
+    /// Repair needs a non-zero timeout.
     BadRetryPolicy {
-        /// Requested attempts.
-        attempts: u32,
         /// Requested timeout.
         timeout: u64,
     },
@@ -313,11 +294,8 @@ impl fmt::Display for ConfigError {
             ConfigError::LabelDomainTooSmall { cardinality } => {
                 write!(f, "label domain of cardinality {cardinality} is too small")
             }
-            ConfigError::BadRetryPolicy { attempts, timeout } => {
-                write!(
-                    f,
-                    "retry policy of {attempts} attempts with timeout {timeout} is degenerate"
-                )
+            ConfigError::BadRetryPolicy { timeout } => {
+                write!(f, "repair with timeout {timeout} is degenerate")
             }
         }
     }
@@ -415,24 +393,17 @@ mod tests {
         ));
 
         let mut cfg = AerConfig::recommended(64);
-        cfg.poll_attempts = 0;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadRetryPolicy { .. })
-        ));
-
-        let mut cfg = AerConfig::recommended(64);
         cfg.poll_timeout = 0;
-        assert!(matches!(
+        assert_eq!(
             cfg.validate(),
-            Err(ConfigError::BadRetryPolicy { .. })
-        ));
+            Err(ConfigError::BadRetryPolicy { timeout: 0 })
+        );
+        assert_eq!(cfg.strict().validate(), Ok(()), "no repair, no timeout");
     }
 
     #[test]
     fn strict_mode_disables_liveness_extensions() {
         let cfg = AerConfig::recommended(64).strict();
-        assert_eq!(cfg.poll_attempts, 1);
         assert_eq!(cfg.repair_attempts, 0);
         assert!(cfg.validate().is_ok(), "strict mode must stay valid");
     }

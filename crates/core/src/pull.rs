@@ -38,7 +38,8 @@ use crate::state::{slot_vote_key, AerRunState};
 /// from using the repair path as an amplification primitive.
 const REPAIR_ANSWER_CAP: u32 = 8;
 
-/// An in-flight poll started by this node for one candidate (Algorithm 1).
+/// The one poll this node runs for a candidate (Algorithm 1). It keeps
+/// its label until the node decides.
 #[derive(Clone, Debug)]
 struct OwnPoll {
     s: GString,
@@ -46,7 +47,6 @@ struct OwnPoll {
     /// Bitmask over positions in `J(x, r)` of members that answered.
     answered_by: u128,
     started: Step,
-    attempt: u32,
 }
 
 /// A deferred (overloaded) second-hop forward awaiting this node's own
@@ -59,23 +59,18 @@ struct DeferredFw2 {
     r: Label,
 }
 
-/// Retry and repair policy of a [`PullPhase`] (liveness extensions beyond
-/// the paper; all disabled in strict mode).
+/// Repair policy of a [`PullPhase`] (the liveness extension beyond the
+/// paper; disabled in strict mode).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Steps to wait for a poll before redrawing its label.
+    /// Steps every open poll must have run before repair fires, and the
+    /// spacing between repair queries.
     pub poll_timeout: Step,
-    /// Total poll attempts per candidate (1 = paper behaviour).
-    pub poll_attempts: u32,
     /// Last-resort repair queries (0 = disabled). The first one fires once
-    /// all polls are exhausted, or as soon as every poll has gone one full
-    /// `poll_timeout` without a single answer. Retrying a poll only helps
-    /// when *some* answers arrived (a routing hiccup); zero answers after
-    /// a full delivery horizon means the candidate is likely unverifiable
-    /// (e.g. its push majority never crossed), and only repair can resolve
-    /// that. Repair is safe to run concurrently with retries — it adopts a
-    /// strict-majority decision of a fresh poll list, the Lemma 7
-    /// argument.
+    /// every open poll has run `poll_timeout` steps, the next ones one
+    /// `poll_timeout` apart. Polls stay open meanwhile: a late answer from
+    /// the original `J(x, r)` still counts. Repair adopts a strict-majority
+    /// decision of a fresh poll list, the Lemma 7 argument.
     pub repair_attempts: u32,
 }
 
@@ -85,7 +80,6 @@ impl RetryPolicy {
     pub fn strict() -> Self {
         RetryPolicy {
             poll_timeout: Step::MAX,
-            poll_attempts: 1,
             repair_attempts: 0,
         }
     }
@@ -112,9 +106,6 @@ pub struct PullPhase {
 
     // --- requester (Algorithm 1) ---
     own_polls: FxHashMap<StringKey, OwnPoll>,
-    /// Valid poll answers ever received, across all polls and attempts —
-    /// drives the silent-horizon repair escalation (see [`RetryPolicy`]).
-    answers_seen: u64,
 
     // --- router (Algorithm 2) ---
     forwarded_pulls: FxHashSet<(NodeId, StringKey)>,
@@ -161,7 +152,6 @@ impl PullPhase {
             believed: own,
             decided: None,
             own_polls: FxHashMap::default(),
-            answers_seen: 0,
             forwarded_pulls: FxHashSet::default(),
             polled: FxHashSet::default(),
             fw2_senders: FxHashMap::default(),
@@ -207,19 +197,6 @@ impl PullPhase {
         self.answer_counts.get(&s.key()).copied().unwrap_or(0)
     }
 
-    /// The furthest poll attempt any in-flight poll has reached (0 when
-    /// nothing is being polled) — the poll progress the checkpoint layer
-    /// logs so a restarted node resumes its retry budget instead of
-    /// resetting it.
-    #[must_use]
-    pub fn max_poll_attempt(&self) -> u32 {
-        self.own_polls
-            .values()
-            .map(|p| p.attempt)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Algorithm 1, sending side: verify candidate `s` by polling
     /// `J(x, r)` (fresh random `r`) and the pull quorum `H(s, x)`.
     ///
@@ -229,54 +206,45 @@ impl PullPhase {
         if self.decided.is_some() || self.own_polls.contains_key(&key) {
             return;
         }
-        let poll = OwnPoll {
-            s,
-            r: self.poll().random_label(ctx.rng()),
-            answered_by: 0,
-            started: ctx.step(),
-            attempt: 1,
-        };
-        poll_sends(&self.state, self.x, &poll, ctx);
-        self.own_polls.insert(key, poll);
+        self.open_poll(s, ctx);
     }
 
-    /// Timeout processing (liveness extensions): retries stalled polls
-    /// with fresh labels, then falls back to repair queries — once all
-    /// polls are exhausted, or as soon as a full timeout passed without
-    /// any answer at all (see [`RetryPolicy::repair_attempts`]). Call once
-    /// per step.
+    /// Algorithm 1's two multicasts for a fresh label `r`: `Poll(s, r)`
+    /// to `J(x, r)`, then `Pull(s, r)` to `H(s, x)`; the poll stays open
+    /// until the node decides.
+    fn open_poll(&mut self, s: GString, ctx: &mut Context<'_, AerMsg>) {
+        let r = self.poll().random_label(ctx.rng());
+        let to_list = |list: &[NodeId]| ctx.multicast(list, AerMsg::Poll(s, r));
+        self.state.poll_lists.poll_list_with(self.x, r, to_list);
+        let to_quorum = |quorum: &[NodeId]| ctx.multicast(quorum, AerMsg::Pull(s, r));
+        self.state
+            .pull_quorums
+            .quorum_with(s.key(), self.x, to_quorum);
+        let poll = OwnPoll {
+            s,
+            r,
+            answered_by: 0,
+            started: ctx.step(),
+        };
+        self.own_polls.insert(s.key(), poll);
+    }
+
+    /// Timeout processing (the liveness extension): once every open poll
+    /// has run `poll_timeout` steps — vacuously, when none is open — asks
+    /// a fresh poll list what its members decided, up to
+    /// [`RetryPolicy::repair_attempts`] times, one timeout apart. The
+    /// polls themselves stay open. Call once per step.
     pub fn on_step(&mut self, ctx: &mut Context<'_, AerMsg>) {
         if self.decided.is_some() {
             return;
         }
         let step = ctx.step();
         let timeout = self.retry.poll_timeout;
-        let mut all_exhausted = true;
-        // Every poll has already run through at least one full timeout
-        // (it is expired right now, or a retry already fired for it).
-        let mut all_expired_once = !self.own_polls.is_empty();
-        // Retry stalled polls with fresh labels.
-        for poll in self.own_polls.values_mut() {
-            let expired = step.saturating_sub(poll.started) >= timeout;
-            all_expired_once &= expired || poll.attempt > 1;
-            if expired && poll.attempt < self.retry.poll_attempts {
-                poll.r = self.state.poll_lists.sampler().random_label(ctx.rng());
-                poll.answered_by = 0;
-                poll.started = step;
-                poll.attempt += 1;
-                poll_sends(&self.state, self.x, poll, ctx);
-                all_exhausted = false;
-            } else if !expired {
-                all_exhausted = false;
-            }
-        }
-        // Last resort: ask a fresh poll list what its members decided.
-        // The first query launches alongside ongoing retries when a full
-        // delivery horizon produced zero answers — the signature of an
-        // unverifiable candidate, which no number of label redraws can
-        // fix.
-        let escalate = all_exhausted || (self.answers_seen == 0 && all_expired_once);
-        if escalate
+        let all_expired = self
+            .own_polls
+            .values()
+            .all(|poll| step.saturating_sub(poll.started) >= timeout);
+        if all_expired
             && self.repair_used < self.retry.repair_attempts
             && (self.repair_used == 0 || step.saturating_sub(self.repair_last) >= timeout)
         {
@@ -507,7 +475,6 @@ impl PullPhase {
         let majority = self.poll().majority();
         let poll = self.own_polls.get_mut(&key)?;
         let w_pos = self.state.poll_lists.position(self.x, poll.r, w)?;
-        self.answers_seen += 1;
         poll.answered_by |= 1 << w_pos;
         if poll.answered_by.count_ones() as usize >= majority {
             let decision = poll.s;
@@ -524,15 +491,14 @@ impl PullPhase {
     /// requests for the decided string are served), replies to parked
     /// repair queries, and re-arms the pull flood filter.
     ///
-    /// Re-arming the filter closes the liveness gap that produced the
-    /// large-n retry waves: a router that forwarded `(origin, s)` while
-    /// *undecided* refuses the requester's retries forever, so a poll
-    /// whose first attempt failed partially (some routers still believed
-    /// their initial junk) could never assemble a relay majority again.
+    /// Re-arming the filter serves requesters that restart: a crashed
+    /// node re-polls the same `(origin, s)` with a fresh label (see
+    /// [`PullPhase::restore`]), and a router that forwarded its pre-crash
+    /// pull while *undecided* would otherwise refuse the re-poll forever.
     /// After the decision — which happens at most once — each `(origin,
     /// s)` may be forwarded one more time, now with every router and
-    /// relay in agreement, so one retry completes the poll. Amplification
-    /// stays bounded: at most two forwards per `(origin, s)` per router.
+    /// relay in agreement. Amplification stays bounded: at most two
+    /// forwards per `(origin, s)` per router.
     pub fn on_decided(&mut self, ctx: &mut Context<'_, AerMsg>) {
         let Some(decision) = self.decided else {
             debug_assert!(false, "drain requires a decision");
@@ -560,19 +526,17 @@ impl PullPhase {
     /// reconstructible protocol plumbing, none of them are decisions, so
     /// losing them costs liveness (the node must re-poll) but never
     /// safety. The durable facts — belief (the first accepted string
-    /// until one was logged), decision, poll progress and (via the
-    /// caller) the accepted list — come from the WAL replay.
+    /// until one was logged), decision and (via the caller) the accepted
+    /// list — come from the WAL replay.
     ///
     /// An undecided node catches up on two channels: it re-polls every
-    /// checkpointed candidate with a fresh label (resuming at the
-    /// checkpointed attempt so the retry budget is not reset), and it
-    /// sends one repair query to a fresh poll list `J(x, r)` — the
-    /// state-sync path that pulls decisions the node slept through from
-    /// sampled peers, reusing the repair machinery's Lemma 7 safety
-    /// argument (adopt only a strict-majority report).
+    /// checkpointed candidate with a fresh label, and it sends one repair
+    /// query to a fresh poll list `J(x, r)` — the state-sync path that
+    /// pulls decisions the node slept through from sampled peers, reusing
+    /// the repair machinery's Lemma 7 safety argument (adopt only a
+    /// strict-majority report).
     pub fn restore(&mut self, checkpoint: &Checkpoint, ctx: &mut Context<'_, AerMsg>) {
         self.own_polls.clear();
-        self.answers_seen = 0;
         self.forwarded_pulls.clear();
         self.state.forget_fw1_votes(self.x);
         self.polled.clear();
@@ -596,31 +560,13 @@ impl PullPhase {
         }
 
         for &s in &checkpoint.accepted {
-            let poll = OwnPoll {
-                s,
-                r: self.poll().random_label(ctx.rng()),
-                answered_by: 0,
-                started: ctx.step(),
-                attempt: checkpoint.poll_attempt.max(1),
-            };
-            poll_sends(&self.state, self.x, &poll, ctx);
-            self.own_polls.insert(s.key(), poll);
+            self.open_poll(s, ctx);
         }
         if self.retry.repair_attempts > 0 {
             self.repair_used = 1;
             self.query_repair(ctx);
         }
     }
-}
-
-/// Algorithm 1's two multicasts for `poll`: `Poll(s, r)` to `J(x, r)`,
-/// then `Pull(s, r)` to `H(s, x)`.
-fn poll_sends(state: &AerRunState, x: NodeId, poll: &OwnPoll, ctx: &mut Context<'_, AerMsg>) {
-    let (s, r) = (poll.s, poll.r);
-    let to_list = |list: &[NodeId]| ctx.multicast(list, AerMsg::Poll(s, r));
-    state.poll_lists.poll_list_with(x, r, to_list);
-    let to_quorum = |quorum: &[NodeId]| ctx.multicast(quorum, AerMsg::Pull(s, r));
-    state.pull_quorums.quorum_with(s.key(), x, to_quorum);
 }
 
 #[cfg(test)]
@@ -1038,36 +984,142 @@ mod tests {
         assert_eq!(out[0].0, origin);
     }
 
+    /// One handler call of the timeout → repair step table.
+    #[derive(Clone, Copy)]
+    enum Input {
+        /// `start_poll(s)`.
+        StartPoll,
+        /// `on_step`.
+        Tick,
+        /// `on_answer(s)` from the first `k` members of the poll's
+        /// original `J(x, r)`.
+        Answers(usize),
+    }
+
+    /// What a row's call sent, by kind, and whether the node has decided.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Outputs {
+        polls: usize,
+        pulls: usize,
+        repair_queries: usize,
+        decided: bool,
+    }
+
+    struct TestStep {
+        desc: &'static str,
+        step: Step,
+        input: Input,
+        expected_outputs: Outputs,
+    }
+
     #[test]
-    fn retry_redraws_label_after_timeout() {
+    fn timeout_escalates_to_repair_and_the_original_poll_still_decides() {
+        const D: usize = 5;
+        const MAJORITY: usize = D / 2 + 1;
         let retry = RetryPolicy {
             poll_timeout: 4,
-            poll_attempts: 3,
-            repair_attempts: 0,
+            repair_attempts: 2,
         };
-        let mut p = phase_with_retry(2, gs(0), 64, 5, retry);
-        let mut hand = hand(&p, 64);
-        let g = gs(0);
-        let first = hand.sent(0, |ctx| p.start_poll(g, ctx));
-        let r1 = match &first[0].1 {
-            AerMsg::Poll(_, r) => *r,
-            _ => unreachable!(),
+        let (n, g) = (64, gs(0));
+        let mut p = phase_with_retry(2, g, n, D, retry);
+        let mut hand = hand(&p, n);
+        let quiet = Outputs::default();
+        let repair = Outputs {
+            repair_queries: D,
+            ..quiet
         };
-        // Before the timeout: nothing happens.
-        assert!(hand.sent(3, |ctx| p.on_step(ctx)).is_empty());
-        // At the timeout: a fresh poll with a new label fires.
-        let second = hand.sent(4, |ctx| p.on_step(ctx));
-        assert_eq!(second.len(), 2 * 5);
-        let r2 = match &second[0].1 {
-            AerMsg::Poll(_, r) => *r,
-            _ => unreachable!(),
-        };
-        assert_ne!(r1, r2, "retry must redraw the label");
-        // Third attempt at the next timeout, then exhaustion (repair is
-        // disabled here).
-        assert!(!hand.sent(8, |ctx| p.on_step(ctx)).is_empty());
-        let spent = hand.sent(12, |ctx| p.on_step(ctx));
-        assert!(spent.is_empty(), "attempts exhausted");
+        let table = [
+            TestStep {
+                desc: "Algorithm 1: Poll(s, r) to J(x, r) and Pull(s, r) to H(s, x)",
+                step: 0,
+                input: Input::StartPoll,
+                expected_outputs: Outputs {
+                    polls: D,
+                    pulls: D,
+                    ..quiet
+                },
+            },
+            TestStep {
+                desc: "Deviations: before poll_timeout the node waits",
+                step: 3,
+                input: Input::Tick,
+                expected_outputs: quiet,
+            },
+            TestStep {
+                desc: "Deviations: at poll_timeout, repair asks a fresh J(x, r'); no Poll",
+                step: 4,
+                input: Input::Tick,
+                expected_outputs: repair,
+            },
+            TestStep {
+                desc: "Deviations: repair queries are one poll_timeout apart",
+                step: 7,
+                input: Input::Tick,
+                expected_outputs: quiet,
+            },
+            TestStep {
+                desc: "Deviations: the second repair query",
+                step: 8,
+                input: Input::Tick,
+                expected_outputs: repair,
+            },
+            TestStep {
+                desc: "Deviations: repair is capped at repair_attempts",
+                step: 12,
+                input: Input::Tick,
+                expected_outputs: quiet,
+            },
+            TestStep {
+                desc: "Algorithm 1: one answer short of a majority of J(x, r) does not decide",
+                step: 13,
+                input: Input::Answers(MAJORITY - 1),
+                expected_outputs: quiet,
+            },
+            TestStep {
+                desc: "Algorithm 1: a majority of the original J(x, r), late, decides",
+                step: 14,
+                input: Input::Answers(MAJORITY),
+                expected_outputs: Outputs {
+                    decided: true,
+                    ..quiet
+                },
+            },
+            TestStep {
+                desc: "Algorithm 1: after the decision on_step sends nothing",
+                step: 20,
+                input: Input::Tick,
+                expected_outputs: Outputs {
+                    decided: true,
+                    ..quiet
+                },
+            },
+        ];
+        let mut r = None;
+        for row in table {
+            let sent = match row.input {
+                Input::StartPoll => hand.sent(row.step, |ctx| p.start_poll(g, ctx)),
+                Input::Tick => hand.sent(row.step, |ctx| p.on_step(ctx)),
+                Input::Answers(k) => {
+                    let list = p.poll().poll_list(p.x, r.expect("polled first"));
+                    for &w in &list[..k] {
+                        let _ = p.on_answer(w, g);
+                    }
+                    Vec::new()
+                }
+            };
+            r = r.or(sent.iter().find_map(|(_, m)| match m {
+                AerMsg::Poll(_, r) => Some(*r),
+                _ => None,
+            }));
+            let count = |kind: fn(&AerMsg) -> bool| sent.iter().filter(|(_, m)| kind(m)).count();
+            let outputs = Outputs {
+                polls: count(|m| matches!(m, AerMsg::Poll(..))),
+                pulls: count(|m| matches!(m, AerMsg::Pull(..))),
+                repair_queries: count(|m| matches!(m, AerMsg::RepairQuery(_))),
+                decided: p.decided().is_some(),
+            };
+            assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
+        }
     }
 
     #[test]
@@ -1084,7 +1136,6 @@ mod tests {
     fn repair_fires_after_polls_exhaust_and_decides_on_majority() {
         let retry = RetryPolicy {
             poll_timeout: 2,
-            poll_attempts: 1,
             repair_attempts: 2,
         };
         let n = 64;
@@ -1119,7 +1170,6 @@ mod tests {
     fn repair_answers_from_outside_list_do_not_count() {
         let retry = RetryPolicy {
             poll_timeout: 1,
-            poll_attempts: 1,
             repair_attempts: 1,
         };
         let n = 64;

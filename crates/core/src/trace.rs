@@ -156,9 +156,9 @@ pub fn request_flow(transcript: &[Envelope<AerMsg>], origin: NodeId, s: &GString
 ///
 /// A *wave* is a step in which at least one `Poll` or `RepairQuery` left a
 /// requester. Step 0 is the initial wave (every node polls its own
-/// candidate); later waves are retries with redrawn labels or repair
-/// escalations. Fault-free runs should show O(1) waves at every `n` —
-/// the scale-aware retry schedule exists to keep it that way, and this
+/// candidate); later waves are polls of newly accepted candidates or
+/// repair escalations. Fault-free runs should show O(1) waves at every
+/// `n` — the scale-aware timeout exists to keep it that way, and this
 /// count is the scalar the retry-wave regression guard watches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WaveCounter {
@@ -274,7 +274,7 @@ mod tests {
         assert!(out.all_decided());
         // Step 0: every node polls its own candidate. Unknowing nodes
         // start a second wave when they accept gstring; stragglers may
-        // add a retry/repair wave — but the total stays O(1), nothing
+        // add a repair wave — but the total stays O(1), nothing
         // like one wave per `poll_timeout` window.
         let waves = counter.waves;
         assert!((2..=4).contains(&waves), "retry waves regressed: {waves}");

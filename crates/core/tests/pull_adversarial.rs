@@ -261,7 +261,6 @@ fn post_decision_node_keeps_serving_but_never_flips() {
 fn repair_votes_require_distinct_members_and_matching_string() {
     let retry = RetryPolicy {
         poll_timeout: 1,
-        poll_attempts: 1,
         repair_attempts: 1,
     };
     let (scheme, poll, g, bad) = setup();

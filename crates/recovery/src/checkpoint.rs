@@ -1,8 +1,8 @@
 //! Checkpoint/WAL layer: durable phase state for crash–restart recovery.
 //!
 //! Honest nodes snapshot their agreement-phase progress — accepted
-//! strings from the push phase, the believed string, poll progress, and
-//! any decision — into a [`Checkpoint`] on a configurable cadence, and
+//! strings from the push phase, the believed string and any decision —
+//! into a [`Checkpoint`] on a configurable cadence, and
 //! append fine-grained [`WalRecord`]s between snapshots. On restart,
 //! [`CheckpointStore::restore`] replays the write-ahead log on top of the
 //! last snapshot, reconstructing the state as of the crash step with no
@@ -42,11 +42,6 @@ pub enum WalRecord {
     Believe(GString),
     /// The node decided on a string.
     Decide(GString),
-    /// The node started a new poll attempt.
-    Poll {
-        /// The attempt number just started (0-based).
-        attempt: u32,
-    },
 }
 
 /// A compact snapshot of a node's agreement-phase progress.
@@ -58,9 +53,6 @@ pub struct Checkpoint {
     pub accepted: Vec<GString>,
     /// The believed string, if any.
     pub belief: Option<GString>,
-    /// The last poll attempt started (0-based); `0` if polling never
-    /// started.
-    pub poll_attempt: u32,
     /// The decided string, if the node decided before crashing.
     pub decided: Option<GString>,
 }
@@ -71,7 +63,6 @@ impl Checkpoint {
             WalRecord::Accept(x) => self.accepted.push(*x),
             WalRecord::Believe(x) => self.belief = Some(*x),
             WalRecord::Decide(x) => self.decided = Some(*x),
-            WalRecord::Poll { attempt } => self.poll_attempt = *attempt,
         }
     }
 }
@@ -172,13 +163,11 @@ mod tests {
         store.append(2, WalRecord::Believe(b));
         assert!(store.maybe_snapshot(4));
         assert_eq!(store.wal_len(), 0);
-        store.append(5, WalRecord::Poll { attempt: 1 });
         store.append(6, WalRecord::Decide(b));
 
         let state = store.restore();
         assert_eq!(state.accepted, vec![a, b]);
         assert_eq!(state.belief, Some(b));
-        assert_eq!(state.poll_attempt, 1);
         assert_eq!(state.decided, Some(b));
         assert_eq!(state.step, 6);
     }
@@ -186,7 +175,7 @@ mod tests {
     #[test]
     fn snapshot_respects_cadence() {
         let mut store = CheckpointStore::new(RecoveryConfig { cadence: 8 });
-        store.append(1, WalRecord::Poll { attempt: 0 });
+        store.append(1, WalRecord::Accept(gs(&[true])));
         assert!(!store.maybe_snapshot(3), "cadence not yet elapsed");
         assert!(!store.maybe_snapshot(7));
         assert!(store.maybe_snapshot(8));

@@ -197,8 +197,8 @@ impl Scenario {
         self
     }
 
-    /// Strict paper mode: one poll per candidate, no retries, no repair
-    /// (see [`AerConfig::strict`](fba_core::AerConfig::strict)).
+    /// Strict paper mode: one poll per candidate, no repair (see
+    /// [`AerConfig::strict`](fba_core::AerConfig::strict)).
     #[must_use]
     pub fn strict(mut self) -> Self {
         self.strict = true;

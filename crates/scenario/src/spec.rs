@@ -190,8 +190,8 @@ pub enum PollTimeoutSpec {
     Config,
     /// Scale the synchronous horizon by the network's delay bound
     /// (`sync_poll_horizon × max_delay`), so asynchronous scenarios wait
-    /// one *asynchronous* delivery horizon before retrying instead of
-    /// firing `max_delay`-fold redundant retry waves. No-op under
+    /// one *asynchronous* delivery horizon before repair instead of
+    /// firing redundant repair queries into delayed traffic. No-op under
     /// [`NetworkSpec::Sync`](fba_sim::NetworkSpec::Sync).
     DelayScaled,
     /// An explicit timeout in steps.

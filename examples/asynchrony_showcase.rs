@@ -52,7 +52,7 @@ fn main() {
     let base = || Scenario::new(n).phase(Phase::aer(0.85)).strict();
     let cfg = base().aer_config().expect("valid config");
     let t = cfg.t;
-    println!("n = {n}, d = {}, t = {t}, strict mode (no retries)", cfg.d);
+    println!("n = {n}, d = {}, t = {t}, strict mode (no repair)", cfg.d);
 
     // 1. Synchronous, non-rushing: the Lemma 8/9 regime.
     let sync = base()
@@ -91,7 +91,7 @@ fn main() {
 
     println!(
         "\nSafety held in every regime (0 wrong decisions); strict mode trades the\n\
-         retry/repair liveness extensions for fidelity to the paper's single-poll\n\
+         repair liveness extension for fidelity to the paper's single-poll\n\
          algorithm, so a θ-fraction of nodes stays undecided (Lemma 2 Property 1)."
     );
 }

@@ -30,7 +30,8 @@ fn aer_agrees_across_sizes_fault_free() {
 fn aer_survives_each_adversary_without_wrong_decisions() {
     let n = 96;
     // The attack suite as data: spec + timing model per row.
-    let suite: [(AdversarySpec, NetworkSpec); 6] = [
+    let corner = AdversarySpec::Corner { label_scan: 128 };
+    let suite: [(AdversarySpec, NetworkSpec); 9] = [
         (AdversarySpec::Silent { t: None }, NetworkSpec::Sync),
         (
             AdversarySpec::RandomFlood { rate: 8, steps: 3 },
@@ -39,9 +40,14 @@ fn aer_survives_each_adversary_without_wrong_decisions() {
         (AdversarySpec::PushFlood, NetworkSpec::Sync),
         (AdversarySpec::Equivocate { strings: 6 }, NetworkSpec::Sync),
         (AdversarySpec::BadString, NetworkSpec::Sync),
+        (corner.clone(), NetworkSpec::Async { max_delay: 1 }),
+        // Delays longer than the poll timeout: answers to the one poll per
+        // candidate arrive after repair has fired, and still count.
+        (corner.clone(), NetworkSpec::Async { max_delay: 2 }),
+        (corner, NetworkSpec::Async { max_delay: 3 }),
         (
-            AdversarySpec::Corner { label_scan: 128 },
-            NetworkSpec::Async { max_delay: 1 },
+            AdversarySpec::BadString,
+            NetworkSpec::Async { max_delay: 2 },
         ),
     ];
     for seed in [3u64, 5, 6] {
@@ -55,12 +61,12 @@ fn aer_survives_each_adversary_without_wrong_decisions() {
             assert_eq!(
                 out.wrong_decisions(),
                 0,
-                "seed {seed}, adversary {spec}: wrong decision"
+                "seed {seed}, adversary {spec} on {network}: wrong decision"
             );
             let t = out.config.t;
             assert!(
                 out.run.outputs.len() as f64 >= 0.9 * (n - t) as f64,
-                "seed {seed}, adversary {spec}: only {}/{} decided",
+                "seed {seed}, adversary {spec} on {network}: only {}/{} decided",
                 out.run.outputs.len(),
                 n - t
             );
@@ -70,8 +76,8 @@ fn aer_survives_each_adversary_without_wrong_decisions() {
 
 #[test]
 fn scale_aware_schedule_preserves_small_n_outcomes() {
-    // The scale-aware retry schedule (horizon-derived poll timeout)
-    // exists to kill large-n retry waves; at small n it must be
+    // The scale-aware schedule (horizon-derived poll timeout) exists to
+    // kill large-n straggler waves; at small n it must be
     // outcome-equivalent to the legacy fixed timeout: same decision values
     // at every node, and no slower to full decision.
     for n in [32, 64, 128, 256] {
@@ -99,8 +105,8 @@ fn scale_aware_schedule_preserves_small_n_outcomes() {
 #[test]
 fn async_scenarios_can_scale_the_poll_timeout_to_the_delay_bound() {
     // Satellite knob: `PollTimeoutSpec::DelayScaled` waits one
-    // *asynchronous* delivery horizon per attempt, killing the redundant
-    // retry waves the synchronous timeout fires under delay — without
+    // *asynchronous* delivery horizon before repair, killing the redundant
+    // repair waves the synchronous timeout fires under delay — without
     // changing what anyone decides.
     let n = 64;
     for max_delay in [2u64, 3] {
@@ -121,7 +127,7 @@ fn async_scenarios_can_scale_the_poll_timeout_to_the_delay_bound() {
             fba::core::AerConfig::sync_poll_horizon() * max_delay,
             "delay {max_delay}"
         );
-        // Same decisions, fewer (or equal) retry waves.
+        // Same decisions, fewer (or equal) repair waves.
         assert_eq!(scaled.run.outputs, config_timeout.run.outputs);
         assert!(
             waves_scaled <= waves_config,

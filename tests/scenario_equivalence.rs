@@ -578,12 +578,10 @@ fn engine_matches_golden_digests() {
     // other equivalence test compares two code paths that a refactor
     // moves together; this one pins the engine to frozen constants over
     // transcript-recording runs, so any drift in delivery order,
-    // scheduling, metrics accounting, or transcripts fails loudly. The
-    // first four digests were captured before PR 8 split the step loop
-    // into helpers; the last three (per-envelope lane under a rushing
-    // adversary, dark windows + restart, a chained service run) at
-    // commit 7f779a4 (PR 11). Do not update these numbers without
-    // understanding exactly why they moved.
+    // scheduling, metrics accounting, or transcripts fails loudly. All
+    // but the strict case were re-captured when poll-label redraw was
+    // deleted (strict mode never redrew, so its digest held). Do not
+    // update these numbers without understanding exactly why they moved.
     use fba::sim::{ScheduleSpec, Window};
     let sched = AdversarySpec::Sched(
         ScheduleSpec::new(vec![
@@ -605,7 +603,7 @@ fn engine_matches_golden_digests() {
             3,
             base(64).adversary(AdversarySpec::Silent { t: Some(9) }),
             false,
-            0x4be2bd383ba93509,
+            0xc024b8e402aade0e,
         ),
         (
             "n=64 async corner strict",
@@ -624,7 +622,7 @@ fn engine_matches_golden_digests() {
             3,
             base(64).adversary(sched),
             false,
-            0xc5ca61aedfe90822,
+            0x99aba18bf9c2cd08,
         ),
         (
             "n=256 sync none",
@@ -632,7 +630,7 @@ fn engine_matches_golden_digests() {
             3,
             base(256),
             false,
-            0xea97707bfdf82f49,
+            0xd68f2181fc28beff,
         ),
         (
             "n=64 async:2 bad-string",
@@ -642,7 +640,7 @@ fn engine_matches_golden_digests() {
                 .network(NetworkSpec::Async { max_delay: 2 })
                 .adversary(AdversarySpec::BadString),
             false,
-            0x6d846c89f49c976c,
+            0x0cc115f0e28e8385,
         ),
         (
             "n=64 crash:[3..7]8",
@@ -650,7 +648,7 @@ fn engine_matches_golden_digests() {
             3,
             base(64).faults_spec("crash:[3..7]8".parse().expect("parses")),
             false,
-            0x11c4a57f71eefc1e,
+            0xc5cde35c66e6e0b2,
         ),
         (
             "n=64 service x3 silent:9",
@@ -660,7 +658,7 @@ fn engine_matches_golden_digests() {
                 .adversary(AdversarySpec::Silent { t: Some(9) })
                 .service(3, 1),
             true,
-            0xf2eb86f081d6898a,
+            0x7b808c32f737ac28,
         ),
     ];
     for (label, n, seed, scenario, service, expected) in cases {
