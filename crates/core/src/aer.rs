@@ -171,8 +171,11 @@ impl Protocol for AerNode {
 
     /// An `Fw1` multicast is delivered once: the per-message gates of
     /// Algorithm 2's second handler run once for the run, the recipients
-    /// only vote (`AerRunState::fw1_run`). Every other payload takes
-    /// the per-recipient loop.
+    /// only vote (`AerRunState::fw1_run`). The recipients whose vote
+    /// crossed the majority each relay the same `Fw2` to the same `w`, so
+    /// their relays leave as one fan-in ([`RunContext::fan_in`]): one
+    /// stored payload, the relays in recipient order. Every other payload
+    /// takes the per-recipient loop.
     fn deliver_run(
         nodes: &mut [Option<Self>],
         from: NodeId,
@@ -188,11 +191,13 @@ impl Protocol for AerNode {
         let Some(any) = recipients.iter().find_map(|z| nodes[z.index()].as_ref()) else {
             return;
         };
+        let mut relays = Vec::new();
         any.pull
             .state()
-            .fw1_run(from, (origin, s, r, w), recipients, |z, to, fw2| {
-                run.context(z).send(to, fw2)
+            .fw1_run(from, (origin, s, r, w), recipients, |z, _, _| {
+                relays.push(z)
             });
+        run.fan_in(&relays, w, AerMsg::Fw2 { origin, s, r });
         if any.recovery.is_none() {
             return; // nobody keeps a WAL: the node table stays unread
         }

@@ -170,6 +170,13 @@ mod tests {
     }
 
     #[test]
+    fn the_message_keeps_the_layout_the_engine_sizes_its_queue_for() {
+        // `fba-sim`'s delivery-size test mirrors this shape: at 56 bytes
+        // an envelope is 72, and a batch or a fan-in fits inside one.
+        assert_eq!(std::mem::size_of::<AerMsg>(), 56);
+    }
+
+    #[test]
     fn kinds_are_distinct() {
         let g = s(8);
         let kinds = [

@@ -20,8 +20,10 @@
 //! [`PullPhase`] is a pure state machine over the callback's
 //! [`Context`]: a handler that transmits writes into the context it is
 //! handed — by the multicast, one stored payload over the interned quorum
-//! or poll list — and takes the step and its randomness from there, so
-//! the algorithms are unit-testable without the simulator.
+//! or poll list; the `d` first-hop forwards of a pull over shared handles
+//! on the interned quorums, so an in-flight forward copies no recipient —
+//! and takes the step and its randomness from there, so the algorithms
+//! are unit-testable without the simulator.
 
 use std::collections::BTreeSet;
 
@@ -324,7 +326,8 @@ impl PullPhase {
     /// really is in `H(s, origin)`, and this `(origin, s)` was not
     /// forwarded before (flood filter). The forward fans out to `H(s, w)`
     /// for every `w ∈ J(origin, r)`: one multicast per `w`, in poll-list
-    /// order, each over the interned quorum.
+    /// order, each over a shared handle on the interned quorum — the
+    /// `d` runs in flight copy no recipient list.
     pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
         if key != self.state.belief(self.x).0
@@ -335,10 +338,8 @@ impl PullPhase {
         }
         self.state.poll_lists.poll_list_with(origin, r, |list| {
             for &w in list {
-                let forward = |quorum: &[NodeId]| {
-                    ctx.multicast(quorum, AerMsg::Fw1 { origin, s, r, w });
-                };
-                self.state.pull_quorums.quorum_with(key, w, forward);
+                let quorum = self.state.pull_quorums.quorum_shared(key, w);
+                ctx.multicast_shared(quorum, AerMsg::Fw1 { origin, s, r, w });
             }
         });
     }
@@ -700,6 +701,26 @@ mod tests {
         for ((msg, to), &w) in runs.into_iter().zip(&list) {
             assert_eq!(*msg, AerMsg::Fw1 { origin, s, r, w });
             assert_eq!(to, scheme.pull.quorum(s.key(), w));
+        }
+    }
+
+    #[test]
+    fn on_pull_forwards_over_the_interned_quorums_not_copies() {
+        // Each of the d runs reads its recipients from the one shared
+        // `H(s, w)` the run state hands out, not from a list of its own.
+        let (n, d) = (64, 5);
+        let (scheme, poll) = setup(n, d);
+        let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
+        let y = scheme.pull.quorum(s.key(), origin)[0];
+        let mut p = phase(y.index(), s, n, d);
+        let out = hand(&p, n).outbox(1, |ctx| p.on_pull(origin, s, r, ctx));
+        assert_eq!(out.runs().count(), d);
+        for ((_, to), w) in out.runs().zip(poll.poll_list(origin, r)) {
+            let interned = p.state.pull_quorums.quorum_shared(s.key(), w);
+            assert!(
+                std::ptr::eq(to, &*interned),
+                "the run to H(s, {w}) copied it"
+            );
         }
     }
 

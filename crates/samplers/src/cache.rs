@@ -57,6 +57,9 @@ struct Sets {
     ids: FxHashMap<u64, u32>,
     /// `d` members per set, sets back to back in slot order.
     members: Vec<NodeId>,
+    /// Per slot, the set as one shared list, built on first request (see
+    /// [`SetStore::shared_at`]); `members` stays what probes read.
+    handles: Vec<Option<Rc<[NodeId]>>>,
     hits: u64,
     misses: u64,
 }
@@ -67,6 +70,7 @@ impl SetStore {
             sampler,
             ids: FxHashMap::default(),
             members: Vec::new(),
+            handles: Vec::new(),
             hits: 0,
             misses: 0,
         })))
@@ -101,6 +105,22 @@ impl SetStore {
         let sets = self.0.borrow();
         let d = sets.sampler.d();
         f(&sets.members[slot.0 as usize * d..][..d])
+    }
+
+    /// The already-interned set at `slot` as a shared list: built from the
+    /// arena once per slot, then handed out by reference count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this store's [`SetStore::slot`].
+    fn shared_at(&self, slot: SetSlot) -> Rc<[NodeId]> {
+        let sets = &mut *self.0.borrow_mut();
+        let (i, d) = (slot.0 as usize, sets.sampler.d());
+        if sets.handles.len() <= i {
+            sets.handles.resize(i + 1, None);
+        }
+        let members = &sets.members[i * d..][..d];
+        Rc::clone(sets.handles[i].get_or_insert_with(|| members.into()))
     }
 
     /// Position of `id` within the sorted set at `slot`, if a member.
@@ -158,6 +178,15 @@ impl SharedQuorumCache {
     /// Runs `f` on the memoized quorum `I(s, x)` / `H(s, x)`, sorted.
     pub fn quorum_with<R>(&self, s: StringKey, x: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         self.sets.with_at(self.slot(s, x), f)
+    }
+
+    /// The memoized quorum `I(s, x)` / `H(s, x)`, sorted, as a handle
+    /// every caller shares: one list per interned set, however many
+    /// holders (in-flight runs, say) it has. Counts as one keyed lookup,
+    /// like [`SharedQuorumCache::quorum_with`].
+    #[must_use]
+    pub fn quorum_shared(&self, s: StringKey, x: NodeId) -> Rc<[NodeId]> {
+        self.sets.shared_at(self.slot(s, x))
     }
 
     /// Membership test `y ∈ quorum(s, x)`, memoized.
@@ -327,6 +356,21 @@ mod tests {
             }
             assert_eq!(store.stats(), (50, 50));
         }
+    }
+
+    #[test]
+    fn a_shared_quorum_is_built_once_per_slot_and_counted_as_a_lookup() {
+        let cache = SharedQuorumCache::new(QuorumSampler::new(9, tags::PULL, 128, 10));
+        let (s, x, y) = (StringKey(3), NodeId::from_index(5), NodeId::from_index(6));
+        let first = cache.quorum_shared(s, x);
+        assert_eq!(cache.stats(), (0, 1));
+        assert_eq!(&first[..], cache.sampler().quorum(s, x));
+        let other = cache.quorum_shared(s, y);
+        let again = cache.quorum_shared(s, x);
+        assert!(Rc::ptr_eq(&first, &again), "one list per slot");
+        assert!(!Rc::ptr_eq(&first, &other));
+        assert_eq!(cache.stats(), (1, 2), "one keyed lookup per call");
+        assert_eq!(cache.quorum_with(s, x, <[NodeId]>::to_vec), &first[..]);
     }
 
     #[test]

@@ -22,10 +22,10 @@ use crate::adversary::{Adversary, Outbox};
 use crate::calendar::CalendarQueue;
 use crate::crash::CrashPlan;
 use crate::ids::{ceil_log2, NodeId, Step};
-use crate::message::{Batch, Delivery, Envelope, Runs, WireSize};
+use crate::message::{Batch, Delivery, Envelope, FanIn, Runs, WireSize};
 use crate::metrics::Metrics;
 use crate::observer::{NullObserver, Observer};
-use crate::protocol::{Context, Protocol, RunContext};
+use crate::protocol::{Context, Cut, Protocol, RunContext};
 use crate::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 
 /// Engine configuration.
@@ -99,6 +99,9 @@ impl EngineConfig {
 /// every buffer is emptied at the start of a run (capacity is invisible to
 /// protocol logic) and the calendar starts a fresh epoch via
 /// [`CalendarQueue::reset`].
+///
+/// A session is not `Send`: the traffic it holds may share recipient
+/// lists by `Rc` (see [`Runs`]), and a run executes on one thread.
 #[derive(Debug)]
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
@@ -114,11 +117,10 @@ pub struct EngineSession<M> {
     /// Storage of delivered batches, for the next outboxes.
     pool: Vec<Runs<M>>,
     /// Scratch of one [`Protocol::deliver_run`] call: what the run's
-    /// recipients sent, the per-recipient cuts through it (sender,
-    /// messages, runs), and the run's recipient list minus its dark
-    /// members.
+    /// recipients sent, the cuts through it (per-recipient segments and
+    /// fan-ins), and the run's recipient list minus its dark members.
     run_outbox: Runs<M>,
-    run_cuts: Vec<(NodeId, usize, usize)>,
+    run_cuts: Vec<Cut<M>>,
     run_live: Vec<NodeId>,
 }
 
@@ -180,6 +182,7 @@ impl<M: Clone> EngineSession<M> {
             match delivery {
                 Delivery::One(env) => self.flat.push(env.clone()),
                 Delivery::Batch(batch) => self.flat.extend(batch.envelopes()),
+                Delivery::FanIn(fan) => self.flat.extend(fan.envelopes()),
             }
         }
     }
@@ -221,13 +224,13 @@ impl<M: Clone> EngineSession<M> {
     /// common case) one vector swap moves the whole step into the ring
     /// slot. Otherwise the sends are walked against `sched_buf` (as
     /// filled by `consult_schedule`) and keyed delivery by delivery: an
-    /// envelope or a batch whose envelopes share one `(delay, priority)`
-    /// is scheduled as it is, a mixed batch envelope by envelope — the
-    /// reference order, `(due, priority, send sequence)` per envelope.
-    /// (No shipped strategy mixes one: counted over `bad-string`, `corner`
-    /// and a schedule of both under `async:2` / `async:3` at n = 256 and
-    /// 512, a run keyed 288 … 7 197 whole batches and no mixed one; the
-    /// differential suites' toy adversaries do mix.)
+    /// envelope, a batch or a fan-in whose envelopes share one `(delay,
+    /// priority)` is scheduled as it is, a mixed one envelope by envelope
+    /// — the reference order, `(due, priority, send sequence)` per
+    /// envelope. (No shipped strategy mixes a batch: counted over
+    /// `bad-string`, `corner` and a schedule of both under `async:2` /
+    /// `async:3` at n = 256 and 512, a run keyed 288 … 7 197 whole batches
+    /// and no mixed one; the differential suites' toy adversaries do mix.)
     fn commit_schedule(&mut self, step: Step, uniform: Option<Step>) {
         let EngineSession {
             pending,
@@ -244,25 +247,33 @@ impl<M: Clone> EngineSession<M> {
         }
         let mut keys = &sched_buf[..];
         for delivery in sends.drain(..) {
-            let len = match &delivery {
-                Delivery::One(_) => 1,
-                Delivery::Batch(batch) => batch.body.len(),
-            };
-            let (own, rest) = keys.split_at(len);
+            let (own, rest) = keys.split_at(delivery.len());
             keys = rest;
+            let mixed = own.iter().any(|key| *key != own[0]);
             match delivery {
-                Delivery::Batch(batch) if own.iter().any(|key| *key != own[0]) => {
-                    for (env, &(delay, priority)) in batch.envelopes().zip(own) {
-                        pending.schedule(step, delay, priority, Delivery::One(env));
-                    }
-                    pool.push(batch.body);
+                Delivery::Batch(batch) if mixed => {
+                    schedule_each(pending, step, batch.envelopes(), own);
+                    pool.push(*batch.body);
                 }
+                Delivery::FanIn(fan) if mixed => schedule_each(pending, step, fan.envelopes(), own),
                 whole => {
                     let (delay, priority) = own[0];
                     pending.schedule(step, delay, priority, whole);
                 }
             }
         }
+    }
+}
+
+/// Keys `envelopes` one by one, each with its own `(delay, priority)`.
+fn schedule_each<M>(
+    pending: &mut CalendarQueue<Delivery<M>>,
+    step: Step,
+    envelopes: impl Iterator<Item = Envelope<M>>,
+    keys: &[(Step, i64)],
+) {
+    for (env, &(delay, priority)) in envelopes.zip(keys) {
+        pending.schedule(step, delay, priority, Delivery::One(env));
     }
 }
 
@@ -627,18 +638,37 @@ impl<P: Protocol> StepState<'_, P> {
                             self.deliver_run(from, msg, recipients);
                         }
                     }
-                    self.session.pool.push(batch.body);
+                    self.session.pool.push(*batch.body);
                 }
+                Delivery::FanIn(fan) => self.deliver_fan_in(*fan),
             }
         }
         self.session.due = due;
+    }
+
+    /// A due fan-in, sender by sender: each envelope is dropped if its
+    /// sender or the recipient is dark, and otherwise received and handed
+    /// to [`Protocol::on_message`] with a clone of the payload — the
+    /// per-envelope deliveries it stands for.
+    fn deliver_fan_in(&mut self, fan: FanIn<P::Msg>) {
+        let bits = self.header_bits + fan.msg.wire_bits();
+        for &from in fan.from.iter() {
+            if self.is_dark(from) || self.is_dark(fan.to) {
+                self.metrics.record_dropped(1);
+                continue;
+            }
+            self.metrics.record_recv(fan.to, bits);
+            let msg = fan.msg.clone();
+            self.callback(fan.to, |node, ctx| node.on_message(from, msg, ctx));
+        }
     }
 
     /// One run of a due batch: drops (and counts) the dark recipients,
     /// records the receipt of the others, hands them to
     /// [`Protocol::deliver_run`] in one call, and then ships what each
     /// recipient sent as that recipient's outbox, in recipient order —
-    /// the same `enqueue_outbox` calls a per-recipient loop makes.
+    /// the same `enqueue_outbox` calls a per-recipient loop makes — and
+    /// each fan-in as one delivery in its place among them.
     fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
         let mut live = std::mem::take(&mut self.session.run_live);
         let recipients = if recipients.iter().any(|&to| self.is_dark(to)) {
@@ -671,9 +701,20 @@ impl<P: Protocol> StepState<'_, P> {
         let mut cuts = std::mem::take(&mut self.session.run_cuts);
         let mut sent = std::mem::take(&mut self.session.run_outbox);
         let mut rest = sent.segments();
-        for (sender, to, runs) in cuts.drain(..) {
-            rest.move_next(to, runs, &mut self.session.outbox_buf);
-            self.enqueue_outbox(sender);
+        for cut in cuts.drain(..) {
+            match cut {
+                Cut::Outbox(sender, runs) => {
+                    rest.move_next(runs, &mut self.session.outbox_buf);
+                    self.enqueue_outbox(sender);
+                }
+                Cut::FanIn(fan) => {
+                    let bits = self.header_bits + fan.msg.wire_bits();
+                    for &from in fan.from.iter() {
+                        self.metrics.record_send(from, bits);
+                    }
+                    self.session.sends.push(Delivery::FanIn(fan));
+                }
+            }
         }
         drop(rest);
         self.session.run_cuts = cuts;
@@ -800,7 +841,7 @@ impl<P: Protocol> StepState<'_, P> {
             return;
         }
         let spare = Runs::recycled(&mut session.pool);
-        let body = std::mem::replace(&mut session.outbox_buf, spare);
+        let body = Box::new(std::mem::replace(&mut session.outbox_buf, spare));
         for (msg, recipients) in body.runs() {
             self.metrics.record_send_run(
                 from,

@@ -45,7 +45,10 @@
 //!    accounting and the dark filter on its side of the call, and ships
 //!    what each recipient sent through its [`RunContext::context`] as
 //!    that recipient's outbox, in recipient order — so an override can
-//!    only save work, not reorder it.
+//!    only save work, not reorder it. What several recipients send
+//!    through [`RunContext::fan_in`] — one payload, one destination —
+//!    ships as one fan-in in its place among those outboxes, and is
+//!    delivered sender by sender, one `on_message` per live sender.
 //! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
 //!    the sends of stages 1–3.
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is
@@ -97,26 +100,33 @@
 //!   lane, instead of per-message envelopes (a lone message stays an
 //!   envelope). Nothing is cloned or compared on the way, and how a
 //!   sender cut its sends into runs is invisible: `multicast(&[a, b], m)`
-//!   and `send(a, m); send(b, m)` are the same two envelopes. Batches
-//!   unpack in exact send order at delivery, every per-envelope consumer
-//!   (rushing views, scheduling adversaries, observers, transcripts) is
-//!   shown one flattened per-envelope view — built at most once a step,
-//!   the adversary's own sends appended to it — and metrics count
-//!   *logical* messages: a batch of `k` counts `k` messages and `k×`
-//!   bits. There is no switch: on a step whose
-//!   schedule the adversary made non-uniform every delivery is keyed
-//!   because the engine sees that it is, and a batch whose envelopes
-//!   share one `(delay, priority)` stays a batch (every batch of every
-//!   shipped strategy does); one whose envelopes do not is keyed
-//!   envelope by envelope, which is the reference order, `(due,
-//!   priority, send sequence)`.
+//!   and `send(a, m); send(b, m)` are the same two envelopes. So is how
+//!   a run stores its recipients: [`Context::multicast_shared`] keeps a
+//!   handle on a list the sender shares instead of a copy. The other
+//!   direction is framing too: a [`RunContext::fan_in`] — one payload
+//!   from several recipients of one run to one node — is one stored
+//!   payload and a sender list, and is the same envelopes as each sender
+//!   sending alone. Batches and fan-ins unpack in exact send order at
+//!   delivery, every per-envelope consumer (rushing views, scheduling
+//!   adversaries, observers, transcripts) is shown one flattened
+//!   per-envelope view — built at most once a step, the adversary's own
+//!   sends appended to it — and metrics count *logical* messages: a
+//!   batch of `k` counts `k` messages and `k×` bits, a fan-in one message
+//!   per sender. There is no switch: on a step whose schedule the
+//!   adversary made non-uniform every delivery is keyed because the
+//!   engine sees that it is, and a batch or fan-in whose envelopes share
+//!   one `(delay, priority)` stays whole (every batch of every shipped
+//!   strategy does); one whose envelopes do not is keyed envelope by
+//!   envelope, which is the reference order, `(due, priority, send
+//!   sequence)`.
 //!   The pin is the reference engine, which never batches — full
 //!   [`Metrics`] equality, outputs and transcripts over every adversary
 //!   spec × network × crash cell (`tests/engine_differential.rs` in the
 //!   facade crate) and over random toy runs (`tests/engine_props.rs`).
 //! * **Run-level delivery** — a protocol may override
 //!   [`Protocol::deliver_run`] to handle a multicast once instead of once
-//!   per recipient (`fba-core` does, for `Fw1`). The contract is the
+//!   per recipient (`fba-core` does, for `Fw1`, and sends the recipients'
+//!   relays as one fan-in). The contract is the
 //!   default loop's observable behaviour: same state changes, same sends
 //!   from the same recipients in the same order, same RNG draws.
 //!   Accounting, dark-recipient drops and outbox sealing stay in the

@@ -6,6 +6,8 @@
 //! recipient identity) on top of the payload, matching the model where
 //! channels are authenticated and point-to-point.
 
+use std::rc::Rc;
+
 use crate::ids::{NodeId, Step};
 
 /// Size of a message payload on the wire, in bits.
@@ -94,21 +96,42 @@ impl<M: WireSize> Envelope<M> {
 }
 
 /// One sender's messages in send order, stored by the run: a multicast —
-/// one payload, many recipients — is one `(copies, payload)` entry plus
-/// its recipients in one flat list, however wide its fan-out.
+/// one payload, many recipients — is one stored payload plus its
+/// recipients, however wide its fan-out. The recipients are either copied
+/// into one flat list the runs share or, for a list the sender already
+/// holds as an `Rc<[NodeId]>`, one handle on it.
 ///
 /// This is what a callback's [`Context`](crate::Context) writes into and,
 /// unchanged, what a batch carries through the calendar: a run is opened
 /// by [`Context::multicast`](crate::Context::multicast) (or `send`, the
-/// run of one) and is never found by comparing payloads, so two equal
-/// payloads sent by two calls stay two runs.
+/// run of one, or [`Context::multicast_shared`](crate::Context::multicast_shared))
+/// and is never found by comparing payloads, so two equal payloads sent by
+/// two calls stay two runs. Sharing a list is storage only: a shared run
+/// and a copied one with the same recipients are the same messages.
+///
+/// `Runs` is not `Send`: a shared list is an `Rc`, and a run executes on
+/// one thread.
 #[derive(Debug)]
 pub struct Runs<M> {
-    /// `(copies, payload)` per run, `copies ≥ 1`; the copies sum to
-    /// `to.len()`.
-    runs: Vec<(u32, M)>,
-    /// Recipients of every message, in send order, across all runs.
+    /// One head per run, in send order.
+    runs: Vec<Run<M>>,
+    /// Recipients of every copied run, in send order.
     to: Vec<NodeId>,
+    /// Recipients of every shared run, in send order.
+    shared: Vec<Rc<[NodeId]>>,
+    /// Messages in all runs: `to.len()` plus every shared list's length.
+    len: usize,
+}
+
+/// A run's head: its copy count (`≥ 1`), where its recipients are, and
+/// its payload. The two `u32`s share the word before an 8-aligned payload.
+#[derive(Debug)]
+struct Run<M> {
+    copies: u32,
+    /// `0` when the recipients are the next `copies` entries of `to`,
+    /// else `1 +` the index of their list in `shared`.
+    shared: u32,
+    msg: M,
 }
 
 impl<M> Default for Runs<M> {
@@ -116,6 +139,8 @@ impl<M> Default for Runs<M> {
         Runs {
             runs: Vec::new(),
             to: Vec::new(),
+            shared: Vec::new(),
+            len: 0,
         }
     }
 }
@@ -130,23 +155,30 @@ impl<M> Runs<M> {
     /// Number of logical messages (not runs).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.to.len()
+        self.len
     }
 
     /// Whether nothing was sent.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.to.is_empty()
+        self.len == 0
     }
 
     /// The runs as `(payload, recipients)` pairs, in send order;
-    /// `recipients.len()` is the run's copy count.
+    /// `recipients.len()` is the run's copy count, and a shared run's
+    /// recipients are the list it was sent over, not a copy.
     pub fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
         let mut offset = 0usize;
-        self.runs.iter().map(move |(count, msg)| {
-            let start = offset;
-            offset += *count as usize;
-            (msg, &self.to[start..offset])
+        self.runs.iter().map(move |run| {
+            let to = match run.shared {
+                0 => {
+                    let start = offset;
+                    offset += run.copies as usize;
+                    &self.to[start..offset]
+                }
+                i => &self.shared[i as usize - 1][..],
+            };
+            (&run.msg, to)
         })
     }
 
@@ -167,8 +199,32 @@ impl<M> Runs<M> {
         if targets.is_empty() {
             return;
         }
-        self.runs.push((run_copies(targets.len()), msg));
+        self.open(targets.len(), 0, msg);
         self.to.extend_from_slice(targets);
+    }
+
+    /// Appends one run over a shared recipient list: the same messages as
+    /// [`Runs::push_run`] with `targets`, stored as the handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than `u32::MAX` targets or shared runs.
+    pub(crate) fn push_shared(&mut self, targets: Rc<[NodeId]>, msg: M) {
+        if targets.is_empty() {
+            return;
+        }
+        self.open(targets.len(), self.shared.len() + 1, msg);
+        self.shared.push(targets);
+    }
+
+    /// Records the head of a run of `copies` messages.
+    fn open(&mut self, copies: usize, shared: usize, msg: M) {
+        self.len += copies;
+        self.runs.push(Run {
+            copies: run_copies(copies),
+            shared: u32::try_from(shared).expect("more than u32::MAX shared runs"),
+            msg,
+        });
     }
 
     /// Number of runs.
@@ -178,14 +234,24 @@ impl<M> Runs<M> {
 
     /// Moves everything out, front to back, a segment at a time.
     pub(crate) fn segments(&mut self) -> Segments<'_, M> {
-        Segments(self.runs.drain(..), self.to.drain(..))
+        self.len = 0;
+        Segments {
+            runs: self.runs.drain(..),
+            to: self.to.drain(..),
+            shared: self.shared.drain(..),
+        }
     }
 
     /// Takes the only message out of an outbox of at most one.
     pub(crate) fn take_single(&mut self) -> Option<(NodeId, M)> {
         debug_assert!(self.len() <= 1);
-        let to = self.to.pop()?;
-        self.runs.pop().map(|(_, msg)| (to, msg))
+        let run = self.runs.pop()?;
+        self.len = 0;
+        let to = match run.shared {
+            0 => self.to.pop(),
+            _ => self.shared.pop().map(|list| list[0]),
+        };
+        Some((to.expect("a run has a recipient"), run.msg))
     }
 
     /// An empty outbox on recycled storage from `pool` (cleared here), so
@@ -194,6 +260,8 @@ impl<M> Runs<M> {
         let mut spare = pool.pop().unwrap_or_default();
         spare.runs.clear();
         spare.to.clear();
+        spare.shared.clear();
+        spare.len = 0;
         spare
     }
 }
@@ -208,15 +276,35 @@ pub(crate) fn run_copies(len: usize) -> u32 {
 }
 
 /// The front-to-back drain of a [`Runs`] several senders wrote into (see
-/// [`RunContext`](crate::RunContext)): its runs and its recipients.
-pub(crate) struct Segments<'a, M>(std::vec::Drain<'a, (u32, M)>, std::vec::Drain<'a, NodeId>);
+/// [`RunContext`](crate::RunContext)): its runs, its copied recipients and
+/// its shared lists.
+pub(crate) struct Segments<'a, M> {
+    runs: std::vec::Drain<'a, Run<M>>,
+    to: std::vec::Drain<'a, NodeId>,
+    shared: std::vec::Drain<'a, Rc<[NodeId]>>,
+}
 
 impl<M> Segments<'_, M> {
-    /// Moves the next `runs` runs, `to` messages in all, to the end of
-    /// `dst`.
-    pub(crate) fn move_next(&mut self, to: usize, runs: usize, dst: &mut Runs<M>) {
-        dst.runs.extend(self.0.by_ref().take(runs));
-        dst.to.extend(self.1.by_ref().take(to));
+    /// Moves the next `runs` runs to the end of `dst`: the heads, then
+    /// their copied recipients in one exact-size move, then their shared
+    /// lists, re-indexed behind the ones `dst` holds.
+    pub(crate) fn move_next(&mut self, runs: usize, dst: &mut Runs<M>) {
+        let (mut copied, mut shared, base) = (0, 0, dst.shared.len());
+        let len = &mut dst.len;
+        dst.runs
+            .extend(self.runs.by_ref().take(runs).map(|mut run| {
+                *len += run.copies as usize;
+                if run.shared == 0 {
+                    copied += run.copies as usize;
+                } else {
+                    shared += 1;
+                    run.shared =
+                        u32::try_from(base + shared).expect("more than u32::MAX shared runs");
+                }
+                run
+            }));
+        dst.to.extend(self.to.by_ref().take(copied));
+        dst.shared.extend(self.shared.by_ref().take(shared));
     }
 }
 
@@ -237,8 +325,10 @@ pub(crate) struct Batch<M> {
     /// Step during which every message in the batch was sent.
     pub(crate) sent_at: Step,
     /// The messages, by the run: the outbox as its callback filled it,
-    /// and after delivery storage for the pool.
-    pub(crate) body: Runs<M>,
+    /// and after delivery storage for the pool. Boxed, so a batch stays
+    /// smaller than an [`Envelope`] and never sets the size of a
+    /// [`Delivery`].
+    pub(crate) body: Box<Runs<M>>,
 }
 
 impl<M> Batch<M> {
@@ -258,17 +348,67 @@ impl<M> Batch<M> {
     }
 }
 
-/// One unit of network traffic in the engine's queue: either a single
-/// envelope or a coalesced [`Batch`]. Deliveries expand to the same
-/// logical messages in the same order either way, so which variant the
-/// engine picks is invisible to protocols, adversaries, and observers
-/// (see the crate-level determinism contract).
+/// The same payload from two or more senders to one recipient, sent in
+/// one step: what the recipients of one run send when each answers it
+/// with the same message to the same node (see
+/// [`RunContext::fan_in`](crate::RunContext::fan_in)).
+///
+/// Like a [`Batch`] it is framing only: it counts as one logical message
+/// per sender, expands to one [`Envelope`] per sender in sender order, and
+/// each sender's envelope is delivered (or dropped) as if it travelled
+/// alone.
+#[derive(Debug)]
+pub(crate) struct FanIn<M> {
+    /// The one recipient.
+    pub(crate) to: NodeId,
+    /// Step during which every sender sent it.
+    pub(crate) sent_at: Step,
+    /// The one stored payload.
+    pub(crate) msg: M,
+    /// The true senders, in send order.
+    pub(crate) from: Box<[NodeId]>,
+}
+
+impl<M> FanIn<M> {
+    /// Expands the fan-in into the per-message [`Envelope`] view, in
+    /// sender order.
+    pub(crate) fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
+    where
+        M: Clone,
+    {
+        self.from.iter().map(move |&from| Envelope {
+            from,
+            to: self.to,
+            sent_at: self.sent_at,
+            msg: self.msg.clone(),
+        })
+    }
+}
+
+/// One unit of network traffic in the engine's queue: a single envelope,
+/// a coalesced [`Batch`] or a [`FanIn`]. Deliveries expand to the same
+/// logical messages in the same order whichever variant carries them, so
+/// which one the engine picks is invisible to protocols, adversaries, and
+/// observers (see the crate-level determinism contract).
 #[derive(Debug)]
 pub(crate) enum Delivery<M> {
     /// A single message.
     One(Envelope<M>),
     /// A coalesced same-sender, same-step group of messages.
     Batch(Batch<M>),
+    /// A same-payload, same-recipient, same-step group of messages.
+    FanIn(Box<FanIn<M>>),
+}
+
+impl<M> Delivery<M> {
+    /// Number of logical messages.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Delivery::One(_) => 1,
+            Delivery::Batch(batch) => batch.body.len(),
+            Delivery::FanIn(fan) => fan.from.len(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -311,7 +451,7 @@ pub(crate) mod tests {
     /// A batch from node `from` holding the given `(payload, recipients)`
     /// runs.
     fn batch(from: usize, sent_at: Step, runs: &[(u32, &[usize])]) -> Batch<u32> {
-        let mut body = Runs::new();
+        let mut body = Box::<Runs<u32>>::default();
         for &(msg, to) in runs {
             body.push_run(&ids(to), msg);
         }
@@ -320,6 +460,16 @@ pub(crate) mod tests {
             sent_at,
             body,
         }
+    }
+
+    /// A shared recipient list.
+    fn list(indices: &[usize]) -> Rc<[NodeId]> {
+        ids(indices).into()
+    }
+
+    /// Whether some run of `runs` reads its recipients from `list` itself.
+    fn reads_from(runs: &Runs<u32>, list: &Rc<[NodeId]>) -> bool {
+        runs.runs().any(|(_, to)| std::ptr::eq(to, &**list))
     }
 
     /// `(payload, recipients)` per run.
@@ -357,11 +507,41 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn shared_runs_read_their_list_in_place_among_copied_ones() {
+        let (a, b) = (list(&[4, 2, 4]), list(&[5]));
+        let mut out = Runs::new();
+        out.push_run(&ids(&[1]), 1u32);
+        out.push_shared(Rc::clone(&a), 2);
+        out.push_shared(list(&[]), 3);
+        out.push_run(&ids(&[3, 0]), 4);
+        out.push_shared(Rc::clone(&b), 5);
+        assert_eq!((out.len(), out.run_count()), (7, 4), "no zero-copy run");
+        assert_eq!(
+            shape(&out),
+            [
+                (1, vec![1]),
+                (2, vec![4, 2, 4]),
+                (4, vec![3, 0]),
+                (5, vec![5])
+            ]
+        );
+        assert!(reads_from(&out, &a) && reads_from(&out, &b), "not copies");
+        let flat: Vec<(usize, u32)> = out.iter().map(|(to, msg)| (to.index(), *msg)).collect();
+        assert_eq!(
+            flat,
+            [(1, 1), (4, 2), (2, 2), (4, 2), (3, 4), (0, 4), (5, 5)]
+        );
+    }
+
+    #[test]
     fn storage_recycling_round_trips() {
-        let mut pool = vec![batch(0, 0, &[(3, &[1])]).body];
+        let mut body = batch(0, 0, &[(3, &[1])]).body;
+        body.push_shared(list(&[2]), 4);
+        let mut pool = vec![*body];
         let spare = Runs::recycled(&mut pool);
         assert_eq!((spare.len(), spare.run_count()), (0, 0));
         assert!(spare.to.capacity() > 0, "the pooled allocation, emptied");
+        assert!(spare.shared.is_empty() && spare.shared.capacity() > 0);
         assert!(pool.is_empty());
         assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
     }
@@ -373,6 +553,9 @@ pub(crate) mod tests {
         out.push_run(&ids(&[4]), 7u32);
         assert_eq!(out.take_single(), Some((NodeId::from_index(4), 7)));
         assert_eq!((out.len(), out.run_count()), (0, 0));
+        out.push_shared(list(&[6]), 8);
+        assert_eq!(out.take_single(), Some((NodeId::from_index(6), 8)));
+        assert_eq!((out.len(), out.run_count(), out.shared.len()), (0, 0, 0));
     }
 
     #[test]
@@ -380,12 +563,94 @@ pub(crate) mod tests {
         let mut shared = batch(0, 0, &[(1, &[1, 2]), (2, &[3]), (3, &[4, 5])]).body;
         let (mut first, mut second) = (Runs::new(), Runs::new());
         let mut rest = shared.segments();
-        rest.move_next(2, 1, &mut first);
-        rest.move_next(3, 2, &mut second);
+        rest.move_next(1, &mut first);
+        rest.move_next(2, &mut second);
         drop(rest);
         assert_eq!(shape(&first), [(1, vec![1, 2])]);
         assert_eq!(shape(&second), [(2, vec![3]), (3, vec![4, 5])]);
         assert_eq!((shared.len(), shared.run_count()), (0, 0));
+    }
+
+    #[test]
+    fn segments_move_shared_runs_as_handles_behind_the_destinations_own() {
+        let (a, b, c) = (list(&[7, 8]), list(&[9]), list(&[6, 6, 6]));
+        let mut src = Runs::new();
+        src.push_run(&ids(&[1, 2]), 1u32);
+        src.push_shared(Rc::clone(&a), 2);
+        src.push_run(&ids(&[3]), 3);
+        src.push_shared(Rc::clone(&b), 4);
+        src.push_run(&ids(&[4, 5]), 5);
+        // `second` already holds a shared run: the moved ones index behind it.
+        let (mut first, mut second) = (Runs::new(), Runs::new());
+        second.push_shared(Rc::clone(&c), 0);
+        let mut rest = src.segments();
+        rest.move_next(2, &mut first);
+        rest.move_next(3, &mut second);
+        drop(rest);
+        assert_eq!(shape(&first), [(1, vec![1, 2]), (2, vec![7, 8])]);
+        assert_eq!(
+            shape(&second),
+            [
+                (0, vec![6, 6, 6]),
+                (3, vec![3]),
+                (4, vec![9]),
+                (5, vec![4, 5])
+            ]
+        );
+        assert_eq!((first.len(), second.len()), (4, 7));
+        assert_eq!((first.to.len(), second.to.len()), (2, 3), "copied ids only");
+        assert!(reads_from(&first, &a) && reads_from(&second, &b) && reads_from(&second, &c));
+        assert_eq!((src.len(), src.run_count()), (0, 0));
+    }
+
+    /// `fba-core`'s `AerMsg`, by layout: a 56-byte enum whose widest
+    /// variant holds a 32-byte string, a label and two node ids.
+    #[derive(Clone)]
+    #[allow(dead_code)]
+    enum AerShaped {
+        Push(Text),
+        Fw1 {
+            origin: NodeId,
+            s: Text,
+            r: u64,
+            w: NodeId,
+        },
+        Fw2 {
+            origin: NodeId,
+            s: Text,
+            r: u64,
+        },
+        RepairQuery(u64),
+    }
+
+    /// `GString`'s layout: inline bytes, a bit length and a cached key.
+    #[derive(Clone)]
+    #[allow(dead_code)]
+    struct Text([u8; 16], u16, u64);
+
+    #[test]
+    fn a_batch_or_a_fan_in_is_never_the_widest_delivery() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<AerShaped>(), 56);
+        assert_eq!(size_of::<Envelope<AerShaped>>(), 72);
+        assert!(size_of::<Delivery<AerShaped>>() <= size_of::<Envelope<AerShaped>>());
+        assert_eq!(size_of::<Run<AerShaped>>(), 64, "the two u32s share a word");
+    }
+
+    #[test]
+    fn fan_in_envelopes_expand_in_sender_order() {
+        let fan = FanIn {
+            to: NodeId::from_index(3),
+            sent_at: 5,
+            msg: 9u32,
+            from: ids(&[4, 1, 4]).into(),
+        };
+        let envs: Vec<(usize, usize, Step, u32)> = fan
+            .envelopes()
+            .map(|e| (e.from.index(), e.to.index(), e.sent_at, e.msg))
+            .collect();
+        assert_eq!(envs, vec![(4, 3, 5, 9), (1, 3, 5, 9), (4, 3, 5, 9)]);
+        assert_eq!(Delivery::FanIn(Box::new(fan)).len(), 3);
     }
 
     #[test]

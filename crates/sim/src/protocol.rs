@@ -13,11 +13,12 @@
 //! it to do that work once.
 
 use std::fmt;
+use std::rc::Rc;
 
 use rand_chacha::ChaCha12Rng;
 
 use crate::ids::{NodeId, Step};
-use crate::message::{Runs, WireSize};
+use crate::message::{FanIn, Runs, WireSize};
 
 /// A per-node protocol state machine.
 ///
@@ -30,8 +31,9 @@ use crate::message::{Runs, WireSize};
 pub trait Protocol {
     /// Payload type of the messages this protocol exchanges. `Clone` is
     /// for delivery — a multicast is stored once and cloned per recipient
-    /// by [`deliver_each`] — and for the per-envelope views; sending
-    /// never clones or compares payloads.
+    /// by [`deliver_each`], a fan-in ([`RunContext::fan_in`]) is stored
+    /// once and cloned per *sender* — and for the per-envelope views;
+    /// sending never clones or compares payloads.
     type Msg: Clone + WireSize + fmt::Debug;
     /// The value a node returns when it terminates.
     type Output: Clone + Eq + fmt::Debug;
@@ -61,13 +63,14 @@ pub trait Protocol {
     /// The engine owns everything around the call: it has already dropped
     /// (and counted) dark recipients and recorded the receipt of the rest,
     /// and afterwards it ships what each recipient sent through
-    /// [`RunContext::context`] as that recipient's outbox, in recipient
-    /// order. An override must be observably the same as the default —
-    /// the same state changes, the same sends from the same recipients in
-    /// the same order, the same draws from each recipient's RNG — and may
-    /// differ only in doing per-*message* work once instead of per
-    /// recipient. It must skip `None` entries and may not touch a node
-    /// outside `recipients`.
+    /// [`RunContext::context`] as that recipient's outbox, and what several
+    /// sent through [`RunContext::fan_in`] as one fan-in, in the order
+    /// they were sent. An override must be observably the same as the
+    /// default — the same state changes, the same sends from the same
+    /// recipients in the same order, the same draws from each recipient's
+    /// RNG — and may differ only in doing per-*message* work once instead
+    /// of per recipient. It must skip `None` entries and may not touch a
+    /// node outside `recipients`.
     fn deliver_run(
         nodes: &mut [Option<Self>],
         from: NodeId,
@@ -127,22 +130,30 @@ pub fn deliver_each<P: Protocol>(
 /// What [`Protocol::deliver_run`] is handed in place of one [`Context`]:
 /// the step, and a [`Context`] per recipient on demand. Everything sent
 /// through one recipient's context — up to the next
-/// [`RunContext::context`] call — is that recipient's outbox for this
-/// delivery, exactly as if the engine had called
-/// [`Protocol::on_message`] on it: the recipients write into one shared
-/// [`Runs`], cut between them on run boundaries, so two recipients never
-/// share a run.
+/// [`RunContext::context`] or [`RunContext::fan_in`] call — is that
+/// recipient's outbox for this delivery, exactly as if the engine had
+/// called [`Protocol::on_message`] on it: the recipients write into one
+/// shared [`Runs`], cut between them on run boundaries, so two recipients
+/// never share a run.
 pub struct RunContext<'a, M> {
     n: usize,
     step: Step,
     rngs: &'a mut [ChaCha12Rng],
     outbox: &'a mut Runs<M>,
-    /// `(sender, messages, runs)` of every non-empty outbox segment
-    /// closed so far: whose it is and how long.
-    cuts: &'a mut Vec<(NodeId, usize, usize)>,
-    /// The recipient whose segment is open, and the `(message, run)` it
-    /// starts at.
-    open: Option<(NodeId, usize, usize)>,
+    /// Every closed non-empty piece of this delivery's sends, in order.
+    cuts: &'a mut Vec<Cut<M>>,
+    /// The recipient whose segment is open, and the run it starts at.
+    open: Option<(NodeId, usize)>,
+}
+
+/// One piece of what a run's recipients sent, in send order.
+#[derive(Debug)]
+pub(crate) enum Cut<M> {
+    /// `(sender, runs)`: the next `runs` runs of the outbox are one
+    /// recipient's outbox segment.
+    Outbox(NodeId, usize),
+    /// One payload from several recipients to one node.
+    FanIn(Box<FanIn<M>>),
 }
 
 impl<'a, M> RunContext<'a, M> {
@@ -153,7 +164,7 @@ impl<'a, M> RunContext<'a, M> {
         step: Step,
         rngs: &'a mut [ChaCha12Rng],
         outbox: &'a mut Runs<M>,
-        cuts: &'a mut Vec<(NodeId, usize, usize)>,
+        cuts: &'a mut Vec<Cut<M>>,
     ) -> Self {
         debug_assert!(outbox.is_empty() && cuts.is_empty());
         RunContext {
@@ -180,7 +191,7 @@ impl<'a, M> RunContext<'a, M> {
     /// Panics if `to` is out of range.
     pub fn context(&mut self, to: NodeId) -> Context<'_, M> {
         self.close();
-        self.open = Some((to, self.outbox.len(), self.outbox.run_count()));
+        self.open = Some((to, self.outbox.run_count()));
         Context::new(
             to,
             self.n,
@@ -190,18 +201,48 @@ impl<'a, M> RunContext<'a, M> {
         )
     }
 
+    /// `msg` from every node of `senders`, in order, to `to`: observably
+    /// `for z in senders { run.context(z).send(to, msg.clone()) }` — each
+    /// sender's message is an outbox of its own, in its place among the
+    /// others — but two or more senders ship as one fan-in delivery that
+    /// stores the payload once. No sender, no send.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is sent, if `to` or a sender is out of
+    /// range.
+    pub fn fan_in(&mut self, senders: &[NodeId], to: NodeId, msg: M) {
+        let n = self.n;
+        if let Some(id) = senders.iter().chain([&to]).find(|id| id.index() >= n) {
+            panic!("fan-in node {id} out of range (n={n})");
+        }
+        match senders {
+            [] => {}
+            [one] => self.context(*one).send(to, msg),
+            _ => {
+                self.close();
+                self.cuts.push(Cut::FanIn(Box::new(FanIn {
+                    to,
+                    sent_at: self.step,
+                    msg,
+                    from: senders.into(),
+                })));
+            }
+        }
+    }
+
     /// Closes the open segment, recording it if anything was sent.
     fn close(&mut self) {
-        if let Some((sender, to_start, runs_start)) = self.open.take() {
-            let (to, runs) = (self.outbox.len(), self.outbox.run_count());
-            if to > to_start {
-                self.cuts.push((sender, to - to_start, runs - runs_start));
+        if let Some((sender, runs_start)) = self.open.take() {
+            let runs = self.outbox.run_count();
+            if runs > runs_start {
+                self.cuts.push(Cut::Outbox(sender, runs - runs_start));
             }
         }
     }
 
     /// Ends the run: after this, `cuts` lists every non-empty
-    /// per-recipient segment of `outbox`, in order.
+    /// per-recipient segment of `outbox` and every fan-in, in send order.
     pub(crate) fn finish(mut self) {
         self.close();
     }
@@ -285,10 +326,27 @@ impl<'a, M> Context<'a, M> {
     ///
     /// Panics, before anything is sent, if a target is out of range.
     pub fn multicast(&mut self, targets: &[NodeId], msg: M) {
+        self.check_targets(targets);
+        self.outbox.push_run(targets, msg);
+    }
+
+    /// [`Context::multicast`] over a list the caller already shares: the
+    /// same messages, but the run keeps a handle on `targets` instead of
+    /// copying them, so a list interned once is stored once however many
+    /// runs are in flight over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is sent, if a target is out of range.
+    pub fn multicast_shared(&mut self, targets: Rc<[NodeId]>, msg: M) {
+        self.check_targets(&targets);
+        self.outbox.push_shared(targets, msg);
+    }
+
+    fn check_targets(&self, targets: &[NodeId]) {
         if let Some(to) = targets.iter().find(|to| to.index() >= self.n) {
             panic!("send target {to} out of range (n={})", self.n);
         }
-        self.outbox.push_run(targets, msg);
     }
 
     /// Number of messages queued so far in this callback (mostly useful in
@@ -381,6 +439,36 @@ mod tests {
     }
 
     #[test]
+    fn multicast_shared_keeps_the_handle_and_checks_the_range_first() {
+        let mut rng = node_rng(1, 0);
+        let mut outbox = Runs::new();
+        let list: Rc<[NodeId]> = ids(&[3, 1]).into();
+        let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
+        ctx.multicast_shared(Rc::clone(&list), 5u32);
+        ctx.multicast_shared(ids(&[]).into(), 6);
+        assert_eq!(ctx.queued(), 2);
+        let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.multicast_shared(ids(&[2, 4]).into(), 7);
+        }));
+        assert!(out_of_range.is_err());
+        assert_eq!(shape(&outbox), [(5, vec![3, 1])]);
+        assert_eq!(Rc::strong_count(&list), 2, "one handle, no copy");
+    }
+
+    /// The cuts as `sender:runs` for an outbox segment and
+    /// `[senders]>to:msg` for a fan-in.
+    fn cuts_of(cuts: &[Cut<u32>]) -> Vec<String> {
+        let cut = |cut: &Cut<u32>| match cut {
+            Cut::Outbox(sender, runs) => format!("{}:{runs}", sender.index()),
+            Cut::FanIn(fan) => {
+                let from: Vec<usize> = fan.from.iter().map(|z| z.index()).collect();
+                format!("{from:?}>{}:{}", fan.to.index(), fan.msg)
+            }
+        };
+        cuts.iter().map(cut).collect()
+    }
+
+    #[test]
     fn run_context_cuts_the_outbox_per_recipient() {
         let id = NodeId::from_index;
         let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
@@ -397,7 +485,7 @@ mod tests {
         // The same recipient again is a callback of its own.
         run.context(id(3)).send(id(2), 32);
         run.finish();
-        assert_eq!(cuts, vec![(id(1), 1, 1), (id(3), 3, 2), (id(3), 1, 1)]);
+        assert_eq!(cuts_of(&cuts), ["1:1", "3:2", "3:1"]);
         assert_eq!(outbox.len(), 5);
     }
 
@@ -411,7 +499,41 @@ mod tests {
         run.context(id(1)).send(id(0), 5u32);
         run.context(id(2)).send(id(0), 5);
         run.finish();
-        assert_eq!(cuts, vec![(id(1), 1, 1), (id(2), 1, 1)]);
+        assert_eq!(cuts_of(&cuts), ["1:1", "2:1"]);
         assert_eq!(shape(&outbox), [(5, vec![0]), (5, vec![0])]);
+    }
+
+    #[test]
+    fn a_fan_in_keeps_its_place_among_the_per_recipient_cuts() {
+        let id = NodeId::from_index;
+        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
+        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
+        let mut run = RunContext::new(4, 3, &mut rngs, &mut outbox, &mut cuts);
+        run.context(id(1)).send(id(0), 10u32);
+        // Closes node 1's segment; a sender listed twice sends twice.
+        run.fan_in(&ids(&[2, 3, 2]), id(0), 20);
+        run.fan_in(&[], id(0), 21);
+        // One sender is a plain outbox of one.
+        run.fan_in(&ids(&[3]), id(1), 30);
+        run.context(id(2)).send(id(1), 40);
+        run.finish();
+        assert_eq!(cuts_of(&cuts), ["1:1", "[2, 3, 2]>0:20", "3:1", "2:1"]);
+        assert_eq!(
+            shape(&outbox),
+            [(10, vec![0]), (30, vec![1]), (40, vec![1])]
+        );
+        let Cut::FanIn(fan) = &cuts[1] else {
+            unreachable!()
+        };
+        assert_eq!(fan.sent_at, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "fan-in node n4 out of range (n=4)")]
+    fn a_fan_in_from_an_out_of_range_sender_is_refused() {
+        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
+        let (mut outbox, mut cuts) = (Runs::<u32>::new(), Vec::new());
+        let mut run = RunContext::new(4, 0, &mut rngs, &mut outbox, &mut cuts);
+        run.fan_in(&ids(&[1, 4]), NodeId::from_index(0), 1);
     }
 }

@@ -173,7 +173,7 @@ mod step_table {
 
     use fba_sim::{
         run_observed, Adversary, Context, CrashPlan, EngineConfig, Envelope, NoAdversary, NodeId,
-        Observer, Outbox, Protocol, Step, Window,
+        Observer, Outbox, Protocol, RunContext, Step, Window,
     };
     use rand_chacha::ChaCha12Rng;
 
@@ -474,22 +474,86 @@ mod step_table {
         }
     }
 
-    /// Runs the multicast toy on both engines, with node 2 dark over
-    /// step 1 when `outage` is set, and compares the call log with
-    /// `expected` and the drop count with `dropped`.
-    fn assert_run_table(outage: bool, dropped: u64, expected: &str) {
+    /// The fan-in toy: node 0 of a 4-node system multicasts `5` to nodes
+    /// 1, 2, 3 at start, and every recipient answers the sender with
+    /// `15` — which its `deliver_run` ships through
+    /// [`RunContext::fan_in`]: one delivery from three senders.
+    struct Relay {
+        id: usize,
+        log: Log,
+    }
+
+    impl Relay {
+        /// Logs the delivery and returns the answer it calls for.
+        fn hear(&self, from: NodeId, msg: u64, step: Step) -> Option<u64> {
+            let id = self.id;
+            self.log
+                .note(format!("msg({id}<{}:{msg}@{step})", from.index()));
+            (msg < 10).then_some(msg + 10)
+        }
+    }
+
+    impl Protocol for Relay {
+        type Msg = u64;
+        type Output = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            if self.id == 0 {
+                let to: Vec<NodeId> = [1, 2, 3].map(NodeId::from_index).to_vec();
+                ctx.multicast(&to, 5);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
+            if let Some(answer) = self.hear(from, msg, ctx.step()) {
+                ctx.send(from, answer);
+            }
+        }
+        fn deliver_run(
+            nodes: &mut [Option<Self>],
+            from: NodeId,
+            msg: &u64,
+            recipients: &[NodeId],
+            run: &mut RunContext<'_, u64>,
+        ) {
+            let live = recipients
+                .iter()
+                .filter_map(|&z| Some((z, nodes[z.index()].as_ref()?)));
+            let senders: Vec<NodeId> = live
+                .filter_map(|(z, node)| node.hear(from, *msg, run.step()).map(|_| z))
+                .collect();
+            run.fan_in(&senders, from, msg + 10);
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+
+    impl Observer<Relay> for Log {
+        fn on_step(&mut self, step: Step, sends: &[Envelope<u64>]) {
+            self.note(format!("view({step},[{}])", envs(sends)));
+        }
+    }
+
+    /// Runs a 4-node toy on both engines, with node 2 dark over `dark`
+    /// when given, and compares the call log with `expected` and the drop
+    /// count with `dropped`.
+    fn assert_run_table<P: Protocol<Msg = u64>>(
+        toy: fn(usize, Log) -> P,
+        dark: Option<Window>,
+        dropped: u64,
+        expected: &str,
+    ) where
+        Log: Observer<P>,
+    {
         let expected: Vec<&str> = expected.split_whitespace().collect();
         for reference in [false, true] {
             let log = Log::default();
-            let dark = (Window::bounded(1, 2), vec![NodeId::from_index(2)]);
+            let outage = dark.map(|window| (window, vec![NodeId::from_index(2)]));
             let cfg = EngineConfig {
-                crash: outage.then(|| CrashPlan::new(vec![dark]).expect("valid plan")),
+                crash: outage.map(|outage| CrashPlan::new(vec![outage]).expect("valid plan")),
                 ..EngineConfig::sync(4)
             };
-            let node = |id: NodeId| Fanout {
-                id: id.index(),
-                log: log.clone(),
-            };
+            let node = |id: NodeId| toy(id.index(), log.clone());
             let observer = &mut log.clone();
             let out = if reference {
                 reference_run(&cfg, 1, 1, &mut NoAdversary, node, observer)
@@ -503,10 +567,15 @@ mod step_table {
         }
     }
 
+    fn fanout(id: usize, log: Log) -> Fanout {
+        Fanout { id, log }
+    }
+
     #[test]
     fn default_run_hook_keeps_the_call_order_through_a_batch() {
         assert_run_table(
-            false,
+            fanout,
+            None,
             0,
             "view(0,[0>1:5,0>2:5,0>3:5,0>2:6,0>1:6])
              msg(1<0:5@1) msg(2<0:5@1) msg(3<0:5@1) msg(2<0:6@1) msg(1<0:6@1)
@@ -520,7 +589,8 @@ mod step_table {
     #[test]
     fn a_run_with_dark_recipients_drops_exactly_those() {
         assert_run_table(
-            true,
+            fanout,
+            Some(Window::bounded(1, 2)),
             2,
             "view(0,[0>1:5,0>2:5,0>3:5,0>2:6,0>1:6])
              msg(1<0:5@1) msg(3<0:5@1) msg(1<0:6@1)
@@ -529,21 +599,39 @@ mod step_table {
              view(2,[])",
         );
     }
+
+    #[test]
+    fn a_fan_in_with_a_dark_sender_drops_exactly_its_envelope() {
+        // The three answers are one fan-in; node 2 is dark when it lands.
+        assert_run_table(
+            |id, log| Relay { id, log },
+            Some(Window::bounded(2, 3)),
+            1,
+            "view(0,[0>1:5,0>2:5,0>3:5])
+             msg(1<0:5@1) msg(2<0:5@1) msg(3<0:5@1)
+             view(1,[1>0:15,2>0:15,3>0:15])
+             msg(0<1:15@2) msg(0<3:15@2)
+             view(2,[])",
+        );
+    }
 }
 
 /// The differential property: `run_session`, two runs back to back over
 /// one [`EngineSession`], against a fresh `reference_run` each — on a toy
 /// protocol and adversary built to vary what the engine has to get right:
-/// outbox shapes (which decide envelope or batch), the schedule (which
-/// decides, step by step, bulk or keyed lane, and batch by batch, whole
-/// or split), rushing sends, chained outages, and which hints are off.
+/// outbox shapes (which decide envelope or batch), copied and shared
+/// recipient lists, fan-ins from a run-level hook, the schedule (which
+/// decides, step by step, bulk or keyed lane, and batch by batch or
+/// fan-in by fan-in, whole or split), rushing sends, chained outages that
+/// darken senders and recipients of either, and which hints are off.
 mod differential {
     use std::collections::BTreeSet;
+    use std::rc::Rc;
 
     use fba_sim::rng::splitmix64;
     use fba_sim::{
-        choose_corrupt, run_session, Adversary, Context, CrashPlan, EngineConfig, EngineSession,
-        Envelope, NodeId, Observer, Outbox, Protocol, Step, Window,
+        choose_corrupt, deliver_each, run_session, Adversary, Context, CrashPlan, EngineConfig,
+        EngineSession, Envelope, NodeId, Observer, Outbox, Protocol, RunContext, Step, Window,
     };
     use proptest::prelude::*;
     use rand::Rng;
@@ -556,16 +644,27 @@ mod differential {
         parts.into_iter().fold(h, |h, part| splitmix64(h ^ part))
     }
 
+    /// Marks an *echo* payload: every recipient answers its sender with
+    /// the same [`echo`] of it, which `deliver_run` sends as one fan-in.
+    const ECHO: u64 = 1 << 62;
+
+    /// The answer to an echo payload: no longer one, one hop less.
+    fn echo(msg: u64) -> u64 {
+        (msg & !ECHO & !3) | (msg % 4).saturating_sub(1)
+    }
+
     /// A payload's low two bits are its hop budget `b`: a delivery is
     /// answered with `b` messages — up to two equal ones to the sender
-    /// (one multicast to a recipient listed twice), the third to a node
-    /// drawn from the private RNG — so outboxes come empty, single,
-    /// uniform and mixed, and traffic dies out. With a `fanout` of three
-    /// or more, every other node opens with one multicast to eight
+    /// (one multicast to a recipient listed twice, its list copied or
+    /// shared as `heard` falls), the third to a node drawn from the
+    /// private RNG — so outboxes come empty, single, uniform and mixed,
+    /// and traffic dies out. With a `fanout` of three or more, every other
+    /// node opens with one echo multicast over a shared list of eight
     /// recipients — itself first, and with `n < 8` some of them twice: a
-    /// run long enough for a per-envelope schedule to cut in the middle.
-    /// What a node has `heard` hashes deliveries in order; it decides on
-    /// that after `quota` of them.
+    /// run long enough for a per-envelope schedule to cut in the middle,
+    /// whose answers come back as a fan-in as long. What a node has
+    /// `heard` hashes deliveries in order; it decides on that after
+    /// `quota` of them.
     struct Toy {
         id: usize,
         n: usize,
@@ -573,6 +672,13 @@ mod differential {
         quota: u64,
         heard: u64,
         count: u64,
+    }
+
+    impl Toy {
+        fn hear(&mut self, from: NodeId, msg: u64) {
+            self.heard = mix(self.heard, [msg, from.index() as u64]);
+            self.count += 1;
+        }
     }
 
     impl Protocol for Toy {
@@ -588,10 +694,10 @@ mod differential {
                 ctx.multicast(to, 4 * (256 * self.id as u64 + pair as u64) + 3);
             }
             if self.fanout >= 3 && self.id.is_multiple_of(2) {
-                let to: Vec<NodeId> = (0..8)
+                let to: Rc<[NodeId]> = (0..8)
                     .map(|k| NodeId::from_index((self.id + k) % self.n))
                     .collect();
-                ctx.multicast(&to, 4 * (4096 + self.id as u64) + 2);
+                ctx.multicast_shared(to, ECHO | (4 * (4096 + self.id as u64) + 2));
             }
         }
         fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
@@ -601,15 +707,43 @@ mod differential {
             }
         }
         fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
-            self.heard = mix(self.heard, [msg, from.index() as u64]);
-            self.count += 1;
+            self.hear(from, msg);
+            if msg & ECHO != 0 {
+                return ctx.send(from, echo(msg));
+            }
             let budget = msg % 4;
-            let reply = (self.heard & !3) | budget.saturating_sub(1);
-            ctx.multicast(&[from, from][..budget.min(2) as usize], reply);
+            let reply = (self.heard & !3 & !ECHO) | budget.saturating_sub(1);
+            let to = &[from, from][..budget.min(2) as usize];
+            if self.heard & 8 == 0 {
+                ctx.multicast(to, reply);
+            } else {
+                ctx.multicast_shared(to.into(), reply);
+            }
             if budget == 3 {
                 let to = NodeId::from_index(ctx.rng().gen_range(0..self.n));
                 ctx.send(to, reply ^ 4);
             }
+        }
+        /// An echo run is answered by its live recipients as one fan-in
+        /// to its sender; anything else takes the per-recipient loop.
+        fn deliver_run(
+            nodes: &mut [Option<Self>],
+            from: NodeId,
+            msg: &u64,
+            recipients: &[NodeId],
+            run: &mut RunContext<'_, u64>,
+        ) {
+            if msg & ECHO == 0 {
+                return deliver_each(nodes, from, msg, recipients, run);
+            }
+            let mut senders = Vec::new();
+            for &z in recipients {
+                if let Some(node) = nodes[z.index()].as_mut() {
+                    node.hear(from, *msg);
+                    senders.push(z);
+                }
+            }
+            run.fan_in(&senders, from, echo(*msg));
         }
         fn on_crash(&mut self, _step: Step) {
             self.heard = 0;
@@ -629,7 +763,7 @@ mod differential {
     /// out of order changes every later delay. `mode` 0 keeps the default
     /// schedule and says so through both hints; 1 is consulted and
     /// answers the default; 2 jitters every envelope, so batches split
-    /// mid-run; 3 jitters the odd steps only, so bulk and keyed steps
+    /// mid-run and fan-ins mid-list; 3 jitters the odd steps only, so bulk and keyed steps
     /// share calendar slots; 4 keys an envelope by its sender and hop
     /// budget alone (the `corner` shape: most steps are non-uniform and
     /// most batches ride the keyed lane whole); 5 answers the default
@@ -684,7 +818,11 @@ mod differential {
             let seen = view.map_or(step, |v| mix(step, v.iter().map(|e| e.msg)));
             for (i, &from) in self.corrupt.iter().enumerate() {
                 let to = mix(seen, [i as u64]) % self.n as u64;
-                out.send_as(from, NodeId::from_index(to as usize), (seen & !3) | 2);
+                out.send_as(
+                    from,
+                    NodeId::from_index(to as usize),
+                    (seen & !3 & !ECHO) | 2,
+                );
             }
         }
         fn delay(&mut self, env: &Envelope<u64>) -> Step {
