@@ -677,6 +677,53 @@ fn engine_matches_golden_digests() {
 }
 
 #[test]
+fn composed_runs_match_golden_digests() {
+    // The composed phase's anchor: the AER half's transcript-recording
+    // run (through `run_digest`) plus the almost-everywhere phase's
+    // gstring, frozen. The AER half runs with master and coalition seed
+    // `seed + 1`; giving it `seed` instead fails both rows.
+    let silent = AdversarySpec::Silent { t: None };
+    let base = |n: usize| {
+        Scenario::new(n)
+            .phase(Phase::Composed)
+            .record_transcript(true)
+    };
+    // (label, n, seed, scenario, expected digest)
+    let cases: [(&str, usize, u64, Scenario, u64); 2] = [
+        (
+            "n=64 composed sync silent",
+            64,
+            3,
+            base(64).adversary(silent.clone()).ae_adversary(silent),
+            0x5eebe128c502415b,
+        ),
+        (
+            "n=64 composed async:1 corner:128",
+            64,
+            13,
+            base(64)
+                .network(NetworkSpec::Async { max_delay: 1 })
+                .adversary(AdversarySpec::Corner { label_scan: 128 }),
+            0x78bc29b8828a0830,
+        ),
+    ];
+    for (label, n, seed, scenario, expected) in cases {
+        let run = scenario.run(seed).expect("valid scenario").into_composed();
+        let got = {
+            use std::hash::Hasher;
+            let mut h = fba::sim::fxhash::FxHasher::default();
+            h.write_u64(run_digest([&run.aer], n));
+            h.write(format!("{:?}", run.ae.gstring).as_bytes());
+            h.finish()
+        };
+        assert_eq!(
+            got, expected,
+            "{label}: golden digest drifted (got {got:#x})"
+        );
+    }
+}
+
+#[test]
 fn observers_and_transcripts_do_not_perturb_outcomes() {
     // Attaching instrumentation must never change what a scenario
     // computes — the determinism contract that makes observers safe to
