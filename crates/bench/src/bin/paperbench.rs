@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use fba_bench::{run_experiments, sweep, Scope, ALL_IDS, METRICS};
 use fba_recovery::{CrashSpec, CRASH_EXPECTED};
-use fba_scenario::{Baseline, Phase, Scenario, ScenarioOutcome};
+use fba_scenario::{AerRun, Baseline, Phase, Scenario, ScenarioOutcome};
 use fba_sim::{AdversarySpec, NetworkSpec};
 
 fn usage() {
@@ -257,40 +257,7 @@ fn run_scenario(args: &[String]) -> Result<(), String> {
 /// What one run decided, in the terms of the phase it ran.
 fn print_outcome(outcome: &ScenarioOutcome) {
     match outcome {
-        ScenarioOutcome::Aer(out) => {
-            println!(
-                "decided {}/{} correct nodes, {} wrong, all decided at {}, {:.0} bits/node",
-                out.run.outputs.len(),
-                out.correct_nodes(),
-                out.wrong_decisions(),
-                out.run
-                    .all_decided_at
-                    .map_or("-".to_string(), |s| format!("step {s}")),
-                out.run.metrics.amortized_bits(),
-            );
-            if let Some(report) = &out.corner {
-                println!(
-                    "corner plan: {} victims, {} overload targets, depth {}",
-                    report.blocked_victims, report.overload_targets, report.planned_depth
-                );
-            }
-            for outage in out.rejoin().iter().flat_map(|r| &r.outages) {
-                println!(
-                    "outage [{}..{}): {}/{} crashed correct nodes rejoined, max {} / mean {} \
-                     steps past restart",
-                    outage.start,
-                    outage.end,
-                    outage.rejoined,
-                    outage.crashed,
-                    outage
-                        .max_rejoin_steps
-                        .map_or("n/a".to_string(), |s| s.to_string()),
-                    outage
-                        .mean_rejoin_steps
-                        .map_or("n/a".to_string(), |m| format!("{m:.2}")),
-                );
-            }
-        }
+        ScenarioOutcome::Aer(out) => print_aer(out),
         ScenarioOutcome::Ae(run) => {
             println!(
                 "almost-everywhere phase decided: {:.1}% of correct nodes knowing after \
@@ -302,21 +269,19 @@ fn print_outcome(outcome: &ScenarioOutcome) {
         }
         ScenarioOutcome::Composed(c) => {
             println!(
-                "composed BA {}: decided {}/{} correct nodes, AE {} rounds + AER {}, \
-                 {:.0} bits/node total",
+                "composed BA {}: AE {} rounds + AER {}, {:.0} bits/node total; AER half:",
                 if c.report.success() {
                     "SUCCESS"
                 } else {
                     "partial"
                 },
-                c.report.decided_nodes,
-                c.report.correct_nodes,
                 c.report.ae_rounds,
                 c.report
                     .aer_rounds
                     .map_or("-".to_string(), |s| s.to_string()),
                 c.report.ae_bits_per_node + c.report.aer_bits_per_node,
             );
+            print_aer(&c.aer);
         }
         ScenarioOutcome::Baseline(b) => {
             let metrics = b.outcome.metrics();
@@ -329,6 +294,43 @@ fn print_outcome(outcome: &ScenarioOutcome) {
                 metrics.amortized_bits(),
             );
         }
+    }
+}
+
+/// An AER run's decisions, corner plan and outages: a plain AER run's
+/// whole report, and the AER half of a composed one.
+fn print_aer(out: &AerRun) {
+    println!(
+        "decided {}/{} correct nodes, {} wrong, all decided at {}, {:.0} bits/node",
+        out.run.outputs.len(),
+        out.correct_nodes(),
+        out.wrong_decisions(),
+        out.run
+            .all_decided_at
+            .map_or("-".to_string(), |s| format!("step {s}")),
+        out.run.metrics.amortized_bits(),
+    );
+    if let Some(report) = &out.corner {
+        println!(
+            "corner plan: {} victims, {} overload targets, depth {}",
+            report.blocked_victims, report.overload_targets, report.planned_depth
+        );
+    }
+    for outage in out.rejoin().iter().flat_map(|r| &r.outages) {
+        println!(
+            "outage [{}..{}): {}/{} crashed correct nodes rejoined, max {} / mean {} \
+             steps past restart",
+            outage.start,
+            outage.end,
+            outage.rejoined,
+            outage.crashed,
+            outage
+                .max_rejoin_steps
+                .map_or("n/a".to_string(), |s| s.to_string()),
+            outage
+                .mean_rejoin_steps
+                .map_or("n/a".to_string(), |m| format!("{m:.2}")),
+        );
     }
 }
 

@@ -34,8 +34,9 @@ const BA: Protocol = ("BA (this paper)", "t < (1/3-ε)n", |n, seed| {
         .run(seed)
         .expect("composed scenario")
         .into_composed();
-    let aer = AerSummary::of_metrics(&c.aer.metrics, c.aer.all_decided_at);
-    let msgs = c.ae.run.metrics.correct_msgs_sent() + c.aer.metrics.correct_msgs_sent();
+    let (ae, aer) = (&c.ae.outcome.run, &c.aer.run);
+    let msgs = ae.metrics.correct_msgs_sent() + aer.metrics.correct_msgs_sent();
+    let aer = AerSummary::of_metrics(&aer.metrics, aer.all_decided_at);
     AerSummary {
         p95: aer.p95.map(|r| c.report.ae_rounds as f64 + r),
         bits: c.report.ae_bits_per_node + c.report.aer_bits_per_node,

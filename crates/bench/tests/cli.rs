@@ -300,6 +300,36 @@ fn scenario_runs_a_crash_schedule_and_reports_rejoin_cost() {
 }
 
 #[test]
+fn scenario_runs_a_crash_schedule_in_the_composed_aer_half() {
+    let out = paperbench(&[
+        "scenario",
+        "--n",
+        "64",
+        "--phase",
+        "composed",
+        "--crash",
+        "crash:[2..6]4",
+        "--seed",
+        "3",
+    ]);
+    assert!(
+        out.status.success(),
+        "composed crash schedule must run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("composed BA SUCCESS"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("decided 64/64 correct nodes, 0 wrong"),
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.contains("outage [2..6): 4/4 crashed correct nodes rejoined"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
 fn scenario_rejects_malformed_crash_schedules() {
     // Grammar errors fail at parse, scenario-level ones at validation;
     // either way a rejection, and nothing runs.
@@ -308,7 +338,7 @@ fn scenario_rejects_malformed_crash_schedules() {
         ("crash:[2..6]4;[4..8]4", "aer"), // overlapping windows
         ("crash:[3..7]100000", "aer"),    // more victims than nodes
         ("crash:", "aer"),                // empty body
-        ("crash:[3..7]4", "composed"),    // no crash engine off the AER phase
+        ("crash:[3..7]4", "ae"),          // no checkpoint layer off AER
         ("crash:[3..7]4", "baseline:flood"),
     ] {
         let stderr = rejected(&["scenario", "--n", "64", "--phase", phase, "--crash", bad]);

@@ -3,9 +3,11 @@
 //! This crate implements the paper's primary contribution: **AER**, an
 //! *almost-everywhere → everywhere* agreement protocol with amortized
 //! communication `Õ(1)` per node, constant time under a synchronous
-//! non-rushing adversary and `O(log n / log log n)` time under asynchrony,
-//! plus **BA**, the Byzantine Agreement protocol obtained by composing AER
-//! with an almost-everywhere agreement substrate.
+//! non-rushing adversary and `O(log n / log log n)` time under asynchrony.
+//! **BA**, the Byzantine Agreement protocol obtained by composing AER with
+//! an almost-everywhere agreement substrate (`fba-ae`), is assembled in
+//! `fba-scenario`: its composed phase runs AE, then one ordinary AER
+//! instance on AE's output.
 //!
 //! * [`push`] — the push phase (§3.1.1): sampler-filtered diffusion of
 //!   candidate strings.
@@ -16,8 +18,6 @@
 //!   harness.
 //! * [`adversary`] — the attack suite: flooding, equivocation, and the
 //!   Lemma 6 cornering/overload attack.
-//! * [`ba`] — end-to-end Byzantine Agreement (almost-everywhere phase +
-//!   AER).
 //!
 //! ```
 //! use fba_ae::{Precondition, UnknowingAssignment};
@@ -39,7 +39,6 @@
 
 pub mod adversary;
 mod aer;
-pub mod ba;
 mod config;
 mod msg;
 pub mod pull;
@@ -48,7 +47,6 @@ mod state;
 pub mod trace;
 
 pub use aer::{AerHarness, AerNode};
-pub use ba::{run_ba, BaConfig, BaReport};
 pub use config::{AerConfig, ConfigError};
 pub use msg::AerMsg;
 pub use state::AerRunState;

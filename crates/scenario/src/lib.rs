@@ -62,8 +62,8 @@ use fba_sim::{AdversarySpec, NetworkSpec, NodeId, Step};
 
 pub use error::ScenarioError;
 pub use outcome::{
-    AeRun, AerRun, BaselineOutcome, BaselineRun, ComposedRun, ScenarioOutcome, ServiceInstance,
-    ServiceRun,
+    AeRun, AerRun, BaReport, BaselineOutcome, BaselineRun, ComposedRun, ScenarioOutcome,
+    ServiceInstance, ServiceRun,
 };
 pub use spec::{Baseline, Phase, PollTimeoutSpec, PreconditionSpec};
 
@@ -153,10 +153,12 @@ impl Scenario {
     /// dark for the window (deliveries to and from them are dropped,
     /// callbacks suspended) and restart at window end from their last
     /// checkpoint, then state-sync by re-polling their checkpointed
-    /// candidates against fresh peer samples. Only the AER phase
-    /// executes crash plans. An empty spec is the no-fault baseline,
-    /// bit-identical to never calling this (pinned by the equivalence
-    /// suite).
+    /// candidates against fresh peer samples. [`Phase::Aer`] runs crash
+    /// plans, and so does [`Phase::Composed`] in its AER half (windows
+    /// count from that half's step 0); `ae` and the baselines have no
+    /// checkpoint layer and reject a non-empty spec. An empty spec is the
+    /// no-fault baseline, bit-identical to never calling this (pinned by
+    /// the equivalence suite).
     #[must_use]
     pub fn faults_spec(mut self, spec: CrashSpec) -> Self {
         self.faults_spec = Some(spec);
@@ -295,7 +297,8 @@ impl Scenario {
         self
     }
 
-    /// Rigs the given nodes of a [`Phase::Ae`] run to contribute the
+    /// Rigs the given nodes of a [`Phase::Ae`] run (or of a
+    /// [`Phase::Composed`] run's almost-everywhere half) to contribute the
     /// constant `value` instead of private randomness (the semi-honest
     /// bias of the gstring-entropy experiment).
     #[must_use]

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use fba_ae::{AeConfig, AeOutcome, Precondition};
 use fba_baselines::{BenOrMsg, FloodMsg, KingMsg, KlstMsg};
 use fba_core::adversary::CornerReport;
-use fba_core::{AerConfig, AerMsg, BaConfig, BaReport};
+use fba_core::{AerConfig, AerMsg};
 use fba_recovery::{rejoin_report, RejoinReport};
 use fba_samplers::GString;
 use fba_sim::{EngineConfig, Metrics, MetricsTotals, NodeId, RunOutcome, Step};
@@ -89,13 +89,15 @@ impl ScenarioOutcome {
     }
 }
 
-/// Outcome of a [`Phase::Aer`](crate::Phase::Aer) scenario: the simulator outcome plus
+/// Outcome of one AER instance — a [`Phase::Aer`](crate::Phase::Aer) scenario or the AER
+/// half of a [`Phase::Composed`](crate::Phase::Composed) one: the simulator outcome plus
 /// everything the builder derived to produce it.
 #[derive(Clone, Debug)]
 pub struct AerRun {
     /// The simulator outcome (metrics, outputs, corrupt set, transcript).
     pub run: RunOutcome<GString, AerMsg>,
-    /// The synthesised precondition the run started from.
+    /// The precondition the run started from: synthesised, or the
+    /// almost-everywhere phase's output in a composed run.
     pub precondition: Precondition,
     /// The derived AER configuration.
     pub config: AerConfig,
@@ -238,17 +240,67 @@ pub struct AeRun {
     pub config: AeConfig,
 }
 
-/// Outcome of a [`Phase::Composed`](crate::Phase::Composed) scenario.
+/// Outcome of a [`Phase::Composed`](crate::Phase::Composed) scenario:
+/// the two phase outcomes and the end-to-end summary built from them.
 #[derive(Clone, Debug)]
 pub struct ComposedRun {
     /// The end-to-end summary.
     pub report: BaReport,
-    /// The almost-everywhere phase outcome.
-    pub ae: AeOutcome,
-    /// The AER phase simulator outcome.
-    pub aer: RunOutcome<GString, AerMsg>,
-    /// The composed configuration.
-    pub config: BaConfig,
+    /// The almost-everywhere phase.
+    pub ae: AeRun,
+    /// The AER phase, on the almost-everywhere phase's output.
+    pub aer: AerRun,
+}
+
+/// Summary of one end-to-end BA run.
+#[derive(Clone, Debug)]
+pub struct BaReport {
+    /// The unanimous AER decision, if agreement held.
+    pub agreed: Option<GString>,
+    /// Whether the agreed value is the AE phase's majority string (the
+    /// validity notion: the adversary did not impose a value of its own).
+    pub matches_ae_majority: bool,
+    /// Fraction of correct nodes knowing the majority string after AE.
+    pub knowing_fraction_after_ae: f64,
+    /// Rounds consumed by the AE phase.
+    pub ae_rounds: Step,
+    /// Rounds consumed by AER (None if some node never decided).
+    pub aer_rounds: Option<Step>,
+    /// Amortized AE bits per node.
+    pub ae_bits_per_node: f64,
+    /// Amortized AER bits per node.
+    pub aer_bits_per_node: f64,
+    /// Correct nodes in the AER phase.
+    pub correct_nodes: usize,
+    /// Correct nodes that decided in the AER phase.
+    pub decided_nodes: usize,
+}
+
+impl BaReport {
+    pub(crate) fn new(ae: &AeRun, aer: &AerRun) -> Self {
+        let (ae, run) = (&ae.outcome, &aer.run);
+        let agreed = run.unanimous().cloned();
+        BaReport {
+            matches_ae_majority: agreed.as_ref() == Some(&ae.gstring),
+            agreed,
+            knowing_fraction_after_ae: ae.knowing_fraction,
+            ae_rounds: ae.run.metrics.steps,
+            aer_rounds: run.all_decided_at,
+            ae_bits_per_node: ae.run.metrics.amortized_bits(),
+            aer_bits_per_node: run.metrics.amortized_bits(),
+            correct_nodes: aer.correct_nodes(),
+            decided_nodes: run.outputs.len(),
+        }
+    }
+
+    /// Whether the run met BA's obligations: all correct nodes decided,
+    /// unanimously, on the AE majority string.
+    #[must_use]
+    pub fn success(&self) -> bool {
+        self.agreed.is_some()
+            && self.matches_ae_majority
+            && self.decided_nodes == self.correct_nodes
+    }
 }
 
 /// Outcome of a [`Phase::Baseline`](crate::Phase::Baseline) scenario.

@@ -4,7 +4,7 @@
 
 use fba_ae::{ae_engine, AeConfig};
 use fba_baselines::{BenOrParams, KingParams, KlstParams};
-use fba_core::{AerConfig, BaConfig};
+use fba_core::AerConfig;
 use fba_sim::rng::instance_seed;
 use fba_sim::{AdversarySpec, EngineConfig, NetworkSpec, SilentAdversary, Step};
 
@@ -26,8 +26,9 @@ pub(crate) enum Plan {
         adversary: SilentAdversary,
     },
     Composed {
-        config: BaConfig,
+        ae: AeConfig,
         ae_adversary: SilentAdversary,
+        aer: AerConfig,
     },
     Baseline {
         baseline: Baseline,
@@ -66,21 +67,19 @@ impl Scenario {
                 precondition,
             }),
             Phase::Composed => {
-                // Start from the harness's own composed defaults (which
-                // couple the two phases' string lengths), then overlay the
-                // scenario's AER knobs and re-assert the coupling — no
-                // default is restated here.
-                let (aer_cfg, budget) = aer()?;
-                let mut config = BaConfig::recommended(self.n);
-                config.aer = aer_cfg;
-                config.ae.string_len = aer_cfg.string_len;
+                // The AE half's defaults with its string length coupled to
+                // the AER half's, so its output feeds AER unchanged.
+                let (aer, budget) = aer()?;
+                let mut ae = AeConfig::recommended(self.n);
+                ae.string_len = aer.string_len;
                 Plan::Composed {
-                    config,
+                    ae,
                     ae_adversary: self.generic_adversary(
                         &self.ae_adversary,
                         budget,
                         "almost-everywhere",
                     )?,
+                    aer,
                 }
             }
             Phase::Ae => {
@@ -202,18 +201,18 @@ impl Scenario {
     }
 
     /// Rejects crash–restart schedules this scenario cannot execute: a
-    /// window that crashes more nodes than the system has, or a non-AER
-    /// phase (only the AER engine runs crash plans). An unset or empty
-    /// spec always passes — it is the no-fault baseline.
+    /// window that crashes more nodes than the system has, or a phase
+    /// without AER's checkpoint layer (`ae` and the baselines). An unset
+    /// or empty spec always passes — it is the no-fault baseline.
     fn check_crash(&self) -> Result<(), ScenarioError> {
         let Some(spec) = self.faults_spec.as_ref().filter(|s| !s.is_empty()) else {
             return Ok(());
         };
-        if !matches!(self.phase, Phase::Aer { .. }) {
+        if !matches!(self.phase, Phase::Aer { .. } | Phase::Composed) {
             return Err(ScenarioError::CrashSpecInvalid {
                 reason: format!(
-                    "crash–restart schedules only drive the AER phase, not {}; \
-                     drop `.faults_spec(..)` or set `.phase(Phase::aer(..))`",
+                    "crash–restart schedules drive only the AER and composed phases, not {}: \
+                     it has no checkpoint layer to restart from; drop `.faults_spec(..)`",
                     self.phase.phase_name()
                 ),
             });
@@ -607,8 +606,8 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("only has 16"), "{err}");
-        // …and a phase the crash engine does not drive are both rejected,
-        // by validate() and the run entry points alike.
+        // …and a phase without a checkpoint layer are both rejected, by
+        // validate() and the run entry points alike, saying why.
         let err = Scenario::new(64)
             .phase(Phase::Ae)
             .faults_spec("crash:[2..5]4".parse().expect("parses"))
@@ -618,6 +617,7 @@ mod tests {
             matches!(err, ScenarioError::CrashSpecInvalid { .. }),
             "{err}"
         );
+        assert!(err.to_string().contains("no checkpoint layer"), "{err}");
     }
 
     #[test]
@@ -649,6 +649,9 @@ mod tests {
             Scenario::new(16).faults_spec(crash("crash:[2..5]64")),
             Scenario::new(64)
                 .phase(Phase::Ae)
+                .faults_spec(crash("crash:[2..5]4")),
+            Scenario::new(64)
+                .phase(klst)
                 .faults_spec(crash("crash:[2..5]4")),
             // Service specs.
             Scenario::new(64).service(0, 1),
@@ -746,6 +749,11 @@ mod tests {
         );
         let network = NetworkSpec::Async { max_delay: 399 };
         assert_eq!(Scenario::new(64).network(network).validate(), Ok(()));
+        // The composed phase runs crash plans in its AER half.
+        let composed = Scenario::new(64)
+            .phase(Phase::Composed)
+            .faults_spec(crash("crash:[2..5]4"));
+        assert_eq!(composed.validate(), Ok(()));
         assert_eq!(Scenario::new(64).faults(64).validate(), Ok(()));
     }
 }

@@ -6,7 +6,7 @@ use fba_baselines::{
     BenOrNode, BenOrParams, FloodNode, KingNode, KingParams, KlstNode, KlstParams,
 };
 use fba_core::adversary::{AerAdversary, AttackContext};
-use fba_core::{run_ba, AerConfig, AerHarness, AerMsg, AerNode, AerRunState, BaConfig};
+use fba_core::{AerConfig, AerHarness, AerMsg, AerNode, AerRunState};
 use fba_recovery::RecoveryConfig;
 use fba_samplers::GString;
 use fba_sim::rng::derive_rng;
@@ -16,19 +16,20 @@ use fba_sim::{
 };
 use rand::Rng;
 
+use crate::outcome::BaReport;
 use crate::plan::{AerPlan, Plan};
 use crate::{
     AeRun, AerRun, Baseline, BaselineOutcome, BaselineRun, ComposedRun, PreconditionSpec, Scenario,
     ScenarioError, ScenarioOutcome, ServiceInstance, ServiceRun,
 };
 
-/// What a chain of AER instances runs on: the resolved plan plus the
+/// What a chain of AER instances runs on: the derived config plus the
 /// state that persists from one instance to the next. A plain run is a
 /// chain of one.
 struct AerChain {
-    plan: AerPlan,
-    /// The cross-instance AER arena; filled in by the first instance.
-    state: Option<AerRunState>,
+    cfg: AerConfig,
+    /// The cross-instance AER arena.
+    state: AerRunState,
     /// The reusable engine scratch.
     session: EngineSession<AerMsg>,
 }
@@ -48,10 +49,11 @@ impl Scenario {
 
     /// Executes the scenario while driving a read-only [`Observer`] over
     /// the AER-phase engine (per-step sends, per-decision events, final
-    /// node states). Only [`Phase::Aer`](crate::Phase::Aer) runs are
-    /// observed — the other phases either run a different node type or
-    /// construct their adversary mid-flight; their outcomes carry
-    /// everything the experiments read.
+    /// node states): the whole run of [`Phase::Aer`](crate::Phase::Aer),
+    /// the AER half of [`Phase::Composed`](crate::Phase::Composed). The
+    /// almost-everywhere phase and the baselines run other node types and
+    /// are not observed; their outcomes carry everything the experiments
+    /// read.
     ///
     /// # Errors
     ///
@@ -62,17 +64,36 @@ impl Scenario {
         observer: &mut dyn Observer<AerNode>,
     ) -> Result<ScenarioOutcome, ScenarioError> {
         Ok(match self.plan()? {
-            Plan::Aer(plan) => {
-                let mut chain = self.aer_chain(plan);
-                ScenarioOutcome::Aer(self.run_aer_instance(&mut chain, seed, seed, observer))
-            }
+            Plan::Aer(plan) => ScenarioOutcome::Aer(self.run_synthetic(
+                &mut self.aer_chain(plan.cfg),
+                plan.precondition,
+                seed,
+                seed,
+                observer,
+            )),
             Plan::Ae { config, adversary } => {
                 ScenarioOutcome::Ae(self.run_ae(config, adversary, seed))
             }
             Plan::Composed {
-                config,
+                ae,
                 ae_adversary,
-            } => ScenarioOutcome::Composed(self.run_composed(config, ae_adversary, seed)),
+                aer,
+            } => {
+                let ae = self.run_ae(ae, ae_adversary, seed);
+                let pre = ae.outcome.to_precondition(self.n, aer.string_len);
+                // The AER half runs (and draws its coalition) on the next
+                // seed; the fallback campaign string still derives from
+                // the scenario's.
+                let aer_seed = seed.wrapping_add(1);
+                let mut chain = self.aer_chain(aer);
+                let aer =
+                    self.run_aer_instance(&mut chain, pre, aer_seed, aer_seed, seed, observer);
+                ScenarioOutcome::Composed(ComposedRun {
+                    report: BaReport::new(&ae, &aer),
+                    ae,
+                    aer,
+                })
+            }
             Plan::Baseline {
                 baseline,
                 adversary,
@@ -93,8 +114,15 @@ impl Scenario {
     /// Returns [`ScenarioError::UnsupportedService`] for non-AER phases
     /// and otherwise what [`Scenario::run`] returns.
     pub fn run_instance(&self, seed: u64, adversary_seed: u64) -> Result<AerRun, ScenarioError> {
-        let mut chain = self.aer_chain(self.aer_plan()?);
-        Ok(self.run_aer_instance(&mut chain, seed, adversary_seed, &mut NullObserver))
+        let AerPlan { cfg, precondition } = self.aer_plan()?;
+        let mut chain = self.aer_chain(cfg);
+        Ok(self.run_synthetic(
+            &mut chain,
+            precondition,
+            seed,
+            adversary_seed,
+            &mut NullObserver,
+        ))
     }
 
     /// Executes the scenario in sustained-service mode: the instance
@@ -114,8 +142,8 @@ impl Scenario {
     /// [`ScenarioError::ServiceSpecInvalid`] for inconsistent service
     /// specs, and otherwise what [`Scenario::run`] returns.
     pub fn run_service(&self, seed: u64) -> Result<ServiceRun, ScenarioError> {
-        let (plan, schedule) = self.service_plan(seed)?;
-        let mut chain = self.aer_chain(plan);
+        let (AerPlan { cfg, precondition }, schedule) = self.service_plan(seed)?;
+        let mut chain = self.aer_chain(cfg);
         let mut totals = MetricsTotals::new();
         let mut instances = Vec::with_capacity(schedule.len());
         let mut clock: Step = 0;
@@ -125,7 +153,8 @@ impl Scenario {
             } else {
                 arrived_at.max(clock + 1)
             };
-            let run = self.run_aer_instance(&mut chain, inst_seed, seed, &mut NullObserver);
+            let run =
+                self.run_synthetic(&mut chain, precondition, inst_seed, seed, &mut NullObserver);
             totals.absorb(&run.run.metrics);
             let finished_at = started_at + run.run.metrics.steps;
             clock = finished_at;
@@ -138,23 +167,27 @@ impl Scenario {
             });
         }
         // The persistent arena carries the whole run's cache stats.
-        let state = chain.state.expect("at least one instance ran");
         Ok(ServiceRun {
             instances,
             totals,
             total_steps: clock,
-            push_cache_stats: state.push_cache_stats(),
-            pull_cache_stats: state.pull_cache_stats(),
-            poll_cache_stats: state.poll_cache_stats(),
+            push_cache_stats: chain.state.push_cache_stats(),
+            pull_cache_stats: chain.state.pull_cache_stats(),
+            poll_cache_stats: chain.state.poll_cache_stats(),
         })
     }
 
-    fn aer_chain(&self, plan: AerPlan) -> AerChain {
+    fn aer_chain(&self, cfg: AerConfig) -> AerChain {
         AerChain {
-            plan,
-            state: None,
+            cfg,
+            state: AerRunState::new(cfg.scheme(), cfg.poll_sampler()),
             session: EngineSession::new(self.network.max_delay()),
         }
+    }
+
+    /// The precondition `spec` synthesises for a run of `cfg` at `seed`.
+    fn synthetic(&self, cfg: &AerConfig, spec: PreconditionSpec, seed: u64) -> Precondition {
+        Precondition::synthetic(self.n, cfg.string_len, spec.knowing, spec.assignment, seed)
     }
 
     /// The AER-phase engine: the config's default for the timing model,
@@ -168,7 +201,8 @@ impl Scenario {
         engine
     }
 
-    /// The AER-phase adversary (see [`Scenario::bad_string`] for `bad`).
+    /// The AER-phase adversary (see [`Scenario::bad_string`] for the
+    /// campaign string; its random fallback derives from `seed`).
     fn aer_adversary_for(
         &self,
         harness: &AerHarness,
@@ -188,28 +222,38 @@ impl Scenario {
         AerAdversary::from_spec(&self.adversary, ctx, bad)
     }
 
-    /// One agreement instance over the chain's (possibly pre-existing)
-    /// shared state.
-    ///
-    /// `seed` drives the precondition, the protocol RNG streams, and the
-    /// adversary's *strategy* state; `adversary_seed` independently pins
-    /// the corrupt coalition (the service layer keeps it fixed across a
-    /// whole run while the per-instance seed varies).
-    fn run_aer_instance(
+    /// One instance on the precondition `spec` synthesises from `seed` —
+    /// what every [`Phase::Aer`](crate::Phase::Aer) entry point runs.
+    fn run_synthetic(
         &self,
         chain: &mut AerChain,
+        spec: PreconditionSpec,
         seed: u64,
         adversary_seed: u64,
         observer: &mut dyn Observer<AerNode>,
     ) -> AerRun {
-        let AerPlan { cfg, precondition } = chain.plan;
-        let pre = Precondition::synthetic(
-            self.n,
-            cfg.string_len,
-            precondition.knowing,
-            precondition.assignment,
-            seed,
-        );
+        let pre = self.synthetic(&chain.cfg, spec, seed);
+        self.run_aer_instance(chain, pre, seed, adversary_seed, seed, observer)
+    }
+
+    /// One agreement instance on `pre` over the chain's (possibly
+    /// pre-existing) shared state — the one AER runner.
+    ///
+    /// `seed` drives the protocol RNG streams and the adversary's
+    /// *strategy* state; `adversary_seed` independently pins the corrupt
+    /// coalition and the crash victims (the service layer keeps it fixed
+    /// across a whole run while the per-instance seed varies);
+    /// `campaign_seed` derives the fallback campaign string.
+    fn run_aer_instance(
+        &self,
+        chain: &mut AerChain,
+        pre: Precondition,
+        seed: u64,
+        adversary_seed: u64,
+        campaign_seed: u64,
+        observer: &mut dyn Observer<AerNode>,
+    ) -> AerRun {
+        let cfg = chain.cfg;
         let mut harness = AerHarness::from_precondition(cfg, &pre);
         let mut engine = self.aer_engine(&cfg);
         if let Some(spec) = self.faults_spec.as_ref().filter(|s| !s.is_empty()) {
@@ -227,15 +271,14 @@ impl Scenario {
             engine.crash = Some(plan);
             harness.enable_recovery(RecoveryConfig::default());
         }
-        let mut adversary = self.aer_adversary_for(&harness, &pre.gstring, seed);
-        let shared = chain.state.get_or_insert_with(|| harness.run_state());
+        let mut adversary = self.aer_adversary_for(&harness, &pre.gstring, campaign_seed);
         let run = harness.run_in_session(
             &engine,
             seed,
             adversary_seed,
             &mut adversary,
             observer,
-            shared,
+            &chain.state,
             &mut chain.session,
         );
         AerRun {
@@ -253,27 +296,6 @@ impl Scenario {
         AeRun { outcome, config }
     }
 
-    fn run_composed(
-        &self,
-        config: BaConfig,
-        mut ae_adversary: SilentAdversary,
-        seed: u64,
-    ) -> ComposedRun {
-        let (report, ae, aer) = run_ba(
-            &config,
-            seed,
-            &mut ae_adversary,
-            |harness, gstring| self.aer_adversary_for(harness, gstring, seed),
-            Some(self.aer_engine(&config.aer)),
-        );
-        ComposedRun {
-            report,
-            ae,
-            aer,
-            config,
-        }
-    }
-
     fn run_baseline(
         &self,
         baseline: Baseline,
@@ -281,10 +303,8 @@ impl Scenario {
         engine: &EngineConfig,
         seed: u64,
     ) -> BaselineRun {
-        let diffusion_pre = |spec: PreconditionSpec| {
-            let string_len = AerConfig::recommended(self.n).string_len;
-            Precondition::synthetic(self.n, string_len, spec.knowing, spec.assignment, seed)
-        };
+        let diffusion_pre =
+            |spec: PreconditionSpec| self.synthetic(&AerConfig::recommended(self.n), spec, seed);
         let diffusion = |outcome, pre| BaselineRun {
             outcome,
             precondition: Some(pre),
@@ -403,31 +423,24 @@ mod tests {
     }
 
     #[test]
-    fn composed_scenario_matches_hand_wired_run_ba() {
-        let n = 48;
-        let seed = 9;
-        let t = n / 8;
-        let composed = Scenario::new(n)
-            .faults(t)
-            .adversary(AdversarySpec::Silent { t: None })
-            .ae_adversary(AdversarySpec::Silent { t: None })
-            .phase(Phase::Composed)
-            .run(seed)
-            .expect("valid")
-            .into_composed();
-
-        let cfg = BaConfig::recommended(n);
-        let mut ae_adv = SilentAdversary::new(t);
-        let (report, _, aer_run) = run_ba(
-            &cfg,
-            seed,
-            &mut ae_adv,
-            |_, _| SilentAdversary::new(t),
-            None,
+    fn observer_sees_the_composed_runs_aer_half() {
+        let mut finals = 0usize;
+        let out = {
+            let mut inspect = FinalInspect(|_id: NodeId, _node: &AerNode| finals += 1);
+            Scenario::new(48)
+                .faults(6)
+                .adversary(AdversarySpec::Silent { t: None })
+                .phase(Phase::Composed)
+                .run_observed(3, &mut inspect)
+                .expect("valid")
+                .into_composed()
+        };
+        assert_eq!(
+            finals,
+            out.aer.correct_nodes(),
+            "every correct node is inspected"
         );
-        assert_eq!(composed.aer.outputs, aer_run.outputs);
-        assert_eq!(composed.report.ae_rounds, report.ae_rounds);
-        assert_eq!(composed.report.aer_rounds, report.aer_rounds);
+        assert!(out.report.success(), "{:?}", out.report);
     }
 
     #[test]
@@ -734,10 +747,10 @@ mod tests {
                 .run(5)
                 .expect("valid")
                 .into_composed();
-            assert!(bare.aer.transcript.is_empty(), "{network}");
-            assert!(!recorded.aer.transcript.is_empty(), "{network}");
-            assert_eq!(recorded.aer.metrics, bare.aer.metrics, "{network}");
-            assert_eq!(recorded.aer.outputs, bare.aer.outputs, "{network}");
+            assert!(bare.aer.run.transcript.is_empty(), "{network}");
+            assert!(!recorded.aer.run.transcript.is_empty(), "{network}");
+            assert_eq!(recorded.aer.run.metrics, bare.aer.run.metrics, "{network}");
+            assert_eq!(recorded.aer.run.outputs, bare.aer.run.outputs, "{network}");
         }
     }
 }

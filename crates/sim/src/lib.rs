@@ -242,7 +242,7 @@ pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, Ru
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Envelope, Runs, WireSize};
 pub use metrics::{LoadSummary, Metrics, MetricsTotals};
-pub use observer::{DecisionLog, FinalInspect, NullObserver, Observer, TranscriptSink};
+pub use observer::{FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};
 pub use spec::{AdversarySpec, NetworkSpec, ParseSpecError, ScheduleSpec};
 pub use tuning::tune_allocator_for_bulk;

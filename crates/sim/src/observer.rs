@@ -3,7 +3,7 @@
 //! Observers put the two instrumentation styles the experiments need —
 //! end-of-run state inspection ([`FinalInspect`]) and transcript
 //! recording for `fba_core::trace`-style analysis ([`TranscriptSink`]) —
-//! behind one composable interface with three hooks:
+//! behind one interface with three hooks:
 //!
 //! * [`Observer::on_step`] — once per engine step, with every envelope
 //!   sent during it (the same view a full-information adversary gets);
@@ -13,10 +13,8 @@
 //!   run ends.
 //!
 //! Observers are strictly read-only: they cannot send messages, touch
-//! node state, or consume randomness, so attaching any combination of
-//! them never changes a run's outcome (the determinism contract in the
-//! crate docs). Compose sinks with tuples: `(&mut a, &mut b)` is itself
-//! an observer driving both.
+//! node state, or consume randomness, so attaching one never changes a
+//! run's outcome (the determinism contract in the crate docs).
 
 use crate::ids::{NodeId, Step};
 use crate::message::Envelope;
@@ -83,24 +81,6 @@ impl<P: Protocol, O: Observer<P> + ?Sized> Observer<P> for &mut O {
     }
 }
 
-impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
-    fn on_step(&mut self, step: Step, sends: &[Envelope<P::Msg>]) {
-        self.0.on_step(step, sends);
-        self.1.on_step(step, sends);
-    }
-    fn on_decision(&mut self, id: NodeId, step: Step, output: &P::Output) {
-        self.0.on_decision(id, step, output);
-        self.1.on_decision(id, step, output);
-    }
-    fn on_final(&mut self, id: NodeId, node: &P) {
-        self.0.on_final(id, node);
-        self.1.on_final(id, node);
-    }
-    fn wants_step_sends(&self) -> bool {
-        self.0.wants_step_sends() || self.1.wants_step_sends()
-    }
-}
-
 /// Adapts a `FnMut(NodeId, &P)` closure into an end-of-run inspector: it
 /// is called for every surviving correct node once the run ends.
 #[derive(Clone, Debug)]
@@ -143,30 +123,5 @@ impl<M> TranscriptSink<M> {
 impl<P: Protocol> Observer<P> for TranscriptSink<P::Msg> {
     fn on_step(&mut self, _step: Step, sends: &[Envelope<P::Msg>]) {
         self.transcript.extend(sends.iter().cloned());
-    }
-}
-
-/// Records `(node, step)` decision events in the order the engine
-/// observed them.
-#[derive(Clone, Debug, Default)]
-pub struct DecisionLog {
-    /// `(node, step)` pairs, in observation order.
-    pub decisions: Vec<(NodeId, Step)>,
-}
-
-impl DecisionLog {
-    /// An empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<P: Protocol> Observer<P> for DecisionLog {
-    fn on_decision(&mut self, id: NodeId, step: Step, _output: &P::Output) {
-        self.decisions.push((id, step));
-    }
-    fn wants_step_sends(&self) -> bool {
-        false
     }
 }

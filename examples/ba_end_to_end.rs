@@ -29,17 +29,17 @@ fn main() {
         .run(seed)
         .expect("valid scenario")
         .into_composed();
-    let cfg = &run.config;
+    let (ae, aer) = (&run.ae.config, &run.aer.config);
     println!("== Phase structure for n = {n} ==");
     println!(
         "almost-everywhere: committee size {}, {} tree levels, {} steps",
-        cfg.ae.committee_size,
-        cfg.ae.root_level(),
-        cfg.ae.schedule_len()
+        ae.committee_size,
+        ae.root_level(),
+        ae.schedule_len()
     );
     println!(
         "AER: quorum size {}, overload cap {}\n",
-        cfg.aer.d, cfg.aer.overload_cap
+        aer.d, aer.overload_cap
     );
 
     let report = &run.report;
@@ -65,13 +65,13 @@ fn main() {
         report.decided_nodes,
         report.correct_nodes
     );
-    println!("gstring: {}\n", run.ae.gstring);
+    println!("gstring: {}\n", run.ae.outcome.gstring);
 
     // --- under attack ---------------------------------------------------
     // Silent faults corrupt the AE phase; the AER phase fields the full
     // bad-string campaign for the all-zeroes string.
-    let t = cfg.aer.t;
-    let zero_len = cfg.aer.string_len;
+    let t = aer.t;
+    let zero_len = aer.string_len;
     let attacked = Scenario::new(n)
         .phase(Phase::Composed)
         .faults(t)
@@ -86,12 +86,7 @@ fn main() {
         "AE phase: {:.1}% of correct nodes knowing after faults",
         attacked.report.knowing_fraction_after_ae * 100.0
     );
-    let wrong = attacked
-        .aer
-        .outputs
-        .values()
-        .filter(|v| **v != attacked.ae.gstring)
-        .count();
+    let wrong = attacked.aer.wrong_decisions();
     println!(
         "AER phase: {}/{} decided, {wrong} wrong decisions",
         attacked.report.decided_nodes, attacked.report.correct_nodes

@@ -16,7 +16,7 @@ fn ba_succeeds_fault_free_across_sizes() {
             .expect("valid scenario")
             .into_composed();
         assert!(run.report.success(), "n={n}: {:?}", run.report);
-        assert_eq!(run.report.agreed.as_ref(), Some(&run.ae.gstring));
+        assert_eq!(run.report.agreed.as_ref(), Some(&run.ae.outcome.gstring));
         assert!(run.report.knowing_fraction_after_ae > 0.9, "n={n}");
     }
 }
@@ -55,7 +55,7 @@ fn ba_tolerates_silent_faults_through_both_phases() {
         assert!(run.report.agreed.is_some(), "seed {seed}: disagreement");
         assert!(run.report.matches_ae_majority, "seed {seed}");
         assert!(
-            run.aer.metrics.decided_fraction() > 0.95,
+            run.aer.run.metrics.decided_fraction() > 0.95,
             "seed {seed}: too many undecided"
         );
     }
@@ -74,8 +74,8 @@ fn ba_resists_combined_ae_faults_and_aer_campaign() {
         .run(11)
         .expect("valid scenario")
         .into_composed();
-    let zero = GString::zeroes(run.ae.gstring.len_bits());
-    for (id, v) in &run.aer.outputs {
+    let zero = GString::zeroes(run.ae.outcome.gstring.len_bits());
+    for (id, v) in &run.aer.run.outputs {
         assert_ne!(v, &zero, "node {id} fell for the campaign");
     }
     assert!(run.report.knowing_fraction_after_ae > 0.75);
@@ -91,13 +91,32 @@ fn ba_runs_with_async_aer_phase_and_cornering() {
         .run(13)
         .expect("valid scenario")
         .into_composed();
-    for v in run.aer.outputs.values() {
+    for v in run.aer.run.outputs.values() {
         assert_eq!(
-            v, &run.ae.gstring,
+            v, &run.ae.outcome.gstring,
             "cornering must only delay, never corrupt"
         );
     }
     assert!(run.report.decided_nodes as f64 >= 0.9 * run.report.correct_nodes as f64);
+}
+
+#[test]
+fn ba_survives_crash_windows_in_its_aer_half() {
+    // The crash plan drives the AER half (windows count from its step 0):
+    // victims go dark, restart from their checkpoints and still decide.
+    let run = Scenario::new(64)
+        .phase(Phase::Composed)
+        .faults_spec("crash:[2..6]4".parse().expect("parses"))
+        .run(3)
+        .expect("valid scenario")
+        .into_composed();
+    assert!(run.report.success(), "{:?}", run.report);
+    let rejoin = run.aer.rejoin().expect("crash plan ran");
+    assert!(rejoin.all_rejoined(), "{rejoin:?}");
+    assert!(
+        run.aer.run.metrics.msgs_dropped() > 0,
+        "the window was dark"
+    );
 }
 
 #[test]

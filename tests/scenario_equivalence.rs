@@ -14,7 +14,7 @@ use fba::baselines::{BenOrNode, BenOrParams, KingNode, KingParams, KlstNode, Kls
 use fba::core::adversary::{
     AttackContext, BadString, Corner, Equivocate, PullFlood, PushFlood, RandomStringFlood,
 };
-use fba::core::{run_ba, AerConfig, AerHarness, AerMsg, BaConfig};
+use fba::core::{AerConfig, AerHarness, AerMsg};
 use fba::samplers::GString;
 use fba::scenario::{Baseline, Phase, PreconditionSpec, Scenario};
 use fba::sim::{
@@ -265,87 +265,6 @@ fn corner_and_silent_are_bit_identical_async() {
             &silent,
         );
         assert_identical(&format!("n={n} silent async"), &scenario.run, &hand);
-    }
-}
-
-#[test]
-fn composed_scenario_is_bit_identical_to_run_ba() {
-    for n in SIZES {
-        let seed = 7;
-        let t = n / 8;
-        let scenario = Scenario::new(n)
-            .phase(Phase::Composed)
-            .faults(t)
-            .ae_adversary(AdversarySpec::Silent { t: None })
-            .adversary(AdversarySpec::Silent { t: None })
-            .run(seed)
-            .expect("valid scenario")
-            .into_composed();
-
-        let cfg = BaConfig::recommended(n);
-        let mut ae_adv = SilentAdversary::new(t);
-        let (report, ae, aer_run) = run_ba(
-            &cfg,
-            seed,
-            &mut ae_adv,
-            |_, _| SilentAdversary::new(t),
-            None,
-        );
-        assert_eq!(scenario.ae.gstring, ae.gstring, "n={n}: AE gstring");
-        assert_eq!(
-            scenario.ae.knowing_fraction, ae.knowing_fraction,
-            "n={n}: AE knowledge"
-        );
-        assert_identical(
-            &format!("n={n} composed AER phase"),
-            &scenario.aer,
-            &aer_run,
-        );
-        assert_eq!(scenario.report.ae_rounds, report.ae_rounds);
-        assert_eq!(scenario.report.aer_rounds, report.aer_rounds);
-        assert_eq!(scenario.report.agreed, report.agreed);
-    }
-}
-
-#[test]
-fn async_composed_scenario_is_bit_identical_to_run_ba() {
-    // The ba_integration shape: fault-free AE, cornering AER phase on
-    // the harness-default asynchronous engine — covers the async
-    // composed path the sync test above does not.
-    for n in SIZES {
-        let seed = 13;
-        let scenario = Scenario::new(n)
-            .phase(Phase::Composed)
-            .network(NetworkSpec::Async { max_delay: 1 })
-            .adversary(AdversarySpec::Corner { label_scan: 128 })
-            .run(seed)
-            .expect("valid scenario")
-            .into_composed();
-
-        let cfg = BaConfig::recommended(n);
-        let aer_engine = {
-            // The pre-redesign wiring built the async engine off a
-            // throwaway harness; its value depends only on the config.
-            let h = AerHarness::new(cfg.aer, vec![GString::zeroes(cfg.aer.string_len); n]);
-            h.engine_async(1)
-        };
-        let (report, _, aer_run) = run_ba(
-            &cfg,
-            seed,
-            &mut NoAdversary,
-            |harness, gstring| {
-                let ctx = AttackContext::new(harness, *gstring);
-                Corner::new(ctx, 128)
-            },
-            Some(aer_engine),
-        );
-        assert_identical(
-            &format!("n={n} async composed AER phase"),
-            &scenario.aer,
-            &aer_run,
-        );
-        assert_eq!(scenario.report.aer_rounds, report.aer_rounds);
-        assert_eq!(scenario.report.agreed, report.agreed);
     }
 }
 
@@ -712,8 +631,8 @@ fn composed_runs_match_golden_digests() {
         let got = {
             use std::hash::Hasher;
             let mut h = fba::sim::fxhash::FxHasher::default();
-            h.write_u64(run_digest([&run.aer], n));
-            h.write(format!("{:?}", run.ae.gstring).as_bytes());
+            h.write_u64(run_digest([&run.aer.run], n));
+            h.write(format!("{:?}", run.ae.outcome.gstring).as_bytes());
             h.finish()
         };
         assert_eq!(
