@@ -28,8 +28,6 @@ pub enum UnknowingAssignment {
     /// worst case for AER's majority filters, because the bogus candidates
     /// form a coherent block.
     SharedAdversarial,
-    /// Unknowing nodes hold the all-zeroes default value.
-    DefaultValue,
 }
 
 /// A fully materialised AER starting state: who knows `gstring`, and what
@@ -94,7 +92,6 @@ impl Precondition {
                     match mode {
                         UnknowingAssignment::RandomPerNode => GString::random(string_len, &mut rng),
                         UnknowingAssignment::SharedAdversarial => shared_bad,
-                        UnknowingAssignment::DefaultValue => GString::zeroes(string_len),
                     }
                 }
             })
@@ -191,12 +188,6 @@ mod tests {
         let a = &random.assignments[unknowing[0].index()];
         let b = &random.assignments[unknowing[1].index()];
         assert_ne!(a, b, "independent random strings should differ");
-
-        let default = Precondition::synthetic(64, 32, 0.5, UnknowingAssignment::DefaultValue, 9);
-        assert_eq!(
-            default.assignments[unknowing[0].index()],
-            GString::zeroes(32)
-        );
     }
 
     #[test]
@@ -221,7 +212,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn synthetic_rejects_bad_fraction() {
-        let _ = Precondition::synthetic(10, 16, 1.5, UnknowingAssignment::DefaultValue, 0);
+        let _ = Precondition::synthetic(10, 16, 1.5, UnknowingAssignment::RandomPerNode, 0);
     }
 
     #[test]

@@ -342,20 +342,15 @@ impl AeNode {
         let len = self.cfg.string_len;
         let per = len.div_ceil(committee.len().max(1));
         let by_sender: BTreeMap<NodeId, u64> = pairs.iter().copied().collect();
-        let mut bits = Vec::with_capacity(len);
-        'outer: for &member in committee {
-            let value = by_sender.get(&member).copied().unwrap_or(0);
-            for j in 0..per {
-                let word = splitmix64(value ^ (j as u64 / 64).wrapping_mul(0x9e37));
-                bits.push((word >> (j % 64)) & 1 == 1);
-                if bits.len() == len {
-                    break 'outer;
-                }
-            }
-        }
-        while bits.len() < len {
-            bits.push(false);
-        }
+        let mut bits: Vec<bool> = committee
+            .iter()
+            .flat_map(|member| {
+                let value = by_sender.get(member).copied().unwrap_or(0);
+                Self::contribution_bits(value, per)
+            })
+            .take(len)
+            .collect();
+        bits.resize(len, false);
         GString::from_bits(&bits)
     }
 

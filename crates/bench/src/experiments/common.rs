@@ -95,16 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_timeout_knob_reaches_the_config() {
-        let out = aer_scenario(64, 0.75, UnknowingAssignment::RandomPerNode)
-            .poll_timeout(PollTimeoutSpec::Fixed(9))
-            .run(1)
-            .expect("valid scenario")
-            .into_aer();
-        assert_eq!(out.config.poll_timeout, 9);
-    }
-
-    #[test]
     fn workload_sizes_cover_the_acceptance_regimes_below_the_frontier() {
         assert_eq!(workload_sizes(Scope::Quick), vec![256]);
         assert_eq!(workload_sizes(Scope::Full), vec![1024, 4096]);

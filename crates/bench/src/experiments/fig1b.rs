@@ -9,7 +9,7 @@
 //! implementable at any useful scale, so the table has no row for them.
 
 use fba_baselines::{BenOrParams, KingParams};
-use fba_core::AerConfig;
+use fba_core::default_faults;
 use fba_scenario::{Baseline, Phase, Scenario};
 use fba_sim::AdversarySpec;
 
@@ -28,7 +28,7 @@ const BA: Protocol = ("BA (this paper)", "t < (1/3-ε)n", |n, seed| {
     let silent = AdversarySpec::Silent { t: None };
     let c = Scenario::new(n)
         .phase(Phase::Composed)
-        .faults(AerConfig::recommended(n).t.min(n / 8))
+        .faults(default_faults(n).min(n / 8))
         .adversary(silent.clone())
         .ae_adversary(silent)
         .run(seed)
@@ -48,7 +48,7 @@ const BA: Protocol = ("BA (this paper)", "t < (1/3-ε)n", |n, seed| {
 /// Ben-Or's randomized binary agreement.
 const BEN_OR: Protocol = ("Ben-Or [BO83]", "t < n/5", |n, seed| {
     let t = BenOrParams::recommended(n).t;
-    baseline(Baseline::BenOr { bias: 0.9 }, t, n, seed)
+    baseline(Baseline::BenOr, t, n, seed)
 });
 
 /// The deterministic Phase-King counterpoint.

@@ -3,6 +3,7 @@
 //! summary (L9) — each a declarative battery.
 
 use fba_ae::{Precondition, UnknowingAssignment};
+use fba_core::push::push_targets;
 use fba_core::{AerConfig, AerNode};
 use fba_samplers::GString;
 use fba_scenario::{AerRun, Scenario};
@@ -36,10 +37,8 @@ pub fn l3(scope: Scope) -> Report {
             );
             // Push targets are the real measure: node `i` pushes its
             // string to everyone whose quorum for that string holds `i`.
-            let scheme = cfg.scheme();
-            let targets =
-                |(i, s): (usize, &GString)| scheme.push.inverse_for_string(s.key())[i].len();
-            let counts: Vec<usize> = pre.assignments.iter().enumerate().map(targets).collect();
+            let targets = push_targets(&cfg.scheme(), &pre.assignments);
+            let counts: Vec<usize> = targets.iter().map(Vec::len).collect();
             let total = counts.iter().sum::<usize>() as f64;
             let msg_bits = cfg.string_len as u64 + 3 + 2 * u64::from(fba_sim::ceil_log2(n));
             (

@@ -330,6 +330,24 @@ fn scenario_runs_a_crash_schedule_in_the_composed_aer_half() {
 }
 
 #[test]
+fn scenario_runs_the_binary_baselines() {
+    // The baseline arm of the outcome printer, for both binary protocols.
+    for phase in ["baseline:benor", "baseline:phase-king"] {
+        let out = paperbench(&["scenario", "--n", "64", "--phase", phase, "--seed", "3"]);
+        assert!(
+            out.status.success(),
+            "{phase} must run: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("baseline decided 100.0% of correct nodes"),
+            "{phase}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn scenario_rejects_malformed_crash_schedules() {
     // Grammar errors fail at parse, scenario-level ones at validation;
     // either way a rejection, and nothing runs.

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use fba_samplers::{GString, Label};
-use fba_sim::{choose_corrupt, Adversary, Envelope, NodeId, Outbox, Step};
+use fba_sim::{Adversary, Envelope, NodeId, Outbox, Step};
 use rand_chacha::ChaCha12Rng;
 
 use crate::msg::AerMsg;
@@ -84,14 +84,10 @@ impl BadString {
 
 impl Adversary<AerMsg> for BadString {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
-        let set = choose_corrupt(n, self.ctx.t, rng);
+        let mut members = Vec::new();
+        let set = self.ctx.coalition(n, rng, &mut members);
+        self.push_plan = self.ctx.push_edges(&self.bad, &members);
         self.corrupt = set.clone();
-        let inverse = self.ctx.scheme.push.inverse_for_string(self.bad.key());
-        self.push_plan = self
-            .corrupt
-            .iter()
-            .flat_map(|&z| inverse[z.index()].iter().map(move |&x| (z, x)))
-            .collect();
         set
     }
 

@@ -54,12 +54,8 @@ impl Adversary<AerMsg> for Equivocate {
             .map(|_| GString::random(len, rng))
             .collect();
         for s in &pool {
-            let inverse = self.ctx.scheme.push.inverse_for_string(s.key());
-            for &z in &self.corrupt {
-                for &x in &inverse[z.index()] {
-                    self.plan.push((z, x, *s));
-                }
-            }
+            let edges = self.ctx.push_edges(s, &self.corrupt);
+            self.plan.extend(edges.into_iter().map(|(z, x)| (z, x, *s)));
         }
         set
     }

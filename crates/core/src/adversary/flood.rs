@@ -109,13 +109,7 @@ impl PushFlood {
 impl Adversary<AerMsg> for PushFlood {
     fn corrupt(&mut self, n: usize, rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
         let set = self.ctx.coalition(n, rng, &mut self.corrupt);
-        // Precompute the legitimate push edges for the bogus string.
-        let inverse = self.ctx.scheme.push.inverse_for_string(self.bad.key());
-        self.targets = self
-            .corrupt
-            .iter()
-            .flat_map(|&z| inverse[z.index()].iter().map(move |&x| (z, x)))
-            .collect();
+        self.targets = self.ctx.push_edges(&self.bad, &self.corrupt);
         set
     }
 

@@ -58,6 +58,7 @@ use fba_sim::{choose_corrupt, NodeId};
 use rand_chacha::ChaCha12Rng;
 
 use crate::aer::AerHarness;
+use crate::config::default_faults;
 
 /// Everything an attack strategy knows about the deployment — the
 /// full-information assumption made concrete: configuration, shared
@@ -84,13 +85,13 @@ pub struct AttackContext {
 
 impl AttackContext {
     /// Builds the context from a harness plus the gstring the run is
-    /// converging to.
+    /// converging to, with the default budget [`default_faults`].
     #[must_use]
     pub fn new(harness: &AerHarness, gstring: GString) -> Self {
         let cfg = harness.config();
         AttackContext {
             n: cfg.n,
-            t: cfg.t,
+            t: default_faults(cfg.n),
             d: cfg.d,
             overload_cap: cfg.overload_cap,
             scheme: harness.scheme(),
@@ -113,5 +114,16 @@ impl AttackContext {
         members.clear();
         members.extend(&set);
         set
+    }
+
+    /// The legitimate push edges `(z, x)` for string `s`: every receiver
+    /// `x` whose push quorum `I(s, x)` holds a coalition member `z`,
+    /// grouped by `z` in the order of `members`, receivers ascending.
+    pub(crate) fn push_edges(&self, s: &GString, members: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+        let inverse = self.scheme.push.inverse_for_string(s.key());
+        members
+            .iter()
+            .flat_map(|&z| inverse[z.index()].iter().map(move |&x| (z, x)))
+            .collect()
     }
 }

@@ -116,8 +116,7 @@ mod tests {
     fn sprays_the_requested_volume() {
         let (h, pre) = setup(64);
         let ctx = AttackContext::new(&h, pre.gstring);
-        let d = h.config().d;
-        let t = h.config().t;
+        let (d, t) = (h.config().d, ctx.t);
         let mut adv = PullFlood::new(ctx, 3, 2);
         let mut rng = derive_rng(1, &[]);
         let corrupt = Adversary::<AerMsg>::corrupt(&mut adv, 64, &mut rng);

@@ -13,17 +13,15 @@ use crate::state::MAX_QUORUM_SIZE;
 /// The paper's asymptotic choices are concretised here with explicit
 /// constants; [`AerConfig::recommended`] reproduces the defaults used by
 /// every experiment (`d = ⌈3·ln n⌉`, `|gstring| = 4·log₂ n`,
-/// `cap = ⌈log₂ n⌉²`, `|R| = n²`); README "Deviations from the paper"
-/// records where the implementation departs from the text.
+/// `cap = ⌈log₂ n⌉²`). The label domain `|R| = n²` and the public sampler
+/// seed `0x5eed` are fixed, not fields, and the protocol never reads the
+/// fault budget: that is the adversary's ([`default_faults`]). README
+/// "Deviations from the paper" records where the implementation departs
+/// from the text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AerConfig {
     /// System size `n`.
     pub n: usize,
-    /// Number of Byzantine nodes the run is expected to tolerate; must
-    /// satisfy `t < (1/3 − ε)·n`.
-    pub t: usize,
-    /// The slack `ε > 0` of the paper's resilience bound.
-    pub epsilon: f64,
     /// Quorum and poll-list size `d = Θ(log n)`.
     pub d: usize,
     /// Length of candidate strings in bits (`c·log n`).
@@ -32,10 +30,6 @@ pub struct AerConfig {
     /// requests once it has answered this many, until it decides
     /// (Algorithm 3's `log² n` filter).
     pub overload_cap: u64,
-    /// Cardinality of the label domain `R` (polynomial in `n`).
-    pub label_cardinality: u64,
-    /// Public seed from which the shared samplers `I`, `H`, `J` derive.
-    pub sampler_seed: u64,
     /// Steps every open poll must run before a node falls back to repair,
     /// and the spacing between repair queries (liveness extension beyond
     /// the paper). Ignored when `repair_attempts = 0`.
@@ -52,10 +46,20 @@ pub struct AerConfig {
     pub repair_attempts: u32,
 }
 
+/// Public seed from which the shared samplers `I`, `H`, `J` derive.
+const SAMPLER_SEED: u64 = 0x5eed;
+
+/// The default corruption budget for `n` nodes, `⌊0.15·n⌋` — below the
+/// paper's `(1/3 − ε)·n` bound with `ε = 1/12`. It is the adversary's
+/// budget, not the protocol's: AER never reads it.
+#[must_use]
+pub fn default_faults(n: usize) -> usize {
+    (n as f64 * 0.15) as usize
+}
+
 impl AerConfig {
     /// The defaults used throughout the reproduction for system size `n`:
-    /// `t = ⌊0.15·n⌋`, `ε = 1/12`, `d = ⌈3·ln n⌉`, `|s| = 4·log₂ n`,
-    /// `cap = ⌈log₂ n⌉²`, `|R| = n²`.
+    /// `d = ⌈3·ln n⌉`, `|s| = 4·log₂ n`, `cap = ⌈log₂ n⌉²`.
     ///
     /// # Panics
     ///
@@ -65,16 +69,12 @@ impl AerConfig {
         assert!(n >= 8, "AER needs n ≥ 8, got {n}");
         let cfg = AerConfig {
             n,
-            t: (n as f64 * 0.15) as usize,
-            epsilon: 1.0 / 12.0,
             d: default_quorum_size(n, 3.0),
             string_len: gstring_len(n, 4),
             overload_cap: {
                 let l = u64::from(ceil_log2(n));
                 (l * l).max(4)
             },
-            label_cardinality: PollSampler::default_cardinality(n),
-            sampler_seed: 0x5eed,
             poll_timeout: Self::sync_poll_horizon(),
             repair_attempts: 4,
         };
@@ -107,13 +107,6 @@ impl AerConfig {
         self
     }
 
-    /// Returns a copy with a different Byzantine budget `t`.
-    #[must_use]
-    pub fn with_t(mut self, t: usize) -> Self {
-        self.t = t;
-        self
-    }
-
     /// Returns a copy with a different overload cap.
     #[must_use]
     pub fn with_overload_cap(mut self, cap: u64) -> Self {
@@ -137,18 +130,6 @@ impl AerConfig {
         if self.n < 8 {
             return Err(ConfigError::SystemTooSmall { n: self.n });
         }
-        if self.epsilon <= 0.0 || self.epsilon.is_nan() {
-            return Err(ConfigError::NonPositiveEpsilon {
-                epsilon: self.epsilon,
-            });
-        }
-        let bound = (1.0 / 3.0 - self.epsilon) * self.n as f64;
-        if (self.t as f64) >= bound {
-            return Err(ConfigError::TooManyFaults {
-                t: self.t,
-                bound: bound.ceil() as usize,
-            });
-        }
         if self.d < 3 || self.d > self.n.min(MAX_QUORUM_SIZE) {
             return Err(ConfigError::BadQuorumSize {
                 d: self.d,
@@ -163,11 +144,6 @@ impl AerConfig {
         if self.overload_cap == 0 {
             return Err(ConfigError::ZeroOverloadCap);
         }
-        if self.label_cardinality < 2 {
-            return Err(ConfigError::LabelDomainTooSmall {
-                cardinality: self.label_cardinality,
-            });
-        }
         if self.repair_attempts > 0 && self.poll_timeout == 0 {
             return Err(ConfigError::BadRetryPolicy {
                 timeout: self.poll_timeout,
@@ -179,13 +155,15 @@ impl AerConfig {
     /// The shared push/pull quorum scheme (`I` and `H`).
     #[must_use]
     pub fn scheme(&self) -> QuorumScheme {
-        QuorumScheme::new(self.sampler_seed, self.n, self.d)
+        QuorumScheme::new(SAMPLER_SEED, self.n, self.d)
     }
 
-    /// The shared poll-list sampler (`J`).
+    /// The shared poll-list sampler (`J`), over the label domain
+    /// `|R| = n²`.
     #[must_use]
     pub fn poll_sampler(&self) -> PollSampler {
-        PollSampler::new(self.sampler_seed, self.n, self.d, self.label_cardinality)
+        let labels = PollSampler::default_cardinality(self.n);
+        PollSampler::new(SAMPLER_SEED, self.n, self.d, labels)
     }
 
     /// Strict-majority threshold for quorums and poll lists
@@ -228,18 +206,6 @@ pub enum ConfigError {
         /// Offending system size.
         n: usize,
     },
-    /// `ε` must be strictly positive.
-    NonPositiveEpsilon {
-        /// Offending epsilon.
-        epsilon: f64,
-    },
-    /// `t ≥ (1/3 − ε)·n`.
-    TooManyFaults {
-        /// Requested fault budget.
-        t: usize,
-        /// Exclusive upper bound implied by `n` and `ε`.
-        bound: usize,
-    },
     /// Quorum size out of `[3, min(n, 127)]` — at least 3, at most the
     /// system, and no wider than the run's 128-bit vote masks.
     BadQuorumSize {
@@ -255,11 +221,6 @@ pub enum ConfigError {
     },
     /// The overload cap must be at least 1.
     ZeroOverloadCap,
-    /// The label domain must contain at least two labels.
-    LabelDomainTooSmall {
-        /// Requested cardinality.
-        cardinality: u64,
-    },
     /// Repair needs a non-zero timeout.
     BadRetryPolicy {
         /// Requested timeout.
@@ -271,12 +232,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::SystemTooSmall { n } => write!(f, "system size {n} is below 8"),
-            ConfigError::NonPositiveEpsilon { epsilon } => {
-                write!(f, "epsilon must be positive, got {epsilon}")
-            }
-            ConfigError::TooManyFaults { t, bound } => {
-                write!(f, "fault budget {t} reaches the (1/3 - eps) bound {bound}")
-            }
             ConfigError::BadQuorumSize { d, n } => {
                 write!(
                     f,
@@ -291,9 +246,6 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroOverloadCap => write!(f, "overload cap must be at least 1"),
-            ConfigError::LabelDomainTooSmall { cardinality } => {
-                write!(f, "label domain of cardinality {cardinality} is too small")
-            }
             ConfigError::BadRetryPolicy { timeout } => {
                 write!(f, "repair with timeout {timeout} is degenerate")
             }
@@ -313,7 +265,7 @@ mod tests {
             let cfg = AerConfig::recommended(n);
             assert!(cfg.validate().is_ok(), "n={n}");
             assert!(cfg.d >= 3 && cfg.d <= n);
-            assert!((cfg.t as f64) < (1.0 / 3.0 - cfg.epsilon) * n as f64);
+            assert!((default_faults(n) as f64) < (1.0 / 3.0 - 1.0 / 12.0) * n as f64);
         }
     }
 
@@ -333,12 +285,31 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_too_many_faults() {
-        let cfg = AerConfig::recommended(100).with_t(40);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::TooManyFaults { t: 40, bound: 25 })
-        );
+    fn the_six_fields_and_the_fixed_samplers_are_pinned() {
+        // Every option `AerConfig` has, written out: a new field fails to
+        // compile here, and a drifted default, sampler seed or label
+        // domain fails here before any golden digest moves.
+        for (n, d, string_len, overload_cap) in
+            [(8, 7, 12, 9), (64, 13, 24, 36), (4096, 25, 48, 144)]
+        {
+            let pinned = AerConfig {
+                n,
+                d,
+                string_len,
+                overload_cap,
+                poll_timeout: 5,
+                repair_attempts: 4,
+            };
+            let cfg = AerConfig::recommended(n);
+            assert_eq!(cfg, pinned, "n={n}");
+            assert_eq!(cfg.scheme(), QuorumScheme::new(0x5eed, n, d), "n={n}");
+            let labels = (n * n) as u64;
+            assert_eq!(
+                cfg.poll_sampler(),
+                PollSampler::new(0x5eed, n, d, labels),
+                "n={n}"
+            );
+        }
     }
 
     #[test]
@@ -369,13 +340,6 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_fields() {
         let mut cfg = AerConfig::recommended(64);
-        cfg.epsilon = 0.0;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::NonPositiveEpsilon { .. })
-        ));
-
-        let mut cfg = AerConfig::recommended(64);
         cfg.string_len = 4;
         assert!(matches!(
             cfg.validate(),
@@ -384,13 +348,6 @@ mod tests {
 
         let cfg = AerConfig::recommended(64).with_overload_cap(0);
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroOverloadCap));
-
-        let mut cfg = AerConfig::recommended(64);
-        cfg.label_cardinality = 1;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::LabelDomainTooSmall { .. })
-        ));
 
         let mut cfg = AerConfig::recommended(64);
         cfg.poll_timeout = 0;
@@ -420,11 +377,7 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let cfg = AerConfig::recommended(64)
-            .with_t(5)
-            .with_overload_cap(77)
-            .with_d(11);
-        assert_eq!(cfg.t, 5);
+        let cfg = AerConfig::recommended(64).with_overload_cap(77).with_d(11);
         assert_eq!(cfg.overload_cap, 77);
         assert_eq!(cfg.d, 11);
     }
@@ -438,7 +391,7 @@ mod tests {
         assert_eq!(scheme.d(), cfg.d);
         assert_eq!(poll.n(), 128);
         assert_eq!(poll.d(), cfg.d);
-        assert_eq!(poll.label_cardinality(), cfg.label_cardinality);
+        assert_eq!(poll.label_cardinality(), 128 * 128);
     }
 
     #[test]
@@ -447,12 +400,5 @@ mod tests {
         assert_eq!(cfg.majority(), 7);
         let cfg = cfg.with_d(13);
         assert_eq!(cfg.majority(), 7);
-    }
-
-    #[test]
-    fn errors_display_is_informative() {
-        let err = ConfigError::TooManyFaults { t: 40, bound: 25 };
-        let shown = err.to_string();
-        assert!(shown.contains("40") && shown.contains("25"));
     }
 }

@@ -47,7 +47,7 @@ mod state;
 pub mod trace;
 
 pub use aer::{AerHarness, AerNode};
-pub use config::{AerConfig, ConfigError};
+pub use config::{default_faults, AerConfig, ConfigError};
 pub use msg::AerMsg;
 pub use state::AerRunState;
 

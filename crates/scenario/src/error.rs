@@ -35,8 +35,7 @@ pub enum ScenarioError {
         /// The phase the scenario would run.
         phase: &'static str,
     },
-    /// The service spec is inconsistent (zero instances, or an
-    /// arrivals/value-seeds override of the wrong length or ordering).
+    /// The service spec is unusable: never set, or zero instances.
     ServiceSpecInvalid {
         /// What was wrong.
         reason: String,
@@ -83,13 +82,6 @@ pub enum ScenarioError {
     KnowingOutOfRange {
         /// The requested fraction.
         knowing: f64,
-    },
-    /// A [`Scenario::inputs`](crate::Scenario::inputs) override of the wrong length.
-    InputsLength {
-        /// Entries in the override.
-        len: usize,
-        /// The system size.
-        n: usize,
     },
 }
 
@@ -147,9 +139,6 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::KnowingOutOfRange { knowing } => {
                 write!(f, "knowledge fraction {knowing} is outside [0, 1]")
-            }
-            ScenarioError::InputsLength { len, n } => {
-                write!(f, "binary input override has {len} entries for n = {n}")
             }
         }
     }

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! A scenario is **resolved once**. One private resolver (`plan.rs`)
-//! checks the system size, the crash schedule, the inputs' length, whether
-//! the phase can field the adversary, the derived [`fba_core::AerConfig`], every
+//! checks the system size, the crash schedule, whether the phase can
+//! field the adversary, the derived [`fba_core::AerConfig`], every
 //! corruption budget (against `n` and, across `sched:` windows, against
 //! each other) and the delay bound, and builds whatever does not depend
 //! on the seed. [`Scenario::validate`] *is* that resolver and every run
@@ -88,12 +88,9 @@ pub struct Scenario {
     poll_timeout: PollTimeoutSpec,
     record_transcript: bool,
     bad_string: Option<GString>,
-    inputs: Option<Vec<bool>>,
     rigged: BTreeSet<NodeId>,
     rigged_value: u64,
     service: Option<(usize, Step)>,
-    service_arrivals: Option<Vec<Step>>,
-    service_value_seeds: Option<Vec<u64>>,
 }
 
 impl Scenario {
@@ -125,20 +122,17 @@ impl Scenario {
             poll_timeout: PollTimeoutSpec::default(),
             record_transcript: false,
             bad_string: None,
-            inputs: None,
             rigged: BTreeSet::new(),
             rigged_value: 0,
             service: None,
-            service_arrivals: None,
-            service_value_seeds: None,
         }
     }
 
-    /// Sets the corruption budget `t` the adversary works with. Defaults
-    /// to the derived config's tolerance (`⌊0.15·n⌋`). This budgets the
-    /// *adversary*; the protocol's declared tolerance stays the config's,
-    /// which is what lets boundary experiments field out-of-contract
-    /// coalitions.
+    /// Sets the corruption budget `t` the adversary works with, in every
+    /// phase. Defaults to [`fba_core::default_faults`] (`⌊0.15·n⌋`) — for
+    /// the Ben-Or and Phase-King baselines, to their own parameters'
+    /// bounds. The protocol never reads `t`, which is what lets boundary
+    /// experiments field out-of-contract coalitions.
     #[must_use]
     pub fn faults(mut self, t: usize) -> Self {
         self.faults = Some(t);
@@ -256,28 +250,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the service arrival schedule with explicit arrival
-    /// steps, one per instance (must be non-decreasing and match the
-    /// instance count of [`Scenario::service`]). Arrival times never
-    /// change instance *outcomes* — only the sustained-throughput
-    /// accounting — which the service proptests pin.
-    #[must_use]
-    pub fn service_arrivals(mut self, arrivals: Vec<Step>) -> Self {
-        self.service_arrivals = Some(arrivals);
-        self
-    }
-
-    /// Overrides the per-instance value seeds (one per instance). By
-    /// default instance `k` runs with `instance_seed(service_seed, k)`;
-    /// explicit seeds let tests replay a specific instance standalone or
-    /// force slot collisions across instances (the state-leak battery
-    /// runs the *same* seed repeatedly).
-    #[must_use]
-    pub fn service_value_seeds(mut self, seeds: Vec<u64>) -> Self {
-        self.service_value_seeds = Some(seeds);
-        self
-    }
-
     /// Sets the campaign string used by the `flood` and `bad-string`
     /// strategies. Defaults to the first non-`gstring` assignment of the
     /// precondition (the coherent bogus block under
@@ -286,14 +258,6 @@ impl Scenario {
     #[must_use]
     pub fn bad_string(mut self, bad: GString) -> Self {
         self.bad_string = Some(bad);
-        self
-    }
-
-    /// Overrides the per-node binary inputs of the Ben-Or / Phase-King
-    /// baselines, one per node (defaults are seed-derived draws; see [`Baseline`]).
-    #[must_use]
-    pub fn inputs(mut self, inputs: Vec<bool>) -> Self {
-        self.inputs = Some(inputs);
         self
     }
 

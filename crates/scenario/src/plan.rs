@@ -4,7 +4,7 @@
 
 use fba_ae::{ae_engine, AeConfig};
 use fba_baselines::{BenOrParams, KingParams, KlstParams};
-use fba_core::AerConfig;
+use fba_core::{default_faults, AerConfig};
 use fba_sim::rng::instance_seed;
 use fba_sim::{AdversarySpec, EngineConfig, NetworkSpec, SilentAdversary, Step};
 
@@ -48,28 +48,24 @@ impl Scenario {
         self.check_scale()?;
         self.check_crash()?;
         self.check_knowing()?;
-        let len = self.inputs.as_ref().map_or(self.n, Vec::len);
-        if len != self.n {
-            return Err(ScenarioError::InputsLength { len, n: self.n });
-        }
+        let budget = self.faults.unwrap_or_else(|| default_faults(self.n));
         // What the AER and composed phases share: the derived config, the
         // AER-phase adversary's budgets, and the delay bound.
-        let aer = || -> Result<(AerConfig, usize), ScenarioError> {
+        let aer = || -> Result<AerConfig, ScenarioError> {
             let cfg = self.aer_config()?;
-            let budget = self.faults.unwrap_or(cfg.t);
             self.check_budgets(&self.adversary, budget)?;
             self.check_delay_bound(cfg.engine_async(self.network.max_delay()).max_steps)?;
-            Ok((cfg, budget))
+            Ok(cfg)
         };
         Ok(match self.phase {
             Phase::Aer { precondition } => Plan::Aer(AerPlan {
-                cfg: aer()?.0,
+                cfg: aer()?,
                 precondition,
             }),
             Phase::Composed => {
                 // The AE half's defaults with its string length coupled to
                 // the AER half's, so its output feeds AER unchanged.
-                let (aer, budget) = aer()?;
+                let aer = aer()?;
                 let mut ae = AeConfig::recommended(self.n);
                 ae.string_len = aer.string_len;
                 Plan::Composed {
@@ -84,7 +80,6 @@ impl Scenario {
             }
             Phase::Ae => {
                 let config = AeConfig::recommended(self.n);
-                let budget = self.faults.unwrap_or_else(|| self.default_faults());
                 let adversary =
                     self.generic_adversary(&self.adversary, budget, "almost-everywhere")?;
                 self.check_delay_bound(ae_engine(&config).max_steps)?;
@@ -93,13 +88,13 @@ impl Scenario {
             Phase::Baseline(baseline) => {
                 let (default_t, max_steps) = match baseline {
                     Baseline::Klst { .. } => (
-                        self.default_faults(),
+                        default_faults(self.n),
                         KlstParams::recommended(self.n).schedule_len() + 8,
                     ),
                     Baseline::Flood { .. } => {
-                        (self.default_faults(), EngineConfig::sync(self.n).max_steps)
+                        (default_faults(self.n), EngineConfig::sync(self.n).max_steps)
                     }
-                    Baseline::BenOr { .. } => (BenOrParams::recommended(self.n).t, 400),
+                    Baseline::BenOr => (BenOrParams::recommended(self.n).t, 400),
                     Baseline::PhaseKing => {
                         let params = KingParams::recommended(self.n);
                         (params.t / 2, params.schedule_len() + 8)
@@ -177,14 +172,9 @@ impl Scenario {
                 cfg.poll_timeout =
                     AerConfig::sync_poll_horizon().saturating_mul(self.network.max_delay());
             }
-            PollTimeoutSpec::Fixed(t) => cfg.poll_timeout = t,
         }
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    fn default_faults(&self) -> usize {
-        (self.n as f64 * 0.15) as usize
     }
 
     /// Rejects system sizes outside `MIN_N..=MAX_N` before any phase
@@ -318,8 +308,8 @@ impl Scenario {
 
     /// The AER plan plus the per-instance `(seed, arrival step)` schedule
     /// of the service spec. Every check is independent of `seed` — it only
-    /// fills in the default instance seeds — so [`Scenario::validate`]
-    /// calls this too.
+    /// fills in the instance seeds — so [`Scenario::validate`] calls this
+    /// too.
     pub(crate) fn service_plan(
         &self,
         seed: u64,
@@ -332,34 +322,10 @@ impl Scenario {
         if instances == 0 {
             return invalid("a service run needs at least one instance".into());
         }
-        let arrivals: Vec<Step> = match &self.service_arrivals {
-            Some(explicit) => {
-                if explicit.len() != instances {
-                    return invalid(format!(
-                        "arrival schedule has {} entries for {instances} instances",
-                        explicit.len()
-                    ));
-                }
-                if explicit.windows(2).any(|w| w[1] < w[0]) {
-                    return invalid("arrival schedule must be non-decreasing".into());
-                }
-                explicit.clone()
-            }
-            None => (0..instances).map(|k| k as Step * interval).collect(),
-        };
-        let seeds: Vec<u64> = match &self.service_value_seeds {
-            Some(explicit) => {
-                if explicit.len() != instances {
-                    return invalid(format!(
-                        "value-seed override has {} entries for {instances} instances",
-                        explicit.len()
-                    ));
-                }
-                explicit.clone()
-            }
-            None => (0..instances).map(|k| instance_seed(seed, k)).collect(),
-        };
-        Ok((plan, seeds.into_iter().zip(arrivals).collect()))
+        let schedule = (0..instances)
+            .map(|k| (instance_seed(seed, k), k as Step * interval))
+            .collect();
+        Ok((plan, schedule))
     }
 }
 
@@ -387,13 +353,6 @@ mod tests {
             3 * AerConfig::sync_poll_horizon()
         );
         assert!(scaled.run.all_decided());
-
-        let fixed = Scenario::new(32)
-            .poll_timeout(PollTimeoutSpec::Fixed(8))
-            .run(1)
-            .expect("valid")
-            .into_aer();
-        assert_eq!(fixed.config.poll_timeout, 8);
     }
 
     #[test]
@@ -569,24 +528,6 @@ mod tests {
         let err = Scenario::new(32).service(0, 1).run_service(1).unwrap_err();
         assert!(matches!(err, ScenarioError::ServiceSpecInvalid { .. }));
         let err = Scenario::new(32)
-            .service(2, 1)
-            .service_arrivals(vec![0])
-            .run_service(1)
-            .unwrap_err();
-        assert!(err.to_string().contains("entries"));
-        let err = Scenario::new(32)
-            .service(2, 1)
-            .service_arrivals(vec![5, 1])
-            .run_service(1)
-            .unwrap_err();
-        assert!(err.to_string().contains("non-decreasing"));
-        let err = Scenario::new(32)
-            .service(2, 1)
-            .service_value_seeds(vec![1, 2, 3])
-            .run_service(1)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::ServiceSpecInvalid { .. }));
-        let err = Scenario::new(32)
             .phase(Phase::Ae)
             .service(2, 1)
             .run_service(1)
@@ -655,22 +596,12 @@ mod tests {
                 .faults_spec(crash("crash:[2..5]4")),
             // Service specs.
             Scenario::new(64).service(0, 1),
-            Scenario::new(64).service(2, 1).service_arrivals(vec![5]),
-            Scenario::new(64).service(2, 1).service_arrivals(vec![5, 1]),
-            Scenario::new(64).service(2, 1).service_value_seeds(vec![1]),
             Scenario::new(64).phase(Phase::Ae).service(2, 1),
             Scenario::new(3).service(2, 1),
             // A budget above n in the composed run's other adversary.
             Scenario::new(64)
                 .phase(Phase::Composed)
                 .ae_adversary(spec("silent:100")),
-            // A binary input override that is not one input per node.
-            Scenario::new(16)
-                .phase(Phase::Baseline(Baseline::PhaseKing))
-                .inputs(vec![true; 3]),
-            Scenario::new(16)
-                .phase(Phase::Baseline(Baseline::BenOr { bias: 0.5 }))
-                .inputs(vec![true; 17]),
         ];
         // Budgets above n and delay bounds the run cannot outlast, in
         // every phase.

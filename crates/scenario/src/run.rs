@@ -331,12 +331,10 @@ impl Scenario {
                 });
                 diffusion(BaselineOutcome::Flood(run), pre)
             }
-            Baseline::BenOr { bias } => {
+            Baseline::BenOr => {
                 let params = BenOrParams::recommended(self.n);
-                let inputs = self.inputs.clone().unwrap_or_else(|| {
-                    let mut rng = derive_rng(seed, &[0xb0]);
-                    (0..self.n).map(|_| rng.gen_bool(bias)).collect()
-                });
+                let mut rng = derive_rng(seed, &[0xb0]);
+                let inputs: Vec<bool> = (0..self.n).map(|_| rng.gen_bool(0.9)).collect();
                 let run = fba_sim::run::<BenOrNode, _, _>(engine, seed, &mut adversary, |id| {
                     BenOrNode::new(params, self.n, inputs[id.index()])
                 });
@@ -344,10 +342,8 @@ impl Scenario {
             }
             Baseline::PhaseKing => {
                 let params = KingParams::recommended(self.n);
-                let inputs = self.inputs.clone().unwrap_or_else(|| {
-                    let mut rng = derive_rng(seed, &[0xb1]);
-                    (0..self.n).map(|_| rng.gen()).collect()
-                });
+                let mut rng = derive_rng(seed, &[0xb1]);
+                let inputs: Vec<bool> = (0..self.n).map(|_| rng.gen()).collect();
                 let run = fba_sim::run::<KingNode, _, _>(engine, seed, &mut adversary, |id| {
                     KingNode::new(params, self.n, inputs[id.index()])
                 });
@@ -385,7 +381,8 @@ mod tests {
             seed,
         );
         let h = AerHarness::from_precondition(cfg, &pre);
-        let hand = h.run(&h.engine_sync(), seed, &mut SilentAdversary::new(cfg.t));
+        let t = fba_core::default_faults(n);
+        let hand = h.run(&h.engine_sync(), seed, &mut SilentAdversary::new(t));
 
         assert_eq!(scenario_run.run.outputs, hand.outputs);
         assert_eq!(scenario_run.run.corrupt, hand.corrupt);
@@ -455,32 +452,6 @@ mod tests {
         let pre = run.precondition.as_ref().expect("diffusion precondition");
         assert_eq!(run.outcome.unanimous_gstring(), Some(&pre.gstring));
         assert!(run.outcome.all_decided());
-    }
-
-    #[test]
-    fn baseline_inputs_override_is_honoured() {
-        let n = 24;
-        let inputs = vec![true; n];
-        let run = Scenario::new(n)
-            .phase(Phase::Baseline(Baseline::PhaseKing))
-            .inputs(inputs.clone())
-            .run(2)
-            .expect("valid")
-            .into_baseline();
-        assert_eq!(run.inputs.as_deref(), Some(&inputs[..]));
-        assert_eq!(run.outcome.unanimous_bit(), Some(true), "validity");
-    }
-
-    #[test]
-    fn baseline_inputs_of_the_wrong_length_are_rejected_not_indexed() {
-        for baseline in [Baseline::PhaseKing, Baseline::BenOr { bias: 0.5 }] {
-            let scenario = Scenario::new(16)
-                .phase(Phase::Baseline(baseline))
-                .inputs(vec![true; 3]);
-            let err = scenario.run(1).map(drop).unwrap_err();
-            assert_eq!(scenario.validate(), Err(err.clone()));
-            assert!(err.to_string().contains("3 entries for n = 16"), "{err}");
-        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl FromStr for Phase {
                     "flood" => Ok(Phase::Baseline(Baseline::Flood {
                         precondition: PreconditionSpec::default(),
                     })),
-                    "benor" => Ok(Phase::Baseline(Baseline::BenOr { bias: 0.9 })),
+                    "benor" => Ok(Phase::Baseline(Baseline::BenOr)),
                     "phase-king" => Ok(Phase::Baseline(Baseline::PhaseKing)),
                     _ => Err(err()),
                 }
@@ -158,15 +158,12 @@ pub enum Baseline {
         /// The shared starting state.
         precondition: PreconditionSpec,
     },
-    /// Ben-Or's randomized binary agreement. Inputs are drawn per node
-    /// with probability `bias` of `true` (override with
-    /// [`Scenario::inputs`](crate::Scenario::inputs)).
-    BenOr {
-        /// `P(input = true)` per node.
-        bias: f64,
-    },
-    /// Phase-King deterministic agreement. Inputs are uniform random
-    /// bits (override with [`Scenario::inputs`](crate::Scenario::inputs)).
+    /// Ben-Or's randomized binary agreement. Inputs are seed-derived
+    /// draws, `true` with probability 0.9 per node (worst-case Ben-Or is
+    /// exponential, and 50/50 inputs stall at the sizes `fig1b` runs).
+    BenOr,
+    /// Phase-King deterministic agreement. Inputs are seed-derived
+    /// uniform random bits.
     PhaseKing,
 }
 
@@ -175,7 +172,7 @@ impl fmt::Display for Baseline {
         match self {
             Baseline::Klst { .. } => write!(f, "klst"),
             Baseline::Flood { .. } => write!(f, "flood"),
-            Baseline::BenOr { .. } => write!(f, "benor"),
+            Baseline::BenOr => write!(f, "benor"),
             Baseline::PhaseKing => write!(f, "phase-king"),
         }
     }
@@ -194,8 +191,6 @@ pub enum PollTimeoutSpec {
     /// firing redundant repair queries into delayed traffic. No-op under
     /// [`NetworkSpec::Sync`](fba_sim::NetworkSpec::Sync).
     DelayScaled,
-    /// An explicit timeout in steps.
-    Fixed(u64),
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 
+use fba::core::default_faults;
 use fba::scenario::{AerRun, Phase, Scenario};
 use fba::sim::{AdversarySpec, NetworkSpec, NodeId, Step};
 
@@ -51,7 +52,7 @@ fn main() {
     let seed = 17;
     let base = || Scenario::new(n).phase(Phase::aer(0.85)).strict();
     let cfg = base().aer_config().expect("valid config");
-    let t = cfg.t;
+    let t = default_faults(n);
     println!("n = {n}, d = {}, t = {t}, strict mode (no repair)", cfg.d);
 
     // 1. Synchronous, non-rushing: the Lemma 8/9 regime.

@@ -15,6 +15,7 @@
 //! cargo run --release --example ba_end_to_end
 //! ```
 
+use fba::core::default_faults;
 use fba::samplers::GString;
 use fba::scenario::{Phase, Scenario};
 use fba::sim::AdversarySpec;
@@ -70,7 +71,7 @@ fn main() {
     // --- under attack ---------------------------------------------------
     // Silent faults corrupt the AE phase; the AER phase fields the full
     // bad-string campaign for the all-zeroes string.
-    let t = aer.t;
+    let t = default_faults(n);
     let zero_len = aer.string_len;
     let attacked = Scenario::new(n)
         .phase(Phase::Composed)

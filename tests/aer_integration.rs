@@ -3,11 +3,12 @@
 //! full adversary suite — all runs constructed through the [`Scenario`]
 //! builder.
 
-use fba::ae::UnknowingAssignment;
+use fba::ae::{Precondition, UnknowingAssignment};
 use fba::core::trace::WaveCounter;
-use fba::core::AerNode;
+use fba::core::{default_faults, AerConfig, AerHarness, AerNode};
+use fba::samplers::GString;
 use fba::scenario::{Phase, PollTimeoutSpec, Scenario};
-use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NodeId};
+use fba::sim::{AdversarySpec, FinalInspect, NetworkSpec, NoAdversary, NodeId};
 
 fn scenario(n: usize, knowing: f64, mode: UnknowingAssignment) -> Scenario {
     Scenario::new(n).phase(Phase::aer_with(knowing, mode))
@@ -63,7 +64,7 @@ fn aer_survives_each_adversary_without_wrong_decisions() {
                 0,
                 "seed {seed}, adversary {spec} on {network}: wrong decision"
             );
-            let t = out.config.t;
+            let t = default_faults(n);
             assert!(
                 out.run.outputs.len() as f64 >= 0.9 * (n - t) as f64,
                 "seed {seed}, adversary {spec} on {network}: only {}/{} decided",
@@ -83,12 +84,12 @@ fn scale_aware_schedule_preserves_small_n_outcomes() {
     for n in [32, 64, 128, 256] {
         let base = scenario(n, 0.8, UnknowingAssignment::RandomPerNode);
         let new_out = base.run(1).expect("valid scenario").into_aer();
-        let legacy_out = base
-            .poll_timeout(PollTimeoutSpec::Fixed(8))
-            .run(1)
-            .expect("valid scenario")
-            .into_aer()
-            .run;
+        // The legacy schedule is the same deployment with the old fixed
+        // timeout, run on the harness directly.
+        let mut legacy = base.aer_config().expect("valid config");
+        legacy.poll_timeout = 8;
+        let h = AerHarness::from_precondition(legacy, &new_out.precondition);
+        let legacy_out = h.run(&h.engine_sync(), 1, &mut NoAdversary);
         assert_eq!(
             new_out.run.outputs, legacy_out.outputs,
             "n={n}: decision values diverged from the legacy schedule"
@@ -181,12 +182,21 @@ fn aer_flood_does_not_inflate_correct_node_traffic() {
 #[test]
 fn aer_handles_worst_case_default_value_precondition() {
     // Every unknowing node holds the zero string (the "default value"
-    // case from §3.1).
-    let out = scenario(96, 0.75, UnknowingAssignment::DefaultValue)
-        .run(6)
-        .expect("valid scenario")
-        .into_aer();
-    assert_eq!(out.run.unanimous(), Some(out.gstring()));
+    // case from §3.1): the shared bogus block with its string fixed to
+    // zeroes.
+    let (n, seed) = (96, 6);
+    let cfg = AerConfig::recommended(n);
+    let mode = UnknowingAssignment::SharedAdversarial;
+    let mut pre = Precondition::synthetic(n, cfg.string_len, 0.75, mode, seed);
+    for s in &mut pre.assignments {
+        if *s != pre.gstring {
+            *s = GString::zeroes(cfg.string_len);
+        }
+    }
+    let h = AerHarness::from_precondition(cfg, &pre);
+    let out = h.run(&h.engine_sync(), seed, &mut NoAdversary);
+    assert!(out.all_decided());
+    assert_eq!(out.unanimous(), Some(&pre.gstring));
 }
 
 #[test]

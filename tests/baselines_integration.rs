@@ -5,7 +5,6 @@
 use fba::baselines::{BenOrParams, KingParams};
 use fba::scenario::{Baseline, Phase, PreconditionSpec, Scenario};
 use fba::sim::AdversarySpec;
-use rand::Rng;
 
 fn baseline(n: usize, which: Baseline) -> Scenario {
     Scenario::new(n).phase(Phase::Baseline(which))
@@ -132,11 +131,8 @@ fn figure_1a_bits_ordering_holds() {
 fn benor_and_phase_king_agree_under_faults() {
     let n = 40;
     let seed = 8;
-    let mut rng = fba::sim::rng::derive_rng(seed, &[]);
-    let inputs: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.8)).collect();
 
-    let benor = baseline(n, Baseline::BenOr { bias: 0.8 })
-        .inputs(inputs.clone())
+    let benor = baseline(n, Baseline::BenOr)
         .faults(BenOrParams::recommended(n).t)
         .adversary(AdversarySpec::Silent { t: None })
         .run(seed)
@@ -148,7 +144,6 @@ fn benor_and_phase_king_agree_under_faults() {
     );
 
     let king = baseline(n, Baseline::PhaseKing)
-        .inputs(inputs)
         .faults(KingParams::recommended(n).t / 2)
         .adversary(AdversarySpec::Silent { t: None })
         .run(seed)
@@ -166,7 +161,6 @@ fn phase_king_time_dwarfs_randomized_protocols() {
     let n = 64;
     let seed = 9;
     let king = baseline(n, Baseline::PhaseKing)
-        .inputs((0..n).map(|i| i % 3 == 0).collect())
         .run(seed)
         .expect("valid scenario")
         .into_baseline();

@@ -60,7 +60,8 @@ fn hand_wired(
     let out = match adversary {
         AdversarySpec::None => h.run(&engine, seed, &mut NoAdversary),
         AdversarySpec::Silent { t } => {
-            h.run(&engine, seed, &mut SilentAdversary::new(t.unwrap_or(cfg.t)))
+            let t = t.unwrap_or(fba::core::default_faults(n));
+            h.run(&engine, seed, &mut SilentAdversary::new(t))
         }
         AdversarySpec::RandomFlood { rate, steps } => h.run(
             &engine,
@@ -323,7 +324,7 @@ fn binary_baselines_are_bit_identical() {
         // Ben-Or, the fig1b shape (0.9-biased inputs, silent params.t).
         let params = BenOrParams::recommended(n);
         let scenario = Scenario::new(n)
-            .phase(Phase::Baseline(Baseline::BenOr { bias: 0.9 }))
+            .phase(Phase::Baseline(Baseline::BenOr))
             .faults(params.t)
             .adversary(AdversarySpec::Silent { t: None })
             .run(seed)

@@ -12,45 +12,86 @@
 //!   hardest case is *repeated* value seeds, where every `(string, node)`
 //!   slot collides across instances: a single stale vote bit in the push
 //!   arena makes `on_push` see a sender as a duplicate and suppress
-//!   candidate acceptance. (Deliberately disabling the per-instance
-//!   vote-arena reset in `AerRunState::begin_instance` makes the
-//!   `repeated_value_seeds_*` tests below fail — that injection is the
-//!   suite's own fire drill.)
+//!   candidate acceptance. A service run never repeats a value seed, so
+//!   that case is a hand-wired chain: the loop `run_service` runs, over
+//!   one `AerRunState` and one `EngineSession`, replaying one seed.
+//!   (Deliberately disabling the per-instance vote-arena reset in
+//!   `AerRunState::begin_instance` makes the `repeated_value_seeds_*`
+//!   test below fail — that injection is the suite's own fire drill.)
 //! * **Real reuse**: the persistence is not vacuous — cache hit/miss
 //!   counters prove later instances *hit* the caches the first instance
 //!   populated, rather than silently rebuilding them.
 
-use fba::scenario::{Phase, Scenario};
-use fba::sim::{AdversarySpec, NetworkSpec};
+use fba::ae::{Precondition, UnknowingAssignment};
+use fba::core::adversary::{AerAdversary, AttackContext};
+use fba::core::{AerConfig, AerHarness, AerMsg, AerRunState};
+use fba::samplers::GString;
+use fba::scenario::{AerRun, Phase, Scenario};
+use fba::sim::{AdversarySpec, EngineSession, NetworkSpec, NullObserver, RunOutcome};
 
-/// Per-instance outcome comparison: a service instance against its
-/// fresh-engine comparator, down to per-node metrics.
+/// Per-instance outcome comparison: a chained instance (its run and its
+/// `gstring`) against its fresh-engine comparator, down to per-node
+/// metrics.
 fn assert_instance_matches(
     label: &str,
-    service: &fba::scenario::AerRun,
-    fresh: &fba::scenario::AerRun,
+    chained: &RunOutcome<GString, AerMsg>,
+    gstring: &GString,
+    fresh: &AerRun,
 ) {
+    assert_eq!(chained.corrupt, fresh.run.corrupt, "{label}: corrupt set");
+    assert_eq!(chained.outputs, fresh.run.outputs, "{label}: outputs");
     assert_eq!(
-        service.run.corrupt, fresh.run.corrupt,
-        "{label}: corrupt set"
-    );
-    assert_eq!(service.run.outputs, fresh.run.outputs, "{label}: outputs");
-    assert_eq!(
-        service.run.all_decided_at, fresh.run.all_decided_at,
+        chained.all_decided_at, fresh.run.all_decided_at,
         "{label}: decision step"
     );
     assert_eq!(
-        service.run.quiescent, fresh.run.quiescent,
+        chained.quiescent, fresh.run.quiescent,
         "{label}: quiescence"
     );
     assert_eq!(
-        service.run.metrics, fresh.run.metrics,
+        chained.metrics, fresh.run.metrics,
         "{label}: per-node metrics"
     );
-    assert_eq!(
-        service.precondition.gstring, fresh.precondition.gstring,
-        "{label}: gstring"
-    );
+    assert_eq!(gstring, fresh.gstring(), "{label}: gstring");
+}
+
+/// The system size of the hand-wired chains.
+const N: usize = 48;
+
+/// `instances` agreement instances that all replay value seed `seed`,
+/// with the coalition drawn from `seed` too, chained the way
+/// `run_service` chains them: one `AerRunState` and one `EngineSession`
+/// through every instance, on `Scenario::new(N)`'s synchronous
+/// deployment. Returns each instance's outcome, its `gstring`, and the
+/// state the chain ended with (its cache counters).
+fn repeated_seed_chain(
+    spec: &AdversarySpec,
+    seed: u64,
+    instances: usize,
+) -> (Vec<RunOutcome<GString, AerMsg>>, GString, AerRunState) {
+    let cfg = AerConfig::recommended(N);
+    let mode = UnknowingAssignment::RandomPerNode;
+    let pre = Precondition::synthetic(N, cfg.string_len, 0.8, mode, seed);
+    let harness = AerHarness::from_precondition(cfg, &pre);
+    let state = harness.run_state();
+    let mut session = EngineSession::new(NetworkSpec::Sync.max_delay());
+    let runs = (0..instances)
+        .map(|_| {
+            // `none` and `silent` ignore the campaign string.
+            let ctx = AttackContext::new(&harness, pre.gstring);
+            let mut adversary = AerAdversary::from_spec(spec, ctx, pre.gstring);
+            harness.run_in_session(
+                &harness.engine_sync(),
+                seed,
+                seed,
+                &mut adversary,
+                &mut NullObserver,
+                &state,
+                &mut session,
+            )
+        })
+        .collect();
+    (runs, pre.gstring, state)
 }
 
 #[test]
@@ -80,7 +121,8 @@ fn every_instance_matches_a_fresh_engine_run() {
                     .expect("valid instance");
                 assert_instance_matches(
                     &format!("{spec} {network} instance {k}"),
-                    &inst.run,
+                    &inst.run.run,
+                    inst.run.gstring(),
                     &fresh,
                 );
             }
@@ -96,22 +138,14 @@ fn repeated_value_seeds_still_match_fresh_runs() {
     // writes and what instance k+1 reads. Any cross-instance residue in
     // the vote arenas or phase state diverges here first.
     for spec in [AdversarySpec::None, AdversarySpec::Silent { t: None }] {
-        let scenario = Scenario::new(48)
-            .phase(Phase::aer(0.8))
+        let (chain, gstring, _) = repeated_seed_chain(&spec, 9, 4);
+        let fresh = Scenario::new(N)
             .adversary(spec.clone())
-            .service(4, 1)
-            .service_value_seeds(vec![9, 9, 9, 9]);
-        let service_seed = 9;
-        let service = scenario.run_service(service_seed).expect("valid service");
-        let fresh = scenario
-            .run_instance(9, service_seed)
+            .run_instance(9, 9)
             .expect("valid instance");
-        for (k, inst) in service.instances.iter().enumerate() {
-            assert_instance_matches(
-                &format!("{spec} repeated-seed instance {k}"),
-                &inst.run,
-                &fresh,
-            );
+        for (k, run) in chain.iter().enumerate() {
+            let label = format!("{spec} repeated-seed instance {k}");
+            assert_instance_matches(&label, run, &gstring, &fresh);
         }
     }
 }
@@ -124,23 +158,18 @@ fn later_instances_hit_the_persistent_caches() {
     // misses over a 1-instance run — every later lookup is a hit. If the
     // caches were silently rebuilt per instance (persistence broken),
     // misses would scale with the instance count instead.
-    let base = Scenario::new(48).phase(Phase::aer(0.8));
-    let single = base
-        .clone()
-        .service(1, 1)
-        .service_value_seeds(vec![7])
-        .run_service(7)
-        .expect("valid service");
-    let chained = base
-        .service(3, 1)
-        .service_value_seeds(vec![7, 7, 7])
-        .run_service(7)
-        .expect("valid service");
-    for (name, single_stats, chained_stats) in [
-        ("push", single.push_cache_stats, chained.push_cache_stats),
-        ("pull", single.pull_cache_stats, chained.pull_cache_stats),
-        ("poll", single.poll_cache_stats, chained.poll_cache_stats),
-    ] {
+    let (_, _, single) = repeated_seed_chain(&AdversarySpec::None, 7, 1);
+    let (_, _, chained) = repeated_seed_chain(&AdversarySpec::None, 7, 3);
+    let stats = |state: &AerRunState| {
+        [
+            ("push", state.push_cache_stats()),
+            ("pull", state.pull_cache_stats()),
+            ("poll", state.poll_cache_stats()),
+        ]
+    };
+    for ((name, single_stats), (_, chained_stats)) in
+        stats(&single).into_iter().zip(stats(&chained))
+    {
         assert_eq!(
             chained_stats.1, single_stats.1,
             "{name}: chained instances must not add cache misses"
@@ -187,7 +216,8 @@ fn crash_windows_compose_with_the_service_contract() {
         let fresh = scenario
             .run_instance(inst.seed, service_seed)
             .expect("valid instance");
-        assert_instance_matches(&format!("crash instance {k}"), &inst.run, &fresh);
+        let label = format!("crash instance {k}");
+        assert_instance_matches(&label, &inst.run.run, inst.run.gstring(), &fresh);
     }
     let replay = scenario.run_service(service_seed).expect("valid service");
     for (a, b) in service.instances.iter().zip(&replay.instances) {
@@ -243,17 +273,17 @@ proptest::proptest! {
     // Every case chains several full protocol runs; keep the count low.
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-    /// Arrival times are outcome-invariant: jitter inside the admission
-    /// window moves `arrived_at`/`started_at` but never changes what any
-    /// instance decides or sends. Totals always equal the sum of the
-    /// per-instance views.
+    /// Arrival times are outcome-invariant: a different offered load
+    /// (the `interval` between arrivals) moves `arrived_at`/`started_at`
+    /// but never changes what any instance decides or sends. Totals
+    /// always equal the sum of the per-instance views.
     #[test]
     fn service_outcomes_ignore_arrival_jitter(
         n in 24usize..56,
         seed in proptest::prelude::any::<u64>(),
         instances in 1usize..4,
         interval in 0u64..8,
-        jitter in proptest::collection::vec(0u64..16, 4),
+        jittered_interval in 0u64..16,
         silent in proptest::prelude::any::<bool>(),
     ) {
         let mut base = Scenario::new(n).phase(Phase::aer(0.8));
@@ -275,22 +305,16 @@ proptest::proptest! {
         assert_eq!(reference.totals.steps(), steps);
         assert_eq!(reference.totals.instances(), instances as u64);
 
-        // Jittered (but non-decreasing) arrivals: outcomes unchanged.
-        let mut arrivals = Vec::with_capacity(instances);
-        let mut at = 0u64;
-        for j in jitter.iter().take(instances) {
-            at += j;
-            arrivals.push(at);
-        }
+        // Arrivals at another interval: outcomes unchanged.
         let jittered = base
-            .service(instances, interval)
-            .service_arrivals(arrivals)
+            .service(instances, jittered_interval)
             .run_service(seed)
             .expect("valid service");
         for (k, (a, b)) in reference.instances.iter().zip(&jittered.instances).enumerate() {
             assert_eq!(a.seed, b.seed, "instance {k} seed");
             assert_eq!(a.run.run.outputs, b.run.run.outputs, "instance {k} outputs");
             assert_eq!(a.run.run.metrics, b.run.run.metrics, "instance {k} metrics");
+            assert_eq!(b.arrived_at, k as u64 * jittered_interval, "instance {k} arrival");
             assert!(b.started_at >= b.arrived_at, "instance {k} admission");
         }
     }
