@@ -790,10 +790,10 @@ mod tests {
         #[allow(clippy::drop_non_drop)] // release the outbox borrow
         drop(ctx);
         assert!(!outbox.is_empty());
-        for (_, msg) in outbox.iter() {
+        outbox.for_each_message(|_, msg| {
             if let AeMsg::Contribute { value, .. } = msg {
-                assert_eq!(*value, 0xabcd);
+                assert_eq!(value, 0xabcd);
             }
-        }
+        });
     }
 }

@@ -20,10 +20,11 @@
 //! [`PullPhase`] is a pure state machine over the callback's
 //! [`Context`]: a handler that transmits writes into the context it is
 //! handed — by the multicast, one stored payload over the interned quorum
-//! or poll list; the `d` first-hop forwards of a pull over shared handles
-//! on the interned quorums, so an in-flight forward copies no recipient —
-//! and takes the step and its randomness from there, so the algorithms
-//! are unit-testable without the simulator.
+//! or poll list; the `d` first-hop forwards of a pull as one part run, one
+//! stored `Fw1` and a handle on each interned quorum, so an in-flight
+//! forward stores its payload once and copies no recipient — and takes the
+//! step and its randomness from there, so the algorithms are unit-testable
+//! without the simulator.
 
 use std::collections::BTreeSet;
 
@@ -325,9 +326,11 @@ impl PullPhase {
     /// Forwards iff `s` matches this node's current candidate, this node
     /// really is in `H(s, origin)`, and this `(origin, s)` was not
     /// forwarded before (flood filter). The forward fans out to `H(s, w)`
-    /// for every `w ∈ J(origin, r)`: one multicast per `w`, in poll-list
-    /// order, each over a shared handle on the interned quorum — the
-    /// `d` runs in flight copy no recipient list.
+    /// for every `w ∈ J(origin, r)`, in poll-list order: `Fw1 { w }` to
+    /// each member of `H(s, w)`. It is one part run — one stored `Fw1`
+    /// and per `w` a part tagged `w` over a shared handle on the interned
+    /// quorum — so a forward in flight stores its payload once and copies
+    /// no recipient list.
     pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
         if key != self.state.belief(self.x).0
@@ -336,11 +339,18 @@ impl PullPhase {
         {
             return;
         }
+        // Every part sets `w`: the stored one is a placeholder.
+        let fw1 = AerMsg::Fw1 {
+            origin,
+            s,
+            r,
+            w: origin,
+        };
         self.state.poll_lists.poll_list_with(origin, r, |list| {
-            for &w in list {
-                let quorum = self.state.pull_quorums.quorum_shared(key, w);
-                ctx.multicast_shared(quorum, AerMsg::Fw1 { origin, s, r, w });
-            }
+            let quorums = list
+                .iter()
+                .map(|&w| (w, self.state.pull_quorums.quorum_shared(key, w)));
+            ctx.multicast_parts(fw1, fw1_for, quorums);
         });
     }
 
@@ -570,6 +580,16 @@ impl PullPhase {
     }
 }
 
+/// The part function of a pull's forward: the stored `Fw1` with `w` set
+/// to the part's tag.
+fn fw1_for(fw1: &AerMsg, w: NodeId) -> AerMsg {
+    let mut fw1 = fw1.clone();
+    if let AerMsg::Fw1 { w: to_serve, .. } = &mut fw1 {
+        *to_serve = w;
+    }
+    fw1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,43 +705,41 @@ mod tests {
     }
 
     #[test]
-    fn on_pull_emits_one_run_per_poll_list_member_in_list_order() {
-        // The forward of `Pull(s, r)` is d multicasts, not d² sends: the
-        // i-th run carries `Fw1 { w: J(x, r)[i] }` to exactly
-        // `H(s, J(x, r)[i])`, in quorum order.
+    fn on_pull_forwards_as_one_part_run_over_the_interned_quorums() {
+        // The forward of `Pull(s, r)` is one stored payload, not d runs or
+        // d² sends: its i-th part carries `Fw1 { w: J(x, r)[i] }` over the
+        // one shared `H(s, J(x, r)[i])` the run state hands out.
         let (n, d) = (64, 5);
         let (scheme, poll) = setup(n, d);
         let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
         let y = scheme.pull.quorum(s.key(), origin)[0];
         let mut p = phase(y.index(), s, n, d);
         let out = hand(&p, n).outbox(1, |ctx| p.on_pull(origin, s, r, ctx));
-        let runs: Vec<(&AerMsg, &[NodeId])> = out.runs().collect();
+        assert_eq!(out.run_count(), 1, "one run head");
+        let mut parts: Vec<(AerMsg, *const [NodeId])> = Vec::new();
+        out.for_each_part(|msg, to| parts.push((msg.clone(), to)));
         let list = poll.poll_list(origin, r);
-        assert_eq!((runs.len(), list.len()), (d, d));
-        for ((msg, to), &w) in runs.into_iter().zip(&list) {
-            assert_eq!(*msg, AerMsg::Fw1 { origin, s, r, w });
-            assert_eq!(to, scheme.pull.quorum(s.key(), w));
-        }
-    }
-
-    #[test]
-    fn on_pull_forwards_over_the_interned_quorums_not_copies() {
-        // Each of the d runs reads its recipients from the one shared
-        // `H(s, w)` the run state hands out, not from a list of its own.
-        let (n, d) = (64, 5);
-        let (scheme, poll) = setup(n, d);
-        let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
-        let y = scheme.pull.quorum(s.key(), origin)[0];
-        let mut p = phase(y.index(), s, n, d);
-        let out = hand(&p, n).outbox(1, |ctx| p.on_pull(origin, s, r, ctx));
-        assert_eq!(out.runs().count(), d);
-        for ((_, to), w) in out.runs().zip(poll.poll_list(origin, r)) {
+        assert_eq!((parts.len(), list.len()), (d, d));
+        for ((msg, to), &w) in parts.into_iter().zip(&list) {
+            assert_eq!(msg, AerMsg::Fw1 { origin, s, r, w });
             let interned = p.state.pull_quorums.quorum_shared(s.key(), w);
             assert!(
                 std::ptr::eq(to, &*interned),
-                "the run to H(s, {w}) copied it"
+                "the part to H(s, {w}) copied it"
             );
         }
+        // Per message: exactly what one multicast per `w` sends.
+        let fw1 = |w: NodeId| {
+            let quorum = scheme.pull.quorum(s.key(), w);
+            quorum
+                .into_iter()
+                .map(move |z| (z, AerMsg::Fw1 { origin, s, r, w }))
+        };
+        let want: Vec<(NodeId, AerMsg)> = list.iter().flat_map(|&w| fw1(w)).collect();
+        assert_eq!(want.len(), d * d);
+        let mut got = Vec::new();
+        out.for_each_message(|to, msg| got.push((to, msg)));
+        assert_eq!(got, want);
     }
 
     #[test]

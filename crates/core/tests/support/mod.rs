@@ -45,7 +45,9 @@ impl Hand {
         step: Step,
         handler: impl FnOnce(&mut Context<'_, M>),
     ) -> Vec<(NodeId, M)> {
-        let out = self.outbox(step, handler);
-        out.iter().map(|(to, msg)| (to, msg.clone())).collect()
+        let mut sent = Vec::new();
+        self.outbox(step, handler)
+            .for_each_message(|to, msg| sent.push((to, msg)));
+        sent
     }
 }

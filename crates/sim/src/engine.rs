@@ -100,8 +100,8 @@ impl EngineConfig {
 /// protocol logic) and the calendar starts a fresh epoch via
 /// [`CalendarQueue::reset`].
 ///
-/// A session is not `Send`: the traffic it holds may share recipient
-/// lists by `Rc` (see [`Runs`]), and a run executes on one thread.
+/// A session is not `Send`: the part runs it holds share recipient lists
+/// by `Rc` (see [`Runs`]), and a run executes on one thread.
 #[derive(Debug)]
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
@@ -177,13 +177,11 @@ impl<M: Clone> EngineSession<M> {
     /// observers and the transcript are shown. Runs at most once a step:
     /// whoever sends after it appends to `flat` as well.
     fn flatten(&mut self) {
-        self.flat.clear();
+        let flat = &mut self.flat;
+        flat.clear();
         for delivery in self.sends.iter() {
-            match delivery {
-                Delivery::One(env) => self.flat.push(env.clone()),
-                Delivery::Batch(batch) => self.flat.extend(batch.envelopes()),
-                Delivery::FanIn(fan) => self.flat.extend(fan.envelopes()),
-            }
+            flat.reserve(delivery.len());
+            delivery.for_each_envelope(|env| flat.push(env));
         }
     }
 
@@ -249,31 +247,21 @@ impl<M: Clone> EngineSession<M> {
         for delivery in sends.drain(..) {
             let (own, rest) = keys.split_at(delivery.len());
             keys = rest;
-            let mixed = own.iter().any(|key| *key != own[0]);
-            match delivery {
-                Delivery::Batch(batch) if mixed => {
-                    schedule_each(pending, step, batch.envelopes(), own);
-                    pool.push(*batch.body);
+            if own.iter().all(|key| *key == own[0]) {
+                let (delay, priority) = own[0];
+                pending.schedule(step, delay, priority, delivery);
+                continue;
+            }
+            let mut own = own.iter();
+            delivery.for_each_envelope(|env| {
+                if let Some(&(delay, priority)) = own.next() {
+                    pending.schedule(step, delay, priority, Delivery::One(env));
                 }
-                Delivery::FanIn(fan) if mixed => schedule_each(pending, step, fan.envelopes(), own),
-                whole => {
-                    let (delay, priority) = own[0];
-                    pending.schedule(step, delay, priority, whole);
-                }
+            });
+            if let Delivery::Batch(batch) = delivery {
+                pool.push(*batch.body);
             }
         }
-    }
-}
-
-/// Keys `envelopes` one by one, each with its own `(delay, priority)`.
-fn schedule_each<M>(
-    pending: &mut CalendarQueue<Delivery<M>>,
-    step: Step,
-    envelopes: impl Iterator<Item = Envelope<M>>,
-    keys: &[(Step, i64)],
-) {
-    for (env, &(delay, priority)) in envelopes.zip(keys) {
-        pending.schedule(step, delay, priority, Delivery::One(env));
     }
 }
 
@@ -609,10 +597,10 @@ impl<P: Protocol> StepState<'_, P> {
     }
 
     /// Stage 3: the deliveries due this step, in calendar order; a batch
-    /// is delivered run by run, in send order. Anything to or from a dark
-    /// node is dropped and counted. Deliveries to corrupt nodes are
-    /// counted as received and reach the adversary through `observe`,
-    /// which sees every envelope anyway.
+    /// is delivered run by run — a part run part by part — in send order.
+    /// Anything to or from a dark node is dropped and counted. Deliveries
+    /// to corrupt nodes are counted as received and reach the adversary
+    /// through `observe`, which sees every envelope anyway.
     fn deliver_due(&mut self) {
         self.session
             .pending
@@ -634,9 +622,9 @@ impl<P: Protocol> StepState<'_, P> {
                     if self.is_dark(from) {
                         self.metrics.record_dropped(batch.body.len() as u64);
                     } else {
-                        for (msg, recipients) in batch.body.runs() {
-                            self.deliver_run(from, msg, recipients);
-                        }
+                        batch.body.for_each_part(|msg, recipients| {
+                            self.deliver_run(from, msg, recipients)
+                        });
                     }
                     self.session.pool.push(*batch.body);
                 }
@@ -663,12 +651,13 @@ impl<P: Protocol> StepState<'_, P> {
         }
     }
 
-    /// One run of a due batch: drops (and counts) the dark recipients,
-    /// records the receipt of the others, hands them to
-    /// [`Protocol::deliver_run`] in one call, and then ships what each
-    /// recipient sent as that recipient's outbox, in recipient order —
-    /// the same `enqueue_outbox` calls a per-recipient loop makes — and
-    /// each fan-in as one delivery in its place among them.
+    /// One run of a due batch, or one part of a part run with its payload
+    /// built: drops (and counts) the dark recipients, records the receipt
+    /// of the others, hands them to [`Protocol::deliver_run`] in one call,
+    /// and then ships what each recipient sent as that recipient's outbox,
+    /// in recipient order — the same `enqueue_outbox` calls a
+    /// per-recipient loop makes — and each fan-in as one delivery in its
+    /// place among them.
     fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
         let mut live = std::mem::take(&mut self.session.run_live);
         let recipients = if recipients.iter().any(|&to| self.is_dark(to)) {
@@ -842,13 +831,10 @@ impl<P: Protocol> StepState<'_, P> {
         }
         let spare = Runs::recycled(&mut session.pool);
         let body = Box::new(std::mem::replace(&mut session.outbox_buf, spare));
-        for (msg, recipients) in body.runs() {
-            self.metrics.record_send_run(
-                from,
-                recipients.len() as u64,
-                self.header_bits + msg.wire_bits(),
-            );
-        }
+        let (metrics, header_bits) = (&mut self.metrics, self.header_bits);
+        body.for_each_part(|msg, recipients| {
+            metrics.record_send_run(from, recipients.len() as u64, header_bits + msg.wire_bits());
+        });
         let sent_at = self.step;
         session.sends.push(Delivery::Batch(Batch {
             from,

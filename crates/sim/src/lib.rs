@@ -39,8 +39,9 @@
 //!    dropped and counted. A single envelope is one
 //!    [`Protocol::on_message`]. A batch is delivered run by run, in send
 //!    order: each run — one multicast as its sender made it: one
-//!    payload, its recipient list minus the dark ones — is one
-//!    [`Protocol::deliver_run`] call over the node table, whose default
+//!    payload, its recipient list minus the dark ones; a part run, part
+//!    by part — is one [`Protocol::deliver_run`] call over the node
+//!    table, whose default
 //!    is `on_message` per recipient in list order. The engine keeps the
 //!    accounting and the dark filter on its side of the call, and ships
 //!    what each recipient sent through its [`RunContext::context`] as
@@ -101,8 +102,12 @@
 //!   envelope). Nothing is cloned or compared on the way, and how a
 //!   sender cut its sends into runs is invisible: `multicast(&[a, b], m)`
 //!   and `send(a, m); send(b, m)` are the same two envelopes. So is how
-//!   a run stores its recipients: [`Context::multicast_shared`] keeps a
-//!   handle on a list the sender shares instead of a copy. The other
+//!   a run stores its messages: a part run ([`Context::multicast_parts`])
+//!   stores one payload, a part function and per part a tag and a handle
+//!   on a list the sender shares, and each part is the same envelopes as
+//!   a multicast of `part(&msg, tag)` over a copy of its list — built
+//!   from the stored payload wherever the engine reads the run (views,
+//!   accounting, delivery, splits). The other
 //!   direction is framing too: a [`RunContext::fan_in`] — one payload
 //!   from several recipients of one run to one node — is one stored
 //!   payload and a sender list, and is the same envelopes as each sender

@@ -95,21 +95,27 @@ impl<M: WireSize> Envelope<M> {
     }
 }
 
-/// One sender's messages in send order, stored by the run: a multicast —
-/// one payload, many recipients — is one stored payload plus its
-/// recipients, however wide its fan-out. The recipients are either copied
-/// into one flat list the runs share or, for a list the sender already
-/// holds as an `Rc<[NodeId]>`, one handle on it.
+/// One sender's messages in send order, stored by the run. A run is one
+/// stored payload however wide its fan-out, in one of two forms:
+///
+/// * a *copied* run — one payload to every node of a recipient list
+///   copied into one flat list the runs share;
+/// * a *part* run — one payload, a part function and an ordered list of
+///   parts, each a tag and a handle on a recipient list the sender
+///   already holds as an `Rc<[NodeId]>`. Part `i` is the message
+///   `part(&msg, tag_i)` to every node of list `i`, so `d` messages that
+///   differ in one field are one stored payload and `d` handles.
 ///
 /// This is what a callback's [`Context`](crate::Context) writes into and,
 /// unchanged, what a batch carries through the calendar: a run is opened
 /// by [`Context::multicast`](crate::Context::multicast) (or `send`, the
-/// run of one, or [`Context::multicast_shared`](crate::Context::multicast_shared))
+/// run of one) or [`Context::multicast_parts`](crate::Context::multicast_parts)
 /// and is never found by comparing payloads, so two equal payloads sent by
-/// two calls stay two runs. Sharing a list is storage only: a shared run
-/// and a copied one with the same recipients are the same messages.
+/// two calls stay two runs. The form is storage only: a part run is the
+/// same messages as one copied run per part, each carrying its built
+/// payload.
 ///
-/// `Runs` is not `Send`: a shared list is an `Rc`, and a run executes on
+/// `Runs` is not `Send`: a part's list is an `Rc`, and a run executes on
 /// one thread.
 #[derive(Debug)]
 pub struct Runs<M> {
@@ -117,21 +123,45 @@ pub struct Runs<M> {
     runs: Vec<Run<M>>,
     /// Recipients of every copied run, in send order.
     to: Vec<NodeId>,
-    /// Recipients of every shared run, in send order.
-    shared: Vec<Rc<[NodeId]>>,
-    /// Messages in all runs: `to.len()` plus every shared list's length.
+    /// Parts of every part run, in send order.
+    parts: Vec<Part>,
+    /// The part function of every part run, in send order.
+    part_fns: Vec<PartFn<M>>,
+    /// Messages in all runs: `to.len()` plus every part's list length.
     len: usize,
 }
+
+/// What a part run's part `(tag, list)` sends to every node of `list`,
+/// built from the run's stored payload: `part(&msg, tag)`.
+type PartFn<M> = fn(&M, NodeId) -> M;
 
 /// A run's head: its copy count (`≥ 1`), where its recipients are, and
 /// its payload. The two `u32`s share the word before an 8-aligned payload.
 #[derive(Debug)]
 struct Run<M> {
+    /// Messages in the run: its recipients, over all parts.
     copies: u32,
     /// `0` when the recipients are the next `copies` entries of `to`,
-    /// else `1 +` the index of their list in `shared`.
-    shared: u32,
+    /// else the run's number of parts: the next ones of `parts`, built by
+    /// the next entry of `part_fns`.
+    parts: u32,
     msg: M,
+}
+
+/// One part of a part run: the tag its payload is built with, and its
+/// recipients (never empty).
+#[derive(Debug)]
+struct Part {
+    tag: NodeId,
+    to: Rc<[NodeId]>,
+}
+
+/// One run as stored, for the readers below.
+enum Stored<'a, M> {
+    /// A copied run: the payload as sent, and its recipients.
+    Copied(&'a M, &'a [NodeId]),
+    /// A part run: the stored payload, the part function, the parts.
+    Parts(&'a M, PartFn<M>, &'a [Part]),
 }
 
 impl<M> Default for Runs<M> {
@@ -139,7 +169,8 @@ impl<M> Default for Runs<M> {
         Runs {
             runs: Vec::new(),
             to: Vec::new(),
-            shared: Vec::new(),
+            parts: Vec::new(),
+            part_fns: Vec::new(),
             len: 0,
         }
     }
@@ -164,33 +195,67 @@ impl<M> Runs<M> {
         self.len == 0
     }
 
-    /// The runs as `(payload, recipients)` pairs, in send order;
-    /// `recipients.len()` is the run's copy count, and a shared run's
-    /// recipients are the list it was sent over, not a copy.
-    pub fn runs(&self) -> impl Iterator<Item = (&M, &[NodeId])> + '_ {
-        let mut offset = 0usize;
+    /// The runs as stored, in send order.
+    fn stored(&self) -> impl Iterator<Item = Stored<'_, M>> + '_ {
+        let (mut to, mut parts, mut part_runs) = (0usize, 0usize, 0usize);
         self.runs.iter().map(move |run| {
-            let to = match run.shared {
-                0 => {
-                    let start = offset;
-                    offset += run.copies as usize;
-                    &self.to[start..offset]
-                }
-                i => &self.shared[i as usize - 1][..],
-            };
-            (&run.msg, to)
+            if run.parts == 0 {
+                let start = to;
+                to += run.copies as usize;
+                Stored::Copied(&run.msg, &self.to[start..to])
+            } else {
+                let start = parts;
+                parts += run.parts as usize;
+                part_runs += 1;
+                let part = self.part_fns[part_runs - 1];
+                Stored::Parts(&run.msg, part, &self.parts[start..parts])
+            }
         })
     }
 
-    /// The per-message view, in send order: what a per-envelope engine
-    /// ships and what handler tests read.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &M)> + '_ {
-        self.runs()
-            .flat_map(|(msg, tos)| tos.iter().map(move |&to| (to, msg)))
+    /// Calls `visit(payload, recipients)` once per delivery unit, in send
+    /// order: a copied run is one, with its payload as sent; a part run is
+    /// one per part, with the payload built for that part. A part's
+    /// recipients are the list it was sent over, not a copy.
+    pub fn for_each_part(&self, mut visit: impl FnMut(&M, &[NodeId])) {
+        for run in self.stored() {
+            match run {
+                Stored::Copied(msg, to) => visit(msg, to),
+                Stored::Parts(msg, part, parts) => {
+                    for p in parts {
+                        visit(&part(msg, p.tag), &p.to);
+                    }
+                }
+            }
+        }
     }
 
-    /// Appends one run: `msg` to every node of `targets`, in order. An
-    /// empty target list opens no run.
+    /// Calls `visit(recipient, message)` once per message, in send order:
+    /// the per-message view a per-envelope engine ships and handler tests
+    /// read. Each message is its own value — a clone of a copied run's
+    /// payload, or of a part run's payload built for its part.
+    pub fn for_each_message(&self, mut visit: impl FnMut(NodeId, M))
+    where
+        M: Clone,
+    {
+        // Builds its parts itself rather than through `for_each_part`:
+        // the reference engine reads runs through this view alone, so the
+        // engine's delivery and its oracle share no part-building code.
+        for run in self.stored() {
+            match run {
+                Stored::Copied(msg, to) => to.iter().for_each(|&to| visit(to, msg.clone())),
+                Stored::Parts(msg, part, parts) => {
+                    for p in parts {
+                        let msg = part(msg, p.tag);
+                        p.to.iter().for_each(|&to| visit(to, msg.clone()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends one copied run: `msg` to every node of `targets`, in order.
+    /// An empty target list opens no run.
     ///
     /// # Panics
     ///
@@ -203,32 +268,55 @@ impl<M> Runs<M> {
         self.to.extend_from_slice(targets);
     }
 
-    /// Appends one run over a shared recipient list: the same messages as
-    /// [`Runs::push_run`] with `targets`, stored as the handle.
+    /// Appends one part run: for every `(tag, list)` of `parts`, in order,
+    /// `part(&msg, tag)` to every node of `list`, stored as `msg`, `part`
+    /// and the handles. A part with an empty list is left out, and a run
+    /// with no part left opens no run. A recipient `≥ n` is refused: the
+    /// outbox is left as it was and the recipient returned.
     ///
     /// # Panics
     ///
-    /// Panics on more than `u32::MAX` targets or shared runs.
-    pub(crate) fn push_shared(&mut self, targets: Rc<[NodeId]>, msg: M) {
-        if targets.is_empty() {
-            return;
+    /// Panics on more than `u32::MAX` recipients or parts.
+    pub(crate) fn push_parts(
+        &mut self,
+        msg: M,
+        part: PartFn<M>,
+        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
+        n: usize,
+    ) -> Result<(), NodeId> {
+        let start = self.parts.len();
+        let mut copies = 0;
+        for (tag, to) in parts {
+            if let Some(&out) = to.iter().find(|to| to.index() >= n) {
+                self.parts.truncate(start);
+                return Err(out);
+            }
+            if !to.is_empty() {
+                copies += to.len();
+                self.parts.push(Part { tag, to });
+            }
         }
-        self.open(targets.len(), self.shared.len() + 1, msg);
-        self.shared.push(targets);
+        if self.parts.len() > start {
+            self.part_fns.push(part);
+            self.open(copies, self.parts.len() - start, msg);
+        }
+        Ok(())
     }
 
-    /// Records the head of a run of `copies` messages.
-    fn open(&mut self, copies: usize, shared: usize, msg: M) {
+    /// Records the head of a run of `copies` messages in `parts` parts
+    /// (`0` for a copied run).
+    fn open(&mut self, copies: usize, parts: usize, msg: M) {
         self.len += copies;
         self.runs.push(Run {
             copies: run_copies(copies),
-            shared: u32::try_from(shared).expect("more than u32::MAX shared runs"),
+            parts: u32::try_from(parts).expect("a run of more than u32::MAX parts"),
             msg,
         });
     }
 
-    /// Number of runs.
-    pub(crate) fn run_count(&self) -> usize {
+    /// Number of runs: stored payloads, whatever their form.
+    #[must_use]
+    pub fn run_count(&self) -> usize {
         self.runs.len()
     }
 
@@ -238,7 +326,8 @@ impl<M> Runs<M> {
         Segments {
             runs: self.runs.drain(..),
             to: self.to.drain(..),
-            shared: self.shared.drain(..),
+            parts: self.parts.drain(..),
+            part_fns: self.part_fns.drain(..),
         }
     }
 
@@ -247,11 +336,12 @@ impl<M> Runs<M> {
         debug_assert!(self.len() <= 1);
         let run = self.runs.pop()?;
         self.len = 0;
-        let to = match run.shared {
-            0 => self.to.pop(),
-            _ => self.shared.pop().map(|list| list[0]),
+        let single = match run.parts {
+            0 => self.to.pop().map(|to| (to, run.msg)),
+            _ => (self.parts.pop().zip(self.part_fns.pop()))
+                .map(|(p, part)| (p.to[0], part(&run.msg, p.tag))),
         };
-        Some((to.expect("a run has a recipient"), run.msg))
+        Some(single.expect("a run has a recipient"))
     }
 
     /// An empty outbox on recycled storage from `pool` (cleared here), so
@@ -260,7 +350,8 @@ impl<M> Runs<M> {
         let mut spare = pool.pop().unwrap_or_default();
         spare.runs.clear();
         spare.to.clear();
-        spare.shared.clear();
+        spare.parts.clear();
+        spare.part_fns.clear();
         spare.len = 0;
         spare
     }
@@ -276,45 +367,49 @@ pub(crate) fn run_copies(len: usize) -> u32 {
 }
 
 /// The front-to-back drain of a [`Runs`] several senders wrote into (see
-/// [`RunContext`](crate::RunContext)): its runs, its copied recipients and
-/// its shared lists.
+/// [`RunContext`](crate::RunContext)): its runs, its copied recipients,
+/// its parts and its part functions.
 pub(crate) struct Segments<'a, M> {
     runs: std::vec::Drain<'a, Run<M>>,
     to: std::vec::Drain<'a, NodeId>,
-    shared: std::vec::Drain<'a, Rc<[NodeId]>>,
+    parts: std::vec::Drain<'a, Part>,
+    part_fns: std::vec::Drain<'a, PartFn<M>>,
 }
 
 impl<M> Segments<'_, M> {
     /// Moves the next `runs` runs to the end of `dst`: the heads, then
-    /// their copied recipients in one exact-size move, then their shared
-    /// lists, re-indexed behind the ones `dst` holds.
+    /// their copied recipients, their parts and their part functions, each
+    /// in one exact-size move. The room is reserved exactly: an empty
+    /// `dst` would otherwise round a segment of one run up to four heads.
     pub(crate) fn move_next(&mut self, runs: usize, dst: &mut Runs<M>) {
-        let (mut copied, mut shared, base) = (0, 0, dst.shared.len());
+        let (mut copied, mut parts, mut part_runs) = (0, 0, 0);
         let len = &mut dst.len;
+        dst.runs.reserve_exact(runs);
         dst.runs
-            .extend(self.runs.by_ref().take(runs).map(|mut run| {
+            .extend(self.runs.by_ref().take(runs).inspect(|run| {
                 *len += run.copies as usize;
-                if run.shared == 0 {
-                    copied += run.copies as usize;
-                } else {
-                    shared += 1;
-                    run.shared =
-                        u32::try_from(base + shared).expect("more than u32::MAX shared runs");
+                match run.parts {
+                    0 => copied += run.copies as usize,
+                    k => (parts, part_runs) = (parts + k as usize, part_runs + 1),
                 }
-                run
             }));
+        dst.to.reserve_exact(copied);
         dst.to.extend(self.to.by_ref().take(copied));
-        dst.shared.extend(self.shared.by_ref().take(shared));
+        dst.parts.reserve_exact(parts);
+        dst.parts.extend(self.parts.by_ref().take(parts));
+        dst.part_fns.reserve_exact(part_runs);
+        dst.part_fns.extend(self.part_fns.by_ref().take(part_runs));
     }
 }
 
 /// A coalesced group of messages one node sent during one step.
 ///
 /// The AER fan-out paths send the same payload to dozens of recipients per
-/// callback (`d` committee members × `d` forwarding targets), so the engine
-/// ships a callback's outbox of two or more messages as one batch — a
-/// single routing header (`from`, `sent_at`) on the [`Runs`] the callback
-/// filled — instead of one [`Envelope`] per message. A batch of `k`
+/// callback (`d` committee members, or `d` parts of `d` forwarding targets
+/// each), so the engine ships a callback's outbox of two or more messages
+/// as one batch — a single routing header (`from`, `sent_at`) on the
+/// [`Runs`] the callback filled — instead of one [`Envelope`] per
+/// message. A batch of `k`
 /// messages is purely a wire-level framing optimisation: it still *counts*
 /// as `k` logical messages and `k × (header + payload)` bits, and
 /// recipients receive the payloads in exactly the order they were sent.
@@ -329,23 +424,6 @@ pub(crate) struct Batch<M> {
     /// smaller than an [`Envelope`] and never sets the size of a
     /// [`Delivery`].
     pub(crate) body: Box<Runs<M>>,
-}
-
-impl<M> Batch<M> {
-    /// Expands the batch into the per-message [`Envelope`] view, in send
-    /// order — the representation observers, transcripts, and rushing
-    /// adversaries are shown.
-    pub(crate) fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
-    where
-        M: Clone,
-    {
-        self.body.iter().map(move |(to, msg)| Envelope {
-            from: self.from,
-            to,
-            sent_at: self.sent_at,
-            msg: msg.clone(),
-        })
-    }
 }
 
 /// The same payload from two or more senders to one recipient, sent in
@@ -367,22 +445,6 @@ pub(crate) struct FanIn<M> {
     pub(crate) msg: M,
     /// The true senders, in send order.
     pub(crate) from: Box<[NodeId]>,
-}
-
-impl<M> FanIn<M> {
-    /// Expands the fan-in into the per-message [`Envelope`] view, in
-    /// sender order.
-    pub(crate) fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
-    where
-        M: Clone,
-    {
-        self.from.iter().map(move |&from| Envelope {
-            from,
-            to: self.to,
-            sent_at: self.sent_at,
-            msg: self.msg.clone(),
-        })
-    }
 }
 
 /// One unit of network traffic in the engine's queue: a single envelope,
@@ -407,6 +469,43 @@ impl<M> Delivery<M> {
             Delivery::One(_) => 1,
             Delivery::Batch(batch) => batch.body.len(),
             Delivery::FanIn(fan) => fan.from.len(),
+        }
+    }
+
+    /// Calls `visit` with every envelope the delivery stands for, in send
+    /// order — a batch's per message, a fan-in's per sender: the
+    /// representation observers, transcripts, and rushing and scheduling
+    /// adversaries are shown.
+    pub(crate) fn for_each_envelope(&self, mut visit: impl FnMut(Envelope<M>))
+    where
+        M: Clone,
+    {
+        match self {
+            Delivery::One(env) => visit(env.clone()),
+            Delivery::Batch(batch) => {
+                let (from, sent_at) = (batch.from, batch.sent_at);
+                let envelope = |to, msg| Envelope {
+                    from,
+                    to,
+                    sent_at,
+                    msg,
+                };
+                batch
+                    .body
+                    .for_each_message(|to, msg| visit(envelope(to, msg)));
+            }
+            Delivery::FanIn(fan) => {
+                let (to, sent_at) = (fan.to, fan.sent_at);
+                for &from in fan.from.iter() {
+                    let msg = fan.msg.clone();
+                    visit(Envelope {
+                        from,
+                        to,
+                        sent_at,
+                        msg,
+                    });
+                }
+            }
         }
     }
 }
@@ -462,20 +561,49 @@ pub(crate) mod tests {
         }
     }
 
-    /// A shared recipient list.
+    /// A part's recipient list.
     fn list(indices: &[usize]) -> Rc<[NodeId]> {
         ids(indices).into()
     }
 
-    /// Whether some run of `runs` reads its recipients from `list` itself.
-    fn reads_from(runs: &Runs<u32>, list: &Rc<[NodeId]>) -> bool {
-        runs.runs().any(|(_, to)| std::ptr::eq(to, &**list))
+    /// The part function of the tests: the payload's tens, then the tag.
+    fn tagged(msg: &u32, tag: NodeId) -> u32 {
+        10 * msg + tag.index() as u32
     }
 
-    /// `(payload, recipients)` per run.
+    /// Appends a part run of `tagged` over `parts`, all in range.
+    fn push_tagged(out: &mut Runs<u32>, msg: u32, parts: &[(usize, &Rc<[NodeId]>)]) {
+        let parts = parts
+            .iter()
+            .map(|&(tag, to)| (NodeId::from_index(tag), Rc::clone(to)));
+        assert_eq!(out.push_parts(msg, tagged, parts, usize::MAX), Ok(()));
+    }
+
+    /// Whether some part of `runs` reads its recipients from `list` itself.
+    fn reads_from(runs: &Runs<u32>, list: &Rc<[NodeId]>) -> bool {
+        runs.parts.iter().any(|part| Rc::ptr_eq(&part.to, list))
+    }
+
+    /// `(recipient, message)` per message.
+    fn messages(runs: &Runs<u32>) -> Vec<(usize, u32)> {
+        let mut messages = Vec::new();
+        runs.for_each_message(|to, msg| messages.push((to.index(), msg)));
+        messages
+    }
+
+    /// `(from, to, sent_at, msg)` per envelope.
+    fn envelopes(delivery: &Delivery<u32>) -> Vec<(usize, usize, Step, u32)> {
+        let mut envs = Vec::new();
+        delivery.for_each_envelope(|e| envs.push((e.from.index(), e.to.index(), e.sent_at, e.msg)));
+        envs
+    }
+
+    /// `(payload, recipients)` per delivery unit: a copied run, or one
+    /// part of a part run with its payload built.
     pub(crate) fn shape(runs: &Runs<u32>) -> Vec<(u32, Vec<usize>)> {
-        let run = |(msg, tos): (&u32, &[NodeId])| (*msg, tos.iter().map(|to| to.index()).collect());
-        runs.runs().map(run).collect()
+        let mut shape = Vec::new();
+        runs.for_each_part(|msg, to| shape.push((*msg, to.iter().map(|to| to.index()).collect())));
+        shape
     }
 
     #[test]
@@ -491,57 +619,82 @@ pub(crate) mod tests {
             [(7, vec![1, 2]), (9, vec![3]), (9, vec![1])],
             "equal payloads of two calls stay two runs"
         );
-        let flat: Vec<(usize, u32)> = out.iter().map(|(to, msg)| (to.index(), *msg)).collect();
-        assert_eq!(flat, [(1, 7), (2, 7), (3, 9), (1, 9)]);
+        assert_eq!(messages(&out), [(1, 7), (2, 7), (3, 9), (1, 9)]);
     }
 
     #[test]
     fn batch_envelopes_expand_in_send_order() {
         let b = batch(9, 4, &[(5, &[1, 0]), (6, &[2])]);
         assert_eq!(b.body.len(), 3);
-        let envs: Vec<(usize, usize, Step, u32)> = b
-            .envelopes()
-            .map(|e| (e.from.index(), e.to.index(), e.sent_at, e.msg))
-            .collect();
+        let envs = envelopes(&Delivery::Batch(b));
         assert_eq!(envs, vec![(9, 1, 4, 5), (9, 0, 4, 5), (9, 2, 4, 6)]);
     }
 
     #[test]
-    fn shared_runs_read_their_list_in_place_among_copied_ones() {
-        let (a, b) = (list(&[4, 2, 4]), list(&[5]));
+    fn part_runs_build_each_part_from_the_one_payload_among_copied_ones() {
+        let (a, b, empty) = (list(&[4, 2, 4]), list(&[5]), list(&[]));
         let mut out = Runs::new();
         out.push_run(&ids(&[1]), 1u32);
-        out.push_shared(Rc::clone(&a), 2);
-        out.push_shared(list(&[]), 3);
+        push_tagged(&mut out, 2, &[(7, &a), (8, &empty), (9, &b)]);
+        push_tagged(&mut out, 3, &[(1, &empty)]);
         out.push_run(&ids(&[3, 0]), 4);
-        out.push_shared(Rc::clone(&b), 5);
-        assert_eq!((out.len(), out.run_count()), (7, 4), "no zero-copy run");
+        push_tagged(&mut out, 5, &[(6, &b)]);
+        assert_eq!(
+            (out.len(), out.run_count()),
+            (8, 4),
+            "no empty part, no zero-copy run"
+        );
+        assert_eq!(out.parts.len(), 3, "the empty part is left out");
         assert_eq!(
             shape(&out),
             [
                 (1, vec![1]),
-                (2, vec![4, 2, 4]),
+                (27, vec![4, 2, 4]),
+                (29, vec![5]),
                 (4, vec![3, 0]),
-                (5, vec![5])
+                (56, vec![5])
             ]
         );
         assert!(reads_from(&out, &a) && reads_from(&out, &b), "not copies");
-        let flat: Vec<(usize, u32)> = out.iter().map(|(to, msg)| (to.index(), *msg)).collect();
         assert_eq!(
-            flat,
-            [(1, 1), (4, 2), (2, 2), (4, 2), (3, 4), (0, 4), (5, 5)]
+            messages(&out),
+            [
+                (1, 1),
+                (4, 27),
+                (2, 27),
+                (4, 27),
+                (5, 29),
+                (3, 4),
+                (0, 4),
+                (5, 56)
+            ]
         );
+    }
+
+    #[test]
+    fn a_part_run_with_an_out_of_range_recipient_appends_nothing() {
+        let mut out = Runs::new();
+        push_tagged(&mut out, 1, &[(0, &list(&[1]))]);
+        let parts = [(0, list(&[2])), (1, list(&[3, 4]))];
+        let parts = parts.map(|(tag, to)| (NodeId::from_index(tag), to));
+        assert_eq!(
+            out.push_parts(2, tagged, parts, 4),
+            Err(NodeId::from_index(4))
+        );
+        assert_eq!((out.len(), out.run_count(), out.parts.len()), (1, 1, 1));
+        assert_eq!(shape(&out), [(10, vec![1])]);
     }
 
     #[test]
     fn storage_recycling_round_trips() {
         let mut body = batch(0, 0, &[(3, &[1])]).body;
-        body.push_shared(list(&[2]), 4);
+        push_tagged(&mut body, 4, &[(0, &list(&[2]))]);
         let mut pool = vec![*body];
         let spare = Runs::recycled(&mut pool);
         assert_eq!((spare.len(), spare.run_count()), (0, 0));
         assert!(spare.to.capacity() > 0, "the pooled allocation, emptied");
-        assert!(spare.shared.is_empty() && spare.shared.capacity() > 0);
+        assert!(spare.parts.is_empty() && spare.parts.capacity() > 0);
+        assert!(spare.part_fns.is_empty() && spare.part_fns.capacity() > 0);
         assert!(pool.is_empty());
         assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
     }
@@ -553,9 +706,14 @@ pub(crate) mod tests {
         out.push_run(&ids(&[4]), 7u32);
         assert_eq!(out.take_single(), Some((NodeId::from_index(4), 7)));
         assert_eq!((out.len(), out.run_count()), (0, 0));
-        out.push_shared(list(&[6]), 8);
-        assert_eq!(out.take_single(), Some((NodeId::from_index(6), 8)));
-        assert_eq!((out.len(), out.run_count(), out.shared.len()), (0, 0, 0));
+        push_tagged(&mut out, 8, &[(3, &list(&[])), (2, &list(&[6]))]);
+        assert_eq!(
+            out.take_single(),
+            Some((NodeId::from_index(6), 82)),
+            "built"
+        );
+        assert_eq!((out.len(), out.run_count(), out.parts.len()), (0, 0, 0));
+        assert!(out.part_fns.is_empty());
     }
 
     #[test]
@@ -569,36 +727,42 @@ pub(crate) mod tests {
         assert_eq!(shape(&first), [(1, vec![1, 2])]);
         assert_eq!(shape(&second), [(2, vec![3]), (3, vec![4, 5])]);
         assert_eq!((shared.len(), shared.run_count()), (0, 0));
+        assert_eq!(first.runs.capacity(), 1, "reserved exactly");
     }
 
     #[test]
-    fn segments_move_shared_runs_as_handles_behind_the_destinations_own() {
+    fn segments_move_part_runs_whole_behind_the_destinations_own() {
         let (a, b, c) = (list(&[7, 8]), list(&[9]), list(&[6, 6, 6]));
         let mut src = Runs::new();
         src.push_run(&ids(&[1, 2]), 1u32);
-        src.push_shared(Rc::clone(&a), 2);
+        push_tagged(&mut src, 2, &[(1, &a), (2, &b)]);
         src.push_run(&ids(&[3]), 3);
-        src.push_shared(Rc::clone(&b), 4);
+        push_tagged(&mut src, 4, &[(3, &b)]);
         src.push_run(&ids(&[4, 5]), 5);
-        // `second` already holds a shared run: the moved ones index behind it.
+        // `second` already holds a part run: the moved ones go behind it.
         let (mut first, mut second) = (Runs::new(), Runs::new());
-        second.push_shared(Rc::clone(&c), 0);
+        push_tagged(&mut second, 0, &[(5, &c)]);
         let mut rest = src.segments();
         rest.move_next(2, &mut first);
         rest.move_next(3, &mut second);
         drop(rest);
-        assert_eq!(shape(&first), [(1, vec![1, 2]), (2, vec![7, 8])]);
+        assert_eq!(
+            shape(&first),
+            [(1, vec![1, 2]), (21, vec![7, 8]), (22, vec![9])]
+        );
         assert_eq!(
             shape(&second),
             [
-                (0, vec![6, 6, 6]),
+                (5, vec![6, 6, 6]),
                 (3, vec![3]),
-                (4, vec![9]),
+                (43, vec![9]),
                 (5, vec![4, 5])
             ]
         );
-        assert_eq!((first.len(), second.len()), (4, 7));
+        assert_eq!((first.len(), second.len()), (5, 7));
         assert_eq!((first.to.len(), second.to.len()), (2, 3), "copied ids only");
+        assert_eq!((first.parts.len(), second.parts.len()), (2, 2));
+        assert_eq!((first.part_fns.len(), second.part_fns.len()), (1, 2));
         assert!(reads_from(&first, &a) && reads_from(&second, &b) && reads_from(&second, &c));
         assert_eq!((src.len(), src.run_count()), (0, 0));
     }
@@ -635,6 +799,10 @@ pub(crate) mod tests {
         assert_eq!(size_of::<Envelope<AerShaped>>(), 72);
         assert!(size_of::<Delivery<AerShaped>>() <= size_of::<Envelope<AerShaped>>());
         assert_eq!(size_of::<Run<AerShaped>>(), 64, "the two u32s share a word");
+        // A part run of `d` parts costs one head, one part function and
+        // `d` parts; a forward of `d` separate runs cost `d` heads.
+        assert!(size_of::<Part>() <= 24, "a tag and one handle");
+        assert_eq!(size_of::<PartFn<AerShaped>>(), 8);
     }
 
     #[test]
@@ -645,12 +813,12 @@ pub(crate) mod tests {
             msg: 9u32,
             from: ids(&[4, 1, 4]).into(),
         };
-        let envs: Vec<(usize, usize, Step, u32)> = fan
-            .envelopes()
-            .map(|e| (e.from.index(), e.to.index(), e.sent_at, e.msg))
-            .collect();
-        assert_eq!(envs, vec![(4, 3, 5, 9), (1, 3, 5, 9), (4, 3, 5, 9)]);
-        assert_eq!(Delivery::FanIn(Box::new(fan)).len(), 3);
+        let fan = Delivery::FanIn(Box::new(fan));
+        assert_eq!(
+            envelopes(&fan),
+            vec![(4, 3, 5, 9), (1, 3, 5, 9), (4, 3, 5, 9)]
+        );
+        assert_eq!(fan.len(), 3);
     }
 
     #[test]

@@ -56,9 +56,10 @@ pub trait Protocol {
     /// Delivers one run of a batch — the same `msg` from `from` to every
     /// node of `recipients`, in that order — over the run's node table
     /// (`nodes[i]` is `None` where the adversary plays node `i`). The
-    /// engine calls this once per run on the batched lane instead of
-    /// [`Protocol::on_message`] once per recipient; the default is exactly
-    /// that loop ([`deliver_each`]).
+    /// engine calls this once per run on the batched lane — once per part
+    /// of a part run ([`Context::multicast_parts`]), with that part's
+    /// payload built — instead of [`Protocol::on_message`] once per
+    /// recipient; the default is exactly that loop ([`deliver_each`]).
     ///
     /// The engine owns everything around the call: it has already dropped
     /// (and counted) dark recipients and recorded the receipt of the rest,
@@ -330,23 +331,37 @@ impl<'a, M> Context<'a, M> {
         self.outbox.push_run(targets, msg);
     }
 
-    /// [`Context::multicast`] over a list the caller already shares: the
-    /// same messages, but the run keeps a handle on `targets` instead of
-    /// copying them, so a list interned once is stored once however many
-    /// runs are in flight over it.
+    /// Queues, for every `(tag, targets)` of `parts` in order,
+    /// `part(&msg, tag)` for every node of `targets`, in order: the same
+    /// messages as one [`Context::multicast`] per part, stored as one part
+    /// run (see [`Runs`]) — `msg` once, `part`, and per part the tag and a
+    /// handle on a list the caller already shares, so a list interned
+    /// once is stored once however many runs are in flight over it. Each
+    /// part is delivered as a multicast of its own. A part with no
+    /// target sends nothing.
     ///
     /// # Panics
     ///
     /// Panics, before anything is sent, if a target is out of range.
-    pub fn multicast_shared(&mut self, targets: Rc<[NodeId]>, msg: M) {
-        self.check_targets(&targets);
-        self.outbox.push_shared(targets, msg);
+    pub fn multicast_parts(
+        &mut self,
+        msg: M,
+        part: fn(&M, NodeId) -> M,
+        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
+    ) {
+        if let Err(to) = self.outbox.push_parts(msg, part, parts, self.n) {
+            self.out_of_range(to);
+        }
     }
 
     fn check_targets(&self, targets: &[NodeId]) {
-        if let Some(to) = targets.iter().find(|to| to.index() >= self.n) {
-            panic!("send target {to} out of range (n={})", self.n);
+        if let Some(&to) = targets.iter().find(|to| to.index() >= self.n) {
+            self.out_of_range(to);
         }
+    }
+
+    fn out_of_range(&self, to: NodeId) -> ! {
+        panic!("send target {to} out of range (n={})", self.n);
     }
 
     /// Number of messages queued so far in this callback (mostly useful in
@@ -439,19 +454,36 @@ mod tests {
     }
 
     #[test]
-    fn multicast_shared_keeps_the_handle_and_checks_the_range_first() {
+    fn multicast_parts_keeps_the_handles_and_checks_the_range_first() {
         let mut rng = node_rng(1, 0);
         let mut outbox = Runs::new();
         let list: Rc<[NodeId]> = ids(&[3, 1]).into();
+        let plus_tag = |msg: &u32, tag: NodeId| msg + tag.index() as u32;
         let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
-        ctx.multicast_shared(Rc::clone(&list), 5u32);
-        ctx.multicast_shared(ids(&[]).into(), 6);
-        assert_eq!(ctx.queued(), 2);
+        let parts = [(10, Rc::clone(&list)), (20, ids(&[2]).into())];
+        ctx.multicast_parts(
+            5u32,
+            plus_tag,
+            parts.map(|(tag, to)| (NodeId::from_index(tag), to)),
+        );
+        ctx.multicast_parts(6, plus_tag, [(NodeId::from_index(1), ids(&[]).into())]);
+        assert_eq!(ctx.queued(), 3);
         let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ctx.multicast_shared(ids(&[2, 4]).into(), 7);
+            let parts = [(ids(&[1]), 0), (ids(&[2, 4]), 1)];
+            ctx.multicast_parts(
+                7,
+                plus_tag,
+                parts.map(|(to, tag)| (NodeId::from_index(tag), to.into())),
+            );
         }));
-        assert!(out_of_range.is_err());
-        assert_eq!(shape(&outbox), [(5, vec![3, 1])]);
+        let panic = out_of_range.expect_err("target 4 of n = 4");
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            text, "send target n4 out of range (n=4)",
+            "`send`'s message"
+        );
+        assert_eq!(outbox.run_count(), 1, "one run, not one per part");
+        assert_eq!(shape(&outbox), [(15, vec![3, 1]), (25, vec![2])]);
         assert_eq!(Rc::strong_count(&list), 2, "one handle, no copy");
     }
 

@@ -432,13 +432,16 @@ mod step_table {
 
     /// The bulk lane, which the scheduling adversary above never lets a
     /// delivery reach. Node 0 of a 4-node system multicasts at start: `5`
-    /// to nodes 1, 2, 3, then `6` to nodes 2, 1 — one batch, two runs.
-    /// Whoever gets `m < 10` answers with `m + 10` and `m + 20` (a
-    /// batch of its own), so the order of the answers in the step's send
-    /// view is the order of the deliveries and of the per-recipient
-    /// outboxes. `deliver_run` is the trait's default.
+    /// to nodes 1, 2, 3, then `6` to nodes 2, 1 — one batch, two runs —
+    /// or, `parted`, the same shape as one part run of `5 + tag`: tag 1
+    /// to nodes 1, 3, then tag 2 to nodes 2, 1. Whoever gets `m < 10`
+    /// answers with `m + 10` and `m + 20` (a batch of its own), so the
+    /// order of the answers in the step's send view is the order of the
+    /// deliveries and of the per-recipient outboxes. `deliver_run` is the
+    /// trait's default.
     struct Fanout {
         id: usize,
+        parted: bool,
         log: Log,
     }
 
@@ -447,10 +450,16 @@ mod step_table {
         type Output = ();
 
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            if self.id == 0 {
+            let ids = |ids: &[usize]| -> Vec<NodeId> {
+                ids.iter().copied().map(NodeId::from_index).collect()
+            };
+            if self.id == 0 && self.parted {
+                let parts = [(1, [1, 3]), (2, [2, 1])];
+                let parts = parts.map(|(tag, to)| (NodeId::from_index(tag), ids(&to).into()));
+                ctx.multicast_parts(5, |msg, tag| msg + tag.index() as u64, parts);
+            } else if self.id == 0 {
                 for (to, msg) in [([1, 2, 3].as_slice(), 5), (&[2, 1], 6)] {
-                    let to: Vec<NodeId> = to.iter().copied().map(NodeId::from_index).collect();
-                    ctx.multicast(&to, msg);
+                    ctx.multicast(&ids(to), msg);
                 }
             }
         }
@@ -568,7 +577,11 @@ mod step_table {
     }
 
     fn fanout(id: usize, log: Log) -> Fanout {
-        Fanout { id, log }
+        Fanout {
+            id,
+            parted: false,
+            log,
+        }
     }
 
     #[test]
@@ -601,6 +614,25 @@ mod step_table {
     }
 
     #[test]
+    fn a_part_run_with_a_dark_recipient_in_its_second_part_drops_exactly_that_envelope() {
+        // Each part is a run of its own payload: `0>2:7` is the one drop.
+        assert_run_table(
+            |id, log| Fanout {
+                id,
+                parted: true,
+                log,
+            },
+            Some(Window::bounded(1, 2)),
+            1,
+            "view(0,[0>1:6,0>3:6,0>2:7,0>1:7])
+             msg(1<0:6@1) msg(3<0:6@1) msg(1<0:7@1)
+             view(1,[1>0:16,1>0:26,3>0:16,3>0:26,1>0:17,1>0:27])
+             msg(0<1:16@2) msg(0<1:26@2) msg(0<3:16@2) msg(0<3:26@2) msg(0<1:17@2) msg(0<1:27@2)
+             view(2,[])",
+        );
+    }
+
+    #[test]
     fn a_fan_in_with_a_dark_sender_drops_exactly_its_envelope() {
         // The three answers are one fan-in; node 2 is dark when it lands.
         assert_run_table(
@@ -619,8 +651,8 @@ mod step_table {
 /// The differential property: `run_session`, two runs back to back over
 /// one [`EngineSession`], against a fresh `reference_run` each — on a toy
 /// protocol and adversary built to vary what the engine has to get right:
-/// outbox shapes (which decide envelope or batch), copied and shared
-/// recipient lists, fan-ins from a run-level hook, the schedule (which
+/// outbox shapes (which decide envelope or batch), copied runs and part
+/// runs, fan-ins from a run-level hook, the schedule (which
 /// decides, step by step, bulk or keyed lane, and batch by batch or
 /// fan-in by fan-in, whole or split), rushing sends, chained outages that
 /// darken senders and recipients of either, and which hints are off.
@@ -653,18 +685,25 @@ mod differential {
         (msg & !ECHO & !3) | (msg % 4).saturating_sub(1)
     }
 
+    /// The part function of the toy's part runs: the tag into bits 4 and
+    /// up, leaving the echo mark and the hop budget as they were.
+    fn tagged(msg: &u64, tag: NodeId) -> u64 {
+        msg ^ (tag.index() as u64) << 4
+    }
+
     /// A payload's low two bits are its hop budget `b`: a delivery is
     /// answered with `b` messages — up to two equal ones to the sender
-    /// (one multicast to a recipient listed twice, its list copied or
-    /// shared as `heard` falls), the third to a node drawn from the
-    /// private RNG — so outboxes come empty, single, uniform and mixed,
-    /// and traffic dies out. With a `fanout` of three or more, every other
-    /// node opens with one echo multicast over a shared list of eight
-    /// recipients — itself first, and with `n < 8` some of them twice: a
-    /// run long enough for a per-envelope schedule to cut in the middle,
-    /// whose answers come back as a fan-in as long. What a node has
-    /// `heard` hashes deliveries in order; it decides on that after
-    /// `quota` of them.
+    /// (one multicast to a recipient listed twice, as `heard` falls a
+    /// copied run or a part run of one part tagged with the sender), the
+    /// third to a node drawn from the private RNG — so outboxes come
+    /// empty, single, uniform and mixed, and traffic dies out. With a
+    /// `fanout` of three or more, every other node opens with one echo
+    /// part run over eight recipients — itself first, and with `n < 8`
+    /// some of them twice — in parts of three, none and five, tagged 1, 2
+    /// and 3, so each part's payload is its own: parts long enough for a
+    /// per-envelope schedule to cut in the middle, whose answers come back
+    /// as fan-ins as long. What a node has `heard` hashes deliveries in
+    /// order; it decides on that after `quota` of them.
     struct Toy {
         id: usize,
         n: usize,
@@ -694,10 +733,13 @@ mod differential {
                 ctx.multicast(to, 4 * (256 * self.id as u64 + pair as u64) + 3);
             }
             if self.fanout >= 3 && self.id.is_multiple_of(2) {
-                let to: Rc<[NodeId]> = (0..8)
-                    .map(|k| NodeId::from_index((self.id + k) % self.n))
-                    .collect();
-                ctx.multicast_shared(to, ECHO | (4 * (4096 + self.id as u64) + 2));
+                let list = |ks: std::ops::Range<usize>| -> Rc<[NodeId]> {
+                    ks.map(|k| NodeId::from_index((self.id + k) % self.n))
+                        .collect()
+                };
+                let parts = [(1, list(0..3)), (2, list(3..3)), (3, list(3..8))];
+                let parts = parts.map(|(tag, to)| (NodeId::from_index(tag), to));
+                ctx.multicast_parts(ECHO | (4 * (4096 + self.id as u64) + 2), tagged, parts);
             }
         }
         fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
@@ -717,7 +759,7 @@ mod differential {
             if self.heard & 8 == 0 {
                 ctx.multicast(to, reply);
             } else {
-                ctx.multicast_shared(to.into(), reply);
+                ctx.multicast_parts(reply, tagged, [(from, to.into())]);
             }
             if budget == 3 {
                 let to = NodeId::from_index(ctx.rng().gen_range(0..self.n));

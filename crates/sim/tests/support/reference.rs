@@ -4,7 +4,8 @@
 //!
 //! Everything the production engine does for speed is absent on purpose.
 //! The network is one ordered map keyed `(due step, priority, send
-//! sequence)` holding one envelope per message; every delivery is one
+//! sequence)` holding one envelope per message (read off each outbox
+//! through `Runs::for_each_message`); every delivery is one
 //! `on_message` with a fresh outbox; dark nodes are a set; nothing is
 //! reused between runs. The adversary is asked for a delay and a priority
 //! for every envelope and shown every step, and the observer is shown
@@ -62,9 +63,7 @@ impl<P: Protocol> Run<P> {
         let (mut outbox, rng) = (Runs::new(), &mut self.rngs[id.index()]);
         let mut ctx = Context::new(id, self.n, self.step, rng, &mut outbox);
         f(node, &mut ctx);
-        for (to, msg) in outbox.iter() {
-            self.send(id, to, msg.clone());
-        }
+        outbox.for_each_message(|to, msg| self.send(id, to, msg));
     }
 }
 
