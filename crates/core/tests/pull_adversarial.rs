@@ -2,11 +2,13 @@
 //! message sequences against a single [`PullPhase`] state machine,
 //! checking that each filter of Algorithms 1–3 holds individually.
 
+use std::collections::BTreeMap;
+
 use fba_core::pull::{PullPhase, RetryPolicy};
 use fba_core::{AerMsg, AerRunState};
 use fba_samplers::{GString, Label, PollSampler, QuorumScheme};
 use fba_sim::rng::derive_rng;
-use fba_sim::{Context, NodeId};
+use fba_sim::{Context, NodeId, Runs};
 
 mod support;
 use support::Hand;
@@ -52,55 +54,179 @@ fn label_hitting(poll: &PollSampler, origin: NodeId, member: NodeId) -> Label {
     panic!("domain exhausted");
 }
 
-#[test]
-fn router_ignores_pulls_for_strings_it_does_not_believe() {
-    let (scheme, _, g, bad) = setup();
-    let origin = NodeId::from_index(5);
-    let router = scheme.pull.quorum(bad.key(), origin)[0];
-    let mut p = phase(router.index(), g);
-    // Router believes g; a pull for `bad` (whose quorum it belongs to)
-    // must not be routed.
-    assert!(sent(router, |ctx| p.on_pull(origin, bad, Label(1), ctx)).is_empty());
+/// One row's calls of the Algorithm 2 step table, all for the request
+/// `(origin, s, r)` of [`algorithm_2_routes_a_pull_in_two_hops`].
+enum Input {
+    /// `on_pull(origin, s, r)` at router `at`.
+    Pull { at: NodeId, s: GString },
+    /// `on_fw1(y, origin, g, r, w)` at relay `at`, once per `y` of
+    /// `from`, in order.
+    Fw1 {
+        at: NodeId,
+        from: Vec<NodeId>,
+        w: NodeId,
+    },
 }
 
-#[test]
-fn relay_requires_sender_in_requesters_quorum() {
-    let (scheme, poll, g, _) = setup();
-    let origin = NodeId::from_index(5);
-    let r = Label(3);
-    let w = poll.poll_list(origin, r)[0];
-    let z = scheme.pull.quorum(g.key(), w)[0];
-    let mut p = phase(z.index(), g);
-    // Sender y must be in H(g, origin); pick one that is not.
-    let h_origin = scheme.pull.quorum(g.key(), origin);
-    let intruder = (0..N)
-        .map(NodeId::from_index)
-        .find(|y| !h_origin.contains(y))
-        .unwrap();
-    for _ in 0..3 * D {
-        assert!(sent(z, |ctx| p.on_fw1(intruder, origin, g, r, w, ctx)).is_empty());
-    }
+/// What a row's calls sent: the runs they opened, and per delivery unit
+/// (a copied run, or one part of a part run) its payload and recipients.
+#[derive(Debug, Default, PartialEq)]
+struct Outputs {
+    runs: usize,
+    sent: Vec<(AerMsg, Vec<NodeId>)>,
 }
 
+struct TestStep {
+    desc: &'static str,
+    input: Input,
+    expected_outputs: Outputs,
+}
+
+/// Algorithm 2, both hops, one row per gate: a router `y ∈ H(s, x)`
+/// forwards `Pull(s, r)` from `x` iff `s = s_y`, once per `(x, s)`, as
+/// `Fw1(x, s, r, w)` to `H(s, w)` for every `w ∈ J(x, r)`; a relay `z`
+/// counts an `Fw1` from `y` iff `y ∈ H(s, x)` and `w ∈ J(x, r)`, one vote
+/// per distinct `y`, and sends one `Fw2(x, s, r)` to `w` when the count
+/// crosses the majority of `H(s, x)`. Every node believes `g`.
 #[test]
-fn relay_requires_w_in_the_poll_list() {
-    let (scheme, poll, g, _) = setup();
-    let origin = NodeId::from_index(5);
-    let r = Label(3);
-    // Pick a w NOT in J(origin, r).
+fn algorithm_2_routes_a_pull_in_two_hops() {
+    let (scheme, poll, g, bad) = setup();
+    let state = AerRunState::new(scheme, poll);
+    let (origin, r) = (NodeId::from_index(5), Label(3));
+    let h = |s: GString, x: NodeId| scheme.pull.quorum(s.key(), x);
+    let h_origin = h(g, origin);
     let list = poll.poll_list(origin, r);
-    let w = (0..N)
-        .map(NodeId::from_index)
-        .find(|w| !list.contains(w))
-        .unwrap();
-    let z = scheme.pull.quorum(g.key(), w)[0];
-    let mut p = phase(z.index(), g);
-    let h_origin = scheme.pull.quorum(g.key(), origin);
-    for y in h_origin {
-        assert!(
-            sent(z, |ctx| p.on_fw1(y, origin, g, r, w, ctx)).is_empty(),
-            "relayed for a w outside J(origin, r)"
-        );
+    let nodes = || (0..N).map(NodeId::from_index);
+    let outsider = nodes().find(|y| !h_origin.contains(y)).unwrap();
+    let off_list = nodes().find(|w| !list.contains(w)).unwrap();
+    let w = list[0];
+    let relay = h(g, w)[0];
+    let majority = scheme.pull.majority();
+    assert!(majority >= 3 && h_origin.len() > majority);
+    let quiet = Outputs::default;
+    let table = [
+        TestStep {
+            desc: "Algorithm 2, Pull: s ≠ s_y — a router of H(bad, x) believing g sends nothing",
+            input: Input::Pull {
+                at: h(bad, origin)[0],
+                s: bad,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Pull: y ∉ H(s, x) — a node outside the pull quorum sends nothing",
+            input: Input::Pull { at: outsider, s: g },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Pull: Fw1(x, s, r, w) to H(s, w) for every w ∈ J(x, r), \
+                   in list order, as one part run",
+            input: Input::Pull {
+                at: h_origin[0],
+                s: g,
+            },
+            expected_outputs: Outputs {
+                runs: 1,
+                sent: list
+                    .iter()
+                    .map(|&w| (AerMsg::Fw1 { origin, s: g, r, w }, h(g, w)))
+                    .collect(),
+            },
+        },
+        TestStep {
+            desc: "Algorithm 2, Pull: keep track of senders — a repeated pull sends nothing",
+            input: Input::Pull {
+                at: h_origin[0],
+                s: g,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: w ∉ J(x, r) — forwards from all of H(s, x) send nothing",
+            input: Input::Fw1 {
+                at: h(g, off_list)[0],
+                from: h_origin.clone(),
+                w: off_list,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: one vote per distinct y — a router's repeats count once",
+            input: Input::Fw1 {
+                at: relay,
+                from: vec![h_origin[1]; 10 * D],
+                w,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: votes below the majority of H(s, x) send nothing",
+            input: Input::Fw1 {
+                at: relay,
+                from: h_origin[2..majority].to_vec(),
+                w,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: y ∉ H(s, x) — one vote short, an outsider's forwards, \
+                   however many, send nothing",
+            input: Input::Fw1 {
+                at: relay,
+                from: vec![outsider; 3 * D],
+                w,
+            },
+            expected_outputs: quiet(),
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: the vote that crosses the majority sends Fw2(x, s, r) to w",
+            input: Input::Fw1 {
+                at: relay,
+                from: vec![h_origin[0]],
+                w,
+            },
+            expected_outputs: Outputs {
+                runs: 1,
+                sent: vec![(AerMsg::Fw2 { origin, s: g, r }, vec![w])],
+            },
+        },
+        TestStep {
+            desc: "Algorithm 2, Fw1: after the relay, later votes send nothing",
+            input: Input::Fw1 {
+                at: relay,
+                from: h_origin[majority..]
+                    .iter()
+                    .chain(&h_origin[..1])
+                    .copied()
+                    .collect(),
+                w,
+            },
+            expected_outputs: quiet(),
+        },
+    ];
+    let mut phases = BTreeMap::new();
+    for row in table {
+        let at = match &row.input {
+            Input::Pull { at, .. } | Input::Fw1 { at, .. } => *at,
+        };
+        let p = phases
+            .entry(at)
+            .or_insert_with(|| PullPhase::new(at, g, &state, CAP, RetryPolicy::strict()));
+        let mut hand = Hand::new(at, N, 1);
+        let mut outputs = Outputs::default();
+        let mut record = |out: Runs<AerMsg>| {
+            outputs.runs += out.run_count();
+            out.for_each_part(|msg, to| outputs.sent.push((msg.clone(), to.to_vec())));
+        };
+        match row.input {
+            Input::Pull { s, .. } => record(hand.outbox(1, |ctx| p.on_pull(origin, s, r, ctx))),
+            Input::Fw1 { from, w, .. } => {
+                for y in from {
+                    record(hand.outbox(2, |ctx| p.on_fw1(y, origin, g, r, w, ctx)));
+                }
+            }
+        }
+        assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
     }
 }
 
@@ -156,21 +282,6 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
         "sampled for an unbelieved string"
     );
     assert_eq!(tables(), (1, 0));
-}
-
-#[test]
-fn byzantine_cannot_fake_fw1_majority_with_one_identity() {
-    let (scheme, poll, g, _) = setup();
-    let origin = NodeId::from_index(5);
-    let r = Label(3);
-    let w = poll.poll_list(origin, r)[0];
-    let z = scheme.pull.quorum(g.key(), w)[0];
-    let mut p = phase(z.index(), g);
-    let y = scheme.pull.quorum(g.key(), origin)[0];
-    // One valid router spamming Fw1 many times counts once.
-    for _ in 0..10 * D {
-        assert!(sent(z, |ctx| p.on_fw1(y, origin, g, r, w, ctx)).is_empty());
-    }
 }
 
 #[test]

@@ -25,7 +25,7 @@ use crate::ids::{ceil_log2, NodeId, Step};
 use crate::message::{Batch, Delivery, Envelope, FanIn, Runs, WireSize};
 use crate::metrics::Metrics;
 use crate::observer::{NullObserver, Observer};
-use crate::protocol::{Context, Cut, Protocol, RunContext};
+use crate::protocol::{Context, Protocol, RunContext};
 use crate::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 
 /// Engine configuration.
@@ -106,8 +106,9 @@ impl EngineConfig {
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
     sends: Vec<Delivery<M>>,
-    /// What the running callback has sent; empty between callbacks.
-    outbox_buf: Runs<M>,
+    /// What the running callback — or the open recipient of a run — has
+    /// sent; empty between callbacks.
+    pub(crate) outbox_buf: Runs<M>,
     due: Vec<Delivery<M>>,
     /// The `(delay, priority)` of every envelope of `flat` on a step whose
     /// schedule is not uniform; empty otherwise (see `consult_schedule`).
@@ -116,11 +117,8 @@ pub struct EngineSession<M> {
     flat: Vec<Envelope<M>>,
     /// Storage of delivered batches, for the next outboxes.
     pool: Vec<Runs<M>>,
-    /// Scratch of one [`Protocol::deliver_run`] call: what the run's
-    /// recipients sent, the cuts through it (per-recipient segments and
-    /// fan-ins), and the run's recipient list minus its dark members.
-    run_outbox: Runs<M>,
-    run_cuts: Vec<Cut<M>>,
+    /// Scratch of one [`Protocol::deliver_run`] call: the run's recipient
+    /// list minus its dark members.
     run_live: Vec<NodeId>,
 }
 
@@ -142,8 +140,6 @@ impl<M> EngineSession<M> {
             sched_buf: Vec::new(),
             flat: Vec::new(),
             pool: Vec::new(),
-            run_outbox: Runs::new(),
-            run_cuts: Vec::new(),
             run_live: Vec::new(),
         }
     }
@@ -157,14 +153,67 @@ impl<M> EngineSession<M> {
         self.sched_buf.clear();
         self.flat.clear();
         // `pool` storage is cleared on reuse by `Runs::recycled`; every
-        // callback leaves `outbox_buf` empty and every `deliver_run` the
-        // `run_*` scratch.
+        // callback and every `deliver_run` leaves `outbox_buf` and
+        // `run_live` empty.
     }
 }
 
 impl<M> Default for EngineSession<M> {
     fn default() -> Self {
         EngineSession::new(1)
+    }
+}
+
+/// The send side: what a callback, or one recipient of a run, sent moves
+/// into the step's send list here, counted as it goes.
+impl<M: WireSize> EngineSession<M> {
+    /// Ships `outbox_buf`, what `from` sent in one callback, recording
+    /// each logical message in `metrics`: a lone message ships as an
+    /// envelope; two or more ship as one [`Batch`] that *is* the outbox —
+    /// the runs the callback wrote, as it wrote them — and the next
+    /// callback writes into storage recycled from the pool. Kept out of
+    /// line: inlined into every `callback` instantiation it measured a
+    /// few percent slower on `benchmark/`'s service, crash and async
+    /// workloads (CHANGES.md has the measurement).
+    #[inline(never)]
+    pub(crate) fn ship(
+        &mut self,
+        from: NodeId,
+        sent_at: Step,
+        header_bits: u64,
+        metrics: &mut Metrics,
+    ) {
+        if self.outbox_buf.len() < 2 {
+            if let Some((to, msg)) = self.outbox_buf.take_single() {
+                metrics.record_send(from, header_bits + msg.wire_bits());
+                self.sends.push(Delivery::One(Envelope {
+                    from,
+                    to,
+                    sent_at,
+                    msg,
+                }));
+            }
+            return;
+        }
+        let spare = Runs::recycled(&mut self.pool);
+        let body = Box::new(std::mem::replace(&mut self.outbox_buf, spare));
+        body.for_each_part(|msg, recipients| {
+            metrics.record_send_run(from, recipients.len() as u64, header_bits + msg.wire_bits());
+        });
+        self.sends.push(Delivery::Batch(Batch {
+            from,
+            sent_at,
+            body,
+        }));
+    }
+
+    /// Ships one fan-in, recording one message per sender.
+    pub(crate) fn ship_fan_in(&mut self, fan: FanIn<M>, header_bits: u64, metrics: &mut Metrics) {
+        let bits = header_bits + fan.msg.wire_bits();
+        for &from in fan.from.iter() {
+            metrics.record_send(from, bits);
+        }
+        self.sends.push(Delivery::FanIn(Box::new(fan)));
     }
 }
 
@@ -533,7 +582,7 @@ impl<P: Protocol> StepState<'_, P> {
     }
 
     /// Runs one protocol callback of correct node `id` against a fresh
-    /// [`Context`] and moves whatever it sent into the step's send list.
+    /// [`Context`] and ships whatever it sent into the step's send list.
     /// No-op for corrupt nodes.
     fn callback(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
         let i = id.index();
@@ -549,7 +598,8 @@ impl<P: Protocol> StepState<'_, P> {
         );
         f(node, &mut ctx);
         if !self.session.outbox_buf.is_empty() {
-            self.enqueue_outbox(id);
+            self.session
+                .ship(id, self.step, self.header_bits, &mut self.metrics);
         }
     }
 
@@ -653,11 +703,9 @@ impl<P: Protocol> StepState<'_, P> {
 
     /// One run of a due batch, or one part of a part run with its payload
     /// built: drops (and counts) the dark recipients, records the receipt
-    /// of the others, hands them to [`Protocol::deliver_run`] in one call,
-    /// and then ships what each recipient sent as that recipient's outbox,
-    /// in recipient order — the same `enqueue_outbox` calls a
-    /// per-recipient loop makes — and each fan-in as one delivery in its
-    /// place among them.
+    /// of the others, and hands them to [`Protocol::deliver_run`] in one
+    /// call. Its [`RunContext`] ships each recipient's outbox as a
+    /// callback's is shipped, as that recipient's context closes.
     fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
         let mut live = std::mem::take(&mut self.session.run_live);
         let recipients = if recipients.iter().any(|&to| self.is_dark(to)) {
@@ -675,39 +723,15 @@ impl<P: Protocol> StepState<'_, P> {
         let mut run = RunContext::new(
             self.n,
             self.step,
+            self.header_bits,
             &mut self.rngs,
-            &mut self.session.run_outbox,
-            &mut self.session.run_cuts,
+            self.session,
+            &mut self.metrics,
         );
         P::deliver_run(&mut self.nodes, from, msg, recipients, &mut run);
         run.finish();
         live.clear();
         self.session.run_live = live;
-
-        if self.session.run_cuts.is_empty() {
-            return;
-        }
-        let mut cuts = std::mem::take(&mut self.session.run_cuts);
-        let mut sent = std::mem::take(&mut self.session.run_outbox);
-        let mut rest = sent.segments();
-        for cut in cuts.drain(..) {
-            match cut {
-                Cut::Outbox(sender, runs) => {
-                    rest.move_next(runs, &mut self.session.outbox_buf);
-                    self.enqueue_outbox(sender);
-                }
-                Cut::FanIn(fan) => {
-                    let bits = self.header_bits + fan.msg.wire_bits();
-                    for &from in fan.from.iter() {
-                        self.metrics.record_send(from, bits);
-                    }
-                    self.session.sends.push(Delivery::FanIn(fan));
-                }
-            }
-        }
-        drop(rest);
-        self.session.run_cuts = cuts;
-        self.session.run_outbox = sent;
     }
 
     /// Stage 4 (skipped while draining): the adversary's turn — full
@@ -804,44 +828,6 @@ impl<P: Protocol> StepState<'_, P> {
             self.all_decided_at = Some(self.step);
         }
     }
-
-    /// Moves one callback's outbox into the step's send list, recording
-    /// each logical message in the metrics: a lone message ships as an
-    /// envelope; two or more ship as one [`Batch`] that *is* the outbox —
-    /// the runs the callback wrote, as it wrote them — and the next
-    /// callback writes into storage recycled from the pool. Kept out of
-    /// line: inlined into every `callback` instantiation it measured a
-    /// few percent slower on `benchmark/`'s service, crash and async
-    /// workloads (CHANGES.md, PR 15).
-    #[inline(never)]
-    fn enqueue_outbox(&mut self, from: NodeId) {
-        let session = &mut *self.session;
-        if session.outbox_buf.len() < 2 {
-            if let Some((to, msg)) = session.outbox_buf.take_single() {
-                self.metrics
-                    .record_send(from, self.header_bits + msg.wire_bits());
-                session.sends.push(Delivery::One(Envelope {
-                    from,
-                    to,
-                    sent_at: self.step,
-                    msg,
-                }));
-            }
-            return;
-        }
-        let spare = Runs::recycled(&mut session.pool);
-        let body = Box::new(std::mem::replace(&mut session.outbox_buf, spare));
-        let (metrics, header_bits) = (&mut self.metrics, self.header_bits);
-        body.for_each_part(|msg, recipients| {
-            metrics.record_send_run(from, recipients.len() as u64, header_bits + msg.wire_bits());
-        });
-        let sent_at = self.step;
-        session.sends.push(Delivery::Batch(Batch {
-            from,
-            sent_at,
-            body,
-        }));
-    }
 }
 
 #[cfg(test)]
@@ -850,6 +836,7 @@ mod tests {
 
     use super::*;
     use crate::adversary::{NoAdversary, SilentAdversary};
+    use crate::message::tests::{ids, shape};
     use crate::observer::FinalInspect;
     use crate::window::Window;
 
@@ -1097,6 +1084,106 @@ mod tests {
         assert_eq!(consulted(&[1, 11, 1]), (None, by_priority));
         // The bulk lane is priority 0: a common priority of -1 is keyed.
         assert_eq!(consulted(&[12, 12]), (None, vec![(2, -1), (2, -1)]));
+    }
+
+    /// What `deliver` ships through a run context at step 3 of a 4-node
+    /// run on fresh session storage: the step's send list, and the
+    /// session's outbox, which must be empty again.
+    fn shipped(deliver: impl FnOnce(&mut RunContext<'_, u32>)) -> (Vec<Delivery<u32>>, Metrics) {
+        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
+        let mut session = EngineSession::new(1);
+        let mut metrics = Metrics::new(4, &BTreeSet::new());
+        let mut run = RunContext::new(4, 3, 4, &mut rngs, &mut session, &mut metrics);
+        deliver(&mut run);
+        run.finish();
+        assert!(session.outbox_buf.is_empty(), "everything shipped");
+        (session.sends, metrics)
+    }
+
+    /// The send list as `sender:runs` per outbox (an envelope is a run of
+    /// one) and `[senders]>to:msg` per fan-in.
+    fn send_shape(sends: &[Delivery<u32>]) -> Vec<String> {
+        let shape = |delivery: &Delivery<u32>| match delivery {
+            Delivery::One(env) => format!("{}:1", env.from.index()),
+            Delivery::Batch(batch) => format!("{}:{}", batch.from.index(), batch.body.run_count()),
+            Delivery::FanIn(fan) => {
+                let from: Vec<usize> = fan.from.iter().map(|z| z.index()).collect();
+                format!("{from:?}>{}:{}", fan.to.index(), fan.msg)
+            }
+        };
+        sends.iter().map(shape).collect()
+    }
+
+    #[test]
+    fn a_runs_recipients_and_fan_ins_ship_in_send_order() {
+        let id = NodeId::from_index;
+        let (sends, metrics) = shipped(|run| {
+            assert_eq!(run.step(), 3);
+            run.context(id(1)).send(id(0), 10);
+            // Ships node 1's outbox; a sender listed twice sends twice.
+            run.fan_in(&ids(&[2, 3, 2]), id(0), 20);
+            run.fan_in(&[], id(0), 21);
+            // One sender is a plain outbox of one.
+            run.fan_in(&ids(&[3]), id(1), 30);
+            run.context(id(2)).send(id(1), 40);
+        });
+        assert_eq!(send_shape(&sends), ["1:1", "[2, 3, 2]>0:20", "3:1", "2:1"]);
+        let Delivery::FanIn(fan) = &sends[1] else {
+            unreachable!()
+        };
+        assert_eq!(fan.sent_at, 3);
+        let sent: Vec<u64> = (0..4).map(|i| metrics.msgs_sent_by(id(i))).collect();
+        assert_eq!(sent, [0, 1, 3, 2], "a fan-in counts once per sender");
+    }
+
+    #[test]
+    fn a_silent_recipient_ships_nothing_and_a_lone_message_ships_as_an_envelope() {
+        let id = NodeId::from_index;
+        let (sends, _) = shipped(|run| {
+            run.context(id(1)).send(id(0), 10);
+            let _silent = run.context(id(2));
+            let mut ctx = run.context(id(3));
+            ctx.multicast(&ids(&[0, 1]), 30);
+            ctx.send(id(1), 31);
+            // The same recipient again is a callback of its own.
+            run.context(id(3)).send(id(2), 32);
+        });
+        assert_eq!(send_shape(&sends), ["1:1", "3:2", "3:1"]);
+        let Delivery::One(env) = &sends[0] else {
+            panic!("a lone message is an envelope")
+        };
+        assert_eq!(
+            (env.from, env.to, env.sent_at, env.msg),
+            (id(1), id(0), 3, 10)
+        );
+        assert!(matches!(&sends[1], Delivery::Batch(b) if b.body.len() == 3));
+        assert!(matches!(&sends[2], Delivery::One(env) if env.msg == 32));
+    }
+
+    #[test]
+    fn two_recipients_of_a_run_never_share_a_batch() {
+        // The first one's last payload equals the second one's first.
+        let id = NodeId::from_index;
+        let (sends, _) = shipped(|run| {
+            let mut first = run.context(id(1));
+            first.send(id(2), 4);
+            first.send(id(0), 5);
+            let mut second = run.context(id(2));
+            second.send(id(0), 5);
+            second.send(id(3), 6);
+        });
+        assert_eq!(send_shape(&sends), ["1:2", "2:2"]);
+        let bodies: Vec<Vec<(u32, Vec<usize>)>> = sends
+            .iter()
+            .map(|delivery| match delivery {
+                Delivery::Batch(batch) => shape(&batch.body),
+                _ => unreachable!("two messages are a batch"),
+            })
+            .collect();
+        assert_eq!(
+            bodies,
+            [[(4, vec![2]), (5, vec![0])], [(5, vec![0]), (6, vec![3])]]
+        );
     }
 
     thread_local! {

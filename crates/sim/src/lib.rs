@@ -45,11 +45,13 @@
 //!    is `on_message` per recipient in list order. The engine keeps the
 //!    accounting and the dark filter on its side of the call, and ships
 //!    what each recipient sent through its [`RunContext::context`] as
-//!    that recipient's outbox, in recipient order — so an override can
-//!    only save work, not reorder it. What several recipients send
-//!    through [`RunContext::fan_in`] — one payload, one destination —
-//!    ships as one fan-in in its place among those outboxes, and is
-//!    delivered sender by sender, one `on_message` per live sender.
+//!    that recipient's outbox as the context closes — when the next
+//!    recipient's opens, a fan-in is pushed or the call returns — so an
+//!    override can only save work, not reorder it. What several
+//!    recipients send through [`RunContext::fan_in`] — one payload, one
+//!    destination — ships as one fan-in in its place among those
+//!    outboxes, and is delivered sender by sender, one `on_message` per
+//!    live sender.
 //! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
 //!    the sends of stages 1–3.
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is

@@ -284,6 +284,8 @@ impl<M> Runs<M> {
         parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
         n: usize,
     ) -> Result<(), NodeId> {
+        let parts = parts.into_iter();
+        reserve_first(&mut self.parts, parts.size_hint().0);
         let start = self.parts.len();
         let mut copies = 0;
         for (tag, to) in parts {
@@ -297,6 +299,7 @@ impl<M> Runs<M> {
             }
         }
         if self.parts.len() > start {
+            reserve_first(&mut self.part_fns, 1);
             self.part_fns.push(part);
             self.open(copies, self.parts.len() - start, msg);
         }
@@ -307,6 +310,7 @@ impl<M> Runs<M> {
     /// (`0` for a copied run).
     fn open(&mut self, copies: usize, parts: usize, msg: M) {
         self.len += copies;
+        reserve_first(&mut self.runs, 1);
         self.runs.push(Run {
             copies: run_copies(copies),
             parts: u32::try_from(parts).expect("a run of more than u32::MAX parts"),
@@ -318,17 +322,6 @@ impl<M> Runs<M> {
     #[must_use]
     pub fn run_count(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Moves everything out, front to back, a segment at a time.
-    pub(crate) fn segments(&mut self) -> Segments<'_, M> {
-        self.len = 0;
-        Segments {
-            runs: self.runs.drain(..),
-            to: self.to.drain(..),
-            parts: self.parts.drain(..),
-            part_fns: self.part_fns.drain(..),
-        }
     }
 
     /// Takes the only message out of an outbox of at most one.
@@ -357,6 +350,15 @@ impl<M> Runs<M> {
     }
 }
 
+/// Reserves exactly `k` slots in `v` if it has none: a fresh outbox most
+/// often ships one run, which amortised growth would hold in four heads,
+/// four part functions and a power of two of parts until delivery.
+fn reserve_first<T>(v: &mut Vec<T>, k: usize) {
+    if v.capacity() == 0 {
+        v.reserve_exact(k);
+    }
+}
+
 /// The copy count of a run of `len` recipients.
 ///
 /// # Panics
@@ -364,42 +366,6 @@ impl<M> Runs<M> {
 /// Panics when it does not fit the run's `u32`.
 pub(crate) fn run_copies(len: usize) -> u32 {
     u32::try_from(len).expect("a run of more than u32::MAX copies")
-}
-
-/// The front-to-back drain of a [`Runs`] several senders wrote into (see
-/// [`RunContext`](crate::RunContext)): its runs, its copied recipients,
-/// its parts and its part functions.
-pub(crate) struct Segments<'a, M> {
-    runs: std::vec::Drain<'a, Run<M>>,
-    to: std::vec::Drain<'a, NodeId>,
-    parts: std::vec::Drain<'a, Part>,
-    part_fns: std::vec::Drain<'a, PartFn<M>>,
-}
-
-impl<M> Segments<'_, M> {
-    /// Moves the next `runs` runs to the end of `dst`: the heads, then
-    /// their copied recipients, their parts and their part functions, each
-    /// in one exact-size move. The room is reserved exactly: an empty
-    /// `dst` would otherwise round a segment of one run up to four heads.
-    pub(crate) fn move_next(&mut self, runs: usize, dst: &mut Runs<M>) {
-        let (mut copied, mut parts, mut part_runs) = (0, 0, 0);
-        let len = &mut dst.len;
-        dst.runs.reserve_exact(runs);
-        dst.runs
-            .extend(self.runs.by_ref().take(runs).inspect(|run| {
-                *len += run.copies as usize;
-                match run.parts {
-                    0 => copied += run.copies as usize,
-                    k => (parts, part_runs) = (parts + k as usize, part_runs + 1),
-                }
-            }));
-        dst.to.reserve_exact(copied);
-        dst.to.extend(self.to.by_ref().take(copied));
-        dst.parts.reserve_exact(parts);
-        dst.parts.extend(self.parts.by_ref().take(parts));
-        dst.part_fns.reserve_exact(part_runs);
-        dst.part_fns.extend(self.part_fns.by_ref().take(part_runs));
-    }
 }
 
 /// A coalesced group of messages one node sent during one step.
@@ -717,54 +683,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn segments_move_out_front_to_back_as_runs() {
-        let mut shared = batch(0, 0, &[(1, &[1, 2]), (2, &[3]), (3, &[4, 5])]).body;
-        let (mut first, mut second) = (Runs::new(), Runs::new());
-        let mut rest = shared.segments();
-        rest.move_next(1, &mut first);
-        rest.move_next(2, &mut second);
-        drop(rest);
-        assert_eq!(shape(&first), [(1, vec![1, 2])]);
-        assert_eq!(shape(&second), [(2, vec![3]), (3, vec![4, 5])]);
-        assert_eq!((shared.len(), shared.run_count()), (0, 0));
-        assert_eq!(first.runs.capacity(), 1, "reserved exactly");
-    }
-
-    #[test]
-    fn segments_move_part_runs_whole_behind_the_destinations_own() {
-        let (a, b, c) = (list(&[7, 8]), list(&[9]), list(&[6, 6, 6]));
-        let mut src = Runs::new();
-        src.push_run(&ids(&[1, 2]), 1u32);
-        push_tagged(&mut src, 2, &[(1, &a), (2, &b)]);
-        src.push_run(&ids(&[3]), 3);
-        push_tagged(&mut src, 4, &[(3, &b)]);
-        src.push_run(&ids(&[4, 5]), 5);
-        // `second` already holds a part run: the moved ones go behind it.
-        let (mut first, mut second) = (Runs::new(), Runs::new());
-        push_tagged(&mut second, 0, &[(5, &c)]);
-        let mut rest = src.segments();
-        rest.move_next(2, &mut first);
-        rest.move_next(3, &mut second);
-        drop(rest);
-        assert_eq!(
-            shape(&first),
-            [(1, vec![1, 2]), (21, vec![7, 8]), (22, vec![9])]
-        );
-        assert_eq!(
-            shape(&second),
-            [
-                (5, vec![6, 6, 6]),
-                (3, vec![3]),
-                (43, vec![9]),
-                (5, vec![4, 5])
-            ]
-        );
-        assert_eq!((first.len(), second.len()), (5, 7));
-        assert_eq!((first.to.len(), second.to.len()), (2, 3), "copied ids only");
-        assert_eq!((first.parts.len(), second.parts.len()), (2, 2));
-        assert_eq!((first.part_fns.len(), second.part_fns.len()), (1, 2));
-        assert!(reads_from(&first, &a) && reads_from(&second, &b) && reads_from(&second, &c));
-        assert_eq!((src.len(), src.run_count()), (0, 0));
+    fn fresh_storage_reserves_the_first_run_exactly() {
+        let mut one = Runs::new();
+        one.push_run(&ids(&[1, 2]), 1u32);
+        assert_eq!(one.runs.capacity(), 1, "a one-run outbox, one head");
+        let lists: Vec<Rc<[NodeId]>> = (0..5).map(|i| list(&[i, i + 1])).collect();
+        let parts: Vec<(usize, &Rc<[NodeId]>)> = lists.iter().enumerate().collect();
+        let mut forward = Runs::new();
+        push_tagged(&mut forward, 2, &parts);
+        let reserved = |out: &Runs<u32>| {
+            (
+                out.runs.capacity(),
+                out.parts.capacity(),
+                out.part_fns.capacity(),
+            )
+        };
+        assert_eq!(reserved(&forward), (1, 5, 1), "d parts, one part function");
+        // Past the first run, storage grows as usual.
+        push_tagged(&mut forward, 3, &parts);
+        forward.push_run(&ids(&[3]), 4);
+        assert_eq!(shape(&forward).len(), 11);
+        assert!(forward.runs.capacity() >= 3 && forward.parts.capacity() >= 10);
     }
 
     /// `fba-core`'s `AerMsg`, by layout: a 56-byte enum whose widest

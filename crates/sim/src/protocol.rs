@@ -17,8 +17,10 @@ use std::rc::Rc;
 
 use rand_chacha::ChaCha12Rng;
 
+use crate::engine::EngineSession;
 use crate::ids::{NodeId, Step};
 use crate::message::{FanIn, Runs, WireSize};
+use crate::metrics::Metrics;
 
 /// A per-node protocol state machine.
 ///
@@ -63,15 +65,15 @@ pub trait Protocol {
     ///
     /// The engine owns everything around the call: it has already dropped
     /// (and counted) dark recipients and recorded the receipt of the rest,
-    /// and afterwards it ships what each recipient sent through
-    /// [`RunContext::context`] as that recipient's outbox, and what several
-    /// sent through [`RunContext::fan_in`] as one fan-in, in the order
-    /// they were sent. An override must be observably the same as the
-    /// default — the same state changes, the same sends from the same
-    /// recipients in the same order, the same draws from each recipient's
-    /// RNG — and may differ only in doing per-*message* work once instead
-    /// of per recipient. It must skip `None` entries and may not touch a
-    /// node outside `recipients`.
+    /// and as each recipient's context closes it ships what that recipient
+    /// sent through [`RunContext::context`] as its outbox, and what several
+    /// send through [`RunContext::fan_in`] as one fan-in as it is pushed,
+    /// in the order they were sent. An override must be observably the
+    /// same as the default — the same state changes, the same sends from
+    /// the same recipients in the same order, the same draws from each
+    /// recipient's RNG — and may differ only in doing per-*message* work
+    /// once instead of per recipient. It must skip `None` entries and may
+    /// not touch a node outside `recipients`.
     fn deliver_run(
         nodes: &mut [Option<Self>],
         from: NodeId,
@@ -133,47 +135,38 @@ pub fn deliver_each<P: Protocol>(
 /// through one recipient's context — up to the next
 /// [`RunContext::context`] or [`RunContext::fan_in`] call — is that
 /// recipient's outbox for this delivery, exactly as if the engine had
-/// called [`Protocol::on_message`] on it: the recipients write into one
-/// shared [`Runs`], cut between them on run boundaries, so two recipients
-/// never share a run.
+/// called [`Protocol::on_message`] on it: each context opens on an empty
+/// outbox, which ships into the step's send list as the context closes,
+/// so two recipients never share a run.
 pub struct RunContext<'a, M> {
     n: usize,
     step: Step,
+    header_bits: u64,
     rngs: &'a mut [ChaCha12Rng],
-    outbox: &'a mut Runs<M>,
-    /// Every closed non-empty piece of this delivery's sends, in order.
-    cuts: &'a mut Vec<Cut<M>>,
-    /// The recipient whose segment is open, and the run it starts at.
-    open: Option<(NodeId, usize)>,
+    session: &'a mut EngineSession<M>,
+    metrics: &'a mut Metrics,
+    /// The recipient whose context is open.
+    open: Option<NodeId>,
 }
 
-/// One piece of what a run's recipients sent, in send order.
-#[derive(Debug)]
-pub(crate) enum Cut<M> {
-    /// `(sender, runs)`: the next `runs` runs of the outbox are one
-    /// recipient's outbox segment.
-    Outbox(NodeId, usize),
-    /// One payload from several recipients to one node.
-    FanIn(Box<FanIn<M>>),
-}
-
-impl<'a, M> RunContext<'a, M> {
-    /// Creates a run context over the per-node RNG table and two empty
-    /// scratch buffers.
+impl<'a, M: WireSize> RunContext<'a, M> {
+    /// Creates a run context over the per-node RNG table and the step's
+    /// send side.
     pub(crate) fn new(
         n: usize,
         step: Step,
+        header_bits: u64,
         rngs: &'a mut [ChaCha12Rng],
-        outbox: &'a mut Runs<M>,
-        cuts: &'a mut Vec<Cut<M>>,
+        session: &'a mut EngineSession<M>,
+        metrics: &'a mut Metrics,
     ) -> Self {
-        debug_assert!(outbox.is_empty() && cuts.is_empty());
         RunContext {
             n,
             step,
+            header_bits,
             rngs,
-            outbox,
-            cuts,
+            session,
+            metrics,
             open: None,
         }
     }
@@ -192,21 +185,21 @@ impl<'a, M> RunContext<'a, M> {
     /// Panics if `to` is out of range.
     pub fn context(&mut self, to: NodeId) -> Context<'_, M> {
         self.close();
-        self.open = Some((to, self.outbox.run_count()));
+        self.open = Some(to);
         Context::new(
             to,
             self.n,
             self.step,
             &mut self.rngs[to.index()],
-            self.outbox,
+            &mut self.session.outbox_buf,
         )
     }
 
     /// `msg` from every node of `senders`, in order, to `to`: observably
     /// `for z in senders { run.context(z).send(to, msg.clone()) }` — each
     /// sender's message is an outbox of its own, in its place among the
-    /// others — but two or more senders ship as one fan-in delivery that
-    /// stores the payload once. No sender, no send.
+    /// others — but two or more senders ship, at once, as one fan-in
+    /// delivery that stores the payload once. No sender, no send.
     ///
     /// # Panics
     ///
@@ -222,28 +215,30 @@ impl<'a, M> RunContext<'a, M> {
             [one] => self.context(*one).send(to, msg),
             _ => {
                 self.close();
-                self.cuts.push(Cut::FanIn(Box::new(FanIn {
+                let fan = FanIn {
                     to,
                     sent_at: self.step,
                     msg,
                     from: senders.into(),
-                })));
+                };
+                self.session
+                    .ship_fan_in(fan, self.header_bits, self.metrics);
             }
         }
     }
 
-    /// Closes the open segment, recording it if anything was sent.
+    /// Closes the open context, shipping its outbox if it sent anything.
     fn close(&mut self) {
-        if let Some((sender, runs_start)) = self.open.take() {
-            let runs = self.outbox.run_count();
-            if runs > runs_start {
-                self.cuts.push(Cut::Outbox(sender, runs - runs_start));
+        if let Some(sender) = self.open.take() {
+            if !self.session.outbox_buf.is_empty() {
+                self.session
+                    .ship(sender, self.step, self.header_bits, self.metrics);
             }
         }
     }
 
-    /// Ends the run: after this, `cuts` lists every non-empty
-    /// per-recipient segment of `outbox` and every fan-in, in send order.
+    /// Ends the run: everything its recipients sent is in the step's send
+    /// list, in send order, and the session's outbox is empty again.
     pub(crate) fn finish(mut self) {
         self.close();
     }
@@ -258,9 +253,6 @@ pub struct Context<'a, M> {
     step: Step,
     rng: &'a mut ChaCha12Rng,
     outbox: &'a mut Runs<M>,
-    /// Messages in `outbox` when this callback began (a run's recipients
-    /// share one).
-    base: usize,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -279,7 +271,6 @@ impl<'a, M> Context<'a, M> {
             n,
             step,
             rng,
-            base: outbox.len(),
             outbox,
         }
     }
@@ -363,13 +354,6 @@ impl<'a, M> Context<'a, M> {
     fn out_of_range(&self, to: NodeId) -> ! {
         panic!("send target {to} out of range (n={})", self.n);
     }
-
-    /// Number of messages queued so far in this callback (mostly useful in
-    /// tests).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.outbox.len() - self.base
-    }
 }
 
 #[cfg(test)]
@@ -389,7 +373,7 @@ mod tests {
         assert_eq!(ctx.step(), 2);
         ctx.send(NodeId::from_index(3), 9);
         ctx.multicast(&ids(&[1, 2]), 5);
-        assert_eq!(ctx.queued(), 3);
+        assert_eq!(outbox.len(), 3);
         assert_eq!(shape(&outbox), [(9, vec![3]), (5, vec![1, 2])]);
     }
 
@@ -408,10 +392,8 @@ mod tests {
         let mut outbox = Runs::new();
         let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
         ctx.multicast(&[], 1u32);
-        assert_eq!(ctx.queued(), 0);
         ctx.multicast(&ids(&[2]), 2);
         ctx.multicast(&[], 3);
-        assert_eq!(ctx.queued(), 1);
         assert_eq!((outbox.len(), outbox.run_count()), (1, 1));
         assert_eq!(shape(&outbox), [(2, vec![2])], "run offsets stay aligned");
     }
@@ -467,7 +449,6 @@ mod tests {
             parts.map(|(tag, to)| (NodeId::from_index(tag), to)),
         );
         ctx.multicast_parts(6, plus_tag, [(NodeId::from_index(1), ids(&[]).into())]);
-        assert_eq!(ctx.queued(), 3);
         let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let parts = [(ids(&[1]), 0), (ids(&[2, 4]), 1)];
             ctx.multicast_parts(
@@ -482,90 +463,22 @@ mod tests {
             text, "send target n4 out of range (n=4)",
             "`send`'s message"
         );
-        assert_eq!(outbox.run_count(), 1, "one run, not one per part");
+        assert_eq!(
+            (outbox.len(), outbox.run_count()),
+            (3, 1),
+            "one run, not one per part"
+        );
         assert_eq!(shape(&outbox), [(15, vec![3, 1]), (25, vec![2])]);
         assert_eq!(Rc::strong_count(&list), 2, "one handle, no copy");
-    }
-
-    /// The cuts as `sender:runs` for an outbox segment and
-    /// `[senders]>to:msg` for a fan-in.
-    fn cuts_of(cuts: &[Cut<u32>]) -> Vec<String> {
-        let cut = |cut: &Cut<u32>| match cut {
-            Cut::Outbox(sender, runs) => format!("{}:{runs}", sender.index()),
-            Cut::FanIn(fan) => {
-                let from: Vec<usize> = fan.from.iter().map(|z| z.index()).collect();
-                format!("{from:?}>{}:{}", fan.to.index(), fan.msg)
-            }
-        };
-        cuts.iter().map(cut).collect()
-    }
-
-    #[test]
-    fn run_context_cuts_the_outbox_per_recipient() {
-        let id = NodeId::from_index;
-        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
-        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
-        let mut run = RunContext::new(4, 7, &mut rngs, &mut outbox, &mut cuts);
-        assert_eq!(run.step(), 7);
-        run.context(id(1)).send(id(0), 10u32);
-        let _silent = run.context(id(2));
-        let mut ctx = run.context(id(3));
-        assert_eq!((ctx.id(), ctx.queued()), (id(3), 0), "an outbox of its own");
-        ctx.multicast(&ids(&[0, 1]), 30);
-        ctx.send(id(1), 31);
-        assert_eq!(ctx.queued(), 3);
-        // The same recipient again is a callback of its own.
-        run.context(id(3)).send(id(2), 32);
-        run.finish();
-        assert_eq!(cuts_of(&cuts), ["1:1", "3:2", "3:1"]);
-        assert_eq!(outbox.len(), 5);
-    }
-
-    #[test]
-    fn two_recipients_of_a_run_never_share_a_run() {
-        // The first one's last payload equals the second one's first.
-        let id = NodeId::from_index;
-        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
-        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
-        let mut run = RunContext::new(4, 0, &mut rngs, &mut outbox, &mut cuts);
-        run.context(id(1)).send(id(0), 5u32);
-        run.context(id(2)).send(id(0), 5);
-        run.finish();
-        assert_eq!(cuts_of(&cuts), ["1:1", "2:1"]);
-        assert_eq!(shape(&outbox), [(5, vec![0]), (5, vec![0])]);
-    }
-
-    #[test]
-    fn a_fan_in_keeps_its_place_among_the_per_recipient_cuts() {
-        let id = NodeId::from_index;
-        let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
-        let (mut outbox, mut cuts) = (Runs::new(), Vec::new());
-        let mut run = RunContext::new(4, 3, &mut rngs, &mut outbox, &mut cuts);
-        run.context(id(1)).send(id(0), 10u32);
-        // Closes node 1's segment; a sender listed twice sends twice.
-        run.fan_in(&ids(&[2, 3, 2]), id(0), 20);
-        run.fan_in(&[], id(0), 21);
-        // One sender is a plain outbox of one.
-        run.fan_in(&ids(&[3]), id(1), 30);
-        run.context(id(2)).send(id(1), 40);
-        run.finish();
-        assert_eq!(cuts_of(&cuts), ["1:1", "[2, 3, 2]>0:20", "3:1", "2:1"]);
-        assert_eq!(
-            shape(&outbox),
-            [(10, vec![0]), (30, vec![1]), (40, vec![1])]
-        );
-        let Cut::FanIn(fan) = &cuts[1] else {
-            unreachable!()
-        };
-        assert_eq!(fan.sent_at, 3);
     }
 
     #[test]
     #[should_panic(expected = "fan-in node n4 out of range (n=4)")]
     fn a_fan_in_from_an_out_of_range_sender_is_refused() {
         let mut rngs: Vec<_> = (0..4).map(|i| node_rng(1, i)).collect();
-        let (mut outbox, mut cuts) = (Runs::<u32>::new(), Vec::new());
-        let mut run = RunContext::new(4, 0, &mut rngs, &mut outbox, &mut cuts);
+        let mut session = EngineSession::<u32>::new(1);
+        let mut metrics = Metrics::new(4, &std::collections::BTreeSet::new());
+        let mut run = RunContext::new(4, 0, 0, &mut rngs, &mut session, &mut metrics);
         run.fan_in(&ids(&[1, 4]), NodeId::from_index(0), 1);
     }
 }
