@@ -206,8 +206,9 @@ pub enum ConfigError {
         /// Offending system size.
         n: usize,
     },
-    /// Quorum size out of `[3, min(n, 127)]` — at least 3, at most the
-    /// system, and no wider than the run's 128-bit vote masks.
+    /// Quorum size out of `[3, min(n, 63)]` — at least 3, at most the
+    /// system, and no wider than the run's 64-bit vote masks (one bit
+    /// reserved).
     BadQuorumSize {
         /// Requested quorum size.
         d: usize,
@@ -324,17 +325,17 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::BadQuorumSize { .. })
         ));
-        // The vote masks hold 127 positions, whatever n allows.
-        let wide = AerConfig::recommended(256).with_d(128);
+        // The vote masks hold 63 positions, whatever n allows.
+        let wide = AerConfig::recommended(256).with_d(64);
         assert_eq!(
             wide.validate(),
-            Err(ConfigError::BadQuorumSize { d: 128, n: 256 })
+            Err(ConfigError::BadQuorumSize { d: 64, n: 256 })
         );
         assert_eq!(
             wide.validate().unwrap_err().to_string(),
-            "quorum size 128 outside [3, 127]"
+            "quorum size 64 outside [3, 63]"
         );
-        assert_eq!(AerConfig::recommended(256).with_d(127).validate(), Ok(()));
+        assert_eq!(AerConfig::recommended(256).with_d(63).validate(), Ok(()));
     }
 
     #[test]

@@ -47,8 +47,9 @@ const REPAIR_ANSWER_CAP: u32 = 8;
 struct OwnPoll {
     s: GString,
     r: Label,
-    /// Bitmask over positions in `J(x, r)` of members that answered.
-    answered_by: u128,
+    /// `u64` bitmask over positions in `J(x, r)` of members that
+    /// answered.
+    answered_by: u64,
     started: Step,
 }
 
@@ -116,12 +117,12 @@ pub struct PullPhase {
     // --- answerer (Algorithm 3) ---
     polled: FxHashSet<(NodeId, StringKey)>,
     /// Dense-slot vote arena for `on_fw2`: per `(H(s, self), origin)` —
-    /// packed into one `u64` by [`slot_vote_key`] — a bitmask over
+    /// packed into one `u64` by [`slot_vote_key`] — a `u64` bitmask over
     /// positions in `H(s, self)` of second-hop forwarders seen. Votes only
     /// accumulate for the current belief, whose quorum slot is memoized
     /// in the belief table, so the hot path does no sampler-key hashing
     /// at all.
-    fw2_senders: FxHashMap<u64, u128>,
+    fw2_senders: FxHashMap<u64, u64>,
     answered: FxHashSet<(NodeId, StringKey)>,
     answer_counts: FxHashMap<StringKey, u64>,
     deferred: Vec<DeferredFw2>,
@@ -905,6 +906,60 @@ mod tests {
             assert!(p.on_answer(list[0], g).is_none());
         }
         assert!(p.decided().is_none(), "one member cannot decide alone");
+    }
+
+    #[test]
+    fn at_the_widest_quorum_position_62_counts_once_for_fw2_and_answers() {
+        // d = 63, majority 32: the member at position 62 votes first and
+        // twice, then 30 more leave the count one short, and the 32nd
+        // distinct member crosses — only if position 62 counted once.
+        const D: usize = crate::state::MAX_QUORUM_SIZE;
+        let (n, g) = (256, gs(0));
+        let (scheme, _) = setup(n, D);
+        let order: Vec<usize> = [D - 1, D - 1].into_iter().chain(0..31).collect();
+        assert_eq!(scheme.pull.majority(), 32);
+
+        // Algorithm 3: Fw2 senders of H(s, w), the poll already in.
+        let w = NodeId::from_index(7);
+        let h_w = scheme.pull.quorum(g.key(), w);
+        let mut p = phase(w.index(), g, n, D);
+        let origin = NodeId::from_index(20);
+        let mut w_hand = hand(&p, n);
+        let (r, _) = find_label_containing(p.poll(), origin, w);
+        let _ = w_hand.sent(1, |ctx| p.on_poll(origin, g, r, ctx));
+        let answers: Vec<usize> = order
+            .iter()
+            .map(|&pos| {
+                w_hand
+                    .sent(3, |ctx| p.on_fw2(h_w[pos], origin, g, r, ctx))
+                    .len()
+            })
+            .collect();
+        assert_eq!(answers.iter().sum::<usize>(), 1);
+        assert_eq!(answers.last(), Some(&1), "the 32nd distinct sender answers");
+
+        // Algorithm 1: answerers of J(x, r).
+        let mut q = phase(2, g, n, D);
+        let sends = hand(&q, n).sent(0, |ctx| q.start_poll(g, ctx));
+        let r = sends
+            .iter()
+            .find_map(|(_, m)| match m {
+                AerMsg::Poll(_, r) => Some(*r),
+                _ => None,
+            })
+            .expect("a poll was sent");
+        let list = q.poll().poll_list(q.x, r);
+        assert_eq!(list.len(), D);
+        let decisions: Vec<bool> = order
+            .iter()
+            .map(|&pos| q.on_answer(list[pos], g).is_some())
+            .collect();
+        assert_eq!(decisions.iter().filter(|&&d| d).count(), 1);
+        assert_eq!(
+            decisions.last(),
+            Some(&true),
+            "the 32nd distinct answer decides"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::state::AerRunState;
 /// string and maintains the accepted list `L_x`.
 ///
 /// Vote counting lives in the run's shared [`AerRunState`], keyed by the
-/// interned quorum slot of `I(s, x)` — one contiguous `u128`-per-quorum
+/// interned quorum slot of `I(s, x)` — one contiguous `u64`-per-quorum
 /// vector for the whole run instead of a hash map of sender sets per
 /// node. Slots are unique per `(s, x)`, so nodes never alias each other's
 /// masks even though the storage is shared.
@@ -207,8 +207,9 @@ pub fn push_targets(scheme: &QuorumScheme, assignments: &[GString]) -> Vec<Vec<N
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::MAX_QUORUM_SIZE;
     use fba_samplers::PollSampler;
-    use std::collections::BTreeSet;
+    use std::ops::Range;
 
     fn scheme(n: usize, d: usize) -> QuorumScheme {
         QuorumScheme::new(7, n, d)
@@ -237,51 +238,114 @@ mod tests {
         assert_eq!(p.own_candidate(), &own);
     }
 
-    #[test]
-    fn acceptance_requires_quorum_majority_of_distinct_members() {
-        let sc = scheme(32, 5);
-        let x = NodeId::from_index(3);
-        let mut p = phase(x, gs(1, 16), sc);
-        let s = gs(2, 16);
-        let quorum = sc.push.quorum(s.key(), x);
-        assert_eq!(quorum.len(), 5);
-        let maj = sc.push.majority(); // 3
+    /// The pushes of one step-table row, all for the same string `s`.
+    enum Input {
+        /// One push from every node outside `I(s, x)`.
+        Outsiders,
+        /// One push from the member at each position of `I(s, x)`, in
+        /// order.
+        Members(Range<usize>),
+    }
 
-        // First two pushes: below threshold.
-        assert!(p.on_push(quorum[0], s).is_none());
-        assert!(p.on_push(quorum[1], s).is_none());
-        // Duplicate sender does not advance the counter.
-        assert!(p.on_push(quorum[1], s).is_none());
-        assert!(!p.contains(&s));
-        // Third distinct member crosses the majority.
-        let newly = p.on_push(quorum[maj - 1], s);
-        assert_eq!(newly, Some(s));
-        assert!(p.contains(&s));
-        // Further pushes for an accepted string are no-ops.
-        assert!(p.on_push(quorum[3], s).is_none());
-        assert_eq!(p.candidates().len(), 2);
+    /// What a row's pushes returned and the phase's state after them.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Outputs {
+        /// Pushes that returned `Some(s)`: `s` newly accepted.
+        accepted: usize,
+        /// Strings counted but not yet accepted.
+        pending: usize,
+        /// `|L_x|`.
+        candidates: usize,
+    }
+
+    struct TestStep {
+        desc: &'static str,
+        input: Input,
+        expected_outputs: Outputs,
     }
 
     #[test]
-    fn pushes_from_non_members_are_filtered() {
-        let sc = scheme(32, 5);
-        let x = NodeId::from_index(3);
+    fn algorithm_1_accepts_a_push_at_a_strict_majority_of_its_quorum() {
+        // The widest quorum a run supports, so the last vote bit counts.
+        const D: usize = MAX_QUORUM_SIZE;
+        const MAJORITY: usize = D / 2 + 1;
+        let (n, x, s) = (256, NodeId::from_index(3), gs(2, 16));
+        let sc = scheme(n, D);
         let mut p = phase(x, gs(1, 16), sc);
-        let s = gs(2, 16);
-        let quorum: BTreeSet<_> = sc.push.quorum(s.key(), x).into_iter().collect();
-        let outsiders: Vec<_> = (0..32)
-            .map(NodeId::from_index)
-            .filter(|y| !quorum.contains(y))
-            .collect();
-        for y in outsiders {
-            assert!(p.on_push(y, s).is_none());
+        let quorum = sc.push.quorum(s.key(), x);
+        assert_eq!((quorum.len(), sc.push.majority()), (D, MAJORITY));
+        let counting = Outputs {
+            pending: 1,
+            candidates: 1,
+            ..Outputs::default()
+        };
+        let table = [
+            TestStep {
+                desc: "§3.1.1: a push from outside I(s, x) is ignored and leaves no state",
+                input: Input::Outsiders,
+                expected_outputs: Outputs {
+                    candidates: 1,
+                    ..Outputs::default()
+                },
+            },
+            TestStep {
+                desc: "§3.1.1: the first member of I(s, x) is below the majority",
+                input: Input::Members(0..1),
+                expected_outputs: counting,
+            },
+            TestStep {
+                desc: "§3.1.1: a member that pushes again counts once",
+                input: Input::Members(0..1),
+                expected_outputs: counting,
+            },
+            TestStep {
+                desc: "§3.1.1: 30 distinct members of 63 stay below the majority",
+                input: Input::Members(1..MAJORITY - 2),
+                expected_outputs: counting,
+            },
+            TestStep {
+                desc: "§3.1.1: the member at position 62 counts, one short of the majority",
+                input: Input::Members(D - 1..D),
+                expected_outputs: counting,
+            },
+            TestStep {
+                desc: "§3.1.1: the member crossing half of I(s, x) accepts s into L_x, once",
+                input: Input::Members(MAJORITY - 2..MAJORITY - 1),
+                expected_outputs: Outputs {
+                    accepted: 1,
+                    candidates: 2,
+                    ..Outputs::default()
+                },
+            },
+            TestStep {
+                desc: "§3.1.1: a member after the acceptance changes nothing",
+                input: Input::Members(MAJORITY - 1..MAJORITY),
+                expected_outputs: Outputs {
+                    candidates: 2,
+                    ..Outputs::default()
+                },
+            },
+        ];
+        for row in table {
+            let senders: Vec<NodeId> = match row.input {
+                Input::Outsiders => (0..n)
+                    .map(NodeId::from_index)
+                    .filter(|y| !quorum.contains(y))
+                    .collect(),
+                Input::Members(positions) => quorum[positions].to_vec(),
+            };
+            let accepted = senders
+                .iter()
+                .filter(|&&y| p.on_push(y, s) == Some(s))
+                .count();
+            let outputs = Outputs {
+                accepted,
+                pending: p.pending(),
+                candidates: p.candidates().len(),
+            };
+            assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
+            assert_eq!(p.contains(&s), outputs.candidates == 2, "{}", row.desc);
         }
-        assert!(!p.contains(&s));
-        assert_eq!(
-            p.pending(),
-            0,
-            "non-member pushes must not allocate counters"
-        );
     }
 
     #[test]

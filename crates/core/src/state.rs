@@ -14,14 +14,15 @@ use fba_sim::NodeId;
 use crate::msg::AerMsg;
 
 /// Largest quorum and poll-list size `d` a run supports: every vote is
-/// one bit of a `u128` at the voter's position in its sorted quorum, and
-/// the all-ones mask is reserved (see [`VOTES_DONE`]).
-pub(crate) const MAX_QUORUM_SIZE: usize = 127;
+/// one bit of a `u64` at the voter's position in its sorted quorum, and
+/// the all-ones mask is reserved (see [`VOTES_DONE`]). The paper's
+/// `d = ⌈3 ln n⌉` is 34 at `Scenario::MAX_N`.
+pub(crate) const MAX_QUORUM_SIZE: usize = 63;
 
 /// Sentinel for an `Fw1` cell whose majority relay already fired; with
 /// `d ≤` [`MAX_QUORUM_SIZE`] the all-ones mask can never arise from real
 /// votes.
-const VOTES_DONE: u128 = u128::MAX;
+const VOTES_DONE: u64 = u64::MAX;
 
 /// The slot of a belief entry no node has written.
 const UNSET_SLOT: SetSlot = SetSlot(u32::MAX);
@@ -54,7 +55,7 @@ struct RunCells {
     /// Per interned push quorum `I(s, x)`, a bitmask over its member
     /// positions of the nodes that pushed `s` to `x`. Slots are unique
     /// per `(s, x)`, so each mask has exactly one owning node.
-    push_votes: Vec<u128>,
+    push_votes: Vec<u64>,
     /// Per node, its current `(believed_key, slot of H(believed, self))`
     /// — the pair every pull handler gates on. [`UNSET_SLOT`] marks a
     /// node no constructor wrote since the instance began: the adversary
@@ -81,13 +82,13 @@ struct Fw1Rows {
     /// Per row, the interned slot of its `H(s, w)`.
     quorums: Vec<SetSlot>,
     /// `d` cells per row, rows back to back.
-    cells: Vec<u128>,
+    cells: Vec<u64>,
 }
 
 impl Fw1Rows {
     /// The `width` cells of the row for `key`, created zeroed (and
     /// remembering its quorum slot `h_w`) on first use.
-    fn row(&mut self, key: u64, h_w: SetSlot, width: usize) -> &mut [u128] {
+    fn row(&mut self, key: u64, h_w: SetSlot, width: usize) -> &mut [u64] {
         let next = self.quorums.len();
         let row = *self
             .index
@@ -120,7 +121,7 @@ impl AerRunState {
     /// # Panics
     ///
     /// Panics if a quorum or poll-list size exceeds the vote-mask width
-    /// (`d ≤ 127`; [`AerConfig::validate`](crate::AerConfig::validate)
+    /// (`d ≤ 63`; [`AerConfig::validate`](crate::AerConfig::validate)
     /// rejects such configs first).
     #[must_use]
     pub fn new(scheme: QuorumScheme, poll: PollSampler) -> Self {
@@ -204,7 +205,7 @@ impl AerRunState {
             masks.resize(idx + 1, 0);
         }
         let mask = &mut masks[idx];
-        let b = 1u128 << bit;
+        let b = 1u64 << bit;
         let newly = *mask & b == 0;
         *mask |= b;
         (newly, mask.count_ones())
@@ -346,7 +347,7 @@ mod tests {
         )
     }
 
-    fn push_mask(state: &AerRunState, slot: SetSlot) -> u128 {
+    fn push_mask(state: &AerRunState, slot: SetSlot) -> u64 {
         let cells = state.cells.borrow();
         cells.push_votes.get(slot.0 as usize).copied().unwrap_or(0)
     }
@@ -375,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "supports d \u{2264} 127")]
+    #[should_panic(expected = "supports d \u{2264} 63")]
     fn quorums_wider_than_the_masks_are_rejected() {
         let (scheme, poll) = setup(256, MAX_QUORUM_SIZE + 1);
         let _ = AerRunState::new(scheme, poll);
@@ -428,9 +429,14 @@ mod tests {
             /// Every node believes `believed(i)`; the request polls the
             /// first member of `J(origin, r)`.
             fn new(believed: impl Fn(usize) -> GString) -> Net {
-                let (scheme, poll) = setup(N, D);
+                Net::sized(N, D, believed)
+            }
+
+            /// [`Net::new`] over `n` nodes and quorums of `d`.
+            fn sized(n: usize, d: usize, believed: impl Fn(usize) -> GString) -> Net {
+                let (scheme, poll) = setup(n, d);
                 let state = AerRunState::new(scheme, poll);
-                let phases = (0..N)
+                let phases = (0..n)
                     .map(|i| {
                         let x = NodeId::from_index(i);
                         PullPhase::new(x, believed(i), &state, 100, RetryPolicy::strict())
@@ -472,7 +478,7 @@ mod tests {
                 fired
             }
 
-            fn cells(&self) -> Vec<u128> {
+            fn cells(&self) -> Vec<u64> {
                 self.state.cells.borrow().fw1.cells.clone()
             }
 
@@ -503,6 +509,44 @@ mod tests {
                 assert_eq!(net.run(routers[y], g, &relays), fires, "{clause}");
             }
             assert_eq!((net.poll_lists(), net.state.fw1_row_count()), (1, 1));
+            assert!(net.cells().iter().all(|&cell| cell == VOTES_DONE));
+        }
+
+        #[test]
+        fn at_the_widest_quorum_the_last_router_counts_and_relays_fire_once() {
+            // d = 63: the router at position 62 sets the mask's top vote
+            // bit and is the 32nd, crossing the majority.
+            const WIDE: usize = MAX_QUORUM_SIZE;
+            let g = gs(0);
+            let net = Net::sized(256, WIDE, |_| g);
+            let (routers, relays) = (net.quorum(g, net.origin), net.quorum(g, net.w));
+            assert_eq!(
+                (routers.len(), net.state.pull_quorums.majority()),
+                (WIDE, 32)
+            );
+            let none: &[NodeId] = &[];
+            let table = [
+                ("31 routers: one short of the majority", 0..31, none),
+                (
+                    "the router at position 62 crosses it",
+                    WIDE - 1..WIDE,
+                    &relays[..],
+                ),
+                ("the same router again counts once", WIDE - 1..WIDE, none),
+                (
+                    "every other router after the relay fired",
+                    31..WIDE - 1,
+                    none,
+                ),
+            ];
+            for (clause, positions, fires) in table {
+                let fired: Vec<NodeId> = routers[positions]
+                    .iter()
+                    .flat_map(|&y| net.run(y, g, &relays))
+                    .collect();
+                assert_eq!(fired, fires, "{clause}");
+            }
+            assert_eq!(net.cells().len(), WIDE, "one row of d cells");
             assert!(net.cells().iter().all(|&cell| cell == VOTES_DONE));
         }
 

@@ -17,8 +17,8 @@ proptest! {
         keys in collection::vec(any::<u64>(), 1..20),
         probe_salt in any::<u64>(),
     ) {
-        // Every size a run accepts — uniform over 3..=min(n, 127) — not
-        // only the κ = 3 default (≤ 19 here).
+        // Every size a run accepts (d ≤ 63) and wider — uniform over
+        // 3..=min(n, 127) — not only the κ = 3 default (≤ 19 here).
         let d = 3 + d_draw % (n.min(127) - 2);
         let scheme = QuorumScheme::new(seed, n, d);
         for (cache, sampler) in [

@@ -391,6 +391,15 @@ mod tests {
         let err = Scenario::new(32).quorum_size(2).run(1).unwrap_err();
         assert!(matches!(err, ScenarioError::Config(_)));
         assert!(err.to_string().contains("quorum"));
+        // One past the vote-mask width is a spec error, not the run
+        // state's panic, and the widest mask is a run.
+        let wide = Scenario::new(256).quorum_size(64);
+        let bad = Err(ScenarioError::Config(
+            fba_core::ConfigError::BadQuorumSize { d: 64, n: 256 },
+        ));
+        assert_eq!(wide.validate(), bad);
+        assert_eq!(wide.run(1).map(drop), bad);
+        assert!(Scenario::new(256).quorum_size(63).validate().is_ok());
     }
 
     #[test]

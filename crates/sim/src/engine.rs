@@ -115,7 +115,7 @@ pub struct EngineSession<M> {
     sched_buf: Vec<(Step, i64)>,
     /// The step's per-envelope view, in send order (see `flatten`).
     flat: Vec<Envelope<M>>,
-    /// Storage of delivered batches, for the next outboxes.
+    /// Storage of delivered batches, emptied, for the next outboxes.
     pool: Vec<Runs<M>>,
     /// Scratch of one [`Protocol::deliver_run`] call: the run's recipient
     /// list minus its dark members.
@@ -152,7 +152,7 @@ impl<M> EngineSession<M> {
         self.due.clear();
         self.sched_buf.clear();
         self.flat.clear();
-        // `pool` storage is cleared on reuse by `Runs::recycled`; every
+        // `pool` holds only outboxes `Runs::pool_into` emptied; every
         // callback and every `deliver_run` leaves `outbox_buf` and
         // `run_live` empty.
     }
@@ -308,7 +308,7 @@ impl<M: Clone> EngineSession<M> {
                 }
             });
             if let Delivery::Batch(batch) = delivery {
-                pool.push(*batch.body);
+                batch.body.pool_into(pool);
             }
         }
     }
@@ -676,7 +676,7 @@ impl<P: Protocol> StepState<'_, P> {
                             self.deliver_run(from, msg, recipients)
                         });
                     }
-                    self.session.pool.push(*batch.body);
+                    batch.body.pool_into(&mut self.session.pool);
                 }
                 Delivery::FanIn(fan) => self.deliver_fan_in(*fan),
             }

@@ -337,16 +337,26 @@ impl<M> Runs<M> {
         Some(single.expect("a run has a recipient"))
     }
 
-    /// An empty outbox on recycled storage from `pool` (cleared here), so
-    /// the engine's per-step hot loop reuses allocations.
+    /// Empties a delivered outbox into `pool`. Its heads and copied
+    /// recipients keep their capacity for a later outbox; its parts and
+    /// part functions are freed, so the pool holds no payload and no
+    /// handle on a recipient list. (A delivered `Fw1` wave's parts are
+    /// most of a run's in-flight memory, and later outboxes barely reuse
+    /// them.)
+    pub(crate) fn pool_into(mut self, pool: &mut Vec<Runs<M>>) {
+        self.runs.clear();
+        self.to.clear();
+        self.parts = Vec::new();
+        self.part_fns = Vec::new();
+        self.len = 0;
+        pool.push(self);
+    }
+
+    /// An empty outbox on storage from `pool`, which holds only emptied
+    /// outboxes (see [`Runs::pool_into`]), so the engine's per-step hot
+    /// loop reuses allocations.
     pub(crate) fn recycled(pool: &mut Vec<Runs<M>>) -> Self {
-        let mut spare = pool.pop().unwrap_or_default();
-        spare.runs.clear();
-        spare.to.clear();
-        spare.parts.clear();
-        spare.part_fns.clear();
-        spare.len = 0;
-        spare
+        pool.pop().unwrap_or_default()
     }
 }
 
@@ -653,15 +663,23 @@ pub(crate) mod tests {
 
     #[test]
     fn storage_recycling_round_trips() {
+        // A delivered body enters the pool emptied: its heads and copied
+        // recipients keep their capacity, its parts and part functions
+        // are freed, and no payload or list handle stays behind.
         let mut body = batch(0, 0, &[(3, &[1])]).body;
-        push_tagged(&mut body, 4, &[(0, &list(&[2]))]);
-        let mut pool = vec![*body];
+        let shared = list(&[2]);
+        push_tagged(&mut body, 4, &[(0, &shared)]);
+        assert_eq!(Rc::strong_count(&shared), 2, "the part holds a handle");
+        let kept = (body.runs.capacity(), body.to.capacity());
+        let mut pool = Vec::new();
+        body.pool_into(&mut pool);
+        assert_eq!(Rc::strong_count(&shared), 1, "the pool holds none");
         let spare = Runs::recycled(&mut pool);
-        assert_eq!((spare.len(), spare.run_count()), (0, 0));
-        assert!(spare.to.capacity() > 0, "the pooled allocation, emptied");
-        assert!(spare.parts.is_empty() && spare.parts.capacity() > 0);
-        assert!(spare.part_fns.is_empty() && spare.part_fns.capacity() > 0);
         assert!(pool.is_empty());
+        assert_eq!((spare.len(), spare.run_count(), spare.to.len()), (0, 0, 0));
+        assert_eq!((spare.runs.capacity(), spare.to.capacity()), kept);
+        assert!(kept.0 > 0 && kept.1 > 0, "the pooled allocations, emptied");
+        assert_eq!((spare.parts.capacity(), spare.part_fns.capacity()), (0, 0));
         assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
     }
 
