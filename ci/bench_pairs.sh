@@ -19,7 +19,8 @@
 # (ties count for neither side). A gain is claimed at >= 9/10 wins and a
 # median gap above the parent's quartile distance; use seeds no one
 # looked at while writing the change. Exits 1 if any workload's exact
-# metrics differed on any pair.
+# metrics differed on any pair, or at the first pass that exits non-zero,
+# naming its workload, side and seed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,10 +45,15 @@ for side in parent change; do
 done
 
 # One pass of `side` on `workload` and `seed`: "<metric> <value>" lines.
+# A pass that exits non-zero (an op failed) ends the script, named.
 pass() {
-    local line metric
+    local line metric code=0
     line=$(cd "$scratch/$1/benchmark" && "$scratch/target-$1/release/benchmark" \
-        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1)
+        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) || code=$?
+    if [ "$code" -ne 0 ]; then
+        echo "bench_pairs: $2 $1 seed $3 exited $code" >&2
+        exit 1
+    fi
     for metric in $timed $exact; do
         # The value as printed, not re-parsed: no float formatting in between.
         echo "$metric $(sed -E "s/.*\"$metric\": \{\"value\": ([^,}]+).*/\1/" <<<"$line")"

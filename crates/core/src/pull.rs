@@ -963,52 +963,132 @@ mod tests {
     }
 
     #[test]
-    fn overload_defers_until_decision() {
-        let n = 64;
-        let d = 5;
+    fn algorithm_3_parks_overloaded_forwards_until_the_decision() {
+        /// One row's calls.
+        enum Input {
+            /// `on_poll(origin, s)` from requester `origin`, then `on_fw2`
+            /// for it from every member of `H(s, x)`, in order.
+            Served { origin: usize, s: GString },
+            /// A majority of the node's own `J(x, r)` answers `g`, then
+            /// `on_decided`.
+            Decide,
+        }
+
+        /// What a row's calls sent and the phase's state after them.
+        #[derive(Debug, PartialEq)]
+        struct Outputs {
+            /// The requesters answered, in send order.
+            answered: Vec<usize>,
+            deferred: usize,
+            decided: bool,
+        }
+
+        struct TestStep {
+            desc: &'static str,
+            input: Input,
+            expected_outputs: Outputs,
+        }
+
+        const CAP: u64 = 2;
+        let (n, d, x) = (64, 5, NodeId::from_index(7));
+        let (g, other) = (gs(0), gs(1));
         let (scheme, poll) = setup(n, d);
-        let g = gs(0);
-        let key = g.key();
-        let w = NodeId::from_index(7);
-        let h_w = scheme.pull.quorum(key, w);
+        let majority = scheme.pull.majority();
+        // A majority answers; the members after it are the trailing ones.
+        let trailing = d - majority;
         let state = AerRunState::new(scheme, poll);
-        let mut p = PullPhase::new(w, g, &state, 1, RetryPolicy::strict()); // cap = 1
-
-        // Serve requester A fully: poll + Fw2 majority => 1 answer (hits cap).
-        let origin_a = NodeId::from_index(20);
+        let mut p = PullPhase::new(x, g, &state, CAP, RetryPolicy::strict());
         let mut hand = hand(&p, n);
-        let (ra, _) = find_label_containing(p.poll(), origin_a, w);
-        let _ = hand.sent(1, |ctx| p.on_poll(origin_a, g, ra, ctx));
-        let mut answered = 0;
-        let mut parked_for_a = 0;
-        for &z in &h_w {
-            answered += hand.sent(3, |ctx| p.on_fw2(z, origin_a, g, ra, ctx)).len();
-            if answered == 1 {
-                // Once the cap is hit, even A's trailing forwards park.
-                parked_for_a = p.deferred_len();
-            }
+        let sent = hand.sent(0, |ctx| p.start_poll(g, ctx));
+        let r = sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                AerMsg::Poll(_, r) => Some(*r),
+                _ => None,
+            })
+            .expect("the node polls J(x, r)");
+        let outputs = |answered: &[usize], deferred: usize, decided: bool| Outputs {
+            answered: answered.to_vec(),
+            deferred,
+            decided,
+        };
+        let table = [
+            TestStep {
+                desc: "Algorithm 3: below overload_cap a polled Fw2 majority is answered, once",
+                input: Input::Served { origin: 20, s: g },
+                expected_outputs: outputs(&[20], 0, false),
+            },
+            TestStep {
+                desc: "Algorithm 3: the answer that reaches overload_cap is sent; \
+                       the requester's trailing forwards park",
+                input: Input::Served { origin: 21, s: g },
+                expected_outputs: outputs(&[21], trailing, false),
+            },
+            TestStep {
+                desc: "Lemma 6: at the cap a later Fw2 majority parks and nothing is sent",
+                input: Input::Served { origin: 22, s: g },
+                expected_outputs: outputs(&[], trailing + d, false),
+            },
+            TestStep {
+                desc: "Lemma 6: a second requester's majority parks behind the first",
+                input: Input::Served { origin: 23, s: g },
+                expected_outputs: outputs(&[], trailing + 2 * d, false),
+            },
+            TestStep {
+                desc: "Algorithm 3: the cap is per string; another string's forwards \
+                       do not park and, not believed, are dropped",
+                input: Input::Served {
+                    origin: 24,
+                    s: other,
+                },
+                expected_outputs: outputs(&[], trailing + 2 * d, false),
+            },
+            TestStep {
+                desc: "Algorithm 3: the decision releases the parked forwards in \
+                       arrival order and answers only the decided string, once \
+                       per requester",
+                input: Input::Decide,
+                expected_outputs: outputs(&[22, 23], 0, true),
+            },
+            TestStep {
+                desc: "Algorithm 3: after the decision nothing parks",
+                input: Input::Served { origin: 25, s: g },
+                expected_outputs: outputs(&[25], 0, true),
+            },
+        ];
+        for (step, row) in (1..).zip(table) {
+            let sent = match row.input {
+                Input::Served { origin, s } => {
+                    let origin = NodeId::from_index(origin);
+                    let (r, _) = find_label_containing(p.poll(), origin, x);
+                    let h_x = scheme.pull.quorum(s.key(), x);
+                    let mut sent = hand.sent(step, |ctx| p.on_poll(origin, s, r, ctx));
+                    for &z in &h_x {
+                        sent.extend(hand.sent(step, |ctx| p.on_fw2(z, origin, s, r, ctx)));
+                    }
+                    sent
+                }
+                Input::Decide => {
+                    let list = p.poll().poll_list(x, r);
+                    let decisions = list[..majority].iter().filter_map(|&w| p.on_answer(w, g));
+                    assert_eq!(decisions.last(), Some(g), "{}", row.desc);
+                    hand.sent(step, |ctx| p.on_decided(ctx))
+                }
+            };
+            assert!(
+                sent.iter().all(|(_, m)| *m == AerMsg::Answer(g)),
+                "{}",
+                row.desc
+            );
+            let outputs = Outputs {
+                answered: sent.iter().map(|(to, _)| to.index()).collect(),
+                deferred: p.deferred_len(),
+                decided: p.decided().is_some(),
+            };
+            assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
         }
-        assert_eq!(answered, 1);
-        assert_eq!(p.answers_sent_for(&g), 1);
-
-        // Requester B: all Fw2s are now parked.
-        let origin_b = NodeId::from_index(21);
-        let (rb, _) = find_label_containing(p.poll(), origin_b, w);
-        let _ = hand.sent(1, |ctx| p.on_poll(origin_b, g, rb, ctx));
-        for &z in &h_w {
-            let out = hand.sent(3, |ctx| p.on_fw2(z, origin_b, g, rb, ctx));
-            assert!(out.is_empty());
-        }
-        assert_eq!(p.deferred_len(), h_w.len() + parked_for_a);
-
-        // Decision unlocks the queue; B gets its answer.
-        p.decided = Some(g);
-        p.believed = g;
-        let out = hand.sent(4, |ctx| p.on_decided(ctx));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, origin_b);
-        assert_eq!(p.deferred_len(), 0);
-        assert_eq!(p.answers_sent_for(&g), 2);
+        assert_eq!(p.answers_sent_for(&g), 5);
+        assert_eq!(p.answers_sent_for(&other), 0);
     }
 
     /// Finds a label whose poll list for `origin` contains `member`.

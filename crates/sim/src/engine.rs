@@ -100,8 +100,8 @@ impl EngineConfig {
 /// protocol logic) and the calendar starts a fresh epoch via
 /// [`CalendarQueue::reset`].
 ///
-/// A session is not `Send`: the part runs it holds share recipient lists
-/// by `Rc` (see [`Runs`]), and a run executes on one thread.
+/// A session is not `Send`: the runs it holds share recipient lists by
+/// `Rc` (see [`Runs`]), and a run executes on one thread.
 #[derive(Debug)]
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
@@ -647,7 +647,7 @@ impl<P: Protocol> StepState<'_, P> {
     }
 
     /// Stage 3: the deliveries due this step, in calendar order; a batch
-    /// is delivered run by run — a part run part by part — in send order.
+    /// is delivered run by run, each run part by part, in send order.
     /// Anything to or from a dark node is dropped and counted. Deliveries
     /// to corrupt nodes are counted as received and reach the adversary
     /// through `observe`, which sees every envelope anyway.
@@ -701,10 +701,10 @@ impl<P: Protocol> StepState<'_, P> {
         }
     }
 
-    /// One run of a due batch, or one part of a part run with its payload
-    /// built: drops (and counts) the dark recipients, records the receipt
-    /// of the others, and hands them to [`Protocol::deliver_run`] in one
-    /// call. Its [`RunContext`] ships each recipient's outbox as a
+    /// One part of a due batch's run, with its payload as sent or built
+    /// for the part: drops (and counts) the dark recipients, records the
+    /// receipt of the others, and hands them to [`Protocol::deliver_run`]
+    /// in one call. Its [`RunContext`] ships each recipient's outbox as a
     /// callback's is shipped, as that recipient's context closes.
     fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
         let mut live = std::mem::take(&mut self.session.run_live);

@@ -38,14 +38,14 @@
 //!    `(priority, send order)` order; anything to or from a dark node is
 //!    dropped and counted. A single envelope is one
 //!    [`Protocol::on_message`]. A batch is delivered run by run, in send
-//!    order: each run — one multicast as its sender made it: one
-//!    payload, its recipient list minus the dark ones; a part run, part
-//!    by part — is one [`Protocol::deliver_run`] call over the node
-//!    table, whose default
-//!    is `on_message` per recipient in list order. The engine keeps the
-//!    accounting and the dark filter on its side of the call, and ships
-//!    what each recipient sent through its [`RunContext::context`] as
-//!    that recipient's outbox as the context closes — when the next
+//!    order, and each run part by part: each part — its payload as sent,
+//!    or built for the part, and its recipient list minus the dark ones —
+//!    is one [`Protocol::deliver_run`] call over the node table, whose
+//!    default is `on_message` per recipient in list order. The engine
+//!    keeps the accounting and the dark filter on its side of the call,
+//!    and ships what each recipient sent through its
+//!    [`RunContext::context`] as that recipient's outbox as the context
+//!    closes — when the next
 //!    recipient's opens, a fan-in is pushed or the call returns — so an
 //!    override can only save work, not reorder it. What several
 //!    recipients send through [`RunContext::fan_in`] — one payload, one
@@ -97,19 +97,21 @@
 //!   Thread count and interleaving cannot affect any run's RNG streams,
 //!   so parallel output equals serial output bit for bit.
 //! * **Batched bulk lane** — a callback's outbox *is* batch storage
-//!   ([`Runs`]: per [`Context::multicast`] one stored payload and a copy
-//!   count, plus one flat recipient list), and an outbox of two or more
-//!   messages ships as it stands, as one batch on the calendar's bulk
-//!   lane, instead of per-message envelopes (a lone message stays an
-//!   envelope). Nothing is cloned or compared on the way, and how a
-//!   sender cut its sends into runs is invisible: `multicast(&[a, b], m)`
-//!   and `send(a, m); send(b, m)` are the same two envelopes. So is how
-//!   a run stores its messages: a part run ([`Context::multicast_parts`])
-//!   stores one payload, a part function and per part a tag and a handle
-//!   on a list the sender shares, and each part is the same envelopes as
-//!   a multicast of `part(&msg, tag)` over a copy of its list — built
-//!   from the stored payload wherever the engine reads the run (views,
-//!   accounting, delivery, splits). The other
+//!   ([`Runs`]: per run one stored payload, an optional part function
+//!   and its parts, each a tag and a handle on a recipient list), and an
+//!   outbox of two or more messages ships as it stands, as one batch on
+//!   the calendar's bulk lane, instead of per-message envelopes (a lone
+//!   message stays an envelope). Nothing is cloned or compared on the
+//!   way, and how a sender cut its sends into runs is invisible:
+//!   `multicast(&[a, b], m)` and `send(a, m); send(b, m)` are the same
+//!   two envelopes. So is how a run stores its messages: a multicast is
+//!   a run of one part over a list of its targets that delivers its
+//!   payload as sent, and [`Context::multicast_parts`] stores one
+//!   payload, a part function and per part a tag and a handle on a list
+//!   the sender shares, each part the same envelopes as a multicast of
+//!   `part(&msg, tag)` over its list — built from the stored payload
+//!   wherever the engine reads the run (views, accounting, delivery,
+//!   splits). The other
 //!   direction is framing too: a [`RunContext::fan_in`] — one payload
 //!   from several recipients of one run to one node — is one stored
 //!   payload and a sender list, and is the same envelopes as each sender

@@ -96,23 +96,21 @@ impl<M: WireSize> Envelope<M> {
 }
 
 /// One sender's messages in send order, stored by the run. A run is one
-/// stored payload however wide its fan-out, in one of two forms:
-///
-/// * a *copied* run — one payload to every node of a recipient list
-///   copied into one flat list the runs share;
-/// * a *part* run — one payload, a part function and an ordered list of
-///   parts, each a tag and a handle on a recipient list the sender
-///   already holds as an `Rc<[NodeId]>`. Part `i` is the message
-///   `part(&msg, tag_i)` to every node of list `i`, so `d` messages that
-///   differ in one field are one stored payload and `d` handles.
+/// stored payload however wide its fan-out: the payload, an optional part
+/// function and an ordered list of parts, each a tag and a handle on a
+/// recipient list as an `Rc<[NodeId]>`. Part `i` is the message
+/// `part(&msg, tag_i)` to every node of list `i` — or, in a run without a
+/// part function, `msg` itself — so `d` messages that differ in one field
+/// are one stored payload and `d` handles, and a multicast is a run of one
+/// part that delivers its payload as sent.
 ///
 /// This is what a callback's [`Context`](crate::Context) writes into and,
 /// unchanged, what a batch carries through the calendar: a run is opened
 /// by [`Context::multicast`](crate::Context::multicast) (or `send`, the
 /// run of one) or [`Context::multicast_parts`](crate::Context::multicast_parts)
 /// and is never found by comparing payloads, so two equal payloads sent by
-/// two calls stay two runs. The form is storage only: a part run is the
-/// same messages as one copied run per part, each carrying its built
+/// two calls stay two runs. The parts are storage only: a run of `k`
+/// parts is the same messages as `k` multicasts, each carrying its built
 /// payload.
 ///
 /// `Runs` is not `Send`: a part's list is an `Rc`, and a run executes on
@@ -121,56 +119,39 @@ impl<M: WireSize> Envelope<M> {
 pub struct Runs<M> {
     /// One head per run, in send order.
     runs: Vec<Run<M>>,
-    /// Recipients of every copied run, in send order.
-    to: Vec<NodeId>,
-    /// Parts of every part run, in send order.
+    /// Parts of every run, in send order.
     parts: Vec<Part>,
-    /// The part function of every part run, in send order.
-    part_fns: Vec<PartFn<M>>,
-    /// Messages in all runs: `to.len()` plus every part's list length.
+    /// Messages in all runs: every part's list length.
     len: usize,
 }
 
-/// What a part run's part `(tag, list)` sends to every node of `list`,
-/// built from the run's stored payload: `part(&msg, tag)`.
-type PartFn<M> = fn(&M, NodeId) -> M;
+/// What a run's part `(tag, list)` sends to every node of `list`, built
+/// from the run's stored payload: `part(&msg, tag)`.
+pub(crate) type PartFn<M> = fn(&M, NodeId) -> M;
 
-/// A run's head: its copy count (`≥ 1`), where its recipients are, and
-/// its payload. The two `u32`s share the word before an 8-aligned payload.
+/// A run's head: its payload, its number of parts (the next ones of
+/// `parts`) and its part function, `None` when every part carries the
+/// payload as sent.
 #[derive(Debug)]
 struct Run<M> {
-    /// Messages in the run: its recipients, over all parts.
-    copies: u32,
-    /// `0` when the recipients are the next `copies` entries of `to`,
-    /// else the run's number of parts: the next ones of `parts`, built by
-    /// the next entry of `part_fns`.
     parts: u32,
+    part: Option<PartFn<M>>,
     msg: M,
 }
 
-/// One part of a part run: the tag its payload is built with, and its
-/// recipients (never empty).
+/// One part of a run: the tag its payload is built with (unread in a run
+/// without a part function), and its recipients (never empty).
 #[derive(Debug)]
 struct Part {
     tag: NodeId,
     to: Rc<[NodeId]>,
 }
 
-/// One run as stored, for the readers below.
-enum Stored<'a, M> {
-    /// A copied run: the payload as sent, and its recipients.
-    Copied(&'a M, &'a [NodeId]),
-    /// A part run: the stored payload, the part function, the parts.
-    Parts(&'a M, PartFn<M>, &'a [Part]),
-}
-
 impl<M> Default for Runs<M> {
     fn default() -> Self {
         Runs {
             runs: Vec::new(),
-            to: Vec::new(),
             parts: Vec::new(),
-            part_fns: Vec::new(),
             len: 0,
         }
     }
@@ -195,45 +176,32 @@ impl<M> Runs<M> {
         self.len == 0
     }
 
-    /// The runs as stored, in send order.
-    fn stored(&self) -> impl Iterator<Item = Stored<'_, M>> + '_ {
-        let (mut to, mut parts, mut part_runs) = (0usize, 0usize, 0usize);
+    /// The runs as stored, in send order: payload, part function, parts.
+    fn stored(&self) -> impl Iterator<Item = (&M, Option<PartFn<M>>, &[Part])> + '_ {
+        let mut start = 0;
         self.runs.iter().map(move |run| {
-            if run.parts == 0 {
-                let start = to;
-                to += run.copies as usize;
-                Stored::Copied(&run.msg, &self.to[start..to])
-            } else {
-                let start = parts;
-                parts += run.parts as usize;
-                part_runs += 1;
-                let part = self.part_fns[part_runs - 1];
-                Stored::Parts(&run.msg, part, &self.parts[start..parts])
-            }
+            let parts = &self.parts[start..start + run.parts as usize];
+            start += run.parts as usize;
+            (&run.msg, run.part, parts)
         })
     }
 
-    /// Calls `visit(payload, recipients)` once per delivery unit, in send
-    /// order: a copied run is one, with its payload as sent; a part run is
-    /// one per part, with the payload built for that part. A part's
-    /// recipients are the list it was sent over, not a copy.
+    /// Calls `visit(payload, recipients)` once per part, in send order,
+    /// with the payload built for that part (or as sent, in a run without
+    /// a part function). A part's recipients are the list it was sent
+    /// over, not a copy.
     pub fn for_each_part(&self, mut visit: impl FnMut(&M, &[NodeId])) {
-        for run in self.stored() {
-            match run {
-                Stored::Copied(msg, to) => visit(msg, to),
-                Stored::Parts(msg, part, parts) => {
-                    for p in parts {
-                        visit(&part(msg, p.tag), &p.to);
-                    }
-                }
+        for (msg, part, parts) in self.stored() {
+            for p in parts {
+                let built = part.map(|part| part(msg, p.tag));
+                visit(built.as_ref().unwrap_or(msg), &p.to);
             }
         }
     }
 
     /// Calls `visit(recipient, message)` once per message, in send order:
     /// the per-message view a per-envelope engine ships and handler tests
-    /// read. Each message is its own value — a clone of a copied run's
-    /// payload, or of a part run's payload built for its part.
+    /// read. Each message is its own value, a clone of its part's payload.
     pub fn for_each_message(&self, mut visit: impl FnMut(NodeId, M))
     where
         M: Clone,
@@ -241,84 +209,60 @@ impl<M> Runs<M> {
         // Builds its parts itself rather than through `for_each_part`:
         // the reference engine reads runs through this view alone, so the
         // engine's delivery and its oracle share no part-building code.
-        for run in self.stored() {
-            match run {
-                Stored::Copied(msg, to) => to.iter().for_each(|&to| visit(to, msg.clone())),
-                Stored::Parts(msg, part, parts) => {
-                    for p in parts {
-                        let msg = part(msg, p.tag);
-                        p.to.iter().for_each(|&to| visit(to, msg.clone()));
-                    }
-                }
+        for (msg, part, parts) in self.stored() {
+            for p in parts {
+                let built = part.map(|part| part(msg, p.tag));
+                let msg = built.as_ref().unwrap_or(msg);
+                p.to.iter().for_each(|&to| visit(to, msg.clone()));
             }
         }
     }
 
-    /// Appends one copied run: `msg` to every node of `targets`, in order.
-    /// An empty target list opens no run.
+    /// Appends one run: for every `(tag, list)` of `parts`, in order,
+    /// `part(&msg, tag)` — or `msg` itself, without a part function — to
+    /// every node of `list`, stored as `msg`, `part` and the handles. A
+    /// part with an empty list is left out, and a run with no part left
+    /// opens no run. A recipient `≥ n` is refused: the outbox is left as
+    /// it was and the recipient returned.
     ///
     /// # Panics
     ///
-    /// Panics on more than `u32::MAX` targets.
-    pub(crate) fn push_run(&mut self, targets: &[NodeId], msg: M) {
-        if targets.is_empty() {
-            return;
-        }
-        self.open(targets.len(), 0, msg);
-        self.to.extend_from_slice(targets);
-    }
-
-    /// Appends one part run: for every `(tag, list)` of `parts`, in order,
-    /// `part(&msg, tag)` to every node of `list`, stored as `msg`, `part`
-    /// and the handles. A part with an empty list is left out, and a run
-    /// with no part left opens no run. A recipient `≥ n` is refused: the
-    /// outbox is left as it was and the recipient returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than `u32::MAX` recipients or parts.
+    /// Panics on more than `u32::MAX` parts.
     pub(crate) fn push_parts(
         &mut self,
         msg: M,
-        part: PartFn<M>,
+        part: Option<PartFn<M>>,
         parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
         n: usize,
     ) -> Result<(), NodeId> {
         let parts = parts.into_iter();
         reserve_first(&mut self.parts, parts.size_hint().0);
         let start = self.parts.len();
-        let mut copies = 0;
+        let mut len = 0;
         for (tag, to) in parts {
             if let Some(&out) = to.iter().find(|to| to.index() >= n) {
                 self.parts.truncate(start);
                 return Err(out);
             }
             if !to.is_empty() {
-                copies += to.len();
+                len += to.len();
                 self.parts.push(Part { tag, to });
             }
         }
         if self.parts.len() > start {
-            reserve_first(&mut self.part_fns, 1);
-            self.part_fns.push(part);
-            self.open(copies, self.parts.len() - start, msg);
+            self.len += len;
+            reserve_first(&mut self.runs, 1);
+            self.runs.push(Run {
+                parts: u32::try_from(self.parts.len() - start)
+                    .expect("a run of more than u32::MAX parts"),
+                part,
+                msg,
+            });
         }
         Ok(())
     }
 
-    /// Records the head of a run of `copies` messages in `parts` parts
-    /// (`0` for a copied run).
-    fn open(&mut self, copies: usize, parts: usize, msg: M) {
-        self.len += copies;
-        reserve_first(&mut self.runs, 1);
-        self.runs.push(Run {
-            copies: run_copies(copies),
-            parts: u32::try_from(parts).expect("a run of more than u32::MAX parts"),
-            msg,
-        });
-    }
-
-    /// Number of runs: stored payloads, whatever their form.
+    /// Number of runs: stored payloads.
     #[must_use]
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -329,25 +273,22 @@ impl<M> Runs<M> {
         debug_assert!(self.len() <= 1);
         let run = self.runs.pop()?;
         self.len = 0;
-        let single = match run.parts {
-            0 => self.to.pop().map(|to| (to, run.msg)),
-            _ => (self.parts.pop().zip(self.part_fns.pop()))
-                .map(|(p, part)| (p.to[0], part(&run.msg, p.tag))),
+        let p = self.parts.pop().expect("a run has a part");
+        let msg = match run.part {
+            Some(part) => part(&run.msg, p.tag),
+            None => run.msg,
         };
-        Some(single.expect("a run has a recipient"))
+        Some((p.to[0], msg))
     }
 
-    /// Empties a delivered outbox into `pool`. Its heads and copied
-    /// recipients keep their capacity for a later outbox; its parts and
-    /// part functions are freed, so the pool holds no payload and no
-    /// handle on a recipient list. (A delivered `Fw1` wave's parts are
-    /// most of a run's in-flight memory, and later outboxes barely reuse
-    /// them.)
+    /// Empties a delivered outbox into `pool`. Its heads keep their
+    /// capacity for a later outbox; its parts are freed, so the pool holds
+    /// no payload and no handle on a recipient list. (A delivered `Fw1`
+    /// wave's parts are most of a run's in-flight memory, and later
+    /// outboxes barely reuse them.)
     pub(crate) fn pool_into(mut self, pool: &mut Vec<Runs<M>>) {
         self.runs.clear();
-        self.to.clear();
         self.parts = Vec::new();
-        self.part_fns = Vec::new();
         self.len = 0;
         pool.push(self);
     }
@@ -361,21 +302,12 @@ impl<M> Runs<M> {
 }
 
 /// Reserves exactly `k` slots in `v` if it has none: a fresh outbox most
-/// often ships one run, which amortised growth would hold in four heads,
-/// four part functions and a power of two of parts until delivery.
+/// often ships one run, which amortised growth would hold in four heads
+/// and a power of two of parts until delivery.
 fn reserve_first<T>(v: &mut Vec<T>, k: usize) {
     if v.capacity() == 0 {
         v.reserve_exact(k);
     }
-}
-
-/// The copy count of a run of `len` recipients.
-///
-/// # Panics
-///
-/// Panics when it does not fit the run's `u32`.
-pub(crate) fn run_copies(len: usize) -> u32 {
-    u32::try_from(len).expect("a run of more than u32::MAX copies")
 }
 
 /// A coalesced group of messages one node sent during one step.
@@ -528,7 +460,7 @@ pub(crate) mod tests {
     fn batch(from: usize, sent_at: Step, runs: &[(u32, &[usize])]) -> Batch<u32> {
         let mut body = Box::<Runs<u32>>::default();
         for &(msg, to) in runs {
-            body.push_run(&ids(to), msg);
+            multicast(&mut body, &ids(to), msg);
         }
         Batch {
             from: NodeId::from_index(from),
@@ -542,17 +474,24 @@ pub(crate) mod tests {
         ids(indices).into()
     }
 
+    /// Appends `msg` to every node of `to` as `Context::multicast` does:
+    /// one part, no part function.
+    fn multicast(out: &mut Runs<u32>, to: &[NodeId], msg: u32) {
+        let part = (NodeId::from_index(0), Rc::from(to));
+        assert_eq!(out.push_parts(msg, None, [part], usize::MAX), Ok(()));
+    }
+
     /// The part function of the tests: the payload's tens, then the tag.
     fn tagged(msg: &u32, tag: NodeId) -> u32 {
         10 * msg + tag.index() as u32
     }
 
-    /// Appends a part run of `tagged` over `parts`, all in range.
+    /// Appends a run of `tagged` over `parts`, all in range.
     fn push_tagged(out: &mut Runs<u32>, msg: u32, parts: &[(usize, &Rc<[NodeId]>)]) {
         let parts = parts
             .iter()
             .map(|&(tag, to)| (NodeId::from_index(tag), Rc::clone(to)));
-        assert_eq!(out.push_parts(msg, tagged, parts, usize::MAX), Ok(()));
+        assert_eq!(out.push_parts(msg, Some(tagged), parts, usize::MAX), Ok(()));
     }
 
     /// Whether some part of `runs` reads its recipients from `list` itself.
@@ -574,8 +513,7 @@ pub(crate) mod tests {
         envs
     }
 
-    /// `(payload, recipients)` per delivery unit: a copied run, or one
-    /// part of a part run with its payload built.
+    /// `(payload, recipients)` per part, with its payload built.
     pub(crate) fn shape(runs: &Runs<u32>) -> Vec<(u32, Vec<usize>)> {
         let mut shape = Vec::new();
         runs.for_each_part(|msg, to| shape.push((*msg, to.iter().map(|to| to.index()).collect())));
@@ -585,11 +523,11 @@ pub(crate) mod tests {
     #[test]
     fn runs_are_opened_by_the_sender_never_by_comparing_payloads() {
         let mut out = Runs::new();
-        out.push_run(&ids(&[1, 2]), 7u32);
-        out.push_run(&[], 8);
-        out.push_run(&ids(&[3]), 9);
-        out.push_run(&ids(&[1]), 9);
-        assert_eq!((out.len(), out.run_count()), (4, 3), "no zero-copy run");
+        multicast(&mut out, &ids(&[1, 2]), 7);
+        multicast(&mut out, &[], 8);
+        multicast(&mut out, &ids(&[3]), 9);
+        multicast(&mut out, &ids(&[1]), 9);
+        assert_eq!((out.len(), out.run_count()), (4, 3), "no empty run");
         assert_eq!(
             shape(&out),
             [(7, vec![1, 2]), (9, vec![3]), (9, vec![1])],
@@ -610,17 +548,17 @@ pub(crate) mod tests {
     fn part_runs_build_each_part_from_the_one_payload_among_copied_ones() {
         let (a, b, empty) = (list(&[4, 2, 4]), list(&[5]), list(&[]));
         let mut out = Runs::new();
-        out.push_run(&ids(&[1]), 1u32);
+        multicast(&mut out, &ids(&[1]), 1);
         push_tagged(&mut out, 2, &[(7, &a), (8, &empty), (9, &b)]);
         push_tagged(&mut out, 3, &[(1, &empty)]);
-        out.push_run(&ids(&[3, 0]), 4);
+        multicast(&mut out, &ids(&[3, 0]), 4);
         push_tagged(&mut out, 5, &[(6, &b)]);
         assert_eq!(
             (out.len(), out.run_count()),
             (8, 4),
-            "no empty part, no zero-copy run"
+            "no empty part, no empty run"
         );
-        assert_eq!(out.parts.len(), 3, "the empty part is left out");
+        assert_eq!(out.parts.len(), 5, "the empty parts are left out");
         assert_eq!(
             shape(&out),
             [
@@ -654,7 +592,7 @@ pub(crate) mod tests {
         let parts = [(0, list(&[2])), (1, list(&[3, 4]))];
         let parts = parts.map(|(tag, to)| (NodeId::from_index(tag), to));
         assert_eq!(
-            out.push_parts(2, tagged, parts, 4),
+            out.push_parts(2, Some(tagged), parts, 4),
             Err(NodeId::from_index(4))
         );
         assert_eq!((out.len(), out.run_count(), out.parts.len()), (1, 1, 1));
@@ -663,23 +601,25 @@ pub(crate) mod tests {
 
     #[test]
     fn storage_recycling_round_trips() {
-        // A delivered body enters the pool emptied: its heads and copied
-        // recipients keep their capacity, its parts and part functions
-        // are freed, and no payload or list handle stays behind.
+        // A delivered body enters the pool emptied: its heads keep their
+        // capacity, its parts are freed, and no payload or list handle
+        // stays behind, a multicast's list included.
         let mut body = batch(0, 0, &[(3, &[1])]).body;
+        let multicast_list = Rc::downgrade(&body.parts[0].to);
         let shared = list(&[2]);
         push_tagged(&mut body, 4, &[(0, &shared)]);
         assert_eq!(Rc::strong_count(&shared), 2, "the part holds a handle");
-        let kept = (body.runs.capacity(), body.to.capacity());
+        let kept = body.runs.capacity();
         let mut pool = Vec::new();
         body.pool_into(&mut pool);
         assert_eq!(Rc::strong_count(&shared), 1, "the pool holds none");
+        assert!(multicast_list.upgrade().is_none(), "nor the multicast's");
         let spare = Runs::recycled(&mut pool);
         assert!(pool.is_empty());
-        assert_eq!((spare.len(), spare.run_count(), spare.to.len()), (0, 0, 0));
-        assert_eq!((spare.runs.capacity(), spare.to.capacity()), kept);
-        assert!(kept.0 > 0 && kept.1 > 0, "the pooled allocations, emptied");
-        assert_eq!((spare.parts.capacity(), spare.part_fns.capacity()), (0, 0));
+        assert_eq!((spare.len(), spare.run_count()), (0, 0));
+        assert_eq!(spare.runs.capacity(), kept);
+        assert!(kept > 0, "the pooled heads, emptied");
+        assert_eq!(spare.parts.capacity(), 0, "no part storage");
         assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
     }
 
@@ -687,9 +627,9 @@ pub(crate) mod tests {
     fn an_outbox_of_one_gives_up_its_message() {
         let mut out = Runs::new();
         assert_eq!(out.take_single(), None);
-        out.push_run(&ids(&[4]), 7u32);
+        multicast(&mut out, &ids(&[4]), 7);
         assert_eq!(out.take_single(), Some((NodeId::from_index(4), 7)));
-        assert_eq!((out.len(), out.run_count()), (0, 0));
+        assert_eq!((out.len(), out.run_count(), out.parts.len()), (0, 0, 0));
         push_tagged(&mut out, 8, &[(3, &list(&[])), (2, &list(&[6]))]);
         assert_eq!(
             out.take_single(),
@@ -697,31 +637,24 @@ pub(crate) mod tests {
             "built"
         );
         assert_eq!((out.len(), out.run_count(), out.parts.len()), (0, 0, 0));
-        assert!(out.part_fns.is_empty());
     }
 
     #[test]
     fn fresh_storage_reserves_the_first_run_exactly() {
-        let mut one = Runs::new();
-        one.push_run(&ids(&[1, 2]), 1u32);
-        assert_eq!(one.runs.capacity(), 1, "a one-run outbox, one head");
+        let reserved = |out: &Runs<u32>| (out.runs.capacity(), out.parts.capacity());
+        let mut send = Runs::new();
+        multicast(&mut send, &ids(&[1]), 1);
+        assert_eq!(reserved(&send), (1, 1), "a send, one head and one part");
         let lists: Vec<Rc<[NodeId]>> = (0..5).map(|i| list(&[i, i + 1])).collect();
         let parts: Vec<(usize, &Rc<[NodeId]>)> = lists.iter().enumerate().collect();
         let mut forward = Runs::new();
         push_tagged(&mut forward, 2, &parts);
-        let reserved = |out: &Runs<u32>| {
-            (
-                out.runs.capacity(),
-                out.parts.capacity(),
-                out.part_fns.capacity(),
-            )
-        };
-        assert_eq!(reserved(&forward), (1, 5, 1), "d parts, one part function");
+        assert_eq!(reserved(&forward), (1, 5), "a forward, one head, d parts");
         // Past the first run, storage grows as usual.
         push_tagged(&mut forward, 3, &parts);
-        forward.push_run(&ids(&[3]), 4);
+        multicast(&mut forward, &ids(&[3]), 4);
         assert_eq!(shape(&forward).len(), 11);
-        assert!(forward.runs.capacity() >= 3 && forward.parts.capacity() >= 10);
+        assert!(forward.runs.capacity() >= 3 && forward.parts.capacity() >= 11);
     }
 
     /// `fba-core`'s `AerMsg`, by layout: a 56-byte enum whose widest
@@ -755,11 +688,10 @@ pub(crate) mod tests {
         assert_eq!(size_of::<AerShaped>(), 56);
         assert_eq!(size_of::<Envelope<AerShaped>>(), 72);
         assert!(size_of::<Delivery<AerShaped>>() <= size_of::<Envelope<AerShaped>>());
-        assert_eq!(size_of::<Run<AerShaped>>(), 64, "the two u32s share a word");
-        // A part run of `d` parts costs one head, one part function and
-        // `d` parts; a forward of `d` separate runs cost `d` heads.
+        // A run of `d` parts costs one head and `d` parts; a forward of
+        // `d` separate runs would cost `d` heads.
+        assert!(size_of::<Run<AerShaped>>() <= 72, "a payload and two words");
         assert!(size_of::<Part>() <= 24, "a tag and one handle");
-        assert_eq!(size_of::<PartFn<AerShaped>>(), 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::engine::EngineSession;
 use crate::ids::{NodeId, Step};
-use crate::message::{FanIn, Runs, WireSize};
+use crate::message::{FanIn, PartFn, Runs, WireSize};
 use crate::metrics::Metrics;
 
 /// A per-node protocol state machine.
@@ -55,13 +55,14 @@ pub trait Protocol {
     /// `from` is the authenticated sender identity stamped by the network.
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>);
 
-    /// Delivers one run of a batch — the same `msg` from `from` to every
-    /// node of `recipients`, in that order — over the run's node table
-    /// (`nodes[i]` is `None` where the adversary plays node `i`). The
-    /// engine calls this once per run on the batched lane — once per part
-    /// of a part run ([`Context::multicast_parts`]), with that part's
-    /// payload built — instead of [`Protocol::on_message`] once per
-    /// recipient; the default is exactly that loop ([`deliver_each`]).
+    /// Delivers one part of a batch's run — the same `msg` from `from` to
+    /// every node of `recipients`, in that order — over the run's node
+    /// table (`nodes[i]` is `None` where the adversary plays node `i`).
+    /// The engine calls this once per part on the batched lane — once for
+    /// a multicast, once per part of a [`Context::multicast_parts`] run
+    /// with that part's payload built — instead of
+    /// [`Protocol::on_message`] once per recipient; the default is exactly
+    /// that loop ([`deliver_each`]).
     ///
     /// The engine owns everything around the call: it has already dropped
     /// (and counted) dark recipients and recorded the receipt of the rest,
@@ -311,21 +312,21 @@ impl<'a, M> Context<'a, M> {
 
     /// Queues `msg` for every node of `targets`, in order (a node listed
     /// twice gets it twice): the same messages as one [`Context::send`]
-    /// per target, stored — and, where the protocol overrides
-    /// [`Protocol::deliver_run`], delivered — once. No target, no send.
+    /// per target, stored as one run of one part (see [`Runs`]) — `msg`
+    /// once and a list of the targets — and, where the protocol overrides
+    /// [`Protocol::deliver_run`], delivered once. No target, no send.
     ///
     /// # Panics
     ///
     /// Panics, before anything is sent, if a target is out of range.
     pub fn multicast(&mut self, targets: &[NodeId], msg: M) {
-        self.check_targets(targets);
-        self.outbox.push_run(targets, msg);
+        self.push(msg, None, [(self.id, Rc::from(targets))]);
     }
 
     /// Queues, for every `(tag, targets)` of `parts` in order,
     /// `part(&msg, tag)` for every node of `targets`, in order: the same
-    /// messages as one [`Context::multicast`] per part, stored as one part
-    /// run (see [`Runs`]) — `msg` once, `part`, and per part the tag and a
+    /// messages as one [`Context::multicast`] per part, stored as one run
+    /// (see [`Runs`]) — `msg` once, `part`, and per part the tag and a
     /// handle on a list the caller already shares, so a list interned
     /// once is stored once however many runs are in flight over it. Each
     /// part is delivered as a multicast of its own. A part with no
@@ -340,26 +341,25 @@ impl<'a, M> Context<'a, M> {
         part: fn(&M, NodeId) -> M,
         parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
     ) {
+        self.push(msg, Some(part), parts);
+    }
+
+    /// Appends one run to the outbox, refusing an out-of-range target.
+    fn push(
+        &mut self,
+        msg: M,
+        part: Option<PartFn<M>>,
+        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
+    ) {
         if let Err(to) = self.outbox.push_parts(msg, part, parts, self.n) {
-            self.out_of_range(to);
+            panic!("send target {to} out of range (n={})", self.n);
         }
-    }
-
-    fn check_targets(&self, targets: &[NodeId]) {
-        if let Some(&to) = targets.iter().find(|to| to.index() >= self.n) {
-            self.out_of_range(to);
-        }
-    }
-
-    fn out_of_range(&self, to: NodeId) -> ! {
-        panic!("send target {to} out of range (n={})", self.n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::run_copies;
     use crate::message::tests::{ids, shape};
     use crate::rng::node_rng;
 
@@ -413,15 +413,6 @@ mod tests {
             "`send`'s message"
         );
         assert_eq!((outbox.len(), outbox.run_count()), (0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "more than u32::MAX copies")]
-    #[cfg(target_pointer_width = "64")]
-    fn a_run_too_long_for_its_copy_count_is_refused_not_truncated() {
-        // `as u32` would record a run of 0 copies over 2³² recipients.
-        assert_eq!(run_copies(u32::MAX as usize), u32::MAX);
-        let _ = run_copies(u32::MAX as usize + 1);
     }
 
     #[test]
