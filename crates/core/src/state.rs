@@ -298,7 +298,7 @@ impl AerRunState {
         let majority = self.pull_quorums.majority();
         let width = self.pull_quorums.sampler().d();
         let cells = fw1.row(slot_vote_key(h_origin, w), h_w, width);
-        self.pull_quorums.quorum_at(h_w, |members| {
+        self.pull_quorums.set_at(h_w, |members| {
             let aligned = members == recipients;
             for (i, &z) in recipients.iter().enumerate().skip(first) {
                 if !believes(z) {

@@ -1,4 +1,5 @@
-//! Quorum memoization: one run-shared set store behind typed key formats.
+//! Sampler memoization: one run-shared set store, [`SharedSets`], over
+//! each of the three samplers.
 //!
 //! Sampler evaluations are pure functions of `(public seed, key)`, so the
 //! push/pull hot paths — which test quorum membership for the *same*
@@ -11,9 +12,10 @@
 //!
 //! Every set of one sampler has the same size `d`, so the store keeps
 //! them back to back in one flat vector at stride `d`; a [`SetSlot`] is
-//! the index of a set in it. [`SharedQuorumCache`] and
-//! [`SharedPollCache`] are the typed key formats over that store and the
-//! only public memo API.
+//! the index of a set in it. Slot reads are written once for every
+//! sampler; each of the two aliases, [`SharedQuorumCache`] (`I`, `H`
+//! over `(s, x)`) and [`SharedPollCache`] (`J` over `(x, r)`), adds only
+//! its key format.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -38,18 +40,27 @@ use crate::strings::StringKey;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SetSlot(pub u32);
 
-/// Memoized view of one [`Sampler`], shared by every node of one
-/// simulated run: raw key → dense [`SetSlot`] → sorted member set.
+/// Memoized view of one sampler `S`, shared by every node of one
+/// simulated run: key → dense [`SetSlot`] → sorted member set.
 ///
 /// Samplers are *public* deterministic functions — every node computes the
 /// same set for the same key — so memoizing per node would duplicate both
 /// the work and the memory `n`-fold. One shared store per run amortizes
-/// each Floyd evaluation across all consumers. Sharing uses `Rc<RefCell>`:
-/// the engine executes a run strictly single-threaded (parallel sweeps
-/// fan out whole runs), and the contents are outcome-invariant, so
-/// sharing cannot introduce nondeterminism.
+/// each Floyd evaluation across all consumers; clones share it. Sharing
+/// uses `Rc<RefCell>`: the engine executes a run strictly single-threaded
+/// (parallel sweeps fan out whole runs), and the contents are
+/// outcome-invariant, so sharing cannot introduce nondeterminism.
 #[derive(Clone, Debug)]
-struct SetStore(Rc<RefCell<Sets>>);
+pub struct SharedSets<S> {
+    sampler: S,
+    sets: Rc<RefCell<Sets>>,
+}
+
+/// Run-shared memoized view of a [`QuorumSampler`] (`I` or `H`).
+pub type SharedQuorumCache = SharedSets<QuorumSampler>;
+
+/// Run-shared memoized view of a [`PollSampler`] (`J`).
+pub type SharedPollCache = SharedSets<PollSampler>;
 
 #[derive(Debug)]
 struct Sets {
@@ -58,28 +69,33 @@ struct Sets {
     /// `d` members per set, sets back to back in slot order.
     members: Vec<NodeId>,
     /// Per slot, the set as one shared list, built on first request (see
-    /// [`SetStore::shared_at`]); `members` stays what probes read.
+    /// [`SharedQuorumCache::quorum_shared`]); `members` stays what probes
+    /// read.
     handles: Vec<Option<Rc<[NodeId]>>>,
     hits: u64,
     misses: u64,
 }
 
-impl SetStore {
-    fn new(sampler: Sampler) -> Self {
-        SetStore(Rc::new(RefCell::new(Sets {
-            sampler,
+impl<S> SharedSets<S> {
+    fn over(sampler: S, raw: Sampler) -> Self {
+        let sets = Sets {
+            sampler: raw,
             ids: FxHashMap::default(),
             members: Vec::new(),
             handles: Vec::new(),
             hits: 0,
             misses: 0,
-        })))
+        };
+        SharedSets {
+            sampler,
+            sets: Rc::new(RefCell::new(sets)),
+        }
     }
 
     /// The dense slot for a raw sampler key, evaluating the set on first
     /// use.
-    fn slot(&self, key: u64) -> SetSlot {
-        let sets = &mut *self.0.borrow_mut();
+    fn intern(&self, key: u64) -> SetSlot {
+        let sets = &mut *self.sets.borrow_mut();
         let next = sets.ids.len();
         match sets.ids.entry(key) {
             Entry::Occupied(e) => {
@@ -95,26 +111,10 @@ impl SetStore {
         }
     }
 
-    /// Runs `f` on the already-interned set at `slot` — a direct index,
-    /// no key hashing. `f` may read this store but not intern into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this store's [`SetStore::slot`].
-    fn with_at<R>(&self, slot: SetSlot, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        let sets = self.0.borrow();
-        let d = sets.sampler.d();
-        f(&sets.members[slot.0 as usize * d..][..d])
-    }
-
     /// The already-interned set at `slot` as a shared list: built from the
     /// arena once per slot, then handed out by reference count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this store's [`SetStore::slot`].
     fn shared_at(&self, slot: SetSlot) -> Rc<[NodeId]> {
-        let sets = &mut *self.0.borrow_mut();
+        let sets = &mut *self.sets.borrow_mut();
         let (i, d) = (slot.0 as usize, sets.sampler.d());
         if sets.handles.len() <= i {
             sets.handles.resize(i + 1, None);
@@ -123,43 +123,64 @@ impl SetStore {
         Rc::clone(sets.handles[i].get_or_insert_with(|| members.into()))
     }
 
-    /// Position of `id` within the sorted set at `slot`, if a member.
+    /// The underlying sampler.
+    #[must_use]
+    pub fn sampler(&self) -> &S {
+        &self.sampler
+    }
+
+    /// Runs `f` on the interned set at `slot`, sorted — a direct index,
+    /// no key hashing. `f` may read this cache but not intern into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this cache.
+    pub fn set_at<R>(&self, slot: SetSlot, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        let sets = self.sets.borrow();
+        let d = sets.sampler.d();
+        f(&sets.members[slot.0 as usize * d..][..d])
+    }
+
+    /// Membership test against the interned set at `slot` (no key
+    /// hashing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this cache.
+    #[must_use]
+    pub fn contains_at(&self, slot: SetSlot, y: NodeId) -> bool {
+        self.position_at(slot, y).is_some()
+    }
+
+    /// Position of `y` within the interned set at `slot`, if a member (no
+    /// key hashing).
     ///
     /// Positions are stable (sets are immutable once computed), which lets
     /// protocol state track "which members voted" as a bitmask instead of
     /// an allocated set.
-    fn position_at(&self, slot: SetSlot, id: NodeId) -> Option<usize> {
-        self.with_at(slot, |set| set.binary_search(&id).ok())
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from this cache.
+    #[must_use]
+    pub fn position_at(&self, slot: SetSlot, y: NodeId) -> Option<usize> {
+        self.set_at(slot, |set| set.binary_search(&y).ok())
     }
 
-    /// `(hits, misses)` counters — instrumentation for benches and tests.
-    fn stats(&self) -> (u64, u64) {
-        let sets = self.0.borrow();
+    /// `(hits, misses)` counters of keyed lookups — instrumentation for
+    /// benches and tests; slot reads do not count.
+    #[must_use]
+    pub fn stats(&self) -> (u64, u64) {
+        let sets = self.sets.borrow();
         (sets.hits, sets.misses)
     }
 }
 
-/// Run-shared memoized view of a [`QuorumSampler`] (`I` or `H`).
-#[derive(Clone, Debug)]
-pub struct SharedQuorumCache {
-    sampler: QuorumSampler,
-    sets: SetStore,
-}
-
-impl SharedQuorumCache {
+impl SharedSets<QuorumSampler> {
     /// An empty shared cache over `sampler`.
     #[must_use]
     pub fn new(sampler: QuorumSampler) -> Self {
-        SharedQuorumCache {
-            sampler,
-            sets: SetStore::new(sampler.raw()),
-        }
-    }
-
-    /// The underlying sampler.
-    #[must_use]
-    pub fn sampler(&self) -> &QuorumSampler {
-        &self.sampler
+        Self::over(sampler, sampler.raw())
     }
 
     /// Strict-majority threshold (see [`QuorumSampler::majority`]).
@@ -172,12 +193,12 @@ impl SharedQuorumCache {
     /// — hot paths key per-quorum state by slot instead of `(s, x)`.
     #[must_use]
     pub fn slot(&self, s: StringKey, x: NodeId) -> SetSlot {
-        self.sets.slot(self.sampler.key(s, x))
+        self.intern(self.sampler.key(s, x))
     }
 
     /// Runs `f` on the memoized quorum `I(s, x)` / `H(s, x)`, sorted.
     pub fn quorum_with<R>(&self, s: StringKey, x: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        self.sets.with_at(self.slot(s, x), f)
+        self.set_at(self.slot(s, x), f)
     }
 
     /// The memoized quorum `I(s, x)` / `H(s, x)`, sorted, as a handle
@@ -186,7 +207,7 @@ impl SharedQuorumCache {
     /// like [`SharedQuorumCache::quorum_with`].
     #[must_use]
     pub fn quorum_shared(&self, s: StringKey, x: NodeId) -> Rc<[NodeId]> {
-        self.sets.shared_at(self.slot(s, x))
+        self.shared_at(self.slot(s, x))
     }
 
     /// Membership test `y ∈ quorum(s, x)`, memoized.
@@ -199,81 +220,26 @@ impl SharedQuorumCache {
     /// member. Positions are stable: sets are immutable once computed.
     #[must_use]
     pub fn position(&self, s: StringKey, x: NodeId, y: NodeId) -> Option<usize> {
-        self.sets.position_at(self.slot(s, x), y)
-    }
-
-    /// Runs `f` on the interned quorum at `slot`, sorted — a direct
-    /// index, no key hashing. `f` may read this cache but not intern
-    /// into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this cache.
-    pub fn quorum_at<R>(&self, slot: SetSlot, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        self.sets.with_at(slot, f)
-    }
-
-    /// Membership test against the interned quorum at `slot` (no key
-    /// hashing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this cache.
-    #[must_use]
-    pub fn contains_at(&self, slot: SetSlot, y: NodeId) -> bool {
-        self.position_at(slot, y).is_some()
-    }
-
-    /// Position of `y` within the interned quorum at `slot`, if a member
-    /// (no key hashing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this cache.
-    #[must_use]
-    pub fn position_at(&self, slot: SetSlot, y: NodeId) -> Option<usize> {
-        self.sets.position_at(slot, y)
-    }
-
-    /// `(hits, misses)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        self.sets.stats()
+        self.position_at(self.slot(s, x), y)
     }
 }
 
-/// Run-shared memoized view of a [`PollSampler`] (`J`).
-#[derive(Clone, Debug)]
-pub struct SharedPollCache {
-    sampler: PollSampler,
-    sets: SetStore,
-}
-
-impl SharedPollCache {
+impl SharedSets<PollSampler> {
     /// An empty shared cache over `sampler`.
     #[must_use]
     pub fn new(sampler: PollSampler) -> Self {
-        SharedPollCache {
-            sampler,
-            sets: SetStore::new(sampler.raw()),
-        }
-    }
-
-    /// The underlying sampler.
-    #[must_use]
-    pub fn sampler(&self) -> &PollSampler {
-        &self.sampler
+        Self::over(sampler, sampler.raw())
     }
 
     /// Interns the poll list `J(x, r)`, returning its dense [`SetSlot`].
     #[must_use]
     pub fn slot(&self, x: NodeId, r: Label) -> SetSlot {
-        self.sets.slot(self.sampler.key(x, r))
+        self.intern(self.sampler.key(x, r))
     }
 
     /// Runs `f` on the memoized poll list `J(x, r)`, sorted.
     pub fn poll_list_with<R>(&self, x: NodeId, r: Label, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        self.sets.with_at(self.slot(x, r), f)
+        self.set_at(self.slot(x, r), f)
     }
 
     /// Membership test `w ∈ J(x, r)`, memoized.
@@ -286,35 +252,7 @@ impl SharedPollCache {
     /// member.
     #[must_use]
     pub fn position(&self, x: NodeId, r: Label, w: NodeId) -> Option<usize> {
-        self.sets.position_at(self.slot(x, r), w)
-    }
-
-    /// Membership test against the interned poll list at `slot` (no key
-    /// hashing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this cache.
-    #[must_use]
-    pub fn contains_at(&self, slot: SetSlot, w: NodeId) -> bool {
-        self.position_at(slot, w).is_some()
-    }
-
-    /// Position of `w` within the interned poll list at `slot`, if a
-    /// member (no key hashing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from this cache.
-    #[must_use]
-    pub fn position_at(&self, slot: SetSlot, w: NodeId) -> Option<usize> {
-        self.sets.position_at(slot, w)
-    }
-
-    /// `(hits, misses)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        self.sets.stats()
+        self.position_at(self.slot(x, r), w)
     }
 }
 
@@ -325,14 +263,15 @@ mod tests {
 
     #[test]
     fn store_hits_after_first_use() {
-        let store = SetStore::new(Sampler::new(5, 3, 64, 8));
-        let slot = store.slot(42);
-        assert_eq!(store.stats(), (0, 1));
-        assert_eq!(store.slot(42), slot);
-        assert_eq!(store.stats(), (1, 1));
-        let first = store.with_at(slot, |set| set[0]);
-        assert_eq!(store.position_at(slot, first), Some(0));
-        assert_eq!(store.stats(), (1, 1), "slot reads do not count");
+        let cache = SharedQuorumCache::new(QuorumSampler::new(5, 3, 64, 8));
+        let (s, x) = (StringKey(42), NodeId::from_index(1));
+        let slot = cache.slot(s, x);
+        assert_eq!(cache.stats(), (0, 1));
+        assert_eq!(cache.slot(s, x), slot);
+        assert_eq!(cache.stats(), (1, 1));
+        let first = cache.set_at(slot, |set| set[0]);
+        assert_eq!(cache.position_at(slot, first), Some(0));
+        assert_eq!(cache.stats(), (1, 1), "slot reads do not count");
     }
 
     #[test]
@@ -340,21 +279,23 @@ mod tests {
         // The flat arena at both sides of the old inline/heap split
         // (32 members) and at the d = n and d = 1 edges.
         for (n, d) in [(64usize, 8usize), (200, 32), (200, 42), (12, 12), (9, 1)] {
-            let s = Sampler::new(5, 3, n, d);
-            let store = SetStore::new(s);
-            let slots: Vec<SetSlot> = (0..50).map(|key| store.slot(key)).collect();
+            let q = QuorumSampler::new(5, 3, n, d);
+            let cache = SharedQuorumCache::new(q);
+            let x = NodeId::from_index(0);
+            let slots: Vec<SetSlot> = (0..50).map(|k| cache.slot(StringKey(k), x)).collect();
             for (key, &slot) in slots.iter().enumerate() {
+                let s = StringKey(key as u64);
                 assert_eq!(slot, SetSlot(key as u32), "dense, in first-use order");
-                assert_eq!(store.slot(key as u64), slot, "re-interning is stable");
+                assert_eq!(cache.slot(s, x), slot, "re-interning is stable");
                 // Later interning grew the arena; earlier slots still
                 // read the same set.
                 assert_eq!(
-                    store.with_at(slot, <[NodeId]>::to_vec),
-                    s.set_for(key as u64),
+                    cache.set_at(slot, <[NodeId]>::to_vec),
+                    q.quorum(s, x),
                     "n={n} d={d} key={key}"
                 );
             }
-            assert_eq!(store.stats(), (50, 50));
+            assert_eq!(cache.stats(), (50, 50));
         }
     }
 
@@ -375,17 +316,22 @@ mod tests {
 
     #[test]
     fn shared_slot_accessors_agree_with_keyed_ones() {
-        let q = QuorumSampler::new(9, tags::PULL, 128, 10);
-        let cache = SharedQuorumCache::new(q);
+        let quorums = SharedQuorumCache::new(QuorumSampler::new(9, tags::PULL, 128, 10));
+        let j = PollSampler::new(9, 128, 10, PollSampler::default_cardinality(128));
+        let polls = SharedPollCache::new(j);
         for k in 0..16u64 {
             let s = StringKey(k);
             let x = NodeId::from_index((k % 128) as usize);
-            let slot = cache.slot(s, x);
-            assert_eq!(cache.slot(s, x), slot, "slots are stable");
+            let r = Label(k * 1009 % j.label_cardinality());
+            let (q_slot, p_slot) = (quorums.slot(s, x), polls.slot(x, r));
+            assert_eq!(quorums.slot(s, x), q_slot, "slots are stable");
+            assert_eq!(polls.slot(x, r), p_slot, "slots are stable");
             for yi in (0..128).step_by(11) {
                 let y = NodeId::from_index(yi);
-                assert_eq!(cache.contains_at(slot, y), cache.contains(s, x, y));
-                assert_eq!(cache.position_at(slot, y), cache.position(s, x, y));
+                assert_eq!(quorums.contains_at(q_slot, y), quorums.contains(s, x, y));
+                assert_eq!(quorums.position_at(q_slot, y), quorums.position(s, x, y));
+                assert_eq!(polls.contains_at(p_slot, y), polls.contains(x, r, y));
+                assert_eq!(polls.position_at(p_slot, y), polls.position(x, r, y));
             }
         }
     }

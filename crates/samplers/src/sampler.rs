@@ -157,7 +157,8 @@ impl Sampler {
     /// draw equals it: `d` hash-and-compare steps, nothing stored. A
     /// tail-band node is also what Floyd picks on a collision, so only
     /// there is the subset evaluated. Hot paths memoize whole sets — see
-    /// `SharedQuorumCache`.
+    /// `SharedSets<S>` and its aliases `SharedQuorumCache` and
+    /// `SharedPollCache`.
     #[must_use]
     pub fn contains(&self, key: u64, node: NodeId) -> bool {
         if node.index() < self.n - self.d {
