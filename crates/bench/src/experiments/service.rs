@@ -75,7 +75,7 @@ pub fn table(scope: Scope) -> Report {
         Some(s.min_decided_fraction())
     })
     .col("decisions", Agg::Sum, |s: &ServiceRun| {
-        Some(s.totals.decisions() as f64)
+        Some(s.decisions() as f64)
     })
     .col("total steps", Agg::Sum, |s: &ServiceRun| {
         Some(s.total_steps as f64)

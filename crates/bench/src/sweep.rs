@@ -19,7 +19,7 @@
 //! (`--axis adversary=silent,random-flood:16,4` is two values). Repeating
 //! `--axis` with the same name extends the axis. Metric names are those
 //! of the [`crate::metric`] catalogue. Unknown axes or metrics, malformed
-//! values, and a value or metric listed twice are rejected with the
+//! values, and a value, metric or seed listed twice are rejected with the
 //! catalogue before anything runs.
 
 use std::str::FromStr;
@@ -151,10 +151,10 @@ pub fn split_axis_values(axis: &str, raw: &str) -> Vec<String> {
 /// # Errors
 ///
 /// Returns a usage-style message on unknown axes or metrics, malformed
-/// values, a metric or an axis value listed twice (two columns under one
-/// JSON key, the same row twice), or a cell the scenario builder rejects
-/// (pre-flighted here so invalid combinations never reach the parallel
-/// fan-out).
+/// values, a metric, an axis value or a seed listed twice (two columns
+/// under one JSON key, the same row or run twice), or a cell the scenario
+/// builder rejects (pre-flighted here so invalid combinations never reach
+/// the parallel fan-out).
 pub fn battery(
     axes: &[(String, Vec<String>)],
     metrics: &[String],
@@ -171,6 +171,11 @@ pub fn battery(
         Metric::named(name)?;
         if metrics[..i].contains(name) {
             return Err(format!("metric `{name}` is listed twice"));
+        }
+    }
+    for (i, seed) in seeds.iter().flatten().enumerate() {
+        if seeds.as_ref().is_some_and(|all| all[..i].contains(seed)) {
+            return Err(format!("seed `{seed}` is listed twice"));
         }
     }
     // Merge repeated axis declarations, preserving first-seen order; a
@@ -306,6 +311,8 @@ mod tests {
             let err = battery(&axes, &[], None, false).unwrap_err();
             assert!(err.contains("twice"), "{axes:?}: {err}");
         }
+        let err = battery(&[axis("n", &["48"])], &[], Some(vec![1, 2, 1]), false).unwrap_err();
+        assert!(err.contains("seed `1` is listed twice"), "{err}");
     }
 
     #[test]

@@ -208,7 +208,8 @@ fn sweep_rejects_unknown_axes_and_metrics() {
 #[test]
 fn sweep_rejects_a_metric_or_an_axis_value_listed_twice() {
     // Two columns under one header would be duplicate keys in the JSON
-    // records; a repeated value prints the same row twice.
+    // records; a repeated value prints the same row twice; a repeated
+    // seed weighs one run twice in every aggregate.
     for (args, reason) in [
         (
             &["--axis", "n=48", "--metric", "decided,decided"][..],
@@ -224,6 +225,10 @@ fn sweep_rejects_a_metric_or_an_axis_value_listed_twice() {
         (
             &["--axis", "n=48", "--axis", "n=48"][..],
             "axis `n` lists `48` twice",
+        ),
+        (
+            &["--axis", "n=48", "--seeds", "1,1"][..],
+            "seed `1` is listed twice",
         ),
     ] {
         let stderr = rejected(&[&["sweep", "--scope", "quick"], args].concat());

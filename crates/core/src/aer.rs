@@ -423,6 +423,7 @@ impl AerHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::Hand;
     use fba_ae::UnknowingAssignment;
     use fba_sim::NoAdversary;
 
@@ -536,6 +537,159 @@ mod tests {
         let report = fba_recovery::rejoin_report(&plan, &out.metrics);
         assert!(report.all_rejoined());
         assert!(report.max_rejoin_steps().is_some());
+    }
+
+    #[test]
+    fn restart_resyncs_from_the_checkpoint() {
+        /// The node a row restarts. Every one starts holding `g`, then
+        /// accepts `other` from a majority of `I(other, x)`.
+        enum Input {
+            /// Undecided, recovery on; `strict` turns repair off.
+            Undecided { strict: bool },
+            /// Decided on `other` by a majority of its poll list,
+            /// recovery on.
+            Decided,
+            /// Undecided, no checkpoint layer.
+            NoRecovery,
+        }
+
+        /// One multicast of the restart: what it carries, not its label.
+        #[derive(Debug, PartialEq)]
+        enum Sent {
+            Poll(GString),
+            Pull(GString),
+            RepairQuery,
+        }
+
+        /// What the restart sent, as `(multicast, envelopes)`, and the
+        /// node after it.
+        #[derive(Debug, PartialEq)]
+        struct Outputs {
+            sent: Vec<(Sent, usize)>,
+            believed: GString,
+            output: Option<GString>,
+        }
+
+        struct TestStep {
+            desc: &'static str,
+            input: Input,
+            expected_outputs: Outputs,
+        }
+
+        let (n, x) = (64, NodeId::from_index(5));
+        let cfg = AerConfig::recommended(n);
+        let d = cfg.d;
+        let g = GString::zeroes(cfg.string_len);
+        let mut bits = vec![false; cfg.string_len];
+        bits[0] = true;
+        let other = GString::from_bits(&bits);
+        let table = [
+            TestStep {
+                desc: "restart: an undecided node re-polls every checkpointed candidate \
+                       with a fresh Poll and Pull, asks one repair query and restores \
+                       its belief",
+                input: Input::Undecided { strict: false },
+                expected_outputs: Outputs {
+                    sent: vec![
+                        (Sent::Poll(g), d),
+                        (Sent::Pull(g), d),
+                        (Sent::Poll(other), d),
+                        (Sent::Pull(other), d),
+                        (Sent::RepairQuery, d),
+                    ],
+                    believed: g,
+                    output: None,
+                },
+            },
+            TestStep {
+                desc: "restart: in strict mode the node re-polls and asks no repair query",
+                input: Input::Undecided { strict: true },
+                expected_outputs: Outputs {
+                    sent: vec![
+                        (Sent::Poll(g), d),
+                        (Sent::Pull(g), d),
+                        (Sent::Poll(other), d),
+                        (Sent::Pull(other), d),
+                    ],
+                    believed: g,
+                    output: None,
+                },
+            },
+            TestStep {
+                desc: "restart: a decided node sends nothing and keeps its decision",
+                input: Input::Decided,
+                expected_outputs: Outputs {
+                    sent: vec![],
+                    believed: other,
+                    output: Some(other),
+                },
+            },
+            TestStep {
+                desc: "restart: without the checkpoint layer the node resumes as it was",
+                input: Input::NoRecovery,
+                expected_outputs: Outputs {
+                    sent: vec![],
+                    believed: g,
+                    output: None,
+                },
+            },
+        ];
+        for row in table {
+            let (strict, recovery) = match row.input {
+                Input::Undecided { strict } => (strict, true),
+                Input::Decided => (false, true),
+                Input::NoRecovery => (false, false),
+            };
+            let cfg = if strict { cfg.strict() } else { cfg };
+            let mut h = AerHarness::new(cfg, vec![g; n]);
+            if recovery {
+                h.enable_recovery(RecoveryConfig::default());
+            }
+            let mut node = h.node_with(x, &h.run_state());
+            let mut hand = Hand::new(x, n, 3);
+            hand.sent(1, |ctx| node.on_start(ctx));
+            let push = h.scheme().push;
+            let mut accepted = Vec::new();
+            for &z in &push.quorum(other.key(), x)[..push.majority()] {
+                accepted.extend(hand.sent(2, |ctx| node.on_message(z, AerMsg::Push(other), ctx)));
+            }
+            if let Input::Decided = row.input {
+                let r = accepted
+                    .iter()
+                    .find_map(|(_, m)| match m {
+                        AerMsg::Poll(_, r) => Some(*r),
+                        _ => None,
+                    })
+                    .expect("accepting other polls it");
+                let poll = h.poll_sampler();
+                for &w in &poll.poll_list(x, r)[..poll.majority()] {
+                    hand.sent(3, |ctx| node.on_message(w, AerMsg::Answer(other), ctx));
+                }
+            }
+            assert_eq!(node.candidates(), [g, other], "{}", row.desc);
+            let mut sent: Vec<(AerMsg, usize)> = Vec::new();
+            for (_, msg) in hand.sent(4, |ctx| node.on_restart(ctx)) {
+                match sent.last_mut() {
+                    Some((last, count)) if *last == msg => *count += 1,
+                    _ => sent.push((msg, 1)),
+                }
+            }
+            let sent = sent
+                .into_iter()
+                .map(|(msg, count)| match msg {
+                    AerMsg::Poll(s, _) => (Sent::Poll(s), count),
+                    AerMsg::Pull(s, _) => (Sent::Pull(s), count),
+                    AerMsg::RepairQuery(_) => (Sent::RepairQuery, count),
+                    msg => panic!("{}: a restart sent {msg:?}", row.desc),
+                })
+                .collect();
+            let outputs = Outputs {
+                sent,
+                believed: *node.believed(),
+                output: node.output(),
+            };
+            assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
+        }
     }
 
     #[test]

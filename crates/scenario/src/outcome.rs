@@ -8,7 +8,7 @@ use fba_core::adversary::CornerReport;
 use fba_core::{AerConfig, AerMsg};
 use fba_recovery::{rejoin_report, RejoinReport};
 use fba_samplers::GString;
-use fba_sim::{EngineConfig, Metrics, MetricsTotals, NodeId, RunOutcome, Step};
+use fba_sim::{EngineConfig, Metrics, NodeId, RunOutcome, Step};
 
 /// What a finished scenario produced, by phase.
 // One value exists per executed run and is consumed immediately by an
@@ -165,15 +165,14 @@ impl ServiceInstance {
     }
 }
 
-/// Outcome of a [`Scenario::run_service`](crate::Scenario::run_service) run: every chained instance,
-/// run-cumulative totals, and the shared-state cache counters that prove
-/// the persistent arenas were actually reused.
+/// Outcome of a [`Scenario::run_service`](crate::Scenario::run_service) run: every chained
+/// instance, the service clock, and the shared arena's cache counters that
+/// prove it was actually reused. Every aggregate is folded from the
+/// instances.
 #[derive(Clone, Debug)]
 pub struct ServiceRun {
     /// Per-instance outcomes, in arrival order.
     pub instances: Vec<ServiceInstance>,
-    /// Run-cumulative metrics (sums of the per-instance views).
-    pub totals: MetricsTotals,
     /// The service clock when the last instance finished.
     pub total_steps: Step,
     /// Push-quorum cache `(hits, misses)` over the whole run.
@@ -195,7 +194,19 @@ impl ServiceRun {
     /// Number of instances in which every correct node decided.
     #[must_use]
     pub fn decided_instances(&self) -> u64 {
-        self.totals.decided_instances()
+        self.instances
+            .iter()
+            .filter(|inst| inst.run.run.metrics.all_correct_decided_at().is_some())
+            .count() as u64
+    }
+
+    /// Correct nodes that decided, summed over instances.
+    #[must_use]
+    pub fn decisions(&self) -> u64 {
+        self.instances
+            .iter()
+            .map(|inst| inst.run.run.metrics.decided_count())
+            .sum()
     }
 
     /// The minimum, over instances, of the fraction of correct nodes
@@ -219,15 +230,14 @@ impl ServiceRun {
         })
     }
 
-    /// Decisions per thousand service-clock steps — the sustained
-    /// throughput headline (`decisions` counts every correct node that
-    /// decided, summed over instances).
+    /// [`ServiceRun::decisions`] per thousand service-clock steps — the
+    /// sustained throughput headline.
     #[must_use]
     pub fn decisions_per_kilostep(&self) -> f64 {
         if self.total_steps == 0 {
             return 0.0;
         }
-        self.totals.decisions() as f64 * 1000.0 / self.total_steps as f64
+        self.decisions() as f64 * 1000.0 / self.total_steps as f64
     }
 }
 

@@ -11,8 +11,7 @@ use fba_recovery::RecoveryConfig;
 use fba_samplers::GString;
 use fba_sim::rng::derive_rng;
 use fba_sim::{
-    EngineConfig, EngineSession, MetricsTotals, NetworkSpec, NullObserver, Observer,
-    SilentAdversary, Step,
+    EngineConfig, EngineSession, NetworkSpec, NullObserver, Observer, SilentAdversary, Step,
 };
 use rand::Rng;
 
@@ -144,7 +143,6 @@ impl Scenario {
     pub fn run_service(&self, seed: u64) -> Result<ServiceRun, ScenarioError> {
         let (AerPlan { cfg, precondition }, schedule) = self.service_plan(seed)?;
         let mut chain = self.aer_chain(cfg);
-        let mut totals = MetricsTotals::new();
         let mut instances = Vec::with_capacity(schedule.len());
         let mut clock: Step = 0;
         for (k, (inst_seed, arrived_at)) in schedule.into_iter().enumerate() {
@@ -155,7 +153,6 @@ impl Scenario {
             };
             let run =
                 self.run_synthetic(&mut chain, precondition, inst_seed, seed, &mut NullObserver);
-            totals.absorb(&run.run.metrics);
             let finished_at = started_at + run.run.metrics.steps;
             clock = finished_at;
             instances.push(ServiceInstance {
@@ -169,7 +166,6 @@ impl Scenario {
         // The persistent arena carries the whole run's cache stats.
         Ok(ServiceRun {
             instances,
-            totals,
             total_steps: clock,
             push_cache_stats: chain.state.push_cache_stats(),
             pull_cache_stats: chain.state.pull_cache_stats(),
@@ -627,18 +623,21 @@ mod tests {
     }
 
     #[test]
-    fn service_totals_sum_the_per_instance_metrics() {
-        let service = Scenario::new(32)
-            .service(2, 1)
-            .run_service(4)
+    fn service_aggregates_fold_the_instances() {
+        let mut service = Scenario::new(48)
+            .adversary(AdversarySpec::Silent { t: None })
+            .service(3, 5)
+            .run_service(9)
             .expect("valid");
-        let msgs: u64 = service
-            .instances
-            .iter()
-            .map(|i| i.run.run.metrics.total_msgs_sent())
-            .sum();
-        assert_eq!(service.totals.total_msgs_sent(), msgs);
-        assert_eq!(service.totals.instances(), 2);
+        assert_eq!(service.decided_instances(), 3);
+        let decisions = service.decisions();
+        // Instance 1 loses every decision: it stops counting as a decided
+        // instance, its decisions leave the sum and its fraction is the min.
+        let lost = service.instances[1].run.run.metrics.decided_count();
+        service.instances[1].run.run.metrics = fba_sim::Metrics::new(48, service.corrupt());
+        assert_eq!(service.decided_instances(), 2);
+        assert_eq!(service.decisions(), decisions - lost);
+        assert_eq!(service.min_decided_fraction(), 0.0);
     }
 
     #[test]

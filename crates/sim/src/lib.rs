@@ -250,7 +250,7 @@ pub use crash::CrashPlan;
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Envelope, Runs, WireSize};
-pub use metrics::{LoadSummary, Metrics, MetricsTotals};
+pub use metrics::{LoadSummary, Metrics};
 pub use observer::{FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};
 pub use spec::{AdversarySpec, NetworkSpec, ParseSpecError, ScheduleSpec};

@@ -310,97 +310,6 @@ impl Metrics {
     }
 }
 
-/// Run-cumulative accounting across a *sequence* of engine instances.
-///
-/// [`Metrics`] is deliberately a per-instance view: every engine run
-/// constructs a fresh one, so `decided_fraction`, per-node loads, and
-/// msgs/bits always describe exactly one agreement instance. Service
-/// (chained agreement) runs need the complementary cumulative view — this
-/// type absorbs one `Metrics` per finished instance and keeps only sums,
-/// so nothing is ever double-counted: `absorb` is called exactly once per
-/// instance and the per-instance views stay untouched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsTotals {
-    instances: u64,
-    decided_instances: u64,
-    decisions: u64,
-    msgs_sent: u64,
-    bits_sent: u64,
-    correct_msgs_sent: u64,
-    correct_bits_sent: u64,
-    steps: Step,
-}
-
-impl MetricsTotals {
-    /// Creates empty totals (no instances absorbed yet).
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsTotals::default()
-    }
-
-    /// Folds one finished instance's metrics into the running totals.
-    pub fn absorb(&mut self, m: &Metrics) {
-        self.instances += 1;
-        if m.all_correct_decided_at().is_some() {
-            self.decided_instances += 1;
-        }
-        self.decisions += m.decided_count();
-        self.msgs_sent += m.total_msgs_sent();
-        self.bits_sent += m.total_bits_sent();
-        self.correct_msgs_sent += m.correct_msgs_sent();
-        self.correct_bits_sent += m.correct_bits_sent();
-        self.steps += m.steps;
-    }
-
-    /// Number of instances absorbed.
-    #[must_use]
-    pub fn instances(&self) -> u64 {
-        self.instances
-    }
-
-    /// Instances in which *every* correct node decided.
-    #[must_use]
-    pub fn decided_instances(&self) -> u64 {
-        self.decided_instances
-    }
-
-    /// Total per-node decisions across all instances.
-    #[must_use]
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Total messages sent across all instances (all nodes).
-    #[must_use]
-    pub fn total_msgs_sent(&self) -> u64 {
-        self.msgs_sent
-    }
-
-    /// Total bits sent across all instances (all nodes).
-    #[must_use]
-    pub fn total_bits_sent(&self) -> u64 {
-        self.bits_sent
-    }
-
-    /// Total messages sent by correct nodes across all instances.
-    #[must_use]
-    pub fn correct_msgs_sent(&self) -> u64 {
-        self.correct_msgs_sent
-    }
-
-    /// Total bits sent by correct nodes across all instances.
-    #[must_use]
-    pub fn correct_bits_sent(&self) -> u64 {
-        self.correct_bits_sent
-    }
-
-    /// Total engine steps executed across all instances.
-    #[must_use]
-    pub fn steps(&self) -> Step {
-        self.steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,59 +420,5 @@ mod tests {
         assert_eq!(s.max, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.imbalance, 0.0);
-    }
-
-    #[test]
-    fn totals_sum_instances_without_double_counting() {
-        let corrupt: BTreeSet<_> = [id(2)].into_iter().collect();
-        let mut a = Metrics::new(3, &corrupt);
-        a.record_send(id(0), 10);
-        a.record_send(id(2), 1000); // corrupt traffic
-        a.record_decision(id(0), 2);
-        a.record_decision(id(1), 3);
-        a.steps = 5;
-        let mut b = Metrics::new(3, &corrupt);
-        b.record_send(id(1), 7);
-        b.record_recv(id(0), 7);
-        b.record_decision(id(0), 1);
-        b.steps = 4;
-
-        let mut totals = MetricsTotals::new();
-        totals.absorb(&a);
-        totals.absorb(&b);
-
-        assert_eq!(totals.instances(), 2);
-        // Instance a fully decided (both correct nodes); b did not.
-        assert_eq!(totals.decided_instances(), 1);
-        assert_eq!(totals.decisions(), 3);
-        assert_eq!(
-            totals.total_msgs_sent(),
-            a.total_msgs_sent() + b.total_msgs_sent()
-        );
-        assert_eq!(
-            totals.total_bits_sent(),
-            a.total_bits_sent() + b.total_bits_sent()
-        );
-        assert_eq!(
-            totals.correct_bits_sent(),
-            a.correct_bits_sent() + b.correct_bits_sent()
-        );
-        assert_eq!(totals.correct_bits_sent(), 17, "corrupt bits excluded");
-        assert_eq!(totals.steps(), 9);
-        // Absorbing never mutates the per-instance views.
-        assert_eq!(a.total_bits_sent(), 1010);
-        assert!((a.decided_fraction() - 1.0).abs() < 1e-12);
-        assert!((b.decided_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_totals_are_all_zero() {
-        let t = MetricsTotals::new();
-        assert_eq!(t.instances(), 0);
-        assert_eq!(t.decided_instances(), 0);
-        assert_eq!(t.decisions(), 0);
-        assert_eq!(t.total_msgs_sent(), 0);
-        assert_eq!(t.correct_msgs_sent(), 0);
-        assert_eq!(t.steps(), 0);
     }
 }

@@ -224,14 +224,13 @@ fn crash_windows_compose_with_the_service_contract() {
         assert_eq!(a.run.run.outputs, b.run.run.outputs);
         assert_eq!(a.run.run.metrics, b.run.run.metrics);
     }
-    assert_eq!(service.totals, replay.totals);
 }
 
 #[test]
 fn service_runs_are_reproducible() {
     // A service run is a pure function of (scenario, seed): replaying
-    // the same seed reproduces every instance bit for bit, totals
-    // included.
+    // the same seed reproduces every instance bit for bit, service
+    // clock included.
     let scenario = Scenario::new(48)
         .phase(Phase::aer(0.8))
         .adversary(AdversarySpec::Silent { t: None })
@@ -248,7 +247,6 @@ fn service_runs_are_reproducible() {
         assert_eq!(x.run.run.outputs, y.run.run.outputs);
         assert_eq!(x.run.run.metrics, y.run.run.metrics);
     }
-    assert_eq!(a.totals, b.totals);
     assert_eq!(a.total_steps, b.total_steps);
     assert_eq!(a.poll_cache_stats, b.poll_cache_stats);
 }
@@ -275,8 +273,8 @@ proptest::proptest! {
 
     /// Arrival times are outcome-invariant: a different offered load
     /// (the `interval` between arrivals) moves `arrived_at`/`started_at`
-    /// but never changes what any instance decides or sends. Totals
-    /// always equal the sum of the per-instance views.
+    /// but never changes what any instance decides or sends. Every
+    /// requested instance runs.
     #[test]
     fn service_outcomes_ignore_arrival_jitter(
         n in 24usize..56,
@@ -296,14 +294,7 @@ proptest::proptest! {
             .run_service(seed)
             .expect("valid service");
 
-        // Totals are exactly the sum of the per-instance metrics.
-        let msgs: u64 = reference.instances.iter().map(|i| i.run.run.metrics.total_msgs_sent()).sum();
-        let bits: u64 = reference.instances.iter().map(|i| i.run.run.metrics.total_bits_sent()).sum();
-        let steps: u64 = reference.instances.iter().map(|i| i.run.run.metrics.steps).sum();
-        assert_eq!(reference.totals.total_msgs_sent(), msgs);
-        assert_eq!(reference.totals.total_bits_sent(), bits);
-        assert_eq!(reference.totals.steps(), steps);
-        assert_eq!(reference.totals.instances(), instances as u64);
+        assert_eq!(reference.instances.len(), instances);
 
         // Arrivals at another interval: outcomes unchanged.
         let jittered = base
