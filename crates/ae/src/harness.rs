@@ -1,12 +1,12 @@
 //! Running the almost-everywhere phase and distilling its outcome.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use fba_samplers::GString;
 use fba_sim::{run_observed, Adversary, EngineConfig, FinalInspect, NodeId, RunOutcome};
 
 use crate::precondition::Precondition;
-use crate::protocol::{AeConfig, AeMsg, AeNode};
+use crate::protocol::{plurality, AeConfig, AeMsg, AeNode};
 
 /// Distilled result of an almost-everywhere run: the majority string, who
 /// knows it, and the raw run outcome for metric extraction.
@@ -94,7 +94,7 @@ where
     A: Adversary<AeMsg> + ?Sized,
 {
     let engine = ae_engine(cfg);
-    let mut committees: BTreeMap<Vec<NodeId>, usize> = BTreeMap::new();
+    let mut committees = Vec::new();
     let run = run_observed::<AeNode, A, _, _>(
         &engine,
         seed,
@@ -106,24 +106,10 @@ where
                 AeNode::new(*cfg, id)
             }
         },
-        &mut FinalInspect(|_, node: &AeNode| {
-            if let Some(c) = node.supreme_committee() {
-                *committees.entry(c).or_default() += 1;
-            }
-        }),
+        &mut FinalInspect(|_, node: &AeNode| committees.extend(node.supreme_committee())),
     );
-    let supreme_committee = committees
-        .into_iter()
-        .max_by_key(|&(_, count)| count)
-        .map(|(c, _)| c);
-    let mut votes: BTreeMap<GString, usize> = BTreeMap::new();
-    for value in run.outputs.values() {
-        *votes.entry(*value).or_default() += 1;
-    }
-    let gstring = votes
-        .into_iter()
-        .max_by_key(|&(_, count)| count)
-        .map(|(value, _)| value)
+    let supreme_committee = plurality(committees).map(|(c, _)| c);
+    let (gstring, _) = plurality(run.outputs.values().copied())
         .expect("at least one correct node must produce an output");
     let knowing: BTreeSet<NodeId> = run
         .outputs

@@ -18,7 +18,8 @@
 //!    children's values, accumulating entropy level by level.
 //! 3. **Supreme committee** — the root committee (sampled from all of
 //!    `[n]`, seeded by the root value) runs the leaf procedure among
-//!    itself; `gstring` is the concatenation of its members'
+//!    itself, keeping only its members' contributions and echoes as a
+//!    leaf group does; `gstring` is the concatenation of its members'
 //!    contributions, so at least a `1 − t/n ≥ 2/3 + ε` fraction of its
 //!    bits are uniformly random — exactly the §2.1 precondition.
 //! 4. **Diffusion** — the supreme committee broadcasts `gstring` to every
@@ -132,9 +133,53 @@ impl WireSize for AeMsg {
     }
 }
 
-/// Strict majority threshold for a committee of `len` members.
-fn maj(len: usize) -> usize {
-    len / 2 + 1
+/// The most frequent of `items` and its count; among tied items the
+/// greatest wins. Every tally of the phase goes through here.
+pub(crate) fn plurality<T: Ord>(items: impl IntoIterator<Item = T>) -> Option<(T, usize)> {
+    let mut counts: BTreeMap<T, usize> = BTreeMap::new();
+    for item in items {
+        *counts.entry(item).or_default() += 1;
+    }
+    counts.into_iter().max_by_key(|&(_, count)| count)
+}
+
+/// The claim a strict majority of a `len`-member committee makes.
+fn majority<T: Ord>(claims: impl IntoIterator<Item = T>, len: usize) -> Option<T> {
+    plurality(claims)
+        .filter(|&(_, count)| count > len / 2)
+        .map(|(claim, _)| claim)
+}
+
+/// One contribute–echo–majority round: a leaf group's or the supreme
+/// committee's. It holds only messages from the round's members.
+#[derive(Clone, Debug, Default)]
+struct Round {
+    /// Contributions by sender, this node's own included.
+    contribs: BTreeMap<NodeId, u64>,
+    /// Echoes by echoer: the (sender, value) pairs each one saw.
+    echoes: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
+}
+
+impl Round {
+    /// What this node echoes: every contribution it received.
+    fn pairs(&self) -> Vec<(NodeId, u64)> {
+        self.contribs.iter().map(|(&s, &v)| (s, v)).collect()
+    }
+
+    /// Per-member majority over the echoes, this node's own observation
+    /// counted as one more echo (it never echoes to itself): the
+    /// consistent contribution set.
+    fn consistent(&self, members: &[NodeId]) -> Vec<(NodeId, u64)> {
+        let own = self.pairs();
+        let heard = self.echoes.values().chain([&own]).flatten();
+        members
+            .iter()
+            .filter_map(|&member| {
+                let claims = heard.clone().filter(|(s, _)| *s == member);
+                majority(claims.map(|&(_, v)| v), members.len()).map(|v| (member, v))
+            })
+            .collect()
+    }
 }
 
 /// One participant of the almost-everywhere phase.
@@ -147,19 +192,10 @@ pub struct AeNode {
     /// bias the bits they control — the reason the paper's precondition
     /// only promises `2/3 + ε` uniformly random bits).
     rigged: Option<u64>,
-    /// Own leaf contribution (drawn at start).
-    contribution: u64,
-    /// Own root contribution (drawn at start; used only if sampled into
-    /// the supreme committee).
-    root_contribution: u64,
-    /// Leaf-scope received contributions.
-    contribs: BTreeMap<NodeId, u64>,
-    /// Leaf-scope echoes.
-    echoes: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
-    /// Root-scope received contributions.
-    root_contribs: BTreeMap<NodeId, u64>,
-    /// Root-scope echoes.
-    root_echoes: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
+    /// The leaf group's round and the supreme committee's, indexed by the
+    /// `root` flag of their messages. Both contributions are drawn at
+    /// start; the root one is used only if sampled into the committee.
+    rounds: [Round; 2],
     /// Agreed group values along this node's lineage, by level.
     lineage: Vec<Option<u64>>,
     /// Sibling value claims: (level, idx) → sender → claimed value.
@@ -179,12 +215,7 @@ impl AeNode {
             cfg,
             id,
             rigged: None,
-            contribution: 0,
-            root_contribution: 0,
-            contribs: BTreeMap::new(),
-            echoes: BTreeMap::new(),
-            root_contribs: BTreeMap::new(),
-            root_echoes: BTreeMap::new(),
+            rounds: Default::default(),
             lineage: vec![None; levels],
             claims: FxHashMap::default(),
             diffuse_claims: BTreeMap::new(),
@@ -225,41 +256,44 @@ impl AeNode {
         (self.id.index() / (self.c() << level)) as u32
     }
 
+    /// The members of this node's `root` round: its leaf group, or the
+    /// supreme committee under its root value (none before that exists).
+    fn members(&self, root: bool) -> Vec<NodeId> {
+        if root {
+            self.supreme_committee().unwrap_or_default()
+        } else {
+            tree::range(self.cfg.n, self.c(), 0, self.idx_at(0))
+                .map(NodeId::from_index)
+                .collect()
+        }
+    }
+
+    /// Sends this node's contribution (`echo = false`) or echo to the rest
+    /// of its `root` round, if it is a member.
+    fn speak(&self, root: bool, echo: bool, ctx: &mut Context<'_, AeMsg>) {
+        let members = self.members(root);
+        if !members.contains(&self.id) {
+            return;
+        }
+        let round = &self.rounds[usize::from(root)];
+        let msg = if echo {
+            AeMsg::Echo {
+                root,
+                pairs: round.pairs(),
+            }
+        } else {
+            AeMsg::Contribute {
+                root,
+                value: round.contribs[&self.id],
+            }
+        };
+        ctx.multicast(&self.others(members), msg);
+    }
+
     /// `members` without this node, in order: the recipients of a
     /// multicast to one's own group.
     fn others(&self, members: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
         members.into_iter().filter(|&m| m != self.id).collect()
-    }
-
-    fn leaf_members(&self) -> Vec<NodeId> {
-        tree::range(self.cfg.n, self.c(), 0, self.idx_at(0))
-            .map(NodeId::from_index)
-            .collect()
-    }
-
-    /// Per-sender majority over echoes: the consistent contribution set.
-    fn consistent(
-        echoes: &BTreeMap<NodeId, Vec<(NodeId, u64)>>,
-        members: &[NodeId],
-    ) -> Vec<(NodeId, u64)> {
-        let threshold = maj(members.len());
-        let mut out = Vec::new();
-        for &sender in members {
-            let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-            for pairs in echoes.values() {
-                for (s, v) in pairs {
-                    if *s == sender {
-                        *votes.entry(*v).or_default() += 1;
-                    }
-                }
-            }
-            if let Some((&value, &count)) = votes.iter().max_by_key(|(_, &c)| c) {
-                if count >= threshold {
-                    out.push((sender, value));
-                }
-            }
-        }
-        out
     }
 
     /// Folds a consistent contribution set into a group value.
@@ -273,43 +307,34 @@ impl AeNode {
 
     /// Majority value among verified sibling claims for `(level, idx)`.
     fn sibling_value(&self, level: u32, idx: u32) -> Option<u64> {
-        let claims = self.claims.get(&(level, idx))?;
-        let range_len = tree::range(self.cfg.n, self.c(), level, idx).len();
-        let committee = self.c().min(range_len);
-        let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-        for (&sender, &value) in claims {
-            // Verify the claimant against the value it claims.
-            if tree::is_rep(
-                self.cfg.n,
-                self.c(),
-                self.cfg.sampler_seed,
-                level,
-                idx,
-                value,
-                sender,
-            ) {
-                *votes.entry(value).or_default() += 1;
-            }
-        }
-        votes
-            .into_iter()
-            .filter(|&(_, count)| count >= maj(committee))
-            .max_by_key(|&(_, count)| count)
-            .map(|(value, _)| value)
+        let (n, c, seed) = (self.cfg.n, self.c(), self.cfg.sampler_seed);
+        // Verify each claimant against the value it claims.
+        let verified = self.claims.get(&(level, idx))?.iter();
+        let verified = verified.filter(|&(&s, &v)| tree::is_rep(n, c, seed, level, idx, v, s));
+        let committee = c.min(tree::range(n, c, level, idx).len());
+        majority(verified.map(|(_, &v)| v), committee)
     }
 
-    /// Whether this node sits in the representative committee of
-    /// `(level, idx)` given the agreed value.
-    fn i_am_rep(&self, level: u32, value: u64) -> bool {
-        tree::is_rep(
-            self.cfg.n,
-            self.c(),
-            self.cfg.sampler_seed,
-            level,
-            self.idx_at(level),
-            value,
-            self.id,
-        )
+    /// This node's agreed value at `level`: the leaf round's fold, or its
+    /// child's value combined with the sibling's (`None` on a lineage
+    /// broken below).
+    fn agree(&self, level: u32) -> Option<u64> {
+        let seed = self.cfg.sampler_seed;
+        let Some(child) = level.checked_sub(1) else {
+            let members = self.members(false);
+            return Some(self.fold(&self.rounds[0].consistent(&members)));
+        };
+        let (mine, sibling) = (self.idx_at(child), self.idx_at(child) ^ 1);
+        let own = self.lineage[child as usize]?;
+        if sibling >= tree::nodes_at_level(self.cfg.n, self.c(), child) {
+            return Some(tree::combine(seed, own, None));
+        }
+        Some(match self.sibling_value(child, sibling) {
+            Some(theirs) if mine < sibling => tree::combine(seed, own, Some(theirs)),
+            Some(theirs) => tree::combine(seed, theirs, Some(own)),
+            // Missing sibling majority: lineage broken.
+            None => tree::combine(seed, own, Some(0xdead)),
+        })
     }
 
     /// The supreme committee under this node's root value (known once the
@@ -317,21 +342,10 @@ impl AeNode {
     /// lineage). Exposed for the gstring-entropy experiment.
     #[must_use]
     pub fn supreme_committee(&self) -> Option<Vec<NodeId>> {
-        self.root_committee()
-    }
-
-    /// The supreme committee under this node's root value.
-    fn root_committee(&self) -> Option<Vec<NodeId>> {
         let root = self.cfg.root_level();
         let value = self.lineage[root as usize]?;
-        Some(tree::reps(
-            self.cfg.n,
-            self.c(),
-            self.cfg.sampler_seed,
-            root,
-            0,
-            value,
-        ))
+        let (n, c, seed) = (self.cfg.n, self.c(), self.cfg.sampler_seed);
+        Some(tree::reps(n, c, seed, root, 0, value))
     }
 
     /// Builds `gstring` from the supreme committee's consistent
@@ -358,32 +372,16 @@ impl AeNode {
         if self.output.is_some() {
             return;
         }
-        let decided = self.root_committee().and_then(|committee| {
-            let threshold = maj(committee.len());
-            let mut votes: BTreeMap<GString, usize> = BTreeMap::new();
-            for (sender, value) in &self.diffuse_claims {
-                if committee.contains(sender) {
-                    *votes.entry(*value).or_default() += 1;
-                }
-            }
-            votes
-                .into_iter()
-                .filter(|&(_, count)| count >= threshold)
-                .max_by_key(|&(_, count)| count)
-                .map(|(value, _)| value)
-        });
-        self.output = Some(match decided {
-            Some(g) => g,
-            // Fallback: an arbitrary private candidate — this node is part
-            // of the "almost everywhere" remainder.
-            None => {
-                let mut bits = vec![false; self.cfg.string_len];
-                for b in &mut bits {
-                    *b = ctx.rng().gen();
-                }
-                GString::from_bits(&bits)
-            }
-        });
+        let committee = self.members(true);
+        let claims = self.diffuse_claims.iter();
+        let claims = claims.filter(|(sender, _)| committee.contains(sender));
+        let decided = majority(claims.map(|(_, &g)| g), committee.len());
+        // Fallback: an arbitrary private candidate — this node is part of
+        // the "almost everywhere" remainder.
+        self.output = Some(decided.unwrap_or_else(|| {
+            let bits: Vec<bool> = (0..self.cfg.string_len).map(|_| ctx.rng().gen()).collect();
+            GString::from_bits(&bits)
+        }));
     }
 }
 
@@ -392,156 +390,78 @@ impl Protocol for AeNode {
     type Output = GString;
 
     fn on_start(&mut self, ctx: &mut Context<'_, AeMsg>) {
-        self.contribution = self.rigged.unwrap_or_else(|| ctx.rng().gen());
-        self.root_contribution = self.rigged.unwrap_or_else(|| ctx.rng().gen());
-        self.contribs.insert(self.id, self.contribution);
-        self.root_contribs.insert(self.id, self.root_contribution);
-        let contribute = AeMsg::Contribute {
-            root: false,
-            value: self.contribution,
-        };
-        ctx.multicast(&self.others(self.leaf_members()), contribute);
+        for round in &mut self.rounds {
+            let value = self.rigged.unwrap_or_else(|| ctx.rng().gen());
+            round.contribs.insert(self.id, value);
+        }
+        self.speak(false, false, ctx); // leaf contribution
     }
 
     fn on_step(&mut self, ctx: &mut Context<'_, AeMsg>) {
-        let step = ctx.step();
         let root = self.cfg.root_level();
-        let c = self.c();
-        match step {
-            2 => {
-                // Leaf echo.
-                let pairs: Vec<(NodeId, u64)> =
-                    self.contribs.iter().map(|(&s, &v)| (s, v)).collect();
-                let echo = AeMsg::Echo { root: false, pairs };
-                ctx.multicast(&self.others(self.leaf_members()), echo);
-            }
+        match ctx.step() {
+            2 => self.speak(false, true, ctx), // leaf echo
             s if s >= 4 && s % 2 == 0 && (s - 4) / 2 <= Step::from(root) => {
                 let level = ((s - 4) / 2) as u32;
-                // Compute the agreed value at `level`.
-                let value = if level == 0 {
-                    let members = self.leaf_members();
-                    let mut echoes = self.echoes.clone();
-                    // Our own observation counts as an echo.
-                    echoes.insert(
-                        self.id,
-                        self.contribs.iter().map(|(&a, &b)| (a, b)).collect(),
-                    );
-                    let consistent = Self::consistent(&echoes, &members);
-                    Some(self.fold(&consistent))
-                } else {
-                    let child_level = level - 1;
-                    let my_child_idx = self.idx_at(child_level);
-                    let parent_idx = my_child_idx / 2;
-                    let left_idx = parent_idx * 2;
-                    let right_idx = left_idx + 1;
-                    let own = self.lineage[child_level as usize];
-                    let sibling_exists =
-                        right_idx < tree::nodes_at_level(self.cfg.n, c, child_level);
-                    own.map(|own_value| {
-                        if !sibling_exists {
-                            tree::combine(self.cfg.sampler_seed, own_value, None)
-                        } else {
-                            let (left, right) = if my_child_idx == left_idx {
-                                (Some(own_value), self.sibling_value(child_level, right_idx))
-                            } else {
-                                (self.sibling_value(child_level, left_idx), Some(own_value))
-                            };
-                            match (left, right) {
-                                (Some(l), Some(r)) => {
-                                    tree::combine(self.cfg.sampler_seed, l, Some(r))
-                                }
-                                // Missing sibling majority: lineage broken.
-                                _ => tree::combine(
-                                    self.cfg.sampler_seed,
-                                    left.or(right).unwrap_or(0),
-                                    Some(0xdead),
-                                ),
-                            }
-                        }
-                    })
-                };
+                let value = self.agree(level);
                 self.lineage[level as usize] = value;
-
                 let Some(value) = value else { return };
-                if level < root {
-                    // Broadcast our subtree's value to the sibling range.
-                    let my_idx = self.idx_at(level);
-                    let sibling = my_idx ^ 1;
-                    if sibling < tree::nodes_at_level(self.cfg.n, c, level)
-                        && self.i_am_rep(level, value)
-                    {
-                        let range = tree::range(self.cfg.n, c, level, sibling);
-                        let range: Vec<NodeId> = range.map(NodeId::from_index).collect();
-                        let idx = my_idx;
-                        ctx.multicast(&range, AeMsg::Gv { level, idx, value });
-                    }
-                } else {
-                    // Root reached: supreme committee runs its own
+                if level == root {
+                    // Root reached: the supreme committee runs its own
                     // contribute round.
-                    if let Some(committee) = self.root_committee() {
-                        if committee.contains(&self.id) {
-                            let contribute = AeMsg::Contribute {
-                                root: true,
-                                value: self.root_contribution,
-                            };
-                            ctx.multicast(&self.others(committee), contribute);
-                        }
-                    }
+                    return self.speak(true, false, ctx);
+                }
+                // A representative sends its subtree's value to the
+                // sibling range.
+                let (n, c, seed) = (self.cfg.n, self.c(), self.cfg.sampler_seed);
+                let (my_idx, sibling) = (self.idx_at(level), self.idx_at(level) ^ 1);
+                if sibling < tree::nodes_at_level(n, c, level)
+                    && tree::is_rep(n, c, seed, level, my_idx, value, self.id)
+                {
+                    let range: Vec<NodeId> = tree::range(n, c, level, sibling)
+                        .map(NodeId::from_index)
+                        .collect();
+                    ctx.multicast(
+                        &range,
+                        AeMsg::Gv {
+                            level,
+                            idx: my_idx,
+                            value,
+                        },
+                    );
                 }
             }
-            s if s == 6 + 2 * Step::from(root) => {
-                // Supreme committee echo.
-                if let Some(committee) = self.root_committee() {
-                    if committee.contains(&self.id) {
-                        let pairs: Vec<(NodeId, u64)> =
-                            self.root_contribs.iter().map(|(&a, &b)| (a, b)).collect();
-                        let echo = AeMsg::Echo { root: true, pairs };
-                        ctx.multicast(&self.others(committee), echo);
-                    }
-                }
-            }
+            s if s == 6 + 2 * Step::from(root) => self.speak(true, true, ctx), // supreme echo
             s if s == 8 + 2 * Step::from(root) => {
-                // Supreme committee builds gstring and diffuses it.
-                if let Some(committee) = self.root_committee() {
-                    if committee.contains(&self.id) {
-                        let mut echoes = self.root_echoes.clone();
-                        echoes.insert(
-                            self.id,
-                            self.root_contribs.iter().map(|(&a, &b)| (a, b)).collect(),
-                        );
-                        let consistent = Self::consistent(&echoes, &committee);
-                        let gstring = self.build_gstring(&consistent, &committee);
-                        let everyone = fba_sim::all_nodes(self.cfg.n);
-                        ctx.multicast(&self.others(everyone), AeMsg::Diffuse { value: gstring });
-                        self.output = Some(gstring);
-                    }
+                // The supreme committee builds gstring and diffuses it.
+                let committee = self.members(true);
+                if committee.contains(&self.id) {
+                    let consistent = self.rounds[1].consistent(&committee);
+                    let gstring = self.build_gstring(&consistent, &committee);
+                    let everyone = fba_sim::all_nodes(self.cfg.n);
+                    ctx.multicast(&self.others(everyone), AeMsg::Diffuse { value: gstring });
+                    self.output = Some(gstring);
                 }
             }
-            s if s == 10 + 2 * Step::from(root) => {
-                self.decide_from_diffusion(ctx);
-            }
+            s if s == 10 + 2 * Step::from(root) => self.decide_from_diffusion(ctx),
             _ => {}
         }
     }
 
     fn on_message(&mut self, from: NodeId, msg: AeMsg, _ctx: &mut Context<'_, AeMsg>) {
         match msg {
-            AeMsg::Contribute { root: false, value } => {
-                // Only group members may contribute.
-                if self.leaf_members().contains(&from) {
-                    self.contribs.entry(from).or_insert(value);
+            // A round keeps only its members' messages, first one wins.
+            AeMsg::Contribute { root, value } => {
+                if self.members(root).contains(&from) {
+                    let round = &mut self.rounds[usize::from(root)];
+                    round.contribs.entry(from).or_insert(value);
                 }
             }
-            AeMsg::Contribute { root: true, value } => {
-                self.root_contribs.entry(from).or_insert(value);
-            }
-            AeMsg::Echo { root: false, pairs } => {
-                if self.leaf_members().contains(&from) {
-                    self.echoes.entry(from).or_insert(pairs);
+            AeMsg::Echo { root, pairs } => {
+                if self.members(root).contains(&from) {
+                    let round = &mut self.rounds[usize::from(root)];
+                    round.echoes.entry(from).or_insert(pairs);
                 }
-            }
-            AeMsg::Echo { root: true, pairs } => {
-                self.root_echoes.entry(from).or_insert(pairs);
             }
             AeMsg::Gv { level, idx, value } => {
                 // Store first claim per sender; verification happens at
@@ -614,11 +534,7 @@ mod tests {
         let mut adv = SilentAdversary::new(t);
         let out = run::<AeNode, _, _>(&engine(&cfg), 9, &mut adv, |id| AeNode::new(cfg, id));
         // Majority gstring among correct outputs:
-        let mut votes: BTreeMap<GString, usize> = BTreeMap::new();
-        for v in out.outputs.values() {
-            *votes.entry(*v).or_default() += 1;
-        }
-        let (_, knowing) = votes.into_iter().max_by_key(|&(_, c)| c).unwrap();
+        let (_, knowing) = plurality(out.outputs.values()).unwrap();
         let correct = n - t;
         assert!(
             knowing as f64 > 0.75 * correct as f64,
@@ -714,8 +630,12 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(node.contribs.get(&outsider), None);
-        assert_eq!(node.contribs.get(&insider), Some(&9), "first claim wins");
+        assert_eq!(node.rounds[0].contribs.get(&outsider), None);
+        assert_eq!(
+            node.rounds[0].contribs.get(&insider),
+            Some(&9),
+            "first claim wins"
+        );
     }
 
     #[test]
@@ -757,16 +677,127 @@ mod tests {
     #[test]
     fn consistent_requires_per_sender_echo_majority() {
         let members: Vec<NodeId> = (0..5).map(NodeId::from_index).collect();
-        let mut echoes: BTreeMap<NodeId, Vec<(NodeId, u64)>> = BTreeMap::new();
-        // 3 echoers say node 0 contributed 7; 2 say 8. Node 1 only has 2
-        // echoes (below the 3-of-5 majority).
-        echoes.insert(members[0], vec![(members[0], 7), (members[1], 5)]);
-        echoes.insert(members[1], vec![(members[0], 7), (members[1], 5)]);
-        echoes.insert(members[2], vec![(members[0], 7)]);
-        echoes.insert(members[3], vec![(members[0], 8)]);
-        echoes.insert(members[4], vec![(members[0], 8)]);
-        let consistent = AeNode::consistent(&echoes, &members);
-        assert_eq!(consistent, vec![(members[0], 7)]);
+        // This node (member 0) saw node 0 contribute 7 and node 1
+        // contribute 5; with its own observation, 3 echoers say node 0
+        // contributed 7 and 2 say 8. Node 1 only has 2 echoes (below the
+        // 3-of-5 majority).
+        let mut round = Round::default();
+        round.contribs.insert(members[0], 7);
+        round.contribs.insert(members[1], 5);
+        round
+            .echoes
+            .insert(members[1], vec![(members[0], 7), (members[1], 5)]);
+        round.echoes.insert(members[2], vec![(members[0], 7)]);
+        round.echoes.insert(members[3], vec![(members[0], 8)]);
+        round.echoes.insert(members[4], vec![(members[0], 8)]);
+        assert_eq!(round.consistent(&members), vec![(members[0], 7)]);
+    }
+
+    #[test]
+    fn plurality_breaks_ties_to_the_greatest_and_majority_is_strict() {
+        assert_eq!(plurality([3, 1, 3, 1, 2]), Some((3, 2)));
+        assert_eq!(plurality(Vec::<u64>::new()), None);
+        // More than half of the committee, not of the claims.
+        assert_eq!(majority([7, 7, 7, 8], 5), Some(7));
+        assert_eq!(majority([7, 7, 8], 5), None);
+        assert_eq!(majority([7, 7], 4), None, "half is not a majority");
+        assert_eq!(majority([7, 7, 8, 8, 8], 4), Some(8));
+    }
+
+    /// A member of the supreme committee under root value `v` at n = 256,
+    /// past its start, with every other member's root contribution and
+    /// echo delivered.
+    fn supreme_member() -> (AeNode, Vec<NodeId>) {
+        let (n, v) = (256, 0x5eed_u64);
+        let cfg = AeConfig::recommended(n);
+        let root = cfg.root_level();
+        let committee = tree::reps(n, cfg.committee_size, cfg.sampler_seed, root, 0, v);
+        let me = committee[0];
+        let mut node = AeNode::new(cfg, me);
+        node.lineage[root as usize] = Some(v);
+        let mut rng = fba_sim::rng::node_rng(1, me.index());
+        let mut outbox = fba_sim::Runs::new();
+        node.on_start(&mut hand_ctx(me, n, 0, &mut rng, &mut outbox));
+        let mut ctx = hand_ctx(me, n, 1, &mut rng, &mut outbox);
+        let value = |m: NodeId| m.index() as u64 * 3 + 1;
+        let mut pairs: Vec<(NodeId, u64)> = committee.iter().map(|&m| (m, value(m))).collect();
+        pairs[0].1 = node.rounds[1].contribs[&me];
+        for &m in &committee[1..] {
+            let contribute = AeMsg::Contribute {
+                root: true,
+                value: value(m),
+            };
+            node.on_message(m, contribute, &mut ctx);
+            let echo = AeMsg::Echo {
+                root: true,
+                pairs: pairs.clone(),
+            };
+            node.on_message(m, echo, &mut ctx);
+        }
+        (node, committee)
+    }
+
+    /// The messages `node` sends on `step`.
+    fn sent_on(node: &mut AeNode, step: Step) -> Vec<AeMsg> {
+        let mut rng = fba_sim::rng::node_rng(1, node.id.index());
+        let mut outbox = fba_sim::Runs::new();
+        node.on_step(&mut hand_ctx(
+            node.id,
+            node.cfg.n,
+            step,
+            &mut rng,
+            &mut outbox,
+        ));
+        let mut sent = Vec::new();
+        outbox.for_each_message(|_, msg| sent.push(msg));
+        sent.dedup();
+        sent
+    }
+
+    #[test]
+    fn echoes_from_outside_the_supreme_committee_do_not_count() {
+        let (mut node, committee) = supreme_member();
+        let mut attacked = node.clone();
+        let mut rng = fba_sim::rng::node_rng(1, 0);
+        let mut outbox = fba_sim::Runs::new();
+        let mut ctx = hand_ctx(node.id, node.cfg.n, 7, &mut rng, &mut outbox);
+        // 2c outsiders echo `0xbad` for every member: twice the members'
+        // own echoes, so counted they would outvote every contribution.
+        let bad: Vec<(NodeId, u64)> = committee.iter().map(|&m| (m, 0xbad)).collect();
+        let outsiders = fba_sim::all_nodes(node.cfg.n).filter(|m| !committee.contains(m));
+        for outsider in outsiders.take(2 * node.c()) {
+            let echo = AeMsg::Echo {
+                root: true,
+                pairs: bad.clone(),
+            };
+            attacked.on_message(outsider, echo, &mut ctx);
+        }
+        let step = 8 + 2 * Step::from(node.cfg.root_level());
+        let diffused = sent_on(&mut node, step);
+        assert!(matches!(diffused[..], [AeMsg::Diffuse { .. }]));
+        assert_eq!(sent_on(&mut attacked, step), diffused);
+    }
+
+    #[test]
+    fn contributions_from_outside_the_supreme_committee_are_not_echoed() {
+        let (mut node, committee) = supreme_member();
+        let outsider = fba_sim::all_nodes(node.cfg.n)
+            .find(|m| !committee.contains(m))
+            .unwrap();
+        let mut rng = fba_sim::rng::node_rng(1, 0);
+        let mut outbox = fba_sim::Runs::new();
+        let mut ctx = hand_ctx(node.id, node.cfg.n, 5, &mut rng, &mut outbox);
+        let contribute = AeMsg::Contribute {
+            root: true,
+            value: 0xbad,
+        };
+        node.on_message(outsider, contribute, &mut ctx);
+        let step = 6 + 2 * Step::from(node.cfg.root_level());
+        let [AeMsg::Echo { root: true, pairs }] = &sent_on(&mut node, step)[..] else {
+            panic!("a committee member echoes once");
+        };
+        let senders: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
+        assert_eq!(senders, committee, "every member and no one else");
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn usage() {
 fn sweep_usage() {
     eprintln!(
         "usage: paperbench sweep [--scope <quick|default|full|huge|extreme>] \
-         [--axis <name>=<v1,v2,…>]... [--metric <m1,m2,…>]... [--seeds <s1,s2,…>] \
+         [--axis <name>=<v1,v2,…>]... [--metric <m1,m2,…>]... [--seeds <s1,s2,…>]... \
          [--strict] [--json <path>]"
     );
     eprintln!("  axes (values parse through the scenario spec grammar):");
@@ -61,7 +61,8 @@ fn sweep_usage() {
     }
     eprintln!("  values split on commas; comma *parameters* re-merge automatically");
     eprintln!("  (adversary=silent,random-flood:16,4 is two values). Repeating");
-    eprintln!("  --axis with the same name extends the axis.");
+    eprintln!("  --axis with the same name extends the axis; --metric and --seeds");
+    eprintln!("  repeat too, each time extending their lists.");
 }
 
 /// The cursor every subcommand reads its flags with. A rejection is an
@@ -135,7 +136,8 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             "--seeds" => {
                 let raw = flags.value(arg)?;
                 let parsed: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
-                seeds = Some(parsed.map_err(|err| format!("bad --seeds `{raw}`: {err}"))?);
+                let parsed = parsed.map_err(|err| format!("bad --seeds `{raw}`: {err}"))?;
+                seeds.get_or_insert_with(Vec::new).extend(parsed);
             }
             "--strict" => strict = true,
             "--json" => json_path = Some(flags.value(arg)?),

@@ -17,7 +17,8 @@
 //! one (the comma *parameters* of `random-flood:16,4`) is merged back,
 //! so comma-parameterized specs work in a plain list
 //! (`--axis adversary=silent,random-flood:16,4` is two values). Repeating
-//! `--axis` with the same name extends the axis. Metric names are those
+//! `--axis` with the same name extends the axis, as repeating `--metric`
+//! or `--seeds` extends its list. Metric names are those
 //! of the [`crate::metric`] catalogue. Unknown axes or metrics, malformed
 //! values, and a value, metric or seed listed twice are rejected with the
 //! catalogue before anything runs.

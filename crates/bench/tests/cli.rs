@@ -230,10 +230,29 @@ fn sweep_rejects_a_metric_or_an_axis_value_listed_twice() {
             &["--axis", "n=48", "--seeds", "1,1"][..],
             "seed `1` is listed twice",
         ),
+        (
+            &["--axis", "n=48", "--seeds", "1", "--seeds", "1"][..],
+            "seed `1` is listed twice",
+        ),
     ] {
         let stderr = rejected(&[&["sweep", "--scope", "quick"], args].concat());
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn repeated_seeds_flags_extend_the_seed_list() {
+    let out = paperbench(&[
+        "sweep", "--scope", "quick", "--axis", "n=48", "--metric", "decided", "--seeds", "1",
+        "--seeds", "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("Fixed seed(s) 1, 2"), "{stdout}");
 }
 
 #[test]

@@ -529,9 +529,9 @@ impl PullPhase {
         }
     }
 
-    /// Crash-recovery: drops every transient (the state a crash loses),
-    /// restores the durable facts from `checkpoint`, and launches
-    /// catch-up traffic.
+    /// Crash-recovery: rebuilds the phase, so every transient (the state a
+    /// crash loses) goes, restores the durable facts from `checkpoint`,
+    /// and launches catch-up traffic.
     ///
     /// Transients are the in-flight poll masks, the router/answerer vote
     /// arenas, the flood filters and the overload queue: all of them are
@@ -548,24 +548,10 @@ impl PullPhase {
     /// the repair machinery's Lemma 7 safety argument (adopt only a
     /// strict-majority report).
     pub fn restore(&mut self, checkpoint: &Checkpoint, ctx: &mut Context<'_, AerMsg>) {
-        self.own_polls.clear();
-        self.forwarded_pulls.clear();
         self.state.forget_fw1_votes(self.x);
-        self.polled.clear();
-        self.fw2_senders.clear();
-        self.answered.clear();
-        self.answer_counts.clear();
-        self.deferred.clear();
-        self.repair_label = None;
-        self.repair_used = 0;
-        self.repair_last = 0;
-        self.repair_votes.clear();
-        self.repair_pending.clear();
-        self.repair_answered.clear();
-
-        if let Some(belief) = checkpoint.belief.or(checkpoint.accepted.first().copied()) {
-            self.set_belief(belief, belief.key());
-        }
+        let belief = checkpoint.belief.or(checkpoint.accepted.first().copied());
+        let belief = belief.unwrap_or(self.believed);
+        *self = PullPhase::new(self.x, belief, &self.state, self.overload_cap, self.retry);
         self.decided = checkpoint.decided;
         if self.decided.is_some() {
             return;
