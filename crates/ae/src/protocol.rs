@@ -488,7 +488,7 @@ impl Protocol for AeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fba_sim::{run, EngineConfig, NoAdversary, SilentAdversary};
+    use fba_sim::{run, Driver, EngineConfig, Input, NoAdversary, SilentAdversary};
 
     fn engine(cfg: &AeConfig) -> EngineConfig {
         EngineConfig {
@@ -583,93 +583,55 @@ mod tests {
         );
     }
 
-    /// Drives a single node by hand to check message filtering.
-    fn hand_ctx<'a>(
-        id: NodeId,
-        n: usize,
-        step: fba_sim::Step,
-        rng: &'a mut rand_chacha::ChaCha12Rng,
-        outbox: &'a mut fba_sim::Runs<AeMsg>,
-    ) -> Context<'a, AeMsg> {
-        Context::new(id, n, step, rng, outbox)
+    /// Node `id` of `cfg`'s system, alone in a driver's node table.
+    fn driven(cfg: AeConfig, id: NodeId) -> Driver<AeNode> {
+        Driver::new(cfg.n, 1, |i| (i == id).then(|| AeNode::new(cfg, id)))
+    }
+
+    /// `msg` from `from`, as a driver input.
+    fn hear(from: NodeId, msg: AeMsg) -> Input<AeMsg> {
+        Input::Message { from, msg }
     }
 
     #[test]
     fn contributions_from_outside_the_leaf_group_are_ignored() {
         let cfg = AeConfig::recommended(64);
         let c = cfg.committee_size; // leaf group 0 = [0, c)
-        let mut node = AeNode::new(cfg, NodeId::from_index(0));
-        let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = fba_sim::Runs::new();
-        let mut ctx = hand_ctx(NodeId::from_index(0), 64, 1, &mut rng, &mut outbox);
+        let me = NodeId::from_index(0);
+        let mut d = driven(cfg, me);
+        let contribute = |value| AeMsg::Contribute { root: false, value };
         // A contribution from a node outside group 0 must be dropped.
         let outsider = NodeId::from_index(c + 1);
-        node.on_message(
-            outsider,
-            AeMsg::Contribute {
-                root: false,
-                value: 7,
-            },
-            &mut ctx,
-        );
+        d.at(1).apply(me, hear(outsider, contribute(7)));
         // A contribution from inside must be stored (first one wins).
         let insider = NodeId::from_index(1);
-        node.on_message(
-            insider,
-            AeMsg::Contribute {
-                root: false,
-                value: 9,
-            },
-            &mut ctx,
-        );
-        node.on_message(
-            insider,
-            AeMsg::Contribute {
-                root: false,
-                value: 10,
-            },
-            &mut ctx,
-        );
-        assert_eq!(node.rounds[0].contribs.get(&outsider), None);
-        assert_eq!(
-            node.rounds[0].contribs.get(&insider),
-            Some(&9),
-            "first claim wins"
-        );
+        d.apply(me, hear(insider, contribute(9)));
+        d.apply(me, hear(insider, contribute(10)));
+        let contribs = &d.node(me).rounds[0].contribs;
+        assert_eq!(contribs.get(&outsider), None);
+        assert_eq!(contribs.get(&insider), Some(&9), "first claim wins");
     }
 
     #[test]
     fn gv_claims_from_outside_the_claimed_range_are_ignored() {
         let cfg = AeConfig::recommended(128);
         let c = cfg.committee_size;
-        let mut node = AeNode::new(cfg, NodeId::from_index(0));
-        let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = fba_sim::Runs::new();
-        let mut ctx = hand_ctx(NodeId::from_index(0), 128, 5, &mut rng, &mut outbox);
+        let me = NodeId::from_index(0);
+        let mut d = driven(cfg, me);
+        let claim = AeMsg::Gv {
+            level: 0,
+            idx: 1,
+            value: 42,
+        };
         // Claim about subtree (0, 1) = range [c, 2c) from a node outside
         // that range: dropped.
-        node.on_message(
-            NodeId::from_index(3 * c),
-            AeMsg::Gv {
-                level: 0,
-                idx: 1,
-                value: 42,
-            },
-            &mut ctx,
-        );
-        assert!(!node.claims.contains_key(&(0, 1)));
+        d.at(5)
+            .apply(me, hear(NodeId::from_index(3 * c), claim.clone()));
+        assert!(!d.node(me).claims.contains_key(&(0, 1)));
         // Same claim from inside the range: stored.
-        node.on_message(
-            NodeId::from_index(c + 1),
-            AeMsg::Gv {
-                level: 0,
-                idx: 1,
-                value: 42,
-            },
-            &mut ctx,
-        );
+        d.apply(me, hear(NodeId::from_index(c + 1), claim));
         assert_eq!(
-            node.claims[&(0, 1)].get(&NodeId::from_index(c + 1)),
+            d.node(me).claims[&(0, 1)].get(&NodeId::from_index(c + 1)),
             Some(&42)
         );
     }
@@ -707,95 +669,74 @@ mod tests {
     /// A member of the supreme committee under root value `v` at n = 256,
     /// past its start, with every other member's root contribution and
     /// echo delivered.
-    fn supreme_member() -> (AeNode, Vec<NodeId>) {
+    fn supreme_member() -> (Driver<AeNode>, NodeId, Vec<NodeId>) {
         let (n, v) = (256, 0x5eed_u64);
         let cfg = AeConfig::recommended(n);
         let root = cfg.root_level();
         let committee = tree::reps(n, cfg.committee_size, cfg.sampler_seed, root, 0, v);
         let me = committee[0];
-        let mut node = AeNode::new(cfg, me);
-        node.lineage[root as usize] = Some(v);
-        let mut rng = fba_sim::rng::node_rng(1, me.index());
-        let mut outbox = fba_sim::Runs::new();
-        node.on_start(&mut hand_ctx(me, n, 0, &mut rng, &mut outbox));
-        let mut ctx = hand_ctx(me, n, 1, &mut rng, &mut outbox);
+        let mut d = driven(cfg, me);
+        d.node_mut(me).lineage[root as usize] = Some(v);
+        d.apply(me, Input::Start);
         let value = |m: NodeId| m.index() as u64 * 3 + 1;
         let mut pairs: Vec<(NodeId, u64)> = committee.iter().map(|&m| (m, value(m))).collect();
-        pairs[0].1 = node.rounds[1].contribs[&me];
+        pairs[0].1 = d.node(me).rounds[1].contribs[&me];
         for &m in &committee[1..] {
             let contribute = AeMsg::Contribute {
                 root: true,
                 value: value(m),
             };
-            node.on_message(m, contribute, &mut ctx);
+            d.at(1).apply(me, hear(m, contribute));
             let echo = AeMsg::Echo {
                 root: true,
                 pairs: pairs.clone(),
             };
-            node.on_message(m, echo, &mut ctx);
+            d.apply(me, hear(m, echo));
         }
-        (node, committee)
-    }
-
-    /// The messages `node` sends on `step`.
-    fn sent_on(node: &mut AeNode, step: Step) -> Vec<AeMsg> {
-        let mut rng = fba_sim::rng::node_rng(1, node.id.index());
-        let mut outbox = fba_sim::Runs::new();
-        node.on_step(&mut hand_ctx(
-            node.id,
-            node.cfg.n,
-            step,
-            &mut rng,
-            &mut outbox,
-        ));
-        let mut sent = Vec::new();
-        outbox.for_each_message(|_, msg| sent.push(msg));
-        sent.dedup();
-        sent
+        (d, me, committee)
     }
 
     #[test]
     fn echoes_from_outside_the_supreme_committee_do_not_count() {
-        let (mut node, committee) = supreme_member();
-        let mut attacked = node.clone();
-        let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = fba_sim::Runs::new();
-        let mut ctx = hand_ctx(node.id, node.cfg.n, 7, &mut rng, &mut outbox);
+        let (mut node, me, committee) = supreme_member();
+        let (mut attacked, ..) = supreme_member();
+        let cfg = node.node(me).cfg;
         // 2c outsiders echo `0xbad` for every member: twice the members'
         // own echoes, so counted they would outvote every contribution.
         let bad: Vec<(NodeId, u64)> = committee.iter().map(|&m| (m, 0xbad)).collect();
-        let outsiders = fba_sim::all_nodes(node.cfg.n).filter(|m| !committee.contains(m));
-        for outsider in outsiders.take(2 * node.c()) {
+        let outsiders = fba_sim::all_nodes(cfg.n).filter(|m| !committee.contains(m));
+        for outsider in outsiders.take(2 * cfg.committee_size) {
             let echo = AeMsg::Echo {
                 root: true,
                 pairs: bad.clone(),
             };
-            attacked.on_message(outsider, echo, &mut ctx);
+            attacked.at(7).apply(me, hear(outsider, echo));
         }
-        let step = 8 + 2 * Step::from(node.cfg.root_level());
-        let diffused = sent_on(&mut node, step);
-        assert!(matches!(diffused[..], [AeMsg::Diffuse { .. }]));
-        assert_eq!(sent_on(&mut attacked, step), diffused);
+        let step = 8 + 2 * Step::from(cfg.root_level());
+        let diffused = node.at(step).apply(me, Input::Tick);
+        assert!(matches!(diffused[0].msg, AeMsg::Diffuse { .. }));
+        assert_eq!(node.outbox().run_count(), 1, "one multicast");
+        assert_eq!(attacked.at(step).apply(me, Input::Tick), diffused);
     }
 
     #[test]
     fn contributions_from_outside_the_supreme_committee_are_not_echoed() {
-        let (mut node, committee) = supreme_member();
-        let outsider = fba_sim::all_nodes(node.cfg.n)
+        let (mut d, me, committee) = supreme_member();
+        let cfg = d.node(me).cfg;
+        let outsider = fba_sim::all_nodes(cfg.n)
             .find(|m| !committee.contains(m))
             .unwrap();
-        let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = fba_sim::Runs::new();
-        let mut ctx = hand_ctx(node.id, node.cfg.n, 5, &mut rng, &mut outbox);
         let contribute = AeMsg::Contribute {
             root: true,
             value: 0xbad,
         };
-        node.on_message(outsider, contribute, &mut ctx);
-        let step = 6 + 2 * Step::from(node.cfg.root_level());
-        let [AeMsg::Echo { root: true, pairs }] = &sent_on(&mut node, step)[..] else {
-            panic!("a committee member echoes once");
+        d.at(5).apply(me, hear(outsider, contribute));
+        let step = 6 + 2 * Step::from(cfg.root_level());
+        let sent = d.at(step).apply(me, Input::Tick);
+        let AeMsg::Echo { root: true, pairs } = &sent[0].msg else {
+            panic!("a committee member echoes");
         };
+        assert_eq!(d.outbox().run_count(), 1, "once");
         let senders: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
         assert_eq!(senders, committee, "every member and no one else");
     }
@@ -812,19 +753,16 @@ mod tests {
 
     #[test]
     fn rigged_node_sends_the_fixed_contribution() {
-        let cfg = AeConfig::recommended(64);
-        let mut node = AeNode::new_rigged(cfg, NodeId::from_index(0), 0xabcd);
-        let mut rng = fba_sim::rng::node_rng(1, 0);
-        let mut outbox = fba_sim::Runs::new();
-        let mut ctx = hand_ctx(NodeId::from_index(0), 64, 0, &mut rng, &mut outbox);
-        node.on_start(&mut ctx);
-        #[allow(clippy::drop_non_drop)] // release the outbox borrow
-        drop(ctx);
-        assert!(!outbox.is_empty());
-        outbox.for_each_message(|_, msg| {
-            if let AeMsg::Contribute { value, .. } = msg {
+        let (cfg, me) = (AeConfig::recommended(64), NodeId::from_index(0));
+        let mut d = Driver::new(64, 1, |id| {
+            (id == me).then(|| AeNode::new_rigged(cfg, id, 0xabcd))
+        });
+        let sent = d.apply(me, Input::Start);
+        assert!(!sent.is_empty());
+        for e in sent {
+            if let AeMsg::Contribute { value, .. } = e.msg {
                 assert_eq!(value, 0xabcd);
             }
-        });
+        }
     }
 }

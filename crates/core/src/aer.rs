@@ -423,9 +423,8 @@ impl AerHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::Hand;
     use fba_ae::UnknowingAssignment;
-    use fba_sim::NoAdversary;
+    use fba_sim::{Driver, NoAdversary, TestStep};
 
     fn harness(n: usize, knowledge: f64, seed: u64) -> (AerHarness, Precondition) {
         let cfg = AerConfig::recommended(n);
@@ -570,12 +569,6 @@ mod tests {
             output: Option<GString>,
         }
 
-        struct TestStep {
-            desc: &'static str,
-            input: Input,
-            expected_outputs: Outputs,
-        }
-
         let (n, x) = (64, NodeId::from_index(5));
         let cfg = AerConfig::recommended(n);
         let d = cfg.d;
@@ -645,33 +638,36 @@ mod tests {
             if recovery {
                 h.enable_recovery(RecoveryConfig::default());
             }
-            let mut node = h.node_with(x, &h.run_state());
-            let mut hand = Hand::new(x, n, 3);
-            hand.sent(1, |ctx| node.on_start(ctx));
-            let push = h.scheme().push;
+            let state = h.run_state();
+            let mut d = Driver::new(n, 3, |id| (id == x).then(|| h.node_with(id, &state)));
+            d.at(1).apply(x, fba_sim::Input::Start);
+            let (push, hear) = (h.scheme().push, |from, msg| fba_sim::Input::Message {
+                from,
+                msg,
+            });
             let mut accepted = Vec::new();
             for &z in &push.quorum(other.key(), x)[..push.majority()] {
-                accepted.extend(hand.sent(2, |ctx| node.on_message(z, AerMsg::Push(other), ctx)));
+                accepted.extend(d.at(2).apply(x, hear(z, AerMsg::Push(other))));
             }
             if let Input::Decided = row.input {
                 let r = accepted
                     .iter()
-                    .find_map(|(_, m)| match m {
-                        AerMsg::Poll(_, r) => Some(*r),
+                    .find_map(|e| match e.msg {
+                        AerMsg::Poll(_, r) => Some(r),
                         _ => None,
                     })
                     .expect("accepting other polls it");
                 let poll = h.poll_sampler();
                 for &w in &poll.poll_list(x, r)[..poll.majority()] {
-                    hand.sent(3, |ctx| node.on_message(w, AerMsg::Answer(other), ctx));
+                    d.at(3).apply(x, hear(w, AerMsg::Answer(other)));
                 }
             }
-            assert_eq!(node.candidates(), [g, other], "{}", row.desc);
+            assert_eq!(d.node(x).candidates(), [g, other], "{}", row.desc);
             let mut sent: Vec<(AerMsg, usize)> = Vec::new();
-            for (_, msg) in hand.sent(4, |ctx| node.on_restart(ctx)) {
+            for e in d.at(4).apply(x, fba_sim::Input::Restart) {
                 match sent.last_mut() {
-                    Some((last, count)) if *last == msg => *count += 1,
-                    _ => sent.push((msg, 1)),
+                    Some((last, count)) if *last == e.msg => *count += 1,
+                    _ => sent.push((e.msg, 1)),
                 }
             }
             let sent = sent
@@ -685,8 +681,8 @@ mod tests {
                 .collect();
             let outputs = Outputs {
                 sent,
-                believed: *node.believed(),
-                output: node.output(),
+                believed: *d.node(x).believed(),
+                output: d.node(x).output(),
             };
             assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
         }

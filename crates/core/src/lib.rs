@@ -50,8 +50,3 @@ pub use aer::{AerHarness, AerNode};
 pub use config::{default_faults, AerConfig, ConfigError};
 pub use msg::AerMsg;
 pub use state::AerRunState;
-
-/// The hand-driving test helper, shared with `tests/` (one copy).
-#[cfg(test)]
-#[path = "../tests/support/mod.rs"]
-mod test_support;

@@ -580,8 +580,9 @@ fn fw1_for(fw1: &AerMsg, w: NodeId) -> AerMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::Hand;
+    use crate::AerNode;
     use fba_samplers::QuorumScheme;
+    use fba_sim::{Driver, Envelope, TestStep};
 
     const CAP: u64 = 100;
 
@@ -616,9 +617,20 @@ mod tests {
         PullPhase::new(NodeId::from_index(x), own, &state, CAP, retry)
     }
 
-    /// The hand of `p`'s node in a system of `n`.
-    fn hand(p: &PullPhase, n: usize) -> Hand {
-        Hand::new(p.x, n, 1)
+    /// `n` nodes and no node table: a phase's handlers run through its
+    /// node's context, `driver(n).call(p.x, …)`.
+    fn driver(n: usize) -> Driver<AerNode> {
+        Driver::new(n, 1, |_| None)
+    }
+
+    /// The label of the first `Poll` among `sent`.
+    fn polled(sent: &[Envelope<AerMsg>]) -> Label {
+        sent.iter()
+            .find_map(|e| match e.msg {
+                AerMsg::Poll(_, r) => Some(r),
+                _ => None,
+            })
+            .expect("a poll was sent")
     }
 
     #[test]
@@ -628,43 +640,29 @@ mod tests {
         let (scheme, poll) = setup(n, d);
         let mut p = phase(3, gs(0), n, d);
         let s = gs(1);
-        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(s, ctx));
+        let sends = driver(n).call(p.x, |ctx| p.start_poll(s, ctx));
         assert_eq!(sends.len(), 2 * d);
-        let polls: Vec<_> = sends
+        let (polls, pulls): (Vec<_>, Vec<_>) = sends
             .iter()
-            .filter(|(_, m)| matches!(m, AerMsg::Poll(..)))
-            .collect();
-        let pulls: Vec<_> = sends
-            .iter()
-            .filter(|(_, m)| matches!(m, AerMsg::Pull(..)))
-            .collect();
+            .partition(|e| matches!(e.msg, AerMsg::Poll(..)));
         assert_eq!(polls.len(), d);
         assert_eq!(pulls.len(), d);
         // Pulls go exactly to H(s, x).
         let quorum = scheme.pull.quorum(s.key(), NodeId::from_index(3));
-        for (to, _) in pulls {
-            assert!(quorum.contains(to));
-        }
+        assert!(pulls.iter().all(|e| quorum.contains(&e.to)));
         // Polls go exactly to J(x, r) for the label used.
-        if let AerMsg::Poll(_, r) = polls[0].1 {
-            let list = poll.poll_list(NodeId::from_index(3), r);
-            for (to, _) in polls {
-                assert!(list.contains(to));
-            }
-        } else {
-            unreachable!();
-        }
+        let list = poll.poll_list(NodeId::from_index(3), polled(&sends));
+        assert!(polls.iter().all(|e| list.contains(&e.to)));
     }
 
     #[test]
     fn start_poll_is_idempotent_per_string_and_stops_after_decision() {
-        let mut p = phase(3, gs(0), 64, 7);
-        let mut hand = hand(&p, 64);
-        assert!(!hand.sent(0, |ctx| p.start_poll(gs(1), ctx)).is_empty());
-        let again = hand.sent(0, |ctx| p.start_poll(gs(1), ctx));
+        let (mut p, mut d) = (phase(3, gs(0), 64, 7), driver(64));
+        assert!(!d.call(p.x, |ctx| p.start_poll(gs(1), ctx)).is_empty());
+        let again = d.call(p.x, |ctx| p.start_poll(gs(1), ctx));
         assert!(again.is_empty(), "same string twice");
         p.decided = Some(gs(9));
-        let late = hand.sent(0, |ctx| p.start_poll(gs(2), ctx));
+        let late = d.call(p.x, |ctx| p.start_poll(gs(2), ctx));
         assert!(late.is_empty(), "after decision");
     }
 
@@ -678,16 +676,15 @@ mod tests {
         let origin = NodeId::from_index(9);
         let quorum = scheme.pull.quorum(s.key(), origin);
         let y = quorum[0];
-        let mut p = phase(y.index(), s, n, d);
-        let mut hand = hand(&p, n);
+        let (mut p, mut hand) = (phase(y.index(), s, n, d), driver(n));
         let r = Label(77);
-        let sends = hand.sent(1, |ctx| p.on_pull(origin, s, r, ctx));
+        let sends = hand.call(y, |ctx| p.on_pull(origin, s, r, ctx));
         assert_eq!(sends.len(), d * d, "d poll members × d quorum members");
-        assert!(sends.iter().all(|(_, m)| matches!(m, AerMsg::Fw1 { .. })));
+        assert!(sends.iter().all(|e| matches!(e.msg, AerMsg::Fw1 { .. })));
         // Second identical pull is filtered.
-        assert!(hand.sent(1, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
+        assert!(hand.call(y, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
         // Different label, same (origin, s): still filtered.
-        let relabelled = hand.sent(1, |ctx| p.on_pull(origin, s, Label(78), ctx));
+        let relabelled = hand.call(y, |ctx| p.on_pull(origin, s, Label(78), ctx));
         assert!(relabelled.is_empty());
     }
 
@@ -700,8 +697,9 @@ mod tests {
         let (scheme, poll) = setup(n, d);
         let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
         let y = scheme.pull.quorum(s.key(), origin)[0];
-        let mut p = phase(y.index(), s, n, d);
-        let out = hand(&p, n).outbox(1, |ctx| p.on_pull(origin, s, r, ctx));
+        let (mut p, mut hand) = (phase(y.index(), s, n, d), driver(n));
+        let sent = hand.call(y, |ctx| p.on_pull(origin, s, r, ctx));
+        let out = hand.outbox();
         assert_eq!(out.run_count(), 1, "one run head");
         let mut parts: Vec<(AerMsg, *const [NodeId])> = Vec::new();
         out.for_each_part(|msg, to| parts.push((msg.clone(), to)));
@@ -724,8 +722,7 @@ mod tests {
         };
         let want: Vec<(NodeId, AerMsg)> = list.iter().flat_map(|&w| fw1(w)).collect();
         assert_eq!(want.len(), d * d);
-        let mut got = Vec::new();
-        out.for_each_message(|to, msg| got.push((to, msg)));
+        let got: Vec<(NodeId, AerMsg)> = sent.into_iter().map(|e| (e.to, e.msg)).collect();
         assert_eq!(got, want);
     }
 
@@ -741,7 +738,7 @@ mod tests {
         // Router believes something else: no forward.
         let mut wrong_belief = phase(quorum[0].index(), gs(1), n, d);
         let routed =
-            |p: &mut PullPhase| hand(p, n).sent(1, |ctx| p.on_pull(origin, s, Label(0), ctx));
+            |p: &mut PullPhase| driver(n).call(p.x, |ctx| p.on_pull(origin, s, Label(0), ctx));
         assert!(routed(&mut wrong_belief).is_empty());
 
         // Node outside H(s, origin): no forward.
@@ -765,22 +762,16 @@ mod tests {
         let key = g.key();
         let x = NodeId::from_index(2);
 
-        let mut requester = phase(x.index(), g, n, d);
-        let sends = hand(&requester, n).sent(0, |ctx| requester.start_poll(g, ctx));
-        let r = match &sends[0].1 {
-            AerMsg::Poll(_, r) => *r,
-            _ => unreachable!(),
-        };
+        let (mut requester, mut hand) = (phase(x.index(), g, n, d), driver(n));
+        let r = polled(&hand.call(x, |ctx| requester.start_poll(g, ctx)));
         let poll_list = poll.poll_list(x, r);
         let h_x = scheme.pull.quorum(key, x);
 
         // Every router in H(g, x) believes g and forwards.
-        let mut all_fw1: Vec<(NodeId, NodeId, AerMsg)> = Vec::new(); // (sender y, to z, msg)
+        let mut all_fw1: Vec<Envelope<AerMsg>> = Vec::new();
         for &y in &h_x {
             let mut router = phase(y.index(), g, n, d);
-            for (to, m) in hand(&router, n).sent(1, |ctx| router.on_pull(x, g, r, ctx)) {
-                all_fw1.push((y, to, m));
-            }
+            all_fw1.extend(hand.call(y, |ctx| router.on_pull(x, g, r, ctx)));
         }
 
         // Deliver Fw1s to one specific relay z for one specific w and watch
@@ -789,25 +780,21 @@ mod tests {
         let h_w = scheme.pull.quorum(key, w);
         let z = h_w[0];
         let mut relay = phase(z.index(), g, n, d);
-        let mut relay_hand = hand(&relay, n);
         let mut fw2_out = Vec::new();
         let mut distinct_routers = 0;
-        for (y, to, m) in &all_fw1 {
-            if *to != z {
-                continue;
-            }
+        for e in all_fw1.iter().filter(|e| e.to == z) {
             if let AerMsg::Fw1 {
                 origin,
                 s,
-                r: rr,
+                r,
                 w: ww,
-            } = m
+            } = e.msg
             {
-                if *ww != w {
+                if ww != w {
                     continue;
                 }
                 distinct_routers += 1;
-                let out = relay_hand.sent(2, |ctx| relay.on_fw1(*y, *origin, *s, *rr, *ww, ctx));
+                let out = hand.call(z, |ctx| relay.on_fw1(e.from, origin, s, r, ww, ctx));
                 if distinct_routers < majority {
                     assert!(out.is_empty(), "below majority must not relay");
                 } else if distinct_routers == majority {
@@ -818,16 +805,16 @@ mod tests {
             }
         }
         let fw2 = AerMsg::Fw2 { origin: x, s: g, r };
+        let fw2_out: Vec<_> = fw2_out.into_iter().map(|e| (e.to, e.msg)).collect();
         assert_eq!(fw2_out, [(w, fw2)], "majority crossing sends one Fw2");
 
         // The poll-list member w: polled + Fw2 majority => answer.
         let mut answerer = phase(w.index(), g, n, d);
-        let mut answerer_hand = hand(&answerer, n);
-        let polled = answerer_hand.sent(1, |ctx| answerer.on_poll(x, g, r, ctx));
+        let polled = hand.call(w, |ctx| answerer.on_poll(x, g, r, ctx));
         assert!(polled.is_empty(), "no majority yet");
         let mut answers = Vec::new();
         for (i, &zz) in h_w.iter().enumerate() {
-            let out = answerer_hand.sent(3, |ctx| answerer.on_fw2(zz, x, g, r, ctx));
+            let out = hand.call(w, |ctx| answerer.on_fw2(zz, x, g, r, ctx));
             if i + 1 < majority {
                 assert!(out.is_empty());
             } else if i + 1 == majority {
@@ -837,7 +824,7 @@ mod tests {
             }
         }
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].0, x, "answer goes to the requester");
+        assert_eq!(answers[0].to, x, "answer goes to the requester");
 
         // The requester decides after majority answers from J(x, r).
         for (i, &ww) in poll_list.iter().enumerate().take(poll.majority()) {
@@ -859,11 +846,7 @@ mod tests {
         let (_, poll) = setup(n, d);
         let mut p = phase(2, gs(0), n, d);
         let g = gs(0);
-        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(g, ctx));
-        let r = match &sends[0].1 {
-            AerMsg::Poll(_, r) => *r,
-            _ => unreachable!(),
-        };
+        let r = polled(&driver(n).call(p.x, |ctx| p.start_poll(g, ctx)));
         let list = poll.poll_list(NodeId::from_index(2), r);
         let outsider = (0..n)
             .map(NodeId::from_index)
@@ -882,11 +865,7 @@ mod tests {
         let (_, poll) = setup(n, d);
         let mut p = phase(2, gs(0), n, d);
         let g = gs(0);
-        let sends = hand(&p, n).sent(0, |ctx| p.start_poll(g, ctx));
-        let r = match &sends[0].1 {
-            AerMsg::Poll(_, r) => *r,
-            _ => unreachable!(),
-        };
+        let r = polled(&driver(n).call(p.x, |ctx| p.start_poll(g, ctx)));
         let list = poll.poll_list(NodeId::from_index(2), r);
         for _ in 0..10 {
             assert!(p.on_answer(list[0], g).is_none());
@@ -909,15 +888,13 @@ mod tests {
         let w = NodeId::from_index(7);
         let h_w = scheme.pull.quorum(g.key(), w);
         let mut p = phase(w.index(), g, n, D);
-        let origin = NodeId::from_index(20);
-        let mut w_hand = hand(&p, n);
+        let (origin, mut hand) = (NodeId::from_index(20), driver(n));
         let (r, _) = find_label_containing(p.poll(), origin, w);
-        let _ = w_hand.sent(1, |ctx| p.on_poll(origin, g, r, ctx));
+        let _ = hand.call(w, |ctx| p.on_poll(origin, g, r, ctx));
         let answers: Vec<usize> = order
             .iter()
             .map(|&pos| {
-                w_hand
-                    .sent(3, |ctx| p.on_fw2(h_w[pos], origin, g, r, ctx))
+                hand.call(w, |ctx| p.on_fw2(h_w[pos], origin, g, r, ctx))
                     .len()
             })
             .collect();
@@ -926,14 +903,7 @@ mod tests {
 
         // Algorithm 1: answerers of J(x, r).
         let mut q = phase(2, g, n, D);
-        let sends = hand(&q, n).sent(0, |ctx| q.start_poll(g, ctx));
-        let r = sends
-            .iter()
-            .find_map(|(_, m)| match m {
-                AerMsg::Poll(_, r) => Some(*r),
-                _ => None,
-            })
-            .expect("a poll was sent");
+        let r = polled(&hand.call(q.x, |ctx| q.start_poll(g, ctx)));
         let list = q.poll().poll_list(q.x, r);
         assert_eq!(list.len(), D);
         let decisions: Vec<bool> = order
@@ -969,12 +939,6 @@ mod tests {
             decided: bool,
         }
 
-        struct TestStep {
-            desc: &'static str,
-            input: Input,
-            expected_outputs: Outputs,
-        }
-
         const CAP: u64 = 2;
         let (n, d, x) = (64, 5, NodeId::from_index(7));
         let (g, other) = (gs(0), gs(1));
@@ -984,15 +948,8 @@ mod tests {
         let trailing = d - majority;
         let state = AerRunState::new(scheme, poll);
         let mut p = PullPhase::new(x, g, &state, CAP, RetryPolicy::strict());
-        let mut hand = hand(&p, n);
-        let sent = hand.sent(0, |ctx| p.start_poll(g, ctx));
-        let r = sent
-            .iter()
-            .find_map(|(_, m)| match m {
-                AerMsg::Poll(_, r) => Some(*r),
-                _ => None,
-            })
-            .expect("the node polls J(x, r)");
+        let mut hand = driver(n);
+        let r = polled(&hand.call(x, |ctx| p.start_poll(g, ctx)));
         let outputs = |answered: &[usize], deferred: usize, decided: bool| Outputs {
             answered: answered.to_vec(),
             deferred,
@@ -1048,9 +1005,9 @@ mod tests {
                     let origin = NodeId::from_index(origin);
                     let (r, _) = find_label_containing(p.poll(), origin, x);
                     let h_x = scheme.pull.quorum(s.key(), x);
-                    let mut sent = hand.sent(step, |ctx| p.on_poll(origin, s, r, ctx));
+                    let mut sent = hand.at(step).call(x, |ctx| p.on_poll(origin, s, r, ctx));
                     for &z in &h_x {
-                        sent.extend(hand.sent(step, |ctx| p.on_fw2(z, origin, s, r, ctx)));
+                        sent.extend(hand.call(x, |ctx| p.on_fw2(z, origin, s, r, ctx)));
                     }
                     sent
                 }
@@ -1058,16 +1015,13 @@ mod tests {
                     let list = p.poll().poll_list(x, r);
                     let decisions = list[..majority].iter().filter_map(|&w| p.on_answer(w, g));
                     assert_eq!(decisions.last(), Some(g), "{}", row.desc);
-                    hand.sent(step, |ctx| p.on_decided(ctx))
+                    hand.at(step).call(x, |ctx| p.on_decided(ctx))
                 }
             };
-            assert!(
-                sent.iter().all(|(_, m)| *m == AerMsg::Answer(g)),
-                "{}",
-                row.desc
-            );
+            let answer = AerMsg::Answer(g);
+            assert!(sent.iter().all(|e| e.msg == answer), "{}", row.desc);
             let outputs = Outputs {
-                answered: sent.iter().map(|(to, _)| to.index()).collect(),
+                answered: sent.iter().map(|e| e.to.index()).collect(),
                 deferred: p.deferred_len(),
                 decided: p.decided().is_some(),
             };
@@ -1103,10 +1057,9 @@ mod tests {
         let w = NodeId::from_index(7);
         let h_w: BTreeSet<_> = scheme.pull.quorum(key, w).into_iter().collect();
         let mut p = phase(w.index(), g, n, d);
-        let origin = NodeId::from_index(20);
-        let mut hand = hand(&p, n);
+        let (origin, mut hand) = (NodeId::from_index(20), driver(n));
         let (r, _) = find_label_containing(p.poll(), origin, w);
-        let _ = hand.sent(1, |ctx| p.on_poll(origin, g, r, ctx));
+        let _ = hand.call(w, |ctx| p.on_poll(origin, g, r, ctx));
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
             .filter(|id| !h_w.contains(id))
@@ -1114,7 +1067,7 @@ mod tests {
             .collect();
         for z in outsiders {
             assert!(hand
-                .sent(3, |ctx| p.on_fw2(z, origin, g, r, ctx))
+                .call(w, |ctx| p.on_fw2(z, origin, g, r, ctx))
                 .is_empty());
         }
         assert_eq!(p.answers_sent_for(&g), 0);
@@ -1130,21 +1083,21 @@ mod tests {
         let w = NodeId::from_index(7);
         let h_w = scheme.pull.quorum(key, w);
         let mut p = phase(w.index(), g, n, d);
-        let origin = NodeId::from_index(20);
-        let mut hand = hand(&p, n);
+        let (origin, mut hand) = (NodeId::from_index(20), driver(n));
         let (r, _) = find_label_containing(p.poll(), origin, w);
         // Fw2 majority arrives before the poll.
         for &z in &h_w {
-            let out = hand.sent(3, |ctx| p.on_fw2(z, origin, g, r, ctx));
+            let out = hand.call(w, |ctx| p.on_fw2(z, origin, g, r, ctx));
             assert!(out.is_empty(), "not polled yet");
         }
         // The poll then triggers the answer (Algorithm 3's async branch).
-        let out = hand.sent(4, |ctx| p.on_poll(origin, g, r, ctx));
+        let out = hand.call(w, |ctx| p.on_poll(origin, g, r, ctx));
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, origin);
+        assert_eq!(out[0].to, origin);
     }
 
-    /// One handler call of the timeout → repair step table.
+    /// One handler call of the timeout → repair step table, made at the
+    /// step it is paired with.
     #[derive(Clone, Copy)]
     enum Input {
         /// `start_poll(s)`.
@@ -1165,13 +1118,6 @@ mod tests {
         decided: bool,
     }
 
-    struct TestStep {
-        desc: &'static str,
-        step: Step,
-        input: Input,
-        expected_outputs: Outputs,
-    }
-
     #[test]
     fn timeout_escalates_to_repair_and_the_original_poll_still_decides() {
         const D: usize = 5;
@@ -1181,8 +1127,7 @@ mod tests {
             repair_attempts: 2,
         };
         let (n, g) = (64, gs(0));
-        let mut p = phase_with_retry(2, g, n, D, retry);
-        let mut hand = hand(&p, n);
+        let (mut p, mut hand) = (phase_with_retry(2, g, n, D, retry), driver(n));
         let quiet = Outputs::default();
         let repair = Outputs {
             repair_queries: D,
@@ -1191,8 +1136,7 @@ mod tests {
         let table = [
             TestStep {
                 desc: "Algorithm 1: Poll(s, r) to J(x, r) and Pull(s, r) to H(s, x)",
-                step: 0,
-                input: Input::StartPoll,
+                input: (0, Input::StartPoll),
                 expected_outputs: Outputs {
                     polls: D,
                     pulls: D,
@@ -1201,44 +1145,37 @@ mod tests {
             },
             TestStep {
                 desc: "Deviations: before poll_timeout the node waits",
-                step: 3,
-                input: Input::Tick,
+                input: (3, Input::Tick),
                 expected_outputs: quiet,
             },
             TestStep {
                 desc: "Deviations: at poll_timeout, repair asks a fresh J(x, r'); no Poll",
-                step: 4,
-                input: Input::Tick,
+                input: (4, Input::Tick),
                 expected_outputs: repair,
             },
             TestStep {
                 desc: "Deviations: repair queries are one poll_timeout apart",
-                step: 7,
-                input: Input::Tick,
+                input: (7, Input::Tick),
                 expected_outputs: quiet,
             },
             TestStep {
                 desc: "Deviations: the second repair query",
-                step: 8,
-                input: Input::Tick,
+                input: (8, Input::Tick),
                 expected_outputs: repair,
             },
             TestStep {
                 desc: "Deviations: repair is capped at repair_attempts",
-                step: 12,
-                input: Input::Tick,
+                input: (12, Input::Tick),
                 expected_outputs: quiet,
             },
             TestStep {
                 desc: "Algorithm 1: one answer short of a majority of J(x, r) does not decide",
-                step: 13,
-                input: Input::Answers(MAJORITY - 1),
+                input: (13, Input::Answers(MAJORITY - 1)),
                 expected_outputs: quiet,
             },
             TestStep {
                 desc: "Algorithm 1: a majority of the original J(x, r), late, decides",
-                step: 14,
-                input: Input::Answers(MAJORITY),
+                input: (14, Input::Answers(MAJORITY)),
                 expected_outputs: Outputs {
                     decided: true,
                     ..quiet
@@ -1246,8 +1183,7 @@ mod tests {
             },
             TestStep {
                 desc: "Algorithm 1: after the decision on_step sends nothing",
-                step: 20,
-                input: Input::Tick,
+                input: (20, Input::Tick),
                 expected_outputs: Outputs {
                     decided: true,
                     ..quiet
@@ -1256,9 +1192,10 @@ mod tests {
         ];
         let mut r = None;
         for row in table {
-            let sent = match row.input {
-                Input::StartPoll => hand.sent(row.step, |ctx| p.start_poll(g, ctx)),
-                Input::Tick => hand.sent(row.step, |ctx| p.on_step(ctx)),
+            let (step, input) = row.input;
+            let sent = match input {
+                Input::StartPoll => hand.at(step).call(p.x, |ctx| p.start_poll(g, ctx)),
+                Input::Tick => hand.at(step).call(p.x, |ctx| p.on_step(ctx)),
                 Input::Answers(k) => {
                     let list = p.poll().poll_list(p.x, r.expect("polled first"));
                     for &w in &list[..k] {
@@ -1267,11 +1204,8 @@ mod tests {
                     Vec::new()
                 }
             };
-            r = r.or(sent.iter().find_map(|(_, m)| match m {
-                AerMsg::Poll(_, r) => Some(*r),
-                _ => None,
-            }));
-            let count = |kind: fn(&AerMsg) -> bool| sent.iter().filter(|(_, m)| kind(m)).count();
+            r = r.or_else(|| matches!(input, Input::StartPoll).then(|| polled(&sent)));
+            let count = |kind: fn(&AerMsg) -> bool| sent.iter().filter(|e| kind(&e.msg)).count();
             let outputs = Outputs {
                 polls: count(|m| matches!(m, AerMsg::Poll(..))),
                 pulls: count(|m| matches!(m, AerMsg::Pull(..))),
@@ -1284,11 +1218,10 @@ mod tests {
 
     #[test]
     fn strict_mode_never_retries() {
-        let mut p = phase(2, gs(0), 64, 5);
-        let mut hand = hand(&p, 64);
-        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
+        let (mut p, mut hand) = (phase(2, gs(0), 64, 5), driver(64));
+        let _ = hand.call(p.x, |ctx| p.start_poll(gs(0), ctx));
         for step in 1..2000 {
-            assert!(hand.sent(step, |ctx| p.on_step(ctx)).is_empty());
+            assert!(hand.at(step).call(p.x, |ctx| p.on_step(ctx)).is_empty());
         }
     }
 
@@ -1300,16 +1233,15 @@ mod tests {
         };
         let n = 64;
         let d = 5;
-        let mut p = phase_with_retry(2, gs(0), n, d, retry);
-        let mut hand = hand(&p, n);
-        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
+        let (mut p, mut hand) = (phase_with_retry(2, gs(0), n, d, retry), driver(n));
+        let _ = hand.call(p.x, |ctx| p.start_poll(gs(0), ctx));
         // Poll expires at step 2; repair query goes out to a fresh list.
-        let sends = hand.sent(2, |ctx| p.on_step(ctx));
+        let sends = hand.at(2).call(p.x, |ctx| p.on_step(ctx));
         assert_eq!(sends.len(), d);
         assert!(sends
             .iter()
-            .all(|(_, m)| matches!(m, AerMsg::RepairQuery(_))));
-        let members: Vec<NodeId> = sends.iter().map(|(to, _)| *to).collect();
+            .all(|e| matches!(e.msg, AerMsg::RepairQuery(_))));
+        let members: Vec<NodeId> = sends.iter().map(|e| e.to).collect();
 
         // Majority of the repair list reports the same decision: adopt it.
         let g = gs(7);
@@ -1334,11 +1266,10 @@ mod tests {
         };
         let n = 64;
         let d = 5;
-        let mut p = phase_with_retry(2, gs(0), n, d, retry);
-        let mut hand = hand(&p, n);
-        let _ = hand.sent(0, |ctx| p.start_poll(gs(0), ctx));
-        let sends = hand.sent(1, |ctx| p.on_step(ctx));
-        let members: BTreeSet<NodeId> = sends.iter().map(|(to, _)| *to).collect();
+        let (mut p, mut hand) = (phase_with_retry(2, gs(0), n, d, retry), driver(n));
+        let _ = hand.call(p.x, |ctx| p.start_poll(gs(0), ctx));
+        let sends = hand.at(1).call(p.x, |ctx| p.on_step(ctx));
+        let members: BTreeSet<NodeId> = sends.iter().map(|e| e.to).collect();
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
             .filter(|id| !members.contains(id))
@@ -1355,22 +1286,23 @@ mod tests {
         let n = 64;
         let d = 5;
         let mut p = phase(7, gs(0), n, d);
-        let origin = NodeId::from_index(20);
-        let mut hand = hand(&p, n);
+        let (origin, mut hand) = (NodeId::from_index(20), driver(n));
         let (r, _) = find_label_containing(p.poll(), origin, NodeId::from_index(7));
         // Undecided: query parks.
         assert!(hand
-            .sent(1, |ctx| p.on_repair_query(origin, r, ctx))
+            .call(p.x, |ctx| p.on_repair_query(origin, r, ctx))
             .is_empty());
         // Decide, then the parked query is served by the drain.
         p.decided = Some(gs(0));
-        let out = hand.sent(2, |ctx| p.on_decided(ctx));
+        let out = hand.call(p.x, |ctx| p.on_decided(ctx));
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].1, AerMsg::RepairAnswer(_)));
+        assert!(matches!(out[0].msg, AerMsg::RepairAnswer(_)));
         // Direct queries now get served, up to the cap.
         let mut served = 1; // one from the drain
         for _ in 0..(3 * REPAIR_ANSWER_CAP) {
-            served += hand.sent(3, |ctx| p.on_repair_query(origin, r, ctx)).len();
+            served += hand
+                .call(p.x, |ctx| p.on_repair_query(origin, r, ctx))
+                .len();
         }
         assert_eq!(served as u32, REPAIR_ANSWER_CAP, "per-origin cap enforced");
     }
@@ -1390,7 +1322,7 @@ mod tests {
                 break;
             }
         }
-        let out = hand(&p, n).sent(1, |ctx| p.on_repair_query(origin, r.unwrap(), ctx));
+        let out = driver(n).call(p.x, |ctx| p.on_repair_query(origin, r.unwrap(), ctx));
         assert!(out.is_empty());
     }
 }

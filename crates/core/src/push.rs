@@ -209,6 +209,7 @@ mod tests {
     use super::*;
     use crate::state::MAX_QUORUM_SIZE;
     use fba_samplers::PollSampler;
+    use fba_sim::TestStep;
     use std::ops::Range;
 
     fn scheme(n: usize, d: usize) -> QuorumScheme {
@@ -256,12 +257,6 @@ mod tests {
         pending: usize,
         /// `|L_x|`.
         candidates: usize,
-    }
-
-    struct TestStep {
-        desc: &'static str,
-        input: Input,
-        expected_outputs: Outputs,
     }
 
     #[test]

@@ -330,7 +330,8 @@ impl AerRunState {
 mod tests {
     use super::*;
     use crate::pull::{PullPhase, RetryPolicy};
-    use crate::test_support::Hand;
+    use crate::AerNode;
+    use fba_sim::Driver;
 
     fn setup(n: usize, d: usize) -> (QuorumScheme, PollSampler) {
         (
@@ -647,13 +648,13 @@ mod tests {
                 (routers[3], relays.clone()),
             ];
             let (origin, r, w) = (whole.origin, whole.r, whole.w);
+            let mut hand = Driver::<AerNode>::new(N, 1, |_| None);
             for (y, recipients) in &runs {
                 let by_run = whole.run(*y, g, recipients);
                 let mut relays = |z: &NodeId| {
                     let phase = &mut each.phases[z.index()];
-                    let sent =
-                        Hand::new(*z, N, 1).sent(2, |ctx| phase.on_fw1(*y, origin, g, r, w, ctx));
-                    assert!(sent.iter().all(|(to, _)| *to == w) && sent.len() <= 1);
+                    let sent = hand.call(*z, |ctx| phase.on_fw1(*y, origin, g, r, w, ctx));
+                    assert!(sent.iter().all(|e| e.to == w) && sent.len() <= 1);
                     !sent.is_empty()
                 };
                 let by_call: Vec<NodeId> =
@@ -686,7 +687,10 @@ mod tests {
                 ..Default::default()
             };
             let phase = &mut net.phases[victim.index()];
-            let _ = Hand::new(victim, N, 1).sent(9, |ctx| phase.restore(&checkpoint, ctx));
+            let mut hand = Driver::<AerNode>::new(N, 1, |_| None);
+            let _ = hand
+                .at(9)
+                .call(victim, |ctx| phase.restore(&checkpoint, ctx));
             let after = net.cells();
             let rows = &net.state.cells.borrow().fw1;
             for (row, &h_w) in rows.quorums.iter().enumerate() {

@@ -1,35 +1,35 @@
 //! Adversarial unit tests for the pull phase: hand-crafted Byzantine
-//! message sequences against a single [`PullPhase`] state machine,
-//! checking that each filter of Algorithms 1–3 holds individually.
-
-use std::collections::BTreeMap;
+//! message sequences against single nodes, fed through an
+//! [`fba_sim::Driver`], checking that each filter of Algorithms 1–3 holds
+//! individually.
 
 use fba_core::pull::{PullPhase, RetryPolicy};
-use fba_core::{AerMsg, AerRunState};
-use fba_samplers::{GString, Label, PollSampler, QuorumScheme};
+use fba_core::{AerConfig, AerHarness, AerMsg, AerNode, AerRunState};
+use fba_samplers::{GString, Label, PollSampler};
 use fba_sim::rng::derive_rng;
-use fba_sim::{Context, NodeId, Runs};
-
-mod support;
-use support::Hand;
+use fba_sim::{Driver, Input, NodeId, TestStep};
 
 const N: usize = 96;
 const D: usize = 9;
 const CAP: u64 = 100;
 
-fn setup() -> (QuorumScheme, PollSampler, GString, GString) {
-    let scheme = QuorumScheme::new(11, N, D);
-    let poll = PollSampler::new(11, N, D, PollSampler::default_cardinality(N));
+/// A deployment of `N` nodes, every one holding `g`, and `(g, bad)`.
+fn setup() -> (AerHarness, GString, GString) {
     let mut rng = derive_rng(42, &[]);
     let g = GString::random(40, &mut rng);
     let bad = GString::random(40, &mut rng);
-    (scheme, poll, g, bad)
+    let cfg = AerConfig {
+        string_len: 40,
+        overload_cap: CAP,
+        ..AerConfig::recommended(N).with_d(D).strict()
+    };
+    (AerHarness::new(cfg, vec![g; N]), g, bad)
 }
 
 /// Pull state for node `x` on a run state of its own.
 fn phase(x: usize, own: GString) -> PullPhase {
-    let (scheme, poll, _, _) = setup();
-    let state = AerRunState::new(scheme, poll);
+    let (h, _, _) = setup();
+    let state = h.run_state();
     PullPhase::new(
         NodeId::from_index(x),
         own,
@@ -39,9 +39,12 @@ fn phase(x: usize, own: GString) -> PullPhase {
     )
 }
 
-/// What `handler` sends when node `x` runs it at step 1, per envelope.
-fn sent(x: NodeId, handler: impl FnOnce(&mut Context<'_, AerMsg>)) -> Vec<(NodeId, AerMsg)> {
-    Hand::new(x, N, 1).sent(1, handler)
+/// `N` nodes and no node table: a phase's handlers run through its node's
+/// context, `hand.call(x, …)`, at step 1.
+fn hand() -> Driver<AerNode> {
+    let mut hand = Driver::new(N, 1, |_| None);
+    hand.at(1);
+    hand
 }
 
 /// Finds a label whose poll list for `origin` contains `member`.
@@ -54,32 +57,16 @@ fn label_hitting(poll: &PollSampler, origin: NodeId, member: NodeId) -> Label {
     panic!("domain exhausted");
 }
 
-/// One row's calls of the Algorithm 2 step table, all for the request
-/// `(origin, s, r)` of [`algorithm_2_routes_a_pull_in_two_hops`].
-enum Input {
-    /// `on_pull(origin, s, r)` at router `at`.
-    Pull { at: NodeId, s: GString },
-    /// `on_fw1(y, origin, g, r, w)` at relay `at`, once per `y` of
-    /// `from`, in order.
-    Fw1 {
-        at: NodeId,
-        from: Vec<NodeId>,
-        w: NodeId,
-    },
-}
+/// A row of [`algorithm_2_table`]: a node and the messages it is fed.
+type Algorithm2Row = TestStep<(NodeId, Vec<Input<AerMsg>>), Outputs>;
 
-/// What a row's calls sent: the runs they opened, and per delivery unit
-/// (a copied run, or one part of a part run) its payload and recipients.
+/// What a row's messages sent: the runs they opened, and per delivery
+/// unit (a copied run, or one part of a part run) its payload and
+/// recipients.
 #[derive(Debug, Default, PartialEq)]
 struct Outputs {
     runs: usize,
     sent: Vec<(AerMsg, Vec<NodeId>)>,
-}
-
-struct TestStep {
-    desc: &'static str,
-    input: Input,
-    expected_outputs: Outputs,
 }
 
 /// Algorithm 2, both hops, one row per gate: a router `y ∈ H(s, x)`
@@ -87,11 +74,10 @@ struct TestStep {
 /// `Fw1(x, s, r, w)` to `H(s, w)` for every `w ∈ J(x, r)`; a relay `z`
 /// counts an `Fw1` from `y` iff `y ∈ H(s, x)` and `w ∈ J(x, r)`, one vote
 /// per distinct `y`, and sends one `Fw2(x, s, r)` to `w` when the count
-/// crosses the majority of `H(s, x)`. Every node believes `g`.
-#[test]
-fn algorithm_2_routes_a_pull_in_two_hops() {
-    let (scheme, poll, g, bad) = setup();
-    let state = AerRunState::new(scheme, poll);
+/// crosses the majority of `H(s, x)`. Every node believes `g`; a row
+/// feeds one node the messages of one request `(x, s, r)`.
+fn algorithm_2_table(h: &AerHarness, g: GString, bad: GString) -> Vec<Algorithm2Row> {
+    let (scheme, poll) = (h.scheme(), h.poll_sampler());
     let (origin, r) = (NodeId::from_index(5), Label(3));
     let h = |s: GString, x: NodeId| scheme.pull.quorum(s.key(), x);
     let h_origin = h(g, origin);
@@ -103,28 +89,36 @@ fn algorithm_2_routes_a_pull_in_two_hops() {
     let relay = h(g, w)[0];
     let majority = scheme.pull.majority();
     assert!(majority >= 3 && h_origin.len() > majority);
+    // `Pull(s, r)` from `x` to router `at`; `Fw1(x, g, r, w)` to relay
+    // `at`, once from each router of `from`, in order.
+    let pull = |at, s| {
+        let msg = AerMsg::Pull(s, r);
+        (at, vec![Input::Message { from: origin, msg }])
+    };
+    let fw1 = |at, from: Vec<NodeId>, w| {
+        let msg = AerMsg::Fw1 { origin, s: g, r, w };
+        let inputs = from.into_iter().map(|y| Input::Message {
+            from: y,
+            msg: msg.clone(),
+        });
+        (at, inputs.collect())
+    };
     let quiet = Outputs::default;
-    let table = [
+    vec![
         TestStep {
             desc: "Algorithm 2, Pull: s ≠ s_y — a router of H(bad, x) believing g sends nothing",
-            input: Input::Pull {
-                at: h(bad, origin)[0],
-                s: bad,
-            },
+            input: pull(h(bad, origin)[0], bad),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Pull: y ∉ H(s, x) — a node outside the pull quorum sends nothing",
-            input: Input::Pull { at: outsider, s: g },
+            input: pull(outsider, g),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Pull: Fw1(x, s, r, w) to H(s, w) for every w ∈ J(x, r), \
                    in list order, as one part run",
-            input: Input::Pull {
-                at: h_origin[0],
-                s: g,
-            },
+            input: pull(h_origin[0], g),
             expected_outputs: Outputs {
                 runs: 1,
                 sent: list
@@ -135,56 +129,33 @@ fn algorithm_2_routes_a_pull_in_two_hops() {
         },
         TestStep {
             desc: "Algorithm 2, Pull: keep track of senders — a repeated pull sends nothing",
-            input: Input::Pull {
-                at: h_origin[0],
-                s: g,
-            },
+            input: pull(h_origin[0], g),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Fw1: w ∉ J(x, r) — forwards from all of H(s, x) send nothing",
-            input: Input::Fw1 {
-                at: h(g, off_list)[0],
-                from: h_origin.clone(),
-                w: off_list,
-            },
+            input: fw1(h(g, off_list)[0], h_origin.clone(), off_list),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Fw1: one vote per distinct y — a router's repeats count once",
-            input: Input::Fw1 {
-                at: relay,
-                from: vec![h_origin[1]; 10 * D],
-                w,
-            },
+            input: fw1(relay, vec![h_origin[1]; 10 * D], w),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Fw1: votes below the majority of H(s, x) send nothing",
-            input: Input::Fw1 {
-                at: relay,
-                from: h_origin[2..majority].to_vec(),
-                w,
-            },
+            input: fw1(relay, h_origin[2..majority].to_vec(), w),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Fw1: y ∉ H(s, x) — one vote short, an outsider's forwards, \
                    however many, send nothing",
-            input: Input::Fw1 {
-                at: relay,
-                from: vec![outsider; 3 * D],
-                w,
-            },
+            input: fw1(relay, vec![outsider; 3 * D], w),
             expected_outputs: quiet(),
         },
         TestStep {
             desc: "Algorithm 2, Fw1: the vote that crosses the majority sends Fw2(x, s, r) to w",
-            input: Input::Fw1 {
-                at: relay,
-                from: vec![h_origin[0]],
-                w,
-            },
+            input: fw1(relay, vec![h_origin[0]], w),
             expected_outputs: Outputs {
                 runs: 1,
                 sent: vec![(AerMsg::Fw2 { origin, s: g, r }, vec![w])],
@@ -192,39 +163,30 @@ fn algorithm_2_routes_a_pull_in_two_hops() {
         },
         TestStep {
             desc: "Algorithm 2, Fw1: after the relay, later votes send nothing",
-            input: Input::Fw1 {
-                at: relay,
-                from: h_origin[majority..]
-                    .iter()
-                    .chain(&h_origin[..1])
-                    .copied()
-                    .collect(),
-                w,
-            },
+            input: fw1(relay, [&h_origin[majority..], &h_origin[..1]].concat(), w),
             expected_outputs: quiet(),
         },
-    ];
-    let mut phases = BTreeMap::new();
-    for row in table {
-        let at = match &row.input {
-            Input::Pull { at, .. } | Input::Fw1 { at, .. } => *at,
-        };
-        let p = phases
-            .entry(at)
-            .or_insert_with(|| PullPhase::new(at, g, &state, CAP, RetryPolicy::strict()));
-        let mut hand = Hand::new(at, N, 1);
+    ]
+}
+
+/// Every node of `h`, driven, on a run state of their own.
+fn nodes(h: &AerHarness) -> Driver<AerNode> {
+    let state = h.run_state();
+    Driver::new(N, 1, |id| Some(h.node_with(id, &state)))
+}
+
+#[test]
+fn algorithm_2_routes_a_pull_in_two_hops() {
+    let (h, g, bad) = setup();
+    let mut d = nodes(&h);
+    for row in algorithm_2_table(&h, g, bad) {
+        let (at, inputs) = row.input;
         let mut outputs = Outputs::default();
-        let mut record = |out: Runs<AerMsg>| {
-            outputs.runs += out.run_count();
-            out.for_each_part(|msg, to| outputs.sent.push((msg.clone(), to.to_vec())));
-        };
-        match row.input {
-            Input::Pull { s, .. } => record(hand.outbox(1, |ctx| p.on_pull(origin, s, r, ctx))),
-            Input::Fw1 { from, w, .. } => {
-                for y in from {
-                    record(hand.outbox(2, |ctx| p.on_fw1(y, origin, g, r, w, ctx)));
-                }
-            }
+        for input in inputs {
+            d.apply(at, input);
+            outputs.runs += d.outbox().run_count();
+            d.outbox()
+                .for_each_part(|msg, to| outputs.sent.push((msg.clone(), to.to_vec())));
         }
         assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
     }
@@ -240,10 +202,12 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     // appears; and a forward for a string the relay does not believe
     // must not even evaluate a sampler. Bounded per-node state growth,
     // ROADMAP 5(a).
-    let (scheme, poll, g, bad) = setup();
+    let (h, g, bad) = setup();
+    let (scheme, poll) = (h.scheme(), h.poll_sampler());
     let state = AerRunState::new(scheme, poll);
     let z = NodeId::from_index(40);
     let mut p = PullPhase::new(z, g, &state, CAP, RetryPolicy::strict());
+    let mut hand = hand();
     let tables = || (state.poll_cache_stats().1, state.fw1_row_count());
     let nodes = || (0..N).map(NodeId::from_index);
     let mut outsider_forwards = 0;
@@ -252,7 +216,7 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
         let intruder = nodes().find(|y| !h_origin.contains(y)).unwrap();
         for raw in 0..8 {
             for w in nodes().step_by(7) {
-                let relayed = sent(z, |ctx| p.on_fw1(intruder, origin, g, Label(raw), w, ctx));
+                let relayed = hand.call(z, |ctx| p.on_fw1(intruder, origin, g, Label(raw), w, ctx));
                 assert!(relayed.is_empty());
                 outsider_forwards += 1;
             }
@@ -265,7 +229,9 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     let list = poll.poll_list(origin, Label(3));
     for y in scheme.pull.quorum(g.key(), origin) {
         for w in nodes().filter(|w| !list.contains(w)) {
-            assert!(sent(z, |ctx| p.on_fw1(y, origin, g, Label(3), w, ctx)).is_empty());
+            assert!(hand
+                .call(z, |ctx| p.on_fw1(y, origin, g, Label(3), w, ctx))
+                .is_empty());
         }
     }
     assert_eq!(tables(), (1, 0), "a row ahead of the w gate");
@@ -273,7 +239,9 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
     let evaluated = state.pull_cache_stats().1;
     for origin in nodes() {
         for y in nodes().step_by(5) {
-            assert!(sent(z, |ctx| p.on_fw1(y, origin, bad, Label(3), list[0], ctx)).is_empty());
+            assert!(hand
+                .call(z, |ctx| p.on_fw1(y, origin, bad, Label(3), list[0], ctx))
+                .is_empty());
         }
     }
     assert_eq!(
@@ -286,42 +254,48 @@ fn forwards_that_fail_a_per_message_gate_allocate_nothing() {
 
 #[test]
 fn answer_requires_fresh_poll_per_requester() {
-    let (scheme, poll, g, _) = setup();
+    let (h, g, _) = setup();
+    let (scheme, poll) = (h.scheme(), h.poll_sampler());
     let origin_a = NodeId::from_index(5);
     let origin_b = NodeId::from_index(6);
     let w = poll.poll_list(origin_a, Label(3))[0];
     let ra = Label(3);
     let rb = label_hitting(&poll, origin_b, w);
-    let mut p = phase(w.index(), g);
+    let (mut p, mut hand) = (phase(w.index(), g), hand());
     // w is polled by A only.
-    let _ = sent(w, |ctx| p.on_poll(origin_a, g, ra, ctx));
+    let _ = hand.call(w, |ctx| p.on_poll(origin_a, g, ra, ctx));
     // Fw2 majority arrives for B (never polled): no answer.
     let h_w = scheme.pull.quorum(g.key(), w);
     for z in &h_w {
         assert!(
-            sent(w, |ctx| p.on_fw2(*z, origin_b, g, rb, ctx)).is_empty(),
+            hand.call(w, |ctx| p.on_fw2(*z, origin_b, g, rb, ctx))
+                .is_empty(),
             "answered an unpolled requester"
         );
     }
     // And for A (polled): answer fires at majority.
     let mut answered = 0;
     for z in &h_w {
-        answered += sent(w, |ctx| p.on_fw2(*z, origin_a, g, ra, ctx)).len();
+        answered += hand.call(w, |ctx| p.on_fw2(*z, origin_a, g, ra, ctx)).len();
     }
     assert_eq!(answered, 1);
 }
 
+/// The label of the poll `p` opens for its own candidate `g`.
+fn own_poll(p: &mut PullPhase, x: NodeId, g: GString) -> Label {
+    match hand().call(x, |ctx| p.start_poll(g, ctx))[0].msg {
+        AerMsg::Poll(_, r) => r,
+        _ => unreachable!(),
+    }
+}
+
 #[test]
 fn decision_requires_strict_majority_even_with_spam() {
-    let (_, poll, g, _) = setup();
+    let (h, g, _) = setup();
+    let poll = h.poll_sampler();
     let x = NodeId::from_index(7);
     let mut p = phase(7, g);
-    let sends = sent(x, |ctx| p.start_poll(g, ctx));
-    let r = match &sends[0].1 {
-        AerMsg::Poll(_, r) => *r,
-        _ => unreachable!(),
-    };
-    let list = poll.poll_list(x, r);
+    let list = poll.poll_list(x, own_poll(&mut p, x, g));
     let majority = poll.majority();
     // majority − 1 distinct answerers, each spamming 5 times: no decision.
     for w in list.iter().take(majority - 1) {
@@ -336,22 +310,18 @@ fn decision_requires_strict_majority_even_with_spam() {
 
 #[test]
 fn post_decision_node_keeps_serving_but_never_flips() {
-    let (scheme, poll, g, bad) = setup();
+    let (h, g, bad) = setup();
+    let (scheme, poll) = (h.scheme(), h.poll_sampler());
     let origin = NodeId::from_index(5);
     let w = poll.poll_list(origin, Label(3))[0];
-    let mut p = phase(w.index(), g);
+    let (mut p, mut hand) = (phase(w.index(), g), hand());
     // Decide via own poll.
-    let sends = sent(w, |ctx| p.start_poll(g, ctx));
-    let r_own = match &sends[0].1 {
-        AerMsg::Poll(_, r) => *r,
-        _ => unreachable!(),
-    };
-    let own_list = poll.poll_list(w, r_own);
+    let own_list = poll.poll_list(w, own_poll(&mut p, w, g));
     for member in own_list.iter().take(poll.majority()) {
         let _ = p.on_answer(*member, g);
     }
     assert_eq!(p.decided(), Some(&g));
-    let _ = sent(w, |ctx| p.on_decided(ctx));
+    let _ = hand.call(w, |ctx| p.on_decided(ctx));
 
     // Spam answers for `bad`: the decision must not change.
     for member in poll.poll_list(w, Label(9)) {
@@ -364,7 +334,9 @@ fn post_decision_node_keeps_serving_but_never_flips() {
     let origin2 = NodeId::from_index(9);
     let quorum = scheme.pull.quorum(g.key(), origin2);
     if quorum.contains(&w) {
-        assert!(!sent(w, |ctx| p.on_pull(origin2, g, Label(4), ctx)).is_empty());
+        assert!(!hand
+            .call(w, |ctx| p.on_pull(origin2, g, Label(4), ctx))
+            .is_empty());
     }
 }
 
@@ -374,13 +346,14 @@ fn repair_votes_require_distinct_members_and_matching_string() {
         poll_timeout: 1,
         repair_attempts: 1,
     };
-    let (scheme, poll, g, bad) = setup();
-    let state = AerRunState::new(scheme, poll);
-    let mut p = PullPhase::new(NodeId::from_index(2), g, &state, CAP, retry);
-    let mut hand = Hand::new(NodeId::from_index(2), N, 7);
-    let _ = hand.sent(0, |ctx| p.start_poll(g, ctx));
-    let sends = hand.sent(1, |ctx| p.on_step(ctx));
-    let members: Vec<NodeId> = sends.iter().map(|(to, _)| *to).collect();
+    let (h, g, bad) = setup();
+    let poll = h.poll_sampler();
+    let x = NodeId::from_index(2);
+    let mut p = PullPhase::new(x, g, &h.run_state(), CAP, retry);
+    let mut hand = Driver::<AerNode>::new(N, 7, |_| None);
+    let _ = hand.call(x, |ctx| p.start_poll(g, ctx));
+    let sends = hand.at(1).call(x, |ctx| p.on_step(ctx));
+    let members: Vec<NodeId> = sends.iter().map(|e| e.to).collect();
     assert!(!members.is_empty(), "repair should have fired");
     // Split votes between two strings: neither reaches majority from
     // fewer than `majority` distinct members.

@@ -105,7 +105,7 @@ impl EngineConfig {
 #[derive(Debug)]
 pub struct EngineSession<M> {
     pending: CalendarQueue<Delivery<M>>,
-    sends: Vec<Delivery<M>>,
+    pub(crate) sends: Vec<Delivery<M>>,
     /// What the running callback — or the open recipient of a run — has
     /// sent; empty between callbacks.
     pub(crate) outbox_buf: Runs<M>,

@@ -233,6 +233,7 @@
 mod adversary;
 pub mod calendar;
 mod crash;
+mod driver;
 mod engine;
 pub mod fxhash;
 mod ids;
@@ -247,6 +248,7 @@ mod window;
 
 pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdversary};
 pub use crash::CrashPlan;
+pub use driver::{Driver, Input, TestStep};
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Envelope, Runs, WireSize};
