@@ -458,9 +458,18 @@ impl Protocol for AeNode {
                 }
             }
             AeMsg::Echo { root, pairs } => {
-                if self.members(root).contains(&from) {
+                let members = self.members(root);
+                if members.contains(&from) {
+                    // An echoer votes once per member: its first pair for
+                    // each, however many it lists.
+                    let mut kept: Vec<(NodeId, u64)> = Vec::new();
+                    for (sender, value) in pairs {
+                        if members.contains(&sender) && kept.iter().all(|&(s, _)| s != sender) {
+                            kept.push((sender, value));
+                        }
+                    }
                     let round = &mut self.rounds[usize::from(root)];
-                    round.echoes.entry(from).or_insert(pairs);
+                    round.echoes.entry(from).or_insert(kept);
                 }
             }
             AeMsg::Gv { level, idx, value } => {
@@ -488,7 +497,7 @@ impl Protocol for AeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fba_sim::{run, Driver, EngineConfig, Input, NoAdversary, SilentAdversary};
+    use fba_sim::{run, Driver, EngineConfig, Input, NoAdversary, SilentAdversary, TestStep};
 
     fn engine(cfg: &AeConfig) -> EngineConfig {
         EngineConfig {
@@ -634,6 +643,67 @@ mod tests {
             d.node(me).claims[&(0, 1)].get(&NodeId::from_index(c + 1)),
             Some(&42)
         );
+    }
+
+    /// The leaf round of a six-member group `[0, 6)` at n = 64, as node 0
+    /// keeps it: its own contribution is 7, and each row feeds it echoes.
+    #[test]
+    fn a_leaf_round_counts_each_echoer_once_per_member() {
+        let cfg = AeConfig {
+            committee_size: 6,
+            ..AeConfig::recommended(64)
+        };
+        let ids = |range: std::ops::Range<usize>| range.map(NodeId::from_index);
+        let (me, members): (NodeId, Vec<NodeId>) = (NodeId::from_index(0), ids(0..6).collect());
+        let rigged = |id| (id == me).then(|| AeNode::new_rigged(cfg, id, 7));
+        let mut d = Driver::new(64, 1, rigged);
+        d.apply(me, Input::Start);
+        let echo = |from, pairs: Vec<(NodeId, u64)>| hear(from, AeMsg::Echo { root: false, pairs });
+        let table = [
+            TestStep {
+                desc: "§2.1 echo round: four honest echoes of (n0, 7) outvote one echo that \
+                       lists (n0, 0xbad) ten times — an echoer votes once per member",
+                input: ids(1..5)
+                    .map(|m| echo(m, vec![(me, 7)]))
+                    .chain([echo(NodeId::from_index(5), vec![(me, 0xbad); 10])])
+                    .collect::<Vec<_>>(),
+                expected_outputs: vec![(me, 7)],
+            },
+            TestStep {
+                desc: "§2.1 echo round: echoes from outside the leaf group are dropped",
+                input: ids(6..16).map(|m| echo(m, vec![(me, 0xbad)])).collect(),
+                expected_outputs: vec![(me, 7)],
+            },
+            TestStep {
+                desc: "§2.1 echo round: an echoer's first echo counts, a second is dropped",
+                input: ids(1..5).map(|m| echo(m, vec![(me, 0xbad)])).collect(),
+                expected_outputs: vec![(me, 7)],
+            },
+        ];
+        for row in table {
+            for input in row.input {
+                d.at(3).apply(me, input);
+            }
+            let consistent = d.node(me).rounds[0].consistent(&members);
+            assert_eq!(consistent, row.expected_outputs, "{}", row.desc);
+        }
+    }
+
+    #[test]
+    fn a_flooding_echo_is_stored_as_one_pair_per_member() {
+        let (cfg, me) = (AeConfig::recommended(64), NodeId::from_index(0));
+        let members = AeNode::new(cfg, me).members(false);
+        let stored = |pairs: Vec<(NodeId, u64)>| {
+            let mut d = driven(cfg, me);
+            d.at(3)
+                .apply(me, hear(members[1], AeMsg::Echo { root: false, pairs }));
+            let echoes = &d.node(me).rounds[0].echoes;
+            echoes.values().map(Vec::len).sum::<usize>()
+        };
+        let honest = stored(members.iter().map(|&m| (m, 1)).collect());
+        assert_eq!(honest, members.len());
+        let flood = (0..10_000).map(|i| (NodeId::from_index(i % 64), i as u64));
+        assert!(stored(flood.collect()) <= honest);
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl AerHarness {
 mod tests {
     use super::*;
     use fba_ae::UnknowingAssignment;
-    use fba_sim::{Driver, NoAdversary, TestStep};
+    use fba_sim::{Driver, Input, NoAdversary, TestStep};
 
     fn harness(n: usize, knowledge: f64, seed: u64) -> (AerHarness, Precondition) {
         let cfg = AerConfig::recommended(n);
@@ -542,7 +542,7 @@ mod tests {
     fn restart_resyncs_from_the_checkpoint() {
         /// The node a row restarts. Every one starts holding `g`, then
         /// accepts `other` from a majority of `I(other, x)`.
-        enum Input {
+        enum Restarted {
             /// Undecided, recovery on; `strict` turns repair off.
             Undecided { strict: bool },
             /// Decided on `other` by a majority of its poll list,
@@ -560,7 +560,7 @@ mod tests {
             RepairQuery,
         }
 
-        /// What the restart sent, as `(multicast, envelopes)`, and the
+        /// What the restart sent, as `(multicast, recipients)`, and the
         /// node after it.
         #[derive(Debug, PartialEq)]
         struct Outputs {
@@ -581,7 +581,7 @@ mod tests {
                 desc: "restart: an undecided node re-polls every checkpointed candidate \
                        with a fresh Poll and Pull, asks one repair query and restores \
                        its belief",
-                input: Input::Undecided { strict: false },
+                input: Restarted::Undecided { strict: false },
                 expected_outputs: Outputs {
                     sent: vec![
                         (Sent::Poll(g), d),
@@ -596,7 +596,7 @@ mod tests {
             },
             TestStep {
                 desc: "restart: in strict mode the node re-polls and asks no repair query",
-                input: Input::Undecided { strict: true },
+                input: Restarted::Undecided { strict: true },
                 expected_outputs: Outputs {
                     sent: vec![
                         (Sent::Poll(g), d),
@@ -610,7 +610,7 @@ mod tests {
             },
             TestStep {
                 desc: "restart: a decided node sends nothing and keeps its decision",
-                input: Input::Decided,
+                input: Restarted::Decided,
                 expected_outputs: Outputs {
                     sent: vec![],
                     believed: other,
@@ -619,7 +619,7 @@ mod tests {
             },
             TestStep {
                 desc: "restart: without the checkpoint layer the node resumes as it was",
-                input: Input::NoRecovery,
+                input: Restarted::NoRecovery,
                 expected_outputs: Outputs {
                     sent: vec![],
                     believed: g,
@@ -629,9 +629,9 @@ mod tests {
         ];
         for row in table {
             let (strict, recovery) = match row.input {
-                Input::Undecided { strict } => (strict, true),
-                Input::Decided => (false, true),
-                Input::NoRecovery => (false, false),
+                Restarted::Undecided { strict } => (strict, true),
+                Restarted::Decided => (false, true),
+                Restarted::NoRecovery => (false, false),
             };
             let cfg = if strict { cfg.strict() } else { cfg };
             let mut h = AerHarness::new(cfg, vec![g; n]);
@@ -640,16 +640,13 @@ mod tests {
             }
             let state = h.run_state();
             let mut d = Driver::new(n, 3, |id| (id == x).then(|| h.node_with(id, &state)));
-            d.at(1).apply(x, fba_sim::Input::Start);
-            let (push, hear) = (h.scheme().push, |from, msg| fba_sim::Input::Message {
-                from,
-                msg,
-            });
+            d.at(1).apply(x, Input::Start);
+            let (push, hear) = (h.scheme().push, |from, msg| Input::Message { from, msg });
             let mut accepted = Vec::new();
             for &z in &push.quorum(other.key(), x)[..push.majority()] {
                 accepted.extend(d.at(2).apply(x, hear(z, AerMsg::Push(other))));
             }
-            if let Input::Decided = row.input {
+            if let Restarted::Decided = row.input {
                 let r = accepted
                     .iter()
                     .find_map(|e| match e.msg {
@@ -663,22 +660,16 @@ mod tests {
                 }
             }
             assert_eq!(d.node(x).candidates(), [g, other], "{}", row.desc);
-            let mut sent: Vec<(AerMsg, usize)> = Vec::new();
-            for e in d.at(4).apply(x, fba_sim::Input::Restart) {
-                match sent.last_mut() {
-                    Some((last, count)) if *last == e.msg => *count += 1,
-                    _ => sent.push((e.msg, 1)),
-                }
-            }
-            let sent = sent
-                .into_iter()
-                .map(|(msg, count)| match msg {
-                    AerMsg::Poll(s, _) => (Sent::Poll(s), count),
-                    AerMsg::Pull(s, _) => (Sent::Pull(s), count),
-                    AerMsg::RepairQuery(_) => (Sent::RepairQuery, count),
-                    msg => panic!("{}: a restart sent {msg:?}", row.desc),
-                })
-                .collect();
+            d.at(4).apply(x, Input::Restart);
+            let mut sent = Vec::new();
+            d.outbox().for_each_part(|msg, to| {
+                sent.push(match *msg {
+                    AerMsg::Poll(s, _) => (Sent::Poll(s), to.len()),
+                    AerMsg::Pull(s, _) => (Sent::Pull(s), to.len()),
+                    AerMsg::RepairQuery(_) => (Sent::RepairQuery, to.len()),
+                    ref msg => panic!("{}: a restart sent {msg:?}", row.desc),
+                });
+            });
             let outputs = Outputs {
                 sent,
                 believed: *d.node(x).believed(),

@@ -667,29 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn on_pull_forwards_once_with_full_fanout() {
-        let n = 64;
-        let d = 5;
-        let (scheme, _) = setup(n, d);
-        let s = gs(0);
-        // Find a router y in H(s, origin) that believes s.
-        let origin = NodeId::from_index(9);
-        let quorum = scheme.pull.quorum(s.key(), origin);
-        let y = quorum[0];
-        let (mut p, mut hand) = (phase(y.index(), s, n, d), driver(n));
-        let r = Label(77);
-        let sends = hand.call(y, |ctx| p.on_pull(origin, s, r, ctx));
-        assert_eq!(sends.len(), d * d, "d poll members × d quorum members");
-        assert!(sends.iter().all(|e| matches!(e.msg, AerMsg::Fw1 { .. })));
-        // Second identical pull is filtered.
-        assert!(hand.call(y, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
-        // Different label, same (origin, s): still filtered.
-        let relabelled = hand.call(y, |ctx| p.on_pull(origin, s, Label(78), ctx));
-        assert!(relabelled.is_empty());
-    }
-
-    #[test]
-    fn on_pull_forwards_as_one_part_run_over_the_interned_quorums() {
+    fn on_pull_forwards_once_as_one_part_run_over_the_interned_quorums() {
         // The forward of `Pull(s, r)` is one stored payload, not d runs or
         // d² sends: its i-th part carries `Fw1 { w: J(x, r)[i] }` over the
         // one shared `H(s, J(x, r)[i])` the run state hands out.
@@ -724,34 +702,13 @@ mod tests {
         assert_eq!(want.len(), d * d);
         let got: Vec<(NodeId, AerMsg)> = sent.into_iter().map(|e| (e.to, e.msg)).collect();
         assert_eq!(got, want);
+        // Once per (origin, s): the same pull again, or relabelled, sends
+        // nothing.
+        for r in [r, Label(78)] {
+            assert!(hand.call(y, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
+        }
     }
 
-    #[test]
-    fn on_pull_requires_belief_match_and_membership() {
-        let n = 64;
-        let d = 5;
-        let (scheme, _) = setup(n, d);
-        let s = gs(0);
-        let origin = NodeId::from_index(9);
-        let quorum = scheme.pull.quorum(s.key(), origin);
-
-        // Router believes something else: no forward.
-        let mut wrong_belief = phase(quorum[0].index(), gs(1), n, d);
-        let routed =
-            |p: &mut PullPhase| driver(n).call(p.x, |ctx| p.on_pull(origin, s, Label(0), ctx));
-        assert!(routed(&mut wrong_belief).is_empty());
-
-        // Node outside H(s, origin): no forward.
-        let outsider = (0..n)
-            .map(NodeId::from_index)
-            .find(|id| !quorum.contains(id))
-            .unwrap();
-        let mut not_member = phase(outsider.index(), s, n, d);
-        assert!(routed(&mut not_member).is_empty());
-    }
-
-    /// Drives a full single-request pipeline through hand-built state
-    /// machines and checks every hop, ending in a decision.
     #[test]
     fn full_pipeline_produces_decision() {
         let n = 64;
@@ -859,21 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_answers_from_same_member_count_once() {
-        let n = 64;
-        let d = 5;
-        let (_, poll) = setup(n, d);
-        let mut p = phase(2, gs(0), n, d);
-        let g = gs(0);
-        let r = polled(&driver(n).call(p.x, |ctx| p.start_poll(g, ctx)));
-        let list = poll.poll_list(NodeId::from_index(2), r);
-        for _ in 0..10 {
-            assert!(p.on_answer(list[0], g).is_none());
-        }
-        assert!(p.decided().is_none(), "one member cannot decide alone");
-    }
-
-    #[test]
     fn at_the_widest_quorum_position_62_counts_once_for_fw2_and_answers() {
         // d = 63, majority 32: the member at position 62 votes first and
         // twice, then 30 more leave the count one short, and the 32nd
@@ -889,7 +831,7 @@ mod tests {
         let h_w = scheme.pull.quorum(g.key(), w);
         let mut p = phase(w.index(), g, n, D);
         let (origin, mut hand) = (NodeId::from_index(20), driver(n));
-        let (r, _) = find_label_containing(p.poll(), origin, w);
+        let r = label(p.poll(), origin, w, true);
         let _ = hand.call(w, |ctx| p.on_poll(origin, g, r, ctx));
         let answers: Vec<usize> = order
             .iter()
@@ -1003,7 +945,7 @@ mod tests {
             let sent = match row.input {
                 Input::Served { origin, s } => {
                     let origin = NodeId::from_index(origin);
-                    let (r, _) = find_label_containing(p.poll(), origin, x);
+                    let r = label(p.poll(), origin, x, true);
                     let h_x = scheme.pull.quorum(s.key(), x);
                     let mut sent = hand.at(step).call(x, |ctx| p.on_poll(origin, s, r, ctx));
                     for &z in &h_x {
@@ -1031,20 +973,13 @@ mod tests {
         assert_eq!(p.answers_sent_for(&other), 0);
     }
 
-    /// Finds a label whose poll list for `origin` contains `member`.
-    fn find_label_containing(
-        poll: &PollSampler,
-        origin: NodeId,
-        member: NodeId,
-    ) -> (Label, Vec<NodeId>) {
-        for raw in 0..poll.label_cardinality() {
-            let r = Label(raw);
-            let list = poll.poll_list(origin, r);
-            if list.contains(&member) {
-                return (r, list);
-            }
-        }
-        panic!("no label found — domain too small for test");
+    /// The first label whose poll list for `origin` contains `member`
+    /// (`hit`) or does not.
+    fn label(poll: &PollSampler, origin: NodeId, member: NodeId, hit: bool) -> Label {
+        (0..poll.label_cardinality())
+            .map(Label)
+            .find(|&r| poll.contains(origin, r, member) == hit)
+            .expect("no label found — domain too small for test")
     }
 
     #[test]
@@ -1058,7 +993,7 @@ mod tests {
         let h_w: BTreeSet<_> = scheme.pull.quorum(key, w).into_iter().collect();
         let mut p = phase(w.index(), g, n, d);
         let (origin, mut hand) = (NodeId::from_index(20), driver(n));
-        let (r, _) = find_label_containing(p.poll(), origin, w);
+        let r = label(p.poll(), origin, w, true);
         let _ = hand.call(w, |ctx| p.on_poll(origin, g, r, ctx));
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
@@ -1084,7 +1019,7 @@ mod tests {
         let h_w = scheme.pull.quorum(key, w);
         let mut p = phase(w.index(), g, n, d);
         let (origin, mut hand) = (NodeId::from_index(20), driver(n));
-        let (r, _) = find_label_containing(p.poll(), origin, w);
+        let r = label(p.poll(), origin, w, true);
         // Fw2 majority arrives before the poll.
         for &z in &h_w {
             let out = hand.call(w, |ctx| p.on_fw2(z, origin, g, r, ctx));
@@ -1287,7 +1222,7 @@ mod tests {
         let d = 5;
         let mut p = phase(7, gs(0), n, d);
         let (origin, mut hand) = (NodeId::from_index(20), driver(n));
-        let (r, _) = find_label_containing(p.poll(), origin, NodeId::from_index(7));
+        let r = label(p.poll(), origin, NodeId::from_index(7), true);
         // Undecided: query parks.
         assert!(hand
             .call(p.x, |ctx| p.on_repair_query(origin, r, ctx))
@@ -1314,15 +1249,9 @@ mod tests {
         let mut p = phase(7, gs(0), n, d);
         p.decided = Some(gs(0));
         let origin = NodeId::from_index(20);
-        // Find a label whose list does NOT contain node 7.
-        let mut r = None;
-        for raw in 0..p.poll().label_cardinality() {
-            if !p.poll().contains(origin, Label(raw), NodeId::from_index(7)) {
-                r = Some(Label(raw));
-                break;
-            }
-        }
-        let out = driver(n).call(p.x, |ctx| p.on_repair_query(origin, r.unwrap(), ctx));
+        // A label whose list does NOT contain node 7.
+        let r = label(p.poll(), origin, p.x, false);
+        let out = driver(n).call(p.x, |ctx| p.on_repair_query(origin, r, ctx));
         assert!(out.is_empty());
     }
 }

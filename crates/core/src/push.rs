@@ -344,17 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_counts_in_flight_strings() {
-        let sc = scheme(32, 5);
-        let x = NodeId::from_index(3);
-        let mut p = phase(x, gs(1, 16), sc);
-        let s = gs(2, 16);
-        let quorum = sc.push.quorum(s.key(), x);
-        let _ = p.on_push(quorum[0], s);
-        assert_eq!(p.pending(), 1);
-    }
-
-    #[test]
     fn push_targets_match_quorum_membership() {
         let n = 24;
         let sc = scheme(n, 5);

@@ -28,23 +28,14 @@ fn setup() -> (AerHarness, GString, GString) {
 
 /// Pull state for node `x` on a run state of its own.
 fn phase(x: usize, own: GString) -> PullPhase {
-    let (h, _, _) = setup();
-    let state = h.run_state();
-    PullPhase::new(
-        NodeId::from_index(x),
-        own,
-        &state,
-        CAP,
-        RetryPolicy::strict(),
-    )
+    let (state, strict) = (setup().0.run_state(), RetryPolicy::strict());
+    PullPhase::new(NodeId::from_index(x), own, &state, CAP, strict)
 }
 
 /// `N` nodes and no node table: a phase's handlers run through its node's
-/// context, `hand.call(x, …)`, at step 1.
+/// context, `hand.call(x, …)`.
 fn hand() -> Driver<AerNode> {
-    let mut hand = Driver::new(N, 1, |_| None);
-    hand.at(1);
-    hand
+    Driver::new(N, 1, |_| None)
 }
 
 /// Finds a label whose poll list for `origin` contains `member`.
@@ -169,16 +160,15 @@ fn algorithm_2_table(h: &AerHarness, g: GString, bad: GString) -> Vec<Algorithm2
     ]
 }
 
-/// Every node of `h`, driven, on a run state of their own.
-fn nodes(h: &AerHarness) -> Driver<AerNode> {
-    let state = h.run_state();
-    Driver::new(N, 1, |id| Some(h.node_with(id, &state)))
+/// Every node of `h`, driven, on `state`.
+fn nodes(h: &AerHarness, state: &AerRunState) -> Driver<AerNode> {
+    Driver::new(N, 1, |id| Some(h.node_with(id, state)))
 }
 
 #[test]
 fn algorithm_2_routes_a_pull_in_two_hops() {
     let (h, g, bad) = setup();
-    let mut d = nodes(&h);
+    let mut d = nodes(&h, &h.run_state());
     for row in algorithm_2_table(&h, g, bad) {
         let (at, inputs) = row.input;
         let mut outputs = Outputs::default();
@@ -190,6 +180,72 @@ fn algorithm_2_routes_a_pull_in_two_hops() {
         }
         assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
     }
+}
+
+/// `AerNode::deliver_run` is observably the per-recipient default: the
+/// Algorithm 2 table's forwards, fed once as one `Fw1` run to all of
+/// `H(g, w)` and once as one message per relay, send the same `Fw2`s from
+/// the same relays in the same order.
+#[test]
+fn an_fw1_run_sends_what_its_recipients_send_one_by_one() {
+    let (h, g, bad) = setup();
+    let (mut by_run, mut by_message) = (nodes(&h, &h.run_state()), nodes(&h, &h.run_state()));
+    let (mut run_sent, mut message_sent) = (Vec::new(), Vec::new());
+    for row in algorithm_2_table(&h, g, bad) {
+        for input in row.input.1 {
+            let Input::Message {
+                from,
+                msg: msg @ AerMsg::Fw1 { w, .. },
+            } = input
+            else {
+                continue;
+            };
+            let relays = h.scheme().pull.quorum(g.key(), w);
+            for &z in &relays {
+                let msg = msg.clone();
+                message_sent.extend(by_message.apply(z, Input::Message { from, msg }));
+            }
+            let run = Input::Run {
+                from,
+                msg,
+                recipients: relays.clone(),
+            };
+            run_sent.extend(by_run.apply(relays[0], run));
+        }
+    }
+    assert_eq!(run_sent.len(), D, "every relay of H(g, w) relays once");
+    assert!(run_sent.iter().all(|e| matches!(e.msg, AerMsg::Fw2 { .. })));
+    assert_eq!(run_sent, message_sent);
+}
+
+/// The gates of `AerNode::deliver_run` (ROADMAP 11(b)): an `Fw1` run to
+/// `H(g, w)` from a sender outside `H(g, origin)` sends nothing and
+/// interns nothing — no poll list, no vote row.
+#[test]
+fn an_fw1_run_from_outside_the_routers_sends_and_interns_nothing() {
+    let (h, g, _) = setup();
+    let (state, scheme) = (h.run_state(), h.scheme());
+    let mut d = nodes(&h, &state);
+    let (origin, r) = (NodeId::from_index(5), Label(3));
+    let w = h.poll_sampler().poll_list(origin, r)[0];
+    let quorum = |x: NodeId| scheme.pull.quorum(g.key(), x);
+    let (h_origin, relays) = (quorum(origin), quorum(w));
+    let tables = || (state.poll_cache_stats().1, state.fw1_row_count());
+    let before = tables();
+    let outsiders = (0..N)
+        .map(NodeId::from_index)
+        .filter(|y| !h_origin.contains(y));
+    for from in outsiders {
+        let msg = AerMsg::Fw1 { origin, s: g, r, w };
+        let recipients = relays.clone();
+        let run = Input::Run {
+            from,
+            msg,
+            recipients,
+        };
+        assert!(d.apply(relays[0], run).is_empty());
+    }
+    assert_eq!(tables(), before);
 }
 
 #[test]

@@ -27,7 +27,8 @@ pub enum Input<M> {
         msg: M,
     },
     /// [`Protocol::deliver_run`] over the node table: `msg` from `from` to
-    /// every node of `recipients`, which are what it is aimed at.
+    /// every node of `recipients` — what it is aimed at, in place of the
+    /// node [`Driver::apply`] names.
     Run {
         /// The sender.
         from: NodeId,
@@ -44,7 +45,6 @@ pub enum Input<M> {
 
 /// One row of a step table: the rule it pins, what it feeds, and what
 /// that must give.
-#[derive(Clone, Debug)]
 pub struct TestStep<I, O> {
     /// The rule, named as the assertion's message.
     pub desc: &'static str,
@@ -91,7 +91,6 @@ pub struct Driver<P: Protocol> {
     nodes: Vec<Option<P>>,
     rngs: Vec<ChaCha12Rng>,
     session: EngineSession<P::Msg>,
-    /// What the last callback sent, by the run, as the engine ships it.
     outbox: Runs<P::Msg>,
 }
 

@@ -71,7 +71,10 @@
 //! one ordered map, one `on_message` per delivery, nothing reused or
 //! skipped) is the executable form of these six stages; the literal
 //! call-order tables in `tests/engine_props.rs` pin it call by call, and
-//! it pins [`run_session`] everywhere else.
+//! it pins [`run_session`] everywhere else. A handler is pinned one node
+//! at a time by [`Driver`] (module `driver`): it hands a node the calls
+//! of stages 1–3 as [`Input`]s and returns what each sent, and a step
+//! table is a list of [`TestStep`] rows over it.
 //!
 //! ## Determinism contract
 //!
