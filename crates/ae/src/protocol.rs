@@ -7,8 +7,9 @@
 //! 1. **Leaf randomness** — each leaf group (contiguous block of
 //!    `c = Θ(log n)` nodes) agrees on a *group value*: members broadcast a
 //!    private random contribution, echo what they received, and take
-//!    per-sender majorities (one echo round suffices for consistency when
-//!    the group has an honest majority).
+//!    per-sender majorities, each echoer voting once per sender (one echo
+//!    round suffices for consistency when the group has an honest
+//!    majority).
 //! 2. **Tournament ascent** — sibling subtrees exchange their group
 //!    values: the *representative committee* of each side (sampled from
 //!    the side's range, seeded by its own agreed value, hence verifiable

@@ -660,6 +660,7 @@ mod tests {
                 }
             }
             assert_eq!(d.node(x).candidates(), [g, other], "{}", row.desc);
+            assert!(d.at(3).apply(x, Input::Crash).is_empty(), "{}", row.desc);
             d.at(4).apply(x, Input::Restart);
             let mut sent = Vec::new();
             d.outbox().for_each_part(|msg, to| {
