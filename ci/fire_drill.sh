@@ -11,7 +11,8 @@
 #   patch (a file in ci/drills/)   package   test filter
 #
 # The filter is `cargo test`'s name filter; on the clean tree it must
-# select at least one test of the package. Tests run in the dev profile.
+# select at least one test of the package. Every patch in ci/drills/ has
+# exactly one row. Tests run in the dev profile.
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 rev="${1:-HEAD}"
@@ -32,6 +33,16 @@ run() {
 }
 
 rows="$(grep -v '^#' $drills/tests.tsv | grep -v '^[[:space:]]*$')"
+
+# One row per patch and one patch per row: a patch without a row would
+# never be planted, a row without a patch never catches anything.
+listed="$(cut -f1 <<<"$rows" | sort)"
+present="$(cd "$drills" && ls -- *.patch | sort)"
+if [ "$listed" != "$present" ]; then
+    diff <(echo "$listed") <(echo "$present") | grep '^[<>]' >&2 || true
+    echo "fire drill: tests.tsv rows (<) and ci/drills/*.patch (>) differ" >&2
+    exit 1
+fi
 while IFS=$'\t' read -r patch package filter; do
     status=0
     run "$package" "$filter" "$work/clean.log" || status=$?

@@ -152,19 +152,9 @@ impl Protocol for AerNode {
             AerMsg::Pull(s, r) => self.pull.on_pull(from, s, r, ctx),
             AerMsg::Fw1 { origin, s, r, w } => self.pull.on_fw1(from, origin, s, r, w, ctx),
             AerMsg::Fw2 { origin, s, r } => self.pull.on_fw2(from, origin, s, r, ctx),
-            AerMsg::Answer(s) => {
-                if self.pull.on_answer(from, s).is_some() {
-                    // Deciding unlocks the overload queue (Algorithm 3's
-                    // "wait for has_decided").
-                    self.pull.on_decided(ctx);
-                }
-            }
+            AerMsg::Answer(s) => self.pull.on_answer(from, s, ctx),
             AerMsg::RepairQuery(r) => self.pull.on_repair_query(from, r, ctx),
-            AerMsg::RepairAnswer(s) => {
-                if self.pull.on_repair_answer(from, s).is_some() {
-                    self.pull.on_decided(ctx);
-                }
-            }
+            AerMsg::RepairAnswer(s) => self.pull.on_repair_answer(from, s, ctx),
         }
         self.sync_wal(ctx.step());
     }
@@ -424,6 +414,7 @@ impl AerHarness {
 mod tests {
     use super::*;
     use fba_ae::UnknowingAssignment;
+    use fba_samplers::Label;
     use fba_sim::{Driver, Input, NoAdversary, TestStep};
 
     fn harness(n: usize, knowledge: f64, seed: u64) -> (AerHarness, Precondition) {
@@ -675,6 +666,137 @@ mod tests {
                 sent,
                 believed: *d.node(x).believed(),
                 output: d.node(x).output(),
+            };
+            assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
+        }
+    }
+
+    #[test]
+    fn a_repair_decision_releases_what_waits_for_it() {
+        /// One row's inputs to node `x`.
+        enum Fed {
+            /// `Poll(g)` from `origin`, then `Fw2(origin, g)` from every
+            /// member of `H(g, x)`.
+            Served(usize),
+            /// `RepairQuery` from `origin`, over a list holding `x`.
+            RepairQuery(usize),
+            /// A tick at the poll timeout.
+            Tick,
+            /// `RepairAnswer(g)` from the first `k` members of the repair
+            /// list `x` queried.
+            RepairAnswers(usize),
+        }
+
+        /// What the row sent, by kind, and whether `x` has decided.
+        #[derive(Debug, Default, PartialEq)]
+        struct Outputs {
+            /// Recipients of `Answer(g)`, in send order.
+            answered: Vec<usize>,
+            /// Recipients of `RepairAnswer(g)`, in send order.
+            repaired: Vec<usize>,
+            repair_queries: usize,
+            decided: bool,
+        }
+
+        let (n, x) = (64, NodeId::from_index(5));
+        let cfg = AerConfig::recommended(n).with_overload_cap(1);
+        let (d, g) = (cfg.d, GString::zeroes(cfg.string_len));
+        let h = AerHarness::new(cfg, vec![g; n]);
+        let (scheme, poll) = (h.scheme(), h.poll_sampler());
+        let majority = poll.majority();
+        let state = h.run_state();
+        let mut node = Driver::new(n, 3, |id| (id == x).then(|| h.node_with(id, &state)));
+        node.at(1).apply(x, Input::Start);
+        let holding_x = |origin: usize| {
+            let origin = NodeId::from_index(origin);
+            (0..poll.label_cardinality())
+                .map(Label)
+                .find(|&r| poll.contains(origin, r, x))
+                .expect("a list holding x")
+        };
+        let hear = |from: NodeId, msg| Input::Message { from, msg };
+        let table = [
+            TestStep {
+                desc: "Algorithm 3: below overload_cap a polled Fw2 majority is answered",
+                input: Fed::Served(20),
+                expected_outputs: Outputs {
+                    answered: vec![20],
+                    ..Outputs::default()
+                },
+            },
+            TestStep {
+                desc: "Lemma 6: at overload_cap a polled Fw2 majority parks",
+                input: Fed::Served(21),
+                expected_outputs: Outputs::default(),
+            },
+            TestStep {
+                desc: "Deviations: an undecided node parks a repair query",
+                input: Fed::RepairQuery(22),
+                expected_outputs: Outputs::default(),
+            },
+            TestStep {
+                desc: "Deviations: at poll_timeout the node asks a fresh J(x, r')",
+                input: Fed::Tick,
+                expected_outputs: Outputs {
+                    repair_queries: d,
+                    ..Outputs::default()
+                },
+            },
+            TestStep {
+                desc: "Deviations: reports from one short of a majority of J(x, r') \
+                       do not decide",
+                input: Fed::RepairAnswers(majority - 1),
+                expected_outputs: Outputs::default(),
+            },
+            TestStep {
+                desc: "Algorithm 3: a decision reached by repair releases the parked \
+                       forwards, then answers the parked repair query",
+                input: Fed::RepairAnswers(majority),
+                expected_outputs: Outputs {
+                    answered: vec![21],
+                    repaired: vec![22],
+                    repair_queries: 0,
+                    decided: true,
+                },
+            },
+        ];
+        let (mut repair_list, step) = (Vec::new(), 1 + cfg.poll_timeout);
+        for row in table {
+            let sent = match row.input {
+                Fed::Served(origin) => {
+                    let (r, origin) = (holding_x(origin), NodeId::from_index(origin));
+                    let mut sent = node.at(2).apply(x, hear(origin, AerMsg::Poll(g, r)));
+                    for z in scheme.pull.quorum(g.key(), x) {
+                        let fw2 = AerMsg::Fw2 { origin, s: g, r };
+                        sent.extend(node.apply(x, hear(z, fw2)));
+                    }
+                    sent
+                }
+                Fed::RepairQuery(origin) => {
+                    let query = AerMsg::RepairQuery(holding_x(origin));
+                    node.at(2).apply(x, hear(NodeId::from_index(origin), query))
+                }
+                Fed::Tick => {
+                    let sent = node.at(step).apply(x, Input::Tick);
+                    repair_list = sent.iter().map(|e| e.to).collect();
+                    sent
+                }
+                Fed::RepairAnswers(k) => {
+                    let answer = |&w: &NodeId| hear(w, AerMsg::RepairAnswer(g));
+                    let inputs: Vec<_> = repair_list[..k].iter().map(answer).collect();
+                    let sent = inputs.into_iter().map(|i| node.at(step + 1).apply(x, i));
+                    sent.flatten().collect()
+                }
+            };
+            let to = |kind: &dyn Fn(&AerMsg) -> bool| {
+                let sent = sent.iter().filter(|e| kind(&e.msg));
+                sent.map(|e| e.to.index()).collect::<Vec<_>>()
+            };
+            let outputs = Outputs {
+                answered: to(&|m| *m == AerMsg::Answer(g)),
+                repaired: to(&|m| *m == AerMsg::RepairAnswer(g)),
+                repair_queries: to(&|m| matches!(m, AerMsg::RepairQuery(_))).len(),
+                decided: node.node(x).output() == Some(g),
             };
             assert_eq!(outputs, row.expected_outputs, "{}", row.desc);
         }

@@ -26,8 +26,6 @@
 //! step and its randomness from there, so the algorithms are unit-testable
 //! without the simulator.
 
-use std::collections::BTreeSet;
-
 use fba_recovery::Checkpoint;
 use fba_sim::fxhash::{FxHashMap, FxHashSet};
 
@@ -96,7 +94,7 @@ pub struct PullPhase {
     /// What the run shares (see [`AerRunState`]): the memoized samplers
     /// `H` and `J`, this node's `(believed.key(), slot of H(believed,
     /// self))` entry of the belief table — kept in lockstep with
-    /// `believed` by [`PullPhase::set_belief`]; the handlers compare the
+    /// `believed` by [`PullPhase::decide`]; the handlers compare the
     /// key per message and the answerer hot path keys its vote arena by
     /// the slot — and the `Fw1` vote rows, where this node owns the cells
     /// at its own position.
@@ -106,6 +104,7 @@ pub struct PullPhase {
     /// `s_this`: the node's current belief; starts at its initial
     /// candidate and is overwritten by its decision.
     believed: GString,
+    /// Set by [`PullPhase::decide`] alone, and by a restore.
     decided: Option<GString>,
 
     // --- requester (Algorithm 1) ---
@@ -131,8 +130,11 @@ pub struct PullPhase {
     repair_label: Option<Label>,
     repair_used: u32,
     repair_last: Step,
-    repair_votes: FxHashMap<StringKey, (GString, BTreeSet<NodeId>)>,
-    repair_pending: Vec<(NodeId, Label)>,
+    /// Per reported string, a `u64` bitmask over positions in the
+    /// current repair list of the members that reported it.
+    repair_votes: FxHashMap<StringKey, u64>,
+    /// Repair requesters parked until this node decides.
+    repair_pending: Vec<NodeId>,
     repair_answered: FxHashMap<NodeId, u32>,
 }
 
@@ -252,15 +254,15 @@ impl PullPhase {
             && self.repair_used < self.retry.repair_attempts
             && (self.repair_used == 0 || step.saturating_sub(self.repair_last) >= timeout)
         {
-            self.repair_votes.clear();
-            self.repair_used += 1;
             self.query_repair(ctx);
         }
     }
 
-    /// One repair query to a fresh poll list `J(x, r)`, which
-    /// becomes the list whose answers count.
+    /// Spends one repair attempt: a repair query to a fresh poll list
+    /// `J(x, r)`, which becomes the list whose answers count.
     fn query_repair(&mut self, ctx: &mut Context<'_, AerMsg>) {
+        self.repair_used += 1;
+        self.repair_votes.clear();
         let r = self.poll().random_label(ctx.rng());
         self.repair_label = Some(r);
         self.repair_last = ctx.step();
@@ -268,58 +270,40 @@ impl PullPhase {
         self.state.poll_lists.poll_list_with(self.x, r, query);
     }
 
-    /// Handles a repair query from `origin`: if this node has decided and
-    /// really is in `J(origin, r)`, it replies with its decision (subject
-    /// to a per-requester cap); otherwise the query is parked until this
-    /// node decides.
+    /// Handles a repair query from `origin`: if this node really is in
+    /// `J(origin, r)`, it replies with its decision, or parks the query
+    /// until it decides.
     pub fn on_repair_query(&mut self, origin: NodeId, r: Label, ctx: &mut Context<'_, AerMsg>) {
         if !self.state.poll_lists.contains(origin, r, self.x) {
             return;
         }
-        let served = self.repair_answered.entry(origin).or_insert(0);
-        if *served >= REPAIR_ANSWER_CAP {
-            return;
+        match self.decided {
+            Some(decision) => self.serve_repair(origin, decision, ctx),
+            None => self.repair_pending.push(origin),
         }
-        if let Some(decision) = self.decided {
+    }
+
+    /// Sends this node's decision to repair requester `origin`, at most
+    /// [`REPAIR_ANSWER_CAP`] times per requester.
+    fn serve_repair(&mut self, origin: NodeId, decision: GString, ctx: &mut Context<'_, AerMsg>) {
+        let served = self.repair_answered.entry(origin).or_insert(0);
+        if *served < REPAIR_ANSWER_CAP {
             *served += 1;
             ctx.send(origin, AerMsg::RepairAnswer(decision));
-        } else {
-            self.repair_pending.push((origin, r));
         }
     }
 
-    /// Handles a repair answer from `w`. Returns `Some(decision)` when a
-    /// strict majority of the *current* repair poll list reported the same
-    /// string — the same safety argument as a regular poll (Lemma 7).
-    #[must_use]
-    pub fn on_repair_answer(&mut self, w: NodeId, s: GString) -> Option<GString> {
-        if self.decided.is_some() {
-            return None;
+    /// Handles a repair answer from `w`: reports of `s` from a strict
+    /// majority of the *current* repair poll list decide `s` — the same
+    /// tally, and the same safety argument, as a regular poll (Lemma 7).
+    pub fn on_repair_answer(&mut self, w: NodeId, s: GString, ctx: &mut Context<'_, AerMsg>) {
+        let Some(r) = self.repair_label.filter(|_| self.decided.is_none()) else {
+            return;
+        };
+        let votes = self.repair_votes.entry(s.key()).or_insert(0);
+        if majority_marked(&self.state, self.x, r, w, votes) {
+            self.decide(s, ctx);
         }
-        let r = self.repair_label?;
-        if !self.state.poll_lists.contains(self.x, r, w) {
-            return None;
-        }
-        let key = s.key();
-        let (_, voters) = self
-            .repair_votes
-            .entry(key)
-            .or_insert_with(|| (s, BTreeSet::new()));
-        voters.insert(w);
-        if voters.len() >= self.poll().majority() {
-            let decision = self.repair_votes[&key].0;
-            self.decided = Some(decision);
-            self.set_belief(decision, key);
-            Some(decision)
-        } else {
-            None
-        }
-    }
-
-    /// Updates `believed` and its shared `(key, slot)` entry together.
-    fn set_belief(&mut self, s: GString, key: StringKey) {
-        self.believed = s;
-        self.state.set_belief(self.x, key);
     }
 
     /// Algorithm 2, first handler: a `Pull(s, r)` from requester `origin`.
@@ -383,7 +367,7 @@ impl PullPhase {
     ///
     /// If this node is overloaded for `s` (already answered `overload_cap`
     /// requests) and has not decided, the forward is parked until the
-    /// decision ([`PullPhase::on_decided`] drains the queue).
+    /// decision, which drains the queue.
     pub fn on_fw2(
         &mut self,
         z: NodeId,
@@ -432,11 +416,8 @@ impl PullPhase {
             .entry(slot_vote_key(believed_slot, origin))
             .or_insert(0);
         *votes |= 1 << z_pos;
-        if votes.count_ones() as usize >= self.state.pull_quorums.majority()
-            && self.polled.contains(&(origin, key))
-        {
-            self.answer(origin, s, ctx);
-        }
+        let votes = *votes;
+        self.answer_at_majority(origin, s, votes, ctx);
     }
 
     /// Algorithm 3, `Poll` handler. Registers `(origin, s)` as polled; in
@@ -456,52 +437,52 @@ impl PullPhase {
             // gated on the belief match anyway.
             return;
         }
-        let majority = self.state.pull_quorums.majority();
-        let have = self
-            .fw2_senders
-            .get(&slot_vote_key(believed_slot, origin))
-            .map_or(0, |votes| votes.count_ones() as usize);
-        if have >= majority {
-            self.answer(origin, s, ctx);
-        }
+        let votes = self.fw2_senders.get(&slot_vote_key(believed_slot, origin));
+        self.answer_at_majority(origin, s, votes.copied().unwrap_or(0), ctx);
     }
 
-    fn answer(&mut self, origin: NodeId, s: GString, ctx: &mut Context<'_, AerMsg>) {
+    /// Algorithm 3's answer: `Answer(s)` to `origin`, once per `(origin,
+    /// s)`, when `origin` polled this node for `s` and `votes` — the
+    /// `Fw2` relays for `origin` under the current belief `s`, a bitmask
+    /// over positions in `H(s, self)` — holds a majority.
+    fn answer_at_majority(
+        &mut self,
+        origin: NodeId,
+        s: GString,
+        votes: u64,
+        ctx: &mut Context<'_, AerMsg>,
+    ) {
         let key = s.key();
-        if !self.answered.insert((origin, key)) {
-            return; // answer once per (x, s)
+        if (votes.count_ones() as usize) < self.state.pull_quorums.majority()
+            || !self.polled.contains(&(origin, key))
+            || !self.answered.insert((origin, key))
+        {
+            return;
         }
         *self.answer_counts.entry(key).or_insert(0) += 1;
         ctx.send(origin, AerMsg::Answer(s));
     }
 
     /// Algorithm 1, receiving side: an `Answer(s)` from poll-list member
-    /// `w`. Returns `Some(decision)` when answers from a strict majority
-    /// of `J(x, r_{x,s})` have arrived.
-    #[must_use]
-    pub fn on_answer(&mut self, w: NodeId, s: GString) -> Option<GString> {
+    /// `w`. Answers from a strict majority of `J(x, r_{x,s})` decide `s`.
+    pub fn on_answer(&mut self, w: NodeId, s: GString, ctx: &mut Context<'_, AerMsg>) {
         if self.decided.is_some() {
-            return None;
+            return;
         }
-        let key = s.key();
-        let majority = self.poll().majority();
-        let poll = self.own_polls.get_mut(&key)?;
-        let w_pos = self.state.poll_lists.position(self.x, poll.r, w)?;
-        poll.answered_by |= 1 << w_pos;
-        if poll.answered_by.count_ones() as usize >= majority {
+        let Some(poll) = self.own_polls.get_mut(&s.key()) else {
+            return;
+        };
+        if majority_marked(&self.state, self.x, poll.r, w, &mut poll.answered_by) {
             let decision = poll.s;
-            self.decided = Some(decision);
-            self.set_belief(decision, key);
-            Some(decision)
-        } else {
-            None
+            self.decide(decision, ctx);
         }
     }
 
-    /// Called once after this node decides: drains the overload-parked
-    /// forwards (they are re-processed under the new belief, so only
-    /// requests for the decided string are served), replies to parked
-    /// repair queries, and re-arms the pull flood filter.
+    /// The one decision point: `s` becomes the decision and the belief,
+    /// and Algorithm 3's "wait for `has_decided`" ends. In order, the
+    /// pull flood filter is re-armed, the overload-parked forwards are
+    /// re-processed under the new belief (so only requests for `s` are
+    /// served), and the parked repair queries are answered.
     ///
     /// Re-arming the filter serves requesters that restart: a crashed
     /// node re-polls the same `(origin, s)` with a fresh label (see
@@ -511,21 +492,16 @@ impl PullPhase {
     /// s)` may be forwarded one more time, now with every router and
     /// relay in agreement. Amplification stays bounded: at most two
     /// forwards per `(origin, s)` per router.
-    pub fn on_decided(&mut self, ctx: &mut Context<'_, AerMsg>) {
-        let Some(decision) = self.decided else {
-            debug_assert!(false, "drain requires a decision");
-            return;
-        };
+    fn decide(&mut self, s: GString, ctx: &mut Context<'_, AerMsg>) {
+        self.decided = Some(s);
+        self.believed = s;
+        self.state.set_belief(self.x, s.key());
         self.forwarded_pulls.clear();
         for d in std::mem::take(&mut self.deferred) {
             self.process_fw2(d.from, d.origin, d.s, d.r, ctx);
         }
-        for (origin, _r) in std::mem::take(&mut self.repair_pending) {
-            let served = self.repair_answered.entry(origin).or_insert(0);
-            if *served < REPAIR_ANSWER_CAP {
-                *served += 1;
-                ctx.send(origin, AerMsg::RepairAnswer(decision));
-            }
+        for origin in std::mem::take(&mut self.repair_pending) {
+            self.serve_repair(origin, s, ctx);
         }
     }
 
@@ -546,7 +522,8 @@ impl PullPhase {
     /// query to a fresh poll list `J(x, r)` — the state-sync path that
     /// pulls decisions the node slept through from sampled peers, reusing
     /// the repair machinery's Lemma 7 safety argument (adopt only a
-    /// strict-majority report).
+    /// strict-majority report). A rebuilt phase has nothing parked, so a
+    /// checkpointed decision is set as it is, with nothing to drain.
     pub fn restore(&mut self, checkpoint: &Checkpoint, ctx: &mut Context<'_, AerMsg>) {
         self.state.forget_fw1_votes(self.x);
         let belief = checkpoint.belief.or(checkpoint.accepted.first().copied());
@@ -561,10 +538,21 @@ impl PullPhase {
             self.open_poll(s, ctx);
         }
         if self.retry.repair_attempts > 0 {
-            self.repair_used = 1;
             self.query_repair(ctx);
         }
     }
+}
+
+/// The one strict-majority tally, of a poll (Algorithm 1) and of repair
+/// alike: marks `w`'s position in `J(x, r)` in `votes`, a bitmask over
+/// the list's positions, and says whether a strict majority of the list
+/// is marked. A non-member marks nothing. One poll-cache lookup.
+fn majority_marked(state: &AerRunState, x: NodeId, r: Label, w: NodeId, votes: &mut u64) -> bool {
+    let Some(w_pos) = state.poll_lists.position(x, r, w) else {
+        return false;
+    };
+    *votes |= 1 << w_pos;
+    votes.count_ones() as usize >= state.poll_lists.sampler().majority()
 }
 
 /// The part function of a pull's forward: the stored `Fw1` with `w` set
@@ -785,12 +773,8 @@ mod tests {
 
         // The requester decides after majority answers from J(x, r).
         for (i, &ww) in poll_list.iter().enumerate().take(poll.majority()) {
-            let decision = requester.on_answer(ww, g);
-            if i + 1 < poll.majority() {
-                assert!(decision.is_none());
-            } else {
-                assert_eq!(decision, Some(g));
-            }
+            let _ = hand.call(x, |ctx| requester.on_answer(ww, g, ctx));
+            assert_eq!(requester.decided().is_some(), i + 1 == poll.majority());
         }
         assert_eq!(requester.decided(), Some(&g));
         assert_eq!(requester.believed(), &g);
@@ -801,16 +785,16 @@ mod tests {
         let n = 64;
         let d = 5;
         let (_, poll) = setup(n, d);
-        let mut p = phase(2, gs(0), n, d);
+        let (mut p, mut hand) = (phase(2, gs(0), n, d), driver(n));
         let g = gs(0);
-        let r = polled(&driver(n).call(p.x, |ctx| p.start_poll(g, ctx)));
+        let r = polled(&hand.call(p.x, |ctx| p.start_poll(g, ctx)));
         let list = poll.poll_list(NodeId::from_index(2), r);
         let outsider = (0..n)
             .map(NodeId::from_index)
             .find(|id| !list.contains(id))
             .unwrap();
         for _ in 0..n {
-            assert!(p.on_answer(outsider, g).is_none());
+            let _ = hand.call(p.x, |ctx| p.on_answer(outsider, g, ctx));
         }
         assert!(p.decided().is_none());
     }
@@ -850,7 +834,11 @@ mod tests {
         assert_eq!(list.len(), D);
         let decisions: Vec<bool> = order
             .iter()
-            .map(|&pos| q.on_answer(list[pos], g).is_some())
+            .map(|&pos| {
+                let undecided = q.decided().is_none();
+                let _ = hand.call(q.x, |ctx| q.on_answer(list[pos], g, ctx));
+                undecided && q.decided().is_some()
+            })
             .collect();
         assert_eq!(decisions.iter().filter(|&&d| d).count(), 1);
         assert_eq!(
@@ -867,8 +855,7 @@ mod tests {
             /// `on_poll(origin, s)` from requester `origin`, then `on_fw2`
             /// for it from every member of `H(s, x)`, in order.
             Served { origin: usize, s: GString },
-            /// A majority of the node's own `J(x, r)` answers `g`, then
-            /// `on_decided`.
+            /// A majority of the node's own `J(x, r)` answers `g`.
             Decide,
         }
 
@@ -955,9 +942,12 @@ mod tests {
                 }
                 Input::Decide => {
                     let list = p.poll().poll_list(x, r);
-                    let decisions = list[..majority].iter().filter_map(|&w| p.on_answer(w, g));
-                    assert_eq!(decisions.last(), Some(g), "{}", row.desc);
-                    hand.at(step).call(x, |ctx| p.on_decided(ctx))
+                    let mut sent = Vec::new();
+                    for &w in &list[..majority] {
+                        assert!(p.decided().is_none(), "{}", row.desc);
+                        sent.extend(hand.at(step).call(x, |ctx| p.on_answer(w, g, ctx)));
+                    }
+                    sent
                 }
             };
             let answer = AerMsg::Answer(g);
@@ -990,7 +980,7 @@ mod tests {
         let g = gs(0);
         let key = g.key();
         let w = NodeId::from_index(7);
-        let h_w: BTreeSet<_> = scheme.pull.quorum(key, w).into_iter().collect();
+        let h_w = scheme.pull.quorum(key, w);
         let mut p = phase(w.index(), g, n, d);
         let (origin, mut hand) = (NodeId::from_index(20), driver(n));
         let r = label(p.poll(), origin, w, true);
@@ -1133,10 +1123,11 @@ mod tests {
                 Input::Tick => hand.at(step).call(p.x, |ctx| p.on_step(ctx)),
                 Input::Answers(k) => {
                     let list = p.poll().poll_list(p.x, r.expect("polled first"));
+                    let mut sent = Vec::new();
                     for &w in &list[..k] {
-                        let _ = p.on_answer(w, g);
+                        sent.extend(hand.at(step).call(p.x, |ctx| p.on_answer(w, g, ctx)));
                     }
-                    Vec::new()
+                    sent
                 }
             };
             r = r.or_else(|| matches!(input, Input::StartPoll).then(|| polled(&sent)));
@@ -1181,13 +1172,9 @@ mod tests {
         // Majority of the repair list reports the same decision: adopt it.
         let g = gs(7);
         let maj = d / 2 + 1;
-        for (i, w) in members.iter().enumerate().take(maj) {
-            let decision = p.on_repair_answer(*w, g);
-            if i + 1 < maj {
-                assert!(decision.is_none());
-            } else {
-                assert_eq!(decision, Some(g));
-            }
+        for (i, &w) in members.iter().enumerate().take(maj) {
+            let _ = hand.call(p.x, |ctx| p.on_repair_answer(w, g, ctx));
+            assert_eq!(p.decided().is_some(), i + 1 == maj);
         }
         assert_eq!(p.decided(), Some(&g));
         assert_eq!(p.believed(), &g);
@@ -1204,14 +1191,14 @@ mod tests {
         let (mut p, mut hand) = (phase_with_retry(2, gs(0), n, d, retry), driver(n));
         let _ = hand.call(p.x, |ctx| p.start_poll(gs(0), ctx));
         let sends = hand.at(1).call(p.x, |ctx| p.on_step(ctx));
-        let members: BTreeSet<NodeId> = sends.iter().map(|e| e.to).collect();
+        let members: Vec<NodeId> = sends.iter().map(|e| e.to).collect();
         let outsiders: Vec<_> = (0..n)
             .map(NodeId::from_index)
             .filter(|id| !members.contains(id))
             .take(2 * d)
             .collect();
         for w in outsiders {
-            assert!(p.on_repair_answer(w, gs(7)).is_none());
+            let _ = hand.call(p.x, |ctx| p.on_repair_answer(w, gs(7), ctx));
         }
         assert!(p.decided().is_none());
     }
@@ -1227,9 +1214,8 @@ mod tests {
         assert!(hand
             .call(p.x, |ctx| p.on_repair_query(origin, r, ctx))
             .is_empty());
-        // Decide, then the parked query is served by the drain.
-        p.decided = Some(gs(0));
-        let out = hand.call(p.x, |ctx| p.on_decided(ctx));
+        // Decide: the parked query is served by the drain.
+        let out = hand.call(p.x, |ctx| p.decide(gs(0), ctx));
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].msg, AerMsg::RepairAnswer(_)));
         // Direct queries now get served, up to the cap.

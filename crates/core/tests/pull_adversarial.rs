@@ -350,18 +350,19 @@ fn decision_requires_strict_majority_even_with_spam() {
     let (h, g, _) = setup();
     let poll = h.poll_sampler();
     let x = NodeId::from_index(7);
-    let mut p = phase(7, g);
+    let (mut p, mut hand) = (phase(7, g), hand());
     let list = poll.poll_list(x, own_poll(&mut p, x, g));
     let majority = poll.majority();
     // majority − 1 distinct answerers, each spamming 5 times: no decision.
-    for w in list.iter().take(majority - 1) {
+    for &w in list.iter().take(majority - 1) {
         for _ in 0..5 {
-            assert!(p.on_answer(*w, g).is_none());
+            let _ = hand.call(x, |ctx| p.on_answer(w, g, ctx));
         }
     }
     assert!(p.decided().is_none());
     // The majority-th distinct answer decides.
-    assert_eq!(p.on_answer(list[majority - 1], g), Some(g));
+    let _ = hand.call(x, |ctx| p.on_answer(list[majority - 1], g, ctx));
+    assert_eq!(p.decided(), Some(&g));
 }
 
 #[test]
@@ -373,15 +374,14 @@ fn post_decision_node_keeps_serving_but_never_flips() {
     let (mut p, mut hand) = (phase(w.index(), g), hand());
     // Decide via own poll.
     let own_list = poll.poll_list(w, own_poll(&mut p, w, g));
-    for member in own_list.iter().take(poll.majority()) {
-        let _ = p.on_answer(*member, g);
+    for &member in own_list.iter().take(poll.majority()) {
+        let _ = hand.call(w, |ctx| p.on_answer(member, g, ctx));
     }
     assert_eq!(p.decided(), Some(&g));
-    let _ = hand.call(w, |ctx| p.on_decided(ctx));
 
     // Spam answers for `bad`: the decision must not change.
     for member in poll.poll_list(w, Label(9)) {
-        assert!(p.on_answer(member, bad).is_none());
+        assert!(hand.call(w, |ctx| p.on_answer(member, bad, ctx)).is_empty());
     }
     assert_eq!(p.decided(), Some(&g));
     assert_eq!(p.believed(), &g);
@@ -414,11 +414,11 @@ fn repair_votes_require_distinct_members_and_matching_string() {
     // Split votes between two strings: neither reaches majority from
     // fewer than `majority` distinct members.
     let maj = poll.majority();
-    for (i, w) in members.iter().enumerate() {
+    for (i, &w) in members.iter().enumerate() {
         let s = if i % 2 == 0 { g } else { bad };
-        let decision = p.on_repair_answer(*w, s);
+        let _ = hand.call(x, |ctx| p.on_repair_answer(w, s, ctx));
         if i + 1 < 2 * maj - 1 {
-            assert!(decision.is_none(), "decided too early at vote {}", i + 1);
+            assert!(p.decided().is_none(), "decided too early at vote {}", i + 1);
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use fba_sim::{NodeId, Step};
+use fba_sim::NodeId;
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -286,17 +286,6 @@ pub fn sampler_definition_violations(
     worst
 }
 
-/// Upper bound on the depth of the overload chain the adversary can build
-/// (Lemma 6): `O(log n / log log n)`. Exposed so experiments can compare a
-/// measured chain depth against the paper's envelope with an explicit
-/// constant.
-#[must_use]
-pub fn lemma6_envelope(n: usize, constant: f64) -> Step {
-    let ln = fba_sim::ln_at_least_one(n);
-    let lnln = ln.ln().max(1.0);
-    (constant * ln / lnln).ceil() as Step
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,16 +415,5 @@ mod tests {
         let q = QuorumSampler::new(8, crate::quorum::tags::PUSH, 512, 15);
         let worst = sampler_definition_violations(&q, &[0.5], 0.0, 1000, &mut rng);
         assert!(worst > 0.2, "checker lost its teeth: θ = {worst}");
-    }
-
-    #[test]
-    fn lemma6_envelope_grows_sublogarithmically() {
-        let a = lemma6_envelope(256, 1.0);
-        let b = lemma6_envelope(1 << 20, 1.0);
-        assert!(b >= a);
-        assert!(
-            b <= 16,
-            "log n / log log n stays tiny at these scales, got {b}"
-        );
     }
 }

@@ -157,14 +157,6 @@ pub struct ServiceInstance {
     pub run: AerRun,
 }
 
-impl ServiceInstance {
-    /// Steps the value waited in the admission queue before starting.
-    #[must_use]
-    pub fn queue_delay(&self) -> Step {
-        self.started_at - self.arrived_at
-    }
-}
-
 /// Outcome of a [`Scenario::run_service`](crate::Scenario::run_service) run: every chained
 /// instance, the service clock, and the shared arena's cache counters that
 /// prove it was actually reused. Every aggregate is folded from the

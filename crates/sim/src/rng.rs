@@ -1,10 +1,10 @@
 //! Deterministic randomness derivation.
 //!
-//! The paper's model gives each node a *private* random number generator,
-//! while samplers are built from *public* randomness shared by every node.
-//! Both are derived here from a single master seed so that a run is a pure
-//! function of `(master_seed, configuration)` — the property every test and
-//! every experiment in this repository relies on for replay.
+//! The paper's model gives each node a *private* random number generator.
+//! Those streams, the adversary's and the workload's are derived here from
+//! a single master seed, so a run is a pure function of `(master_seed,
+//! configuration)` — what every replay relies on. The samplers' *public*
+//! randomness is a fixed seed of the configuration instead.
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -13,8 +13,6 @@ use rand_chacha::ChaCha12Rng;
 pub const TAG_NODE: u64 = 0x4e4f_4445; // "NODE"
 /// Domain-separation tag for the adversary's RNG.
 pub const TAG_ADVERSARY: u64 = 0x4144_5645; // "ADVE"
-/// Domain-separation tag for public sampler seeds.
-pub const TAG_SAMPLER: u64 = 0x5341_4d50; // "SAMP"
 /// Domain-separation tag for workload/input generation.
 pub const TAG_WORKLOAD: u64 = 0x574f_524b; // "WORK"
 /// Domain-separation tag for per-instance seeds in service (chained
@@ -117,8 +115,8 @@ mod tests {
 
     #[test]
     fn derived_rngs_are_reproducible() {
-        let mut a = derive_rng(7, &[TAG_SAMPLER, 1]);
-        let mut b = derive_rng(7, &[TAG_SAMPLER, 1]);
+        let mut a = derive_rng(7, &[TAG_NODE, 1]);
+        let mut b = derive_rng(7, &[TAG_NODE, 1]);
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

@@ -6,16 +6,16 @@
 //! **Paper claim exercised:** Figure 2 and Algorithms 1–3 — the push
 //! phase's sampler-filtered vote counting (2a) and the two-hop filtered
 //! verification pipeline (2b), extracted from the transcript a
-//! [`TranscriptSink`] observer collects while the scenario runs. See the
+//! [`TranscriptSink`] observer collects while the scenario runs; 2a is
+//! `fba::core::trace::push_votes_at`, the node's own filter. See the
 //! README's example index.
 //!
 //! ```bash
 //! cargo run --release --example push_pull_trace
 //! ```
 
-use std::collections::BTreeMap;
-
 use fba::ae::UnknowingAssignment;
+use fba::core::trace::push_votes_at;
 use fba::core::AerMsg;
 use fba::samplers::GString;
 use fba::scenario::{Phase, Scenario};
@@ -41,40 +41,29 @@ fn main() {
     let pre = &outcome.precondition;
 
     let g = &pre.gstring;
-    let _s2 = pre
+    let s2 = pre
         .assignments
         .iter()
         .find(|s| *s != g)
         .expect("a bogus candidate exists");
 
     // ---- Figure 2a: push phase at one node -------------------------------
-    // Pick an unknowing node x and count the pushes it received per string.
+    // Pick an unknowing node x and count the pushes it received per
+    // string, from legitimate quorum members only, as x does.
     let x = (0..n)
         .map(NodeId::from_index)
         .find(|id| !pre.knows(*id))
         .expect("an unknowing node exists");
-    let scheme = cfg.scheme();
-    let mut per_string: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for env in transcript {
-        if env.to != x {
-            continue;
-        }
-        if let AerMsg::Push(s) = &env.msg {
-            // Only count pushes from legitimate quorum members, as x does.
-            if scheme.push.contains(s.key(), x, env.from) {
-                let label = if s == g { "s1 = gstring" } else { "s2 (bogus)" };
-                *per_string.entry(label).or_default() += 1;
-            }
-        }
-    }
+    let votes = push_votes_at(transcript, x, &cfg.scheme());
     println!("== Figure 2a: push phase at node {x} ==");
     println!(
         "   quorum size d = {}, acceptance needs > d/2 = {}",
         cfg.d,
         cfg.majority()
     );
-    for (label, count) in &per_string {
-        let verdict = if *count >= cfg.majority() {
+    for (label, s) in [("s1 = gstring", g), ("s2 (bogus)", s2)] {
+        let count = votes.votes_for(s);
+        let verdict = if count >= cfg.majority() {
             "ACCEPTED"
         } else {
             "rejected"
