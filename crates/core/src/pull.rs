@@ -313,9 +313,10 @@ impl PullPhase {
     /// forwarded before (flood filter). The forward fans out to `H(s, w)`
     /// for every `w ∈ J(origin, r)`, in poll-list order: `Fw1 { w }` to
     /// each member of `H(s, w)`. It is one part run — one stored `Fw1`
-    /// and per `w` a part tagged `w` over a shared handle on the interned
-    /// quorum — so a forward in flight stores its payload once and copies
-    /// no recipient list.
+    /// and a handle on the run's forward plan, whose part per `w` is
+    /// tagged `w` over the interned quorum — so a forward in flight
+    /// stores its payload once, and the routers of one pull share one
+    /// part list and copy no recipient list.
     pub fn on_pull(&mut self, origin: NodeId, s: GString, r: Label, ctx: &mut Context<'_, AerMsg>) {
         let key = s.key();
         if key != self.state.belief(self.x).0
@@ -331,12 +332,8 @@ impl PullPhase {
             r,
             w: origin,
         };
-        self.state.poll_lists.poll_list_with(origin, r, |list| {
-            let quorums = list
-                .iter()
-                .map(|&w| (w, self.state.pull_quorums.quorum_shared(key, w)));
-            ctx.multicast_parts(fw1, fw1_for, quorums);
-        });
+        let plan = self.state.forward_plan(origin, r, key);
+        ctx.multicast_list(fw1, fw1_for, &plan);
     }
 
     /// Algorithm 2, second handler: an `Fw1(origin, s, r, w)` from router
@@ -680,20 +677,98 @@ mod tests {
             );
         }
         // Per message: exactly what one multicast per `w` sends.
+        assert_eq!(pairs(sent), forwards(n, d, origin, s, r));
+        // Once per (origin, s): the same pull again, or relabelled, sends
+        // nothing.
+        for r in [r, Label(78)] {
+            assert!(hand.call(y, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
+        }
+    }
+
+    /// `(to, msg)` per envelope.
+    fn pairs(sent: Vec<Envelope<AerMsg>>) -> Vec<(NodeId, AerMsg)> {
+        sent.into_iter().map(|e| (e.to, e.msg)).collect()
+    }
+
+    /// The d² `(to, Fw1)` pairs a router's forward of `Pull(s, r)` from
+    /// `origin` sends, from the samplers alone: per `w ∈ J(origin, r)`
+    /// in list order, `Fw1 { w }` to each member of `H(s, w)`.
+    fn forwards(n: usize, d: usize, origin: NodeId, s: GString, r: Label) -> Vec<(NodeId, AerMsg)> {
+        let (scheme, poll) = setup(n, d);
         let fw1 = |w: NodeId| {
             let quorum = scheme.pull.quorum(s.key(), w);
             quorum
                 .into_iter()
                 .map(move |z| (z, AerMsg::Fw1 { origin, s, r, w }))
         };
-        let want: Vec<(NodeId, AerMsg)> = list.iter().flat_map(|&w| fw1(w)).collect();
+        let want: Vec<_> = poll
+            .poll_list(origin, r)
+            .into_iter()
+            .flat_map(fw1)
+            .collect();
         assert_eq!(want.len(), d * d);
-        let got: Vec<(NodeId, AerMsg)> = sent.into_iter().map(|e| (e.to, e.msg)).collect();
-        assert_eq!(got, want);
-        // Once per (origin, s): the same pull again, or relabelled, sends
-        // nothing.
-        for r in [r, Label(78)] {
-            assert!(hand.call(y, |ctx| p.on_pull(origin, s, r, ctx)).is_empty());
+        want
+    }
+
+    #[test]
+    fn the_routers_of_one_pull_push_one_shared_part_list() {
+        // Every router of `H(s, origin)` forwards the same parts, so the
+        // second pushes the list the first built — the same handle — and
+        // looks up no quorum of the forward: only its gate `H(s, origin)`
+        // and the slot of `J(origin, r)`.
+        let (n, d) = (64, 5);
+        let (scheme, poll) = setup(n, d);
+        let state = AerRunState::new(scheme, poll);
+        let (s, origin, r) = (gs(0), NodeId::from_index(9), Label(77));
+        let routers = scheme.pull.quorum(s.key(), origin);
+        let (mut hand, mut plan) = (driver(n), None);
+        for (i, &y) in routers.iter().take(2).enumerate() {
+            let mut p = PullPhase::new(y, s, &state, CAP, RetryPolicy::strict());
+            let before = (state.pull_cache_stats(), state.poll_cache_stats());
+            let sent = hand.call(y, |ctx| p.on_pull(origin, s, r, ctx));
+            let (pull, poll) = (state.pull_cache_stats(), state.poll_cache_stats());
+            let lookups = |(h, m): (u64, u64), (h0, m0): (u64, u64)| h + m - h0 - m0;
+            let quorums = if i == 0 { d } else { 0 };
+            assert_eq!(lookups(pull, before.0), 1 + quorums as u64, "router {y}");
+            assert_eq!(lookups(poll, before.1), 1, "router {y}");
+            assert_eq!(pairs(sent), forwards(n, d, origin, s, r), "router {y}");
+            let plan = plan.get_or_insert_with(|| state.forward_plan(origin, r, s.key()));
+            assert!(
+                hand.outbox().sends_over(plan),
+                "router {y} pushed another list"
+            );
+        }
+    }
+
+    #[test]
+    fn a_forward_plan_is_keyed_by_the_pulls_label_and_string() {
+        // A corrupt origin pulls different routers with different labels
+        // and strings, interleaved over one run state: each router
+        // forwards over `J(origin, its label)` and `H(its string, ·)`,
+        // never over the plan the router before it built.
+        let (n, d) = (64, 5);
+        let state = {
+            let (scheme, poll) = setup(n, d);
+            AerRunState::new(scheme, poll)
+        };
+        let (origin, (s, s2), (r, r2)) = (
+            NodeId::from_index(9),
+            (gs(0), gs(1)),
+            (Label(77), Label(78)),
+        );
+        let router = |s: GString, i: usize| state.pull_quorums.sampler().quorum(s.key(), origin)[i];
+        let table = [
+            ("Pull(s, r)", router(s, 0), s, r),
+            ("the label changes", router(s, 1), s, r2),
+            ("the string and the label change", router(s2, 0), s2, r),
+            ("the label changes back", router(s2, 1), s2, r2),
+            ("the string changes back", router(s, 2), s, r2),
+        ];
+        let mut hand = driver(n);
+        for (row, y, s, r) in table {
+            let mut p = PullPhase::new(y, s, &state, CAP, RetryPolicy::strict());
+            let sent = hand.call(y, |ctx| p.on_pull(origin, s, r, ctx));
+            assert_eq!(pairs(sent), forwards(n, d, origin, s, r), "{row}");
         }
     }
 

@@ -9,7 +9,7 @@ use fba_samplers::{
     StringKey,
 };
 use fba_sim::fxhash::FxHashMap;
-use fba_sim::NodeId;
+use fba_sim::{NodeId, PartList};
 
 use crate::msg::AerMsg;
 
@@ -62,6 +62,8 @@ struct RunCells {
     /// plays it, and it has no vote.
     beliefs: Vec<(StringKey, SetSlot)>,
     fw1: Fw1Rows,
+    /// The last [`AerRunState::forward_plan`], under its key.
+    plan: Option<((SetSlot, StringKey), PartList)>,
 }
 
 /// The router-side vote state of Algorithm 2 for every node of the run:
@@ -141,10 +143,10 @@ impl AerRunState {
     /// Starts a new agreement instance on this state, resetting exactly
     /// what must not survive an instance boundary.
     ///
-    /// What persists: the three sampler caches (`I`, `H`, `J`). They
-    /// memoize pure functions of the public sampler seed — a hit returns
-    /// the same bytes a fresh run would recompute — so they cannot leak
-    /// decisions across instances.
+    /// What persists: the three sampler caches (`I`, `H`, `J`) and the
+    /// last forward plan. They memoize pure functions of the public
+    /// sampler seed — a hit returns the same bytes a fresh run would
+    /// recompute — so they cannot leak decisions across instances.
     ///
     /// What resets: the push masks (who already pushed string `s` to node
     /// `x`), the `Fw1` rows (which routers relay `z` has seen for
@@ -232,6 +234,28 @@ impl AerRunState {
             beliefs.resize(x.index() + 1, (StringKey::default(), UNSET_SLOT));
         }
         beliefs[x.index()] = (key, slot);
+    }
+
+    /// The part list of a forward of `Pull(s, r)` from `origin`: per
+    /// `w ∈ J(origin, r)`, in list order, a part tagged `w` over `H(s, w)`.
+    /// Every router of one pull forwards the same list, so the last one
+    /// is kept under what it depends on — the slot of `J(origin, r)`, one
+    /// keyed lookup, and `s` — and only a new key looks up the quorums.
+    pub(crate) fn forward_plan(&self, origin: NodeId, r: Label, s: StringKey) -> PartList {
+        let key = (self.poll_lists.slot(origin, r), s);
+        let plan = &mut self.cells.borrow_mut().plan;
+        if let Some((_, list)) = plan.as_ref().filter(|(held, _)| *held == key) {
+            return list.clone();
+        }
+        let list = self.poll_lists.set_at(key.0, |ws| {
+            let quorums = ws
+                .iter()
+                .map(|&w| (w, self.pull_quorums.quorum_shared(s, w)));
+            let n = self.pull_quorums.sampler().n();
+            PartList::new(quorums, n).expect("sampled nodes are in range")
+        });
+        *plan = Some((key, list.clone()));
+        list
     }
 
     /// Zeroes node `x`'s cell in every `Fw1` row whose quorum contains

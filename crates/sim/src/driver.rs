@@ -173,7 +173,9 @@ impl<P: Protocol> Driver<P> {
         sent
     }
 
-    /// What the last callback sent, by the run, as the engine ships it.
+    /// What the last callback sent, by the run, as the engine ships it:
+    /// a part run holds a handle on its [`PartList`](crate::PartList),
+    /// which [`Runs::sends_over`] compares.
     pub fn outbox(&self) -> &Runs<P::Msg> {
         &self.outbox
     }

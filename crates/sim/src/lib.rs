@@ -100,18 +100,20 @@
 //!   Thread count and interleaving cannot affect any run's RNG streams,
 //!   so parallel output equals serial output bit for bit.
 //! * **Batched bulk lane** — a callback's outbox *is* batch storage
-//!   ([`Runs`]: per run one stored payload, an optional part function
-//!   and its parts, each a tag and a handle on a recipient list), and an
+//!   ([`Runs`]: per run one stored payload and either a handle on one
+//!   recipient list or a part function and a handle on a shared
+//!   [`PartList`] of parts, each a tag and a handle on a recipient
+//!   list), and an
 //!   outbox of two or more messages ships as it stands, as one batch on
 //!   the calendar's bulk lane, instead of per-message envelopes (a lone
 //!   message stays an envelope). Nothing is cloned or compared on the
 //!   way, and how a sender cut its sends into runs is invisible:
 //!   `multicast(&[a, b], m)` and `send(a, m); send(b, m)` are the same
 //!   two envelopes. So is how a run stores its messages: a multicast is
-//!   a run of one part over a list of its targets that delivers its
-//!   payload as sent, and [`Context::multicast_parts`] stores one
-//!   payload, a part function and per part a tag and a handle on a list
-//!   the sender shares, each part the same envelopes as a multicast of
+//!   a run over a list of its targets that delivers its payload as
+//!   sent, and [`Context::multicast_list`] stores one payload, a part
+//!   function and a handle on a [`PartList`] that many senders may
+//!   share, each part the same envelopes as a multicast of
 //!   `part(&msg, tag)` over its list — built from the stored payload
 //!   wherever the engine reads the run (views, accounting, delivery,
 //!   splits). The other
@@ -254,7 +256,7 @@ pub use crash::CrashPlan;
 pub use driver::{Driver, Input, TestStep};
 pub use engine::{run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome};
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
-pub use message::{Envelope, Runs, WireSize};
+pub use message::{Envelope, PartList, Runs, WireSize};
 pub use metrics::{LoadSummary, Metrics};
 pub use observer::{FinalInspect, NullObserver, Observer, TranscriptSink};
 pub use protocol::{deliver_each, Context, Protocol, RunContext};

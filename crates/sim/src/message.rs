@@ -96,32 +96,31 @@ impl<M: WireSize> Envelope<M> {
 }
 
 /// One sender's messages in send order, stored by the run. A run is one
-/// stored payload however wide its fan-out: the payload, an optional part
-/// function and an ordered list of parts, each a tag and a handle on a
-/// recipient list as an `Rc<[NodeId]>`. Part `i` is the message
-/// `part(&msg, tag_i)` to every node of list `i` — or, in a run without a
-/// part function, `msg` itself — so `d` messages that differ in one field
-/// are one stored payload and `d` handles, and a multicast is a run of one
-/// part that delivers its payload as sent.
+/// stored payload however wide its fan-out, in one of two forms: a
+/// multicast holds its payload and a handle on its one recipient list,
+/// an `Rc<[NodeId]>`, and delivers the payload as sent; a part run holds
+/// its payload, a part function and a handle on a shared [`PartList`],
+/// whose part `i` — a tag and a recipient list — is the message
+/// `part(&msg, tag_i)` to every node of list `i`. So `d` messages that
+/// differ in one field are one stored payload and one handle, and `k`
+/// senders of the same parts share one list.
 ///
 /// This is what a callback's [`Context`](crate::Context) writes into and,
 /// unchanged, what a batch carries through the calendar: a run is opened
 /// by [`Context::multicast`](crate::Context::multicast) (or `send`, the
-/// run of one) or [`Context::multicast_parts`](crate::Context::multicast_parts)
-/// and is never found by comparing payloads, so two equal payloads sent by
-/// two calls stay two runs. The parts are storage only: a run of `k`
-/// parts is the same messages as `k` multicasts, each carrying its built
-/// payload.
+/// run of one), [`Context::multicast_list`](crate::Context::multicast_list)
+/// or [`Context::multicast_parts`](crate::Context::multicast_parts) and is
+/// never found by comparing payloads, so two equal payloads sent by two
+/// calls stay two runs. The parts are storage only: a run of `k` parts is
+/// the same messages as `k` multicasts, each carrying its built payload.
 ///
-/// `Runs` is not `Send`: a part's list is an `Rc`, and a run executes on
-/// one thread.
+/// `Runs` is not `Send`: a recipient list is an `Rc`, and a run executes
+/// on one thread.
 #[derive(Debug)]
 pub struct Runs<M> {
     /// One head per run, in send order.
     runs: Vec<Run<M>>,
-    /// Parts of every run, in send order.
-    parts: Vec<Part>,
-    /// Messages in all runs: every part's list length.
+    /// Messages in all runs: every recipient list's length.
     len: usize,
 }
 
@@ -129,29 +128,76 @@ pub struct Runs<M> {
 /// from the run's stored payload: `part(&msg, tag)`.
 pub(crate) type PartFn<M> = fn(&M, NodeId) -> M;
 
-/// A run's head: its payload, its number of parts (the next ones of
-/// `parts`) and its part function, `None` when every part carries the
-/// payload as sent.
+/// A run's head: its payload and where it goes.
 #[derive(Debug)]
 struct Run<M> {
-    parts: u32,
-    part: Option<PartFn<M>>,
+    to: Targets<M>,
     msg: M,
 }
 
-/// One part of a run: the tag its payload is built with (unread in a run
-/// without a part function), and its recipients (never empty).
+/// A run's recipients: one list for the payload as sent, or a part
+/// function and the parts it builds a payload for.
+#[derive(Debug)]
+enum Targets<M> {
+    /// A multicast's recipients (never empty).
+    All(Rc<[NodeId]>),
+    /// A part run's function and parts (never empty).
+    Parts(PartFn<M>, Rc<[Part]>),
+}
+
+/// One part of a part run: the tag its payload is built with, and its
+/// recipients (never empty).
 #[derive(Debug)]
 struct Part {
     tag: NodeId,
     to: Rc<[NodeId]>,
 }
 
+/// The parts of a part run, checked and counted once and shared by
+/// reference count: every sender of the same parts pushes the one list
+/// (see [`Context::multicast_list`](crate::Context::multicast_list)).
+/// Cloning it clones a handle.
+#[derive(Clone, Debug)]
+pub struct PartList {
+    parts: Rc<[Part]>,
+    /// Messages over all parts.
+    len: usize,
+    /// The system size every recipient was checked against.
+    pub(crate) n: usize,
+}
+
+impl PartList {
+    /// The parts `(tag, list)` of `parts`, in order, for a system of `n`
+    /// nodes; a part with an empty list is left out.
+    ///
+    /// # Errors
+    ///
+    /// The first recipient `≥ n`.
+    pub fn new(
+        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
+        n: usize,
+    ) -> Result<Self, NodeId> {
+        let parts = parts.into_iter();
+        let mut kept = Vec::with_capacity(parts.size_hint().0);
+        let mut len = 0;
+        for (tag, to) in parts {
+            if let Some(&out) = to.iter().find(|to| to.index() >= n) {
+                return Err(out);
+            }
+            if !to.is_empty() {
+                len += to.len();
+                kept.push(Part { tag, to });
+            }
+        }
+        let parts = kept.into();
+        Ok(PartList { parts, len, n })
+    }
+}
+
 impl<M> Default for Runs<M> {
     fn default() -> Self {
         Runs {
             runs: Vec::new(),
-            parts: Vec::new(),
             len: 0,
         }
     }
@@ -176,25 +222,18 @@ impl<M> Runs<M> {
         self.len == 0
     }
 
-    /// The runs as stored, in send order: payload, part function, parts.
-    fn stored(&self) -> impl Iterator<Item = (&M, Option<PartFn<M>>, &[Part])> + '_ {
-        let mut start = 0;
-        self.runs.iter().map(move |run| {
-            let parts = &self.parts[start..start + run.parts as usize];
-            start += run.parts as usize;
-            (&run.msg, run.part, parts)
-        })
-    }
-
     /// Calls `visit(payload, recipients)` once per part, in send order,
-    /// with the payload built for that part (or as sent, in a run without
-    /// a part function). A part's recipients are the list it was sent
-    /// over, not a copy.
+    /// with the payload built for that part (or as sent, in a multicast).
+    /// A part's recipients are the list it was sent over, not a copy.
     pub fn for_each_part(&self, mut visit: impl FnMut(&M, &[NodeId])) {
-        for (msg, part, parts) in self.stored() {
-            for p in parts {
-                let built = part.map(|part| part(msg, p.tag));
-                visit(built.as_ref().unwrap_or(msg), &p.to);
+        for run in &self.runs {
+            match &run.to {
+                Targets::All(to) => visit(&run.msg, to),
+                Targets::Parts(part, parts) => {
+                    for p in parts.iter() {
+                        visit(&part(&run.msg, p.tag), &p.to);
+                    }
+                }
             }
         }
     }
@@ -209,57 +248,47 @@ impl<M> Runs<M> {
         // Builds its parts itself rather than through `for_each_part`:
         // the reference engine reads runs through this view alone, so the
         // engine's delivery and its oracle share no part-building code.
-        for (msg, part, parts) in self.stored() {
-            for p in parts {
-                let built = part.map(|part| part(msg, p.tag));
-                let msg = built.as_ref().unwrap_or(msg);
-                p.to.iter().for_each(|&to| visit(to, msg.clone()));
+        for run in &self.runs {
+            match &run.to {
+                Targets::All(to) => to.iter().for_each(|&to| visit(to, run.msg.clone())),
+                Targets::Parts(part, parts) => {
+                    for p in parts.iter() {
+                        let msg = part(&run.msg, p.tag);
+                        p.to.iter().for_each(|&to| visit(to, msg.clone()));
+                    }
+                }
             }
         }
     }
 
-    /// Appends one run: for every `(tag, list)` of `parts`, in order,
-    /// `part(&msg, tag)` — or `msg` itself, without a part function — to
-    /// every node of `list`, stored as `msg`, `part` and the handles. A
-    /// part with an empty list is left out, and a run with no part left
-    /// opens no run. A recipient `≥ n` is refused: the outbox is left as
-    /// it was and the recipient returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than `u32::MAX` parts.
-    pub(crate) fn push_parts(
-        &mut self,
-        msg: M,
-        part: Option<PartFn<M>>,
-        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
-        n: usize,
-    ) -> Result<(), NodeId> {
-        let parts = parts.into_iter();
-        reserve_first(&mut self.parts, parts.size_hint().0);
-        let start = self.parts.len();
-        let mut len = 0;
-        for (tag, to) in parts {
-            if let Some(&out) = to.iter().find(|to| to.index() >= n) {
-                self.parts.truncate(start);
-                return Err(out);
-            }
-            if !to.is_empty() {
-                len += to.len();
-                self.parts.push(Part { tag, to });
-            }
+    /// Appends a multicast of `msg` to `to`, if any: a recipient `≥ n` is
+    /// refused, returned and leaves the outbox as it was.
+    pub(crate) fn push_multicast(&mut self, msg: M, to: &[NodeId], n: usize) -> Result<(), NodeId> {
+        if let Some(&out) = to.iter().find(|to| to.index() >= n) {
+            return Err(out);
         }
-        if self.parts.len() > start {
-            self.len += len;
-            reserve_first(&mut self.runs, 1);
-            self.runs.push(Run {
-                parts: u32::try_from(self.parts.len() - start)
-                    .expect("a run of more than u32::MAX parts"),
-                part,
-                msg,
-            });
+        if !to.is_empty() {
+            self.push(Targets::All(to.into()), to.len(), msg);
         }
         Ok(())
+    }
+
+    /// Appends a part run over `list`, if it has a recipient: `msg`,
+    /// `part` and one handle on the list.
+    pub(crate) fn push_list(&mut self, msg: M, part: PartFn<M>, list: &PartList) {
+        if list.len > 0 {
+            self.push(Targets::Parts(part, Rc::clone(&list.parts)), list.len, msg);
+        }
+    }
+
+    /// Appends one head, reserving exactly one on fresh storage: an outbox
+    /// most often ships one run, and amortised growth would hold four.
+    fn push(&mut self, to: Targets<M>, len: usize, msg: M) {
+        if self.runs.capacity() == 0 {
+            self.runs.reserve_exact(1);
+        }
+        self.len += len;
+        self.runs.push(Run { to, msg });
     }
 
     /// Number of runs: stored payloads.
@@ -268,27 +297,31 @@ impl<M> Runs<M> {
         self.runs.len()
     }
 
+    /// Whether a part run of this outbox reads its parts from `list`
+    /// itself: the shared handle, not an equal copy.
+    #[must_use]
+    pub fn sends_over(&self, list: &PartList) -> bool {
+        self.runs.iter().any(
+            |run| matches!(&run.to, Targets::Parts(_, parts) if Rc::ptr_eq(parts, &list.parts)),
+        )
+    }
+
     /// Takes the only message out of an outbox of at most one.
     pub(crate) fn take_single(&mut self) -> Option<(NodeId, M)> {
         debug_assert!(self.len() <= 1);
         let run = self.runs.pop()?;
         self.len = 0;
-        let p = self.parts.pop().expect("a run has a part");
-        let msg = match run.part {
-            Some(part) => part(&run.msg, p.tag),
-            None => run.msg,
-        };
-        Some((p.to[0], msg))
+        Some(match run.to {
+            Targets::All(to) => (to[0], run.msg),
+            Targets::Parts(part, parts) => (parts[0].to[0], part(&run.msg, parts[0].tag)),
+        })
     }
 
     /// Empties a delivered outbox into `pool`. Its heads keep their
-    /// capacity for a later outbox; its parts are freed, so the pool holds
-    /// no payload and no handle on a recipient list. (A delivered `Fw1`
-    /// wave's parts are most of a run's in-flight memory, and later
-    /// outboxes barely reuse them.)
+    /// capacity for a later outbox; their payloads and list handles are
+    /// dropped, so the pool holds no payload and no handle on a list.
     pub(crate) fn pool_into(mut self, pool: &mut Vec<Runs<M>>) {
         self.runs.clear();
-        self.parts = Vec::new();
         self.len = 0;
         pool.push(self);
     }
@@ -298,15 +331,6 @@ impl<M> Runs<M> {
     /// loop reuses allocations.
     pub(crate) fn recycled(pool: &mut Vec<Runs<M>>) -> Self {
         pool.pop().unwrap_or_default()
-    }
-}
-
-/// Reserves exactly `k` slots in `v` if it has none: a fresh outbox most
-/// often ships one run, which amortised growth would hold in four heads
-/// and a power of two of parts until delivery.
-fn reserve_first<T>(v: &mut Vec<T>, k: usize) {
-    if v.capacity() == 0 {
-        v.reserve_exact(k);
     }
 }
 
@@ -474,11 +498,9 @@ pub(crate) mod tests {
         ids(indices).into()
     }
 
-    /// Appends `msg` to every node of `to` as `Context::multicast` does:
-    /// one part, no part function.
+    /// Appends `msg` to every node of `to` as `Context::multicast` does.
     fn multicast(out: &mut Runs<u32>, to: &[NodeId], msg: u32) {
-        let part = (NodeId::from_index(0), Rc::from(to));
-        assert_eq!(out.push_parts(msg, None, [part], usize::MAX), Ok(()));
+        assert_eq!(out.push_multicast(msg, to, usize::MAX), Ok(()));
     }
 
     /// The part function of the tests: the payload's tens, then the tag.
@@ -486,17 +508,32 @@ pub(crate) mod tests {
         10 * msg + tag.index() as u32
     }
 
-    /// Appends a run of `tagged` over `parts`, all in range.
-    fn push_tagged(out: &mut Runs<u32>, msg: u32, parts: &[(usize, &Rc<[NodeId]>)]) {
+    /// The part list of `parts`, all in range.
+    fn part_list(parts: &[(usize, &Rc<[NodeId]>)]) -> PartList {
         let parts = parts
             .iter()
             .map(|&(tag, to)| (NodeId::from_index(tag), Rc::clone(to)));
-        assert_eq!(out.push_parts(msg, Some(tagged), parts, usize::MAX), Ok(()));
+        PartList::new(parts, usize::MAX).expect("in range")
+    }
+
+    /// Appends a run of `tagged` over `parts`, all in range.
+    fn push_tagged(out: &mut Runs<u32>, msg: u32, parts: &[(usize, &Rc<[NodeId]>)]) {
+        out.push_list(msg, tagged, &part_list(parts));
+    }
+
+    /// Every run's recipient lists: a multicast's one, a part run's per
+    /// part.
+    fn lists(runs: &Runs<u32>) -> Vec<&Rc<[NodeId]>> {
+        let lists = runs.runs.iter().map(|run| match &run.to {
+            Targets::All(to) => vec![to],
+            Targets::Parts(_, parts) => parts.iter().map(|p| &p.to).collect(),
+        });
+        lists.flatten().collect()
     }
 
     /// Whether some part of `runs` reads its recipients from `list` itself.
     fn reads_from(runs: &Runs<u32>, list: &Rc<[NodeId]>) -> bool {
-        runs.parts.iter().any(|part| Rc::ptr_eq(&part.to, list))
+        lists(runs).into_iter().any(|to| Rc::ptr_eq(to, list))
     }
 
     /// `(recipient, message)` per message.
@@ -558,7 +595,7 @@ pub(crate) mod tests {
             (8, 4),
             "no empty part, no empty run"
         );
-        assert_eq!(out.parts.len(), 5, "the empty parts are left out");
+        assert_eq!(lists(&out).len(), 5, "the empty parts are left out");
         assert_eq!(
             shape(&out),
             [
@@ -586,26 +623,52 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_part_run_with_an_out_of_range_recipient_appends_nothing() {
-        let mut out = Runs::new();
-        push_tagged(&mut out, 1, &[(0, &list(&[1]))]);
+    fn a_recipient_out_of_range_is_refused_before_anything_is_stored() {
         let parts = [(0, list(&[2])), (1, list(&[3, 4]))];
         let parts = parts.map(|(tag, to)| (NodeId::from_index(tag), to));
+        let refused = PartList::new(parts, 4).map(|list| list.len);
+        assert_eq!(refused, Err(NodeId::from_index(4)), "a part list");
+        let mut out = Runs::new();
+        push_tagged(&mut out, 1, &[(0, &list(&[1]))]);
         assert_eq!(
-            out.push_parts(2, Some(tagged), parts, 4),
-            Err(NodeId::from_index(4))
+            out.push_multicast(2, &ids(&[0, 5]), 4),
+            Err(NodeId::from_index(5)),
+            "a multicast"
         );
-        assert_eq!((out.len(), out.run_count(), out.parts.len()), (1, 1, 1));
+        assert_eq!((out.len(), out.run_count()), (1, 1));
         assert_eq!(shape(&out), [(10, vec![1])]);
+    }
+
+    #[test]
+    fn a_part_list_is_counted_once_and_shared_by_its_senders() {
+        let (a, empty) = (list(&[4, 2]), list(&[]));
+        let shared = part_list(&[(7, &a), (8, &empty), (9, &a)]);
+        assert_eq!((shared.len, shared.n), (4, usize::MAX));
+        let (mut one, mut two) = (Runs::new(), Runs::new());
+        one.push_list(1, tagged, &shared);
+        two.push_list(2, tagged, &shared);
+        two.push_list(3, tagged, &part_list(&[(8, &empty)]));
+        assert!(one.sends_over(&shared) && two.sends_over(&shared));
+        assert!(
+            !one.sends_over(&part_list(&[(7, &a), (9, &a)])),
+            "an equal copy"
+        );
+        assert_eq!((two.len(), two.run_count()), (4, 1), "no empty run");
+        assert_eq!(shape(&two), [(27, vec![4, 2]), (29, vec![4, 2])]);
+        assert_eq!(
+            Rc::strong_count(&a),
+            3,
+            "one handle per part, however many senders"
+        );
     }
 
     #[test]
     fn storage_recycling_round_trips() {
         // A delivered body enters the pool emptied: its heads keep their
-        // capacity, its parts are freed, and no payload or list handle
-        // stays behind, a multicast's list included.
+        // capacity, and no payload or list handle stays behind, a part
+        // list's or a multicast's.
         let mut body = batch(0, 0, &[(3, &[1])]).body;
-        let multicast_list = Rc::downgrade(&body.parts[0].to);
+        let multicast_list = Rc::downgrade(lists(&body)[0]);
         let shared = list(&[2]);
         push_tagged(&mut body, 4, &[(0, &shared)]);
         assert_eq!(Rc::strong_count(&shared), 2, "the part holds a handle");
@@ -619,7 +682,6 @@ pub(crate) mod tests {
         assert_eq!((spare.len(), spare.run_count()), (0, 0));
         assert_eq!(spare.runs.capacity(), kept);
         assert!(kept > 0, "the pooled heads, emptied");
-        assert_eq!(spare.parts.capacity(), 0, "no part storage");
         assert!(Runs::<u32>::recycled(&mut pool).is_empty(), "or a new one");
     }
 
@@ -629,32 +691,31 @@ pub(crate) mod tests {
         assert_eq!(out.take_single(), None);
         multicast(&mut out, &ids(&[4]), 7);
         assert_eq!(out.take_single(), Some((NodeId::from_index(4), 7)));
-        assert_eq!((out.len(), out.run_count(), out.parts.len()), (0, 0, 0));
+        assert_eq!((out.len(), out.run_count()), (0, 0));
         push_tagged(&mut out, 8, &[(3, &list(&[])), (2, &list(&[6]))]);
         assert_eq!(
             out.take_single(),
             Some((NodeId::from_index(6), 82)),
             "built"
         );
-        assert_eq!((out.len(), out.run_count(), out.parts.len()), (0, 0, 0));
+        assert_eq!((out.len(), out.run_count()), (0, 0));
     }
 
     #[test]
     fn fresh_storage_reserves_the_first_run_exactly() {
-        let reserved = |out: &Runs<u32>| (out.runs.capacity(), out.parts.capacity());
         let mut send = Runs::new();
         multicast(&mut send, &ids(&[1]), 1);
-        assert_eq!(reserved(&send), (1, 1), "a send, one head and one part");
+        assert_eq!(send.runs.capacity(), 1, "a send, one head");
         let lists: Vec<Rc<[NodeId]>> = (0..5).map(|i| list(&[i, i + 1])).collect();
         let parts: Vec<(usize, &Rc<[NodeId]>)> = lists.iter().enumerate().collect();
         let mut forward = Runs::new();
         push_tagged(&mut forward, 2, &parts);
-        assert_eq!(reserved(&forward), (1, 5), "a forward, one head, d parts");
+        assert_eq!(forward.runs.capacity(), 1, "a forward, one head");
         // Past the first run, storage grows as usual.
         push_tagged(&mut forward, 3, &parts);
         multicast(&mut forward, &ids(&[3]), 4);
         assert_eq!(shape(&forward).len(), 11);
-        assert!(forward.runs.capacity() >= 3 && forward.parts.capacity() >= 11);
+        assert!(forward.runs.capacity() >= 3);
     }
 
     /// `fba-core`'s `AerMsg`, by layout: a 56-byte enum whose widest
@@ -688,9 +749,18 @@ pub(crate) mod tests {
         assert_eq!(size_of::<AerShaped>(), 56);
         assert_eq!(size_of::<Envelope<AerShaped>>(), 72);
         assert!(size_of::<Delivery<AerShaped>>() <= size_of::<Envelope<AerShaped>>());
-        // A run of `d` parts costs one head and `d` parts; a forward of
-        // `d` separate runs would cost `d` heads.
-        assert!(size_of::<Run<AerShaped>>() <= 72, "a payload and two words");
+        // A run of `d` parts costs one head and one handle on `d` parts
+        // its senders share; a forward of `d` separate runs would cost `d`
+        // heads.
+        assert_eq!(
+            size_of::<Targets<AerShaped>>(),
+            24,
+            "a function and one handle"
+        );
+        assert!(
+            size_of::<Run<AerShaped>>() <= 80,
+            "a payload and three words"
+        );
         assert!(size_of::<Part>() <= 24, "a tag and one handle");
     }
 

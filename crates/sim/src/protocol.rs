@@ -19,7 +19,7 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::engine::EngineSession;
 use crate::ids::{NodeId, Step};
-use crate::message::{FanIn, PartFn, Runs, WireSize};
+use crate::message::{FanIn, PartList, Runs, WireSize};
 use crate::metrics::Metrics;
 
 /// A per-node protocol state machine.
@@ -320,17 +320,32 @@ impl<'a, M> Context<'a, M> {
     ///
     /// Panics, before anything is sent, if a target is out of range.
     pub fn multicast(&mut self, targets: &[NodeId], msg: M) {
-        self.push(msg, None, [(self.id, Rc::from(targets))]);
+        if let Err(to) = self.outbox.push_multicast(msg, targets, self.n) {
+            panic!("send target {to} out of range (n={})", self.n);
+        }
     }
 
-    /// Queues, for every `(tag, targets)` of `parts` in order,
+    /// Queues, for every part `(tag, targets)` of `list` in order,
     /// `part(&msg, tag)` for every node of `targets`, in order: the same
     /// messages as one [`Context::multicast`] per part, stored as one run
-    /// (see [`Runs`]) — `msg` once, `part`, and per part the tag and a
-    /// handle on a list the caller already shares, so a list interned
-    /// once is stored once however many runs are in flight over it. Each
-    /// part is delivered as a multicast of its own. A part with no
-    /// target sends nothing.
+    /// (see [`Runs`]) — `msg` once, `part`, and one handle on `list`, so
+    /// the senders of one list store its parts once however many runs are
+    /// in flight over it. Each part is delivered as a multicast of its
+    /// own.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is sent, if `list` was checked for
+    /// another system size than this context's `n`.
+    pub fn multicast_list(&mut self, msg: M, part: fn(&M, NodeId) -> M, list: &PartList) {
+        assert_eq!(list.n, self.n, "a part list checked for another n");
+        self.outbox.push_list(msg, part, list);
+    }
+
+    /// [`Context::multicast_list`] over the [`PartList`] of `parts`, built
+    /// for this send alone: each part a tag and a handle on a list the
+    /// caller already shares, so a list interned once is stored once. A
+    /// part with no target sends nothing.
     ///
     /// # Panics
     ///
@@ -341,18 +356,9 @@ impl<'a, M> Context<'a, M> {
         part: fn(&M, NodeId) -> M,
         parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
     ) {
-        self.push(msg, Some(part), parts);
-    }
-
-    /// Appends one run to the outbox, refusing an out-of-range target.
-    fn push(
-        &mut self,
-        msg: M,
-        part: Option<PartFn<M>>,
-        parts: impl IntoIterator<Item = (NodeId, Rc<[NodeId]>)>,
-    ) {
-        if let Err(to) = self.outbox.push_parts(msg, part, parts, self.n) {
-            panic!("send target {to} out of range (n={})", self.n);
+        match PartList::new(parts, self.n) {
+            Ok(list) => self.multicast_list(msg, part, &list),
+            Err(to) => panic!("send target {to} out of range (n={})", self.n),
         }
     }
 }
@@ -461,6 +467,20 @@ mod tests {
         );
         assert_eq!(shape(&outbox), [(15, vec![3, 1]), (25, vec![2])]);
         assert_eq!(Rc::strong_count(&list), 2, "one handle, no copy");
+    }
+
+    #[test]
+    fn a_part_list_checked_for_another_n_is_refused_before_anything_is_sent() {
+        let mut rng = node_rng(1, 0);
+        let mut outbox = Runs::new();
+        let part = (NodeId::from_index(0), ids(&[5]).into());
+        let list = PartList::new([part], 8).expect("in range at n = 8");
+        let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ctx = Context::new(NodeId::from_index(0), 4, 0, &mut rng, &mut outbox);
+            ctx.multicast_list(1u32, |msg, _| *msg, &list);
+        }));
+        assert!(sent.is_err(), "target n5 of n = 4");
+        assert_eq!((outbox.len(), outbox.run_count()), (0, 0));
     }
 
     #[test]
