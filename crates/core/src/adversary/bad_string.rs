@@ -22,7 +22,12 @@ use super::AttackContext;
 /// * corrupt members of pull quorums inject `Fw1`/`Fw2` for `bad`,
 ///   helping *correct* holders of `bad` (the `SharedAdversarial`
 ///   precondition's unknowing block) cross their majorities;
-/// * repair queries are answered with `bad`.
+/// * a corrupt member a repair query reaches sends `Answer(bad)` through
+///   `react_to_poll`, not `RepairAnswer(bad)`, and shares `answered` with
+///   polls, so a member that answered a node's poll stays silent on its
+///   query. An honest node counts that answer only for its own poll of
+///   `bad`, so the campaign never reaches the repair tally (ROADMAP item
+///   21).
 ///
 /// Lemma 7 predicts this still fails w.h.p.: deciding requires a strict
 /// majority of a freshly random poll list, and the bogus coalition is a
@@ -112,8 +117,10 @@ impl Adversary<AerMsg> for BadString {
                     self.react_to_pull(env.from, *r, out);
                 }
                 AerMsg::RepairQuery(_) => {
-                    // The queried member is in J(x, r) by construction of
-                    // the query; corrupt members push the bogus string.
+                    // A corrupt queried member answers as it would a poll:
+                    // `Answer(bad)`, once per (member, querier) across
+                    // polls and queries. The querier counts it only for a
+                    // poll of `bad` of its own (ROADMAP item 21).
                     self.react_to_poll(env.from, env.to, out);
                 }
                 _ => {}

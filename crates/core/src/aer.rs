@@ -81,8 +81,9 @@ impl AerNode {
 
     /// Appends the diff since the last sync to the WAL: newly accepted
     /// candidates, a changed belief and a decision — then compacts on the
-    /// store's cadence. Called after every protocol callback; no-op
-    /// without recovery enabled.
+    /// store's cadence. Called after every protocol callback but an
+    /// `Fw1` delivery, which changes nothing it logs; no-op without
+    /// recovery enabled.
     fn sync_wal(&mut self, step: Step) {
         let Some(rec) = self.recovery.as_mut() else {
             return;
@@ -159,13 +160,15 @@ impl Protocol for AerNode {
         self.sync_wal(ctx.step());
     }
 
-    /// An `Fw1` multicast is delivered once: the per-message gates of
-    /// Algorithm 2's second handler run once for the run, the recipients
-    /// only vote (`AerRunState::fw1_run`). The recipients whose vote
-    /// crossed the majority each relay the same `Fw2` to the same `w`, so
-    /// their relays leave as one fan-in ([`RunContext::fan_in`]): one
-    /// stored payload, the relays in recipient order. Every other payload
-    /// takes the per-recipient loop.
+    /// The engine's one delivery call (a lone envelope is a part of one).
+    /// An `Fw1` part is delivered once: the per-message gates of
+    /// Algorithm 2's second handler run once for the part, the recipients
+    /// only vote (`AerRunState::fw1_run`), and those whose vote crossed
+    /// the majority relay the same `Fw2` to the same `w` as one fan-in
+    /// ([`RunContext::fan_in`]). No WAL is synced: `fw1_run` writes only
+    /// run cells, and every live recipient already ran `sync_wal` in this
+    /// step's `on_start` / `on_step`. Every other payload takes the
+    /// per-recipient loop.
     fn deliver_run(
         nodes: &mut [Option<Self>],
         from: NodeId,
@@ -176,8 +179,8 @@ impl Protocol for AerNode {
         let AerMsg::Fw1 { origin, s, r, w } = *msg else {
             return deliver_each(nodes, from, msg, recipients, run);
         };
-        // Every node of a run holds the same state and the same recovery
-        // setting; without a live recipient there is nothing to deliver.
+        // Every node of a run holds the same state; without a live
+        // recipient there is nothing to deliver.
         let Some(any) = recipients.iter().find_map(|z| nodes[z.index()].as_ref()) else {
             return;
         };
@@ -188,15 +191,6 @@ impl Protocol for AerNode {
                 relays.push(z)
             });
         run.fan_in(&relays, w, AerMsg::Fw2 { origin, s, r });
-        if any.recovery.is_none() {
-            return; // nobody keeps a WAL: the node table stays unread
-        }
-        let step = run.step();
-        for z in recipients {
-            if let Some(node) = nodes[z.index()].as_mut() {
-                node.sync_wal(step);
-            }
-        }
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, AerMsg>) {
@@ -263,12 +257,6 @@ impl AerHarness {
     /// present.
     pub fn enable_recovery(&mut self, config: RecoveryConfig) {
         self.recovery = Some(config);
-    }
-
-    /// The recovery configuration, if the checkpoint layer is enabled.
-    #[must_use]
-    pub fn recovery(&self) -> Option<RecoveryConfig> {
-        self.recovery
     }
 
     /// Convenience constructor from a synthetic or protocol-produced

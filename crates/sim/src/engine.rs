@@ -171,10 +171,11 @@ impl<M: WireSize> EngineSession<M> {
     /// each logical message in `metrics`: a lone message ships as an
     /// envelope; two or more ship as one [`Batch`] that *is* the outbox —
     /// the runs the callback wrote, as it wrote them — and the next
-    /// callback writes into storage recycled from the pool. Kept out of
-    /// line: inlined into every `callback` instantiation it measured a
-    /// few percent slower on `benchmark/`'s service, crash and async
-    /// workloads (CHANGES.md has the measurement).
+    /// callback writes into storage recycled from the pool. Called only
+    /// as a [`RunContext`] context closes. Kept out of line: inlined into
+    /// every callback's instantiation it measured a few percent slower on
+    /// `benchmark/`'s service, crash and async workloads (CHANGES.md has
+    /// the measurement).
     #[inline(never)]
     pub(crate) fn ship(
         &mut self,
@@ -581,26 +582,29 @@ impl<P: Protocol> StepState<'_, P> {
         self.has_crash && self.dark[id.index()]
     }
 
-    /// Runs one protocol callback of correct node `id` against a fresh
-    /// [`Context`] and ships whatever it sent into the step's send list.
-    /// No-op for corrupt nodes.
-    fn callback(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
-        let i = id.index();
-        let Some(node) = self.nodes[i].as_mut() else {
-            return;
-        };
-        let mut ctx = Context::new(
-            id,
+    /// The node table, and a [`RunContext`] over the rest of the step's
+    /// state: how every callback and every delivery reaches a node.
+    fn run_context(&mut self) -> (&mut [Option<P>], RunContext<'_, P::Msg>) {
+        let run = RunContext::new(
             self.n,
             self.step,
-            &mut self.rngs[i],
-            &mut self.session.outbox_buf,
+            self.header_bits,
+            &mut self.rngs,
+            self.session,
+            &mut self.metrics,
         );
-        f(node, &mut ctx);
-        if !self.session.outbox_buf.is_empty() {
-            self.session
-                .ship(id, self.step, self.header_bits, &mut self.metrics);
+        (&mut self.nodes, run)
+    }
+
+    /// Runs one protocol callback of correct node `id` against its
+    /// [`RunContext::context`] and ships whatever it sent into the step's
+    /// send list. No-op for corrupt nodes.
+    fn callback(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
+        let (nodes, mut run) = self.run_context();
+        if let Some(node) = nodes[id.index()].as_mut() {
+            f(node, &mut run.context(id));
         }
+        run.finish();
     }
 
     /// Stage 1 (crash plans only). Restarts first: a restarting node gets
@@ -646,11 +650,10 @@ impl<P: Protocol> StepState<'_, P> {
         }
     }
 
-    /// Stage 3: the deliveries due this step, in calendar order; a batch
-    /// is delivered run by run, each run part by part, in send order.
-    /// Anything to or from a dark node is dropped and counted. Deliveries
-    /// to corrupt nodes are counted as received and reach the adversary
-    /// through `observe`, which sees every envelope anyway.
+    /// Stage 3: the deliveries due this step, in calendar order, each
+    /// message through [`StepState::deliver_run`]: a lone envelope is a
+    /// part of one, a batch is delivered run by run, each run part by
+    /// part, in send order, and a fan-in is one part of one per sender.
     fn deliver_due(&mut self) {
         self.session
             .pending
@@ -658,55 +661,37 @@ impl<P: Protocol> StepState<'_, P> {
         let mut due = std::mem::take(&mut self.session.due);
         for delivery in due.drain(..) {
             match delivery {
-                Delivery::One(env) => {
-                    if self.is_dark(env.from) || self.is_dark(env.to) {
-                        self.metrics.record_dropped(1);
-                        continue;
-                    }
-                    self.metrics
-                        .record_recv(env.to, env.total_bits(self.header_bits));
-                    self.callback(env.to, |node, ctx| node.on_message(env.from, env.msg, ctx));
-                }
+                Delivery::One(env) => self.deliver_run(env.from, &env.msg, &[env.to]),
                 Delivery::Batch(batch) => {
-                    let from = batch.from;
-                    if self.is_dark(from) {
-                        self.metrics.record_dropped(batch.body.len() as u64);
-                    } else {
-                        batch.body.for_each_part(|msg, recipients| {
-                            self.deliver_run(from, msg, recipients)
-                        });
-                    }
+                    batch.body.for_each_part(|msg, recipients| {
+                        self.deliver_run(batch.from, msg, recipients)
+                    });
                     batch.body.pool_into(&mut self.session.pool);
                 }
-                Delivery::FanIn(fan) => self.deliver_fan_in(*fan),
+                Delivery::FanIn(fan) => {
+                    for &from in fan.from.iter() {
+                        self.deliver_run(from, &fan.msg, &[fan.to]);
+                    }
+                }
             }
         }
         self.session.due = due;
     }
 
-    /// A due fan-in, sender by sender: each envelope is dropped if its
-    /// sender or the recipient is dark, and otherwise received and handed
-    /// to [`Protocol::on_message`] with a clone of the payload — the
-    /// per-envelope deliveries it stands for.
-    fn deliver_fan_in(&mut self, fan: FanIn<P::Msg>) {
-        let bits = self.header_bits + fan.msg.wire_bits();
-        for &from in fan.from.iter() {
-            if self.is_dark(from) || self.is_dark(fan.to) {
-                self.metrics.record_dropped(1);
-                continue;
-            }
-            self.metrics.record_recv(fan.to, bits);
-            let msg = fan.msg.clone();
-            self.callback(fan.to, |node, ctx| node.on_message(from, msg, ctx));
-        }
-    }
-
-    /// One part of a due batch's run, with its payload as sent or built
-    /// for the part: drops (and counts) the dark recipients, records the
-    /// receipt of the others, and hands them to [`Protocol::deliver_run`]
-    /// in one call. Its [`RunContext`] ships each recipient's outbox as a
-    /// callback's is shipped, as that recipient's context closes.
+    /// The one way a message reaches a node: `msg` from `from` to every
+    /// node of `recipients`, with its payload as sent or built for the
+    /// part. Drops (and counts) everything from a dark sender and every
+    /// dark recipient, records the receipt of the others, and hands them
+    /// to [`Protocol::deliver_run`] in one call. Deliveries to corrupt
+    /// nodes are counted as received; they reach the adversary through
+    /// `observe`, which sees every envelope anyway. Its [`RunContext`]
+    /// ships each recipient's outbox as a callback's is shipped, as that
+    /// recipient's context closes.
     fn deliver_run(&mut self, from: NodeId, msg: &P::Msg, recipients: &[NodeId]) {
+        if self.is_dark(from) {
+            self.metrics.record_dropped(recipients.len() as u64);
+            return;
+        }
         let mut live = std::mem::take(&mut self.session.run_live);
         let recipients = if recipients.iter().any(|&to| self.is_dark(to)) {
             live.extend(recipients.iter().filter(|&&to| !self.dark[to.index()]));
@@ -720,15 +705,8 @@ impl<P: Protocol> StepState<'_, P> {
         for &to in recipients {
             self.metrics.record_recv(to, bits);
         }
-        let mut run = RunContext::new(
-            self.n,
-            self.step,
-            self.header_bits,
-            &mut self.rngs,
-            self.session,
-            &mut self.metrics,
-        );
-        P::deliver_run(&mut self.nodes, from, msg, recipients, &mut run);
+        let (nodes, mut run) = self.run_context();
+        P::deliver_run(nodes, from, msg, recipients, &mut run);
         run.finish();
         live.clear();
         self.session.run_live = live;
@@ -1333,6 +1311,143 @@ mod tests {
         });
         assert_eq!(out.metrics.total_msgs_sent(), 2 * 6 * 6);
         assert_eq!(CLONES.with(Cell::get), 0);
+    }
+
+    /// Keeps every message its `deliver_run` hands it and panics in
+    /// `on_message`, which the engine reaches only through
+    /// [`deliver_each`](crate::deliver_each). A node opens with its id to
+    /// everyone else (one multicast) and `100 + id` to its successor (one
+    /// batch, two runs), sends `200 + id` alone to its successor at step
+    /// 1 (a lone envelope), and relays `300 + m` to the opener of every
+    /// `m` it hears through [`RunContext::fan_in`]. It decides at step 2,
+    /// so the run drains to quiescence and every send is delivered.
+    struct Recorder {
+        id: NodeId,
+        n: usize,
+        step: Step,
+        got: Vec<(NodeId, NodeId, u64)>,
+    }
+
+    impl Recorder {
+        fn next(&self) -> NodeId {
+            NodeId::from_index((self.id.index() + 1) % self.n)
+        }
+    }
+
+    impl Protocol for Recorder {
+        type Msg = u64;
+        type Output = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            let others = (0..self.n).map(NodeId::from_index);
+            let others: Vec<NodeId> = others.filter(|&to| to != self.id).collect();
+            ctx.multicast(&others, self.id.index() as u64);
+            ctx.send(self.next(), 100 + self.id.index() as u64);
+        }
+        fn on_step(&mut self, ctx: &mut Context<'_, u64>) {
+            self.step = ctx.step();
+            if self.step == 1 {
+                ctx.send(self.next(), 200 + self.id.index() as u64);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, _ctx: &mut Context<'_, u64>) {
+            panic!("{from} > {}: {msg} reached `on_message` directly", self.id);
+        }
+        fn deliver_run(
+            nodes: &mut [Option<Self>],
+            from: NodeId,
+            msg: &u64,
+            recipients: &[NodeId],
+            run: &mut RunContext<'_, u64>,
+        ) {
+            let mut relays = Vec::new();
+            for &to in recipients {
+                if let Some(node) = nodes[to.index()].as_mut() {
+                    node.got.push((from, to, *msg));
+                    relays.push(to);
+                }
+            }
+            if *msg < 100 {
+                run.fan_in(&relays, from, 300 + msg);
+            }
+        }
+        fn output(&self) -> Option<()> {
+            (self.step >= 2).then_some(())
+        }
+    }
+
+    /// Rushing: plays node 1 and sends `400 + step` to nodes 0 and 2 each
+    /// step. With `split` its per-envelope keys — delay by recipient,
+    /// priority by sender — split every batch and fan-in onto the keyed
+    /// lane; without, every step is uniform and stays on the bulk lane.
+    struct Injector {
+        split: bool,
+    }
+
+    impl Adversary<u64> for Injector {
+        fn corrupt(&mut self, _n: usize, _rng: &mut ChaCha12Rng) -> BTreeSet<NodeId> {
+            BTreeSet::from([NodeId::from_index(1)])
+        }
+        fn rushing(&self) -> bool {
+            true
+        }
+        fn act(&mut self, step: Step, _v: Option<&[Envelope<u64>]>, out: &mut Outbox<'_, u64>) {
+            for to in [0, 2] {
+                let (from, to) = (NodeId::from_index(1), NodeId::from_index(to));
+                out.send_as(from, to, 400 + step);
+            }
+        }
+        fn delay(&mut self, env: &Envelope<u64>) -> Step {
+            if self.split {
+                1 + env.to.index() as Step % 2
+            } else {
+                1
+            }
+        }
+        fn priority(&mut self, env: &Envelope<u64>) -> i64 {
+            if self.split {
+                -(env.from.index() as i64 % 3)
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn every_message_reaches_a_node_through_deliver_run_exactly_once() {
+        for split in [false, true] {
+            let cfg = EngineConfig {
+                record_transcript: true,
+                ..EngineConfig::asynchronous(6, 2)
+            };
+            let mut got = Vec::new();
+            let out = run_observed::<Recorder, _, _, _>(
+                &cfg,
+                5,
+                &mut Injector { split },
+                |id| Recorder {
+                    id,
+                    n: 6,
+                    step: 0,
+                    got: Vec::new(),
+                },
+                &mut FinalInspect(|_, node: &Recorder| got.extend_from_slice(&node.got)),
+            );
+            assert!(out.quiescent, "split: {split}");
+            let mut sent: Vec<(NodeId, NodeId, u64)> = out
+                .transcript
+                .iter()
+                .filter(|env| !out.corrupt.contains(&env.to))
+                .map(|env| (env.from, env.to, env.msg))
+                .collect();
+            // Every form is delivered: multicasts, a batch's second run,
+            // lone envelopes, fan-in relays and injected envelopes.
+            let forms: BTreeSet<u64> = sent.iter().map(|&(_, _, msg)| msg / 100).collect();
+            assert_eq!(forms, BTreeSet::from([0, 1, 2, 3, 4]), "split: {split}");
+            sent.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, sent, "split: {split}");
+        }
     }
 
     #[test]

@@ -35,23 +35,24 @@
 //!    A callback of any stage sends by the run ([`Context::multicast`];
 //!    [`Context::send`] is the run of one).
 //! 3. `deliver_due` — the deliveries scheduled for this step, in
-//!    `(priority, send order)` order; anything to or from a dark node is
-//!    dropped and counted. A single envelope is one
-//!    [`Protocol::on_message`]. A batch is delivered run by run, in send
-//!    order, and each run part by part: each part — its payload as sent,
-//!    or built for the part, and its recipient list minus the dark ones —
-//!    is one [`Protocol::deliver_run`] call over the node table, whose
-//!    default is `on_message` per recipient in list order. The engine
-//!    keeps the accounting and the dark filter on its side of the call,
-//!    and ships what each recipient sent through its
+//!    `(priority, send order)` order, each handed to the one delivery
+//!    call, [`Protocol::deliver_run`] over the node table: a single
+//!    envelope is a part of one recipient; a batch is delivered run by
+//!    run, in send order, and each run part by part, each part with its
+//!    payload as sent or built for the part; a fan-in is one part of one
+//!    recipient per sender. Before the call the engine drops and counts
+//!    everything from a dark sender and every dark recipient, and records
+//!    the receipt of the rest; the default, [`deliver_each`], is
+//!    `on_message` per recipient in list order, and [`deliver_each`] is
+//!    the only way the engine reaches [`Protocol::on_message`]. The
+//!    engine ships what each recipient sent through its
 //!    [`RunContext::context`] as that recipient's outbox as the context
-//!    closes — when the next
-//!    recipient's opens, a fan-in is pushed or the call returns — so an
-//!    override can only save work, not reorder it. What several
-//!    recipients send through [`RunContext::fan_in`] — one payload, one
-//!    destination — ships as one fan-in in its place among those
-//!    outboxes, and is delivered sender by sender, one `on_message` per
-//!    live sender.
+//!    closes — when the next recipient's opens, a fan-in is pushed or the
+//!    call returns — so an override can only save work, not reorder it.
+//!    What several recipients send through [`RunContext::fan_in`] — one
+//!    payload, one destination — ships as one fan-in in its place among
+//!    those outboxes. The callbacks of stages 1 and 2 open their context
+//!    through a [`RunContext`] too, so every outbox ships one way.
 //! 4. `adversary_turn` — [`Adversary::act`]; a rushing adversary is shown
 //!    the sends of stages 1–3.
 //! 5. `schedule_sends` — every envelope sent this step, in send order, is
@@ -143,7 +144,7 @@
 //!   relays as one fan-in). The contract is the
 //!   default loop's observable behaviour: same state changes, same sends
 //!   from the same recipients in the same order, same RNG draws.
-//!   Accounting, dark-recipient drops and outbox sealing stay in the
+//!   Accounting, dark drops and outbox sealing stay in the
 //!   engine, and the default-hook call order is pinned by the step
 //!   tables in `tests/engine_props.rs`. The reference engine never calls
 //!   the hook, so the same differential matrix is what holds `fba-core`'s

@@ -62,7 +62,6 @@ impl LoadSummary {
 pub struct Metrics {
     n: usize,
     corrupt_mask: Vec<bool>,
-    corrupt_count: usize,
     msgs_sent: Vec<u64>,
     bits_sent: Vec<u64>,
     msgs_recv: Vec<u64>,
@@ -79,17 +78,14 @@ impl Metrics {
     #[must_use]
     pub fn new(n: usize, corrupt: &BTreeSet<NodeId>) -> Self {
         let mut corrupt_mask = vec![false; n];
-        let mut corrupt_count = 0;
         for id in corrupt {
-            if id.index() < n && !corrupt_mask[id.index()] {
+            if id.index() < n {
                 corrupt_mask[id.index()] = true;
-                corrupt_count += 1;
             }
         }
         Metrics {
             n,
             corrupt_mask,
-            corrupt_count,
             msgs_sent: vec![0; n],
             bits_sent: vec![0; n],
             msgs_recv: vec![0; n],
@@ -110,12 +106,6 @@ impl Metrics {
     #[must_use]
     pub fn is_corrupt(&self, node: NodeId) -> bool {
         self.corrupt_mask[node.index()]
-    }
-
-    /// Size of this run's corrupt set.
-    #[must_use]
-    pub fn corrupt_count(&self) -> usize {
-        self.corrupt_count
     }
 
     /// Records one sent message of `bits` total wire bits.

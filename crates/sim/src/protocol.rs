@@ -6,11 +6,12 @@
 //! [`Protocol::on_message`] (per delivered message). All interaction with
 //! the network happens through the [`Context`] handed to each callback.
 //!
-//! A multicast — one sender, one payload, many recipients — reaches the
-//! protocol as a whole through [`Protocol::deliver_run`], whose default is
-//! the per-recipient [`Protocol::on_message`] loop; a protocol whose
-//! handler repeats the same per-message work at every recipient overrides
-//! it to do that work once.
+//! Every delivered message reaches the protocol through
+//! [`Protocol::deliver_run`] — a multicast, one sender, one payload, many
+//! recipients, as a whole — whose default is the per-recipient
+//! [`Protocol::on_message`] loop; a protocol whose handler repeats the
+//! same per-message work at every recipient overrides it to do that work
+//! once.
 
 use std::fmt;
 use std::rc::Rc;
@@ -55,21 +56,23 @@ pub trait Protocol {
     /// `from` is the authenticated sender identity stamped by the network.
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>);
 
-    /// Delivers one part of a batch's run — the same `msg` from `from` to
-    /// every node of `recipients`, in that order — over the run's node
-    /// table (`nodes[i]` is `None` where the adversary plays node `i`).
-    /// The engine calls this once per part on the batched lane — once for
-    /// a multicast, once per part of a [`Context::multicast_parts`] run
-    /// with that part's payload built — instead of
-    /// [`Protocol::on_message`] once per recipient; the default is exactly
-    /// that loop ([`deliver_each`]).
+    /// Delivers one part — the same `msg` from `from` to every node of
+    /// `recipients`, in that order — over the run's node table
+    /// (`nodes[i]` is `None` where the adversary plays node `i`). This is
+    /// the engine's one delivery call: once for a multicast, once per part
+    /// of a [`Context::multicast_list`] run with that part's payload
+    /// built, once with one recipient for a lone envelope, and once per
+    /// sender with one recipient for a fan-in. The default is
+    /// [`Protocol::on_message`] once per recipient ([`deliver_each`]),
+    /// and the engine reaches `on_message` only through [`deliver_each`].
     ///
     /// The engine owns everything around the call: it has already dropped
-    /// (and counted) dark recipients and recorded the receipt of the rest,
-    /// and as each recipient's context closes it ships what that recipient
-    /// sent through [`RunContext::context`] as its outbox, and what several
-    /// send through [`RunContext::fan_in`] as one fan-in as it is pushed,
-    /// in the order they were sent. An override must be observably the
+    /// (and counted) a dark sender's message and dark recipients, and
+    /// recorded the receipt of the rest, and as each recipient's context
+    /// closes it ships what that recipient sent through
+    /// [`RunContext::context`] as its outbox, and what several send
+    /// through [`RunContext::fan_in`] as one fan-in as it is pushed, in
+    /// the order they were sent. An override must be observably the
     /// same as the default — the same state changes, the same sends from
     /// the same recipients in the same order, the same draws from each
     /// recipient's RNG — and may differ only in doing per-*message* work
